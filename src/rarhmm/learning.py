@@ -4,9 +4,15 @@ The E-step is exact forward-backward smoothing; Gaussian blocks (initial model,
 dynamics, controllers) have closed-form weighted least-squares M-steps;
 transition links are improved by gradient descent with backtracking
 (improvement-or-keep, so the observed-data log-likelihood never decreases
-beyond floating-point noise). Covariances are projected onto the SPD cone
-with a minimum-eigenvalue floor, which is the constrained argmax, so the
-monotonicity guarantee survives the projection.
+beyond floating-point noise). Each transition M-step reduces the pairwise
+marginals xi once to source mass, destination mass and pair counts; every
+objective evaluation then works on (M, K) link logits and the (K, K) bias
+(factored objective in transition.py), recomputing with an exact
+log-sum-exp only the normalizer entries that underflow. Only per_prev linear
+links, whose logits depend on the source regime, build (M, K, K) tensors.
+Covariances are projected onto the SPD cone with a minimum-eigenvalue floor,
+which is the constrained argmax, so the monotonicity guarantee survives the
+projection.
 """
 from __future__ import annotations
 
@@ -24,13 +30,15 @@ from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
                     controller_feature_series)
 from .transition import (TransitionModel, _nll_grad_packed, make_transition,
                          params_to_vector, stack_transition_stats,
-                         vector_to_params)
+                         vector_to_params, xi_marginals)
 
 RIDGE = 1e-8
 EMPTY_WEIGHT = 1e-12
 KMEANS_ITERS = 50
 STICKY_LOGIT = 2.0
 FEATURE_INIT_SCALE = 0.01
+GLM_STEPS = 100
+GLM_STEP_SIZE = 1e-2
 MAX_HALVINGS = 20
 
 
@@ -62,8 +70,6 @@ class FitConfig:
     restarts: int = 5
     seed: int = 0
     covariance_floor: float = 1e-6
-    glm_steps: int = 100
-    glm_step_size: float = 1e-2
     per_prev: bool = False
     constrain_offset_zero: bool = False
     # filled from transition_kind strings like "perceptron:16"
@@ -85,10 +91,10 @@ class FitConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.K < 1 or self.max_iters < 1 or self.restarts < 1:
             raise ValueError("K, max_iters, restarts must be positive")
-        if self.rel_tol <= 0 or self.covariance_floor <= 0 or self.glm_step_size <= 0:
+        if self.rel_tol <= 0 or self.covariance_floor <= 0:
             raise ValueError("tolerances must be positive")
-        if self.glm_steps < 0 or self.lag < 0 or self.poly_degree < 1:
-            raise ValueError("glm_steps >= 0, lag >= 0, poly_degree >= 1 required")
+        if self.lag < 0 or self.poly_degree < 1:
+            raise ValueError("lag >= 0, poly_degree >= 1 required")
 
 
 @dataclass
@@ -360,13 +366,20 @@ def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
 def mstep_transitions(posteriors, dataset: Dataset, tm_hat: TransitionModel,
                       config: FitConfig) -> TransitionModel:
     """Transition update. Stationary links have the closed-form normalized-count
-    solution; other kinds take up to glm_steps gradient-descent steps with
-    backtracking (at most 20 halvings per step) on the expected transition NLL
-    and return the best iterate, or tm_hat unchanged if nothing improved.
+    solution; other kinds take up to GLM_STEPS gradient-descent steps with
+    backtracking (at most MAX_HALVINGS halvings per step) on the expected
+    transition NLL and return the best iterate, or tm_hat unchanged if nothing
+    improved.
+
+    The marginals of xi the objective reads (source mass, destination mass,
+    pair counts) are computed once here, not per evaluation. Each evaluation
+    is then factored: (M, K) link logits against the (K, K) bias, with an
+    exact log-sum-exp for the few normalizer entries that underflow. per_prev
+    linear links depend on the source regime and evaluate (M, K, K) tensors.
 
     The first trial length is normalized by the entry gradient's magnitude:
     warm-started calls arrive nearly converged with tiny gradients, and a raw
-    glm_step_size trial would spend the whole budget re-doubling before any
+    GLM_STEP_SIZE trial would spend the whole budget re-doubling before any
     parameter moves a useful distance."""
     xis = [p.xi for p in posteriors]
     if tm_hat.kind == "stationary":
@@ -374,29 +387,27 @@ def mstep_transitions(posteriors, dataset: Dataset, tm_hat: TransitionModel,
         probs = counts / np.maximum(counts.sum(axis=1, keepdims=True), EMPTY_WEIGHT)
         bias = np.log(np.maximum(probs.T, 1e-300))           # bias[i, j], column j
         return replace(tm_hat, bias=bias)
-    if config.glm_steps == 0:
-        return tm_hat
 
     feats, xi_di = stack_transition_stats(tm_hat, dataset, xis)
-    src_mass = xi_di.sum(axis=1)
+    marginals = xi_marginals(xi_di)
     scale = 1.0 / len(feats)  # optimize the mean NLL so step sizes are data-size-free
     start = params_to_vector(tm_hat)
     vec = start
-    nll, grad = _nll_grad_packed(tm_hat, vec, feats, xi_di, src_mass)
+    nll, grad = _nll_grad_packed(tm_hat, vec, feats, xi_di, marginals)
     nll, grad = nll * scale, grad * scale
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError(
             f"non-finite transition gradient (kind={tm_hat.kind}, "
             f"|params|={np.abs(vec).max():.3e}, nll={nll:.6e})")
-    step = config.glm_step_size / max(np.abs(grad).max(), 1e-12)
+    step = GLM_STEP_SIZE / max(np.abs(grad).max(), 1e-12)
     improved = False
-    for _ in range(config.glm_steps):
+    for _ in range(GLM_STEPS):
         accepted = False
         trial = step
         for _ in range(MAX_HALVINGS + 1):
             cand = vec - trial * grad
             cand_nll, cand_grad = _nll_grad_packed(tm_hat, cand, feats, xi_di,
-                                                   src_mass)
+                                                   marginals)
             cand_nll, cand_grad = cand_nll * scale, cand_grad * scale
             if cand_nll < nll and np.all(np.isfinite(cand_grad)):
                 vec, nll, grad = cand, cand_nll, cand_grad

@@ -17,6 +17,33 @@ Columns of the resulting matrix are probability distributions over the next
 regime. feature_params is the flat parameter vector of g (empty when
 stationary); the trainable vector for the M-step is bias (row-major) followed
 by feature_params.
+
+The M-step objective is the expected transition NLL under pairwise marginals
+xi[m, i, j] (source j -> destination i at stacked step m). When g is shared
+across sources (every kind but per_prev linear), it never forms (M, K, K)
+tensors. With link logits a = g(s) of shape (M, K) and b = bias,
+
+    log psi[m, i, j] = a[m, i] + b[i, j] - log Z[m, j],
+    Z[m, j] = sum_i exp(a[m, i] + b[i, j]),
+
+so the objective and its gradients need only three marginals of xi: source
+mass src[m, j] = sum_i xi, destination mass dest[m, i] = sum_j xi and pair
+counts pairs[i, j] = sum_m xi:
+
+    NLL    = sum src * log Z - sum dest * a - sum pairs * b
+    d a    = E * ((src / Zs) @ B.T) - dest
+    d bias = B * (E.T @ (src / Zs)) - pairs
+
+where E = exp(a - max_i a), B = exp(b - max_i b) and Zs = E @ B, one
+(M, K) @ (K, K) product, is Z with both shifts divided out:
+log Z[m, j] = log Zs[m, j] + max_i a[m, i] + max_i b[i, j]. The shifts cancel
+from the NLL, which is therefore summed over the shifted terms. An entry of Zs
+underflows when both the link-logit row and the bias column spread by hundreds
+of nats; those (m, j) entries alone are recomputed with an exact log-sum-exp
+over i. per_prev logits depend on the source regime, so that kind keeps the
+(M, K, K) path. The code stores a, E, Zs, src and dest transposed, as (K, M):
+numpy reduces over a short trailing axis about 20x slower than over a leading
+one (K = 5, M = 1200).
 """
 from __future__ import annotations
 
@@ -171,23 +198,29 @@ def _unpack(tm: TransitionModel, params: np.ndarray):
     return (w1, b1, w2, b2)
 
 
+def _link_logits(tm: TransitionModel, feats: np.ndarray, params: np.ndarray):
+    """(M, K) link logits g(s) of a kind whose link is shared across source
+    regimes, plus the perceptron's (M, H) hidden layer (None for other kinds)."""
+    if tm.kind == "stationary":
+        return np.zeros((feats.shape[0], tm.K)), None
+    parts = _unpack(tm, params)
+    if tm.kind in ("linear", "polynomial"):
+        return feats @ parts[0].T, None
+    w1, b1, w2, b2 = parts
+    h = np.tanh(feats @ w1.T + b1)
+    return h @ w2.T + b2, h
+
+
 def _logits(tm: TransitionModel, feats: np.ndarray, bias: np.ndarray,
             params: np.ndarray) -> np.ndarray:
     """(M, K, K) logits [m, i, j] for inputs already passed through the feature map."""
-    M = feats.shape[0]
-    out = np.broadcast_to(bias, (M, tm.K, tm.K)).copy()
+    out = np.broadcast_to(bias, (feats.shape[0], tm.K, tm.K)).copy()
     if tm.kind == "stationary":
         return out
-    parts = _unpack(tm, params)
-    if tm.kind == "linear" and tm.per_prev:
-        out += np.einsum("mf,ijf->mij", feats, parts[0])
-        return out
-    if tm.kind in ("linear", "polynomial"):
-        out += (feats @ parts[0].T)[:, :, None]
-        return out
-    w1, b1, w2, b2 = parts
-    h = np.tanh(feats @ w1.T + b1)
-    out += (h @ w2.T + b2)[:, :, None]
+    if tm.per_prev:
+        out += np.einsum("mf,ijf->mij", feats, _unpack(tm, params)[0])
+    else:
+        out += _link_logits(tm, feats, params)[0][:, :, None]
     return out
 
 
@@ -245,48 +278,102 @@ def stack_transition_stats(tm: TransitionModel, dataset, xis) -> tuple[np.ndarra
     return np.concatenate(feats, axis=0), np.concatenate(xs, axis=0)
 
 
-def _nll_grad_packed(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,
-                     xi_di: np.ndarray, src_mass: np.ndarray | None = None
-                     ) -> tuple[float, np.ndarray]:
-    """Expected transition NLL and its gradient at parameter vector `vec`.
+# Entries of the shifted normalizer Zs below this are recomputed exactly. Far
+# above the subnormal range, so terms lost to underflow are negligible against
+# Zs, and src / Zs stays far from overflow in the matmuls that consume it.
+_Z_FLOOR = 1e-200
 
-    feats and xi_di come from stack_transition_stats; src_mass is the optional
-    precomputed xi_di.sum(axis=1), invariant across evaluations. The objective
-    is -sum_m sum_ij xi_di[m, i, j] log psi[m, i, j].
-    """
-    kk = tm.K * tm.K
-    bias = vec[:kk].reshape(tm.K, tm.K)
-    params = vec[kk:]
-    logits = _logits(tm, feats, bias, params)
-    logpsi = _log_softmax_dest(logits)
-    nll = -float(np.vdot(xi_di, logpsi))
 
-    # d nll / d logits[m, i, j] = src_mass[m, j] * psi[m, i, j] - xi_di[m, i, j]
-    if src_mass is None:
-        src_mass = xi_di.sum(axis=1)                  # (M, K)
-    g = np.exp(logpsi, out=logpsi)                    # psi; logpsi not used again
-    g *= src_mass[:, None, :]
-    g -= xi_di
+def xi_marginals(xi_di: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source mass src[j, m] and destination mass dest[i, m], both regime-major
+    (K, M), and pair counts pairs[i, j] of xi_di[m, i, j]: the only statistics
+    of xi the factored objective reads."""
+    xi_ijm = np.ascontiguousarray(xi_di.transpose(1, 2, 0))
+    return xi_ijm.sum(axis=0), xi_ijm.sum(axis=1), xi_ijm.sum(axis=2)
 
-    grad_bias = g.sum(axis=0)
+
+def _nll_grad_factored(tm: TransitionModel, bias: np.ndarray, params: np.ndarray,
+                       feats: np.ndarray, src: np.ndarray, dest: np.ndarray,
+                       pairs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Objective of _nll_grad_packed for links shared across source regimes,
+    from the marginals of xi (module docstring). Per-step arrays are (K, M)."""
+    a, h = _link_logits(tm, feats, params)
+    a = np.ascontiguousarray(a.T)
+    a_rel = a - a.max(axis=0)                          # <= 0
+    b_rel = bias - bias.max(axis=0)                    # <= 0 per source column
+    E = np.exp(a_rel)
+    B = np.exp(b_rel)
+    zs = B.T @ E                                       # shifted normalizer zs[j, m]
+    low = zs.min() < _Z_FLOOR
+    if low:
+        jj, mm = np.nonzero(zs < _Z_FLOOR)
+        zs[jj, mm] = 1.0                               # placeholder, fixed below
+    # row and column shifts cancel from the NLL, because sum_i dest[i, m] and
+    # sum_j src[j, m] are both the mass at step m, and sum_m src[j, m] and
+    # sum_i pairs[i, j] are both the mass leaving j
+    log_zs = np.log(zs)
+    ratio = src / zs
+    if low:
+        ratio[jj, mm] = 0.0
+        rel = (a_rel[:, mm] + b_rel[:, jj]).T          # (n, K) over destinations
+        top = rel.max(axis=1, keepdims=True)
+        lse = top[:, 0] + np.log(np.exp(rel - top).sum(axis=1))
+        log_zs[jj, mm] = lse
+        flow = src[jj, mm][:, None] * np.exp(rel - lse[:, None])
+    nll = float(np.vdot(src, log_zs) - np.vdot(dest, a_rel) - np.vdot(pairs, b_rel))
+
+    grad_a = E * (B @ ratio) - dest                    # shared across sources
+    grad_bias = B * (E @ ratio.T) - pairs
+    if low:
+        np.add.at(grad_a.T, mm, flow)
+        np.add.at(grad_bias.T, jj, flow)
     if tm.kind == "stationary":
         return nll, grad_bias.ravel()
-    if tm.kind == "linear" and tm.per_prev:
-        grad_w = np.einsum("mij,mf->ijf", g, feats)
-        return nll, np.concatenate([grad_bias.ravel(), grad_w.ravel()])
-    g_dest = g.sum(axis=2)                            # (M, K), shared across sources
     if tm.kind in ("linear", "polynomial"):
-        grad_w = g_dest.T @ feats
+        grad_w = grad_a @ feats
         return nll, np.concatenate([grad_bias.ravel(), grad_w.ravel()])
-    w1, b1, w2, _ = _unpack(tm, params)
-    h = np.tanh(feats @ w1.T + b1)
-    grad_w2 = g_dest.T @ h
-    grad_b2 = g_dest.sum(axis=0)
-    back = (g_dest @ w2) * (1.0 - h * h)              # (M, H)
+    _, _, w2, _ = _unpack(tm, params)
+    grad_w2 = grad_a @ h
+    grad_b2 = grad_a.sum(axis=1)
+    back = (grad_a.T @ w2) * (1.0 - h * h)             # (M, H)
     grad_w1 = back.T @ feats
     grad_b1 = back.sum(axis=0)
     return nll, np.concatenate([grad_bias.ravel(), grad_w1.ravel(), grad_b1,
                                 grad_w2.ravel(), grad_b2])
+
+
+def _nll_grad_tensor(tm: TransitionModel, bias: np.ndarray, params: np.ndarray,
+                     feats: np.ndarray, xi_di: np.ndarray, src: np.ndarray
+                     ) -> tuple[float, np.ndarray]:
+    """per_prev linear: the logits depend on the source, so work on (M, K, K)."""
+    logpsi = _log_softmax_dest(_logits(tm, feats, bias, params))
+    nll = -float(np.vdot(xi_di, logpsi))
+    # d nll / d logits[m, i, j] = src[j, m] * psi[m, i, j] - xi_di[m, i, j]
+    g = np.exp(logpsi, out=logpsi)                     # psi; logpsi not used again
+    g *= src.T[:, None, :]
+    g -= xi_di
+    grad_w = np.einsum("mij,mf->ijf", g, feats)
+    return nll, np.concatenate([g.sum(axis=0).ravel(), grad_w.ravel()])
+
+
+def _nll_grad_packed(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,
+                     xi_di: np.ndarray,
+                     marginals: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[float, np.ndarray]:
+    """Expected transition NLL and its gradient at parameter vector `vec`.
+
+    feats and xi_di come from stack_transition_stats; marginals is the optional
+    precomputed xi_marginals(xi_di), invariant across evaluations. The objective
+    is -sum_m sum_ij xi_di[m, i, j] log psi[m, i, j], evaluated in factored form
+    unless the kind is per_prev linear (see the module docstring).
+    """
+    kk = tm.K * tm.K
+    bias = vec[:kk].reshape(tm.K, tm.K)
+    params = vec[kk:]
+    src, dest, pairs = xi_marginals(xi_di) if marginals is None else marginals
+    if tm.per_prev:
+        return _nll_grad_tensor(tm, bias, params, feats, xi_di, src)
+    return _nll_grad_factored(tm, bias, params, feats, src, dest, pairs)
 
 
 def weighted_nll_and_grad(tm: TransitionModel, dataset, xis) -> tuple[float, np.ndarray]:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rarhmm import learning
 from rarhmm.inference import estep, smooth
 from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
@@ -11,11 +12,12 @@ from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
                           models_equal, sample_trajectory)
-from rarhmm.transition import (make_transition, transition_matrix,
-                               weighted_nll_and_grad)
+from rarhmm.transition import (make_transition, params_to_vector,
+                               transition_matrix, weighted_nll_and_grad)
 from rarhmm.learning import _HardPosterior
 
-from util import random_dataset, random_model, random_trajectory
+from util import (random_dataset, random_model, random_trajectory,
+                  tensor_nll_grad)
 
 
 def test_parse_transition_spec():
@@ -216,18 +218,25 @@ def test_mstep_transitions_glm_improves_nll():
     posts, _ = estep(m, ds)
     xis = [p.xi for p in posts]
     before, _ = weighted_nll_and_grad(m.transition, ds, xis)
-    cfg = FitConfig(K=2, transition_kind="linear", glm_steps=50)
+    cfg = FitConfig(K=2, transition_kind="linear")
     new = mstep_transitions(posts, ds, m.transition, cfg)
     after, _ = weighted_nll_and_grad(new, ds, xis)
     assert after < before
 
 
-def test_mstep_transitions_zero_steps_is_identity():
-    m = random_model(K=2, d_x=2, d_u=1, kind="linear", seed=10)
-    ds = random_dataset(m, n=2, T=10, seed=10)
+def test_mstep_transitions_matches_tensor_path(monkeypatch):
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=10)
+    ds = random_dataset(m, n=2, T=30, seed=10)
     posts, _ = estep(m, ds)
-    cfg = FitConfig(K=2, transition_kind="linear", glm_steps=0)
-    assert mstep_transitions(posts, ds, m.transition, cfg) is m.transition
+    cfg = FitConfig(K=3, transition_kind="linear")
+    new = mstep_transitions(posts, ds, m.transition, cfg)
+    monkeypatch.setattr(learning, "_nll_grad_packed",
+                        lambda tm, vec, feats, xi, marginals:
+                        tensor_nll_grad(tm, vec, feats, xi))
+    ref = mstep_transitions(posts, ds, m.transition, cfg)
+    assert new is not m.transition and ref is not m.transition
+    np.testing.assert_allclose(params_to_vector(new), params_to_vector(ref),
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_empty_regime_keeps_previous_parameters():

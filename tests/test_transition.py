@@ -8,7 +8,13 @@ from rarhmm.transition import (TransitionModel, _nll_grad_packed, make_transitio
                                transition_matrices, transition_probs,
                                vector_to_params, weighted_nll_and_grad)
 
-from util import random_xis
+from util import random_xis, tensor_nll_grad
+
+KIND_CASES = [("linear", {}),
+              ("linear", {"per_prev": True}),
+              ("polynomial", {"degree": 3}),
+              ("perceptron", {"hidden_units": 4}),
+              ("stationary", {})]
 
 
 def _random_tm(kind, K, d_x, d_u, seed, scale=0.8, **kw):
@@ -156,10 +162,7 @@ def _fd_grad(tm, feats, xi, vec, eps=1e-6):
     return g
 
 
-@pytest.mark.parametrize("kind,kw", [("linear", {}),
-                                     ("linear", {"per_prev": True}),
-                                     ("polynomial", {"degree": 3}),
-                                     ("perceptron", {"hidden_units": 4})])
+@pytest.mark.parametrize("kind,kw", KIND_CASES)
 def test_gradient_matches_finite_differences(kind, kw):
     for seed in range(5):
         tm, ds, xis = _random_instance(kind, seed, **kw)
@@ -168,6 +171,36 @@ def test_gradient_matches_finite_differences(kind, kw):
         fd = _fd_grad(tm, feats, xi, params_to_vector(tm))
         err = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert err < 1e-5, f"{kind} seed {seed}: rel err {err:.2e}"
+
+
+def _assert_matches_tensor_reference(tm, ds, xis):
+    nll, grad = weighted_nll_and_grad(tm, ds, xis)
+    feats, xi = stack_transition_stats(tm, ds, xis)
+    ref_nll, ref_grad = tensor_nll_grad(tm, params_to_vector(tm), feats, xi)
+    np.testing.assert_allclose(nll, ref_nll, rtol=1e-10)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-10,
+                               atol=1e-10 * np.abs(ref_grad).max())
+    return nll
+
+
+@pytest.mark.parametrize("kind,kw", KIND_CASES)
+def test_objective_matches_tensor_reference(kind, kw):
+    for seed in range(5):
+        _assert_matches_tensor_reference(
+            *_random_instance(kind, seed, K=2 + seed % 3, **kw))
+
+
+def test_objective_recomputes_underflowing_normalizer():
+    # link logits [400, -400] against bias columns spread by 800 nats: the
+    # shifted normalizer of source 1 is exp(-800) + exp(-800), which underflows
+    tm = make_transition("linear", 2, 1, 0,
+                         bias=np.array([[0.0, -800.0], [-800.0, 0.0]]))
+    tm = vector_to_params(tm, np.concatenate([tm.bias.ravel(), [-4.0, 4.0]]))
+    traj = Trajectory(xs=np.array([[-100.0], [0.0]]), us=np.zeros((2, 0)), dt=0.1)
+    ds = Dataset.from_trajectories([traj])
+    xi = np.array([[[0.5, 0.0], [0.0, 0.5]]])
+    nll = _assert_matches_tensor_reference(tm, ds, [xi])
+    np.testing.assert_allclose(nll, 0.5 * np.log(2.0), rtol=1e-12)
 
 
 def test_fd_check_perceptron_seed0_example():

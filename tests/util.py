@@ -67,3 +67,43 @@ def random_xis(rng, T, K):
     """Random valid pairwise marginals: each (K, K) slice sums to 1."""
     xi = rng.dirichlet(np.ones(K * K), size=T - 1).reshape(T - 1, K, K)
     return xi
+
+
+def tensor_nll_grad(tm, vec, feats, xi_di):
+    """Reference expected transition NLL and gradient that builds the full
+    (M, K, K) logits [m, i, j] (destination i, source j) and normalizes them
+    over i, as the objective is defined; vec is bias (row-major) then
+    feature_params, feats and xi_di come from stack_transition_stats."""
+    K = tm.K
+    M, F = feats.shape
+    bias, p = vec[:K * K].reshape(K, K), vec[K * K:]
+    H = tm.hidden_units
+    if tm.kind == "stationary":
+        logits = np.broadcast_to(bias, (M, K, K))
+    elif tm.per_prev:
+        logits = bias + np.einsum("mf,ijf->mij", feats, p.reshape(K, K, F))
+    elif tm.kind in ("linear", "polynomial"):
+        logits = bias + (feats @ p.reshape(K, F).T)[:, :, None]
+    else:
+        w1 = p[:H * F].reshape(H, F)
+        b1 = p[H * F:H * F + H]
+        w2 = p[H * F + H:H * F + H + K * H].reshape(K, H)
+        b2 = p[H * F + H + K * H:]
+        h = np.tanh(feats @ w1.T + b1)
+        logits = bias + (h @ w2.T + b2)[:, :, None]
+    top = logits.max(axis=1, keepdims=True)
+    logpsi = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+    nll = -float(np.sum(xi_di * logpsi))
+    # d nll / d logits[m, i, j] = (sum_i' xi_di[m, i', j]) psi[m, i, j] - xi_di[m, i, j]
+    g = xi_di.sum(axis=1)[:, None, :] * np.exp(logpsi) - xi_di
+    parts = [g.sum(axis=0).ravel()]
+    g_dest = g.sum(axis=2)
+    if tm.per_prev:
+        parts.append(np.einsum("mij,mf->ijf", g, feats).ravel())
+    elif tm.kind in ("linear", "polynomial"):
+        parts.append((g_dest.T @ feats).ravel())
+    elif tm.kind == "perceptron":
+        back = (g_dest @ w2) * (1.0 - h * h)
+        parts += [(back.T @ feats).ravel(), back.sum(axis=0),
+                  (g_dest.T @ h).ravel(), g_dest.sum(axis=0)]
+    return nll, np.concatenate(parts)
