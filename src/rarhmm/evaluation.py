@@ -182,20 +182,19 @@ class EvalReport:
         return "\n".join(out)
 
 
-def _final_step_scores(model: HybridModel, test: Dataset, h: int, mode: str,
-                       rng: np.random.Generator | None = None):
+def _final_step_scores(model: HybridModel, test: Dataset, alphas, h: int,
+                       mode: str, rng: np.random.Generator | None = None):
     """(preds, truths) at the final step of every h-window over every test
-    trajectory and every valid 1-based start t with t + h <= T."""
+    trajectory and every valid 1-based start t with t + h <= T. alphas holds
+    each trajectory's filter_all beliefs (None where T <= h)."""
     preds, truths = [], []
-    for traj in test.trajectories:
+    for traj, alpha in zip(test.trajectories, alphas):
         if traj.T <= h:
             continue
-        alpha = filter_all(model, traj)
         starts = np.arange(1, traj.T - h + 1)           # 1-based
-        x0 = traj.xs[starts - 1]
-        b0 = alpha[starts - 1]
         us = np.stack([traj.us[s - 1:s - 1 + h] for s in starts])
-        out = _forecast_batch(model, x0, b0, us, mode, rng)
+        out = _forecast_batch(model, traj.xs[starts - 1], alpha[starts - 1], us,
+                              mode, rng)
         preds.append(out[:, -1, :])
         truths.append(traj.xs[starts - 1 + h])
     if not preds:
@@ -224,8 +223,11 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
         K = models[0].K
         scores = np.empty((len(models), len(horizons)))
         for s, model in enumerate(models):
+            # beliefs do not depend on the horizon: filter each trajectory once
+            alphas = [filter_all(model, traj) if traj.T > min(horizons) else None
+                      for traj in test.trajectories]
             for j, h in enumerate(horizons):
-                preds, truths = _final_step_scores(model, test, h, mode, rng)
+                preds, truths = _final_step_scores(model, test, alphas, h, mode, rng)
                 scores[s, j] = nmse(preds, truths, normalizer)
                 report.per_split.append(dict(tag=tag, K=model.K, split=s, h=h,
                                              nmse=float(scores[s, j])))

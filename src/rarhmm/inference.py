@@ -63,9 +63,14 @@ def local_quantities(model: HybridModel, traj: Trajectory) -> tuple[np.ndarray, 
 
 
 # -- batched scaled recursions ------------------------------------------------
-# All cores take (B, T, K) evidence and (B, T-1, K, K) transition stacks so a
-# dataset of equal-length trajectories runs through numpy in lockstep; the
-# public single-trajectory API wraps a batch of one.
+# All cores take (B, T, K) evidence and (B, T-1, K, K) transition stacks, so a
+# whole dataset runs through numpy in lockstep in one time loop. Rows shorter
+# than T are padded past their end with log evidence 0 and identity
+# transitions: a padded step leaves the filtered belief unchanged and keeps
+# the backward message at exactly 1, so each row's own steps compute as in a
+# batch of one. _smooth_batch zeroes the padded log normalizers before the
+# backward pass, so a row's log-likelihood sums only its own steps. The public
+# single-trajectory API wraps a batch of one.
 
 def _forward_batch(ev, trans, pi):
     B, T, K = ev.shape
@@ -100,9 +105,12 @@ def _backward_batch(ev, trans, log_norms):
     return beta
 
 
-def _smooth_batch(ev, trans, pi):
+def _smooth_batch(ev, trans, pi, pad=None):
+    """pad (B, T) marks the padded steps; their gamma and xi are meaningless."""
     _check_evidence(ev)
     alpha, log_norms = _forward_batch(ev, trans, pi)
+    if pad is not None:
+        log_norms[pad] = 0.0
     beta = _backward_batch(ev, trans, log_norms)
     gamma = alpha * beta
     gamma /= gamma.sum(axis=2, keepdims=True)
@@ -144,25 +152,39 @@ def smooth(model: HybridModel, traj: Trajectory) -> Posterior:
     return Posterior(gamma=gamma[0], xi=xi[0], loglik=float(loglik[0]))
 
 
-def estep(model: HybridModel, dataset: Dataset):
-    """Smooth every trajectory. Returns (list of Posterior, total log-likelihood).
+def smooth_dataset(model: HybridModel, dataset: Dataset):
+    """Smooth all B trajectories in one padded batch; results equal
+    per-trajectory smoothing. Returns (Posterior per trajectory in dataset
+    order, total log-likelihood, Q = E_q[log p(x, u, z)], the EM lower bound).
 
-    Equal-length trajectories are stacked and smoothed in one batch; results
-    are identical to per-trajectory smoothing.
+    Padding to the longest length T_max holds B * T_max * K^2 floats of
+    transitions and as many of xi; equal-length datasets are not padded.
     """
-    evs, transs = zip(*(local_quantities(model, traj) for traj in dataset.trajectories))
-    posteriors: list[Posterior | None] = [None] * len(dataset)
-    by_length: dict[int, list[int]] = {}
-    for n, ev in enumerate(evs):
-        by_length.setdefault(len(ev), []).append(n)
-    for idxs in by_length.values():
-        ev = np.stack([evs[n] for n in idxs])
-        trans = np.stack([transs[n] for n in idxs])
-        gamma, xi, loglik = _smooth_batch(ev, trans, model.init.pi)
-        for row, n in enumerate(idxs):
-            posteriors[n] = Posterior(gamma=gamma[row], xi=xi[row],
-                                      loglik=float(loglik[row]))
-    total = float(sum(p.loglik for p in posteriors))
+    lengths = np.array([traj.T for traj in dataset.trajectories])
+    pad = np.arange(lengths.max()) >= lengths[:, None]   # (B, T_max)
+    (B, T), K = pad.shape, model.K
+    ev = np.zeros((B, T, K))
+    trans = np.tile(np.eye(K), (B, T - 1, 1, 1))
+    for b, traj in enumerate(dataset.trajectories):
+        ev[b, :traj.T], trans[b, :traj.T - 1] = local_quantities(model, traj)
+    gamma, xi, loglik = _smooth_batch(ev, trans, model.init.pi, pad)
+    # Q masked to each row's own steps. The clipped logs keep 0 * log(0)
+    # terms finite; gamma_1(k) > 0 forces pi_k > 0, so the clip never distorts
+    # a term that contributes
+    gamma[pad] = 0.0
+    xi[pad[:, 1:]] = 0.0
+    log_pi = np.log(np.maximum(model.init.pi, 1e-300))
+    log_trans = np.log(np.maximum(trans, 1e-300, out=trans), out=trans)
+    q = (float(np.sum(gamma[:, 0] * log_pi)) + float(np.sum(gamma * ev))
+         + float(np.einsum("btji,btij->", xi, log_trans)))
+    posteriors = [Posterior(gamma=gamma[b, :n], xi=xi[b, :n - 1], loglik=loglik[b])
+                  for b, n in enumerate(lengths)]
+    return posteriors, float(loglik.sum()), q
+
+
+def estep(model: HybridModel, dataset: Dataset):
+    """smooth_dataset without Q: (list of Posterior, total log-likelihood)."""
+    posteriors, total, _ = smooth_dataset(model, dataset)
     return posteriors, total
 
 

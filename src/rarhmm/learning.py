@@ -1,18 +1,19 @@
 """EM fitting of switching linear-Gaussian models.
 
-The E-step is exact forward-backward smoothing; Gaussian blocks (initial model,
-dynamics, controllers) have closed-form weighted least-squares M-steps;
-transition links are improved by gradient descent with backtracking
-(improvement-or-keep, so the observed-data log-likelihood never decreases
-beyond floating-point noise). Each transition M-step reduces the pairwise
-marginals xi once to source mass, destination mass and pair counts; every
-objective evaluation then works on (M, K) link logits and the (K, K) bias
-(factored objective in transition.py), recomputing with an exact
-log-sum-exp only the normalizer entries that underflow. Only per_prev linear
-links, whose logits depend on the source regime, build (M, K, K) tensors.
-Covariances are projected onto the SPD cone with a minimum-eigenvalue floor,
-which is the constrained argmax, so the monotonicity guarantee survives the
-projection.
+The E-step is exact forward-backward smoothing of the whole dataset as one
+padded batch (inference.smooth_dataset), which also returns the EM lower bound
+Q; Gaussian blocks (initial model, dynamics, controllers) have closed-form
+weighted least-squares M-steps; transition links are improved by gradient
+descent with backtracking (improvement-or-keep, so the observed-data
+log-likelihood never decreases beyond floating-point noise). Each transition
+M-step reduces the pairwise marginals xi once to source mass, destination mass
+and pair counts; every objective evaluation then works on (M, K) link logits
+and the (K, K) bias (factored objective in transition.py), recomputing with an
+exact log-sum-exp only the normalizer entries that underflow. Only per_prev
+linear links, whose logits depend on the source regime, build (M, K, K)
+tensors. Covariances are projected onto the SPD cone with a minimum-eigenvalue
+floor, which is the constrained argmax, so the monotonicity guarantee survives
+the projection.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._linalg import floor_spd
 from .features import controller_feature_dim
-from .inference import Posterior, _smooth_batch, local_quantities
+from .inference import smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
                     InitialModel, RegimeController, RegimeDynamics,
                     controller_feature_series)
@@ -443,36 +444,7 @@ def _mstep_all(model: HybridModel, posteriors, dataset: Dataset,
 
 # -- EM driver -----------------------------------------------------------------
 
-def _estep_stats(model: HybridModel, dataset: Dataset):
-    """E-step plus the EM lower-bound value Q(theta; posteriors) computed from
-    the same local quantities."""
-    evs, transs = zip(*(local_quantities(model, traj) for traj in dataset.trajectories))
-    posteriors: list = [None] * len(dataset)
-    total_ll = 0.0
-    total_q = 0.0
-    # clipped log keeps 0 * log(0) contributions finite; gamma_1(k) > 0 forces
-    # pi_k > 0, so the clip never distorts a term that actually contributes
-    log_pi = np.log(np.maximum(model.init.pi, 1e-300))
-    by_length: dict[int, list[int]] = {}
-    for n, ev in enumerate(evs):
-        by_length.setdefault(len(ev), []).append(n)
-    for idxs in by_length.values():
-        ev = np.stack([evs[n] for n in idxs])
-        trans = np.stack([transs[n] for n in idxs])
-        gamma, xi, loglik = _smooth_batch(ev, trans, model.init.pi)
-        with np.errstate(divide="ignore"):
-            log_trans = np.log(np.maximum(trans, 1e-300))
-        # Q = E_q[log p(x, u, z)] under the freshly smoothed posterior
-        q_init = float(np.sum(gamma[:, 0] * log_pi))
-        q_ev = float(np.sum(gamma * ev))
-        q_trans = float(np.einsum("btji,btij->", xi, log_trans))
-        total_q += q_init + q_ev + q_trans
-        total_ll += float(loglik.sum())
-        for row, n in enumerate(idxs):
-            posteriors[n] = Posterior(gamma=gamma[row], xi=xi[row],
-                                      loglik=float(loglik[row]))
-    return posteriors, total_ll, total_q
-
+_estep_stats = smooth_dataset  # E-step with Q; _run_em looks it up here
 
 _RESTART_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError,
                    RuntimeError, OverflowError)

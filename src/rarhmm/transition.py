@@ -233,7 +233,10 @@ def _log_softmax_dest(logits: np.ndarray) -> np.ndarray:
 
 def transition_matrices(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Column-stochastic matrices (M, K, K): entry [m, i, j] = p(next = i | prev = j)."""
-    feats = transition_features(tm, xs, us)
+    feats = transition_features(tm, xs, us)  # validates xs and us for every kind
+    if tm.kind == "stationary":
+        # every step shares softmax(bias): normalize once, repeat M times
+        return np.repeat(np.exp(_log_softmax_dest(tm.bias[None])), len(feats), axis=0)
     return np.exp(_log_softmax_dest(_logits(tm, feats, tm.bias, tm.feature_params)))
 
 

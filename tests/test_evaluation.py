@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rarhmm.envs import default_config, simulate
-from rarhmm.evaluation import (EvalReport, count_params,
+from rarhmm import evaluation
+from rarhmm.evaluation import (EvalReport, _forecast_batch, count_params,
                                count_params_breakdown, evaluate, filter_all,
                                filter_prefix, forecast, nmse,
                                dataset_normalizer)
@@ -233,6 +234,41 @@ def test_evaluate_duplicate_split_stats():
     assert two.rows[0]["mean"] == pytest.approx(one.rows[0]["mean"])
     assert two.rows[0]["std"] == 0.0
     assert two.rows[0]["n"] == 2
+
+
+@pytest.mark.parametrize("mode", ["marginal", "sample"])
+def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
+    m = random_model(K=2, d_x=2, d_u=1, seed=10)
+    trajs = [random_trajectory(m, T=T, seed=s)[0] for s, T in enumerate((25, 12, 30))]
+    test = Dataset.from_trajectories(trajs)
+    horizons = [1, 5, 15]
+    # reference: the per-horizon protocol, filtering every trajectory anew
+    rng = np.random.default_rng(3)
+    want = []
+    for h in horizons:
+        preds, truths = [], []
+        for traj in trajs:
+            if traj.T <= h:
+                continue
+            starts = np.arange(1, traj.T - h + 1)
+            us = np.stack([traj.us[s - 1:s - 1 + h] for s in starts])
+            out = _forecast_batch(m, traj.xs[starts - 1],
+                                  filter_all(m, traj)[starts - 1], us, mode, rng)
+            preds.append(out[:, -1])
+            truths.append(traj.xs[starts - 1 + h])
+        want.append(nmse(np.concatenate(preds), np.concatenate(truths),
+                         dataset_normalizer(test)))
+    calls = []
+
+    def counted(model, traj):
+        calls.append(traj.id)
+        return filter_all(model, traj)
+
+    monkeypatch.setattr(evaluation, "filter_all", counted)
+    report = evaluate({"m": [m]}, test, horizons, mode=mode,
+                      rng=np.random.default_rng(3))
+    assert sorted(calls) == sorted(t.id for t in trajs)
+    assert [r["nmse"] for r in report.per_split] == want
 
 
 def test_evaluate_errors():

@@ -103,15 +103,20 @@ def test_log_domain_reference_long_trajectory():
 
 def test_estep_matches_per_trajectory_smoothing():
     m = random_model(K=2, d_x=2, d_u=1, kind="polynomial", seed=8)
-    # mixed lengths exercise both the batched and the grouped paths
+    # mixed lengths, shortest (T = 2) next to the longest, out of length order:
+    # every row but the longest is padded in the one batch
     t1, _ = random_trajectory(m, T=12, seed=1)
     t2, _ = random_trajectory(m, T=9, seed=2)
-    t3, _ = random_trajectory(m, T=12, seed=3)
-    ds = Dataset.from_trajectories([t1, t2, t3])
+    t3, _ = random_trajectory(m, T=2, seed=3)
+    t4, _ = random_trajectory(m, T=12, seed=4)
+    ds = Dataset.from_trajectories([t2, t1, t3, t4])
     posts, total = estep(m, ds)
     singles = [smooth(m, t) for t in ds.trajectories]
     assert total == pytest.approx(sum(s.loglik for s in singles), rel=1e-12)
-    for got, want in zip(posts, singles):
+    for got, want, traj in zip(posts, singles, ds.trajectories):
+        assert got.gamma.shape == (traj.T, 2)
+        assert got.xi.shape == (traj.T - 1, 2, 2)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
         np.testing.assert_allclose(got.gamma, want.gamma, atol=1e-12)
         np.testing.assert_allclose(got.xi, want.xi, atol=1e-12)
 

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rarhmm import learning
-from rarhmm.inference import estep, smooth
+from rarhmm import inference, learning
+from rarhmm.inference import estep, local_quantities, smooth
 from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
                              mstep_initial, mstep_transitions,
@@ -73,6 +73,47 @@ def test_q_lower_bounds_loglik():
     _, hist = fit_em(ds, cfg)
     for q, ll in zip(hist.q_value, hist.loglik):
         assert q <= ll + 1e-9 * (1.0 + abs(ll))
+
+
+def _mixed_length_dataset(m):
+    trajs = [random_trajectory(m, T=T, seed=s)[0]
+             for s, T in enumerate((17, 5, 30, 2, 30))]
+    return Dataset.from_trajectories(trajs)
+
+
+def test_estep_stats_matches_per_trajectory_reference():
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=5)
+    ds = _mixed_length_dataset(m)
+    posts, ll, q = learning._estep_stats(m, ds)
+    ref_ll = ref_q = 0.0
+    log_pi = np.log(m.init.pi)
+    for traj, got in zip(ds.trajectories, posts):
+        want = smooth(m, traj)
+        ev, trans = local_quantities(m, traj)
+        ref_ll += want.loglik
+        ref_q += (want.gamma[0] @ log_pi + np.sum(want.gamma * ev)
+                  + np.einsum("tji,tij->", want.xi, np.log(trans)))
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
+        np.testing.assert_allclose(got.gamma, want.gamma, atol=1e-12)
+        np.testing.assert_allclose(got.xi, want.xi, atol=1e-12)
+    assert ll == pytest.approx(ref_ll, rel=1e-12)
+    assert q == pytest.approx(ref_q, rel=1e-12)
+    assert q <= ll
+
+
+def test_mixed_length_estep_is_one_batch(monkeypatch):
+    m = random_model(K=2, d_x=2, d_u=1, kind="linear", seed=6)
+    ds = _mixed_length_dataset(m)
+    shapes = []
+    smooth_batch = inference._smooth_batch
+
+    def counted(ev, *args, **kwargs):
+        shapes.append(ev.shape)
+        return smooth_batch(ev, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "_smooth_batch", counted)
+    learning._estep_stats(m, ds)
+    assert shapes == [(5, 30, 2)]
 
 
 def test_k1_matches_analytic_mle():

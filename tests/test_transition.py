@@ -127,6 +127,23 @@ def test_rejects_nonfinite_inputs():
         transition_probs(tm, 0, np.array([np.inf, 0.0]), np.zeros(1))
 
 
+def test_stationary_matrices_equal_generic_formula():
+    rng = np.random.default_rng(14)
+    tm = _random_tm("stationary", 4, 2, 1, seed=14)
+    xs, us = rng.standard_normal((7, 2)), rng.standard_normal((7, 1))
+    logits = np.broadcast_to(tm.bias, (7, 4, 4))
+    z = logits - logits.max(axis=1, keepdims=True)
+    generic = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+    assert np.array_equal(transition_matrices(tm, xs, us), generic)
+    assert transition_matrices(tm, xs[:0], us[:0]).shape == (0, 4, 4)
+    with pytest.raises(ValueError):
+        transition_matrices(tm, np.where(xs > 1.0, np.nan, xs), us)
+    with pytest.raises(ValueError):
+        transition_matrices(tm, xs, np.full((7, 1), np.inf))
+    with pytest.raises(ValueError):
+        transition_matrices(tm, xs, np.zeros((6, 1)))
+
+
 def test_nll_degenerate_target_drives_prob_to_one():
     # all mass on 0 -> 0: the closed-form optimum puts psi_00 -> 1, NLL -> 0
     tm = make_transition("stationary", 2, 1, 0)
