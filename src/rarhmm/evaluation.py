@@ -41,13 +41,6 @@ def filter_prefix(model: HybridModel, traj: Trajectory, t: int) -> np.ndarray:
     return alpha[-1]
 
 
-def _dynamics_stack(model: HybridModel):
-    A = np.stack([d.A for d in model.dynamics])
-    B = np.stack([d.B for d in model.dynamics])
-    c = np.stack([d.c for d in model.dynamics])
-    return A, B, c
-
-
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
                     us: np.ndarray, mode: str,
                     rng: np.random.Generator | None = None) -> np.ndarray:
@@ -64,10 +57,9 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
     if mode == MODE_SAMPLE and rng is None:
         raise ValueError("sample mode needs an rng")
     M, h = us.shape[:2]
-    K = model.K
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
-    A, B, c = _dynamics_stack(model)
+    A, B, c = model.stack.A, model.stack.B, model.stack.c
     out = np.empty((M, h, x.shape[1]))
     for i in range(h):
         u = us[:, i, :]
@@ -89,8 +81,7 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
             if mode == MODE_SAMPLE:
                 for m in range(M):
                     x[m] = mvn_sample(rng, x[m], model.dynamics[ks[m]].lam_cov)
-            b = np.zeros((M, K))
-            b[np.arange(M), ks] = 1.0
+            b = np.eye(model.K)[ks]
         out[:, i, :] = x
     return out
 

@@ -14,11 +14,12 @@ numpy Generator, so everything here is safe to run concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import mvn_logpdf, mvn_sample
+from ._linalg import LOG2PI, chol_lower, mvn_logpdf, mvn_sample
 from .features import controller_feature_dim, polynomial_features
 from .transition import TransitionModel, transition_probs
 
@@ -193,7 +194,27 @@ class RegimeController:
 
 
 @dataclass(frozen=True, eq=False)
+class RegimeStack:
+    """Per-regime parameters stacked on a leading K axis; all arrays read-only."""
+    A: np.ndarray               # (K, d_x, d_x)
+    B: np.ndarray               # (K, d_x, d_u)
+    c: np.ndarray               # (K, d_x)
+    lam_chol: np.ndarray        # (K, d_x, d_x) lower Cholesky factors of lam_cov
+    lam_const: np.ndarray       # (K,) d_x log 2pi + log det lam_cov
+    gain: np.ndarray | None     # (K, d_u, d_phi), closed loop only
+    offset: np.ndarray | None   # (K, d_u), closed loop only
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            if a is not None:
+                a.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
 class HybridModel:
+    """K-regime switching linear-Gaussian model. `stack` (the regime parameters
+    stacked along K) is built on first use and cached; the model is immutable
+    and `replace` builds a new one, so the cache cannot go stale."""
     K: int
     d_x: int
     d_u: int
@@ -240,6 +261,19 @@ class HybridModel:
     @property
     def poly_degree(self) -> int:
         return self.controllers[0].poly_degree if self.controllers else 1
+
+    @cached_property
+    def stack(self) -> RegimeStack:
+        """For per-step use: forecasting, the runtime belief and action."""
+        dyn, ctl = self.dynamics, self.controllers
+        chols = [chol_lower(d.lam_cov) for d in dyn]
+        # summed as mvn_logpdf sums it, so densities match it to the bit
+        const = [self.d_x * LOG2PI + 2.0 * np.sum(np.log(np.diag(L))) for L in chols]
+        return RegimeStack(
+            A=np.stack([d.A for d in dyn]), B=np.stack([d.B for d in dyn]),
+            c=np.stack([d.c for d in dyn]), lam_chol=np.stack(chols), lam_const=np.array(const),
+            gain=None if ctl is None else np.stack([g.gain for g in ctl]),
+            offset=None if ctl is None else np.stack([g.offset for g in ctl]))
 
 
 # -- controller features ------------------------------------------------------
@@ -486,28 +520,3 @@ def save_model(path, model: HybridModel) -> None:
 def load_model(path) -> HybridModel:
     with open(path) as f:
         return model_from_dict(json.load(f))
-
-
-def models_equal(a: HybridModel, b: HybridModel) -> bool:
-    """Bit-exact equality, used by round-trip tests."""
-    if (a.K, a.d_x, a.d_u, a.mode, a.lag, a.poly_degree) != \
-            (b.K, b.d_x, b.d_u, b.mode, b.lag, b.poly_degree):
-        return False
-    same = (np.array_equal(a.init.pi, b.init.pi)
-            and np.array_equal(a.init.mu, b.init.mu)
-            and np.array_equal(a.init.omega_cov, b.init.omega_cov))
-    for da, db in zip(a.dynamics, b.dynamics):
-        same = same and all(np.array_equal(getattr(da, f), getattr(db, f))
-                            for f in ("A", "B", "c", "lam_cov"))
-    if (a.controllers is None) != (b.controllers is None):
-        return False
-    if a.controllers is not None:
-        for ca, cb in zip(a.controllers, b.controllers):
-            same = same and all(np.array_equal(getattr(ca, f), getattr(cb, f))
-                                for f in ("gain", "offset", "sigma_cov"))
-    ta, tb = a.transition, b.transition
-    same = same and (ta.kind, ta.degree, ta.hidden_units, ta.per_prev) == \
-        (tb.kind, tb.degree, tb.hidden_units, tb.per_prev)
-    same = same and all(np.array_equal(getattr(ta, f), getattr(tb, f))
-                        for f in ("bias", "feature_params", "feat_mean", "feat_std"))
-    return bool(same)

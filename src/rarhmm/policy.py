@@ -3,7 +3,8 @@
 The distilled policy is the controller bank of a closed-loop hybrid model;
 at run time a filtered belief over regimes is maintained from the transition
 link and the dynamics evidence, and the action is a belief-weighted (or
-regime-selected) linear feedback law.
+regime-selected) linear feedback law. Both evaluate all K regimes at once
+from the model's cached regime stack (`HybridModel.stack`).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, ENV_PENDULUM, OBS_JOINT,
                    save_dataset, step_env, wrap_angle)
 from .learning import FitConfig, fit_em
 from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory,
-                    _control_mean)
+                    controller_features)
 from .transition import transition_matrix
 
 ACT_MEAN = "mean"
@@ -73,20 +74,21 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
     if mode not in ACT_MODES:
         raise ValueError(f"mode must be one of {ACT_MODES}, got {mode!r}")
     b = _check_belief(model, belief)
+    phi = controller_features(x, past_us, model.lag, model.poly_degree)
+    means = model.stack.gain @ phi + model.stack.offset     # (K, d_u)
     if mode == ACT_MEAN:
+        # regime by regime: a sum over the K axis rounds differently from K = 8
         u = np.zeros(model.d_u)
         for k in range(model.K):
-            u += b[k] * _control_mean(model, k, x, past_us)
+            u += b[k] * means[k]
         return u, int(np.argmax(b))
     if mode == ACT_ARGMAX:
         k = int(np.argmax(b))
-        return _control_mean(model, k, x, past_us), k
+        return means[k], k
     if rng is None:
         raise ValueError("sample mode needs an rng")
     k = int(rng.choice(model.K, p=b))
-    u = mvn_sample(rng, _control_mean(model, k, x, past_us),
-                   model.controllers[k].sigma_cov)
-    return u, k
+    return mvn_sample(rng, means[k], model.controllers[k].sigma_cov), k
 
 
 @dataclass
@@ -140,14 +142,12 @@ def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
     # runtime update deliberately excludes the control likelihood: u is our
     # own choice, so only the switching link and the dynamics evidence inform
     # the regime
-    psi = transition_matrix(model.transition, x_prev, u_prev)
-    pred = psi @ b
-    le = np.array([mvn_logpdf(x_next,
-                              model.dynamics[k].A @ x_prev
-                              + model.dynamics[k].B @ u_prev
-                              + model.dynamics[k].c,
-                              model.dynamics[k].lam_cov)
-                   for k in range(model.K)])
+    pred = transition_matrix(model.transition, x_prev, u_prev) @ b
+    st = model.stack
+    # log N(x_next; A_k x + B_k u + c_k, lam_k) for all k, as mvn_logpdf
+    resid = x_next - (st.A @ x_prev + st.B @ u_prev + st.c)
+    z = np.linalg.solve(st.lam_chol, resid[..., None])[..., 0]
+    le = -0.5 * (st.lam_const + np.sum(z * z, axis=-1))
     lb = np.log(np.maximum(pred, 1e-300)) + le
     norm = logsumexp(lb)
     if not np.isfinite(norm):

@@ -214,9 +214,9 @@ def _link_logits(tm: TransitionModel, feats: np.ndarray, params: np.ndarray):
 def _logits(tm: TransitionModel, feats: np.ndarray, bias: np.ndarray,
             params: np.ndarray) -> np.ndarray:
     """(M, K, K) logits [m, i, j] for inputs already passed through the feature map."""
-    out = np.broadcast_to(bias, (feats.shape[0], tm.K, tm.K)).copy()
-    if tm.kind == "stationary":
-        return out
+    # fill, then add in place: one add of two broadcast operands is slower at large M
+    out = np.empty((feats.shape[0], tm.K, tm.K))
+    out[...] = bias
     if tm.per_prev:
         out += np.einsum("mf,ijf->mij", feats, _unpack(tm, params)[0])
     else:

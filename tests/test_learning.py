@@ -11,13 +11,13 @@ from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
                              parse_transition_spec)
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
-                          models_equal, sample_trajectory)
+                          sample_trajectory)
 from rarhmm.transition import (make_transition, params_to_vector,
                                transition_matrix, weighted_nll_and_grad)
 from rarhmm.learning import _HardPosterior
 
-from util import (random_dataset, random_model, random_trajectory,
-                  tensor_nll_grad)
+from util import (models_equal, random_dataset, random_model,
+                  random_trajectory, tensor_nll_grad)
 
 
 def test_parse_transition_spec():

@@ -1,18 +1,20 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rarhmm._linalg import mvn_logpdf
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           InitialModel, RegimeController, RegimeDynamics,
                           Trajectory, controller_features,
                           controller_feature_series, load_model,
                           log_local_evidence, model_from_dict, model_to_dict,
-                          models_equal, sample_initial, sample_trajectory,
+                          sample_initial, sample_trajectory,
                           save_model, step_dynamics)
 from rarhmm.transition import make_transition
 
-from util import random_model, random_trajectory
+from util import models_equal, random_model, random_trajectory
 
 
 def test_controller_features_linear_is_state():
@@ -297,3 +299,34 @@ def test_mode_invariants():
     with pytest.raises(ValueError):
         HybridModel(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, init=m.init,
                     dynamics=m.dynamics, transition=m.transition)
+
+
+def test_regime_stack_is_cached_read_only_and_per_regime():
+    m = random_model(K=3, d_x=2, d_u=2, mode=CLOSED_LOOP, seed=3, lag=1)
+    st = m.stack
+    assert m.stack is st
+    for k, (d, ctl) in enumerate(zip(m.dynamics, m.controllers)):
+        for got, want in ((st.A[k], d.A), (st.B[k], d.B), (st.c[k], d.c),
+                          (st.lam_chol[k], np.linalg.cholesky(d.lam_cov)),
+                          (st.gain[k], ctl.gain), (st.offset[k], ctl.offset)):
+            np.testing.assert_array_equal(got, want)
+        # at the mean, the log density is exactly -lam_const / 2
+        assert -0.5 * st.lam_const[k] == mvn_logpdf(d.c, d.c, d.lam_cov)
+    for a in (st.A, st.B, st.c, st.lam_chol, st.lam_const, st.gain, st.offset):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    # replace builds a new model, which builds its own stack
+    flipped = replace(m, dynamics=m.dynamics[::-1])
+    np.testing.assert_array_equal(flipped.stack.A, st.A[::-1])
+
+
+def test_regime_stack_without_controls():
+    m = random_model(K=2, d_x=4, d_u=0, seed=5)
+    st = m.stack
+    assert st.B.shape == (2, 4, 0)
+    assert st.gain is None and st.offset is None
+    x = np.arange(4.0)
+    for k in range(m.K):
+        np.testing.assert_array_equal((st.A @ x + st.B @ np.zeros(0) + st.c)[k],
+                                      step_dynamics(m, k, x, np.zeros(0),
+                                                    deterministic=True))

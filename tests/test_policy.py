@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+from rarhmm import policy
 from rarhmm.envs import default_config, load_dataset
 from rarhmm.evaluation import filter_all
 from rarhmm.learning import FitConfig
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
-                          models_equal, sample_trajectory)
-from rarhmm.policy import (ACT_MODES, RolloutResult, act,
+                          sample_trajectory)
+from rarhmm.policy import (ACT_MODES, RolloutResult, _belief_step, act,
                            default_distill_config, distill, rollout,
                            save_rollout, success_criterion)
 from rarhmm.transition import make_transition
 
-from util import random_dataset, random_model
+from util import (models_equal, random_dataset, random_model, reference_act,
+                  reference_belief_step)
 
 
 def _closed_loop_model(gains, offsets=None, d_x=1, lag=0, init_mu=None,
@@ -288,3 +290,63 @@ def test_save_rollout_round_trip(tmp_path):
 def test_act_modes_constant():
     assert ACT_MODES == ("mean", "argmax", "sample")
     assert isinstance(RolloutResult.__dataclass_fields__, dict)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("d_x", [2, 3])
+@pytest.mark.parametrize("d_u", [1, 2])
+def test_belief_step_matches_per_regime_reference(K, d_x, d_u):
+    for seed in range(4):
+        m = random_model(K=K, d_x=d_x, d_u=d_u, mode=CLOSED_LOOP, seed=seed,
+                         noise_scale=0.3)
+        rng = np.random.default_rng(100 + seed)
+        b = rng.dirichlet(np.ones(K))
+        x_prev, u_prev = rng.standard_normal(d_x), rng.standard_normal(d_u)
+        x_next = x_prev + 0.5 * rng.standard_normal(d_x)
+        np.testing.assert_array_equal(
+            _belief_step(m, b, x_prev, u_prev, x_next),
+            reference_belief_step(m, b, x_prev, u_prev, x_next))
+
+
+def test_belief_step_raises_on_impossible_evidence():
+    m = random_model(K=3, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=1)
+    # every regime's density underflows to zero; only the normalizer check
+    # may raise, not numpy
+    with np.errstate(all="ignore"), \
+            pytest.raises(FloatingPointError, match="impossible evidence"):
+        _belief_step(m, np.full(3, 1 / 3), np.zeros(2), np.zeros(1),
+                     np.full(2, 1e200))
+
+
+@pytest.mark.parametrize("K,lag,degree", [(1, 0, 1), (3, 2, 1), (3, 1, 2),
+                                          (8, 1, 1)])
+def test_act_matches_per_regime_loop(K, lag, degree):
+    m = random_model(K=K, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=K + lag,
+                     lag=lag, poly_degree=degree)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        b = rng.dirichlet(np.ones(K))
+        x = 2.0 * rng.standard_normal(2)
+        past = list(rng.standard_normal((lag, 1)))
+        for mode in ("mean", "argmax"):
+            u, k = act(m, b, x, past, mode=mode)
+            u_ref, k_ref = reference_act(m, b, x, past, mode=mode)
+            np.testing.assert_array_equal(u, u_ref)
+            assert k == k_ref
+
+
+@pytest.mark.parametrize("mode", ACT_MODES)
+def test_rollout_matches_per_regime_reference(monkeypatch, mode):
+    gen = random_model(K=3, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear",
+                       seed=6, lag=1, noise_scale=0.5)
+    pend = default_config("pendulum")
+    fast = rollout(pend, gen, T=200, mode=mode, rng=np.random.default_rng(4))
+    monkeypatch.setattr(policy, "_belief_step", reference_belief_step)
+    monkeypatch.setattr(policy, "act", reference_act)
+    ref = rollout(pend, gen, T=200, mode=mode, rng=np.random.default_rng(4))
+    np.testing.assert_array_equal(fast.trajectory.xs, ref.trajectory.xs)
+    np.testing.assert_array_equal(fast.trajectory.us, ref.trajectory.us)
+    np.testing.assert_array_equal(fast.beliefs, ref.beliefs)
+    np.testing.assert_array_equal(fast.regimes, ref.regimes)
+    # the beliefs blend regimes, so the comparison covers more than one law
+    assert np.mean(fast.beliefs.max(axis=1) < 0.99) > 0.1

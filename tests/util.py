@@ -1,11 +1,13 @@
 """Shared builders for randomized test instances."""
 import numpy as np
 
+from rarhmm._linalg import logsumexp, mvn_logpdf, mvn_sample
 from rarhmm.features import controller_feature_dim
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           InitialModel, RegimeController, RegimeDynamics,
-                          Trajectory, sample_trajectory)
-from rarhmm.transition import make_transition
+                          Trajectory, _control_mean, sample_trajectory)
+from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
+from rarhmm.transition import make_transition, transition_matrix
 
 
 def random_spd(rng, d, scale=1.0):
@@ -107,3 +109,57 @@ def tensor_nll_grad(tm, vec, feats, xi_di):
         parts += [(back.T @ feats).ravel(), back.sum(axis=0),
                   (g_dest.T @ h).ravel(), g_dest.sum(axis=0)]
     return nll, np.concatenate(parts)
+
+
+
+def reference_belief_step(model, b, x_prev, u_prev, x_next):
+    """Runtime belief update written one regime at a time: link prediction,
+    then each regime's dynamics density through mvn_logpdf."""
+    pred = transition_matrix(model.transition, x_prev, u_prev) @ b
+    le = np.array([mvn_logpdf(x_next, d.A @ x_prev + d.B @ u_prev + d.c, d.lam_cov)
+                   for d in model.dynamics])
+    lb = np.log(np.maximum(pred, 1e-300)) + le
+    norm = logsumexp(lb)
+    if not np.isfinite(norm):
+        raise FloatingPointError("belief update collapsed: impossible evidence")
+    return np.exp(lb - norm)
+
+
+def reference_act(model, belief, x, past_us, mode=ACT_MEAN, rng=None):
+    """Switching-policy action with each regime's law evaluated on its own."""
+    b = _check_belief(model, belief)
+    if mode == ACT_MEAN:
+        u = np.zeros(model.d_u)
+        for k in range(model.K):
+            u += b[k] * _control_mean(model, k, x, past_us)
+        return u, int(np.argmax(b))
+    if mode == ACT_ARGMAX:
+        k = int(np.argmax(b))
+        return _control_mean(model, k, x, past_us), k
+    k = int(rng.choice(model.K, p=b))
+    return mvn_sample(rng, _control_mean(model, k, x, past_us),
+                      model.controllers[k].sigma_cov), k
+
+def models_equal(a: HybridModel, b: HybridModel) -> bool:
+    """Bit-exact equality of every parameter and structural setting."""
+    if (a.K, a.d_x, a.d_u, a.mode, a.lag, a.poly_degree) != \
+            (b.K, b.d_x, b.d_u, b.mode, b.lag, b.poly_degree):
+        return False
+    same = (np.array_equal(a.init.pi, b.init.pi)
+            and np.array_equal(a.init.mu, b.init.mu)
+            and np.array_equal(a.init.omega_cov, b.init.omega_cov))
+    for da, db in zip(a.dynamics, b.dynamics):
+        same = same and all(np.array_equal(getattr(da, f), getattr(db, f))
+                            for f in ("A", "B", "c", "lam_cov"))
+    if (a.controllers is None) != (b.controllers is None):
+        return False
+    if a.controllers is not None:
+        for ca, cb in zip(a.controllers, b.controllers):
+            same = same and all(np.array_equal(getattr(ca, f), getattr(cb, f))
+                                for f in ("gain", "offset", "sigma_cov"))
+    ta, tb = a.transition, b.transition
+    same = same and (ta.kind, ta.degree, ta.hidden_units, ta.per_prev) == \
+        (tb.kind, tb.degree, tb.hidden_units, tb.per_prev)
+    same = same and all(np.array_equal(getattr(ta, f), getattr(tb, f))
+                        for f in ("bias", "feature_params", "feat_mean", "feat_std"))
+    return bool(same)
