@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import mvn_sample
 from .inference import forward_pass, local_quantities
 from .model import Dataset, HybridModel, Trajectory
 from .transition import transition_matrices
@@ -79,8 +78,10 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
                 ks = (draws[:, None] < cum).argmax(axis=1)
             x = means[np.arange(M), ks]
             if mode == MODE_SAMPLE:
-                for m in range(M):
-                    x[m] = mvn_sample(rng, x[m], model.dynamics[ks[m]].lam_cov)
+                # one row of d_x normals per start, in start order, as
+                # M successive draws of d_x would take them
+                z = rng.standard_normal(x.shape)
+                x += (model.stack.lam_chol[ks] @ z[:, :, None])[:, :, 0]
             b = np.eye(model.K)[ks]
         out[:, i, :] = x
     return out

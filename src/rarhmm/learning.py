@@ -3,17 +3,20 @@
 The E-step is exact forward-backward smoothing of the whole dataset as one
 padded batch (inference.smooth_dataset), which also returns the EM lower bound
 Q; Gaussian blocks (initial model, dynamics, controllers) have closed-form
-weighted least-squares M-steps; transition links are improved by gradient
-descent with backtracking (improvement-or-keep, so the observed-data
-log-likelihood never decreases beyond floating-point noise). Each transition
-M-step reduces the pairwise marginals xi once to source mass, destination mass
-and pair counts; every objective evaluation then works on (M, K) link logits
-and the (K, K) bias (factored objective in transition.py), recomputing with an
-exact log-sum-exp only the normalizer entries that underflow. Only per_prev
-linear links, whose logits depend on the source regime, build (M, K, K)
-tensors. Covariances are projected onto the SPD cone with a minimum-eigenvalue
-floor, which is the constrained argmax, so the monotonicity guarantee survives
-the projection.
+weighted least-squares M-steps. Stationary transition links have a closed form
+too; the other links are improved by a few L-BFGS steps on the expected
+transition NLL (mstep_transitions). The solver keeps its input unless a step
+strictly lowers the NLL, so the observed-data log-likelihood never decreases
+beyond floating-point noise. It stops on an evaluation cap or a relative-NLL
+test, not at the optimum, which lies at infinity when the posteriors are
+nearly hard; a bound on each step keeps the parameters from running off
+there within one M-step. Each transition M-step reduces the pairwise
+marginals xi once to source mass, destination mass and pair counts; every
+objective evaluation then works on (M, K) link logits and the (K, K) bias
+(factored objective in transition.py). Only per_prev linear links, whose
+logits depend on the source regime, build (M, K, K) tensors. Covariances are
+projected onto the SPD cone with a minimum-eigenvalue floor, which is the
+constrained argmax, so the monotonicity guarantee survives the projection.
 """
 from __future__ import annotations
 
@@ -38,9 +41,9 @@ EMPTY_WEIGHT = 1e-12
 KMEANS_ITERS = 50
 STICKY_LOGIT = 2.0
 FEATURE_INIT_SCALE = 0.01
-GLM_STEPS = 100
-GLM_STEP_SIZE = 1e-2
-MAX_HALVINGS = 20
+MAX_EVALS = 25        # transition objective evaluations per M-step
+STEP_BOUND = 1.0      # infinity-norm bound on one transition parameter step
+NLL_RTOL = 1e-5       # stop once a quasi-Newton step gains less than this, relative
 
 
 def parse_transition_spec(spec: str) -> tuple[str, int | None, int | None]:
@@ -364,24 +367,50 @@ def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
     return tuple(out)
 
 
-def mstep_transitions(posteriors, dataset: Dataset, tm_hat: TransitionModel,
-                      config: FitConfig) -> TransitionModel:
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad by the L-BFGS two-loop recursion over the (s, y, 1 / s'y)
+    triples, oldest first, with the initial inverse Hessian scaled by
+    s'y / y'y of the newest pair (Nocedal & Wright, Algorithm 7.4). Without
+    pairs it is -grad."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(np.dot(s, q))
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(np.dot(y, y)))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(np.dot(y, q))) * s
+    return -q
+
+
+def mstep_transitions(posteriors, dataset: Dataset,
+                      tm_hat: TransitionModel) -> TransitionModel:
     """Transition update. Stationary links have the closed-form normalized-count
-    solution; other kinds take up to GLM_STEPS gradient-descent steps with
-    backtracking (at most MAX_HALVINGS halvings per step) on the expected
-    transition NLL and return the best iterate, or tm_hat unchanged if nothing
-    improved.
+    solution; other kinds take L-BFGS steps on the mean expected transition
+    NLL and return the last accepted iterate, or tm_hat itself if no step was
+    accepted (generalized EM: improvement, not the optimum, keeps EM monotone).
+
+    The unregularized optimum lies at infinity when the posteriors are nearly
+    hard, so the solver stops instead of converging: after MAX_EVALS objective
+    evaluations (the one at tm_hat included), when a line search finds no
+    acceptable step, or when an accepted quasi-Newton step lowers the NLL by
+    less than NLL_RTOL relative. Every step is at most STEP_BOUND in the
+    infinity norm. The first one, along the steepest descent, is scaled to
+    exactly that length; since that length is a guess, its gain is not taken
+    as a sign of convergence. Armijo backtracking halves the step from t = 1;
+    a candidate is accepted only if its gradient is finite and its NLL
+    strictly lower. Every accepted pair with positive curvature s'y enters the
+    two-loop recursion, which keeps the inverse-Hessian estimate positive
+    definite; MAX_EVALS bounds their number.
 
     The marginals of xi the objective reads (source mass, destination mass,
     pair counts) are computed once here, not per evaluation. Each evaluation
     is then factored: (M, K) link logits against the (K, K) bias, with an
     exact log-sum-exp for the few normalizer entries that underflow. per_prev
-    linear links depend on the source regime and evaluate (M, K, K) tensors.
-
-    The first trial length is normalized by the entry gradient's magnitude:
-    warm-started calls arrive nearly converged with tiny gradients, and a raw
-    GLM_STEP_SIZE trial would spend the whole budget re-doubling before any
-    parameter moves a useful distance."""
+    linear links depend on the source regime and evaluate (M, K, K) tensors."""
     xis = [p.xi for p in posteriors]
     if tm_hat.kind == "stationary":
         counts = sum(xi.sum(axis=0) for xi in xis)           # (K, K) [source, dest]
@@ -392,34 +421,47 @@ def mstep_transitions(posteriors, dataset: Dataset, tm_hat: TransitionModel,
     feats, xi_di = stack_transition_stats(tm_hat, dataset, xis)
     marginals = xi_marginals(xi_di)
     scale = 1.0 / len(feats)  # optimize the mean NLL so step sizes are data-size-free
-    start = params_to_vector(tm_hat)
-    vec = start
-    nll, grad = _nll_grad_packed(tm_hat, vec, feats, xi_di, marginals)
-    nll, grad = nll * scale, grad * scale
+
+    def objective(v):
+        f, g = _nll_grad_packed(tm_hat, v, feats, xi_di, marginals)
+        return f * scale, g * scale
+
+    vec = params_to_vector(tm_hat)
+    nll, grad = objective(vec)
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError(
             f"non-finite transition gradient (kind={tm_hat.kind}, "
             f"|params|={np.abs(vec).max():.3e}, nll={nll:.6e})")
-    step = GLM_STEP_SIZE / max(np.abs(grad).max(), 1e-12)
-    improved = False
-    for _ in range(GLM_STEPS):
-        accepted = False
-        trial = step
-        for _ in range(MAX_HALVINGS + 1):
-            cand = vec - trial * grad
-            cand_nll, cand_grad = _nll_grad_packed(tm_hat, cand, feats, xi_di,
-                                                   marginals)
-            cand_nll, cand_grad = cand_nll * scale, cand_grad * scale
-            if cand_nll < nll and np.all(np.isfinite(cand_grad)):
-                vec, nll, grad = cand, cand_nll, cand_grad
-                step = trial * 2.0
-                accepted = improved = True
+    evals, improved, pairs = 1, False, []
+    while evals < MAX_EVALS:
+        d = _lbfgs_direction(grad, pairs)
+        d_max = np.abs(d).max()
+        if d_max == 0.0:
+            break                                 # stationary point
+        if not pairs or d_max > STEP_BOUND:
+            d *= STEP_BOUND / d_max
+        slope = grad @ d
+        t, accepted = 1.0, False
+        while evals < MAX_EVALS:
+            cand = vec + t * d
+            cand_nll, cand_grad = objective(cand)
+            evals += 1
+            # Armijo sufficient decrease (c1 = 1e-4, Nocedal & Wright 3.4)
+            if (cand_nll < nll and cand_nll <= nll + 1e-4 * t * slope
+                    and np.all(np.isfinite(cand_grad))):
+                accepted = True
                 break
-            trial *= 0.5
+            t *= 0.5
         if not accepted:
             break
-    # accepted steps strictly decrease the objective, so the last iterate is
-    # the best one; without any acceptance keep tm_hat (generalized EM)
+        small = bool(pairs) and nll - cand_nll < NLL_RTOL * abs(nll)
+        s, y = cand - vec, cand_grad - grad
+        sy = float(np.dot(s, y))
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        vec, nll, grad, improved = cand, cand_nll, cand_grad, True
+        if small:
+            break
     if not improved:
         return tm_hat
     return vector_to_params(tm_hat, vec)
@@ -436,7 +478,7 @@ def _mstep_all(model: HybridModel, posteriors, dataset: Dataset,
                                        config.poly_degree, floor,
                                        prev=model.controllers,
                                        constrain_offset_zero=config.constrain_offset_zero)
-    tm = mstep_transitions(posteriors, dataset, model.transition, config)
+    tm = mstep_transitions(posteriors, dataset, model.transition)
     return HybridModel(K=model.K, d_x=model.d_x, d_u=model.d_u, mode=model.mode,
                        init=init, dynamics=dynamics, transition=tm,
                        controllers=controllers)

@@ -14,7 +14,8 @@ from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           sample_trajectory)
 from rarhmm.transition import make_transition
 
-from util import random_dataset, random_model, random_trajectory
+from util import (random_dataset, random_model, random_trajectory,
+                  reference_sample_forecast)
 
 
 def _ball_truth_maps(cfg):
@@ -171,6 +172,19 @@ def test_forecast_mode_and_bounds_errors():
     a = forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
     b = forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("K, d_x, d_u", [(1, 1, 1), (3, 2, 1), (4, 3, 2), (2, 2, 0)])
+def test_sample_forecast_matches_per_start_draws(K, d_x, d_u):
+    m = random_model(K=K, d_x=d_x, d_u=d_u, seed=K + d_x)
+    rng = np.random.default_rng(d_x)
+    M, h = 40, 6
+    x0 = rng.standard_normal((M, d_x))
+    b0 = rng.dirichlet(np.ones(K), size=M)
+    us = rng.standard_normal((M, h, d_u))
+    got = _forecast_batch(m, x0, b0, us, "sample", np.random.default_rng(5))
+    want = reference_sample_forecast(m, x0, b0, us, np.random.default_rng(5))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_forecast_with_explicit_actions():

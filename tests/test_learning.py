@@ -12,12 +12,13 @@ from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
                           sample_trajectory)
-from rarhmm.transition import (make_transition, params_to_vector,
-                               transition_matrix, weighted_nll_and_grad)
+from rarhmm.transition import (_nll_grad_packed, make_transition,
+                               params_to_vector, transition_matrix,
+                               weighted_nll_and_grad)
 from rarhmm.learning import _HardPosterior
 
 from util import (models_equal, random_dataset, random_model,
-                  random_trajectory, tensor_nll_grad)
+                  random_trajectory, reference_gd_mstep, tensor_nll_grad)
 
 
 def test_parse_transition_spec():
@@ -73,6 +74,24 @@ def test_q_lower_bounds_loglik():
     _, hist = fit_em(ds, cfg)
     for q, ll in zip(hist.q_value, hist.loglik):
         assert q <= ll + 1e-9 * (1.0 + abs(ll))
+
+
+@pytest.mark.parametrize("spec, per_prev", [("polynomial:2", False),
+                                             ("perceptron:4", False),
+                                             ("linear", True)])
+def test_em_monotone_for_every_link_kind(spec, per_prev):
+    kind, degree, hidden = parse_transition_spec(spec)
+    m = random_model(K=2, d_x=2, d_u=1, kind=kind, degree=degree or 2,
+                     hidden_units=hidden or 4, per_prev=per_prev, seed=2)
+    ds = random_dataset(m, n=3, T=40, seed=2)
+    cfg = FitConfig(K=2, transition_kind=spec, per_prev=per_prev, max_iters=30,
+                    restarts=1, seed=2)
+    _, hist = fit_em(ds, cfg)
+    ll = np.asarray(hist.loglik)
+    assert len(ll) > 2
+    assert np.all(np.diff(ll) >= -1e-8 * (1.0 + np.abs(ll[:-1])))
+    for q, l in zip(hist.q_value, hist.loglik):
+        assert q <= l + 1e-9 * (1.0 + abs(l))
 
 
 def _mixed_length_dataset(m):
@@ -247,8 +266,7 @@ def test_mstep_transitions_stationary_closed_form():
     p.gamma = np.zeros((50, K))
     tm = make_transition("stationary", K, 2, 1)
     ds = random_dataset(random_model(K=K, seed=8), n=1, T=50, seed=8)
-    cfg = FitConfig(K=K)
-    new = mstep_transitions([p], ds, tm, cfg)
+    new = mstep_transitions([p], ds, tm)
     psi = transition_matrix(new, np.zeros(2), np.zeros(1))
     np.testing.assert_allclose(psi, target.T, atol=1e-12)
 
@@ -259,8 +277,7 @@ def test_mstep_transitions_glm_improves_nll():
     posts, _ = estep(m, ds)
     xis = [p.xi for p in posts]
     before, _ = weighted_nll_and_grad(m.transition, ds, xis)
-    cfg = FitConfig(K=2, transition_kind="linear")
-    new = mstep_transitions(posts, ds, m.transition, cfg)
+    new = mstep_transitions(posts, ds, m.transition)
     after, _ = weighted_nll_and_grad(new, ds, xis)
     assert after < before
 
@@ -269,15 +286,115 @@ def test_mstep_transitions_matches_tensor_path(monkeypatch):
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=10)
     ds = random_dataset(m, n=2, T=30, seed=10)
     posts, _ = estep(m, ds)
-    cfg = FitConfig(K=3, transition_kind="linear")
-    new = mstep_transitions(posts, ds, m.transition, cfg)
+    new = mstep_transitions(posts, ds, m.transition)
     monkeypatch.setattr(learning, "_nll_grad_packed",
                         lambda tm, vec, feats, xi, marginals:
                         tensor_nll_grad(tm, vec, feats, xi))
-    ref = mstep_transitions(posts, ds, m.transition, cfg)
+    ref = mstep_transitions(posts, ds, m.transition)
     assert new is not m.transition and ref is not m.transition
     np.testing.assert_allclose(params_to_vector(new), params_to_vector(ref),
                                rtol=1e-9, atol=1e-9)
+
+
+SOLVER_CASES = {"linear": dict(kind="linear"),
+                "polynomial:2": dict(kind="polynomial", degree=2),
+                "perceptron:4": dict(kind="perceptron", hidden_units=4),
+                "per_prev": dict(kind="linear", per_prev=True)}
+
+
+def _solver_instance(case, seed=20):
+    """Posteriors of one model and a link of the same kind to improve."""
+    m = random_model(K=3, d_x=2, d_u=1, seed=seed, **SOLVER_CASES[case])
+    ds = random_dataset(m, n=2, T=40, seed=seed)
+    posts, _ = estep(m, ds)
+    tm_hat = random_model(K=3, d_x=2, d_u=1, seed=seed + 1,
+                          **SOLVER_CASES[case]).transition
+    return posts, ds, tm_hat
+
+
+@pytest.mark.parametrize("case", SOLVER_CASES)
+def test_mstep_transitions_beats_gradient_descent_within_cap(monkeypatch, case):
+    posts, ds, tm_hat = _solver_instance(case)
+    calls = []
+    packed = learning._nll_grad_packed
+
+    def counted(*args):
+        calls.append(1)
+        return packed(*args)
+
+    monkeypatch.setattr(learning, "_nll_grad_packed", counted)
+    new = mstep_transitions(posts, ds, tm_hat)
+    assert 1 < len(calls) <= learning.MAX_EVALS
+    monkeypatch.undo()
+    xis = [p.xi for p in posts]
+    ref = reference_gd_mstep(posts, ds, tm_hat)
+    got, _ = weighted_nll_and_grad(new, ds, xis)
+    want, _ = weighted_nll_and_grad(ref, ds, xis)
+    before, _ = weighted_nll_and_grad(tm_hat, ds, xis)
+    # the linear instance has a finite optimum that both solvers reach; the
+    # solver stops once a step gains less than NLL_RTOL, so it may end that
+    # close above the reference's 200 evaluations
+    assert ref is not tm_hat and want < before
+    assert got <= want + learning.NLL_RTOL * abs(want)
+
+
+@pytest.mark.parametrize("bound", [learning.STEP_BOUND, 0.05])
+@pytest.mark.parametrize("case", ["linear", "perceptron:4"])
+def test_mstep_transitions_steps_stay_within_bound(monkeypatch, case, bound):
+    # the evaluation cap only truncates the solver's run, so the result under
+    # cap c is the last iterate accepted within its first c evaluations
+    posts, ds, tm_hat = _solver_instance(case)
+    xis = [p.xi for p in posts]
+    monkeypatch.setattr(learning, "STEP_BOUND", bound)
+    iterates = [params_to_vector(tm_hat)]
+    nlls = [weighted_nll_and_grad(tm_hat, ds, xis)[0]]
+    for cap in range(2, learning.MAX_EVALS + 1):
+        monkeypatch.setattr(learning, "MAX_EVALS", cap)
+        new = mstep_transitions(posts, ds, tm_hat)
+        vec = params_to_vector(new)
+        if not np.array_equal(vec, iterates[-1]):
+            iterates.append(vec)
+            nlls.append(weighted_nll_and_grad(new, ds, xis)[0])
+    assert len(iterates) > 5
+    steps = np.abs(np.diff(iterates, axis=0)).max(axis=1)
+    assert np.all(steps <= bound * (1.0 + 1e-12))
+    assert np.all(np.diff(nlls) < 0.0)
+
+
+def _lying_gradient(tm, vec, feats, xi, marginals):
+    nll, grad = _nll_grad_packed(tm, vec, feats, xi, marginals)
+    return nll, -grad                                  # every step goes uphill
+
+
+def _nan_away_from_start(start):
+    def objective(tm, vec, feats, xi, marginals):
+        nll, grad = _nll_grad_packed(tm, vec, feats, xi, marginals)
+        if np.array_equal(vec, start):
+            return nll, grad
+        return nll - 1.0, np.full_like(grad, np.nan)   # lower, but unusable
+    return objective
+
+
+def _flat(tm, vec, feats, xi, marginals):
+    return 1.0, np.zeros_like(vec)
+
+
+@pytest.mark.parametrize("objective", ["uphill", "nan_gradient", "flat"])
+def test_mstep_transitions_keeps_input_without_descent(monkeypatch, objective):
+    posts, ds, tm_hat = _solver_instance("linear")
+    fn = {"uphill": _lying_gradient,
+          "nan_gradient": _nan_away_from_start(params_to_vector(tm_hat)),
+          "flat": _flat}[objective]
+    monkeypatch.setattr(learning, "_nll_grad_packed", fn)
+    assert mstep_transitions(posts, ds, tm_hat) is tm_hat
+
+
+def test_mstep_transitions_rejects_nonfinite_entry_gradient(monkeypatch):
+    posts, ds, tm_hat = _solver_instance("linear")
+    monkeypatch.setattr(learning, "_nll_grad_packed",
+                        lambda tm, vec, *rest: (1.0, np.full_like(vec, np.inf)))
+    with pytest.raises(FloatingPointError, match="non-finite transition gradient"):
+        mstep_transitions(posts, ds, tm_hat)
 
 
 def test_empty_regime_keeps_previous_parameters():

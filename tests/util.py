@@ -7,7 +7,10 @@ from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           InitialModel, RegimeController, RegimeDynamics,
                           Trajectory, _control_mean, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
-from rarhmm.transition import make_transition, transition_matrix
+from rarhmm.transition import (_nll_grad_packed, make_transition,
+                               params_to_vector, stack_transition_stats,
+                               transition_matrices, transition_matrix,
+                               vector_to_params, xi_marginals)
 
 
 def random_spd(rng, d, scale=1.0):
@@ -110,6 +113,60 @@ def tensor_nll_grad(tm, vec, feats, xi_di):
                   (g_dest.T @ h).ravel(), g_dest.sum(axis=0)]
     return nll, np.concatenate(parts)
 
+
+def reference_gd_mstep(posteriors, dataset, tm_hat):
+    """Transition M-step by gradient descent with backtracking, as the library
+    did before its L-BFGS solver: up to 100 steps on the mean expected NLL,
+    the first trial length 0.01 / max|grad|, doubled after each accepted step
+    and halved up to 20 times per step; tm_hat itself when no step is
+    accepted."""
+    feats, xi_di = stack_transition_stats(tm_hat, dataset, [p.xi for p in posteriors])
+    marginals = xi_marginals(xi_di)
+    scale = 1.0 / len(feats)
+    vec = params_to_vector(tm_hat)
+    nll, grad = _nll_grad_packed(tm_hat, vec, feats, xi_di, marginals)
+    nll, grad = nll * scale, grad * scale
+    step = 1e-2 / max(np.abs(grad).max(), 1e-12)
+    improved = False
+    for _ in range(100):
+        accepted = False
+        trial = step
+        for _ in range(21):
+            cand = vec - trial * grad
+            cand_nll, cand_grad = _nll_grad_packed(tm_hat, cand, feats, xi_di,
+                                                   marginals)
+            cand_nll, cand_grad = cand_nll * scale, cand_grad * scale
+            if cand_nll < nll and np.all(np.isfinite(cand_grad)):
+                vec, nll, grad = cand, cand_nll, cand_grad
+                step = trial * 2.0
+                accepted = improved = True
+                break
+            trial *= 0.5
+        if not accepted:
+            break
+    return vector_to_params(tm_hat, vec) if improved else tm_hat
+
+
+def reference_sample_forecast(model, x0, b0, us, rng):
+    """Sample-mode forecast that draws each start's process noise on its own
+    through mvn_sample, one start after another."""
+    M, h = us.shape[:2]
+    x = np.array(x0, dtype=float)
+    b = np.array(b0, dtype=float)
+    A, B, c = model.stack.A, model.stack.B, model.stack.c
+    out = np.empty((M, h, x.shape[1]))
+    for i in range(h):
+        u = us[:, i, :]
+        b = np.einsum("mij,mj->mi", transition_matrices(model.transition, x, u), b)
+        b /= b.sum(axis=1, keepdims=True)
+        means = np.einsum("kde,me->mkd", A, x) + np.einsum("kdu,mu->mkd", B, u) + c
+        ks = (rng.random(M)[:, None] < np.cumsum(b, axis=1)).argmax(axis=1)
+        x = means[np.arange(M), ks]
+        for m in range(M):
+            x[m] = mvn_sample(rng, x[m], model.dynamics[ks[m]].lam_cov)
+        b = np.eye(model.K)[ks]
+        out[:, i, :] = x
+    return out
 
 
 def reference_belief_step(model, b, x_prev, u_prev, x_next):
