@@ -19,7 +19,7 @@ from .model import (
     step_dynamics,
 )
 from .transition import TransitionModel, make_transition, transition_matrix, transition_probs
-from .inference import Posterior, brute_force_posterior, estep, smooth
+from .inference import Posterior, estep, smooth
 from .learning import FitConfig, FitHistory, fit_em
 from .envs import (
     EnvConfig,
@@ -49,7 +49,7 @@ __all__ = [
     "RegimeController", "RegimeDynamics", "Trajectory", "load_model",
     "log_local_evidence", "sample_initial", "sample_trajectory", "save_model",
     "step_dynamics", "TransitionModel", "make_transition", "transition_matrix",
-    "transition_probs", "Posterior", "brute_force_posterior", "estep", "smooth",
+    "transition_probs", "Posterior", "estep", "smooth",
     "FitConfig", "FitHistory", "fit_em",
     "EnvConfig", "collect_demonstrations", "collect_trajectories",
     "default_config", "expert_policy", "load_dataset", "save_dataset",

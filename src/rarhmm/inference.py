@@ -1,22 +1,19 @@
 """Forward-backward smoothing for the switching model.
 
-Messages are scaled (normalized per step, with per-row max subtraction on the
-log evidence), so likelihoods of any length stay finite: alpha_hat rows are
-filtered regime beliefs, log_norms accumulate the observed-data log-likelihood.
-The brute-force path enumeration below is the correctness oracle for all of it.
+Messages are scaled, normalized per step, so likelihoods of any length stay
+finite: alpha_hat rows are filtered regime beliefs, log_norms accumulate the
+observed-data log-likelihood. The recursions run in linear scale on evidence
+exponentiated once per batch against its per-step max; a step whose scale
+underflows is redone in log space (see the batched recursions below).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import logsumexp
 from .model import Dataset, HybridModel, Trajectory, log_local_evidence
 from .transition import transition_matrices
-
-BRUTE_FORCE_MAX_PATHS = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,38 +68,77 @@ def local_quantities(model: HybridModel, traj: Trajectory) -> tuple[np.ndarray, 
 # batch of one. _smooth_batch zeroes the padded log normalizers before the
 # backward pass, so a row's log-likelihood sums only its own steps. The public
 # single-trajectory API wraps a batch of one.
+#
+# The recursions run in linear scale (Rabiner 1989). The evidence is
+# exponentiated once per batch against its per-step max over regimes,
+# E[b, t] = exp(ev[b, t] - max_k ev[b, t]), so a forward step is: predict,
+# multiply by E, sum to the scale S and divide, and log_norms = log S + max_k
+# ev after the loop. Messages are kept as (K, 1) columns for the forward and
+# (1, K) rows for the backward matmuls.
+
+# A row whose scale S falls below this at some step is recomputed for that
+# step in log space with the joint max of log prediction and evidence. That
+# keeps steps alive whose predicted mass sits hundreds of nats below the best
+# evidence, where S underflows, and raises on degenerate steps: +inf evidence
+# (S is NaN) or every predicted regime impossible (S is 0).
+_S_FLOOR = 1e-200
+
+
+def _rescue_rows(t, pred, ev_t, a, s):
+    """Redo step t in log space for the rows with s below the floor: writes
+    their normalized beliefs into a, sets their s to 1 and returns (rows,
+    their log normalizers)."""
+    rows = np.flatnonzero(~(s >= _S_FLOOR))
+    with np.errstate(divide="ignore"):
+        la = np.log(pred[rows]) + ev_t[rows]
+    m = la.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        raise FloatingPointError(f"forward normalizer degenerate at step {t}")
+    e = np.exp(la - m)
+    c = e.sum(axis=1, keepdims=True)
+    a[rows] = (e / c)[:, :, None]
+    s[rows] = 1.0
+    return rows, np.log(c[:, 0]) + m[:, 0]
+
 
 def _forward_batch(ev, trans, pi):
+    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T)."""
     B, T, K = ev.shape
-    alpha = np.empty((B, T, K))
-    log_norms = np.empty((B, T))
-    pred = np.broadcast_to(pi, (B, K))
+    top = ev.max(axis=2)                                   # (B, T)
+    with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
+        E = ev - top[:, :, None]
+        E = np.exp(E, out=E)[..., None]                    # (B, T, K, 1)
+    alpha = np.empty((B, T, K, 1))
+    S = np.empty((T, B, 1))
+    pred = np.empty((B, K, 1))
+    pred[...] = np.reshape(pi, (K, 1))
+    rescued = []
     for t in range(T):
         if t > 0:
-            pred = np.einsum("bij,bj->bi", trans[:, t - 1], alpha[:, t - 1])
-        # combine prediction and evidence in log space: rescaling by the joint
-        # max keeps steps alive where the predicted-mass regimes sit hundreds
-        # of nats below the best-evidence regime
-        with np.errstate(divide="ignore"):
-            la = np.log(pred) + ev[:, t]
-        m = la.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(m)):
-            raise FloatingPointError(f"forward normalizer degenerate at step {t}")
-        a = np.exp(la - m)
-        c = a.sum(axis=1, keepdims=True)
-        alpha[:, t] = a / c
-        log_norms[:, t] = np.log(c[:, 0]) + m[:, 0]
-    return alpha, log_norms
+            np.matmul(trans[:, t - 1], alpha[:, t - 1], out=pred)
+        a = np.multiply(pred, E[:, t], out=alpha[:, t])
+        s = np.sum(a, axis=1, out=S[t])
+        if not s.min() >= _S_FLOOR:                        # also catches NaN
+            rescued.append((t, *_rescue_rows(t, pred[:, :, 0], ev[:, t], a, s[:, 0])))
+        a /= s[:, None]
+    log_norms = np.log(S[:, :, 0].T) + top
+    for t, rows, log_c in rescued:
+        log_norms[rows, t] = log_c
+    return alpha[:, :, :, 0], log_norms
 
 
 def _backward_batch(ev, trans, log_norms):
+    """Scaled beta (B, T, K) and the xi weights w (B, T-1, K),
+    w[:, t] = exp(ev[:, t+1] - log_norms[:, t+1]) * beta[:, t+1]."""
     B, T, K = ev.shape
-    beta = np.empty((B, T, K))
+    w = ev[:, 1:] - log_norms[:, 1:, None]
+    w = np.exp(w, out=w)[:, :, None, :]                    # (B, T-1, 1, K)
+    beta = np.empty((B, T, 1, K))
     beta[:, -1] = 1.0
     for t in range(T - 2, -1, -1):
-        w = np.exp(ev[:, t + 1] - log_norms[:, t + 1, None]) * beta[:, t + 1]
-        beta[:, t] = np.einsum("bij,bi->bj", trans[:, t], w)
-    return beta
+        wt = np.multiply(w[:, t], beta[:, t + 1], out=w[:, t])
+        np.matmul(wt, trans[:, t], out=beta[:, t])
+    return beta[:, :, 0], w[:, :, 0]
 
 
 def _smooth_batch(ev, trans, pi, pad=None):
@@ -111,10 +147,9 @@ def _smooth_batch(ev, trans, pi, pad=None):
     alpha, log_norms = _forward_batch(ev, trans, pi)
     if pad is not None:
         log_norms[pad] = 0.0
-    beta = _backward_batch(ev, trans, log_norms)
+    beta, w = _backward_batch(ev, trans, log_norms)
     gamma = alpha * beta
     gamma /= gamma.sum(axis=2, keepdims=True)
-    w = np.exp(ev[:, 1:] - log_norms[:, 1:, None]) * beta[:, 1:]  # (B, T-1, K)
     xi = np.einsum("btj,btij,bti->btji", alpha[:, :-1], trans, w)
     xi /= xi.sum(axis=(2, 3), keepdims=True)
     loglik = log_norms.sum(axis=1)
@@ -140,8 +175,8 @@ def backward_pass(evidence, trans_mats, log_norms):
     """Scaled backward recursion consistent with forward_pass scaling; beta_T = 1."""
     ev = np.asarray(evidence, dtype=float)[None]
     _check_evidence(ev)
-    beta = _backward_batch(ev, np.asarray(trans_mats, dtype=float)[None],
-                           np.asarray(log_norms, dtype=float)[None])
+    beta, _ = _backward_batch(ev, np.asarray(trans_mats, dtype=float)[None],
+                              np.asarray(log_norms, dtype=float)[None])
     return beta[0]
 
 
@@ -186,56 +221,3 @@ def estep(model: HybridModel, dataset: Dataset):
     """smooth_dataset without Q: (list of Posterior, total log-likelihood)."""
     posteriors, total, _ = smooth_dataset(model, dataset)
     return posteriors, total
-
-
-def brute_force_posterior(model: HybridModel, traj: Trajectory) -> Posterior:
-    """Exact posterior by enumerating all K^T regime paths. Oracle only.
-
-    Refuses instances with more than 10^6 paths.
-    """
-    ev, trans = local_quantities(model, traj)
-    T, K = ev.shape
-    n_paths = K ** T
-    if n_paths > BRUTE_FORCE_MAX_PATHS:
-        raise ValueError(f"K^T = {n_paths} exceeds the brute-force budget")
-    paths = np.array(list(itertools.product(range(K), repeat=T)), dtype=int)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.init.pi)
-        log_trans = np.log(trans)
-    logp = log_pi[paths[:, 0]].copy()
-    for t in range(T):
-        logp += ev[t, paths[:, t]]
-    for t in range(T - 1):
-        logp += log_trans[t, paths[:, t + 1], paths[:, t]]
-    loglik = logsumexp(logp)
-    post = np.exp(logp - loglik)
-    gamma = np.zeros((T, K))
-    for t in range(T):
-        for k in range(K):
-            gamma[t, k] = post[paths[:, t] == k].sum()
-    xi = np.zeros((T - 1, K, K))
-    for t in range(T - 1):
-        for j in range(K):
-            for i in range(K):
-                xi[t, j, i] = post[(paths[:, t] == j) & (paths[:, t + 1] == i)].sum()
-    return Posterior(gamma=gamma, xi=xi, loglik=float(loglik))
-
-
-def viterbi(model: HybridModel, traj: Trajectory) -> np.ndarray:
-    """Most likely regime path (debugging utility, not a learning path)."""
-    ev, trans = local_quantities(model, traj)
-    T, K = ev.shape
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.init.pi)
-        log_trans = np.log(trans)
-    delta = log_pi + ev[0]
-    back = np.zeros((T, K), dtype=int)
-    for t in range(1, T):
-        scores = log_trans[t - 1] + delta[None, :]   # [i, j] = trans j->i + delta_j
-        back[t] = np.argmax(scores, axis=1)
-        delta = ev[t] + np.max(scores, axis=1)
-    path = np.empty(T, dtype=int)
-    path[-1] = int(np.argmax(delta))
-    for t in range(T - 2, -1, -1):
-        path[t] = back[t + 1][path[t + 1]]
-    return path

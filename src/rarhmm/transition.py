@@ -41,9 +41,10 @@ from the NLL, which is therefore summed over the shifted terms. An entry of Zs
 underflows when both the link-logit row and the bias column spread by hundreds
 of nats; those (m, j) entries alone are recomputed with an exact log-sum-exp
 over i. per_prev logits depend on the source regime, so that kind keeps the
-(M, K, K) path. The code stores a, E, Zs, src and dest transposed, as (K, M):
-numpy reduces over a short trailing axis about 20x slower than over a leading
-one (K = 5, M = 1200).
+full-tensor path. The code stores a, E, Zs, src and dest transposed, as (K, M),
+and full logits destination-major, as (K, M, K): numpy reduces over a short
+trailing or middle axis 15-25x slower than over a leading one (K = 5,
+M = 1200).
 """
 from __future__ import annotations
 
@@ -213,31 +214,37 @@ def _link_logits(tm: TransitionModel, feats: np.ndarray, params: np.ndarray):
 
 def _logits(tm: TransitionModel, feats: np.ndarray, bias: np.ndarray,
             params: np.ndarray) -> np.ndarray:
-    """(M, K, K) logits [m, i, j] for inputs already passed through the feature map."""
+    """(K, M, K) logits [i, m, j], destination-major, for inputs already passed
+    through the feature map."""
     # fill, then add in place: one add of two broadcast operands is slower at large M
-    out = np.empty((feats.shape[0], tm.K, tm.K))
-    out[...] = bias
+    out = np.empty((tm.K, feats.shape[0], tm.K))
+    out[...] = bias[:, None, :]
     if tm.per_prev:
-        out += np.einsum("mf,ijf->mij", feats, _unpack(tm, params)[0])
+        out += np.einsum("mf,ijf->mij", feats, _unpack(tm, params)[0]).transpose(1, 0, 2)
     else:
-        out += _link_logits(tm, feats, params)[0][:, :, None]
+        out += _link_logits(tm, feats, params)[0].T[:, :, None]
     return out
 
 
 def _log_softmax_dest(logits: np.ndarray) -> np.ndarray:
-    """Normalize logits (M, K, K) over the destination axis (axis 1)."""
-    m = logits.max(axis=1, keepdims=True)
-    z = logits - m
-    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    """Normalize destination-major logits (K, ...) over the destination axis 0,
+    the leading axis, which numpy reduces fastest."""
+    z = logits - logits.max(axis=0)
+    z -= np.log(np.sum(np.exp(z), axis=0))
+    return z
 
 
 def transition_matrices(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Column-stochastic matrices (M, K, K): entry [m, i, j] = p(next = i | prev = j)."""
+    """Column-stochastic matrices (M, K, K): entry [m, i, j] = p(next = i | prev = j).
+
+    The result is a transposed view of destination-major (K, M, K) storage.
+    """
     feats = transition_features(tm, xs, us)  # validates xs and us for every kind
     if tm.kind == "stationary":
         # every step shares softmax(bias): normalize once, repeat M times
-        return np.repeat(np.exp(_log_softmax_dest(tm.bias[None])), len(feats), axis=0)
-    return np.exp(_log_softmax_dest(_logits(tm, feats, tm.bias, tm.feature_params)))
+        return np.repeat(np.exp(_log_softmax_dest(tm.bias))[None], len(feats), axis=0)
+    return np.exp(_log_softmax_dest(_logits(tm, feats, tm.bias, tm.feature_params))
+                  ).transpose(1, 0, 2)
 
 
 def transition_matrix(tm: TransitionModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -348,15 +355,16 @@ def _nll_grad_factored(tm: TransitionModel, bias: np.ndarray, params: np.ndarray
 def _nll_grad_tensor(tm: TransitionModel, bias: np.ndarray, params: np.ndarray,
                      feats: np.ndarray, xi_di: np.ndarray, src: np.ndarray
                      ) -> tuple[float, np.ndarray]:
-    """per_prev linear: the logits depend on the source, so work on (M, K, K)."""
-    logpsi = _log_softmax_dest(_logits(tm, feats, bias, params))
-    nll = -float(np.vdot(xi_di, logpsi))
-    # d nll / d logits[m, i, j] = src[j, m] * psi[m, i, j] - xi_di[m, i, j]
+    """per_prev linear: the logits depend on the source, so work on (K, M, K)."""
+    logpsi = _log_softmax_dest(_logits(tm, feats, bias, params))   # [i, m, j]
+    xi_imj = xi_di.transpose(1, 0, 2)
+    nll = -float(np.vdot(xi_imj, logpsi))
+    # d nll / d logits[i, m, j] = src[j, m] * psi[i, m, j] - xi_di[m, i, j]
     g = np.exp(logpsi, out=logpsi)                     # psi; logpsi not used again
-    g *= src.T[:, None, :]
-    g -= xi_di
-    grad_w = np.einsum("mij,mf->ijf", g, feats)
-    return nll, np.concatenate([g.sum(axis=0).ravel(), grad_w.ravel()])
+    g *= src.T
+    g -= xi_imj
+    grad_w = np.einsum("imj,mf->ijf", g, feats)
+    return nll, np.concatenate([g.sum(axis=1).ravel(), grad_w.ravel()])
 
 
 def _nll_grad_packed(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,

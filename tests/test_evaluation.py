@@ -8,14 +8,13 @@ from rarhmm.evaluation import (EvalReport, _forecast_batch, count_params,
                                filter_prefix, forecast, nmse,
                                dataset_normalizer)
 from rarhmm._linalg import mvn_logpdf
-from rarhmm.inference import brute_force_posterior
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
                           sample_trajectory)
 from rarhmm.transition import make_transition
 
-from util import (random_dataset, random_model, random_trajectory,
-                  reference_sample_forecast)
+from util import (brute_force_posterior, random_dataset, random_model,
+                  random_trajectory, reference_sample_forecast)
 
 
 def _ball_truth_maps(cfg):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from rarhmm import inference
 from rarhmm._linalg import logsumexp
-from rarhmm.inference import (Posterior, backward_pass, brute_force_posterior,
-                              estep, forward_pass, local_quantities, smooth,
-                              viterbi)
+from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch,
+                              backward_pass, estep, forward_pass,
+                              local_quantities, smooth, smooth_dataset)
 from rarhmm.model import CLOSED_LOOP, Dataset, log_local_evidence
 
-from util import random_dataset, random_model, random_trajectory
+from util import (brute_force_posterior, random_dataset, random_model,
+                  random_trajectory, reference_backward_batch,
+                  reference_forward_batch, viterbi)
 
 
 def _assert_posterior_close(a: Posterior, b: Posterior, tol=1e-10):
@@ -160,3 +163,139 @@ def test_random_oracle_sweep():
         m = random_model(K=K, d_x=2, d_u=1, kind=kind, seed=100 + case)
         traj, _ = random_trajectory(m, T=T, seed=100 + case)
         _assert_posterior_close(smooth(m, traj), brute_force_posterior(m, traj))
+
+
+# -- linear-scale forward core: rescue, degenerate steps, reference agreement --
+
+def _reference_smooth(ev, trans, pi):
+    """alpha, log_norms, beta, gamma and xi of one trajectory from the
+    log-space reference recursions."""
+    alpha, log_norms = reference_forward_batch(ev[None], trans[None], pi)
+    beta = reference_backward_batch(ev[None], trans[None], log_norms)
+    alpha, log_norms, beta = alpha[0], log_norms[0], beta[0]
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    w = np.exp(ev[1:] - log_norms[1:, None]) * beta[1:]
+    xi = np.einsum("tj,tij,ti->tji", alpha[:-1], trans, w)
+    xi /= xi.sum(axis=(1, 2), keepdims=True)
+    return alpha, log_norms, beta, gamma, xi
+
+
+def _unreachable_instance(T=6, seed=0):
+    """Three regimes; regime 2 has no initial mass and no transition into it,
+    so evidence that favours it by hundreds of nats sends the linear-scale
+    normalizer to 0 at that step."""
+    rng = np.random.default_rng(seed)
+    ev = rng.normal(size=(T, 3))
+    trans = np.tile(np.array([[0.8, 0.3, 0.2],
+                              [0.2, 0.7, 0.3],
+                              [0.0, 0.0, 0.5]]), (T - 1, 1, 1))
+    return ev, trans, np.array([0.6, 0.4, 0.0])
+
+
+@pytest.fixture
+def rescued(monkeypatch):
+    """(step, rows) of every forward step redone in log space."""
+    calls = []
+    rescue = inference._rescue_rows
+
+    def spy(t, *args):
+        rows, log_c = rescue(t, *args)
+        calls.append((t, rows.tolist()))
+        return rows, log_c
+
+    monkeypatch.setattr(inference, "_rescue_rows", spy)
+    return calls
+
+
+def test_forward_rescue_matches_log_domain_reference(rescued):
+    # pi = [1, 0]: all initial mass on the regime 1000 nats below the other
+    ev2 = np.random.default_rng(1).normal(size=(5, 2))
+    ev2[0] = [-1000.0, 0.0]
+    trans2 = np.tile(np.array([[0.9, 0.2], [0.1, 0.8]]), (4, 1, 1))
+    ev3, trans3, pi3 = _unreachable_instance()
+    ev3[0] = [-1000.0, -1001.5, 0.0]
+    ev3[3] = [-900.0, -899.0, 0.0]
+    for ev, trans, pi, steps in [(ev2, trans2, np.array([1.0, 0.0]), [0]),
+                                 (ev3, trans3, pi3, [0, 3])]:
+        rescued.clear()
+        alpha, log_norms, _ = forward_pass(ev, trans, pi)
+        assert rescued == [(t, [0]) for t in steps]
+        ref_alpha, ref_norms = reference_forward_batch(ev[None], trans[None], pi)
+        np.testing.assert_allclose(alpha, ref_alpha[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_norms, ref_norms[0], rtol=1e-12, atol=0)
+        assert np.all(alpha[steps, -1] == 0.0)
+
+
+def test_forward_raises_on_positive_infinite_evidence():
+    ev, trans, pi = _unreachable_instance()
+    ev[2, 1] = np.inf
+    with pytest.raises(FloatingPointError, match="at step 2$"):
+        forward_pass(ev, trans, pi)
+    with pytest.raises(FloatingPointError, match="at step 2$"):
+        reference_forward_batch(ev[None], trans[None], pi)
+
+
+def test_forward_raises_when_predicted_regimes_are_impossible():
+    # regime 2 is never reached, so -inf evidence on regimes 0 and 1 leaves
+    # no predicted mass at step 3
+    ev, trans, pi = _unreachable_instance()
+    ev[3] = [-np.inf, -np.inf, 0.0]
+    with pytest.raises(FloatingPointError, match="at step 3$"):
+        forward_pass(ev, trans, pi)
+    with pytest.raises(FloatingPointError, match="at step 3$"):
+        reference_forward_batch(ev[None], trans[None], pi)
+
+
+def test_row_results_do_not_depend_on_batch_neighbours(rescued):
+    # row 0 takes the linear path throughout; row 1 is longer and is rescued
+    # at steps 0 and 4, so row 0 is padded next to rescued steps. Row 1's
+    # evidence gaps stay below ~709 nats, where exp in the backward weights
+    # would overflow
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=12)
+    traj, _ = random_trajectory(m, T=5, seed=12)
+    ev0, trans0 = local_quantities(m, traj)
+    ev1, trans1, pi = _unreachable_instance(T=8, seed=12)
+    ev1[0] = [-600.0, -601.5, 0.0]
+    ev1[4] = [-500.0, -499.0, 0.0]
+    ev = np.zeros((2, 8, 3))
+    trans = np.tile(np.eye(3), (2, 7, 1, 1))
+    ev[0, :5], trans[0, :4] = ev0, trans0
+    ev[1], trans[1] = ev1, trans1
+    pad = np.arange(8) >= np.array([5, 8])[:, None]
+    batch = _forward_batch(ev, trans, pi)
+    assert rescued == [(0, [1]), (4, [1])]
+    smoothed = _smooth_batch(ev, trans, pi, pad)
+    for b, (e, tr) in enumerate([(ev0, trans0), (ev1, trans1)]):
+        n = len(e)
+        alone = _forward_batch(e[None], tr[None], pi)
+        assert np.array_equal(batch[0][b, :n], alone[0][0])
+        assert np.array_equal(batch[1][b, :n], alone[1][0])
+        gamma, xi, loglik = _smooth_batch(e[None], tr[None], pi)
+        assert np.array_equal(smoothed[0][b, :n], gamma[0])
+        assert np.array_equal(smoothed[1][b, :n - 1], xi[0])
+        assert smoothed[2][b] == loglik[0]
+    assert np.all(np.isfinite(smoothed[0])) and np.all(np.isfinite(smoothed[1]))
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 9])
+def test_linear_scale_matches_log_domain_reference(K):
+    m = random_model(K=K, d_x=2, d_u=1, kind="linear", seed=20 + K)
+    # mixed lengths, shortest next to the longest: a padded batch
+    trajs = [random_trajectory(m, T=T, seed=30 + i)[0]
+             for i, T in enumerate([40, 17, 2, 40])]
+    ds = Dataset.from_trajectories(trajs)
+    for batch in (ds, Dataset.from_trajectories(trajs[:1])):
+        posts, _, _ = smooth_dataset(m, batch)
+        for post, traj in zip(posts, batch.trajectories):
+            ev, trans = local_quantities(m, traj)
+            alpha, log_norms, beta, gamma, xi = _reference_smooth(ev, trans, m.init.pi)
+            assert post.loglik == pytest.approx(log_norms.sum(), rel=1e-12, abs=0)
+            np.testing.assert_allclose(post.gamma, gamma, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(post.xi, xi, rtol=0, atol=1e-12)
+            got_alpha, got_norms, _ = forward_pass(ev, trans, m.init.pi)
+            np.testing.assert_allclose(got_alpha, alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_norms, log_norms, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(backward_pass(ev, trans, got_norms), beta,
+                                       rtol=1e-12, atol=0)
+

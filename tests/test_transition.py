@@ -8,7 +8,7 @@ from rarhmm.transition import (TransitionModel, _nll_grad_packed, make_transitio
                                transition_matrices, transition_probs,
                                vector_to_params, weighted_nll_and_grad)
 
-from util import random_xis, tensor_nll_grad
+from util import random_xis, reference_transition_matrices, tensor_nll_grad
 
 KIND_CASES = [("linear", {}),
               ("linear", {"per_prev": True}),
@@ -142,6 +142,17 @@ def test_stationary_matrices_equal_generic_formula():
         transition_matrices(tm, xs, np.full((7, 1), np.inf))
     with pytest.raises(ValueError):
         transition_matrices(tm, xs, np.zeros((6, 1)))
+
+
+@pytest.mark.parametrize("kind,kw", KIND_CASES)
+@pytest.mark.parametrize("M", [1, 1194])
+def test_matrices_equal_source_major_formula(kind, kw, M):
+    rng = np.random.default_rng(M)
+    tm = _random_tm(kind, 5, 3, 1, seed=15, scale=2.0, **kw)
+    xs, us = 3 * rng.standard_normal((M, 3)), rng.standard_normal((M, 1))
+    got = transition_matrices(tm, xs, us)
+    assert got.shape == (M, 5, 5)
+    assert np.array_equal(got, reference_transition_matrices(tm, xs, us))
 
 
 def test_nll_degenerate_target_drives_prob_to_one():

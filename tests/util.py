@@ -1,14 +1,19 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and the reference
+implementations the library is checked against."""
+import itertools
+
 import numpy as np
 
 from rarhmm._linalg import logsumexp, mvn_logpdf, mvn_sample
 from rarhmm.features import controller_feature_dim
+from rarhmm.inference import Posterior, local_quantities
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           InitialModel, RegimeController, RegimeDynamics,
                           Trajectory, _control_mean, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
-from rarhmm.transition import (_nll_grad_packed, make_transition,
-                               params_to_vector, stack_transition_stats,
+from rarhmm.transition import (_link_logits, _nll_grad_packed, _unpack,
+                               make_transition, params_to_vector,
+                               stack_transition_stats, transition_features,
                                transition_matrices, transition_matrix,
                                vector_to_params, xi_marginals)
 
@@ -112,6 +117,21 @@ def tensor_nll_grad(tm, vec, feats, xi_di):
         parts += [(back.T @ feats).ravel(), back.sum(axis=0),
                   (g_dest.T @ h).ravel(), g_dest.sum(axis=0)]
     return nll, np.concatenate(parts)
+
+
+def reference_transition_matrices(tm, xs, us):
+    """Link matrices from source-major (M, K, K) logits [m, i, j], normalized
+    over the destination axis 1, as the library built them before its
+    destination-major layout."""
+    feats = transition_features(tm, xs, us)
+    logits = np.empty((len(feats), tm.K, tm.K))
+    logits[...] = tm.bias
+    if tm.per_prev:
+        logits += np.einsum("mf,ijf->mij", feats, _unpack(tm, tm.feature_params)[0])
+    elif tm.kind != "stationary":
+        logits += _link_logits(tm, feats, tm.feature_params)[0][:, :, None]
+    z = logits - logits.max(axis=1, keepdims=True)
+    return np.exp(z - np.log(np.sum(np.exp(z), axis=1, keepdims=True)))
 
 
 def reference_gd_mstep(posteriors, dataset, tm_hat):
@@ -220,3 +240,96 @@ def models_equal(a: HybridModel, b: HybridModel) -> bool:
     same = same and all(np.array_equal(getattr(ta, f), getattr(tb, f))
                         for f in ("bias", "feature_params", "feat_mean", "feat_std"))
     return bool(same)
+
+
+BRUTE_FORCE_MAX_PATHS = 10 ** 6
+
+
+def brute_force_posterior(model: HybridModel, traj: Trajectory) -> Posterior:
+    """Exact posterior by enumerating all K^T regime paths: the correctness
+    oracle for smoothing.
+
+    Refuses instances with more than 10^6 paths.
+    """
+    ev, trans = local_quantities(model, traj)
+    T, K = ev.shape
+    n_paths = K ** T
+    if n_paths > BRUTE_FORCE_MAX_PATHS:
+        raise ValueError(f"K^T = {n_paths} exceeds the brute-force budget")
+    paths = np.array(list(itertools.product(range(K), repeat=T)), dtype=int)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(model.init.pi)
+        log_trans = np.log(trans)
+    logp = log_pi[paths[:, 0]].copy()
+    for t in range(T):
+        logp += ev[t, paths[:, t]]
+    for t in range(T - 1):
+        logp += log_trans[t, paths[:, t + 1], paths[:, t]]
+    loglik = logsumexp(logp)
+    post = np.exp(logp - loglik)
+    gamma = np.zeros((T, K))
+    for t in range(T):
+        for k in range(K):
+            gamma[t, k] = post[paths[:, t] == k].sum()
+    xi = np.zeros((T - 1, K, K))
+    for t in range(T - 1):
+        for j in range(K):
+            for i in range(K):
+                xi[t, j, i] = post[(paths[:, t] == j) & (paths[:, t + 1] == i)].sum()
+    return Posterior(gamma=gamma, xi=xi, loglik=float(loglik))
+
+
+def viterbi(model: HybridModel, traj: Trajectory) -> np.ndarray:
+    """Most likely regime path."""
+    ev, trans = local_quantities(model, traj)
+    T, K = ev.shape
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(model.init.pi)
+        log_trans = np.log(trans)
+    delta = log_pi + ev[0]
+    back = np.zeros((T, K), dtype=int)
+    for t in range(1, T):
+        scores = log_trans[t - 1] + delta[None, :]   # [i, j] = trans j->i + delta_j
+        back[t] = np.argmax(scores, axis=1)
+        delta = ev[t] + np.max(scores, axis=1)
+    path = np.empty(T, dtype=int)
+    path[-1] = int(np.argmax(delta))
+    for t in range(T - 2, -1, -1):
+        path[t] = back[t + 1][path[t + 1]]
+    return path
+
+
+def reference_forward_batch(ev, trans, pi):
+    """Batched scaled forward recursion combining prediction and evidence in
+    log space at every step, rescaled by their joint max, as the library did
+    before its linear-scale recursion. Returns (alpha (B, T, K), log_norms
+    (B, T))."""
+    B, T, K = ev.shape
+    alpha = np.empty((B, T, K))
+    log_norms = np.empty((B, T))
+    pred = np.broadcast_to(pi, (B, K))
+    for t in range(T):
+        if t > 0:
+            pred = np.einsum("bij,bj->bi", trans[:, t - 1], alpha[:, t - 1])
+        with np.errstate(divide="ignore"):
+            la = np.log(pred) + ev[:, t]
+        m = la.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(m)):
+            raise FloatingPointError(f"forward normalizer degenerate at step {t}")
+        a = np.exp(la - m)
+        c = a.sum(axis=1, keepdims=True)
+        alpha[:, t] = a / c
+        log_norms[:, t] = np.log(c[:, 0]) + m[:, 0]
+    return alpha, log_norms
+
+
+def reference_backward_batch(ev, trans, log_norms):
+    """Batched scaled backward recursion consistent with
+    reference_forward_batch; beta_T = 1."""
+    B, T, K = ev.shape
+    beta = np.empty((B, T, K))
+    beta[:, -1] = 1.0
+    for t in range(T - 2, -1, -1):
+        w = np.exp(ev[:, t + 1] - log_norms[:, t + 1, None]) * beta[:, t + 1]
+        beta[:, t] = np.einsum("bij,bi->bj", trans[:, t], w)
+    return beta
