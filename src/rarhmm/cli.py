@@ -172,8 +172,9 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _fit_config(cfg: dict) -> FitConfig:
-    return FitConfig(K=cfg["K"], mode=cfg["mode"],
+def _fit_config(cfg: dict, mode: str) -> FitConfig:
+    """The FitConfig of a fit or distill command config."""
+    return FitConfig(K=cfg["K"], mode=mode,
                      transition_kind=cfg["transition"], lag=cfg["lag"],
                      poly_degree=cfg["poly_degree"],
                      max_iters=cfg["max_iters"], restarts=cfg["restarts"],
@@ -184,7 +185,7 @@ def cmd_fit(cfg: dict, parser: _Parser) -> int:
     _require(cfg, "data", parser)
     _positive(cfg, ("K", "max_iters", "restarts"), parser)
     try:
-        fit_config = _fit_config(cfg)
+        fit_config = _fit_config(cfg, cfg["mode"])
     except ValueError as e:
         parser.error(str(e))
     dataset = load_dataset(cfg["data"])
@@ -273,12 +274,7 @@ def cmd_distill(cfg: dict, parser: _Parser) -> int:
     _require(cfg, "demos", parser)
     _positive(cfg, ("K", "max_iters", "restarts"), parser)
     try:
-        fit_config = FitConfig(K=cfg["K"], mode=CLOSED_LOOP,
-                               transition_kind=cfg["transition"],
-                               lag=cfg["lag"], poly_degree=cfg["poly_degree"],
-                               max_iters=cfg["max_iters"],
-                               restarts=cfg["restarts"],
-                               rel_tol=cfg["rel_tol"], seed=cfg["seed"])
+        fit_config = _fit_config(cfg, CLOSED_LOOP)
     except ValueError as e:
         parser.error(str(e))
     demos = load_dataset(cfg["demos"])

@@ -127,17 +127,29 @@ def _forward_batch(ev, trans, pi):
     return alpha[:, :, :, 0], log_norms
 
 
-def _backward_batch(ev, trans, log_norms):
+def _backward_batch(ev, trans, log_norms, alpha=None):
     """Scaled beta (B, T, K) and the xi weights w (B, T-1, K),
-    w[:, t] = exp(ev[:, t+1] - log_norms[:, t+1]) * beta[:, t+1]."""
+    w[:, t] = exp(ev[:, t+1] - log_norms[:, t+1]) * beta[:, t+1].
+
+    A regime the filtered beliefs alpha give no mass at t+1 gets weight 0 at
+    t+1, so it contributes to neither gamma nor xi. That covers every regime
+    with no predicted mass, whose weight overflows when evidence favours it
+    by over ~709 nats past the step's log normalizer (inf * 0 would then
+    turn beta into NaN). Any other overflow raises FloatingPointError."""
     B, T, K = ev.shape
-    w = ev[:, 1:] - log_norms[:, 1:, None]
-    w = np.exp(w, out=w)[:, :, None, :]                    # (B, T-1, 1, K)
     beta = np.empty((B, T, 1, K))
     beta[:, -1] = 1.0
-    for t in range(T - 2, -1, -1):
-        wt = np.multiply(w[:, t], beta[:, t + 1], out=w[:, t])
-        np.matmul(wt, trans[:, t], out=beta[:, t])
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        w = ev[:, 1:] - log_norms[:, 1:, None]
+        w = np.exp(w, out=w)
+        if alpha is not None:
+            np.copyto(w, 0.0, where=alpha[:, 1:] == 0.0)
+        w = w[:, :, None, :]                               # (B, T-1, 1, K)
+        for t in range(T - 2, -1, -1):
+            wt = np.multiply(w[:, t], beta[:, t + 1], out=w[:, t])
+            np.matmul(wt, trans[:, t], out=beta[:, t])
+    if not beta.max() < np.inf:                            # also catches NaN
+        raise FloatingPointError("backward recursion overflowed")
     return beta[:, :, 0], w[:, :, 0]
 
 
@@ -147,7 +159,7 @@ def _smooth_batch(ev, trans, pi, pad=None):
     alpha, log_norms = _forward_batch(ev, trans, pi)
     if pad is not None:
         log_norms[pad] = 0.0
-    beta, w = _backward_batch(ev, trans, log_norms)
+    beta, w = _backward_batch(ev, trans, log_norms, alpha)
     gamma = alpha * beta
     gamma /= gamma.sum(axis=2, keepdims=True)
     xi = np.einsum("btj,btij,bti->btji", alpha[:, :-1], trans, w)
@@ -172,7 +184,10 @@ def forward_pass(evidence, trans_mats, pi):
 
 
 def backward_pass(evidence, trans_mats, log_norms):
-    """Scaled backward recursion consistent with forward_pass scaling; beta_T = 1."""
+    """Scaled backward recursion consistent with forward_pass scaling; beta_T = 1.
+
+    Without the filtered beliefs no regime is known to have no mass, so an
+    overflowing weight raises FloatingPointError (see _backward_batch)."""
     ev = np.asarray(evidence, dtype=float)[None]
     _check_evidence(ev)
     beta, _ = _backward_batch(ev, np.asarray(trans_mats, dtype=float)[None],

@@ -13,8 +13,8 @@ nearly hard; a bound on each step keeps the parameters from running off
 there within one M-step. Each transition M-step reduces the pairwise
 marginals xi once to source mass, destination mass and pair counts; every
 objective evaluation then works on (M, K) link logits and the (K, K) bias
-(factored objective in transition.py). Only per_prev linear links, whose
-logits depend on the source regime, build (M, K, K) tensors. Covariances are
+(factored objective in transition.py), for every link kind. The k-means
+initialization feeds the same M-steps one-hot posteriors. Covariances are
 projected onto the SPD cone with a minimum-eigenvalue floor, which is the
 constrained argmax, so the monotonicity guarantee survives the projection.
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from ._linalg import floor_spd
 from .features import controller_feature_dim
-from .inference import smooth_dataset
+from .inference import Posterior, smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
                     InitialModel, RegimeController, RegimeDynamics,
                     controller_feature_series)
@@ -38,6 +38,7 @@ from .transition import (TransitionModel, _nll_grad_packed, make_transition,
 
 RIDGE = 1e-8
 EMPTY_WEIGHT = 1e-12
+COVARIANCE_FLOOR = 1e-6   # minimum eigenvalue of every fitted covariance
 KMEANS_ITERS = 50
 STICKY_LOGIT = 2.0
 FEATURE_INIT_SCALE = 0.01
@@ -73,9 +74,6 @@ class FitConfig:
     rel_tol: float = 1e-6
     restarts: int = 5
     seed: int = 0
-    covariance_floor: float = 1e-6
-    per_prev: bool = False
-    constrain_offset_zero: bool = False
     # filled from transition_kind strings like "perceptron:16"
     transition_degree: int = field(default=1)
     hidden_units: int = field(default=0)
@@ -95,8 +93,8 @@ class FitConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.K < 1 or self.max_iters < 1 or self.restarts < 1:
             raise ValueError("K, max_iters, restarts must be positive")
-        if self.rel_tol <= 0 or self.covariance_floor <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
         if self.lag < 0 or self.poly_degree < 1:
             raise ValueError("lag >= 0, poly_degree >= 1 required")
 
@@ -163,18 +161,6 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
     return labels
 
 
-class _HardPosterior:
-    """Duck-typed stand-in for Posterior built from hard labels."""
-
-    def __init__(self, labels: np.ndarray, K: int):
-        T = len(labels)
-        self.gamma = np.zeros((T, K))
-        self.gamma[np.arange(T), labels] = 1.0
-        self.xi = np.zeros((T - 1, K, K))
-        self.xi[np.arange(T - 1), labels[:-1], labels[1:]] = 1.0
-        self.loglik = np.nan
-
-
 def _dataset_standardizer(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     raw = np.concatenate([np.concatenate([t.xs, t.us], axis=1)
                           for t in dataset.trajectories], axis=0)
@@ -201,14 +187,18 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
     pts = np.concatenate([np.concatenate([t.xs[:-1], np.diff(t.xs, axis=0)], axis=1)
                           for t in dataset.trajectories], axis=0)
     labels = _kmeans(pts, K, rng)
+    # one-hot posteriors; each trajectory's last step repeats its last label
+    eye = np.eye(K)
     posts = []
     ofs = 0
     for traj in dataset.trajectories:
         lab = labels[ofs:ofs + traj.T - 1]
         ofs += traj.T - 1
-        posts.append(_HardPosterior(np.append(lab, lab[-1]), K))
+        g = eye[np.append(lab, lab[-1])]
+        posts.append(Posterior(gamma=g, xi=g[:-1, :, None] * g[1:, None, :],
+                               loglik=np.nan))
 
-    floor = config.covariance_floor
+    floor = COVARIANCE_FLOOR
     fallback_init = _global_initial(dataset, K, floor)
     fallback_dyn = tuple(RegimeDynamics(A=np.eye(dataset.d_x),
                                         B=np.zeros((dataset.d_x, dataset.d_u)),
@@ -229,14 +219,12 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
                                               poly_degree=config.poly_degree)
                              for _ in range(K))
         controllers = mstep_controller(posts, dataset, config.lag, config.poly_degree,
-                                       floor, prev=fallback_ctl,
-                                       constrain_offset_zero=config.constrain_offset_zero)
+                                       floor, prev=fallback_ctl)
 
     mean, std = _dataset_standardizer(dataset)
     tm = make_transition(config.transition_kind, K, dataset.d_x, dataset.d_u,
                          degree=config.transition_degree,
                          hidden_units=config.hidden_units,
-                         per_prev=config.per_prev,
                          feat_mean=mean, feat_std=std,
                          bias=STICKY_LOGIT * np.eye(K),
                          rng=rng, init_scale=FEATURE_INIT_SCALE)
@@ -330,18 +318,13 @@ def mstep_dynamics(posteriors, dataset: Dataset, floor: float,
 
 
 def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
-                     floor: float, prev=None,
-                     constrain_offset_zero: bool = False) -> tuple[RegimeController, ...]:
-    """Per-regime weighted least squares phi(x_t, past controls) -> u_t with
-    weights gamma_t(k); action noise is the floored residual covariance."""
+                     floor: float, prev=None) -> tuple[RegimeController, ...]:
+    """Per-regime weighted least squares [phi(x_t, past controls); 1] -> u_t
+    with weights gamma_t(k); action noise is the floored residual covariance."""
     K = posteriors[0].gamma.shape[1]
-    d_u = dataset.d_u
     feats = np.concatenate([controller_feature_series(t.xs, t.us, lag, poly_degree)
                             for t in dataset.trajectories], axis=0)
-    if not constrain_offset_zero:
-        feats_full = np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
-    else:
-        feats_full = feats
+    feats_full = np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
     U = np.concatenate([t.us for t in dataset.trajectories], axis=0)
     W = np.concatenate([p.gamma for p in posteriors], axis=0)
     out = []
@@ -358,11 +341,7 @@ def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
         coef = _weighted_lstsq(feats_full, U, w, f"controller regime {k}")
         resid = U - feats_full @ coef
         sig = _weighted_residual_cov(resid, w, wsum, floor)
-        if constrain_offset_zero:
-            gain, offset = coef.T, np.zeros(d_u)
-        else:
-            gain, offset = coef[:-1].T, coef[-1]
-        out.append(RegimeController(gain=gain, offset=offset, sigma_cov=sig,
+        out.append(RegimeController(gain=coef[:-1].T, offset=coef[-1], sigma_cov=sig,
                                     lag=lag, poly_degree=poly_degree))
     return tuple(out)
 
@@ -409,8 +388,7 @@ def mstep_transitions(posteriors, dataset: Dataset,
     The marginals of xi the objective reads (source mass, destination mass,
     pair counts) are computed once here, not per evaluation. Each evaluation
     is then factored: (M, K) link logits against the (K, K) bias, with an
-    exact log-sum-exp for the few normalizer entries that underflow. per_prev
-    linear links depend on the source regime and evaluate (M, K, K) tensors."""
+    exact log-sum-exp for the few normalizer entries that underflow."""
     xis = [p.xi for p in posteriors]
     if tm_hat.kind == "stationary":
         counts = sum(xi.sum(axis=0) for xi in xis)           # (K, K) [source, dest]
@@ -469,15 +447,14 @@ def mstep_transitions(posteriors, dataset: Dataset,
 
 def _mstep_all(model: HybridModel, posteriors, dataset: Dataset,
                config: FitConfig) -> HybridModel:
-    floor = config.covariance_floor
+    floor = COVARIANCE_FLOOR
     init = mstep_initial(posteriors, dataset, floor, prev=model.init)
     dynamics = mstep_dynamics(posteriors, dataset, floor, prev=model.dynamics)
     controllers = None
     if model.mode == CLOSED_LOOP:
         controllers = mstep_controller(posteriors, dataset, config.lag,
                                        config.poly_degree, floor,
-                                       prev=model.controllers,
-                                       constrain_offset_zero=config.constrain_offset_zero)
+                                       prev=model.controllers)
     tm = mstep_transitions(posteriors, dataset, model.transition)
     return HybridModel(K=model.K, d_x=model.d_x, d_u=model.d_u, mode=model.mode,
                        init=init, dynamics=dynamics, transition=tm,

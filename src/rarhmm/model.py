@@ -446,8 +446,6 @@ def model_to_dict(model: HybridModel) -> dict:
         tblock["degree"] = tm.degree
     if tm.kind == "perceptron":
         tblock["hidden_units"] = tm.hidden_units
-    if tm.kind == "linear":
-        tblock["per_prev"] = tm.per_prev
     doc = {
         "version": MODEL_SCHEMA_VERSION,
         "mode": model.mode,
@@ -487,6 +485,11 @@ def model_from_dict(doc: dict) -> HybridModel:
                        lam_cov=np.asarray(b["lam_cov"], dtype=float))
         for b in doc["dynamics"])
     tb = doc["transition"]
+    if tb.get("per_prev", False):
+        # older files may carry "per_prev": false; per-source link weights
+        # are no longer supported
+        raise ValueError("transition field 'per_prev' is not supported: "
+                         "per-source link weights were removed")
     tm = TransitionModel(
         kind=tb["kind"], K=K, d_x=d_x, d_u=d_u,
         bias=np.asarray(tb["bias"], dtype=float),
@@ -495,7 +498,6 @@ def model_from_dict(doc: dict) -> HybridModel:
         feat_std=np.asarray(tb["standardizer"]["std"], dtype=float),
         degree=int(tb.get("degree", 1)),
         hidden_units=int(tb.get("hidden_units", 0)),
-        per_prev=bool(tb.get("per_prev", False)),
     )
     controllers = None
     if doc.get("controllers") is not None:

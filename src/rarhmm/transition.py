@@ -9,7 +9,7 @@ where s standardizes the raw (x, u) vector with the stored mean/std and g is a
 kind-specific map sharing parameters across source regimes:
 
     stationary   g = 0                          (classic HMM)
-    linear       g = W s                        (optionally per-source W via per_prev)
+    linear       g = W s
     polynomial   g = W poly(s)                  (monomials up to `degree`)
     perceptron   g = W2 tanh(W1 s + b1) + b2    (`hidden_units` wide)
 
@@ -19,9 +19,9 @@ stationary); the trainable vector for the M-step is bias (row-major) followed
 by feature_params.
 
 The M-step objective is the expected transition NLL under pairwise marginals
-xi[m, i, j] (source j -> destination i at stacked step m). When g is shared
-across sources (every kind but per_prev linear), it never forms (M, K, K)
-tensors. With link logits a = g(s) of shape (M, K) and b = bias,
+xi[m, i, j] (source j -> destination i at stacked step m). Because g is shared
+across sources, the objective never forms (M, K, K) tensors. With link logits
+a = g(s) of shape (M, K) and b = bias,
 
     log psi[m, i, j] = a[m, i] + b[i, j] - log Z[m, j],
     Z[m, j] = sum_i exp(a[m, i] + b[i, j]),
@@ -40,11 +40,10 @@ log Z[m, j] = log Zs[m, j] + max_i a[m, i] + max_i b[i, j]. The shifts cancel
 from the NLL, which is therefore summed over the shifted terms. An entry of Zs
 underflows when both the link-logit row and the bias column spread by hundreds
 of nats; those (m, j) entries alone are recomputed with an exact log-sum-exp
-over i. per_prev logits depend on the source regime, so that kind keeps the
-full-tensor path. The code stores a, E, Zs, src and dest transposed, as (K, M),
-and full logits destination-major, as (K, M, K): numpy reduces over a short
-trailing or middle axis 15-25x slower than over a leading one (K = 5,
-M = 1200).
+over i. The code stores a, E, Zs, src and dest transposed, as (K, M), and the
+full logits of transition_matrices destination-major, as (K, M, K): numpy
+reduces over a short trailing or middle axis 15-25x slower than over a leading
+one (K = 5, M = 1200).
 """
 from __future__ import annotations
 
@@ -69,13 +68,11 @@ def _feature_dim(kind: str, d_x: int, d_u: int, degree: int) -> int:
 
 
 def n_feature_params(kind: str, K: int, d_x: int, d_u: int, degree: int = 1,
-                     hidden_units: int = 0, per_prev: bool = False) -> int:
+                     hidden_units: int = 0) -> int:
     f = _feature_dim(kind, d_x, d_u, degree)
     if kind == "stationary":
         return 0
-    if kind == "linear":
-        return K * K * f if per_prev else K * f
-    if kind == "polynomial":
+    if kind in ("linear", "polynomial"):
         return K * f
     if kind == "perceptron":
         return hidden_units * f + hidden_units + K * hidden_units + K
@@ -94,7 +91,6 @@ class TransitionModel:
     feat_std: np.ndarray        # (d_x + d_u,), all > 0
     degree: int = 1
     hidden_units: int = 0
-    per_prev: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -105,8 +101,6 @@ class TransitionModel:
             raise ValueError("polynomial degree must be >= 1")
         if self.kind == "perceptron" and self.hidden_units < 1:
             raise ValueError("perceptron needs hidden_units >= 1")
-        if self.per_prev and self.kind != "linear":
-            raise ValueError("per_prev weights are only supported for the linear kind")
         # drop metadata that is inert for this kind so equality and
         # serialization are canonical
         if self.kind != "polynomial":
@@ -122,7 +116,7 @@ class TransitionModel:
         if not np.all(np.isfinite(self.bias)):
             raise ValueError("bias must be finite")
         expected = n_feature_params(self.kind, self.K, self.d_x, self.d_u,
-                                    self.degree, self.hidden_units, self.per_prev)
+                                    self.degree, self.hidden_units)
         if self.feature_params.size != expected:
             raise ValueError(f"feature_params has {self.feature_params.size} entries, "
                              f"expected {expected} for kind {self.kind!r}")
@@ -140,8 +134,7 @@ class TransitionModel:
 
 
 def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
-                    hidden_units: int = 0, per_prev: bool = False,
-                    feat_mean=None, feat_std=None, bias=None,
+                    hidden_units: int = 0, feat_mean=None, feat_std=None, bias=None,
                     rng: np.random.Generator | None = None,
                     init_scale: float = 0.01) -> TransitionModel:
     """Build a transition model, drawing small random feature weights if rng given."""
@@ -152,7 +145,7 @@ def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
         feat_std = np.ones(f)
     if bias is None:
         bias = np.zeros((K, K))
-    n = n_feature_params(kind, K, d_x, d_u, degree, hidden_units, per_prev)
+    n = n_feature_params(kind, K, d_x, d_u, degree, hidden_units)
     if rng is not None:
         params = init_scale * rng.standard_normal(n)
     else:
@@ -160,7 +153,7 @@ def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
     return TransitionModel(kind=kind, K=K, d_x=d_x, d_u=d_u, bias=bias,
                            feature_params=params, feat_mean=feat_mean,
                            feat_std=feat_std, degree=degree,
-                           hidden_units=hidden_units, per_prev=per_prev)
+                           hidden_units=hidden_units)
 
 
 # -- feature pipeline ---------------------------------------------------------
@@ -188,8 +181,6 @@ def _unpack(tm: TransitionModel, params: np.ndarray):
     K, H = tm.K, tm.hidden_units
     if tm.kind == "stationary":
         return ()
-    if tm.kind == "linear" and tm.per_prev:
-        return (params.reshape(K, K, f),)
     if tm.kind in ("linear", "polynomial"):
         return (params.reshape(K, f),)
     w1 = params[: H * f].reshape(H, f)
@@ -200,8 +191,8 @@ def _unpack(tm: TransitionModel, params: np.ndarray):
 
 
 def _link_logits(tm: TransitionModel, feats: np.ndarray, params: np.ndarray):
-    """(M, K) link logits g(s) of a kind whose link is shared across source
-    regimes, plus the perceptron's (M, H) hidden layer (None for other kinds)."""
+    """(M, K) link logits g(s), plus the perceptron's (M, H) hidden layer
+    (None for other kinds)."""
     if tm.kind == "stationary":
         return np.zeros((feats.shape[0], tm.K)), None
     parts = _unpack(tm, params)
@@ -210,20 +201,6 @@ def _link_logits(tm: TransitionModel, feats: np.ndarray, params: np.ndarray):
     w1, b1, w2, b2 = parts
     h = np.tanh(feats @ w1.T + b1)
     return h @ w2.T + b2, h
-
-
-def _logits(tm: TransitionModel, feats: np.ndarray, bias: np.ndarray,
-            params: np.ndarray) -> np.ndarray:
-    """(K, M, K) logits [i, m, j], destination-major, for inputs already passed
-    through the feature map."""
-    # fill, then add in place: one add of two broadcast operands is slower at large M
-    out = np.empty((tm.K, feats.shape[0], tm.K))
-    out[...] = bias[:, None, :]
-    if tm.per_prev:
-        out += np.einsum("mf,ijf->mij", feats, _unpack(tm, params)[0]).transpose(1, 0, 2)
-    else:
-        out += _link_logits(tm, feats, params)[0].T[:, :, None]
-    return out
 
 
 def _log_softmax_dest(logits: np.ndarray) -> np.ndarray:
@@ -243,8 +220,12 @@ def transition_matrices(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> 
     if tm.kind == "stationary":
         # every step shares softmax(bias): normalize once, repeat M times
         return np.repeat(np.exp(_log_softmax_dest(tm.bias))[None], len(feats), axis=0)
-    return np.exp(_log_softmax_dest(_logits(tm, feats, tm.bias, tm.feature_params))
-                  ).transpose(1, 0, 2)
+    # (K, M, K) logits [i, m, j]. Fill, then add in place: one add of two
+    # broadcast operands is slower at large M
+    logits = np.empty((tm.K, len(feats), tm.K))
+    logits[...] = tm.bias[:, None, :]
+    logits += _link_logits(tm, feats, tm.feature_params)[0].T[:, :, None]
+    return np.exp(_log_softmax_dest(logits)).transpose(1, 0, 2)
 
 
 def transition_matrix(tm: TransitionModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -305,8 +286,8 @@ def xi_marginals(xi_di: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _nll_grad_factored(tm: TransitionModel, bias: np.ndarray, params: np.ndarray,
                        feats: np.ndarray, src: np.ndarray, dest: np.ndarray,
                        pairs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective of _nll_grad_packed for links shared across source regimes,
-    from the marginals of xi (module docstring). Per-step arrays are (K, M)."""
+    """Objective of _nll_grad_packed from the marginals of xi (module
+    docstring). Per-step arrays are (K, M)."""
     a, h = _link_logits(tm, feats, params)
     a = np.ascontiguousarray(a.T)
     a_rel = a - a.max(axis=0)                          # <= 0
@@ -352,21 +333,6 @@ def _nll_grad_factored(tm: TransitionModel, bias: np.ndarray, params: np.ndarray
                                 grad_w2.ravel(), grad_b2])
 
 
-def _nll_grad_tensor(tm: TransitionModel, bias: np.ndarray, params: np.ndarray,
-                     feats: np.ndarray, xi_di: np.ndarray, src: np.ndarray
-                     ) -> tuple[float, np.ndarray]:
-    """per_prev linear: the logits depend on the source, so work on (K, M, K)."""
-    logpsi = _log_softmax_dest(_logits(tm, feats, bias, params))   # [i, m, j]
-    xi_imj = xi_di.transpose(1, 0, 2)
-    nll = -float(np.vdot(xi_imj, logpsi))
-    # d nll / d logits[i, m, j] = src[j, m] * psi[i, m, j] - xi_di[m, i, j]
-    g = np.exp(logpsi, out=logpsi)                     # psi; logpsi not used again
-    g *= src.T
-    g -= xi_imj
-    grad_w = np.einsum("imj,mf->ijf", g, feats)
-    return nll, np.concatenate([g.sum(axis=1).ravel(), grad_w.ravel()])
-
-
 def _nll_grad_packed(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,
                      xi_di: np.ndarray,
                      marginals: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -376,15 +342,12 @@ def _nll_grad_packed(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,
     feats and xi_di come from stack_transition_stats; marginals is the optional
     precomputed xi_marginals(xi_di), invariant across evaluations. The objective
     is -sum_m sum_ij xi_di[m, i, j] log psi[m, i, j], evaluated in factored form
-    unless the kind is per_prev linear (see the module docstring).
+    (see the module docstring).
     """
     kk = tm.K * tm.K
-    bias = vec[:kk].reshape(tm.K, tm.K)
-    params = vec[kk:]
     src, dest, pairs = xi_marginals(xi_di) if marginals is None else marginals
-    if tm.per_prev:
-        return _nll_grad_tensor(tm, bias, params, feats, xi_di, src)
-    return _nll_grad_factored(tm, bias, params, feats, src, dest, pairs)
+    return _nll_grad_factored(tm, vec[:kk].reshape(tm.K, tm.K), vec[kk:], feats,
+                              src, dest, pairs)
 
 
 def weighted_nll_and_grad(tm: TransitionModel, dataset, xis) -> tuple[float, np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,17 +169,19 @@ def test_random_oracle_sweep():
 # -- linear-scale forward core: rescue, degenerate steps, reference agreement --
 
 def _reference_smooth(ev, trans, pi):
-    """alpha, log_norms, beta, gamma and xi of one trajectory from the
-    log-space reference recursions."""
+    """alpha, log_norms, log beta, gamma and xi of one trajectory from the
+    log-space reference recursions, with gamma and xi normalized in log space."""
     alpha, log_norms = reference_forward_batch(ev[None], trans[None], pi)
-    beta = reference_backward_batch(ev[None], trans[None], log_norms)
-    alpha, log_norms, beta = alpha[0], log_norms[0], beta[0]
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    w = np.exp(ev[1:] - log_norms[1:, None]) * beta[1:]
-    xi = np.einsum("tj,tij,ti->tji", alpha[:-1], trans, w)
-    xi /= xi.sum(axis=(1, 2), keepdims=True)
-    return alpha, log_norms, beta, gamma, xi
+    log_beta = reference_backward_batch(ev[None], trans[None], log_norms)
+    alpha, log_norms, log_beta = alpha[0], log_norms[0], log_beta[0]
+    with np.errstate(divide="ignore"):
+        log_alpha, log_trans = np.log(alpha), np.log(trans)
+    log_gamma = log_alpha + log_beta
+    gamma = np.exp(log_gamma - logsumexp(log_gamma, axis=1)[:, None])
+    log_w = ev[1:] - log_norms[1:, None] + log_beta[1:]
+    log_xi = log_alpha[:-1, :, None] + log_trans.transpose(0, 2, 1) + log_w[:, None, :]
+    xi = np.exp(log_xi - logsumexp(log_xi, axis=(1, 2))[:, None, None])
+    return alpha, log_norms, log_beta, gamma, xi
 
 
 def _unreachable_instance(T=6, seed=0):
@@ -247,6 +250,37 @@ def test_forward_raises_when_predicted_regimes_are_impossible():
         reference_forward_batch(ev[None], trans[None], pi)
 
 
+@pytest.mark.parametrize("steps, gap", [([1], 1000.0), ([2], 1000.0), ([3], 1000.0),
+                                       ([1, 2], 700.0)])
+def test_backward_gives_unreachable_regime_zero_weight(steps, gap):
+    # regime 2 has no predicted mass, yet evidence favours it by `gap` nats
+    # over the step's log normalizer: a weight of exp(1000) overflows, and
+    # two weights of exp(700) overflow their product in beta
+    ev, trans, pi = _unreachable_instance(T=4)
+    ev[steps] = [-gap, -gap - 1.5, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma, xi, loglik = _smooth_batch(ev[None], trans[None], pi)
+    _, log_norms, _, ref_gamma, ref_xi = _reference_smooth(ev, trans, pi)
+    np.testing.assert_allclose(gamma[0], ref_gamma, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(xi[0], ref_xi, rtol=0, atol=1e-12)
+    assert loglik[0] == pytest.approx(log_norms.sum(), rel=1e-12, abs=0)
+    assert np.all(gamma[0, :, 2] == 0.0)
+
+
+def test_backward_raises_on_other_overflow():
+    ev, trans, pi = _unreachable_instance(T=4)
+    ev[2] = [-1000.0, -1001.5, 0.0]
+    _, log_norms, _ = forward_pass(ev, trans, pi)
+    # without the filtered beliefs no regime can be shown unreachable
+    with pytest.raises(FloatingPointError, match="backward recursion overflowed"):
+        backward_pass(ev, trans, log_norms)
+    # a subnormal transition into regime 2 gives it predicted mass
+    trans[:, 2, 0] = 1e-320
+    with pytest.raises(FloatingPointError, match="backward recursion overflowed"):
+        _smooth_batch(ev[None], trans[None], pi)
+
+
 def test_row_results_do_not_depend_on_batch_neighbours(rescued):
     # row 0 takes the linear path throughout; row 1 is longer and is rescued
     # at steps 0 and 4, so row 0 is padded next to rescued steps. Row 1's
@@ -289,13 +323,13 @@ def test_linear_scale_matches_log_domain_reference(K):
         posts, _, _ = smooth_dataset(m, batch)
         for post, traj in zip(posts, batch.trajectories):
             ev, trans = local_quantities(m, traj)
-            alpha, log_norms, beta, gamma, xi = _reference_smooth(ev, trans, m.init.pi)
+            alpha, log_norms, log_beta, gamma, xi = _reference_smooth(ev, trans, m.init.pi)
             assert post.loglik == pytest.approx(log_norms.sum(), rel=1e-12, abs=0)
             np.testing.assert_allclose(post.gamma, gamma, rtol=0, atol=1e-12)
             np.testing.assert_allclose(post.xi, xi, rtol=0, atol=1e-12)
             got_alpha, got_norms, _ = forward_pass(ev, trans, m.init.pi)
             np.testing.assert_allclose(got_alpha, alpha, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got_norms, log_norms, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(backward_pass(ev, trans, got_norms), beta,
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(backward_pass(ev, trans, got_norms),
+                                       np.exp(log_beta), rtol=1e-12, atol=0)
 

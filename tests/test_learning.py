@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rarhmm import inference, learning
-from rarhmm.inference import estep, local_quantities, smooth
+from rarhmm.inference import Posterior, estep, local_quantities, smooth
 from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
                              mstep_initial, mstep_transitions,
@@ -15,7 +15,6 @@ from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
 from rarhmm.transition import (_nll_grad_packed, make_transition,
                                params_to_vector, transition_matrix,
                                weighted_nll_and_grad)
-from rarhmm.learning import _HardPosterior
 
 from util import (models_equal, random_dataset, random_model,
                   random_trajectory, reference_gd_mstep, tensor_nll_grad)
@@ -76,16 +75,15 @@ def test_q_lower_bounds_loglik():
         assert q <= ll + 1e-9 * (1.0 + abs(ll))
 
 
-@pytest.mark.parametrize("spec, per_prev", [("polynomial:2", False),
-                                             ("perceptron:4", False),
-                                             ("linear", True)])
-def test_em_monotone_for_every_link_kind(spec, per_prev):
+# ids keep the form they had while a second, boolean parameter existed
+@pytest.mark.parametrize("spec", [pytest.param("polynomial:2", id="polynomial:2-False"),
+                                  pytest.param("perceptron:4", id="perceptron:4-False")])
+def test_em_monotone_for_every_link_kind(spec):
     kind, degree, hidden = parse_transition_spec(spec)
     m = random_model(K=2, d_x=2, d_u=1, kind=kind, degree=degree or 2,
-                     hidden_units=hidden or 4, per_prev=per_prev, seed=2)
+                     hidden_units=hidden or 4, seed=2)
     ds = random_dataset(m, n=3, T=40, seed=2)
-    cfg = FitConfig(K=2, transition_kind=spec, per_prev=per_prev, max_iters=30,
-                    restarts=1, seed=2)
+    cfg = FitConfig(K=2, transition_kind=spec, max_iters=30, restarts=1, seed=2)
     _, hist = fit_em(ds, cfg)
     ll = np.asarray(hist.loglik)
     assert len(ll) > 2
@@ -239,16 +237,37 @@ def test_mstep_dynamics_is_weighted_lsq_optimum():
             assert float(np.sum(W[:, k, None] * (Y - X @ pert) ** 2)) > base
 
 
-def test_mstep_controller_offset_constraint():
+def test_mstep_controller_matches_explicit_sums():
     m = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=7, lag=1)
     ds = random_dataset(m, n=2, T=20, seed=7)
     posts, _ = estep(m, ds)
-    free = mstep_controller(posts, ds, lag=1, poly_degree=1, floor=1e-8)
-    pinned = mstep_controller(posts, ds, lag=1, poly_degree=1, floor=1e-8,
-                              constrain_offset_zero=True)
-    assert any(abs(c.offset).max() > 1e-8 for c in free)
-    assert all(np.all(c.offset == 0.0) for c in pinned)
-    assert free[0].gain.shape == pinned[0].gain.shape
+    ctl = mstep_controller(posts, ds, lag=1, poly_degree=1, floor=1e-8)
+
+    def rows():
+        # features [x_t; u_{t-1}; 1], the past control zero at t = 0
+        for traj, post in zip(ds.trajectories, posts):
+            for t in range(traj.T):
+                u_prev = traj.us[t - 1] if t > 0 else np.zeros(1)
+                f = np.concatenate([traj.xs[t], u_prev, [1.0]])
+                yield f, traj.us[t], post.gamma[t]
+
+    for k in range(2):
+        G = 1e-8 * np.eye(4)
+        b = np.zeros((4, 1))
+        for f, u, g in rows():
+            G += g[k] * np.outer(f, f)
+            b += g[k] * np.outer(f, u)
+        coef = np.linalg.solve(G, b)
+        np.testing.assert_allclose(ctl[k].gain, coef[:3].T, atol=1e-10)
+        np.testing.assert_allclose(ctl[k].offset, coef[3], atol=1e-10)
+
+        wsum = 0.0
+        S = np.zeros((1, 1))
+        for f, u, g in rows():
+            r = u - coef.T @ f
+            S += g[k] * np.outer(r, r)
+            wsum += g[k]
+        np.testing.assert_allclose(ctl[k].sigma_cov, S / wsum, atol=1e-10)
 
 
 def test_mstep_transitions_stationary_closed_form():
@@ -258,12 +277,7 @@ def test_mstep_transitions_stationary_closed_form():
     src = rng.dirichlet(np.full(K, 2.0), size=49)
     xi = src[:, :, None] * target[None, :, :]           # xi[t, j, i]
 
-    class P:
-        pass
-
-    p = P()
-    p.xi = xi
-    p.gamma = np.zeros((50, K))
+    p = Posterior(gamma=np.zeros((50, K)), xi=xi, loglik=np.nan)
     tm = make_transition("stationary", K, 2, 1)
     ds = random_dataset(random_model(K=K, seed=8), n=1, T=50, seed=8)
     new = mstep_transitions([p], ds, tm)
@@ -298,8 +312,7 @@ def test_mstep_transitions_matches_tensor_path(monkeypatch):
 
 SOLVER_CASES = {"linear": dict(kind="linear"),
                 "polynomial:2": dict(kind="polynomial", degree=2),
-                "perceptron:4": dict(kind="perceptron", hidden_units=4),
-                "per_prev": dict(kind="linear", per_prev=True)}
+                "perceptron:4": dict(kind="perceptron", hidden_units=4)}
 
 
 def _solver_instance(case, seed=20):
@@ -401,7 +414,9 @@ def test_empty_regime_keeps_previous_parameters():
     m = random_model(K=2, d_x=2, d_u=1, seed=11)
     ds = random_dataset(m, n=2, T=10, seed=11)
     # hard labels that never visit regime 1
-    posts = [_HardPosterior(np.zeros(t.T, dtype=int), 2) for t in ds.trajectories]
+    posts = [Posterior(gamma=np.tile([1.0, 0.0], (t.T, 1)),
+                       xi=np.tile([[1.0, 0.0], [0.0, 0.0]], (t.T - 1, 1, 1)),
+                       loglik=np.nan) for t in ds.trajectories]
     with pytest.warns(UserWarning, match="regime 1"):
         dyn = mstep_dynamics(posts, ds, floor=1e-8, prev=m.dynamics)
     assert dyn[1] is m.dynamics[1]

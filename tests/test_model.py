@@ -269,6 +269,22 @@ def test_model_document_schema_fields(tmp_path):
     assert models_equal(m, model_from_dict(json.loads(text)))
 
 
+def test_model_document_without_per_source_link():
+    m = random_model(K=2, d_x=2, d_u=1, kind="linear", seed=32)
+    doc = json.loads(json.dumps(model_to_dict(m)))
+    assert "per_prev" not in doc["transition"]
+    # files written before per-source link weights were removed say false
+    doc["transition"]["per_prev"] = False
+    assert models_equal(m, model_from_dict(doc))
+
+
+def test_model_document_with_per_source_link_is_rejected():
+    doc = model_to_dict(random_model(K=2, d_x=2, d_u=1, kind="linear", seed=32))
+    doc["transition"]["per_prev"] = True
+    with pytest.raises(ValueError, match="per_prev"):
+        model_from_dict(doc)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(xs=np.zeros((1, 2)), us=np.zeros((1, 1)), dt=0.1)

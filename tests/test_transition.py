@@ -10,11 +10,11 @@ from rarhmm.transition import (TransitionModel, _nll_grad_packed, make_transitio
 
 from util import random_xis, reference_transition_matrices, tensor_nll_grad
 
-KIND_CASES = [("linear", {}),
-              ("linear", {"per_prev": True}),
-              ("polynomial", {"degree": 3}),
-              ("perceptron", {"hidden_units": 4}),
-              ("stationary", {})]
+# explicit ids, so removing a case does not renumber the others
+KIND_CASES = [pytest.param("linear", {}, id="linear-kw0"),
+              pytest.param("polynomial", {"degree": 3}, id="polynomial-kw2"),
+              pytest.param("perceptron", {"hidden_units": 4}, id="perceptron-kw3"),
+              pytest.param("stationary", {}, id="stationary-kw4")]
 
 
 def _random_tm(kind, K, d_x, d_u, seed, scale=0.8, **kw):

@@ -11,11 +11,10 @@ from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           InitialModel, RegimeController, RegimeDynamics,
                           Trajectory, _control_mean, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
-from rarhmm.transition import (_link_logits, _nll_grad_packed, _unpack,
-                               make_transition, params_to_vector,
-                               stack_transition_stats, transition_features,
-                               transition_matrices, transition_matrix,
-                               vector_to_params, xi_marginals)
+from rarhmm.transition import (_link_logits, _nll_grad_packed, make_transition,
+                               params_to_vector, stack_transition_stats,
+                               transition_features, transition_matrices,
+                               transition_matrix, vector_to_params, xi_marginals)
 
 
 def random_spd(rng, d, scale=1.0):
@@ -24,8 +23,7 @@ def random_spd(rng, d, scale=1.0):
 
 
 def random_model(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, kind="linear", seed=0,
-                 lag=0, poly_degree=1, degree=2, hidden_units=4, per_prev=False,
-                 noise_scale=0.05):
+                 lag=0, poly_degree=1, degree=2, hidden_units=4, noise_scale=0.05):
     rng = np.random.default_rng(seed)
     pi = rng.dirichlet(np.full(K, 5.0))
     init = InitialModel(
@@ -50,7 +48,7 @@ def random_model(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, kind="linear", seed=0,
             sigma_cov=random_spd(rng, d_u, noise_scale ** 2),
             lag=lag, poly_degree=poly_degree) for _ in range(K))
     tm = make_transition(kind, K, d_x, d_u, degree=degree,
-                         hidden_units=hidden_units, per_prev=per_prev,
+                         hidden_units=hidden_units,
                          bias=0.5 * rng.standard_normal((K, K)),
                          rng=rng, init_scale=0.5)
     return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=mode, init=init,
@@ -90,8 +88,6 @@ def tensor_nll_grad(tm, vec, feats, xi_di):
     H = tm.hidden_units
     if tm.kind == "stationary":
         logits = np.broadcast_to(bias, (M, K, K))
-    elif tm.per_prev:
-        logits = bias + np.einsum("mf,ijf->mij", feats, p.reshape(K, K, F))
     elif tm.kind in ("linear", "polynomial"):
         logits = bias + (feats @ p.reshape(K, F).T)[:, :, None]
     else:
@@ -108,9 +104,7 @@ def tensor_nll_grad(tm, vec, feats, xi_di):
     g = xi_di.sum(axis=1)[:, None, :] * np.exp(logpsi) - xi_di
     parts = [g.sum(axis=0).ravel()]
     g_dest = g.sum(axis=2)
-    if tm.per_prev:
-        parts.append(np.einsum("mij,mf->ijf", g, feats).ravel())
-    elif tm.kind in ("linear", "polynomial"):
+    if tm.kind in ("linear", "polynomial"):
         parts.append((g_dest.T @ feats).ravel())
     elif tm.kind == "perceptron":
         back = (g_dest @ w2) * (1.0 - h * h)
@@ -126,9 +120,7 @@ def reference_transition_matrices(tm, xs, us):
     feats = transition_features(tm, xs, us)
     logits = np.empty((len(feats), tm.K, tm.K))
     logits[...] = tm.bias
-    if tm.per_prev:
-        logits += np.einsum("mf,ijf->mij", feats, _unpack(tm, tm.feature_params)[0])
-    elif tm.kind != "stationary":
+    if tm.kind != "stationary":
         logits += _link_logits(tm, feats, tm.feature_params)[0][:, :, None]
     z = logits - logits.max(axis=1, keepdims=True)
     return np.exp(z - np.log(np.sum(np.exp(z), axis=1, keepdims=True)))
@@ -235,8 +227,8 @@ def models_equal(a: HybridModel, b: HybridModel) -> bool:
             same = same and all(np.array_equal(getattr(ca, f), getattr(cb, f))
                                 for f in ("gain", "offset", "sigma_cov"))
     ta, tb = a.transition, b.transition
-    same = same and (ta.kind, ta.degree, ta.hidden_units, ta.per_prev) == \
-        (tb.kind, tb.degree, tb.hidden_units, tb.per_prev)
+    same = same and (ta.kind, ta.degree, ta.hidden_units) == \
+        (tb.kind, tb.degree, tb.hidden_units)
     same = same and all(np.array_equal(getattr(ta, f), getattr(tb, f))
                         for f in ("bias", "feature_params", "feat_mean", "feat_std"))
     return bool(same)
@@ -325,11 +317,13 @@ def reference_forward_batch(ev, trans, pi):
 
 def reference_backward_batch(ev, trans, log_norms):
     """Batched scaled backward recursion consistent with
-    reference_forward_batch; beta_T = 1."""
+    reference_forward_batch, in log space: returns log beta (B, T, K), with
+    log beta_T = 0. It stays finite where beta itself would overflow."""
     B, T, K = ev.shape
-    beta = np.empty((B, T, K))
-    beta[:, -1] = 1.0
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(trans)
+    log_beta = np.zeros((B, T, K))
     for t in range(T - 2, -1, -1):
-        w = np.exp(ev[:, t + 1] - log_norms[:, t + 1, None]) * beta[:, t + 1]
-        beta[:, t] = np.einsum("bij,bi->bj", trans[:, t], w)
-    return beta
+        log_w = ev[:, t + 1] - log_norms[:, t + 1, None] + log_beta[:, t + 1]
+        log_beta[:, t] = logsumexp(log_trans[:, t] + log_w[:, :, None], axis=1)
+    return log_beta
