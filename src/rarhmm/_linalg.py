@@ -1,4 +1,5 @@
-"""Small numeric helpers shared across modules."""
+"""Small numeric helpers shared across modules. Only `HybridModel.stack`
+calls gauss_factors; gauss_logpdf and gauss_draw read the factors it holds."""
 from __future__ import annotations
 
 import numpy as np
@@ -30,34 +31,35 @@ def floor_spd(cov: np.ndarray, floor: float) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-def chol_lower(cov: np.ndarray) -> np.ndarray:
+def gauss_factors(covs) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of (K, d, d) covariances and d log 2pi + log det
+    of each, summed in the order gauss_logpdf adds them to the Mahalanobis
+    term."""
+    covs = np.asarray(covs, dtype=float)
     try:
-        return np.linalg.cholesky(cov)
+        chols = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(
-            f"covariance not positive definite (min eig "
-            f"{np.linalg.eigvalsh(0.5 * (cov + cov.T)).min():.3e})"
-        ) from e
+        raise np.linalg.LinAlgError(f"covariance not positive definite (min eig "
+                                    f"{np.linalg.eigvalsh(covs).min():.3e})") from e
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    return chols, covs.shape[-1] * LOG2PI + logdet
 
 
-def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of N(mean, cov) at x; x and mean broadcast over leading axes."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.shape[-1]
-    if d == 0:
-        # empty event space: the density of a point mass is 1
-        return np.zeros(x.shape[:-1])
-    L = chol_lower(cov)
+def gauss_logpdf(x, mean, chol: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Log density of N(mean, chol chol') at x from lower factors chol
+    (..., d, d) and const (...) = d log 2pi + log det; x - mean (..., d)
+    broadcasts against both."""
     resid = x - mean
-    z = np.linalg.solve(L, resid[..., None])[..., 0]
-    maha = np.sum(z * z, axis=-1)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * (d * LOG2PI + logdet + maha)
+    if resid.shape[-1] == 0:
+        # empty event space: the density of a point mass is 1
+        return np.zeros(resid.shape[:-1])
+    z = np.linalg.solve(chol, resid[..., None])[..., 0]
+    return -0.5 * (const + np.sum(z * z, axis=-1))
 
 
-def mvn_sample(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    mean = np.asarray(mean, dtype=float)
+def gauss_draw(rng: np.random.Generator, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Draws of N(mean, chol chol') from lower factors chol (..., d, d), one
+    per row of mean (..., d), taking the normals in row order."""
     if mean.shape[-1] == 0:
         return np.zeros_like(mean)
-    L = chol_lower(cov)
-    return mean + L @ rng.standard_normal(mean.shape[-1])
+    return mean + (chol @ rng.standard_normal(mean.shape)[..., None])[..., 0]

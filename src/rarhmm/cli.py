@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
+# failures main reports as EXIT_RUNTIME; LinAlgError is a ValueError
+_RUNTIME_ERRORS = (OSError, ValueError, RuntimeError, FloatingPointError)
+
 # stream tags for per-purpose rng keys, combined with the user seed
 STREAM_TRAIN, STREAM_TEST, STREAM_DEMO, STREAM_ROLLOUT = 0, 1, 2, 3
 
@@ -120,10 +123,6 @@ def _write_model(path, model, prov: dict) -> None:
         f.write("\n")
 
 
-def _ensure_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _require(cfg: dict, key: str, parser: _Parser) -> None:
     if not cfg.get(key):
         parser.error(f"missing required option --{key.replace('_', '-')}")
@@ -145,7 +144,7 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
         parser.error("--policy must be explore or expert")
     env = default_config(cfg["env"], obs=cfg["obs"], seed=cfg["seed"])
     prov = _provenance(cfg)
-    _ensure_out_dir(cfg["out_dir"])
+    os.makedirs(cfg["out_dir"], exist_ok=True)
 
     if cfg["policy"] == "expert":
         train = collect_demonstrations(env, cfg["n_train"], STREAM_DEMO,
@@ -172,26 +171,26 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _fit_config(cfg: dict, mode: str) -> FitConfig:
-    """The FitConfig of a fit or distill command config."""
-    return FitConfig(K=cfg["K"], mode=mode,
-                     transition_kind=cfg["transition"], lag=cfg["lag"],
-                     poly_degree=cfg["poly_degree"],
-                     max_iters=cfg["max_iters"], restarts=cfg["restarts"],
-                     rel_tol=cfg["rel_tol"], seed=cfg["seed"])
+def _fit_config(cfg: dict, mode: str, parser: _Parser) -> FitConfig:
+    """The FitConfig of a fit or distill command config; a bad value is a usage error."""
+    _positive(cfg, ("K", "max_iters", "restarts"), parser)
+    try:
+        return FitConfig(K=cfg["K"], mode=mode,
+                         transition_kind=cfg["transition"], lag=cfg["lag"],
+                         poly_degree=cfg["poly_degree"],
+                         max_iters=cfg["max_iters"], restarts=cfg["restarts"],
+                         rel_tol=cfg["rel_tol"], seed=cfg["seed"])
+    except ValueError as e:
+        parser.error(str(e))
 
 
 def cmd_fit(cfg: dict, parser: _Parser) -> int:
     _require(cfg, "data", parser)
-    _positive(cfg, ("K", "max_iters", "restarts"), parser)
-    try:
-        fit_config = _fit_config(cfg, cfg["mode"])
-    except ValueError as e:
-        parser.error(str(e))
+    fit_config = _fit_config(cfg, cfg["mode"], parser)
     dataset = load_dataset(cfg["data"])
     init_model = load_model(cfg["init_model"]) if cfg["init_model"] else None
     prov = _provenance(cfg)
-    _ensure_out_dir(cfg["out_dir"])
+    os.makedirs(cfg["out_dir"], exist_ok=True)
 
     if cfg["manifest"]:
         groups = [(f"_split{i:02d}", select_split(dataset, ids))
@@ -203,7 +202,7 @@ def cmd_fit(cfg: dict, parser: _Parser) -> int:
     for suffix, subset in groups:
         try:
             model, history = fit_em(subset, fit_config, init_model=init_model)
-        except Exception as e:
+        except _RUNTIME_ERRORS as e:
             failures.append(f"split {suffix or '<all>'}: {e}")
             continue
         _write_model(os.path.join(cfg["out_dir"], f"model{suffix}.json"),
@@ -252,14 +251,10 @@ def cmd_eval(cfg: dict, parser: _Parser) -> int:
     models_by_tag = {tag: [load_model(p) for p in paths]
                      for tag, paths in _expand_model_specs(cfg["model"]).items()}
     prov = _provenance(cfg)
-    _ensure_out_dir(cfg["out_dir"])
+    os.makedirs(cfg["out_dir"], exist_ok=True)
 
     rng = np.random.default_rng(cfg["seed"]) if cfg["mode"] == "sample" else None
-    try:
-        report = evaluate(models_by_tag, test, horizons, mode=cfg["mode"],
-                          rng=rng)
-    except ValueError as e:
-        raise CliError(str(e))
+    report = evaluate(models_by_tag, test, horizons, mode=cfg["mode"], rng=rng)
     header = _header_lines(prov)
     report.to_csv(os.path.join(cfg["out_dir"], "report.csv"),
                   header_lines=header)
@@ -272,14 +267,10 @@ def cmd_eval(cfg: dict, parser: _Parser) -> int:
 
 def cmd_distill(cfg: dict, parser: _Parser) -> int:
     _require(cfg, "demos", parser)
-    _positive(cfg, ("K", "max_iters", "restarts"), parser)
-    try:
-        fit_config = _fit_config(cfg, CLOSED_LOOP)
-    except ValueError as e:
-        parser.error(str(e))
+    fit_config = _fit_config(cfg, CLOSED_LOOP, parser)
     demos = load_dataset(cfg["demos"])
     prov = _provenance(cfg)
-    _ensure_out_dir(cfg["out_dir"])
+    os.makedirs(cfg["out_dir"], exist_ok=True)
     model = distill(demos, fit_config)
     path = os.path.join(cfg["out_dir"], "distilled.json")
     _write_model(path, model, prov)
@@ -298,7 +289,7 @@ def cmd_rollout(cfg: dict, parser: _Parser) -> int:
     env = default_config(cfg["env"], obs=cfg["obs"], seed=cfg["seed"])
     model = load_model(cfg["model"]) if cfg["model"] else None
     prov = _provenance(cfg)
-    _ensure_out_dir(cfg["out_dir"])
+    os.makedirs(cfg["out_dir"], exist_ok=True)
 
     successes = 0
     for i in range(cfg["episodes"]):
@@ -435,10 +426,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args.command, args)
         return _COMMANDS[args.command](cfg, parser)
-    except CliError as e:
-        print(f"rarhmm {args.command}: error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError, RuntimeError, FloatingPointError) as e:
+    except (CliError, *_RUNTIME_ERRORS) as e:
         print(f"rarhmm {args.command}: error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -403,6 +403,7 @@ def save_dataset(path, trajectories) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Records written by save_dataset; a malformed one raises ValueError."""
     trajs = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -413,11 +414,20 @@ def load_dataset(path) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: bad record on line {line_no}: {e}") from e
-            xs = np.asarray(rec["xs"], dtype=float)
-            us = np.asarray(rec["us"], dtype=float)
-            us = us.reshape(len(xs), us.size // max(len(xs), 1))
-            trajs.append(Trajectory(xs=xs, us=us, dt=float(rec["dt"]),
-                                    id=str(rec["id"])))
+            where = f"{path}: line {line_no}"
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: record must be a JSON object, "
+                                 f"got {type(rec).__name__}")
+            try:
+                xs = np.asarray(rec["xs"], dtype=float)
+                us = np.asarray(rec["us"], dtype=float)
+                us = us.reshape(len(xs), us.size // max(len(xs), 1))
+                trajs.append(Trajectory(xs=xs, us=us, dt=float(rec["dt"]),
+                                        id=str(rec["id"])))
+            except KeyError as e:
+                raise ValueError(f"{where}: record lacks field {e.args[0]!r}") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{where}: {e}") from e
     if not trajs:
         raise ValueError(f"{path}: no trajectories")
     return Dataset.from_trajectories(trajs)
@@ -433,6 +443,9 @@ def save_manifest(path, split_ids: list[list[str]]) -> None:
 def load_manifest(path) -> list[list[str]]:
     with open(path) as f:
         doc = json.load(f)
+    if not (isinstance(doc, dict) and isinstance(doc.get("splits"), list)
+            and all(isinstance(ids, list) for ids in doc["splits"])):
+        raise ValueError(f"{path}: manifest needs field 'splits', a list of id lists")
     return [list(ids) for ids in doc["splits"]]
 
 

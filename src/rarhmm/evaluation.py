@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import gauss_draw
 from .inference import forward_pass, local_quantities
 from .model import Dataset, HybridModel, Trajectory
 from .transition import transition_matrices
@@ -78,10 +79,7 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
                 ks = (draws[:, None] < cum).argmax(axis=1)
             x = means[np.arange(M), ks]
             if mode == MODE_SAMPLE:
-                # one row of d_x normals per start, in start order, as
-                # M successive draws of d_x would take them
-                z = rng.standard_normal(x.shape)
-                x += (model.stack.lam_chol[ks] @ z[:, :, None])[:, :, 0]
+                x = gauss_draw(rng, x, model.stack.lam_chol[ks])
             b = np.eye(model.K)[ks]
         out[:, i, :] = x
     return out

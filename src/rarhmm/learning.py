@@ -235,15 +235,22 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
 
 # -- M-steps -------------------------------------------------------------------
 
-def _weighted_lstsq(X: np.ndarray, Y: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
-    G = X.T @ (w[:, None] * X) + RIDGE * np.eye(X.shape[1])
-    try:
-        coef = np.linalg.solve(G, X.T @ (w[:, None] * Y))
-    except np.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(f"rank-deficient regression for {what}") from e
-    if not np.all(np.isfinite(coef)):
-        raise FloatingPointError(f"non-finite regression solution for {what}")
-    return coef
+def _mstep_regimes(W: np.ndarray, prev, what: str, fit) -> list:
+    """fit(k, w, wsum) for each regime k with weight column w = W[:, k]. A
+    regime without weight keeps prev[k] (warning)."""
+    out = []
+    for k in range(W.shape[1]):
+        w = W[:, k]
+        wsum = w.sum()
+        if wsum < EMPTY_WEIGHT:
+            if prev is None:
+                raise ValueError(f"regime {k} has no {what} weight and no "
+                                 f"previous parameters to keep")
+            warnings.warn(f"regime {k}: no {what} weight, keeping previous parameters")
+            out.append(prev[k])
+            continue
+        out.append(fit(k, w, wsum))
+    return out
 
 
 def _weighted_residual_cov(resid: np.ndarray, w: np.ndarray, wsum: float,
@@ -252,98 +259,72 @@ def _weighted_residual_cov(resid: np.ndarray, w: np.ndarray, wsum: float,
     return floor_spd(cov, floor)
 
 
+def _weighted_lstsq(X: np.ndarray, Y: np.ndarray, w: np.ndarray, wsum: float,
+                    floor: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least squares X -> Y and its floored residual covariance."""
+    G = X.T @ (w[:, None] * X) + RIDGE * np.eye(X.shape[1])
+    try:
+        coef = np.linalg.solve(G, X.T @ (w[:, None] * Y))
+    except np.linalg.LinAlgError as e:
+        raise np.linalg.LinAlgError(f"rank-deficient regression for {what}") from e
+    if not np.all(np.isfinite(coef)):
+        raise FloatingPointError(f"non-finite regression solution for {what}")
+    return coef, _weighted_residual_cov(Y - X @ coef, w, wsum, floor)
+
+
 def mstep_initial(posteriors, dataset: Dataset, floor: float,
                   prev: InitialModel | None = None) -> InitialModel:
     """Initial regime probabilities and per-regime first-state Gaussians from
     gamma_1-weighted statistics. Regimes with vanishing weight keep their
     previous Gaussian (warning)."""
-    K = posteriors[0].gamma.shape[1]
     g1 = np.stack([p.gamma[0] for p in posteriors])          # (N, K)
     x1 = np.stack([t.xs[0] for t in dataset.trajectories])   # (N, d_x)
     pi = g1.sum(axis=0)
-    pi = pi / pi.sum()
-    mu = np.empty((K, x1.shape[1]))
-    om = np.empty((K, x1.shape[1], x1.shape[1]))
-    for k in range(K):
-        w = g1[:, k]
-        wsum = w.sum()
-        if wsum < EMPTY_WEIGHT:
-            if prev is None:
-                raise ValueError(f"regime {k} has no initial-state weight and "
-                                 f"no previous parameters to keep")
-            warnings.warn(f"regime {k}: no initial-state weight, keeping previous "
-                          f"initial Gaussian")
-            mu[k] = prev.mu[k]
-            om[k] = prev.omega_cov[k]
-            continue
-        mu[k] = w @ x1 / wsum
-        om[k] = _weighted_residual_cov(x1 - mu[k], w, wsum, floor)
-    return InitialModel(pi=pi, mu=mu, omega_cov=om)
 
+    def fit(k, w, wsum):
+        mu = w @ x1 / wsum
+        return mu, _weighted_residual_cov(x1 - mu, w, wsum, floor)
 
-def _stack_dynamics_rows(dataset: Dataset):
-    X, Y = [], []
-    for traj in dataset.trajectories:
-        X.append(np.concatenate([traj.xs[:-1], traj.us[:-1],
-                                 np.ones((traj.T - 1, 1))], axis=1))
-        Y.append(traj.xs[1:])
-    return np.concatenate(X, axis=0), np.concatenate(Y, axis=0)
+    keep = None if prev is None else list(zip(prev.mu, prev.omega_cov))
+    mu, om = zip(*_mstep_regimes(g1, keep, "initial-state", fit))
+    return InitialModel(pi=pi / pi.sum(), mu=np.array(mu), omega_cov=np.array(om))
 
 
 def mstep_dynamics(posteriors, dataset: Dataset, floor: float,
                    prev=None) -> tuple[RegimeDynamics, ...]:
     """Per-regime weighted least squares [x_t; u_t; 1] -> x_{t+1} with weights
     gamma_{t+1}(k); process noise is the weighted residual covariance, floored."""
-    K = posteriors[0].gamma.shape[1]
     d_x, d_u = dataset.d_x, dataset.d_u
-    X, Y = _stack_dynamics_rows(dataset)
+    trajs = dataset.trajectories
+    X = np.concatenate([np.concatenate([t.xs[:-1], t.us[:-1], np.ones((t.T - 1, 1))],
+                                       axis=1) for t in trajs], axis=0)
+    Y = np.concatenate([t.xs[1:] for t in trajs], axis=0)
+
+    def fit(k, w, wsum):
+        coef, lam = _weighted_lstsq(X, Y, w, wsum, floor, f"dynamics regime {k}")
+        return RegimeDynamics(A=coef[:d_x].T, B=coef[d_x:d_x + d_u].T, c=coef[-1],
+                              lam_cov=lam)
+
     W = np.concatenate([p.gamma[1:] for p in posteriors], axis=0)  # (M, K)
-    out = []
-    for k in range(K):
-        w = W[:, k]
-        wsum = w.sum()
-        if wsum < EMPTY_WEIGHT:
-            if prev is None:
-                raise ValueError(f"regime {k} has no dynamics weight and no "
-                                 f"previous parameters to keep")
-            warnings.warn(f"regime {k}: no dynamics weight, keeping previous parameters")
-            out.append(prev[k])
-            continue
-        coef = _weighted_lstsq(X, Y, w, f"dynamics regime {k}")
-        resid = Y - X @ coef
-        lam = _weighted_residual_cov(resid, w, wsum, floor)
-        out.append(RegimeDynamics(A=coef[:d_x].T, B=coef[d_x:d_x + d_u].T,
-                                  c=coef[-1], lam_cov=lam))
-    return tuple(out)
+    return tuple(_mstep_regimes(W, prev, "dynamics", fit))
 
 
 def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
                      floor: float, prev=None) -> tuple[RegimeController, ...]:
     """Per-regime weighted least squares [phi(x_t, past controls); 1] -> u_t
     with weights gamma_t(k); action noise is the floored residual covariance."""
-    K = posteriors[0].gamma.shape[1]
     feats = np.concatenate([controller_feature_series(t.xs, t.us, lag, poly_degree)
                             for t in dataset.trajectories], axis=0)
-    feats_full = np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
+    X = np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
     U = np.concatenate([t.us for t in dataset.trajectories], axis=0)
+
+    def fit(k, w, wsum):
+        coef, sig = _weighted_lstsq(X, U, w, wsum, floor, f"controller regime {k}")
+        return RegimeController(gain=coef[:-1].T, offset=coef[-1], sigma_cov=sig,
+                                lag=lag, poly_degree=poly_degree)
+
     W = np.concatenate([p.gamma for p in posteriors], axis=0)
-    out = []
-    for k in range(K):
-        w = W[:, k]
-        wsum = w.sum()
-        if wsum < EMPTY_WEIGHT:
-            if prev is None:
-                raise ValueError(f"regime {k} has no controller weight and no "
-                                 f"previous parameters to keep")
-            warnings.warn(f"regime {k}: no controller weight, keeping previous parameters")
-            out.append(prev[k])
-            continue
-        coef = _weighted_lstsq(feats_full, U, w, f"controller regime {k}")
-        resid = U - feats_full @ coef
-        sig = _weighted_residual_cov(resid, w, wsum, floor)
-        out.append(RegimeController(gain=coef[:-1].T, offset=coef[-1], sigma_cov=sig,
-                                    lag=lag, poly_degree=poly_degree))
-    return tuple(out)
+    return tuple(_mstep_regimes(W, prev, "controller", fit))
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import LOG2PI, chol_lower, mvn_logpdf, mvn_sample
+from ._linalg import gauss_draw, gauss_factors, gauss_logpdf
 from .features import controller_feature_dim, polynomial_features
 from .transition import TransitionModel, transition_probs
 
@@ -195,14 +195,20 @@ class RegimeController:
 
 @dataclass(frozen=True, eq=False)
 class RegimeStack:
-    """Per-regime parameters stacked on a leading K axis; all arrays read-only."""
+    """Per-regime parameters stacked on a leading K axis; all arrays read-only.
+    Each covariance has its lower Cholesky factor (*_chol) and d log 2pi +
+    log det (*_const): the inputs of gauss_logpdf and gauss_draw."""
     A: np.ndarray               # (K, d_x, d_x)
     B: np.ndarray               # (K, d_x, d_u)
     c: np.ndarray               # (K, d_x)
-    lam_chol: np.ndarray        # (K, d_x, d_x) lower Cholesky factors of lam_cov
-    lam_const: np.ndarray       # (K,) d_x log 2pi + log det lam_cov
-    gain: np.ndarray | None     # (K, d_u, d_phi), closed loop only
-    offset: np.ndarray | None   # (K, d_u), closed loop only
+    lam_chol: np.ndarray        # (K, d_x, d_x) of the process noise lam_cov
+    lam_const: np.ndarray       # (K,)
+    omega_chol: np.ndarray      # (K, d_x, d_x) of the initial-state omega_cov
+    omega_const: np.ndarray     # (K,)
+    gain: np.ndarray | None         # (K, d_u, d_phi), closed loop only
+    offset: np.ndarray | None       # (K, d_u), closed loop only
+    sigma_chol: np.ndarray | None   # (K, d_u, d_u) of sigma_cov, closed loop only
+    sigma_const: np.ndarray | None  # (K,), closed loop only
 
     def __post_init__(self):
         for a in vars(self).values():
@@ -264,16 +270,20 @@ class HybridModel:
 
     @cached_property
     def stack(self) -> RegimeStack:
-        """For per-step use: forecasting, the runtime belief and action."""
+        """The only place a regime covariance is factorized, once per model;
+        evidence, sampling, forecasting, the runtime belief and act read it."""
         dyn, ctl = self.dynamics, self.controllers
-        chols = [chol_lower(d.lam_cov) for d in dyn]
-        # summed as mvn_logpdf sums it, so densities match it to the bit
-        const = [self.d_x * LOG2PI + 2.0 * np.sum(np.log(np.diag(L))) for L in chols]
+        lam_chol, lam_const = gauss_factors([d.lam_cov for d in dyn])
+        omega_chol, omega_const = gauss_factors(self.init.omega_cov)
+        sigma_chol, sigma_const = (None, None) if ctl is None else \
+            gauss_factors([g.sigma_cov for g in ctl])
         return RegimeStack(
             A=np.stack([d.A for d in dyn]), B=np.stack([d.B for d in dyn]),
-            c=np.stack([d.c for d in dyn]), lam_chol=np.stack(chols), lam_const=np.array(const),
+            c=np.stack([d.c for d in dyn]), lam_chol=lam_chol, lam_const=lam_const,
+            omega_chol=omega_chol, omega_const=omega_const,
             gain=None if ctl is None else np.stack([g.gain for g in ctl]),
-            offset=None if ctl is None else np.stack([g.offset for g in ctl]))
+            offset=None if ctl is None else np.stack([g.offset for g in ctl]),
+            sigma_chol=sigma_chol, sigma_const=sigma_const)
 
 
 # -- controller features ------------------------------------------------------
@@ -307,10 +317,13 @@ def controller_feature_series(xs: np.ndarray, us: np.ndarray, lag: int,
     return np.concatenate(parts, axis=1)
 
 
-def _control_mean(model: HybridModel, z: int, x, past_us) -> np.ndarray:
-    ctl = model.controllers[z]
-    phi = controller_features(x, past_us, ctl.lag, ctl.poly_degree)
-    return ctl.gain @ phi + ctl.offset
+def _draw_control(model: HybridModel, z: int, x, past_us, rng,
+                  deterministic: bool = False) -> np.ndarray:
+    """Regime z's control at x: its law's mean, plus action noise unless deterministic."""
+    st = model.stack
+    mean = st.gain[z] @ controller_features(x, past_us, model.lag, model.poly_degree) \
+        + st.offset[z]
+    return mean if deterministic else gauss_draw(rng, mean, st.sigma_chol[z])
 
 
 # -- sampling -----------------------------------------------------------------
@@ -324,15 +337,13 @@ def sample_initial(model: HybridModel, rng: np.random.Generator, u1=None):
     """Draw (z1, x1, u1). Open-loop mode takes u1 from the caller instead of sampling."""
     _require_rng(rng)
     z1 = int(rng.choice(model.K, p=model.init.pi))
-    x1 = mvn_sample(rng, model.init.mu[z1], model.init.omega_cov[z1])
+    x1 = gauss_draw(rng, model.init.mu[z1], model.stack.omega_chol[z1])
     if model.mode == OPEN_LOOP:
         if u1 is None:
             raise ValueError("open-loop mode needs a caller-supplied u1")
         u1 = np.asarray(u1, dtype=float).reshape(model.d_u)
     else:
-        past = [np.zeros(model.d_u)] * model.lag
-        u1 = mvn_sample(rng, _control_mean(model, z1, x1, past),
-                        model.controllers[z1].sigma_cov)
+        u1 = _draw_control(model, z1, x1, [np.zeros(model.d_u)] * model.lag, rng)
     return z1, x1, u1
 
 
@@ -340,14 +351,14 @@ def step_dynamics(model: HybridModel, z_next: int, x, u, rng=None,
                   deterministic: bool = False) -> np.ndarray:
     if not 0 <= z_next < model.K:
         raise ValueError(f"regime index {z_next} out of range for K = {model.K}")
-    dyn = model.dynamics[z_next]
+    st = model.stack
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
-    mean = dyn.A @ x + dyn.B @ u + dyn.c
+    mean = st.A[z_next] @ x + st.B[z_next] @ u + st.c[z_next]
     if deterministic:
         return mean
     _require_rng(rng)
-    return mvn_sample(rng, mean, dyn.lam_cov)
+    return gauss_draw(rng, mean, st.lam_chol[z_next])
 
 
 def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
@@ -378,7 +389,7 @@ def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
     if deterministic:
         x = model.init.mu[z].copy()
     else:
-        x = mvn_sample(rng, model.init.mu[z], model.init.omega_cov[z])
+        x = gauss_draw(rng, model.init.mu[z], model.stack.omega_chol[z])
 
     past = [np.zeros(model.d_u)] * model.lag
     xs = np.empty((T, model.d_x))
@@ -396,11 +407,7 @@ def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
         if model.mode == OPEN_LOOP:
             us[t] = exo[t]
         else:
-            mean = _control_mean(model, z, x, past)
-            if deterministic:
-                us[t] = mean
-            else:
-                us[t] = mvn_sample(rng, mean, model.controllers[z].sigma_cov)
+            us[t] = _draw_control(model, z, x, past, rng, deterministic)
         if model.lag > 0:
             past = past[1:] + [us[t].copy()]
 
@@ -416,19 +423,18 @@ def log_local_evidence(model: HybridModel, traj: Trajectory) -> np.ndarray:
     if traj.d_x != model.d_x or traj.d_u != model.d_u:
         raise ValueError(f"trajectory dims ({traj.d_x}, {traj.d_u}) disagree with "
                          f"model dims ({model.d_x}, {model.d_u})")
-    T = traj.T
-    ev = np.empty((T, model.K))
-    for k in range(model.K):
-        dyn = model.dynamics[k]
-        ev[0, k] = mvn_logpdf(traj.xs[0], model.init.mu[k], model.init.omega_cov[k])
-        means = traj.xs[:-1] @ dyn.A.T + traj.us[:-1] @ dyn.B.T + dyn.c
-        ev[1:, k] = mvn_logpdf(traj.xs[1:], means, dyn.lam_cov)
+    st = model.stack
+    xs, us = traj.xs, traj.us
+    ev = np.empty((traj.T, model.K))
+    ev[0] = gauss_logpdf(xs[0], model.init.mu, st.omega_chol, st.omega_const)
+    # (K, T-1, d_x) per-regime one-step means
+    means = xs[:-1] @ st.A.transpose(0, 2, 1) + us[:-1] @ st.B.transpose(0, 2, 1) \
+        + st.c[:, None]
+    ev[1:] = gauss_logpdf(xs[1:], means, st.lam_chol[:, None], st.lam_const[:, None]).T
     if model.mode == CLOSED_LOOP:
-        feats = controller_feature_series(traj.xs, traj.us, model.lag, model.poly_degree)
-        for k in range(model.K):
-            ctl = model.controllers[k]
-            means = feats @ ctl.gain.T + ctl.offset
-            ev[:, k] += mvn_logpdf(traj.us, means, ctl.sigma_cov)
+        feats = controller_feature_series(xs, us, model.lag, model.poly_degree)
+        means = feats @ st.gain.transpose(0, 2, 1) + st.offset[:, None]
+        ev += gauss_logpdf(us, means, st.sigma_chol[:, None], st.sigma_const[:, None]).T
     return ev
 
 
@@ -470,47 +476,55 @@ def model_to_dict(model: HybridModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> HybridModel:
+    """Inverse of model_to_dict; a malformed document raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model document version {doc.get('version')!r}")
-    K, d_x, d_u = int(doc["K"]), int(doc["d_x"]), int(doc["d_u"])
-    init = InitialModel(
-        pi=np.asarray(doc["pi"], dtype=float),
-        mu=np.asarray([b["mu"] for b in doc["init"]], dtype=float),
-        omega_cov=np.asarray([b["omega_cov"] for b in doc["init"]], dtype=float),
-    )
-    dynamics = tuple(
-        RegimeDynamics(A=np.asarray(b["A"], dtype=float),
-                       B=np.asarray(b["B"], dtype=float).reshape(d_x, d_u),
-                       c=np.asarray(b["c"], dtype=float),
-                       lam_cov=np.asarray(b["lam_cov"], dtype=float))
-        for b in doc["dynamics"])
-    tb = doc["transition"]
-    if tb.get("per_prev", False):
-        # older files may carry "per_prev": false; per-source link weights
-        # are no longer supported
-        raise ValueError("transition field 'per_prev' is not supported: "
-                         "per-source link weights were removed")
-    tm = TransitionModel(
-        kind=tb["kind"], K=K, d_x=d_x, d_u=d_u,
-        bias=np.asarray(tb["bias"], dtype=float),
-        feature_params=np.asarray(tb["feature_params"], dtype=float),
-        feat_mean=np.asarray(tb["standardizer"]["mean"], dtype=float),
-        feat_std=np.asarray(tb["standardizer"]["std"], dtype=float),
-        degree=int(tb.get("degree", 1)),
-        hidden_units=int(tb.get("hidden_units", 0)),
-    )
-    controllers = None
-    if doc.get("controllers") is not None:
-        lag, deg = int(doc.get("lag", 0)), int(doc.get("poly_degree", 1))
-        controllers = tuple(
-            RegimeController(gain=np.asarray(b["gain"], dtype=float),
-                             offset=np.asarray(b["offset"], dtype=float),
-                             sigma_cov=np.asarray(b["sigma_cov"], dtype=float),
-                             lag=lag, poly_degree=deg)
-            for b in doc["controllers"])
-    mode = doc["mode"]
-    return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=mode, init=init,
-                       dynamics=dynamics, transition=tm, controllers=controllers)
+    try:
+        K, d_x, d_u = int(doc["K"]), int(doc["d_x"]), int(doc["d_u"])
+        init = InitialModel(
+            pi=np.asarray(doc["pi"], dtype=float),
+            mu=np.asarray([b["mu"] for b in doc["init"]], dtype=float),
+            omega_cov=np.asarray([b["omega_cov"] for b in doc["init"]], dtype=float),
+        )
+        dynamics = tuple(
+            RegimeDynamics(A=np.asarray(b["A"], dtype=float),
+                           B=np.asarray(b["B"], dtype=float).reshape(d_x, d_u),
+                           c=np.asarray(b["c"], dtype=float),
+                           lam_cov=np.asarray(b["lam_cov"], dtype=float))
+            for b in doc["dynamics"])
+        tb = doc["transition"]
+        if tb.get("per_prev", False):
+            # older files may carry "per_prev": false; per-source link weights
+            # are no longer supported
+            raise ValueError("transition field 'per_prev' is not supported: "
+                             "per-source link weights were removed")
+        tm = TransitionModel(
+            kind=tb["kind"], K=K, d_x=d_x, d_u=d_u,
+            bias=np.asarray(tb["bias"], dtype=float),
+            feature_params=np.asarray(tb["feature_params"], dtype=float),
+            feat_mean=np.asarray(tb["standardizer"]["mean"], dtype=float),
+            feat_std=np.asarray(tb["standardizer"]["std"], dtype=float),
+            degree=int(tb.get("degree", 1)),
+            hidden_units=int(tb.get("hidden_units", 0)),
+        )
+        controllers = None
+        if doc.get("controllers") is not None:
+            lag, deg = int(doc.get("lag", 0)), int(doc.get("poly_degree", 1))
+            controllers = tuple(
+                RegimeController(gain=np.asarray(b["gain"], dtype=float),
+                                 offset=np.asarray(b["offset"], dtype=float),
+                                 sigma_cov=np.asarray(b["sigma_cov"], dtype=float),
+                                 lag=lag, poly_degree=deg)
+                for b in doc["controllers"])
+        mode = doc["mode"]
+        return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=mode, init=init,
+                           dynamics=dynamics, transition=tm, controllers=controllers)
+    except KeyError as e:
+        raise ValueError(f"model document lacks field {e.args[0]!r}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed model document: {e}") from e
 
 
 def save_model(path, model: HybridModel) -> None:
@@ -521,4 +535,7 @@ def save_model(path, model: HybridModel) -> None:
 
 def load_model(path) -> HybridModel:
     with open(path) as f:
-        return model_from_dict(json.load(f))
+        try:
+            return model_from_dict(json.load(f))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import logsumexp, mvn_logpdf, mvn_sample
+from ._linalg import gauss_draw, gauss_logpdf, logsumexp
 from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, ENV_PENDULUM, OBS_JOINT,
                    EnvConfig, clip_control, env_dims, hanging_state, observe,
                    save_dataset, step_env, wrap_angle)
@@ -55,7 +55,8 @@ def distill(expert_dataset: Dataset, config: FitConfig | None = None) -> HybridM
 
 def _check_belief(model: HybridModel, belief) -> np.ndarray:
     b = np.asarray(belief, dtype=float).ravel()
-    if b.shape != (model.K,) or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-6:
+    # NaN fails both comparisons, so non-finite beliefs are rejected too
+    if b.shape != (model.K,) or not (np.all(b >= -1e-12) and abs(b.sum() - 1.0) <= 1e-6):
         raise ValueError(f"belief must be a {model.K}-simplex, got {b}")
     return np.maximum(b, 0.0) / b.sum()
 
@@ -88,7 +89,7 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
     if rng is None:
         raise ValueError("sample mode needs an rng")
     k = int(rng.choice(model.K, p=b))
-    return mvn_sample(rng, means[k], model.controllers[k].sigma_cov), k
+    return gauss_draw(rng, means[k], model.stack.sigma_chol[k]), k
 
 
 @dataclass
@@ -130,29 +131,31 @@ def success_criterion(traj: Trajectory, config: EnvConfig) -> bool:
     return upright and slow and on_track
 
 
+def _bayes_update(prior: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
+    """Regime posterior from a prior belief and per-regime log evidence."""
+    lb = np.log(np.maximum(prior, 1e-300)) + log_ev
+    norm = logsumexp(lb)
+    if not np.isfinite(norm):
+        raise FloatingPointError("belief update collapsed: impossible evidence")
+    return np.exp(lb - norm)
+
+
 def _initial_belief(model: HybridModel, x: np.ndarray) -> np.ndarray:
-    lb = np.log(np.maximum(model.init.pi, 1e-300))
-    lb = lb + np.array([mvn_logpdf(x, model.init.mu[k], model.init.omega_cov[k])
-                        for k in range(model.K)])
-    return np.exp(lb - logsumexp(lb))
+    st = model.stack
+    return _bayes_update(model.init.pi, gauss_logpdf(x, model.init.mu, st.omega_chol,
+                                                     st.omega_const))
 
 
 def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
                  x_next) -> np.ndarray:
     # runtime update deliberately excludes the control likelihood: u is our
     # own choice, so only the switching link and the dynamics evidence inform
-    # the regime
+    # the regime. It stays in log space: the E-step's linear-scale forward
+    # step rounds differently and would change rollouts.
     pred = transition_matrix(model.transition, x_prev, u_prev) @ b
     st = model.stack
-    # log N(x_next; A_k x + B_k u + c_k, lam_k) for all k, as mvn_logpdf
-    resid = x_next - (st.A @ x_prev + st.B @ u_prev + st.c)
-    z = np.linalg.solve(st.lam_chol, resid[..., None])[..., 0]
-    le = -0.5 * (st.lam_const + np.sum(z * z, axis=-1))
-    lb = np.log(np.maximum(pred, 1e-300)) + le
-    norm = logsumexp(lb)
-    if not np.isfinite(norm):
-        raise FloatingPointError("belief update collapsed: impossible evidence")
-    return np.exp(lb - norm)
+    means = st.A @ x_prev + st.B @ u_prev + st.c
+    return _bayes_update(pred, gauss_logpdf(x_next, means, st.lam_chol, st.lam_const))
 
 
 def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,

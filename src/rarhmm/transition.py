@@ -128,10 +128,6 @@ class TransitionModel:
         if not np.all(self.feat_std > 0):
             raise ValueError("standardizer std must be positive")
 
-    @property
-    def n_params(self) -> int:
-        return self.K * self.K + self.feature_params.size
-
 
 def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
                     hidden_units: int = 0, feat_mean=None, feat_std=None, bias=None,

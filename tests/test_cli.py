@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rarhmm import cli
 from rarhmm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from rarhmm.envs import load_dataset, load_manifest
 from rarhmm.evaluation import count_params
@@ -260,3 +261,63 @@ def test_model_provenance_is_tolerated_by_loader(tmp_path):
     doc = json.loads((out / "model.json").read_text())
     assert "provenance" in doc
     load_model(out / "model.json")  # extra key must not break loading
+
+
+def test_malformed_input_files_exit_two_without_traceback(tmp_path, capsys):
+    bad_data = tmp_path / "bad.ndjson"
+    bad_data.write_text('{"id": "a", "dt": 0.1, "xs": [[0.0], [1.0]]}\n')
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_text('{"version": 1, "K": 2}')
+    bad_manifest = tmp_path / "splits.json"
+    bad_manifest.write_text("{}")
+    data = tmp_path / "d"
+    _simulate_small(data)
+    out = ["--out-dir", str(tmp_path / "out")]
+    for argv, field in ((["fit", "--data", str(bad_data), *out], "'us'"),
+                        (["fit", "--data", str(data / "train.ndjson"),
+                          "--manifest", str(bad_manifest), *out], "'splits'"),
+                        (["eval", "--test", str(bad_data), "--model", f"m={bad_model}",
+                          *out], "'us'"),
+                        (["eval", "--test", str(data / "test.ndjson"),
+                          "--model", f"m={bad_model}", *out], "'d_x'"),
+                        (["count-params", "--model", str(bad_model)], "'d_x'")):
+        capsys.readouterr()
+        assert _run(*argv) == EXIT_RUNTIME, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"rarhmm {argv[0]}: error: ") and field in err, err
+        assert "Traceback" not in err
+
+
+def test_fit_lets_programming_errors_propagate(tmp_path, monkeypatch):
+    data = tmp_path / "d"
+    _simulate_small(data)
+
+    def broken_fit(*args, **kwargs):
+        raise TypeError("a bug, not a failed fit")
+
+    monkeypatch.setattr(cli, "fit_em", broken_fit)
+    with pytest.raises(TypeError, match="a bug"):
+        _run("fit", "--data", str(data / "train.ndjson"), "--out-dir", str(tmp_path / "f"))
+
+
+def test_fit_keeps_other_splits_after_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d"
+    _simulate_small(data)
+    real_fit, calls = cli.fit_em, []
+
+    def fit_failing_first_split(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise FloatingPointError("diverged")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_em", fit_failing_first_split)
+    out = tmp_path / "fits"
+    assert _run("fit", "--data", str(data / "train.ndjson"),
+                "--manifest", str(data / "splits.json"), "--K", "1",
+                "--max-iters", "2", "--restarts", "1", "--out-dir", str(out)) == EXIT_OK
+    assert not (out / "model_split00.json").exists()
+    for i in (1, 2):
+        assert (out / f"model_split{i:02d}.json").exists()
+        assert (out / f"history_split{i:02d}.csv").exists()
+    assert "fit failed: split _split00: diverged" in capsys.readouterr().err

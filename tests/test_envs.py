@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -290,3 +293,33 @@ def test_collect_demonstrations_end_upright():
     demos = collect_demonstrations(cfg, 3, seed=0, T=1000)
     for d in demos:
         assert _upright_tail_ok(d, 0, 1)
+
+
+_GOOD_RECORD = {"id": "a", "dt": 0.1, "xs": [[0.0], [1.0]], "us": [[0.0], [0.0]]}
+
+
+@pytest.mark.parametrize("record,match", [
+    ({k: v for k, v in _GOOD_RECORD.items() if k != "us"}, "lacks field 'us'"),
+    ({k: v for k, v in _GOOD_RECORD.items() if k != "dt"}, "lacks field 'dt'"),
+    ([1, 2], "JSON object, got list"),
+    ("text", "JSON object, got str"),
+    ({**_GOOD_RECORD, "dt": None}, "line 2"),
+    ({**_GOOD_RECORD, "xs": [[0.0], [1.0, 2.0]]}, "line 2"),
+    ({**_GOOD_RECORD, "xs": 3.0}, "line 2"),
+    ({**_GOOD_RECORD, "us": [[0.0], [0.0], [0.0]]}, "line 2"),
+])
+def test_load_dataset_rejects_malformed_records(tmp_path, record, match):
+    path = tmp_path / "data.ndjson"
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=match) as ei:
+        load_dataset(path)
+    assert re.search(re.escape(str(path)) + ": line 2", str(ei.value))
+
+
+@pytest.mark.parametrize("doc", [{}, [], {"splits": 3}, {"splits": [1, 2]},
+                                 {"other": [["a"]]}])
+def test_load_manifest_rejects_malformed_documents(tmp_path, doc):
+    path = tmp_path / "splits.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="'splits'"):
+        load_manifest(path)

@@ -7,13 +7,12 @@ from rarhmm.evaluation import (EvalReport, _forecast_batch, count_params,
                                count_params_breakdown, evaluate, filter_all,
                                filter_prefix, forecast, nmse,
                                dataset_normalizer)
-from rarhmm._linalg import mvn_logpdf
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
                           sample_trajectory)
 from rarhmm.transition import make_transition
 
-from util import (brute_force_posterior, random_dataset, random_model,
+from util import (brute_force_posterior, mvn_logpdf, random_dataset, random_model,
                   random_trajectory, reference_sample_forecast)
 
 

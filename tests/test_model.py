@@ -1,10 +1,12 @@
+import itertools
 import json
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rarhmm._linalg import mvn_logpdf
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           InitialModel, RegimeController, RegimeDynamics,
                           Trajectory, controller_features,
@@ -14,7 +16,13 @@ from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           save_model, step_dynamics)
 from rarhmm.transition import make_transition
 
-from util import models_equal, random_model, random_trajectory
+from rarhmm.envs import default_config
+from rarhmm.inference import smooth_dataset
+from rarhmm.policy import rollout
+
+from util import (models_equal, mvn_logpdf, random_dataset, random_model,
+                  random_trajectory, reference_log_local_evidence,
+                  reference_sample_trajectory)
 
 
 def test_controller_features_linear_is_state():
@@ -191,7 +199,7 @@ def test_log_local_evidence_mode_difference_is_control_term():
     ev_closed = log_local_evidence(mc, traj)
     ev_open = log_local_evidence(mo, traj)
     feats = controller_feature_series(traj.xs, traj.us, mc.lag, mc.poly_degree)
-    from rarhmm._linalg import mvn_logpdf
+    from util import mvn_logpdf
     for k, ctl in enumerate(mc.controllers):
         term = mvn_logpdf(traj.us, feats @ ctl.gain.T + ctl.offset, ctl.sigma_cov)
         np.testing.assert_allclose(ev_closed[:, k] - ev_open[:, k], term, rtol=1e-10)
@@ -346,3 +354,113 @@ def test_regime_stack_without_controls():
         np.testing.assert_array_equal((st.A @ x + st.B @ np.zeros(0) + st.c)[k],
                                       step_dynamics(m, k, x, np.zeros(0),
                                                     deterministic=True))
+
+
+_EVIDENCE_CASES = ([(OPEN_LOOP, K, d_u, 0, 1) for K, d_u in itertools.product((1, 3, 9), (0, 1, 2))]
+                   + [(CLOSED_LOOP, *c) for c in itertools.product((1, 3, 9), (0, 1, 2),
+                                                                   (0, 1), (1, 2))])
+
+
+@pytest.mark.parametrize("mode,K,d_u,lag,degree", _EVIDENCE_CASES)
+def test_log_local_evidence_matches_per_regime_reference(mode, K, d_u, lag, degree):
+    m = random_model(K=K, d_x=3, d_u=d_u, mode=mode, seed=K + 10 * d_u, lag=lag,
+                     poly_degree=degree, noise_scale=0.3)
+    rng = np.random.default_rng(K + d_u)
+    traj = Trajectory(xs=rng.standard_normal((15, 3)), us=rng.standard_normal((15, d_u)),
+                      dt=0.1)
+    np.testing.assert_array_equal(log_local_evidence(m, traj),
+                                  reference_log_local_evidence(m, traj))
+
+
+def test_regime_stack_factors_every_covariance():
+    m = random_model(K=3, d_x=2, d_u=2, mode=CLOSED_LOOP, seed=3, lag=1)
+    st = m.stack
+    for k in range(m.K):
+        for chol, const, cov in ((st.omega_chol, st.omega_const, m.init.omega_cov[k]),
+                                 (st.sigma_chol, st.sigma_const,
+                                  m.controllers[k].sigma_cov)):
+            np.testing.assert_array_equal(chol[k], np.linalg.cholesky(cov))
+            assert -0.5 * const[k] == mvn_logpdf(np.zeros(len(cov)), 0.0, cov)
+    for a in (st.omega_chol, st.omega_const, st.sigma_chol, st.sigma_const):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert random_model(K=2, seed=1).stack.sigma_chol is None
+
+
+@pytest.mark.parametrize("mode", [OPEN_LOOP, CLOSED_LOOP])
+@pytest.mark.parametrize("B", [1, 4])
+def test_each_covariance_is_factorized_once_per_model(monkeypatch, mode, B):
+    K = 3
+    data = random_dataset(random_model(K=K, d_x=2, d_u=1, mode=mode, seed=8), n=B,
+                          T=30, seed=8)
+    # a fresh instance of the same model, whose stack is not built yet
+    m = random_model(K=K, d_x=2, d_u=1, mode=mode, seed=8)
+    factorized, real = [0], np.linalg.cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        assert "stack" in callers, "factorized outside HybridModel.stack"
+        factorized[0] += int(np.prod(np.shape(a)[:-2]))   # matrices, batched or not
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    smooth_dataset(m, data)
+    smooth_dataset(m, data)
+    if mode == CLOSED_LOOP:
+        rollout(default_config("pendulum"), m, T=50, rng=np.random.default_rng(0))
+    assert factorized[0] == (3 * K if mode == CLOSED_LOOP else 2 * K)
+
+
+@pytest.mark.parametrize("mode,lag,z_burnin", [(OPEN_LOOP, 0, None), (OPEN_LOOP, 0, 1),
+                                               (CLOSED_LOOP, 0, None),
+                                               (CLOSED_LOOP, 2, 2)])
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_sample_trajectory_matches_draw_by_draw_reference(mode, lag, z_burnin,
+                                                         deterministic):
+    m = random_model(K=3, d_x=2, d_u=2, mode=mode, seed=21, lag=lag, noise_scale=0.2)
+    exo = np.random.default_rng(3).standard_normal((40, 2)) if mode == OPEN_LOOP else None
+    for seed in range(3):
+        traj, zs = sample_trajectory(m, 40, np.random.default_rng(seed), exogenous_us=exo,
+                                     z_burnin=z_burnin, deterministic=deterministic)
+        xs, us, zs_ref = reference_sample_trajectory(
+            m, 40, np.random.default_rng(seed), exogenous_us=exo, z_burnin=z_burnin,
+            deterministic=deterministic)
+        np.testing.assert_array_equal(traj.xs, xs)
+        np.testing.assert_array_equal(traj.us, us)
+        np.testing.assert_array_equal(zs, zs_ref)
+
+
+def _valid_model_doc():
+    return json.loads(json.dumps(model_to_dict(random_model(K=2, d_x=2, d_u=1,
+                                                            mode=CLOSED_LOOP, seed=4))))
+
+
+def _drop(doc, *path):
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    del block[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("doc,match", [
+    ({"version": 1, "K": 2}, "lacks field 'd_x'"),
+    (_drop(_valid_model_doc(), "init"), "lacks field 'init'"),
+    (_drop(_valid_model_doc(), "dynamics", 1, "lam_cov"), "lacks field 'lam_cov'"),
+    (_drop(_valid_model_doc(), "transition", "standardizer", "std"), "lacks field 'std'"),
+    (_drop(_valid_model_doc(), "controllers", 0, "gain"), "lacks field 'gain'"),
+    ({**_valid_model_doc(), "transition": []}, "malformed model document"),
+    ({**_valid_model_doc(), "init": 3}, "malformed model document"),
+    ({**_valid_model_doc(), "dynamics": [1, 2]}, "malformed model document"),
+    ([1, 2], "JSON object"),
+])
+def test_malformed_model_document_is_a_value_error(tmp_path, doc, match):
+    with pytest.raises(ValueError, match=match):
+        model_from_dict(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_model(path)

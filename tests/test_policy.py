@@ -8,9 +8,9 @@ from rarhmm.learning import FitConfig
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
                           sample_trajectory)
-from rarhmm.policy import (ACT_MODES, RolloutResult, _belief_step, act,
-                           default_distill_config, distill, rollout,
-                           save_rollout, success_criterion)
+from rarhmm.policy import (ACT_MODES, RolloutResult, _belief_step,
+                           _initial_belief, act, default_distill_config,
+                           distill, rollout, save_rollout, success_criterion)
 from rarhmm.transition import make_transition
 
 from util import (models_equal, random_dataset, random_model, reference_act,
@@ -350,3 +350,19 @@ def test_rollout_matches_per_regime_reference(monkeypatch, mode):
     np.testing.assert_array_equal(fast.regimes, ref.regimes)
     # the beliefs blend regimes, so the comparison covers more than one law
     assert np.mean(fast.beliefs.max(axis=1) < 0.99) > 0.1
+
+
+def test_initial_belief_raises_on_impossible_state():
+    m = random_model(K=3, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=1)
+    with np.errstate(all="ignore"), \
+            pytest.raises(FloatingPointError, match="impossible evidence"):
+        _initial_belief(m, np.full(2, 1e200))
+
+
+@pytest.mark.parametrize("belief,mode", [([np.nan] * 3, "mean"),
+                                         ([np.nan, 0.5, 0.5], "argmax"),
+                                         ([np.inf, 0.0, 0.0], "mean")])
+def test_act_rejects_non_finite_beliefs(belief, mode):
+    cm = _closed_loop_model([np.array([[1.0]]), np.array([[-1.0]]), np.array([[0.5]])])
+    with pytest.raises(ValueError, match="simplex"):
+        act(cm, belief, np.zeros(1), [], mode=mode)

@@ -4,17 +4,50 @@ import itertools
 
 import numpy as np
 
-from rarhmm._linalg import logsumexp, mvn_logpdf, mvn_sample
+from rarhmm._linalg import LOG2PI, logsumexp
 from rarhmm.features import controller_feature_dim
 from rarhmm.inference import Posterior, local_quantities
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           InitialModel, RegimeController, RegimeDynamics,
-                          Trajectory, _control_mean, sample_trajectory)
+                          Trajectory, controller_feature_series,
+                          controller_features, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
-from rarhmm.transition import (_link_logits, _nll_grad_packed, make_transition,
+from rarhmm.transition import (_link_logits, transition_probs, _nll_grad_packed, make_transition,
                                params_to_vector, stack_transition_stats,
                                transition_features, transition_matrices,
                                transition_matrix, vector_to_params, xi_marginals)
+
+
+def mvn_logpdf(x, mean, cov):
+    """Log density of N(mean, cov) at x, factorizing cov on every call; x and
+    mean broadcast over leading axes. The per-covariance reference for the
+    library's densities from cached factors."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x.shape[-1]
+    if d == 0:
+        return np.zeros(x.shape[:-1])
+    L = np.linalg.cholesky(cov)
+    resid = x - mean
+    z = np.linalg.solve(L, resid[..., None])[..., 0]
+    maha = np.sum(z * z, axis=-1)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return -0.5 * (d * LOG2PI + logdet + maha)
+
+
+def mvn_sample(rng, mean, cov):
+    """One draw of N(mean, cov), factorizing cov on every call: the reference
+    for the library's draws from cached factors."""
+    mean = np.asarray(mean, dtype=float)
+    if mean.shape[-1] == 0:
+        return np.zeros_like(mean)
+    L = np.linalg.cholesky(cov)
+    return mean + L @ rng.standard_normal(mean.shape[-1])
+
+
+def reference_control_mean(model, k, x, past_us):
+    """Regime k's control law evaluated from its own controller."""
+    ctl = model.controllers[k]
+    return ctl.gain @ controller_features(x, past_us, ctl.lag, ctl.poly_degree) + ctl.offset
 
 
 def random_spd(rng, d, scale=1.0):
@@ -181,6 +214,53 @@ def reference_sample_forecast(model, x0, b0, us, rng):
     return out
 
 
+def reference_log_local_evidence(model, traj):
+    """(T, K) local evidence one regime at a time, each density through
+    mvn_logpdf, which factorizes its covariance on every call."""
+    ev = np.empty((traj.T, model.K))
+    for k in range(model.K):
+        dyn = model.dynamics[k]
+        ev[0, k] = mvn_logpdf(traj.xs[0], model.init.mu[k], model.init.omega_cov[k])
+        means = traj.xs[:-1] @ dyn.A.T + traj.us[:-1] @ dyn.B.T + dyn.c
+        ev[1:, k] = mvn_logpdf(traj.xs[1:], means, dyn.lam_cov)
+    if model.mode == CLOSED_LOOP:
+        feats = controller_feature_series(traj.xs, traj.us, model.lag, model.poly_degree)
+        for k, ctl in enumerate(model.controllers):
+            ev[:, k] += mvn_logpdf(traj.us, feats @ ctl.gain.T + ctl.offset, ctl.sigma_cov)
+    return ev
+
+
+def reference_sample_trajectory(model, T, rng, exogenous_us=None, z_burnin=None,
+                                deterministic=False):
+    """sample_trajectory written draw by draw from each regime's own
+    parameters through mvn_sample. Returns (xs, us, zs)."""
+    z = int(z_burnin) if z_burnin is not None else int(rng.choice(model.K, p=model.init.pi))
+    if deterministic:
+        x = model.init.mu[z].copy()
+    else:
+        x = mvn_sample(rng, model.init.mu[z], model.init.omega_cov[z])
+    past = [np.zeros(model.d_u)] * model.lag
+    xs, us, zs = np.empty((T, model.d_x)), np.empty((T, model.d_u)), np.empty(T, dtype=int)
+    for t in range(T):
+        if t > 0:
+            z = int(rng.choice(model.K, p=transition_probs(model.transition, z, xs[t - 1],
+                                                           us[t - 1])))
+            dyn = model.dynamics[z]
+            x = dyn.A @ xs[t - 1] + dyn.B @ us[t - 1] + dyn.c
+            if not deterministic:
+                x = mvn_sample(rng, x, dyn.lam_cov)
+        zs[t], xs[t] = z, x
+        if model.mode == OPEN_LOOP:
+            us[t] = exogenous_us[t]
+        else:
+            us[t] = reference_control_mean(model, z, x, past)
+            if not deterministic:
+                us[t] = mvn_sample(rng, us[t], model.controllers[z].sigma_cov)
+        if model.lag > 0:
+            past = past[1:] + [us[t].copy()]
+    return xs, us, zs
+
+
 def reference_belief_step(model, b, x_prev, u_prev, x_next):
     """Runtime belief update written one regime at a time: link prediction,
     then each regime's dynamics density through mvn_logpdf."""
@@ -200,13 +280,13 @@ def reference_act(model, belief, x, past_us, mode=ACT_MEAN, rng=None):
     if mode == ACT_MEAN:
         u = np.zeros(model.d_u)
         for k in range(model.K):
-            u += b[k] * _control_mean(model, k, x, past_us)
+            u += b[k] * reference_control_mean(model, k, x, past_us)
         return u, int(np.argmax(b))
     if mode == ACT_ARGMAX:
         k = int(np.argmax(b))
-        return _control_mean(model, k, x, past_us), k
+        return reference_control_mean(model, k, x, past_us), k
     k = int(rng.choice(model.K, p=b))
-    return mvn_sample(rng, _control_mean(model, k, x, past_us),
+    return mvn_sample(rng, reference_control_mean(model, k, x, past_us),
                       model.controllers[k].sigma_cov), k
 
 def models_equal(a: HybridModel, b: HybridModel) -> bool:
