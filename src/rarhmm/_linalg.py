@@ -7,17 +7,6 @@ import numpy as np
 LOG2PI = float(np.log(2.0 * np.pi))
 
 
-def logsumexp(a, axis=None):
-    a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    # rows that are all -inf stay -inf instead of producing nan
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def floor_spd(cov: np.ndarray, floor: float) -> np.ndarray:
     """Project a matrix onto the symmetric cone with eigenvalues >= floor.
 
@@ -54,7 +43,7 @@ def gauss_logpdf(x, mean, chol: np.ndarray, const: np.ndarray) -> np.ndarray:
         # empty event space: the density of a point mass is 1
         return np.zeros(resid.shape[:-1])
     z = np.linalg.solve(chol, resid[..., None])[..., 0]
-    return -0.5 * (const + np.sum(z * z, axis=-1))
+    return -0.5 * (const + (z * z).sum(axis=-1))
 
 
 def gauss_draw(rng: np.random.Generator, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:

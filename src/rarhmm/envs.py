@@ -185,14 +185,13 @@ def _ball_step(config: EnvConfig, state: np.ndarray) -> np.ndarray:
     return np.array([h_pred, v - g * dt])
 
 
-def _pendulum_derivs(config: EnvConfig, state: np.ndarray, u: float) -> np.ndarray:
+def _pendulum_derivs(config: EnvConfig, state, u: float) -> tuple:
     g, m, l, b = config.gravity, config.mass, config.length, config.damping
     th, om = state
-    acc = (g / l) * np.sin(th) + (u - b * om) / (m * l * l)
-    return np.array([om, acc])
+    return om, (g / l) * np.sin(th) + (u - b * om) / (m * l * l)
 
 
-def _cartpole_derivs(config: EnvConfig, state: np.ndarray, u: float) -> np.ndarray:
+def _cartpole_derivs(config: EnvConfig, state, u: float) -> tuple:
     g, mp, l = config.gravity, config.mass, config.length
     total = config.cart_mass + mp
     _, pd, th, om = state
@@ -201,28 +200,41 @@ def _cartpole_derivs(config: EnvConfig, state: np.ndarray, u: float) -> np.ndarr
     th_acc = (g * sin - cos * tmp) / (l * (4.0 / 3.0 - mp * cos * cos / total))
     th_acc -= config.damping * om
     p_acc = tmp - mp * l * th_acc * cos / total
-    return np.array([pd, p_acc, om, th_acc])
+    return pd, p_acc, om, th_acc
 
 
 def step_env(config: EnvConfig, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One simulator step from internal state under (already clipped) control."""
+    """One simulator step from internal state under (already clipped) control.
+
+    The swing systems take one RK4 step on Python scalars, component by
+    component, with the IEEE operations of the same step on state arrays:
+    on 2- and 4-entry states per-call overhead, not arithmetic, sets the cost.
+    """
     state = np.asarray(state, dtype=float)
     if config.env == ENV_BOUNCING_BALL:
         return _ball_step(config, state)
     derivs = _pendulum_derivs if config.env == ENV_PENDULUM else _cartpole_derivs
-    uu = float(np.asarray(u, dtype=float).reshape(-1)[0]) if np.size(u) else 0.0
+    u = np.asarray(u, dtype=float).ravel()
+    uu = float(u[0]) if u.size else 0.0
     dt = config.dt
-    k1 = derivs(config, state, uu)
-    k2 = derivs(config, state + 0.5 * dt * k1, uu)
-    k3 = derivs(config, state + 0.5 * dt * k2, uu)
-    k4 = derivs(config, state + dt * k3, uu)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * dt
+    s = state.tolist()
+    k1 = derivs(config, s, uu)
+    k2 = derivs(config, [x + half * k for x, k in zip(s, k1)], uu)
+    k3 = derivs(config, [x + half * k for x, k in zip(s, k2)], uu)
+    k4 = derivs(config, [x + dt * k for x, k in zip(s, k3)], uu)
+    w = dt / 6.0
+    return np.array([x + w * (a + 2.0 * b + 2.0 * c + d)
+                     for x, a, b, c, d in zip(s, k1, k2, k3, k4)])
 
 
 def clip_control(config: EnvConfig, u) -> np.ndarray:
+    """u as a (d_u,) array clipped to [-limit, limit], entry by entry with
+    np.clip's comparisons (NaN passes through)."""
     d_u = env_dims(config)[1]
-    u = np.asarray(u, dtype=float).reshape(d_u)
-    return np.clip(u, -config.limit, config.limit)
+    lim = config.limit
+    return np.array([-lim if v < -lim else lim if v > lim else v
+                     for v in np.asarray(u, dtype=float).reshape(d_u).tolist()])
 
 
 def simulate(config: EnvConfig, policy=None, T: int | None = None,
@@ -403,7 +415,9 @@ def save_dataset(path, trajectories) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Records written by save_dataset; a malformed one raises ValueError."""
+    """Records written by save_dataset, whose "us" holds T rows; a flat "us" of
+    exactly T entries is read as one control per step. A malformed record
+    raises ValueError naming its line."""
     trajs = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -421,7 +435,11 @@ def load_dataset(path) -> Dataset:
             try:
                 xs = np.asarray(rec["xs"], dtype=float)
                 us = np.asarray(rec["us"], dtype=float)
-                us = us.reshape(len(xs), us.size // max(len(xs), 1))
+                if us.ndim == 1 and len(us) == len(xs):
+                    us = us[:, None]          # one scalar control per step
+                elif us.ndim != 2 or len(us) != len(xs):
+                    raise ValueError(f"us must hold {len(xs)} rows of controls, or "
+                                     f"{len(xs)} scalars, got shape {us.shape}")
                 trajs.append(Trajectory(xs=xs, us=us, dt=float(rec["dt"]),
                                         id=str(rec["id"])))
             except KeyError as e:

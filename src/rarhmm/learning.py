@@ -134,10 +134,13 @@ class FitHistory:
 
 def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
             iters: int = KMEANS_ITERS) -> np.ndarray:
-    """Plain Lloyd iteration, fixed count, deterministic given the rng.
+    """Plain Lloyd iteration, deterministic given the rng, for at most `iters`
+    rounds.
 
     Empty clusters are re-seeded with the point currently farthest from its
-    assigned center.
+    assigned center. Once a round ends with the previous round's labels, the
+    centers it recomputes are the previous ones, so every later round repeats
+    it: the labels are returned there, as the full count would return them.
     """
     distinct = np.unique(points, axis=0)
     if len(distinct) < K:
@@ -145,7 +148,8 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
                          f"got {len(distinct)}")
     centers = distinct[rng.choice(len(distinct), size=K, replace=False)]
     labels = np.zeros(len(points), dtype=int)
-    for _ in range(iters):
+    for round_ in range(iters):
+        prev = labels
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         dist_own = d2[np.arange(len(points)), labels]
@@ -156,6 +160,8 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
                 pick = next(int(i) for i in order if int(i) not in taken)
                 labels[pick] = k
                 taken.append(pick)
+        if round_ > 0 and np.array_equal(labels, prev):
+            return labels
         for k in range(K):
             centers[k] = points[labels == k].mean(axis=0)
     return labels

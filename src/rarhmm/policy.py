@@ -8,11 +8,12 @@ from the model's cached regime stack (`HybridModel.stack`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gauss_draw, gauss_logpdf, logsumexp
+from ._linalg import gauss_draw, gauss_logpdf
 from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, ENV_PENDULUM, OBS_JOINT,
                    EnvConfig, clip_control, env_dims, hanging_state, observe,
                    save_dataset, step_env, wrap_angle)
@@ -55,10 +56,11 @@ def distill(expert_dataset: Dataset, config: FitConfig | None = None) -> HybridM
 
 def _check_belief(model: HybridModel, belief) -> np.ndarray:
     b = np.asarray(belief, dtype=float).ravel()
+    total = b.sum()
     # NaN fails both comparisons, so non-finite beliefs are rejected too
-    if b.shape != (model.K,) or not (np.all(b >= -1e-12) and abs(b.sum() - 1.0) <= 1e-6):
+    if b.shape != (model.K,) or not (b.min() >= -1e-12 and abs(total - 1.0) <= 1e-6):
         raise ValueError(f"belief must be a {model.K}-simplex, got {b}")
-    return np.maximum(b, 0.0) / b.sum()
+    return np.maximum(b, 0.0) / total
 
 
 def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
@@ -78,13 +80,13 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
     phi = controller_features(x, past_us, model.lag, model.poly_degree)
     means = model.stack.gain @ phi + model.stack.offset     # (K, d_u)
     if mode == ACT_MEAN:
-        # regime by regime: a sum over the K axis rounds differently from K = 8
-        u = np.zeros(model.d_u)
-        for k in range(model.K):
-            u += b[k] * means[k]
-        return u, int(np.argmax(b))
+        # regime laws added one after another from u = 0, as a loop over k
+        # would: a sum over the K axis rounds differently from K = 8, an
+        # accumulate does not, and 0.0 + turns its -0.0 totals into +0.0
+        u = 0.0 + np.add.accumulate(b[:, None] * means, axis=0)[-1]
+        return u, int(b.argmax())
     if mode == ACT_ARGMAX:
-        k = int(np.argmax(b))
+        k = int(b.argmax())
         return means[k], k
     if rng is None:
         raise ValueError("sample mode needs an rng")
@@ -132,10 +134,15 @@ def success_criterion(traj: Trajectory, config: EnvConfig) -> bool:
 
 
 def _bayes_update(prior: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
-    """Regime posterior from a prior belief and per-regime log evidence."""
+    """Regime posterior from a prior belief and per-regime log evidence,
+    normalized by a log-sum-exp over the regimes (shifted by their max, or by
+    0 when the max is not finite)."""
     lb = np.log(np.maximum(prior, 1e-300)) + log_ev
-    norm = logsumexp(lb)
-    if not np.isfinite(norm):
+    top = lb.max()
+    if not math.isfinite(top):
+        top = 0.0
+    norm = np.log(np.exp(lb - top).sum()) + top
+    if not math.isfinite(norm):
         raise FloatingPointError("belief update collapsed: impossible evidence")
     return np.exp(lb - norm)
 
@@ -166,6 +173,10 @@ def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
     The model acts in the configured observation space; controls are clipped
     to the actuator limit before stepping. When x0 is not given the episode
     starts near hanging, matching the swing-up task the demonstrations solve.
+    Every step calls act, observe, step_env and _belief_step through this
+    module, and stays bit-identical to the same loop over the per-regime
+    references of act, the belief update and the array RK4 step (the tests
+    patch them in here).
     """
     d_x, d_u = env_dims(config)
     if model.d_x != d_x or model.d_u != d_u:
@@ -195,7 +206,7 @@ def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
         if t + 1 == T:
             break
         state = step_env(config, state, u)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise FloatingPointError(f"non-finite state at step {t + 1}")
         x_next = observe(config, state)
         b = _belief_step(model, b, x, u, x_next)

@@ -44,6 +44,13 @@ over i. The code stores a, E, Zs, src and dest transposed, as (K, M), and the
 full logits of transition_matrices destination-major, as (K, M, K): numpy
 reduces over a short trailing or middle axis 15-25x slower than over a leading
 one (K = 5, M = 1200).
+
+transition_matrix is the single-step path of the runtime belief and the
+samplers, where per-call overhead rather than arithmetic sets the cost. It runs
+the same input check, link and bias + link-logit add as transition_matrices,
+then the same destination-axis log-softmax on a (K, K) array instead of the
+(K, 1, K) tensor, so it equals transition_matrices(tm, x[None], u[None])[0]
+bit for bit.
 """
 from __future__ import annotations
 
@@ -154,21 +161,27 @@ def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
 
 # -- feature pipeline ---------------------------------------------------------
 
-def standardize_inputs(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    us = np.asarray(us, dtype=float).reshape(xs.shape[0], tm.d_u)
-    raw = np.concatenate([xs, us], axis=1)
-    if not np.all(np.isfinite(raw)):
+def _standardize(tm: TransitionModel, raw: np.ndarray) -> np.ndarray:
+    """Standardized raw [x, u] inputs, (..., d_x + d_u); non-finite ones are
+    rejected."""
+    if not np.isfinite(raw).all():
         raise ValueError("transition inputs must be finite")
     return (raw - tm.feat_mean) / tm.feat_std
 
 
+def _expand(tm: TransitionModel, s: np.ndarray) -> np.ndarray:
+    return polynomial_features(s, tm.degree) if tm.kind == "polynomial" else s
+
+
+def standardize_inputs(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    us = np.asarray(us, dtype=float).reshape(xs.shape[0], tm.d_u)
+    return _standardize(tm, np.concatenate([xs, us], axis=1))
+
+
 def transition_features(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """(M, F) feature matrix for the link, standardized then expanded per kind."""
-    s = standardize_inputs(tm, xs, us)
-    if tm.kind == "polynomial":
-        return polynomial_features(s, tm.degree)
-    return s
+    return _expand(tm, standardize_inputs(tm, xs, us))
 
 
 def _unpack(tm: TransitionModel, params: np.ndarray):
@@ -203,7 +216,7 @@ def _log_softmax_dest(logits: np.ndarray) -> np.ndarray:
     """Normalize destination-major logits (K, ...) over the destination axis 0,
     the leading axis, which numpy reduces fastest."""
     z = logits - logits.max(axis=0)
-    z -= np.log(np.sum(np.exp(z), axis=0))
+    z -= np.log(np.add.reduce(np.exp(z), axis=0))
     return z
 
 
@@ -225,8 +238,20 @@ def transition_matrices(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> 
 
 
 def transition_matrix(tm: TransitionModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return transition_matrices(tm, np.asarray(x, dtype=float)[None, :],
-                               np.asarray(u, dtype=float).reshape(1, -1))[0]
+    """Column-stochastic (K, K) matrix at one input: entry [i, j] =
+    p(next = i | prev = j). Bit-identical to transition_matrices at M = 1,
+    with the same checks, link and softmax on (K, K) arrays (module
+    docstring)."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if x.shape != (tm.d_x,) or u.size != tm.d_u:
+        raise ValueError(f"transition input must be x ({tm.d_x},) and u ({tm.d_u},), "
+                         f"got {x.shape} and {u.shape}")
+    s = _standardize(tm, np.concatenate((x, u.ravel())))
+    if tm.kind == "stationary":
+        return np.exp(_log_softmax_dest(tm.bias))
+    a = _link_logits(tm, _expand(tm, s[None]), tm.feature_params)[0][0]
+    return np.exp(_log_softmax_dest(tm.bias + a[:, None]))
 
 
 def transition_probs(tm: TransitionModel, z_prev: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:

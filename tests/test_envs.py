@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rarhmm.envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE,
-                         ENV_PENDULUM, EnvConfig, ball_rest_state,
+                         ENV_PENDULUM, EnvConfig, ball_rest_state, clip_control,
                          collect_demonstrations, collect_trajectories,
                          default_config, env_dims, expert_policy,
                          expert_swingup, explore_policy, initial_state,
@@ -13,6 +13,8 @@ from rarhmm.envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE,
                          pendulum_energy, save_dataset, save_manifest,
                          select_split, simulate, step_env, wrap_angle)
 from rarhmm.model import Dataset
+
+from util import reference_step_env
 
 
 def _upright_tail_ok(traj, angle_idx, vel_idx, check_cart=False):
@@ -118,6 +120,38 @@ def test_pendulum_energy_drift():
     for _ in range(250):
         state = step_env(cfg, state, np.zeros(1))
     assert abs(pendulum_energy(cfg, state) - e0) / abs(e0) < 1e-4
+
+
+@pytest.mark.parametrize("env", [ENV_PENDULUM, ENV_CARTPOLE])
+def test_step_env_matches_array_rk4(env):
+    cfg = default_config(env)
+    rng = np.random.default_rng(3)
+    d = 2 if env == ENV_PENDULUM else 4
+    for scale in (1.0, 10.0):
+        states = scale * rng.standard_normal((2000, d))
+        us = scale * rng.standard_normal((2000, 1))
+        for state, u in zip(states, us):
+            np.testing.assert_array_equal(step_env(cfg, state, u),
+                                          reference_step_env(cfg, state, u))
+    # a zero-width control counts as zero force
+    np.testing.assert_array_equal(step_env(cfg, states[0], np.zeros(0)),
+                                  reference_step_env(cfg, states[0], np.zeros(1)))
+
+
+def test_clip_control_matches_np_clip():
+    cfg = default_config(ENV_PENDULUM)
+    lim = cfg.limit
+    for v in (-np.inf, -lim - 1e-9, -lim, -1.0, -0.0, 0.0, 0.5, lim, lim + 3.0, np.inf):
+        got = clip_control(cfg, np.array([v]))
+        want = np.clip(np.array([v]), -lim, lim)
+        assert got.shape == (1,) and got.dtype == float
+        assert got[0] == want[0] and np.signbit(got[0]) == np.signbit(want[0])
+    assert np.isnan(clip_control(cfg, np.array([np.nan]))[0])
+    assert clip_control(cfg, 7.0)[0] == lim
+    with pytest.raises(ValueError):
+        clip_control(cfg, np.zeros(2))
+    ball = clip_control(default_config(ENV_BOUNCING_BALL), np.zeros(0))
+    assert ball.shape == (0,)
 
 
 def test_wrap_and_observe():
@@ -307,6 +341,9 @@ _GOOD_RECORD = {"id": "a", "dt": 0.1, "xs": [[0.0], [1.0]], "us": [[0.0], [0.0]]
     ({**_GOOD_RECORD, "xs": [[0.0], [1.0, 2.0]]}, "line 2"),
     ({**_GOOD_RECORD, "xs": 3.0}, "line 2"),
     ({**_GOOD_RECORD, "us": [[0.0], [0.0], [0.0]]}, "line 2"),
+    # a flat list holds one control per step, not T * d_u entries
+    ({**_GOOD_RECORD, "us": [0.0, 0.0, 0.0, 0.0]}, "2 scalars, got shape"),
+    ({**_GOOD_RECORD, "us": [[[0.0]], [[0.0]]]}, "2 rows of controls"),
 ])
 def test_load_dataset_rejects_malformed_records(tmp_path, record, match):
     path = tmp_path / "data.ndjson"
@@ -314,6 +351,13 @@ def test_load_dataset_rejects_malformed_records(tmp_path, record, match):
     with pytest.raises(ValueError, match=match) as ei:
         load_dataset(path)
     assert re.search(re.escape(str(path)) + ": line 2", str(ei.value))
+
+
+def test_load_dataset_reads_flat_scalar_controls(tmp_path):
+    path = tmp_path / "data.ndjson"
+    path.write_text(json.dumps({**_GOOD_RECORD, "us": [0.5, -1.0]}) + "\n")
+    traj = load_dataset(path).trajectories[0]
+    np.testing.assert_array_equal(traj.us, [[0.5], [-1.0]])
 
 
 @pytest.mark.parametrize("doc", [{}, [], {"splits": 3}, {"splits": [1, 2]},

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from rarhmm import inference
-from rarhmm._linalg import logsumexp
 from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch,
                               backward_pass, estep, forward_pass,
                               local_quantities, smooth, smooth_dataset)
 from rarhmm.model import CLOSED_LOOP, Dataset, log_local_evidence
 
-from util import (brute_force_posterior, random_dataset, random_model,
-                  random_trajectory, reference_backward_batch,
+from util import (brute_force_posterior, logsumexp, random_dataset,
+                  random_model, random_trajectory, reference_backward_batch,
                   reference_forward_batch, viterbi)
 
 

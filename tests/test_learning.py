@@ -17,7 +17,8 @@ from rarhmm.transition import (_nll_grad_packed, make_transition,
                                weighted_nll_and_grad)
 
 from util import (models_equal, random_dataset, random_model,
-                  random_trajectory, reference_gd_mstep, tensor_nll_grad)
+                  random_trajectory, reference_gd_mstep, reference_kmeans,
+                  tensor_nll_grad)
 
 
 def test_parse_transition_spec():
@@ -54,6 +55,25 @@ def test_kmeans_recovers_separated_clusters():
     assert len(set(labels[:40])) == 1
     assert len(set(labels[40:])) == 1
     assert labels[0] != labels[40]
+
+
+def test_kmeans_fixed_point_stop_keeps_reference_labels():
+    cases = []
+    for seed in range(6):
+        m = random_model(K=3, d_x=2, d_u=1, seed=seed)
+        ds = random_dataset(m, n=3, T=40, seed=seed)
+        pts = np.concatenate([np.concatenate([t.xs[:-1], np.diff(t.xs, axis=0)], axis=1)
+                              for t in ds.trajectories], axis=0)
+        cases += [(pts, K, seed, False) for K in (1, 2, 5)]
+    # heavy-tailed 1-D sets on which Lloyd's rounds leave a cluster empty
+    for seed in (1650, 1882, 2987):
+        r = np.random.default_rng(seed)
+        n, K = int(r.integers(8, 30)), int(r.integers(3, 9))
+        cases.append((r.standard_normal((n, 1)) ** 3, K, seed, True))
+    for pts, K, seed, empties in cases:
+        want, reseeded = reference_kmeans(pts, K, np.random.default_rng(seed))
+        assert reseeded > 0 or not empties
+        np.testing.assert_array_equal(_kmeans(pts, K, np.random.default_rng(seed)), want)
 
 
 def test_em_loglik_monotone():

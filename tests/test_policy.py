@@ -1,8 +1,10 @@
+import collections
+
 import numpy as np
 import pytest
 
 from rarhmm import policy
-from rarhmm.envs import default_config, load_dataset
+from rarhmm.envs import default_config, env_dims, load_dataset
 from rarhmm.evaluation import filter_all
 from rarhmm.learning import FitConfig
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
@@ -14,7 +16,8 @@ from rarhmm.policy import (ACT_MODES, RolloutResult, _belief_step,
 from rarhmm.transition import make_transition
 
 from util import (models_equal, random_dataset, random_model, reference_act,
-                  reference_belief_step)
+                  reference_belief_step, reference_clip_control,
+                  reference_step_env)
 
 
 def _closed_loop_model(gains, offsets=None, d_x=1, lag=0, init_mu=None,
@@ -336,14 +339,29 @@ def test_act_matches_per_regime_loop(K, lag, degree):
 
 
 @pytest.mark.parametrize("mode", ACT_MODES)
-def test_rollout_matches_per_regime_reference(monkeypatch, mode):
-    gen = random_model(K=3, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear",
+@pytest.mark.parametrize("env,obs", [("pendulum", "joint"), ("pendulum", "trig"),
+                                     ("cartpole", "joint"), ("cartpole", "trig")])
+def test_rollout_matches_per_regime_reference(monkeypatch, env, obs, mode):
+    cfg = default_config(env, obs=obs)
+    d_x, d_u = env_dims(cfg)
+    gen = random_model(K=3, d_x=d_x, d_u=d_u, mode=CLOSED_LOOP, kind="linear",
                        seed=6, lag=1, noise_scale=0.5)
-    pend = default_config("pendulum")
-    fast = rollout(pend, gen, T=200, mode=mode, rng=np.random.default_rng(4))
-    monkeypatch.setattr(policy, "_belief_step", reference_belief_step)
-    monkeypatch.setattr(policy, "act", reference_act)
-    ref = rollout(pend, gen, T=200, mode=mode, rng=np.random.default_rng(4))
+    T = 200
+    fast = rollout(cfg, gen, T=T, mode=mode, rng=np.random.default_rng(4))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(policy, "_belief_step", counted("belief", reference_belief_step))
+    monkeypatch.setattr(policy, "act", counted("act", reference_act))
+    monkeypatch.setattr(policy, "step_env", counted("step", reference_step_env))
+    monkeypatch.setattr(policy, "clip_control", reference_clip_control)
+    ref = rollout(cfg, gen, T=T, mode=mode, rng=np.random.default_rng(4))
+    assert calls == {"belief": T - 1, "act": T, "step": T - 1}
     np.testing.assert_array_equal(fast.trajectory.xs, ref.trajectory.xs)
     np.testing.assert_array_equal(fast.trajectory.us, ref.trajectory.us)
     np.testing.assert_array_equal(fast.beliefs, ref.beliefs)

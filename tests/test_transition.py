@@ -155,6 +155,40 @@ def test_matrices_equal_source_major_formula(kind, kw, M):
     assert np.array_equal(got, reference_transition_matrices(tm, xs, us))
 
 
+# the perceptron's tanh bounds its logits, so it saturates only with large
+# output weights
+@pytest.mark.parametrize("kind,scale,kw", [
+    pytest.param("stationary", 2.0, {}, id="stationary"),
+    pytest.param("linear", 2.0, {}, id="linear"),
+    pytest.param("polynomial", 2.0, {"degree": 2}, id="polynomial2"),
+    pytest.param("perceptron", 300.0, {"hidden_units": 4}, id="perceptron")])
+def test_single_step_matrix_equals_batched_slice(kind, scale, kw):
+    # the runtime belief and its per-regime reference both call the
+    # single-step path; bit equality ties them to the batched link
+    rng = np.random.default_rng(16)
+    tm = _random_tm(kind, 5, 3, 1, seed=16, scale=scale, **kw)
+    saturated = 0
+    for size in (1.0, 30.0, 1e3):
+        for _ in range(50):
+            x, u = size * rng.standard_normal(3), size * rng.standard_normal(1)
+            got = transition_matrix(tm, x, u)
+            assert got.shape == (5, 5)
+            assert np.array_equal(got, transition_matrices(tm, x[None], u[None])[0])
+            assert np.array_equal(transition_probs(tm, 2, x, u), got[:, 2])
+            saturated += np.any(got == 0.0)
+    if kind != "stationary":
+        assert saturated > 0            # some softmax column underflowed
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            transition_matrix(tm, np.array([0.0, bad, 0.0]), np.zeros(1))
+        with pytest.raises(ValueError, match="finite"):
+            transition_matrix(tm, np.zeros(3), np.array([bad]))
+    for x, u in ((np.zeros(2), np.zeros(1)), (np.zeros((1, 3)), np.zeros(1)),
+                 (np.zeros(3), np.zeros(2))):
+        with pytest.raises(ValueError):
+            transition_matrix(tm, x, u)
+
+
 def test_nll_degenerate_target_drives_prob_to_one():
     # all mass on 0 -> 0: the closed-form optimum puts psi_00 -> 1, NLL -> 0
     tm = make_transition("stationary", 2, 1, 0)

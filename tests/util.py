@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 
-from rarhmm._linalg import LOG2PI, logsumexp
+from rarhmm._linalg import LOG2PI
+from rarhmm.envs import env_dims
 from rarhmm.features import controller_feature_dim
 from rarhmm.inference import Posterior, local_quantities
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
@@ -16,6 +17,17 @@ from rarhmm.transition import (_link_logits, transition_probs, _nll_grad_packed,
                                params_to_vector, stack_transition_stats,
                                transition_features, transition_matrices,
                                transition_matrix, vector_to_params, xi_marginals)
+
+
+def logsumexp(a, axis=None):
+    """log sum exp over axis (all entries when None); all -inf rows stay -inf."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)
 
 
 def mvn_logpdf(x, mean, cov):
@@ -407,3 +419,68 @@ def reference_backward_batch(ev, trans, log_norms):
         log_w = ev[:, t + 1] - log_norms[:, t + 1, None] + log_beta[:, t + 1]
         log_beta[:, t] = logsumexp(log_trans[:, t] + log_w[:, :, None], axis=1)
     return log_beta
+
+
+def reference_kmeans(points, K, rng, iters=50):
+    """Lloyd iteration for a fixed count, as the library ran it before it
+    stopped at the fixed point. Returns (labels, number of empty clusters
+    re-seeded over all rounds)."""
+    distinct = np.unique(points, axis=0)
+    centers = distinct[rng.choice(len(distinct), size=K, replace=False)]
+    labels = np.zeros(len(points), dtype=int)
+    reseeded = 0
+    for _ in range(iters):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        dist_own = d2[np.arange(len(points)), labels]
+        taken = []
+        for k in range(K):
+            if not np.any(labels == k):
+                order = np.argsort(-dist_own)
+                pick = next(int(i) for i in order if int(i) not in taken)
+                labels[pick] = k
+                taken.append(pick)
+                reseeded += 1
+        for k in range(K):
+            centers[k] = points[labels == k].mean(axis=0)
+    return labels, reseeded
+
+
+def _reference_pendulum_derivs(config, state, u):
+    g, m, l, b = config.gravity, config.mass, config.length, config.damping
+    th, om = state
+    acc = (g / l) * np.sin(th) + (u - b * om) / (m * l * l)
+    return np.array([om, acc])
+
+
+def _reference_cartpole_derivs(config, state, u):
+    g, mp, l = config.gravity, config.mass, config.length
+    total = config.cart_mass + mp
+    _, pd, th, om = state
+    sin, cos = np.sin(th), np.cos(th)
+    tmp = (u + mp * l * om * om * sin) / total
+    th_acc = (g * sin - cos * tmp) / (l * (4.0 / 3.0 - mp * cos * cos / total))
+    th_acc -= config.damping * om
+    p_acc = tmp - mp * l * th_acc * cos / total
+    return np.array([pd, p_acc, om, th_acc])
+
+
+def reference_step_env(config, state, u):
+    """One RK4 step of the pendulum or cart-pole on state arrays, as the
+    library took it before its scalar step."""
+    derivs = (_reference_pendulum_derivs if config.env == "pendulum"
+              else _reference_cartpole_derivs)
+    state = np.asarray(state, dtype=float)
+    uu = float(np.asarray(u, dtype=float).reshape(-1)[0]) if np.size(u) else 0.0
+    dt = config.dt
+    k1 = derivs(config, state, uu)
+    k2 = derivs(config, state + 0.5 * dt * k1, uu)
+    k3 = derivs(config, state + 0.5 * dt * k2, uu)
+    k4 = derivs(config, state + dt * k3, uu)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_clip_control(config, u):
+    """Actuator clipping by np.clip on the control array."""
+    return np.clip(np.asarray(u, dtype=float).reshape(env_dims(config)[1]),
+                   -config.limit, config.limit)
