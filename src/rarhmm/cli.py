@@ -24,7 +24,8 @@ from .envs import (ENVS, OBS_MODES, collect_demonstrations,
 from .evaluation import count_params, count_params_breakdown, evaluate
 from .learning import FitConfig, fit_em
 from .model import CLOSED_LOOP, MODES, load_model, model_to_dict
-from .policy import ACT_MODES, distill, rollout, save_rollout, success_criterion
+from .policy import (ACT_MODES, default_distill_config, distill, rollout,
+                     save_rollout, success_criterion)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,6 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 # -- config plumbing ------------------------------------------------------------
 
+# config keys of fit and distill, and the FitConfig field each one sets
+_FIT_FIELDS = dict(K="K", transition="transition_kind", lag="lag",
+                   poly_degree="poly_degree", max_iters="max_iters",
+                   restarts="restarts", rel_tol="rel_tol", seed="seed")
+_DISTILL_CONFIG = default_distill_config()
+
 _DEFAULTS = {
     "simulate": dict(env="pendulum", obs="joint", seed=0, n_train=25,
                      n_test=5, steps=None, policy="explore", n_splits=24,
@@ -59,9 +66,9 @@ _DEFAULTS = {
                 timings=False, out_dir="."),
     "eval": dict(test=None, model=None, horizons="1,5,10,15,20,25",
                  mode="marginal", seed=0, out_dir="."),
-    "distill": dict(demos=None, K=5, transition="linear", lag=1,
-                    poly_degree=1, max_iters=200, restarts=5, rel_tol=1e-6,
-                    seed=0, timings=False, out_dir="."),
+    "distill": dict(demos=None, **{key: getattr(_DISTILL_CONFIG, name)
+                                   for key, name in _FIT_FIELDS.items()},
+                    timings=False, out_dir="."),
     "rollout": dict(env="pendulum", obs="joint", model=None, expert=False,
                     episodes=50, steps=None, mode="mean", seed=0,
                     out_dir="."),
@@ -175,11 +182,8 @@ def _fit_config(cfg: dict, mode: str, parser: _Parser) -> FitConfig:
     """The FitConfig of a fit or distill command config; a bad value is a usage error."""
     _positive(cfg, ("K", "max_iters", "restarts"), parser)
     try:
-        return FitConfig(K=cfg["K"], mode=mode,
-                         transition_kind=cfg["transition"], lag=cfg["lag"],
-                         poly_degree=cfg["poly_degree"],
-                         max_iters=cfg["max_iters"], restarts=cfg["restarts"],
-                         rel_tol=cfg["rel_tol"], seed=cfg["seed"])
+        return FitConfig(mode=mode, **{name: cfg[key]
+                                       for key, name in _FIT_FIELDS.items()})
     except ValueError as e:
         parser.error(str(e))
 
@@ -405,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", dest="out_dir")
 
     p = sub.add_parser("count-params", help="print a model's parameter count")
-    _add_common(p)
+    p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--model")
     return parser
 

@@ -36,9 +36,7 @@ def filter_prefix(model: HybridModel, traj: Trajectory, t: int) -> np.ndarray:
     """Filtered belief after the first t steps (1-based, 1 <= t <= T)."""
     if not 1 <= t <= traj.T:
         raise ValueError(f"prefix length t={t} outside 1..{traj.T}")
-    ev, trans = local_quantities(model, traj)
-    alpha, _, _ = forward_pass(ev[:t], trans[:max(t - 1, 0)], model.init.pi)
-    return alpha[-1]
+    return filter_all(model, traj)[t - 1]
 
 
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,

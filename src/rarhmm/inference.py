@@ -196,10 +196,10 @@ def backward_pass(evidence, trans_mats, log_norms):
 
 
 def smooth(model: HybridModel, traj: Trajectory) -> Posterior:
-    """Full forward-backward smoothing of one trajectory."""
-    ev, trans = local_quantities(model, traj)
-    gamma, xi, loglik = _smooth_batch(ev[None], trans[None], model.init.pi)
-    return Posterior(gamma=gamma[0], xi=xi[0], loglik=float(loglik[0]))
+    """Full forward-backward smoothing of one trajectory: smooth_dataset of
+    the dataset holding it alone."""
+    posteriors, _, _ = smooth_dataset(model, Dataset((traj,), traj.d_x, traj.d_u))
+    return posteriors[0]
 
 
 def smooth_dataset(model: HybridModel, dataset: Dataset):

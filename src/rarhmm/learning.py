@@ -11,12 +11,16 @@ beyond floating-point noise. It stops on an evaluation cap or a relative-NLL
 test, not at the optimum, which lies at infinity when the posteriors are
 nearly hard; a bound on each step keeps the parameters from running off
 there within one M-step. Each transition M-step reduces the pairwise
-marginals xi once to source mass, destination mass and pair counts; every
-objective evaluation then works on (M, K) link logits and the (K, K) bias
-(factored objective in transition.py), for every link kind. The k-means
-initialization feeds the same M-steps one-hot posteriors. Covariances are
-projected onto the SPD cone with a minimum-eigenvalue floor, which is the
-constrained argmax, so the monotonicity guarantee survives the projection.
+marginals xi once to source mass, destination mass and pair counts
+(transition_stats); every objective evaluation then works on (M, K) link
+logits and the (K, K) bias (factored objective in transition.py), for every
+link kind. The k-means initialization feeds one-hot posteriors to the same
+Gaussian M-steps EM runs (_mstep_gaussians), with fallback blocks for regimes
+it leaves empty. The link is sized by its FitConfig spec alone: 'linear',
+'polynomial:2', 'perceptron:16' (a bare 'perceptron' is 16 units wide).
+Covariances are projected onto the SPD cone with a minimum-eigenvalue floor,
+which is the constrained argmax, so the monotonicity guarantee survives the
+projection.
 """
 from __future__ import annotations
 
@@ -32,9 +36,8 @@ from .inference import Posterior, smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
                     InitialModel, RegimeController, RegimeDynamics,
                     controller_feature_series)
-from .transition import (TransitionModel, _nll_grad_packed, make_transition,
-                         params_to_vector, stack_transition_stats,
-                         vector_to_params, xi_marginals)
+from .transition import (TransitionModel, _nll_grad, make_transition,
+                         params_to_vector, transition_stats, vector_to_params)
 
 RIDGE = 1e-8
 EMPTY_WEIGHT = 1e-12
@@ -45,6 +48,7 @@ FEATURE_INIT_SCALE = 0.01
 MAX_EVALS = 25        # transition objective evaluations per M-step
 STEP_BOUND = 1.0      # infinity-norm bound on one transition parameter step
 NLL_RTOL = 1e-5       # stop once a quasi-Newton step gains less than this, relative
+PERCEPTRON_HIDDEN_UNITS = 16  # width of a perceptron link spec without one
 
 
 def parse_transition_spec(spec: str) -> tuple[str, int | None, int | None]:
@@ -74,21 +78,13 @@ class FitConfig:
     rel_tol: float = 1e-6
     restarts: int = 5
     seed: int = 0
-    # filled from transition_kind strings like "perceptron:16"
-    transition_degree: int = field(default=1)
-    hidden_units: int = field(default=0)
 
     def __post_init__(self):
-        kind, degree, hidden = parse_transition_spec(self.transition_kind)
-        self.transition_kind = kind
-        if degree is not None:
-            self.transition_degree = degree
-        if hidden is not None:
-            self.hidden_units = hidden
-        if kind == "polynomial" and self.transition_degree < 1:
+        _, degree, hidden = parse_transition_spec(self.transition_kind)
+        if degree is not None and degree < 1:
             raise ValueError("polynomial transition needs degree >= 1")
-        if kind == "perceptron" and self.hidden_units < 1:
-            self.hidden_units = 16
+        if hidden is not None and hidden < 1:
+            raise ValueError("perceptron transition needs hidden units >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.K < 1 or self.max_iters < 1 or self.restarts < 1:
@@ -205,16 +201,12 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
                                loglik=np.nan))
 
     floor = COVARIANCE_FLOOR
-    fallback_init = _global_initial(dataset, K, floor)
     fallback_dyn = tuple(RegimeDynamics(A=np.eye(dataset.d_x),
                                         B=np.zeros((dataset.d_x, dataset.d_u)),
                                         c=np.zeros(dataset.d_x),
                                         lam_cov=floor * np.eye(dataset.d_x))
                          for _ in range(K))
-    init = mstep_initial(posts, dataset, floor, prev=fallback_init)
-    dynamics = mstep_dynamics(posts, dataset, floor, prev=fallback_dyn)
-
-    controllers = None
+    fallback_ctl = None
     if config.mode == CLOSED_LOOP:
         d_phi = controller_feature_dim(dataset.d_x, dataset.d_u, config.lag,
                                        config.poly_degree)
@@ -224,13 +216,14 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
                                               lag=config.lag,
                                               poly_degree=config.poly_degree)
                              for _ in range(K))
-        controllers = mstep_controller(posts, dataset, config.lag, config.poly_degree,
-                                       floor, prev=fallback_ctl)
+    init, dynamics, controllers = _mstep_gaussians(
+        posts, dataset, config, _global_initial(dataset, K, floor), fallback_dyn,
+        fallback_ctl)
 
     mean, std = _dataset_standardizer(dataset)
-    tm = make_transition(config.transition_kind, K, dataset.d_x, dataset.d_u,
-                         degree=config.transition_degree,
-                         hidden_units=config.hidden_units,
+    kind, degree, hidden = parse_transition_spec(config.transition_kind)
+    tm = make_transition(kind, K, dataset.d_x, dataset.d_u, degree=degree or 1,
+                         hidden_units=hidden or PERCEPTRON_HIDDEN_UNITS,
                          feat_mean=mean, feat_std=std,
                          bias=STICKY_LOGIT * np.eye(K),
                          rng=rng, init_scale=FEATURE_INIT_SCALE)
@@ -383,12 +376,11 @@ def mstep_transitions(posteriors, dataset: Dataset,
         bias = np.log(np.maximum(probs.T, 1e-300))           # bias[i, j], column j
         return replace(tm_hat, bias=bias)
 
-    feats, xi_di = stack_transition_stats(tm_hat, dataset, xis)
-    marginals = xi_marginals(xi_di)
-    scale = 1.0 / len(feats)  # optimize the mean NLL so step sizes are data-size-free
+    stats = transition_stats(tm_hat, dataset, xis)
+    scale = 1.0 / len(stats[0])  # optimize the mean NLL so step sizes are data-size-free
 
     def objective(v):
-        f, g = _nll_grad_packed(tm_hat, v, feats, xi_di, marginals)
+        f, g = _nll_grad(tm_hat, v, *stats)
         return f * scale, g * scale
 
     vec = params_to_vector(tm_hat)
@@ -432,16 +424,24 @@ def mstep_transitions(posteriors, dataset: Dataset,
     return vector_to_params(tm_hat, vec)
 
 
+def _mstep_gaussians(posteriors, dataset: Dataset, config: FitConfig, init,
+                     dynamics, controllers):
+    """The closed-form M-steps, each regime without weight keeping its block
+    of init, dynamics or controllers; controllers are fit only when given
+    (closed loop). Returns the new (init, dynamics, controllers)."""
+    floor = COVARIANCE_FLOOR
+    init = mstep_initial(posteriors, dataset, floor, prev=init)
+    dynamics = mstep_dynamics(posteriors, dataset, floor, prev=dynamics)
+    if controllers is not None:
+        controllers = mstep_controller(posteriors, dataset, config.lag,
+                                       config.poly_degree, floor, prev=controllers)
+    return init, dynamics, controllers
+
+
 def _mstep_all(model: HybridModel, posteriors, dataset: Dataset,
                config: FitConfig) -> HybridModel:
-    floor = COVARIANCE_FLOOR
-    init = mstep_initial(posteriors, dataset, floor, prev=model.init)
-    dynamics = mstep_dynamics(posteriors, dataset, floor, prev=model.dynamics)
-    controllers = None
-    if model.mode == CLOSED_LOOP:
-        controllers = mstep_controller(posteriors, dataset, config.lag,
-                                       config.poly_degree, floor,
-                                       prev=model.controllers)
+    init, dynamics, controllers = _mstep_gaussians(
+        posteriors, dataset, config, model.init, model.dynamics, model.controllers)
     tm = mstep_transitions(posteriors, dataset, model.transition)
     return HybridModel(K=model.K, d_x=model.d_x, d_u=model.d_u, mode=model.mode,
                        init=init, dynamics=dynamics, transition=tm,
@@ -461,24 +461,20 @@ def _run_em(dataset: Dataset, config: FitConfig, rng: np.random.Generator,
     model = init_model if init_model is not None else initialize(dataset, config, rng)
     history = FitHistory()
     prev_ll = -np.inf
-    converged = False
-    for _ in range(config.max_iters):
+    # max_iters M-steps at most; the last pass only records the likelihood of
+    # the model returned, so the history ends there
+    for it in range(config.max_iters + 1):
         t0 = time.perf_counter()
         posteriors, loglik, q = _estep_stats(model, dataset)
         converged = np.isfinite(prev_ll) and \
             (loglik - prev_ll) < config.rel_tol * (1.0 + abs(prev_ll))
-        if not converged:
+        last = converged or it == config.max_iters
+        if not last:
             model = _mstep_all(model, posteriors, dataset, config)
         history.append(loglik, q, time.perf_counter() - t0)
-        if converged:
+        if last:
             break
         prev_ll = loglik
-    if not converged:
-        # max_iters exhausted after an M-step: record the returned model's
-        # likelihood so the history ends at the model actually returned
-        t0 = time.perf_counter()
-        _, loglik, q = _estep_stats(model, dataset)
-        history.append(loglik, q, time.perf_counter() - t0)
     return model, history
 
 

@@ -28,7 +28,9 @@ a = g(s) of shape (M, K) and b = bias,
 
 so the objective and its gradients need only three marginals of xi: source
 mass src[m, j] = sum_i xi, destination mass dest[m, i] = sum_j xi and pair
-counts pairs[i, j] = sum_m xi:
+counts pairs[i, j] = sum_m xi. transition_stats stacks the link features and
+reduces the posteriors to these three once; every evaluation of the objective
+_nll_grad then reads them:
 
     NLL    = sum src * log Z - sum dest * a - sum pairs * b
     d a    = E * ((src / Zs) @ B.T) - dest
@@ -275,19 +277,22 @@ def vector_to_params(tm: TransitionModel, vec: np.ndarray) -> TransitionModel:
                    feature_params=vec[kk:].copy())
 
 
-def stack_transition_stats(tm: TransitionModel, dataset, xis) -> tuple[np.ndarray, np.ndarray]:
-    """Stack link features at source steps and xi tables across trajectories.
+def transition_stats(tm: TransitionModel, dataset, xis
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Link features at source steps and the statistics of xi the objective
+    reads, stacked across trajectories.
 
     xis holds one (T-1, K, K) pairwise-marginal array per trajectory, indexed
-    [t, j, i] for source j -> destination i. Returns feats (M, F) and
-    xi_di (M, K, K) with xi_di[m, i, j] the expected count of j -> i at
-    stacked step m.
+    [t, j, i] for source j -> destination i. Returns feats (M, F), source
+    mass src[j, m] and destination mass dest[i, m], both regime-major (K, M),
+    and pair counts pairs[i, j]. All three are sums of one C-ordered (K, K, M)
+    array [i, j, m], so each reduces over a leading axis or the contiguous one.
     """
-    feats, xs = [], []
-    for traj, xi in zip(dataset.trajectories, xis):
-        feats.append(transition_features(tm, traj.xs[:-1], traj.us[:-1]))
-        xs.append(np.swapaxes(xi, 1, 2))
-    return np.concatenate(feats, axis=0), np.concatenate(xs, axis=0)
+    feats = np.concatenate([transition_features(tm, traj.xs[:-1], traj.us[:-1])
+                            for traj in dataset.trajectories], axis=0)
+    xi_ijm = np.ascontiguousarray(
+        np.concatenate([xi.transpose(2, 1, 0) for xi in xis], axis=2))
+    return feats, xi_ijm.sum(axis=0), xi_ijm.sum(axis=1), xi_ijm.sum(axis=2)
 
 
 # Entries of the shifted normalizer Zs below this are recomputed exactly. Far
@@ -296,19 +301,15 @@ def stack_transition_stats(tm: TransitionModel, dataset, xis) -> tuple[np.ndarra
 _Z_FLOOR = 1e-200
 
 
-def xi_marginals(xi_di: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source mass src[j, m] and destination mass dest[i, m], both regime-major
-    (K, M), and pair counts pairs[i, j] of xi_di[m, i, j]: the only statistics
-    of xi the factored objective reads."""
-    xi_ijm = np.ascontiguousarray(xi_di.transpose(1, 2, 0))
-    return xi_ijm.sum(axis=0), xi_ijm.sum(axis=1), xi_ijm.sum(axis=2)
-
-
-def _nll_grad_factored(tm: TransitionModel, bias: np.ndarray, params: np.ndarray,
-                       feats: np.ndarray, src: np.ndarray, dest: np.ndarray,
-                       pairs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective of _nll_grad_packed from the marginals of xi (module
-    docstring). Per-step arrays are (K, M)."""
+def _nll_grad(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,
+              src: np.ndarray, dest: np.ndarray,
+              pairs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Expected transition NLL -sum_m sum_ij xi[m, i, j] log psi[m, i, j] and
+    its gradient at parameter vector `vec`, in factored form from the
+    statistics of transition_stats (module docstring). Per-step arrays are
+    (K, M)."""
+    kk = tm.K * tm.K
+    bias, params = vec[:kk].reshape(tm.K, tm.K), vec[kk:]
     a, h = _link_logits(tm, feats, params)
     a = np.ascontiguousarray(a.T)
     a_rel = a - a.max(axis=0)                          # <= 0
@@ -354,28 +355,10 @@ def _nll_grad_factored(tm: TransitionModel, bias: np.ndarray, params: np.ndarray
                                 grad_w2.ravel(), grad_b2])
 
 
-def _nll_grad_packed(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,
-                     xi_di: np.ndarray,
-                     marginals: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                     ) -> tuple[float, np.ndarray]:
-    """Expected transition NLL and its gradient at parameter vector `vec`.
-
-    feats and xi_di come from stack_transition_stats; marginals is the optional
-    precomputed xi_marginals(xi_di), invariant across evaluations. The objective
-    is -sum_m sum_ij xi_di[m, i, j] log psi[m, i, j], evaluated in factored form
-    (see the module docstring).
-    """
-    kk = tm.K * tm.K
-    src, dest, pairs = xi_marginals(xi_di) if marginals is None else marginals
-    return _nll_grad_factored(tm, vec[:kk].reshape(tm.K, tm.K), vec[kk:], feats,
-                              src, dest, pairs)
-
-
 def weighted_nll_and_grad(tm: TransitionModel, dataset, xis) -> tuple[float, np.ndarray]:
     """Expected negative log-likelihood of transitions under pairwise marginals.
 
     The gradient is with respect to the trainable vector params_to_vector(tm):
     bias entries row-major, then feature_params.
     """
-    feats, xi_di = stack_transition_stats(tm, dataset, xis)
-    return _nll_grad_packed(tm, params_to_vector(tm), feats, xi_di)
+    return _nll_grad(tm, params_to_vector(tm), *transition_stats(tm, dataset, xis))

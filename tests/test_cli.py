@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -8,7 +9,8 @@ from rarhmm import cli
 from rarhmm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from rarhmm.envs import load_dataset, load_manifest
 from rarhmm.evaluation import count_params
-from rarhmm.model import load_model, save_model
+from rarhmm.model import CLOSED_LOOP, load_model, save_model
+from rarhmm.policy import default_distill_config
 
 from test_policy import _closed_loop_model
 
@@ -205,6 +207,32 @@ def test_count_params_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"total={count_params(model)}" in out
     assert "initial_probs=2" in out
+
+
+def test_parser_flags_are_the_config_keys():
+    # a flag per config key and a key per flag, so a config file accepts
+    # exactly what the command line does
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._DEFAULTS)
+    for command, p in sub.choices.items():
+        dests = {a.dest for a in p._actions if a.dest != "help"}
+        assert dests == set(cli._DEFAULTS[command]) | {"config"}, command
+    with pytest.raises(SystemExit) as ei:
+        _run("count-params", "--model", "m.json", "--seed", "1")
+    assert ei.value.code == EXIT_USAGE
+
+
+def test_distill_defaults_are_default_distill_config():
+    parser = cli.build_parser()
+    cfg = cli._resolve_config("distill", parser.parse_args(["distill"]))
+    assert cli._fit_config(cfg, CLOSED_LOOP, parser) == default_distill_config()
+    # values and types as before, so every distill config_sha256 is unchanged
+    want = dict(demos=None, K=5, transition="linear", lag=1, poly_degree=1,
+                max_iters=200, restarts=5, rel_tol=1e-6, seed=0, timings=False,
+                out_dir=".")
+    assert json.dumps(cfg, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_config_file_merging_and_flag_override(tmp_path):

@@ -12,13 +12,12 @@ from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
 from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
                           RegimeController, RegimeDynamics, Trajectory,
                           sample_trajectory)
-from rarhmm.transition import (_nll_grad_packed, make_transition,
-                               params_to_vector, transition_matrix,
-                               weighted_nll_and_grad)
+from rarhmm.transition import (_nll_grad, make_transition, params_to_vector,
+                               transition_matrix, weighted_nll_and_grad)
 
 from util import (models_equal, random_dataset, random_model,
                   random_trajectory, reference_gd_mstep, reference_kmeans,
-                  tensor_nll_grad)
+                  reference_stack_transition_stats, tensor_nll_grad)
 
 
 def test_parse_transition_spec():
@@ -32,14 +31,21 @@ def test_parse_transition_spec():
 
 
 def test_fit_config_spec_strings():
+    # the spec is kept as given, so replace() round-trips it, and it alone
+    # sizes the link initialize builds
     c = FitConfig(K=2, transition_kind="polynomial:3")
-    assert c.transition_kind == "polynomial" and c.transition_degree == 3
-    c = FitConfig(K=2, transition_kind="perceptron")
-    assert c.hidden_units == 16
-    c = FitConfig(K=2, transition_kind="perceptron", hidden_units=24)
-    assert c.hidden_units == 24
-    c = FitConfig(K=2, transition_kind="perceptron:8", hidden_units=24)
-    assert c.hidden_units == 8
+    assert c.transition_kind == "polynomial:3"
+    assert replace(c, seed=4) == FitConfig(K=2, transition_kind="polynomial:3", seed=4)
+    ds = random_dataset(random_model(K=2, seed=3), n=2, T=20, seed=3)
+    for spec, degree, hidden in (("polynomial:3", 3, 0), ("polynomial", 1, 0),
+                                 ("perceptron", 1, 16), ("Perceptron:8", 1, 8),
+                                 ("linear", 1, 0)):
+        cfg = FitConfig(K=2, transition_kind=spec)
+        tm = initialize(ds, cfg, np.random.default_rng(0)).transition
+        assert (tm.degree, tm.hidden_units) == (degree, hidden), spec
+    for spec in ("polynomial:0", "perceptron:0", "perceptron:-3", "linear:2"):
+        with pytest.raises(ValueError):
+            FitConfig(K=2, transition_kind=spec)
     with pytest.raises(ValueError):
         FitConfig(K=0)
     with pytest.raises(ValueError):
@@ -151,6 +157,28 @@ def test_mixed_length_estep_is_one_batch(monkeypatch):
     monkeypatch.setattr(inference, "_smooth_batch", counted)
     learning._estep_stats(m, ds)
     assert shapes == [(5, 30, 2)]
+
+
+@pytest.mark.parametrize("rel_tol,passes", [(1e-300, 4), (1e9, 2)])
+def test_em_history_ends_at_returned_model(monkeypatch, rel_tol, passes):
+    # exhausted (max_iters = 3 M-steps) or converged at the second pass, the
+    # last E-step is of the model returned and no M-step follows it
+    m = random_model(K=2, d_x=2, d_u=1, kind="linear", seed=14)
+    ds = random_dataset(m, n=2, T=30, seed=14)
+    seen = []
+    estep_stats = learning._estep_stats
+
+    def counted(model, dataset):
+        seen.append(model)
+        return estep_stats(model, dataset)
+
+    monkeypatch.setattr(learning, "_estep_stats", counted)
+    cfg = FitConfig(K=2, transition_kind="linear", max_iters=3, restarts=1,
+                    rel_tol=rel_tol, seed=1)
+    fit, hist = fit_em(ds, cfg)
+    assert len(hist) == len(seen) == passes
+    assert seen[-1] is fit and seen[-2] is not fit
+    assert hist.loglik[-1] == estep(fit, ds)[1]
 
 
 def test_k1_matches_analytic_mle():
@@ -321,9 +349,10 @@ def test_mstep_transitions_matches_tensor_path(monkeypatch):
     ds = random_dataset(m, n=2, T=30, seed=10)
     posts, _ = estep(m, ds)
     new = mstep_transitions(posts, ds, m.transition)
-    monkeypatch.setattr(learning, "_nll_grad_packed",
-                        lambda tm, vec, feats, xi, marginals:
-                        tensor_nll_grad(tm, vec, feats, xi))
+    _, xi_di = reference_stack_transition_stats(m.transition, ds, [p.xi for p in posts])
+    monkeypatch.setattr(learning, "_nll_grad",
+                        lambda tm, vec, feats, *marginals:
+                        tensor_nll_grad(tm, vec, feats, xi_di))
     ref = mstep_transitions(posts, ds, m.transition)
     assert new is not m.transition and ref is not m.transition
     np.testing.assert_allclose(params_to_vector(new), params_to_vector(ref),
@@ -349,13 +378,13 @@ def _solver_instance(case, seed=20):
 def test_mstep_transitions_beats_gradient_descent_within_cap(monkeypatch, case):
     posts, ds, tm_hat = _solver_instance(case)
     calls = []
-    packed = learning._nll_grad_packed
+    objective = learning._nll_grad
 
     def counted(*args):
         calls.append(1)
-        return packed(*args)
+        return objective(*args)
 
-    monkeypatch.setattr(learning, "_nll_grad_packed", counted)
+    monkeypatch.setattr(learning, "_nll_grad", counted)
     new = mstep_transitions(posts, ds, tm_hat)
     assert 1 < len(calls) <= learning.MAX_EVALS
     monkeypatch.undo()
@@ -394,21 +423,21 @@ def test_mstep_transitions_steps_stay_within_bound(monkeypatch, case, bound):
     assert np.all(np.diff(nlls) < 0.0)
 
 
-def _lying_gradient(tm, vec, feats, xi, marginals):
-    nll, grad = _nll_grad_packed(tm, vec, feats, xi, marginals)
+def _lying_gradient(tm, vec, *stats):
+    nll, grad = _nll_grad(tm, vec, *stats)
     return nll, -grad                                  # every step goes uphill
 
 
 def _nan_away_from_start(start):
-    def objective(tm, vec, feats, xi, marginals):
-        nll, grad = _nll_grad_packed(tm, vec, feats, xi, marginals)
+    def objective(tm, vec, *stats):
+        nll, grad = _nll_grad(tm, vec, *stats)
         if np.array_equal(vec, start):
             return nll, grad
         return nll - 1.0, np.full_like(grad, np.nan)   # lower, but unusable
     return objective
 
 
-def _flat(tm, vec, feats, xi, marginals):
+def _flat(tm, vec, *stats):
     return 1.0, np.zeros_like(vec)
 
 
@@ -418,13 +447,13 @@ def test_mstep_transitions_keeps_input_without_descent(monkeypatch, objective):
     fn = {"uphill": _lying_gradient,
           "nan_gradient": _nan_away_from_start(params_to_vector(tm_hat)),
           "flat": _flat}[objective]
-    monkeypatch.setattr(learning, "_nll_grad_packed", fn)
+    monkeypatch.setattr(learning, "_nll_grad", fn)
     assert mstep_transitions(posts, ds, tm_hat) is tm_hat
 
 
 def test_mstep_transitions_rejects_nonfinite_entry_gradient(monkeypatch):
     posts, ds, tm_hat = _solver_instance("linear")
-    monkeypatch.setattr(learning, "_nll_grad_packed",
+    monkeypatch.setattr(learning, "_nll_grad",
                         lambda tm, vec, *rest: (1.0, np.full_like(vec, np.inf)))
     with pytest.raises(FloatingPointError, match="non-finite transition gradient"):
         mstep_transitions(posts, ds, tm_hat)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from rarhmm.inference import estep
 from rarhmm.model import Dataset, Trajectory
-from rarhmm.transition import (TransitionModel, _nll_grad_packed, make_transition,
+from rarhmm.transition import (TransitionModel, _nll_grad, make_transition,
                                n_feature_params, params_to_vector,
-                               stack_transition_stats, transition_matrix,
-                               transition_matrices, transition_probs,
+                               transition_matrix, transition_matrices,
+                               transition_probs, transition_stats,
                                vector_to_params, weighted_nll_and_grad)
 
-from util import random_xis, reference_transition_matrices, tensor_nll_grad
+from util import (random_model, random_trajectory, random_xis,
+                  reference_stack_transition_stats, reference_transition_matrices,
+                  reference_transition_stats, tensor_nll_grad)
 
 # explicit ids, so removing a case does not renumber the others
 KIND_CASES = [pytest.param("linear", {}, id="linear-kw0"),
@@ -212,14 +215,14 @@ def test_nll_uniform_over_four_cells():
     np.testing.assert_allclose(nll, np.log(2.0), rtol=1e-12)
 
 
-def _fd_grad(tm, feats, xi, vec, eps=1e-6):
+def _fd_grad(tm, stats, vec, eps=1e-6):
     g = np.zeros_like(vec)
     for i in range(len(vec)):
         vp, vm = vec.copy(), vec.copy()
         vp[i] += eps
         vm[i] -= eps
-        fp, _ = _nll_grad_packed(tm, vp, feats, xi)
-        fm, _ = _nll_grad_packed(tm, vm, feats, xi)
+        fp, _ = _nll_grad(tm, vp, *stats)
+        fm, _ = _nll_grad(tm, vm, *stats)
         g[i] = (fp - fm) / (2 * eps)
     return g
 
@@ -229,15 +232,14 @@ def test_gradient_matches_finite_differences(kind, kw):
     for seed in range(5):
         tm, ds, xis = _random_instance(kind, seed, **kw)
         nll, grad = weighted_nll_and_grad(tm, ds, xis)
-        feats, xi = stack_transition_stats(tm, ds, xis)
-        fd = _fd_grad(tm, feats, xi, params_to_vector(tm))
+        fd = _fd_grad(tm, transition_stats(tm, ds, xis), params_to_vector(tm))
         err = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert err < 1e-5, f"{kind} seed {seed}: rel err {err:.2e}"
 
 
 def _assert_matches_tensor_reference(tm, ds, xis):
     nll, grad = weighted_nll_and_grad(tm, ds, xis)
-    feats, xi = stack_transition_stats(tm, ds, xis)
+    feats, xi = reference_stack_transition_stats(tm, ds, xis)
     ref_nll, ref_grad = tensor_nll_grad(tm, params_to_vector(tm), feats, xi)
     np.testing.assert_allclose(nll, ref_nll, rtol=1e-10)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10,
@@ -269,9 +271,27 @@ def test_fd_check_perceptron_seed0_example():
     tm, ds, xis = _random_instance("perceptron", 0, K=2, T=6, n=1,
                                    hidden_units=4)
     nll, grad = weighted_nll_and_grad(tm, ds, xis)
-    feats, xi = stack_transition_stats(tm, ds, xis)
-    fd = _fd_grad(tm, feats, xi, params_to_vector(tm))
+    fd = _fd_grad(tm, transition_stats(tm, ds, xis), params_to_vector(tm))
     assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
+
+
+@pytest.mark.parametrize("kind,kw", KIND_CASES)
+def test_transition_stats_equal_stacked_reference(kind, kw):
+    # mixed lengths, T = 2 included, so the per-trajectory blocks are uneven
+    m = random_model(K=3, d_x=2, d_u=1, kind=kind, seed=21, **kw)
+    train = Dataset.from_trajectories(
+        [random_trajectory(m, T=T, seed=s)[0] for s, T in enumerate((17, 2, 30, 5))])
+    xis = [p.xi for p in estep(m, train)[0]]
+    got = transition_stats(m.transition, train, xis)
+    want = reference_transition_stats(m.transition, train, xis)
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous and g.shape == w.shape
+        assert np.array_equal(g, w)
+    # the benchmark's replay call: one objective evaluation at the fit's own
+    # posteriors equals the reference path's bit for bit
+    nll, grad = weighted_nll_and_grad(m.transition, train, xis)
+    ref_nll, ref_grad = _nll_grad(m.transition, params_to_vector(m.transition), *want)
+    assert nll == ref_nll and np.array_equal(grad, ref_grad)
 
 
 def test_param_vector_roundtrip():

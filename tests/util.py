@@ -13,10 +13,10 @@ from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
                           Trajectory, controller_feature_series,
                           controller_features, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
-from rarhmm.transition import (_link_logits, transition_probs, _nll_grad_packed, make_transition,
-                               params_to_vector, stack_transition_stats,
-                               transition_features, transition_matrices,
-                               transition_matrix, vector_to_params, xi_marginals)
+from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
+                               params_to_vector, transition_features,
+                               transition_matrices, transition_matrix,
+                               transition_probs, vector_to_params)
 
 
 def logsumexp(a, axis=None):
@@ -122,11 +122,31 @@ def random_xis(rng, T, K):
     return xi
 
 
+def reference_stack_transition_stats(tm, dataset, xis):
+    """Link features (M, F) and the destination-major xi stack xi_di
+    (M, K, K), xi_di[m, i, j] the expected count of j -> i at stacked step m,
+    as the library stacked them before transition_stats."""
+    feats, xs = [], []
+    for traj, xi in zip(dataset.trajectories, xis):
+        feats.append(transition_features(tm, traj.xs[:-1], traj.us[:-1]))
+        xs.append(np.swapaxes(xi, 1, 2))
+    return np.concatenate(feats, axis=0), np.concatenate(xs, axis=0)
+
+
+def reference_transition_stats(tm, dataset, xis):
+    """(feats, src, dest, pairs) by the old path: the xi_di stack, then its
+    source mass, destination mass and pair counts through one contiguous
+    (K, K, M) transpose."""
+    feats, xi_di = reference_stack_transition_stats(tm, dataset, xis)
+    xi_ijm = np.ascontiguousarray(xi_di.transpose(1, 2, 0))
+    return feats, xi_ijm.sum(axis=0), xi_ijm.sum(axis=1), xi_ijm.sum(axis=2)
+
+
 def tensor_nll_grad(tm, vec, feats, xi_di):
     """Reference expected transition NLL and gradient that builds the full
     (M, K, K) logits [m, i, j] (destination i, source j) and normalizes them
     over i, as the objective is defined; vec is bias (row-major) then
-    feature_params, feats and xi_di come from stack_transition_stats."""
+    feature_params, feats and xi_di come from reference_stack_transition_stats."""
     K = tm.K
     M, F = feats.shape
     bias, p = vec[:K * K].reshape(K, K), vec[K * K:]
@@ -177,11 +197,10 @@ def reference_gd_mstep(posteriors, dataset, tm_hat):
     the first trial length 0.01 / max|grad|, doubled after each accepted step
     and halved up to 20 times per step; tm_hat itself when no step is
     accepted."""
-    feats, xi_di = stack_transition_stats(tm_hat, dataset, [p.xi for p in posteriors])
-    marginals = xi_marginals(xi_di)
-    scale = 1.0 / len(feats)
+    stats = reference_transition_stats(tm_hat, dataset, [p.xi for p in posteriors])
+    scale = 1.0 / len(stats[0])
     vec = params_to_vector(tm_hat)
-    nll, grad = _nll_grad_packed(tm_hat, vec, feats, xi_di, marginals)
+    nll, grad = _nll_grad(tm_hat, vec, *stats)
     nll, grad = nll * scale, grad * scale
     step = 1e-2 / max(np.abs(grad).max(), 1e-12)
     improved = False
@@ -190,8 +209,7 @@ def reference_gd_mstep(posteriors, dataset, tm_hat):
         trial = step
         for _ in range(21):
             cand = vec - trial * grad
-            cand_nll, cand_grad = _nll_grad_packed(tm_hat, cand, feats, xi_di,
-                                                   marginals)
+            cand_nll, cand_grad = _nll_grad(tm_hat, cand, *stats)
             cand_nll, cand_grad = cand_nll * scale, cand_grad * scale
             if cand_nll < nll and np.all(np.isfinite(cand_grad)):
                 vec, nll, grad = cand, cand_nll, cand_grad
