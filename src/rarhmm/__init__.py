@@ -5,11 +5,11 @@ into switching locally-linear policies."""
 from .model import (
     CLOSED_LOOP,
     OPEN_LOOP,
+    Controllers,
     Dataset,
+    Dynamics,
     HybridModel,
     InitialModel,
-    RegimeController,
-    RegimeDynamics,
     Trajectory,
     load_model,
     log_local_evidence,
@@ -45,8 +45,8 @@ from .policy import RolloutResult, act, distill, rollout, success_criterion
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLOSED_LOOP", "OPEN_LOOP", "Dataset", "HybridModel", "InitialModel",
-    "RegimeController", "RegimeDynamics", "Trajectory", "load_model",
+    "CLOSED_LOOP", "OPEN_LOOP", "Controllers", "Dataset", "Dynamics",
+    "HybridModel", "InitialModel", "Trajectory", "load_model",
     "log_local_evidence", "sample_initial", "sample_trajectory", "save_model",
     "step_dynamics", "TransitionModel", "make_transition", "transition_matrix",
     "transition_probs", "Posterior", "estep", "smooth",

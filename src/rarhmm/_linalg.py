@@ -1,5 +1,6 @@
-"""Small numeric helpers shared across modules. Only `HybridModel.stack`
-calls gauss_factors; gauss_logpdf and gauss_draw read the factors it holds."""
+"""Small numeric helpers shared across modules. Only the regime blocks of
+model.py (InitialModel, Dynamics, Controllers) call gauss_factors, once each
+in their constructor; gauss_logpdf and gauss_draw read the factors they hold."""
 from __future__ import annotations
 
 import numpy as np

@@ -16,7 +16,7 @@ boundary of the joint observation space.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

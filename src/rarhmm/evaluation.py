@@ -57,7 +57,8 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
     M, h = us.shape[:2]
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
-    A, B, c = model.stack.A, model.stack.B, model.stack.c
+    dyn = model.dynamics
+    A, B, c = dyn.A, dyn.B, dyn.c
     out = np.empty((M, h, x.shape[1]))
     for i in range(h):
         u = us[:, i, :]
@@ -77,7 +78,7 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
                 ks = (draws[:, None] < cum).argmax(axis=1)
             x = means[np.arange(M), ks]
             if mode == MODE_SAMPLE:
-                x = gauss_draw(rng, x, model.stack.lam_chol[ks])
+                x = gauss_draw(rng, x, dyn.lam_chol[ks])
             b = np.eye(model.K)[ks]
         out[:, i, :] = x
     return out
@@ -246,6 +247,6 @@ def count_params_breakdown(model: HybridModel) -> dict:
         "dynamics": K * (d_x * d_x + d_x * d_u + d_x + d_x),
     }
     if model.controllers is not None:
-        d_phi = model.controllers[0].gain.shape[1]
+        d_phi = model.controllers.gain.shape[2]
         out["controllers"] = K * (d_u * d_phi + d_u + d_u)
     return out

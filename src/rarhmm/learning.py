@@ -34,9 +34,8 @@ from ._linalg import floor_spd
 from .features import controller_feature_dim
 from .inference import Posterior, smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
-                    InitialModel, RegimeController, RegimeDynamics,
-                    controller_feature_series)
-from .transition import (TransitionModel, _nll_grad, make_transition,
+                    Controllers, Dynamics, InitialModel, controller_feature_series)
+from .transition import (KINDS, TransitionModel, _nll_grad, make_transition,
                          params_to_vector, transition_stats, vector_to_params)
 
 RIDGE = 1e-8
@@ -56,6 +55,8 @@ def parse_transition_spec(spec: str) -> tuple[str, int | None, int | None]:
     (kind, degree, hidden_units); the numeric parts are None when absent."""
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
+    if kind not in KINDS:
+        raise ValueError(f"transition kind must be one of {KINDS}, got {kind!r}")
     degree: int | None = None
     hidden: int | None = None
     if kind == "polynomial":
@@ -201,21 +202,16 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
                                loglik=np.nan))
 
     floor = COVARIANCE_FLOOR
-    fallback_dyn = tuple(RegimeDynamics(A=np.eye(dataset.d_x),
-                                        B=np.zeros((dataset.d_x, dataset.d_u)),
-                                        c=np.zeros(dataset.d_x),
-                                        lam_cov=floor * np.eye(dataset.d_x))
-                         for _ in range(K))
+    d_x, d_u = dataset.d_x, dataset.d_u
+    fallback_dyn = Dynamics(A=np.tile(np.eye(d_x), (K, 1, 1)), B=np.zeros((K, d_x, d_u)),
+                            c=np.zeros((K, d_x)),
+                            lam_cov=np.tile(floor * np.eye(d_x), (K, 1, 1)))
     fallback_ctl = None
     if config.mode == CLOSED_LOOP:
-        d_phi = controller_feature_dim(dataset.d_x, dataset.d_u, config.lag,
-                                       config.poly_degree)
-        fallback_ctl = tuple(RegimeController(gain=np.zeros((dataset.d_u, d_phi)),
-                                              offset=np.zeros(dataset.d_u),
-                                              sigma_cov=floor * np.eye(dataset.d_u),
-                                              lag=config.lag,
-                                              poly_degree=config.poly_degree)
-                             for _ in range(K))
+        d_phi = controller_feature_dim(d_x, d_u, config.lag, config.poly_degree)
+        fallback_ctl = Controllers(gain=np.zeros((K, d_u, d_phi)), offset=np.zeros((K, d_u)),
+                                   sigma_cov=np.tile(floor * np.eye(d_u), (K, 1, 1)),
+                                   lag=config.lag, poly_degree=config.poly_degree)
     init, dynamics, controllers = _mstep_gaussians(
         posts, dataset, config, _global_initial(dataset, K, floor), fallback_dyn,
         fallback_ctl)
@@ -227,16 +223,17 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
                          feat_mean=mean, feat_std=std,
                          bias=STICKY_LOGIT * np.eye(K),
                          rng=rng, init_scale=FEATURE_INIT_SCALE)
-    return HybridModel(K=K, d_x=dataset.d_x, d_u=dataset.d_u, mode=config.mode,
+    return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=config.mode,
                        init=init, dynamics=dynamics, transition=tm,
                        controllers=controllers)
 
 
 # -- M-steps -------------------------------------------------------------------
 
-def _mstep_regimes(W: np.ndarray, prev, what: str, fit) -> list:
-    """fit(k, w, wsum) for each regime k with weight column w = W[:, k]. A
-    regime without weight keeps prev[k] (warning)."""
+def _mstep_regimes(W: np.ndarray, prev, what: str, fit) -> list[np.ndarray]:
+    """fit(k, w, wsum) -> one array per field for each regime k with weight
+    column w = W[:, k]; a regime without weight keeps slice k of each array
+    in prev (warning). Returns the fields stacked on K."""
     out = []
     for k in range(W.shape[1]):
         w = W[:, k]
@@ -246,10 +243,10 @@ def _mstep_regimes(W: np.ndarray, prev, what: str, fit) -> list:
                 raise ValueError(f"regime {k} has no {what} weight and no "
                                  f"previous parameters to keep")
             warnings.warn(f"regime {k}: no {what} weight, keeping previous parameters")
-            out.append(prev[k])
+            out.append([a[k] for a in prev])
             continue
         out.append(fit(k, w, wsum))
-    return out
+    return [np.stack(parts) for parts in zip(*out)]
 
 
 def _weighted_residual_cov(resid: np.ndarray, w: np.ndarray, wsum: float,
@@ -284,13 +281,13 @@ def mstep_initial(posteriors, dataset: Dataset, floor: float,
         mu = w @ x1 / wsum
         return mu, _weighted_residual_cov(x1 - mu, w, wsum, floor)
 
-    keep = None if prev is None else list(zip(prev.mu, prev.omega_cov))
-    mu, om = zip(*_mstep_regimes(g1, keep, "initial-state", fit))
-    return InitialModel(pi=pi / pi.sum(), mu=np.array(mu), omega_cov=np.array(om))
+    keep = None if prev is None else (prev.mu, prev.omega_cov)
+    mu, om = _mstep_regimes(g1, keep, "initial-state", fit)
+    return InitialModel(pi=pi / pi.sum(), mu=mu, omega_cov=om)
 
 
 def mstep_dynamics(posteriors, dataset: Dataset, floor: float,
-                   prev=None) -> tuple[RegimeDynamics, ...]:
+                   prev: Dynamics | None = None) -> Dynamics:
     """Per-regime weighted least squares [x_t; u_t; 1] -> x_{t+1} with weights
     gamma_{t+1}(k); process noise is the weighted residual covariance, floored."""
     d_x, d_u = dataset.d_x, dataset.d_u
@@ -301,15 +298,15 @@ def mstep_dynamics(posteriors, dataset: Dataset, floor: float,
 
     def fit(k, w, wsum):
         coef, lam = _weighted_lstsq(X, Y, w, wsum, floor, f"dynamics regime {k}")
-        return RegimeDynamics(A=coef[:d_x].T, B=coef[d_x:d_x + d_u].T, c=coef[-1],
-                              lam_cov=lam)
+        return coef[:d_x].T, coef[d_x:d_x + d_u].T, coef[-1], lam
 
     W = np.concatenate([p.gamma[1:] for p in posteriors], axis=0)  # (M, K)
-    return tuple(_mstep_regimes(W, prev, "dynamics", fit))
+    keep = None if prev is None else (prev.A, prev.B, prev.c, prev.lam_cov)
+    return Dynamics(*_mstep_regimes(W, keep, "dynamics", fit))
 
 
 def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
-                     floor: float, prev=None) -> tuple[RegimeController, ...]:
+                     floor: float, prev: Controllers | None = None) -> Controllers:
     """Per-regime weighted least squares [phi(x_t, past controls); 1] -> u_t
     with weights gamma_t(k); action noise is the floored residual covariance."""
     feats = np.concatenate([controller_feature_series(t.xs, t.us, lag, poly_degree)
@@ -319,11 +316,13 @@ def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
 
     def fit(k, w, wsum):
         coef, sig = _weighted_lstsq(X, U, w, wsum, floor, f"controller regime {k}")
-        return RegimeController(gain=coef[:-1].T, offset=coef[-1], sigma_cov=sig,
-                                lag=lag, poly_degree=poly_degree)
+        return coef[:-1].T, coef[-1], sig
 
     W = np.concatenate([p.gamma for p in posteriors], axis=0)
-    return tuple(_mstep_regimes(W, prev, "controller", fit))
+    keep = None if prev is None else (prev.gain, prev.offset, prev.sigma_cov)
+    gain, offset, sig = _mstep_regimes(W, keep, "controller", fit)
+    return Controllers(gain=gain, offset=offset, sigma_cov=sig, lag=lag,
+                       poly_degree=poly_degree)
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:

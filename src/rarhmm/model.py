@@ -8,14 +8,17 @@ of the *arriving* regime, and (in closed-loop mode) the control is a noisy
 linear readout of controller features of the current state and recent controls.
 Open-loop mode treats controls as exogenous inputs and omits their likelihood.
 
-All types are immutable after construction and all sampling takes an explicit
-numpy Generator, so everything here is safe to run concurrently.
+The regime parameters are held once, stacked on a leading K axis, in three
+blocks: InitialModel, Dynamics and (closed loop) Controllers. Each block copies
+its arrays to read-only C-ordered floats and factors its covariances once, in
+its constructor; the Cholesky factorization is their positive-definiteness
+check. All types are immutable after construction and all sampling takes an
+explicit numpy Generator, so everything here is safe to run concurrently.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,23 +32,47 @@ MODES = (OPEN_LOOP, CLOSED_LOOP)
 
 MODEL_SCHEMA_VERSION = 1
 
-_SYM_TOL = 1e-12
+_SYM_TOL = 1e-12   # relative to each matrix's largest entry
 
 
-def _as_float(x, shape=None, name="array"):
+def _as_float(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if shape is not None and a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
     return a
 
 
-def _check_spd(cov: np.ndarray, name: str):
-    if not np.allclose(cov, cov.T, atol=_SYM_TOL, rtol=0.0):
-        raise ValueError(f"{name} must be symmetric within {_SYM_TOL}")
-    if cov.shape[0] > 0 and np.linalg.eigvalsh(cov).min() <= 0:
-        raise ValueError(f"{name} must be positive definite")
+def _c_copy(x, ndim: int, name: str) -> np.ndarray:
+    """A finite C-ordered float copy of x with ndim axes, so freezing it
+    leaves the caller's array writeable."""
+    a = np.array(x, dtype=float, order="C")
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} axes, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def _set_frozen(block, **arrays) -> None:
+    for name, a in arrays.items():
+        a.flags.writeable = False
+        object.__setattr__(block, name, a)
+
+
+def _factors(covs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_factors of (K, d, d) covariances that are symmetric to _SYM_TOL
+    of their largest entry; the Cholesky factorization is the positive-
+    definiteness check."""
+    scale = np.abs(covs).max(axis=(1, 2), initial=0.0)
+    asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(asym > _SYM_TOL * scale)
+    if len(bad):
+        raise ValueError(f"{name}[{bad[0]}] must be symmetric within {_SYM_TOL} "
+                         f"of its largest entry")
+    try:
+        return gauss_factors(covs)
+    except np.linalg.LinAlgError as e:
+        raise np.linalg.LinAlgError(f"{name}: {e}") from e
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +83,7 @@ class Trajectory:
     id: str = ""
 
     def __post_init__(self):
-        xs = np.atleast_2d(_as_float(self.xs, name="xs"))
+        xs = np.atleast_2d(_as_float(self.xs, "xs"))
         us = np.asarray(self.us, dtype=float)
         if us.ndim == 1:
             us = us[:, None]
@@ -117,29 +144,23 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class InitialModel:
+    """Initial regime probabilities and per-regime first-state Gaussians."""
     pi: np.ndarray         # (K,)
     mu: np.ndarray         # (K, d_x)
     omega_cov: np.ndarray  # (K, d_x, d_x)
+    omega_chol: np.ndarray = field(init=False, repr=False)   # lower factors of omega_cov
+    omega_const: np.ndarray = field(init=False, repr=False)  # (K,) d log 2pi + log det
 
     def __post_init__(self):
-        pi = _as_float(self.pi, name="pi").ravel()
-        mu = np.atleast_2d(_as_float(self.mu, name="mu"))
-        om = _as_float(self.omega_cov, name="omega_cov")
-        if om.ndim == 2:
-            om = om[None]
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "omega_cov", om)
-        K = len(pi)
+        pi, mu = _c_copy(self.pi, 1, "pi"), _c_copy(self.mu, 2, "mu")
+        om = _c_copy(self.omega_cov, 3, "omega_cov")
+        K, d = mu.shape
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("pi must be nonnegative and sum to 1 within 1e-12")
-        if mu.shape[0] != K or om.shape[0] != K:
-            raise ValueError("pi, mu, omega_cov must agree on K")
-        d = mu.shape[1]
-        if om.shape[1:] != (d, d):
-            raise ValueError("omega_cov must be (K, d_x, d_x)")
-        for k in range(K):
-            _check_spd(om[k], f"omega_cov[{k}]")
+        if len(pi) != K or om.shape != (K, d, d):
+            raise ValueError("pi (K,), mu (K, d_x) and omega_cov (K, d_x, d_x) disagree")
+        chol, const = _factors(om, "omega_cov")
+        _set_frozen(self, pi=pi, mu=mu, omega_cov=om, omega_chol=chol, omega_const=const)
 
     @property
     def K(self) -> int:
@@ -147,143 +168,96 @@ class InitialModel:
 
 
 @dataclass(frozen=True, eq=False)
-class RegimeDynamics:
-    A: np.ndarray        # (d_x, d_x)
-    B: np.ndarray        # (d_x, d_u)
-    c: np.ndarray        # (d_x,)
-    lam_cov: np.ndarray  # (d_x, d_x)
+class Dynamics:
+    """Regime k moves x to A[k] x + B[k] u + c[k] plus N(0, lam_cov[k]) noise."""
+    A: np.ndarray        # (K, d_x, d_x)
+    B: np.ndarray        # (K, d_x, d_u)
+    c: np.ndarray        # (K, d_x)
+    lam_cov: np.ndarray  # (K, d_x, d_x)
+    lam_chol: np.ndarray = field(init=False, repr=False)   # lower factors of lam_cov
+    lam_const: np.ndarray = field(init=False, repr=False)  # (K,) d log 2pi + log det
 
     def __post_init__(self):
-        A = np.atleast_2d(_as_float(self.A, name="A"))
-        d = A.shape[0]
-        B = _as_float(self.B, name="B").reshape(d, -1)
-        c = _as_float(self.c, name="c").ravel()
-        lam = _as_float(self.lam_cov, shape=(d, d), name="lam_cov")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "lam_cov", lam)
-        if A.shape != (d, d) or c.shape != (d,):
-            raise ValueError("A must be square and c must match its size")
-        _check_spd(lam, "lam_cov")
+        A, B = _c_copy(self.A, 3, "A"), _c_copy(self.B, 3, "B")
+        c, lam = _c_copy(self.c, 2, "c"), _c_copy(self.lam_cov, 3, "lam_cov")
+        K, d = c.shape
+        if A.shape != (K, d, d) or B.shape[:2] != (K, d) or lam.shape != (K, d, d):
+            raise ValueError("A (K, d_x, d_x), B (K, d_x, d_u), c (K, d_x) and "
+                             "lam_cov (K, d_x, d_x) disagree")
+        chol, const = _factors(lam, "lam_cov")
+        _set_frozen(self, A=A, B=B, c=c, lam_cov=lam, lam_chol=chol, lam_const=const)
 
 
 @dataclass(frozen=True, eq=False)
-class RegimeController:
-    gain: np.ndarray       # (d_u, d_phi)
-    offset: np.ndarray     # (d_u,)
-    sigma_cov: np.ndarray  # (d_u, d_u)
+class Controllers:
+    """Regime k draws u from gain[k] phi + offset[k] plus N(0, sigma_cov[k])
+    noise, phi being controller_features of x and the last `lag` controls."""
+    gain: np.ndarray       # (K, d_u, d_phi)
+    offset: np.ndarray     # (K, d_u)
+    sigma_cov: np.ndarray  # (K, d_u, d_u)
     lag: int = 0
     poly_degree: int = 1
+    sigma_chol: np.ndarray = field(init=False, repr=False)   # lower factors of sigma_cov
+    sigma_const: np.ndarray = field(init=False, repr=False)  # (K,) d log 2pi + log det
 
     def __post_init__(self):
-        gain = np.atleast_2d(_as_float(self.gain, name="gain"))
-        offset = _as_float(self.offset, name="offset").ravel()
-        d_u = len(offset)
-        sig = _as_float(self.sigma_cov, shape=(d_u, d_u), name="sigma_cov")
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "sigma_cov", sig)
-        if gain.shape[0] != d_u:
-            raise ValueError("gain rows must match offset length")
+        gain, offset = _c_copy(self.gain, 3, "gain"), _c_copy(self.offset, 2, "offset")
+        sig = _c_copy(self.sigma_cov, 3, "sigma_cov")
+        K, d_u = offset.shape
+        if gain.shape[:2] != (K, d_u) or sig.shape != (K, d_u, d_u):
+            raise ValueError("gain (K, d_u, d_phi), offset (K, d_u) and "
+                             "sigma_cov (K, d_u, d_u) disagree")
         if self.lag < 0:
             raise ValueError("lag must be >= 0")
         if self.poly_degree < 1:
             raise ValueError("poly_degree must be >= 1")
-        _check_spd(sig, "sigma_cov")
-
-
-@dataclass(frozen=True, eq=False)
-class RegimeStack:
-    """Per-regime parameters stacked on a leading K axis; all arrays read-only.
-    Each covariance has its lower Cholesky factor (*_chol) and d log 2pi +
-    log det (*_const): the inputs of gauss_logpdf and gauss_draw."""
-    A: np.ndarray               # (K, d_x, d_x)
-    B: np.ndarray               # (K, d_x, d_u)
-    c: np.ndarray               # (K, d_x)
-    lam_chol: np.ndarray        # (K, d_x, d_x) of the process noise lam_cov
-    lam_const: np.ndarray       # (K,)
-    omega_chol: np.ndarray      # (K, d_x, d_x) of the initial-state omega_cov
-    omega_const: np.ndarray     # (K,)
-    gain: np.ndarray | None         # (K, d_u, d_phi), closed loop only
-    offset: np.ndarray | None       # (K, d_u), closed loop only
-    sigma_chol: np.ndarray | None   # (K, d_u, d_u) of sigma_cov, closed loop only
-    sigma_const: np.ndarray | None  # (K,), closed loop only
-
-    def __post_init__(self):
-        for a in vars(self).values():
-            if a is not None:
-                a.flags.writeable = False
+        chol, const = _factors(sig, "sigma_cov")
+        _set_frozen(self, gain=gain, offset=offset, sigma_cov=sig, sigma_chol=chol,
+                    sigma_const=const)
 
 
 @dataclass(frozen=True, eq=False)
 class HybridModel:
-    """K-regime switching linear-Gaussian model. `stack` (the regime parameters
-    stacked along K) is built on first use and cached; the model is immutable
-    and `replace` builds a new one, so the cache cannot go stale."""
+    """K-regime switching linear-Gaussian model. Its blocks hold every regime
+    parameter once, stacked on a leading K axis, read-only and with the
+    Cholesky factors of their covariances: evidence, sampling, forecasting,
+    the runtime belief and act read them directly."""
     K: int
     d_x: int
     d_u: int
     mode: str
     init: InitialModel
-    dynamics: tuple[RegimeDynamics, ...]
+    dynamics: Dynamics
     transition: TransitionModel
-    controllers: tuple[RegimeController, ...] | None = None
+    controllers: Controllers | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dynamics", tuple(self.dynamics))
-        if self.controllers is not None:
-            object.__setattr__(self, "controllers", tuple(self.controllers))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == OPEN_LOOP and self.controllers is not None:
             raise ValueError("open-loop models carry no controllers")
         if self.mode == CLOSED_LOOP and self.controllers is None:
             raise ValueError("closed-loop models need one controller per regime")
-        if self.init.K != self.K or len(self.dynamics) != self.K or self.transition.K != self.K:
-            raise ValueError("component K values disagree")
-        if self.init.mu.shape[1] != self.d_x:
-            raise ValueError("init dims disagree with d_x")
-        if (self.transition.d_x, self.transition.d_u) != (self.d_x, self.d_u):
-            raise ValueError("transition dims disagree with model dims")
-        for k, dyn in enumerate(self.dynamics):
-            if dyn.A.shape != (self.d_x, self.d_x) or dyn.B.shape != (self.d_x, self.d_u):
-                raise ValueError(f"dynamics[{k}] dims disagree with model dims")
+        K, d_x, d_u = self.K, self.d_x, self.d_u
+        if self.init.mu.shape != (K, d_x):
+            raise ValueError(f"init must be (K, d_x) = ({K}, {d_x})")
+        if (self.transition.K, self.transition.d_x, self.transition.d_u) != (K, d_x, d_u):
+            raise ValueError("transition K or dims disagree with the model")
+        if self.dynamics.B.shape != (K, d_x, d_u):
+            raise ValueError(f"dynamics B must be (K, d_x, d_u) = ({K}, {d_x}, {d_u})")
         if self.controllers is not None:
-            if len(self.controllers) != self.K:
-                raise ValueError("component K values disagree")
-            lag, deg = self.controllers[0].lag, self.controllers[0].poly_degree
-            d_phi = controller_feature_dim(self.d_x, self.d_u, lag, deg)
-            for k, ctl in enumerate(self.controllers):
-                if (ctl.lag, ctl.poly_degree) != (lag, deg):
-                    raise ValueError("all controllers must share lag and poly_degree")
-                if ctl.gain.shape != (len(ctl.offset), d_phi) or len(ctl.offset) != self.d_u:
-                    raise ValueError(f"controllers[{k}] gain must be (d_u, {d_phi})")
+            d_phi = controller_feature_dim(d_x, d_u, self.lag, self.poly_degree)
+            if self.controllers.gain.shape != (K, d_u, d_phi):
+                raise ValueError(f"controller gain must be (K, d_u, d_phi) = "
+                                 f"({K}, {d_u}, {d_phi})")
 
     @property
     def lag(self) -> int:
-        return self.controllers[0].lag if self.controllers else 0
+        return self.controllers.lag if self.controllers is not None else 0
 
     @property
     def poly_degree(self) -> int:
-        return self.controllers[0].poly_degree if self.controllers else 1
-
-    @cached_property
-    def stack(self) -> RegimeStack:
-        """The only place a regime covariance is factorized, once per model;
-        evidence, sampling, forecasting, the runtime belief and act read it."""
-        dyn, ctl = self.dynamics, self.controllers
-        lam_chol, lam_const = gauss_factors([d.lam_cov for d in dyn])
-        omega_chol, omega_const = gauss_factors(self.init.omega_cov)
-        sigma_chol, sigma_const = (None, None) if ctl is None else \
-            gauss_factors([g.sigma_cov for g in ctl])
-        return RegimeStack(
-            A=np.stack([d.A for d in dyn]), B=np.stack([d.B for d in dyn]),
-            c=np.stack([d.c for d in dyn]), lam_chol=lam_chol, lam_const=lam_const,
-            omega_chol=omega_chol, omega_const=omega_const,
-            gain=None if ctl is None else np.stack([g.gain for g in ctl]),
-            offset=None if ctl is None else np.stack([g.offset for g in ctl]),
-            sigma_chol=sigma_chol, sigma_const=sigma_const)
+        return self.controllers.poly_degree if self.controllers is not None else 1
 
 
 # -- controller features ------------------------------------------------------
@@ -320,10 +294,10 @@ def controller_feature_series(xs: np.ndarray, us: np.ndarray, lag: int,
 def _draw_control(model: HybridModel, z: int, x, past_us, rng,
                   deterministic: bool = False) -> np.ndarray:
     """Regime z's control at x: its law's mean, plus action noise unless deterministic."""
-    st = model.stack
-    mean = st.gain[z] @ controller_features(x, past_us, model.lag, model.poly_degree) \
-        + st.offset[z]
-    return mean if deterministic else gauss_draw(rng, mean, st.sigma_chol[z])
+    ctl = model.controllers
+    mean = ctl.gain[z] @ controller_features(x, past_us, ctl.lag, ctl.poly_degree) \
+        + ctl.offset[z]
+    return mean if deterministic else gauss_draw(rng, mean, ctl.sigma_chol[z])
 
 
 # -- sampling -----------------------------------------------------------------
@@ -337,7 +311,7 @@ def sample_initial(model: HybridModel, rng: np.random.Generator, u1=None):
     """Draw (z1, x1, u1). Open-loop mode takes u1 from the caller instead of sampling."""
     _require_rng(rng)
     z1 = int(rng.choice(model.K, p=model.init.pi))
-    x1 = gauss_draw(rng, model.init.mu[z1], model.stack.omega_chol[z1])
+    x1 = gauss_draw(rng, model.init.mu[z1], model.init.omega_chol[z1])
     if model.mode == OPEN_LOOP:
         if u1 is None:
             raise ValueError("open-loop mode needs a caller-supplied u1")
@@ -351,14 +325,14 @@ def step_dynamics(model: HybridModel, z_next: int, x, u, rng=None,
                   deterministic: bool = False) -> np.ndarray:
     if not 0 <= z_next < model.K:
         raise ValueError(f"regime index {z_next} out of range for K = {model.K}")
-    st = model.stack
+    dyn = model.dynamics
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
-    mean = st.A[z_next] @ x + st.B[z_next] @ u + st.c[z_next]
+    mean = dyn.A[z_next] @ x + dyn.B[z_next] @ u + dyn.c[z_next]
     if deterministic:
         return mean
     _require_rng(rng)
-    return gauss_draw(rng, mean, st.lam_chol[z_next])
+    return gauss_draw(rng, mean, dyn.lam_chol[z_next])
 
 
 def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
@@ -389,7 +363,7 @@ def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
     if deterministic:
         x = model.init.mu[z].copy()
     else:
-        x = gauss_draw(rng, model.init.mu[z], model.stack.omega_chol[z])
+        x = gauss_draw(rng, model.init.mu[z], model.init.omega_chol[z])
 
     past = [np.zeros(model.d_u)] * model.lag
     xs = np.empty((T, model.d_x))
@@ -423,22 +397,35 @@ def log_local_evidence(model: HybridModel, traj: Trajectory) -> np.ndarray:
     if traj.d_x != model.d_x or traj.d_u != model.d_u:
         raise ValueError(f"trajectory dims ({traj.d_x}, {traj.d_u}) disagree with "
                          f"model dims ({model.d_x}, {model.d_u})")
-    st = model.stack
+    init, dyn, ctl = model.init, model.dynamics, model.controllers
     xs, us = traj.xs, traj.us
     ev = np.empty((traj.T, model.K))
-    ev[0] = gauss_logpdf(xs[0], model.init.mu, st.omega_chol, st.omega_const)
+    ev[0] = gauss_logpdf(xs[0], init.mu, init.omega_chol, init.omega_const)
     # (K, T-1, d_x) per-regime one-step means
-    means = xs[:-1] @ st.A.transpose(0, 2, 1) + us[:-1] @ st.B.transpose(0, 2, 1) \
-        + st.c[:, None]
-    ev[1:] = gauss_logpdf(xs[1:], means, st.lam_chol[:, None], st.lam_const[:, None]).T
-    if model.mode == CLOSED_LOOP:
-        feats = controller_feature_series(xs, us, model.lag, model.poly_degree)
-        means = feats @ st.gain.transpose(0, 2, 1) + st.offset[:, None]
-        ev += gauss_logpdf(us, means, st.sigma_chol[:, None], st.sigma_const[:, None]).T
+    means = xs[:-1] @ dyn.A.transpose(0, 2, 1) + us[:-1] @ dyn.B.transpose(0, 2, 1) \
+        + dyn.c[:, None]
+    ev[1:] = gauss_logpdf(xs[1:], means, dyn.lam_chol[:, None], dyn.lam_const[:, None]).T
+    if ctl is not None:
+        feats = controller_feature_series(xs, us, ctl.lag, ctl.poly_degree)
+        means = feats @ ctl.gain.transpose(0, 2, 1) + ctl.offset[:, None]
+        ev += gauss_logpdf(us, means, ctl.sigma_chol[:, None], ctl.sigma_const[:, None]).T
     return ev
 
 
 # -- persistence --------------------------------------------------------------
+
+def _per_regime(block, names) -> list[dict]:
+    """One dict per regime of the named fields of a stacked block."""
+    return [{name: getattr(block, name)[k].tolist() for name in names}
+            for k in range(len(getattr(block, names[0])))]
+
+
+def _stacked(blocks, name: str, shape=None) -> np.ndarray:
+    """The named field of each per-regime dict, stacked on K (and reshaped
+    to (K, *shape) when shape is given)."""
+    a = np.asarray([b[name] for b in blocks], dtype=float)
+    return a if shape is None else a.reshape(len(blocks), *shape)
+
 
 def model_to_dict(model: HybridModel) -> dict:
     tm = model.transition
@@ -461,17 +448,13 @@ def model_to_dict(model: HybridModel) -> dict:
         "lag": model.lag,
         "poly_degree": model.poly_degree,
         "pi": model.init.pi.tolist(),
-        "init": [{"mu": model.init.mu[k].tolist(),
-                  "omega_cov": model.init.omega_cov[k].tolist()}
-                 for k in range(model.K)],
-        "dynamics": [{"A": d.A.tolist(), "B": d.B.tolist(), "c": d.c.tolist(),
-                      "lam_cov": d.lam_cov.tolist()} for d in model.dynamics],
+        "init": _per_regime(model.init, ("mu", "omega_cov")),
+        "dynamics": _per_regime(model.dynamics, ("A", "B", "c", "lam_cov")),
         "transition": tblock,
     }
     if model.controllers is not None:
-        doc["controllers"] = [{"gain": c.gain.tolist(), "offset": c.offset.tolist(),
-                               "sigma_cov": c.sigma_cov.tolist()}
-                              for c in model.controllers]
+        doc["controllers"] = _per_regime(model.controllers,
+                                         ("gain", "offset", "sigma_cov"))
     return doc
 
 
@@ -483,17 +466,12 @@ def model_from_dict(doc: dict) -> HybridModel:
         raise ValueError(f"unsupported model document version {doc.get('version')!r}")
     try:
         K, d_x, d_u = int(doc["K"]), int(doc["d_x"]), int(doc["d_u"])
-        init = InitialModel(
-            pi=np.asarray(doc["pi"], dtype=float),
-            mu=np.asarray([b["mu"] for b in doc["init"]], dtype=float),
-            omega_cov=np.asarray([b["omega_cov"] for b in doc["init"]], dtype=float),
-        )
-        dynamics = tuple(
-            RegimeDynamics(A=np.asarray(b["A"], dtype=float),
-                           B=np.asarray(b["B"], dtype=float).reshape(d_x, d_u),
-                           c=np.asarray(b["c"], dtype=float),
-                           lam_cov=np.asarray(b["lam_cov"], dtype=float))
-            for b in doc["dynamics"])
+        init = InitialModel(pi=np.asarray(doc["pi"], dtype=float),
+                            mu=_stacked(doc["init"], "mu"),
+                            omega_cov=_stacked(doc["init"], "omega_cov"))
+        dyn = doc["dynamics"]
+        dynamics = Dynamics(A=_stacked(dyn, "A"), B=_stacked(dyn, "B", (d_x, d_u)),
+                            c=_stacked(dyn, "c"), lam_cov=_stacked(dyn, "lam_cov"))
         tb = doc["transition"]
         if tb.get("per_prev", False):
             # older files may carry "per_prev": false; per-source link weights
@@ -512,12 +490,13 @@ def model_from_dict(doc: dict) -> HybridModel:
         controllers = None
         if doc.get("controllers") is not None:
             lag, deg = int(doc.get("lag", 0)), int(doc.get("poly_degree", 1))
-            controllers = tuple(
-                RegimeController(gain=np.asarray(b["gain"], dtype=float),
-                                 offset=np.asarray(b["offset"], dtype=float),
-                                 sigma_cov=np.asarray(b["sigma_cov"], dtype=float),
-                                 lag=lag, poly_degree=deg)
-                for b in doc["controllers"])
+            ctl = doc["controllers"]
+            # a d_u = 0 gain or sigma_cov is written as [], which loses its shape
+            d_phi = controller_feature_dim(d_x, d_u, lag, deg)
+            controllers = Controllers(gain=_stacked(ctl, "gain", (d_u, d_phi)),
+                                      offset=_stacked(ctl, "offset"),
+                                      sigma_cov=_stacked(ctl, "sigma_cov", (d_u, d_u)),
+                                      lag=lag, poly_degree=deg)
         mode = doc["mode"]
         return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=mode, init=init,
                            dynamics=dynamics, transition=tm, controllers=controllers)

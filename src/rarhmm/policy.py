@@ -4,7 +4,7 @@ The distilled policy is the controller bank of a closed-loop hybrid model;
 at run time a filtered belief over regimes is maintained from the transition
 link and the dynamics evidence, and the action is a belief-weighted (or
 regime-selected) linear feedback law. Both evaluate all K regimes at once
-from the model's cached regime stack (`HybridModel.stack`).
+from the model's stacked dynamics and controller blocks.
 """
 from __future__ import annotations
 
@@ -77,8 +77,9 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
     if mode not in ACT_MODES:
         raise ValueError(f"mode must be one of {ACT_MODES}, got {mode!r}")
     b = _check_belief(model, belief)
-    phi = controller_features(x, past_us, model.lag, model.poly_degree)
-    means = model.stack.gain @ phi + model.stack.offset     # (K, d_u)
+    ctl = model.controllers
+    phi = controller_features(x, past_us, ctl.lag, ctl.poly_degree)
+    means = ctl.gain @ phi + ctl.offset     # (K, d_u)
     if mode == ACT_MEAN:
         # regime laws added one after another from u = 0, as a loop over k
         # would: a sum over the K axis rounds differently from K = 8, an
@@ -91,7 +92,7 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
     if rng is None:
         raise ValueError("sample mode needs an rng")
     k = int(rng.choice(model.K, p=b))
-    return gauss_draw(rng, means[k], model.stack.sigma_chol[k]), k
+    return gauss_draw(rng, means[k], ctl.sigma_chol[k]), k
 
 
 @dataclass
@@ -148,9 +149,8 @@ def _bayes_update(prior: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
 
 
 def _initial_belief(model: HybridModel, x: np.ndarray) -> np.ndarray:
-    st = model.stack
-    return _bayes_update(model.init.pi, gauss_logpdf(x, model.init.mu, st.omega_chol,
-                                                     st.omega_const))
+    init = model.init
+    return _bayes_update(init.pi, gauss_logpdf(x, init.mu, init.omega_chol, init.omega_const))
 
 
 def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
@@ -160,9 +160,9 @@ def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
     # the regime. It stays in log space: the E-step's linear-scale forward
     # step rounds differently and would change rollouts.
     pred = transition_matrix(model.transition, x_prev, u_prev) @ b
-    st = model.stack
-    means = st.A @ x_prev + st.B @ u_prev + st.c
-    return _bayes_update(pred, gauss_logpdf(x_next, means, st.lam_chol, st.lam_const))
+    dyn = model.dynamics
+    means = dyn.A @ x_prev + dyn.B @ u_prev + dyn.c
+    return _bayes_update(pred, gauss_logpdf(x_next, means, dyn.lam_chol, dyn.lam_const))
 
 
 def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,

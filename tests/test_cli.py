@@ -267,7 +267,12 @@ def test_usage_errors_exit_one(tmp_path):
                  ["rollout", "--env", "pendulum", "--model", "m", "--expert"],
                  ["eval", "--test", "x"],                     # missing --model
                  ["simulate", "--env", "marsrover"],
-                 ["fit", "--data", "x", "--K", "0"]):
+                 ["fit", "--data", "x", "--K", "0"],
+                 # an unknown link kind is refused before the data are read
+                 ["fit", "--data", str(tmp_path / "missing.ndjson"),
+                  "--transition", "foo", "--restarts", "2"],
+                 ["distill", "--demos", str(tmp_path / "missing.ndjson"),
+                  "--transition", "foo"]):
         with pytest.raises(SystemExit) as ei:
             _run(*argv)
         assert ei.value.code == EXIT_USAGE, argv

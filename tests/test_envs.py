@@ -8,8 +8,8 @@ from rarhmm.envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE,
                          ENV_PENDULUM, EnvConfig, ball_rest_state, clip_control,
                          collect_demonstrations, collect_trajectories,
                          default_config, env_dims, expert_policy,
-                         expert_swingup, explore_policy, initial_state,
-                         load_dataset, load_manifest, make_splits, observe,
+                         expert_swingup, explore_policy, load_dataset,
+                         load_manifest, make_splits, observe,
                          pendulum_energy, save_dataset, save_manifest,
                          select_split, simulate, step_env, wrap_angle)
 from rarhmm.model import Dataset

@@ -3,13 +3,12 @@ import pytest
 
 from rarhmm.envs import default_config, simulate
 from rarhmm import evaluation
-from rarhmm.evaluation import (EvalReport, _forecast_batch, count_params,
+from rarhmm.evaluation import (_forecast_batch, count_params,
                                count_params_breakdown, evaluate, filter_all,
                                filter_prefix, forecast, nmse,
                                dataset_normalizer)
-from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
-                          RegimeController, RegimeDynamics, Trajectory,
-                          sample_trajectory)
+from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
+                          InitialModel, Trajectory, sample_trajectory)
 from rarhmm.transition import make_transition
 
 from util import (brute_force_posterior, mvn_logpdf, random_dataset, random_model,
@@ -33,10 +32,8 @@ def _ball_model(cfg, kappa=1e8, lam=1e-10):
     """
     dt, g = cfg.dt, cfg.gravity
     (A_f, c_f), (A_i, c_i) = _ball_truth_maps(cfg)
-    dynamics = (RegimeDynamics(A=A_f, B=np.zeros((2, 0)), c=c_f,
-                               lam_cov=lam * np.eye(2)),
-                RegimeDynamics(A=A_i, B=np.zeros((2, 0)), c=c_i,
-                               lam_cov=lam * np.eye(2)))
+    dynamics = Dynamics(A=[A_f, A_i], B=np.zeros((2, 2, 0)), c=[c_f, c_i],
+                        lam_cov=np.tile(lam * np.eye(2), (2, 1, 1)))
     w = np.array([1.0, dt])
     bias = np.array([[-0.5 * g * dt * dt * kappa] * 2,
                      [+0.5 * g * dt * dt * kappa] * 2])
@@ -115,10 +112,10 @@ def test_forecast_k1_deterministic_rollout():
     h, t = 5, 4
     got = forecast(m, traj, t=t, h=h)
     x = traj.xs[t - 1]
-    d = m.dynamics[0]
+    d = m.dynamics
     want = []
     for i in range(h):
-        x = d.A @ x + d.B @ traj.us[t - 1 + i] + d.c
+        x = d.A[0] @ x + d.B[0] @ traj.us[t - 1 + i] + d.c[0]
         want.append(x)
     np.testing.assert_allclose(got, np.array(want), atol=1e-12)
 
@@ -310,8 +307,8 @@ def test_report_csv_deterministic_and_ordered():
 
 
 def test_count_params_ball_anchor_is_22():
-    dyn = tuple(RegimeDynamics(A=np.eye(2), B=np.zeros((2, 0)), c=np.zeros(2),
-                               lam_cov=np.eye(2)) for _ in range(2))
+    dyn = Dynamics(A=np.tile(np.eye(2), (2, 1, 1)), B=np.zeros((2, 2, 0)),
+                   c=np.zeros((2, 2)), lam_cov=np.tile(np.eye(2), (2, 1, 1)))
     init = InitialModel(pi=np.array([0.5, 0.5]), mu=np.zeros((2, 2)),
                         omega_cov=np.stack([np.eye(2)] * 2))
     m = HybridModel(K=2, d_x=2, d_u=0, mode="open_loop", init=init,
@@ -324,9 +321,8 @@ def test_count_params_ball_anchor_is_22():
 
 def test_count_params_structure():
     def make(K, kind="stationary", **kw):
-        dyn = tuple(RegimeDynamics(A=np.eye(2), B=np.zeros((2, 1)),
-                                   c=np.zeros(2), lam_cov=np.eye(2))
-                    for _ in range(K))
+        dyn = Dynamics(A=np.tile(np.eye(2), (K, 1, 1)), B=np.zeros((K, 2, 1)),
+                       c=np.zeros((K, 2)), lam_cov=np.tile(np.eye(2), (K, 1, 1)))
         init = InitialModel(pi=np.full(K, 1.0 / K), mu=np.zeros((K, 2)),
                             omega_cov=np.stack([np.eye(2)] * K))
         return HybridModel(K=K, d_x=2, d_u=1, mode="open_loop", init=init,
@@ -346,11 +342,10 @@ def test_count_params_structure():
 
 def test_count_params_closed_loop_controllers():
     K = 2
-    ctl = tuple(RegimeController(gain=np.zeros((1, 3)), offset=np.zeros(1),
-                                 sigma_cov=np.eye(1), lag=1, poly_degree=1)
-                for _ in range(K))
-    dyn = tuple(RegimeDynamics(A=np.eye(2), B=np.zeros((2, 1)), c=np.zeros(2),
-                               lam_cov=np.eye(2)) for _ in range(K))
+    ctl = Controllers(gain=np.zeros((K, 1, 3)), offset=np.zeros((K, 1)),
+                      sigma_cov=np.ones((K, 1, 1)), lag=1, poly_degree=1)
+    dyn = Dynamics(A=np.tile(np.eye(2), (K, 1, 1)), B=np.zeros((K, 2, 1)),
+                   c=np.zeros((K, 2)), lam_cov=np.tile(np.eye(2), (K, 1, 1)))
     init = InitialModel(pi=np.array([0.5, 0.5]), mu=np.zeros((K, 2)),
                         omega_cov=np.stack([np.eye(2)] * K))
     m = HybridModel(K=K, d_x=2, d_u=1, mode=CLOSED_LOOP, init=init,

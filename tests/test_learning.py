@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from rarhmm import inference, learning
+from rarhmm.envs import collect_trajectories, default_config
 from rarhmm.inference import Posterior, estep, local_quantities, smooth
 from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
                              mstep_initial, mstep_transitions,
                              parse_transition_spec)
-from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
-                          RegimeController, RegimeDynamics, Trajectory,
-                          sample_trajectory)
+from rarhmm.model import (CLOSED_LOOP, Dataset, Dynamics, HybridModel, InitialModel,
+                          Trajectory, sample_trajectory)
 from rarhmm.transition import (_nll_grad, make_transition, params_to_vector,
                                transition_matrix, weighted_nll_and_grad)
 
@@ -43,7 +43,8 @@ def test_fit_config_spec_strings():
         cfg = FitConfig(K=2, transition_kind=spec)
         tm = initialize(ds, cfg, np.random.default_rng(0)).transition
         assert (tm.degree, tm.hidden_units) == (degree, hidden), spec
-    for spec in ("polynomial:0", "perceptron:0", "perceptron:-3", "linear:2"):
+    for spec in ("polynomial:0", "perceptron:0", "perceptron:-3", "linear:2", "foo",
+                 "foo:3", ""):
         with pytest.raises(ValueError):
             FitConfig(K=2, transition_kind=spec)
     with pytest.raises(ValueError):
@@ -192,9 +193,9 @@ def test_k1_matches_analytic_mle():
         for t in ds.trajectories])
     Y = np.concatenate([t.xs[1:] for t in ds.trajectories])
     coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    np.testing.assert_allclose(fit.dynamics[0].A, coef[:2].T, atol=1e-6)
-    np.testing.assert_allclose(fit.dynamics[0].B, coef[2:3].T, atol=1e-6)
-    np.testing.assert_allclose(fit.dynamics[0].c, coef[3], atol=1e-6)
+    np.testing.assert_allclose(fit.dynamics.A[0], coef[:2].T, atol=1e-6)
+    np.testing.assert_allclose(fit.dynamics.B[0], coef[2:3].T, atol=1e-6)
+    np.testing.assert_allclose(fit.dynamics.c[0], coef[3], atol=1e-6)
 
     x1 = np.stack([t.xs[0] for t in ds.trajectories])
     np.testing.assert_allclose(fit.init.mu[0], x1.mean(axis=0), atol=1e-8)
@@ -202,7 +203,7 @@ def test_k1_matches_analytic_mle():
 
     resid = Y - X @ coef
     lam = resid.T @ resid / len(resid)
-    np.testing.assert_allclose(fit.dynamics[0].lam_cov, lam, atol=1e-5)
+    np.testing.assert_allclose(fit.dynamics.lam_cov[0], lam, atol=1e-5)
 
 
 def test_refit_from_converged_model_stops_immediately():
@@ -233,9 +234,9 @@ def test_mstep_dynamics_matches_explicit_sums():
                 G += w * np.outer(f, f)
                 b += w * np.outer(f, traj.xs[t + 1])
         coef = np.linalg.solve(G, b)
-        np.testing.assert_allclose(dyn[k].A, coef[:2].T, atol=1e-10)
-        np.testing.assert_allclose(dyn[k].B, coef[2:3].T, atol=1e-10)
-        np.testing.assert_allclose(dyn[k].c, coef[3], atol=1e-10)
+        np.testing.assert_allclose(dyn.A[k], coef[:2].T, atol=1e-10)
+        np.testing.assert_allclose(dyn.B[k], coef[2:3].T, atol=1e-10)
+        np.testing.assert_allclose(dyn.c[k], coef[3], atol=1e-10)
 
         wsum = 0.0
         S = np.zeros((2, 2))
@@ -246,7 +247,7 @@ def test_mstep_dynamics_matches_explicit_sums():
                 w = post.gamma[t + 1, k]
                 S += w * np.outer(r, r)
                 wsum += w
-        np.testing.assert_allclose(dyn[k].lam_cov, S / wsum, atol=1e-10)
+        np.testing.assert_allclose(dyn.lam_cov[k], S / wsum, atol=1e-10)
 
 
 def test_mstep_initial_matches_explicit_sums():
@@ -278,7 +279,7 @@ def test_mstep_dynamics_is_weighted_lsq_optimum():
     W = np.concatenate([p.gamma[1:] for p in posts])
     rng = np.random.default_rng(0)
     for k in range(2):
-        coef = np.concatenate([dyn[k].A.T, dyn[k].B.T, dyn[k].c[None, :]])
+        coef = np.concatenate([dyn.A[k].T, dyn.B[k].T, dyn.c[k][None, :]])
         base = float(np.sum(W[:, k, None] * (Y - X @ coef) ** 2))
         for _ in range(5):
             pert = coef + 1e-3 * rng.standard_normal(coef.shape)
@@ -306,8 +307,8 @@ def test_mstep_controller_matches_explicit_sums():
             G += g[k] * np.outer(f, f)
             b += g[k] * np.outer(f, u)
         coef = np.linalg.solve(G, b)
-        np.testing.assert_allclose(ctl[k].gain, coef[:3].T, atol=1e-10)
-        np.testing.assert_allclose(ctl[k].offset, coef[3], atol=1e-10)
+        np.testing.assert_allclose(ctl.gain[k], coef[:3].T, atol=1e-10)
+        np.testing.assert_allclose(ctl.offset[k], coef[3], atol=1e-10)
 
         wsum = 0.0
         S = np.zeros((1, 1))
@@ -315,7 +316,7 @@ def test_mstep_controller_matches_explicit_sums():
             r = u - coef.T @ f
             S += g[k] * np.outer(r, r)
             wsum += g[k]
-        np.testing.assert_allclose(ctl[k].sigma_cov, S / wsum, atol=1e-10)
+        np.testing.assert_allclose(ctl.sigma_cov[k], S / wsum, atol=1e-10)
 
 
 def test_mstep_transitions_stationary_closed_form():
@@ -468,12 +469,24 @@ def test_empty_regime_keeps_previous_parameters():
                        loglik=np.nan) for t in ds.trajectories]
     with pytest.warns(UserWarning, match="regime 1"):
         dyn = mstep_dynamics(posts, ds, floor=1e-8, prev=m.dynamics)
-    assert dyn[1] is m.dynamics[1]
+    for f in ("A", "B", "c", "lam_cov"):
+        np.testing.assert_array_equal(getattr(dyn, f)[1], getattr(m.dynamics, f)[1])
     with pytest.warns(UserWarning, match="regime 1"):
         init = mstep_initial(posts, ds, floor=1e-8, prev=m.init)
     np.testing.assert_array_equal(init.mu[1], m.init.mu[1])
     with pytest.raises(ValueError):
         mstep_dynamics(posts, ds, floor=1e-8, prev=None)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_fit_at_large_state_scale(scale):
+    # floor_spd's covariances are symmetric only to rounding, so the symmetry
+    # check must be relative to their size
+    ds = collect_trajectories(default_config("pendulum"), 4, 0, T=100)
+    big = Dataset.from_trajectories([Trajectory(xs=scale * t.xs, us=t.us, dt=t.dt, id=t.id)
+                                     for t in ds])
+    fit, hist = fit_em(big, FitConfig(K=2, transition_kind="linear", restarts=2))
+    assert np.isfinite(hist.loglik[-1])
 
 
 def test_fit_is_deterministic():
@@ -493,7 +506,7 @@ def test_initialize_produces_valid_model():
     start = initialize(ds, cfg, np.random.default_rng(0))
     assert start.K == 3 and start.transition.kind == "perceptron"
     assert start.transition.hidden_units == 8
-    assert len(start.controllers) == 3
+    assert start.controllers.gain.shape == (3, 1, 3)
     # sticky bias on the diagonal
     np.testing.assert_allclose(np.diag(start.transition.bias), 2.0)
     posts, ll = estep(start, ds)
@@ -505,10 +518,8 @@ def test_two_regime_recovery_small():
     K, d_x = 2, 1
     init = InitialModel(pi=np.array([0.5, 0.5]), mu=np.array([[2.0], [-2.0]]),
                         omega_cov=np.full((2, 1, 1), 0.01))
-    dyn = (RegimeDynamics(A=np.array([[0.5]]), B=np.zeros((1, 0)),
-                          c=np.array([1.0]), lam_cov=np.array([[0.0025]])),
-           RegimeDynamics(A=np.array([[0.5]]), B=np.zeros((1, 0)),
-                          c=np.array([-1.0]), lam_cov=np.array([[0.0025]])))
+    dyn = Dynamics(A=np.full((2, 1, 1), 0.5), B=np.zeros((2, 1, 0)), c=[[1.0], [-1.0]],
+                   lam_cov=np.full((2, 1, 1), 0.0025))
     tm = make_transition("stationary", K, d_x, 0,
                          bias=np.log(np.array([[0.95, 0.05], [0.05, 0.95]])))
     true = HybridModel(K=K, d_x=d_x, d_u=0, mode="open_loop", init=init,
@@ -520,8 +531,8 @@ def test_two_regime_recovery_small():
     ds = Dataset.from_trajectories(trajs)
     cfg = FitConfig(K=2, max_iters=50, restarts=2, seed=0)
     fit, _ = fit_em(ds, cfg)
-    got = sorted((float(d.A[0, 0]), float(d.c[0])) for d in fit.dynamics)
-    want = sorted((float(d.A[0, 0]), float(d.c[0])) for d in dyn)
+    got = sorted(zip(fit.dynamics.A[:, 0, 0], fit.dynamics.c[:, 0]))
+    want = sorted(zip(dyn.A[:, 0, 0], dyn.c[:, 0]))
     for (a_g, c_g), (a_w, c_w) in zip(got, want):
         assert abs(a_g - a_w) < 0.05
         assert abs(c_g - c_w) < 0.1
@@ -572,7 +583,8 @@ def test_loglik_invariant_under_regime_permutation():
         K=3, d_x=2, d_u=1, mode=m.mode,
         init=InitialModel(pi=m.init.pi[perm], mu=m.init.mu[perm],
                           omega_cov=m.init.omega_cov[perm]),
-        dynamics=tuple(m.dynamics[j] for j in perm),
+        dynamics=Dynamics(*(getattr(m.dynamics, f)[perm]
+                            for f in ("A", "B", "c", "lam_cov"))),
         transition=replace(m.transition, bias=m.transition.bias[np.ix_(perm, perm)],
                            feature_params=W[perm].ravel()),
         controllers=None)

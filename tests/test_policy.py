@@ -7,8 +7,8 @@ from rarhmm import policy
 from rarhmm.envs import default_config, env_dims, load_dataset
 from rarhmm.evaluation import filter_all
 from rarhmm.learning import FitConfig
-from rarhmm.model import (CLOSED_LOOP, Dataset, HybridModel, InitialModel,
-                          RegimeController, RegimeDynamics, Trajectory,
+from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
+                          InitialModel, Trajectory, model_from_dict, model_to_dict,
                           sample_trajectory)
 from rarhmm.policy import (ACT_MODES, RolloutResult, _belief_step,
                            _initial_belief, act, default_distill_config,
@@ -26,13 +26,13 @@ def _closed_loop_model(gains, offsets=None, d_x=1, lag=0, init_mu=None,
     K = len(gains)
     d_u = np.atleast_2d(gains[0]).shape[0]
     offsets = offsets if offsets is not None else [np.zeros(d_u)] * K
-    controllers = tuple(
-        RegimeController(gain=np.atleast_2d(g), offset=np.asarray(o, dtype=float),
-                         sigma_cov=noise * np.eye(d_u), lag=lag, poly_degree=1)
-        for g, o in zip(gains, offsets))
-    dyn = tuple(RegimeDynamics(A=dynamics_a * np.eye(d_x),
-                               B=0.1 * np.ones((d_x, d_u)), c=np.zeros(d_x),
-                               lam_cov=0.01 * np.eye(d_x)) for _ in range(K))
+    controllers = Controllers(gain=[np.atleast_2d(g) for g in gains],
+                              offset=[np.ravel(o) for o in offsets],
+                              sigma_cov=np.tile(noise * np.eye(d_u), (K, 1, 1)),
+                              lag=lag, poly_degree=1)
+    dyn = Dynamics(A=np.tile(dynamics_a * np.eye(d_x), (K, 1, 1)),
+                   B=np.full((K, d_x, d_u), 0.1), c=np.zeros((K, d_x)),
+                   lam_cov=np.tile(0.01 * np.eye(d_x), (K, 1, 1)))
     mu = init_mu if init_mu is not None else np.zeros((K, d_x))
     init = InitialModel(pi=np.full(K, 1.0 / K), mu=np.asarray(mu, dtype=float),
                         omega_cov=np.stack([np.eye(d_x)] * K))
@@ -67,19 +67,33 @@ def test_distill_recovers_global_linear_law():
     model = distill(Dataset.from_trajectories(trajs),
                     FitConfig(K=1, mode=CLOSED_LOOP, lag=0, max_iters=5,
                               restarts=1))
-    np.testing.assert_allclose(model.controllers[0].gain, -K_exp, atol=1e-4)
-    np.testing.assert_allclose(model.controllers[0].offset, 0.0, atol=1e-4)
+    np.testing.assert_allclose(model.controllers.gain[0], -K_exp, atol=1e-4)
+    np.testing.assert_allclose(model.controllers.offset[0], 0.0, atol=1e-4)
 
 
 def _models_close(a, b, atol=1e-6):
     pairs = [(a.init.pi, b.init.pi), (a.init.mu, b.init.mu),
              (a.transition.bias, b.transition.bias),
              (a.transition.feature_params, b.transition.feature_params)]
-    for da, db in zip(a.dynamics, b.dynamics):
-        pairs += [(da.A, db.A), (da.B, db.B), (da.c, db.c)]
-    for ca, cb in zip(a.controllers, b.controllers):
-        pairs += [(ca.gain, cb.gain), (ca.offset, cb.offset)]
+    pairs += [(getattr(a.dynamics, f), getattr(b.dynamics, f)) for f in ("A", "B", "c")]
+    pairs += [(getattr(a.controllers, f), getattr(b.controllers, f))
+              for f in ("gain", "offset")]
     return all(np.allclose(x, y, atol=atol) for x, y in pairs)
+
+
+def test_distilled_model_rolls_out_as_its_reloaded_copy():
+    # the fitted blocks are C-ordered like the reloaded ones, so the per-step
+    # products round the same way in memory and after a save/load round trip
+    gen = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear", seed=2, lag=1)
+    model = distill(random_dataset(gen, n=3, T=40, seed=2),
+                    FitConfig(K=2, mode=CLOSED_LOOP, transition_kind="linear", lag=1,
+                              max_iters=3, restarts=1))
+    reloaded = model_from_dict(model_to_dict(model))
+    for seed in range(3):
+        a, b = (rollout(default_config("pendulum"), m, T=100,
+                        rng=np.random.default_rng(seed)) for m in (model, reloaded))
+        np.testing.assert_array_equal(a.trajectory.xs, b.trajectory.xs)
+        np.testing.assert_array_equal(a.beliefs, b.beliefs)
 
 
 def test_distill_duplicated_demos_identical():

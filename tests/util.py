@@ -8,9 +8,9 @@ from rarhmm._linalg import LOG2PI
 from rarhmm.envs import env_dims
 from rarhmm.features import controller_feature_dim
 from rarhmm.inference import Posterior, local_quantities
-from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Dataset, HybridModel,
-                          InitialModel, RegimeController, RegimeDynamics,
-                          Trajectory, controller_feature_series,
+from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
+                          HybridModel, InitialModel, Trajectory,
+                          controller_feature_series,
                           controller_features, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
 from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
@@ -57,9 +57,10 @@ def mvn_sample(rng, mean, cov):
 
 
 def reference_control_mean(model, k, x, past_us):
-    """Regime k's control law evaluated from its own controller."""
-    ctl = model.controllers[k]
-    return ctl.gain @ controller_features(x, past_us, ctl.lag, ctl.poly_degree) + ctl.offset
+    """Regime k's control law evaluated from its own slice of the controllers."""
+    ctl = model.controllers
+    return ctl.gain[k] @ controller_features(x, past_us, ctl.lag, ctl.poly_degree) \
+        + ctl.offset[k]
 
 
 def random_spd(rng, d, scale=1.0):
@@ -76,28 +77,28 @@ def random_model(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, kind="linear", seed=0,
         mu=rng.normal(size=(K, d_x)),
         omega_cov=np.stack([random_spd(rng, d_x, 0.3) for _ in range(K)]),
     )
-    dynamics = []
+    regimes = []   # (A, B, c, lam_cov) of each regime, drawn one regime at a time
     for _ in range(K):
         a = rng.standard_normal((d_x, d_x))
         a *= 0.85 / max(np.abs(np.linalg.eigvals(a)).max(), 1e-6)
-        dynamics.append(RegimeDynamics(
-            A=a, B=0.3 * rng.standard_normal((d_x, d_u)),
-            c=0.2 * rng.standard_normal(d_x),
-            lam_cov=random_spd(rng, d_x, noise_scale ** 2)))
+        regimes.append((a, 0.3 * rng.standard_normal((d_x, d_u)),
+                        0.2 * rng.standard_normal(d_x),
+                        random_spd(rng, d_x, noise_scale ** 2)))
+    dynamics = Dynamics(*(np.stack(f) for f in zip(*regimes)))
     controllers = None
     if mode == CLOSED_LOOP:
         d_phi = controller_feature_dim(d_x, d_u, lag, poly_degree)
-        controllers = tuple(RegimeController(
-            gain=0.3 * rng.standard_normal((d_u, d_phi)),
-            offset=0.1 * rng.standard_normal(d_u),
-            sigma_cov=random_spd(rng, d_u, noise_scale ** 2),
-            lag=lag, poly_degree=poly_degree) for _ in range(K))
+        laws = [(0.3 * rng.standard_normal((d_u, d_phi)), 0.1 * rng.standard_normal(d_u),
+                 random_spd(rng, d_u, noise_scale ** 2)) for _ in range(K)]
+        gain, offset, sigma_cov = (np.stack(f) for f in zip(*laws))
+        controllers = Controllers(gain, offset, sigma_cov, lag=lag,
+                                  poly_degree=poly_degree)
     tm = make_transition(kind, K, d_x, d_u, degree=degree,
                          hidden_units=hidden_units,
                          bias=0.5 * rng.standard_normal((K, K)),
                          rng=rng, init_scale=0.5)
     return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=mode, init=init,
-                       dynamics=tuple(dynamics), transition=tm,
+                       dynamics=dynamics, transition=tm,
                        controllers=controllers)
 
 
@@ -228,7 +229,7 @@ def reference_sample_forecast(model, x0, b0, us, rng):
     M, h = us.shape[:2]
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
-    A, B, c = model.stack.A, model.stack.B, model.stack.c
+    A, B, c = model.dynamics.A, model.dynamics.B, model.dynamics.c
     out = np.empty((M, h, x.shape[1]))
     for i in range(h):
         u = us[:, i, :]
@@ -238,7 +239,7 @@ def reference_sample_forecast(model, x0, b0, us, rng):
         ks = (rng.random(M)[:, None] < np.cumsum(b, axis=1)).argmax(axis=1)
         x = means[np.arange(M), ks]
         for m in range(M):
-            x[m] = mvn_sample(rng, x[m], model.dynamics[ks[m]].lam_cov)
+            x[m] = mvn_sample(rng, x[m], model.dynamics.lam_cov[ks[m]])
         b = np.eye(model.K)[ks]
         out[:, i, :] = x
     return out
@@ -248,15 +249,16 @@ def reference_log_local_evidence(model, traj):
     """(T, K) local evidence one regime at a time, each density through
     mvn_logpdf, which factorizes its covariance on every call."""
     ev = np.empty((traj.T, model.K))
+    dyn, ctl = model.dynamics, model.controllers
     for k in range(model.K):
-        dyn = model.dynamics[k]
         ev[0, k] = mvn_logpdf(traj.xs[0], model.init.mu[k], model.init.omega_cov[k])
-        means = traj.xs[:-1] @ dyn.A.T + traj.us[:-1] @ dyn.B.T + dyn.c
-        ev[1:, k] = mvn_logpdf(traj.xs[1:], means, dyn.lam_cov)
+        means = traj.xs[:-1] @ dyn.A[k].T + traj.us[:-1] @ dyn.B[k].T + dyn.c[k]
+        ev[1:, k] = mvn_logpdf(traj.xs[1:], means, dyn.lam_cov[k])
     if model.mode == CLOSED_LOOP:
         feats = controller_feature_series(traj.xs, traj.us, model.lag, model.poly_degree)
-        for k, ctl in enumerate(model.controllers):
-            ev[:, k] += mvn_logpdf(traj.us, feats @ ctl.gain.T + ctl.offset, ctl.sigma_cov)
+        for k in range(model.K):
+            ev[:, k] += mvn_logpdf(traj.us, feats @ ctl.gain[k].T + ctl.offset[k],
+                                   ctl.sigma_cov[k])
     return ev
 
 
@@ -275,17 +277,17 @@ def reference_sample_trajectory(model, T, rng, exogenous_us=None, z_burnin=None,
         if t > 0:
             z = int(rng.choice(model.K, p=transition_probs(model.transition, z, xs[t - 1],
                                                            us[t - 1])))
-            dyn = model.dynamics[z]
-            x = dyn.A @ xs[t - 1] + dyn.B @ us[t - 1] + dyn.c
+            dyn = model.dynamics
+            x = dyn.A[z] @ xs[t - 1] + dyn.B[z] @ us[t - 1] + dyn.c[z]
             if not deterministic:
-                x = mvn_sample(rng, x, dyn.lam_cov)
+                x = mvn_sample(rng, x, dyn.lam_cov[z])
         zs[t], xs[t] = z, x
         if model.mode == OPEN_LOOP:
             us[t] = exogenous_us[t]
         else:
             us[t] = reference_control_mean(model, z, x, past)
             if not deterministic:
-                us[t] = mvn_sample(rng, us[t], model.controllers[z].sigma_cov)
+                us[t] = mvn_sample(rng, us[t], model.controllers.sigma_cov[z])
         if model.lag > 0:
             past = past[1:] + [us[t].copy()]
     return xs, us, zs
@@ -295,8 +297,9 @@ def reference_belief_step(model, b, x_prev, u_prev, x_next):
     """Runtime belief update written one regime at a time: link prediction,
     then each regime's dynamics density through mvn_logpdf."""
     pred = transition_matrix(model.transition, x_prev, u_prev) @ b
-    le = np.array([mvn_logpdf(x_next, d.A @ x_prev + d.B @ u_prev + d.c, d.lam_cov)
-                   for d in model.dynamics])
+    d = model.dynamics
+    le = np.array([mvn_logpdf(x_next, d.A[k] @ x_prev + d.B[k] @ u_prev + d.c[k],
+                              d.lam_cov[k]) for k in range(model.K)])
     lb = np.log(np.maximum(pred, 1e-300)) + le
     norm = logsumexp(lb)
     if not np.isfinite(norm):
@@ -317,7 +320,7 @@ def reference_act(model, belief, x, past_us, mode=ACT_MEAN, rng=None):
         return reference_control_mean(model, k, x, past_us), k
     k = int(rng.choice(model.K, p=b))
     return mvn_sample(rng, reference_control_mean(model, k, x, past_us),
-                      model.controllers[k].sigma_cov), k
+                      model.controllers.sigma_cov[k]), k
 
 def models_equal(a: HybridModel, b: HybridModel) -> bool:
     """Bit-exact equality of every parameter and structural setting."""
@@ -327,15 +330,14 @@ def models_equal(a: HybridModel, b: HybridModel) -> bool:
     same = (np.array_equal(a.init.pi, b.init.pi)
             and np.array_equal(a.init.mu, b.init.mu)
             and np.array_equal(a.init.omega_cov, b.init.omega_cov))
-    for da, db in zip(a.dynamics, b.dynamics):
-        same = same and all(np.array_equal(getattr(da, f), getattr(db, f))
-                            for f in ("A", "B", "c", "lam_cov"))
+    same = same and all(np.array_equal(getattr(a.dynamics, f), getattr(b.dynamics, f))
+                        for f in ("A", "B", "c", "lam_cov"))
     if (a.controllers is None) != (b.controllers is None):
         return False
     if a.controllers is not None:
-        for ca, cb in zip(a.controllers, b.controllers):
-            same = same and all(np.array_equal(getattr(ca, f), getattr(cb, f))
-                                for f in ("gain", "offset", "sigma_cov"))
+        same = same and all(np.array_equal(getattr(a.controllers, f),
+                                           getattr(b.controllers, f))
+                            for f in ("gain", "offset", "sigma_cov"))
     ta, tb = a.transition, b.transition
     same = same and (ta.kind, ta.degree, ta.hidden_units) == \
         (tb.kind, tb.degree, tb.hidden_units)
