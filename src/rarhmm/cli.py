@@ -411,6 +411,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count-params", help="print a model's parameter count")
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--model")
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)       # usage errors after parsing name the command
     return parser
 
 
@@ -425,11 +427,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
-        return _COMMANDS[args.command](cfg, parser)
+        return _COMMANDS[args.command](cfg, args.parser)
     except (CliError, *_RUNTIME_ERRORS) as e:
         print(f"rarhmm {args.command}: error: {e}", file=sys.stderr)
         return EXIT_RUNTIME

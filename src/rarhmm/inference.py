@@ -3,8 +3,11 @@
 Messages are scaled, normalized per step, so likelihoods of any length stay
 finite: alpha_hat rows are filtered regime beliefs, log_norms accumulate the
 observed-data log-likelihood. The recursions run in linear scale on evidence
-exponentiated once per batch against its per-step max; a step whose scale
-underflows is redone in log space (see the batched recursions below).
+exponentiated once per batch against its per-step max. That evidence is
+folded into the forward transition stack, and the backward weights into the
+backward one, once per pass, so each time step is one matmul plus, going
+forward, a floor check and a divide. A step whose scale underflows is redone
+in log space (see the batched recursions below).
 """
 from __future__ import annotations
 
@@ -71,65 +74,83 @@ def local_quantities(model: HybridModel, traj: Trajectory) -> tuple[np.ndarray, 
 #
 # The recursions run in linear scale (Rabiner 1989). The evidence is
 # exponentiated once per batch against its per-step max over regimes,
-# E[b, t] = exp(ev[b, t] - max_k ev[b, t]), so a forward step is: predict,
-# multiply by E, sum to the scale S and divide, and log_norms = log S + max_k
-# ev after the loop. Messages are kept as (K, 1) columns for the forward and
-# (1, K) rows for the backward matmuls.
+# E[b, t] = exp(ev[b, t] - max_k ev[b, t]), and log_norms = log S + max_k ev
+# after the forward loop, S being each step's scale. Each pass folds what it
+# can into a time-major transition stack before its loop, so a step is a
+# fixed number of numpy calls whatever B and K are: one matmul and, going
+# forward, a floor check on S and a divide. Both stacks are local to their
+# pass, so neither is alive when _smooth_batch forms xi. Messages are (K, 1)
+# columns for the forward and (1, K) rows for the backward matmuls.
 
 # A row whose scale S falls below this at some step is recomputed for that
-# step in log space with the joint max of log prediction and evidence. That
-# keeps steps alive whose predicted mass sits hundreds of nats below the best
-# evidence, where S underflows, and raises on degenerate steps: +inf evidence
-# (S is NaN) or every predicted regime impossible (S is 0).
+# step in log space from its prediction trans @ alpha, with the joint max of
+# log prediction and evidence. That keeps steps alive whose predicted mass
+# sits hundreds of nats below the best evidence, where S underflows, and
+# raises on degenerate steps: +inf evidence (S is NaN) or every predicted
+# regime impossible (S is 0).
 _S_FLOOR = 1e-200
 
 
-def _rescue_rows(t, pred, ev_t, a, s):
-    """Redo step t in log space for the rows with s below the floor: writes
-    their normalized beliefs into a, sets their s to 1 and returns (rows,
-    their log normalizers)."""
-    rows = np.flatnonzero(~(s >= _S_FLOOR))
+def _rescue_rows(t, rows, pred, ev_t, u):
+    """Redo step t in log space for the given rows from their predicted
+    beliefs pred (R, K): writes their normalized beliefs and a scale of 1 into
+    the step's unnormalized stack u (B, K+1, 1) and returns (rows, their log
+    normalizers)."""
     with np.errstate(divide="ignore"):
-        la = np.log(pred[rows]) + ev_t[rows]
+        la = np.log(pred) + ev_t[rows]
     m = la.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError(f"forward normalizer degenerate at step {t}")
     e = np.exp(la - m)
     c = e.sum(axis=1, keepdims=True)
-    a[rows] = (e / c)[:, :, None]
-    s[rows] = 1.0
+    u[rows, :-1, 0] = e / c
+    u[rows, -1] = 1.0
     return rows, np.log(c[:, 0]) + m[:, 0]
 
 
 def _forward_batch(ev, trans, pi):
-    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T)."""
+    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T).
+
+    Rows 0..K-1 of the stack G[t-1] are E[:, t, :, None] * trans[:, t-1] and
+    row K their column sums, so step t > 0 is one matmul, U[t] = G[t-1] @
+    alpha[t-1], giving the unnormalized belief and, in row K, its scale S;
+    then alpha[t] = U[t, :, :K] / S. A row whose S is below _S_FLOOR or NaN
+    goes to _rescue_rows with its prediction trans @ alpha."""
     B, T, K = ev.shape
     top = ev.max(axis=2)                                   # (B, T)
     with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
         E = ev - top[:, :, None]
-        E = np.exp(E, out=E)[..., None]                    # (B, T, K, 1)
-    alpha = np.empty((B, T, K, 1))
-    S = np.empty((T, B, 1))
-    pred = np.empty((B, K, 1))
-    pred[...] = np.reshape(pi, (K, 1))
+        E = np.exp(E, out=E).transpose(1, 0, 2)[..., None]  # (T, B, K, 1)
+    G = np.empty((T - 1, B, K + 1, K))
+    np.multiply(E[1:], trans.transpose(1, 0, 2, 3), out=G[:, :, :K])
+    np.matmul(np.ones((1, K)), G[:, :, :K], out=G[:, :, K:])   # column sums
+    U = np.empty((T, B, K + 1, 1))
+    np.multiply(np.reshape(pi, (K, 1)), E[0], out=U[0, :, :K])
+    np.sum(U[0, :, :K], axis=1, out=U[0, :, K])
+    num, S = U[:, :, :K], U[:, :, K:]                      # S[t] is (B, 1, 1)
+    alpha = np.empty((T, B, K, 1))
     rescued = []
     for t in range(T):
         if t > 0:
-            np.matmul(trans[:, t - 1], alpha[:, t - 1], out=pred)
-        a = np.multiply(pred, E[:, t], out=alpha[:, t])
-        s = np.sum(a, axis=1, out=S[t])
-        if not s.min() >= _S_FLOOR:                        # also catches NaN
-            rescued.append((t, *_rescue_rows(t, pred[:, :, 0], ev[:, t], a, s[:, 0])))
-        a /= s[:, None]
-    log_norms = np.log(S[:, :, 0].T) + top
+            np.matmul(G[t - 1], alpha[t - 1], out=U[t])
+        if not S[t].min() >= _S_FLOOR:                     # also catches NaN
+            rows = np.flatnonzero(~(S[t] >= _S_FLOOR))
+            pred = (np.matmul(trans[rows, t - 1], alpha[t - 1, rows])[:, :, 0] if t > 0
+                    else np.broadcast_to(pi, (len(rows), K)))
+            rescued.append((t, *_rescue_rows(t, rows, pred, ev[:, t], U[t])))
+        np.divide(num[t], S[t], out=alpha[t])
+    log_norms = np.log(S[:, :, 0, 0].T) + top
     for t, rows, log_c in rescued:
         log_norms[rows, t] = log_c
-    return alpha[:, :, :, 0], log_norms
+    return np.ascontiguousarray(alpha[:, :, :, 0].transpose(1, 0, 2)), log_norms
 
 
 def _backward_batch(ev, trans, log_norms, alpha=None):
-    """Scaled beta (B, T, K) and the xi weights w (B, T-1, K),
-    w[:, t] = exp(ev[:, t+1] - log_norms[:, t+1]) * beta[:, t+1].
+    """Scaled beta (B, T, K) and the xi weights (B, T-1, K),
+    w[:, t] * beta[:, t+1] with w[:, t] = exp(ev[:, t+1] - log_norms[:, t+1]).
+
+    The weights are folded into the transitions once, N = w[..., None] *
+    trans (time-major), so step t is beta[t] = beta[t+1] @ N[t].
 
     A regime the filtered beliefs alpha give no mass at t+1 gets weight 0 at
     t+1, so it contributes to neither gamma nor xi. That covers every regime
@@ -137,20 +158,22 @@ def _backward_batch(ev, trans, log_norms, alpha=None):
     by over ~709 nats past the step's log normalizer (inf * 0 would then
     turn beta into NaN). Any other overflow raises FloatingPointError."""
     B, T, K = ev.shape
-    beta = np.empty((B, T, 1, K))
-    beta[:, -1] = 1.0
+    beta = np.empty((T, B, 1, K))
+    beta[-1] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         w = ev[:, 1:] - log_norms[:, 1:, None]
         w = np.exp(w, out=w)
         if alpha is not None:
             np.copyto(w, 0.0, where=alpha[:, 1:] == 0.0)
-        w = w[:, :, None, :]                               # (B, T-1, 1, K)
+        N = np.empty((T - 1, B, K, K))
+        np.multiply(w.transpose(1, 0, 2)[..., None], trans.transpose(1, 0, 2, 3), out=N)
         for t in range(T - 2, -1, -1):
-            wt = np.multiply(w[:, t], beta[:, t + 1], out=w[:, t])
-            np.matmul(wt, trans[:, t], out=beta[:, t])
-    if not beta.max() < np.inf:                            # also catches NaN
+            np.matmul(beta[t + 1], N[t], out=beta[t])
+        beta = np.ascontiguousarray(beta[:, :, 0].transpose(1, 0, 2))
+        w *= beta[:, 1:]
+    if not (beta.max() < np.inf and w.max(initial=0.0) < np.inf):   # also catches NaN
         raise FloatingPointError("backward recursion overflowed")
-    return beta[:, :, 0], w[:, :, 0]
+    return beta, w
 
 
 def _smooth_batch(ev, trans, pi, pad=None):
@@ -209,12 +232,15 @@ def smooth_dataset(model: HybridModel, dataset: Dataset):
 
     Padding to the longest length T_max holds B * T_max * K^2 floats of
     transitions and as many of xi; equal-length datasets are not padded.
+    Each pass holds one more stack of that size (the forward K+1 rows) only
+    while it runs.
     """
     lengths = np.array([traj.T for traj in dataset.trajectories])
     pad = np.arange(lengths.max()) >= lengths[:, None]   # (B, T_max)
     (B, T), K = pad.shape, model.K
     ev = np.zeros((B, T, K))
-    trans = np.tile(np.eye(K), (B, T - 1, 1, 1))
+    trans = np.empty((B, T - 1, K, K))
+    trans[pad[:, 1:]] = np.eye(K)                      # padded steps only
     for b, traj in enumerate(dataset.trajectories):
         ev[b, :traj.T], trans[b, :traj.T - 1] = local_quantities(model, traj)
     gamma, xi, loglik = _smooth_batch(ev, trans, model.init.pi, pad)

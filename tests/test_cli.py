@@ -278,6 +278,21 @@ def test_usage_errors_exit_one(tmp_path):
         assert ei.value.code == EXIT_USAGE, argv
 
 
+def test_usage_errors_after_parsing_name_the_command(capsys):
+    # errors the commands find themselves print the command's own usage line
+    for argv in (["fit", "--data", "x", "--transition", "foo"],
+                 ["fit", "--data", "x", "--K", "0"],
+                 ["eval", "--test", "x"],
+                 ["simulate", "--n-train", "2", "--split-size", "3"],
+                 ["count-params"]):
+        with pytest.raises(SystemExit) as ei:
+            _run(*argv)
+        assert ei.value.code == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert f"usage: rarhmm {argv[0]}" in err, argv
+        assert f"rarhmm {argv[0]}: error:" in err, argv
+
+
 def test_runtime_errors_exit_two(tmp_path):
     assert _run("fit", "--data", str(tmp_path / "missing.ndjson")) == EXIT_RUNTIME
     assert _run("count-params", "--model",

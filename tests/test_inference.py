@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch,
                               local_quantities, smooth, smooth_dataset)
 from rarhmm.model import CLOSED_LOOP, Dataset
 
-from util import (brute_force_posterior, logsumexp, random_model, random_trajectory,
-                  reference_backward_batch, reference_forward_batch, viterbi)
+from util import (brute_force_posterior, logsumexp, random_dataset, random_model,
+                  random_trajectory, reference_backward_batch,
+                  reference_forward_batch, viterbi)
 
 
 def _assert_posterior_close(a: Posterior, b: Posterior, tol=1e-10):
@@ -277,6 +279,18 @@ def test_backward_raises_on_other_overflow():
     trans[:, 2, 0] = 1e-320
     with pytest.raises(FloatingPointError, match="backward recursion overflowed"):
         _smooth_batch(ev[None], trans[None], pi)
+    # regime 2 is entered only through a subnormal transition and left only
+    # for regime 3: its xi weight at step 2 (~1e304 times a backward message
+    # of ~1e16) overflows while every backward message stays finite
+    trans = np.tile(np.array([[0.8, 0.3, 0.0, 0.0],
+                              [0.2, 0.7, 0.0, 0.5],
+                              [1e-320, 0.0, 0.0, 0.0],
+                              [0.0, 0.0, 1.0, 0.5]]), (3, 1, 1))
+    ev = np.zeros((4, 4))
+    ev[2] = [-700.0, -701.5, 0.0, -700.0]
+    ev[3] = [-700.0, -701.5, -700.0, 0.0]
+    with pytest.raises(FloatingPointError, match="backward recursion overflowed"):
+        _smooth_batch(ev[None], trans[None], np.array([0.6, 0.4, 0.0, 0.0]))
 
 
 def test_row_results_do_not_depend_on_batch_neighbours(rescued):
@@ -316,8 +330,13 @@ def test_linear_scale_matches_log_domain_reference(K):
     # mixed lengths, shortest next to the longest: a padded batch
     trajs = [random_trajectory(m, T=T, seed=30 + i)[0]
              for i, T in enumerate([40, 17, 2, 40])]
-    ds = Dataset.from_trajectories(trajs)
-    for batch in (ds, Dataset.from_trajectories(trajs[:1])):
+    batches = [Dataset.from_trajectories(trajs), Dataset.from_trajectories(trajs[:1])]
+    if K == 9:
+        # a 1000-step row batched with short, padded ones: each scale comes
+        # from the summed row of the folded stack, not from a sum of the belief
+        long_traj, _ = random_trajectory(m, T=1000, seed=40)
+        batches.append(Dataset.from_trajectories([trajs[1], long_traj, trajs[2]]))
+    for batch in batches:
         posts, _, _ = smooth_dataset(m, batch)
         for post, traj in zip(posts, batch.trajectories):
             ev, trans = local_quantities(m, traj)
@@ -326,8 +345,55 @@ def test_linear_scale_matches_log_domain_reference(K):
             np.testing.assert_allclose(post.gamma, gamma, rtol=0, atol=1e-12)
             np.testing.assert_allclose(post.xi, xi, rtol=0, atol=1e-12)
             got_alpha, got_norms, _ = forward_pass(ev, trans, m.init.pi)
+            np.testing.assert_allclose(got_alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got_alpha, alpha, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got_norms, log_norms, rtol=1e-12, atol=0)
             np.testing.assert_allclose(backward_pass(ev, trans, got_norms),
                                        np.exp(log_beta), rtol=1e-12, atol=0)
 
+
+def test_rescued_rows_get_their_prediction_at_a_later_step(monkeypatch):
+    # rows 1 and 2 are rescued at step 4, row 0 is not; rows 0 and 2 are
+    # padded. The rescue must see each rescued row's prediction trans @ alpha
+    # bit for bit, not a value derived from the folded stack
+    seen = []
+    rescue = inference._rescue_rows
+
+    def spy(t, rows, pred, *args):
+        seen.append((t, rows.copy(), pred.copy()))
+        return rescue(t, rows, pred, *args)
+
+    monkeypatch.setattr(inference, "_rescue_rows", spy)
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=12)
+    traj, _ = random_trajectory(m, T=5, seed=12)
+    ev1, trans1, pi = _unreachable_instance(T=8, seed=12)
+    ev1[4] = [-500.0, -499.0, 0.0]
+    ev2, trans2, _ = _unreachable_instance(T=6, seed=13)
+    ev2[4] = [-600.0, -601.5, 0.0]
+    ev = np.zeros((3, 8, 3))
+    trans = np.tile(np.eye(3), (3, 7, 1, 1))
+    ev[0, :5], trans[0, :4] = local_quantities(m, traj)
+    ev[1], trans[1] = ev1, trans1
+    ev[2, :6], trans[2, :5] = ev2, trans2
+    alpha, _ = _forward_batch(ev, trans, pi)
+    assert [(t, rows.tolist()) for t, rows, _ in seen] == [(4, [1, 2])]
+    t, rows, pred = seen[0]
+    want = np.matmul(trans[rows, t - 1], alpha[rows, t - 1][:, :, None])[:, :, 0]
+    assert np.array_equal(pred, want)
+    assert np.all(alpha[rows, t, -1] == 0.0)
+
+
+def test_smoothing_peak_memory_is_bounded():
+    # the folded forward and backward stacks must be gone before xi and the
+    # log transitions are formed: the E-step's peak stays within 3.5 times
+    # one (B, T-1, K, K) array
+    m = random_model(K=5, d_x=2, d_u=1, kind="linear", seed=0)
+    ds = random_dataset(m, n=4, T=500, seed=0)
+    smooth_dataset(m, ds)
+    tracemalloc.start()
+    try:
+        smooth_dataset(m, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (4 * 499 * 5 * 5 * 8)
