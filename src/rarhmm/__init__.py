@@ -15,11 +15,10 @@ from .model import (
     log_local_evidence,
     sample_initial,
     sample_trajectory,
-    save_model,
     step_dynamics,
 )
 from .transition import TransitionModel, make_transition, transition_matrix, transition_probs
-from .inference import Posterior, estep, smooth
+from .inference import Posterior, estep
 from .learning import FitConfig, FitHistory, fit_em
 from .envs import (
     EnvConfig,
@@ -47,9 +46,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CLOSED_LOOP", "OPEN_LOOP", "Controllers", "Dataset", "Dynamics",
     "HybridModel", "InitialModel", "Trajectory", "load_model",
-    "log_local_evidence", "sample_initial", "sample_trajectory", "save_model",
+    "log_local_evidence", "sample_initial", "sample_trajectory",
     "step_dynamics", "TransitionModel", "make_transition", "transition_matrix",
-    "transition_probs", "Posterior", "estep", "smooth",
+    "transition_probs", "Posterior", "estep",
     "FitConfig", "FitHistory", "fit_em",
     "EnvConfig", "collect_demonstrations", "collect_trajectories",
     "default_config", "expert_policy", "load_dataset", "save_dataset",

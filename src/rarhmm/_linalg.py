@@ -1,6 +1,9 @@
 """Small numeric helpers shared across modules. Only the regime blocks of
 model.py (InitialModel, Dynamics, Controllers) call gauss_factors, once each
-in their constructor; gauss_logpdf and gauss_draw read the factors they hold."""
+in their constructor; gauss_logpdf and gauss_draw read the factors they hold.
+A density whitens its residuals with the cached inverse W = inv(L) of the lower
+Cholesky factor L, |W r|^2 being the Mahalanobis term, so it costs one matmul
+and no factorization."""
 from __future__ import annotations
 
 import numpy as np
@@ -21,10 +24,11 @@ def floor_spd(cov: np.ndarray, floor: float) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-def gauss_factors(covs) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of (K, d, d) covariances and d log 2pi + log det
-    of each, summed in the order gauss_logpdf adds them to the Mahalanobis
-    term."""
+def gauss_factors(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower Cholesky factors L of (K, d, d) covariances, their C-ordered
+    inverses W = inv(L) (the whitening matrices gauss_logpdf applies), and
+    d log 2pi + log det of each, summed in the order gauss_logpdf adds them
+    to the Mahalanobis term."""
     covs = np.asarray(covs, dtype=float)
     try:
         chols = np.linalg.cholesky(covs)
@@ -32,19 +36,25 @@ def gauss_factors(covs) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError(f"covariance not positive definite (min eig "
                                     f"{np.linalg.eigvalsh(covs).min():.3e})") from e
     logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    return chols, covs.shape[-1] * LOG2PI + logdet
+    # LU of the upper factor L' swaps no rows, so inverting it is plain back
+    # substitution and W = inv(L')' comes out exactly lower triangular
+    whiten = np.linalg.inv(chols.swapaxes(1, 2)).swapaxes(1, 2).copy()
+    return chols, whiten, covs.shape[-1] * LOG2PI + logdet
 
 
-def gauss_logpdf(x, mean, chol: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Log density of N(mean, chol chol') at x from lower factors chol
-    (..., d, d) and const (...) = d log 2pi + log det; x - mean (..., d)
-    broadcasts against both."""
-    resid = x - mean
+def gauss_logpdf(resid: np.ndarray, whiten: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Log density of N(0, L_k L_k') per regime k at resid (K, n, d), n rows
+    per regime, giving (K, n), or at resid (K, d), one point per regime,
+    giving (K,); whiten (K, d, d) = inv(L) and const (K,) = d log 2pi + log
+    det. The whitened residuals are columns, z = whiten @ resid', so the
+    Mahalanobis term sums squares over the d rows of z."""
     if resid.shape[-1] == 0:
         # empty event space: the density of a point mass is 1
         return np.zeros(resid.shape[:-1])
-    z = np.linalg.solve(chol, resid[..., None])[..., 0]
-    return -0.5 * (const + (z * z).sum(axis=-1))
+    point = resid.ndim < whiten.ndim
+    z = whiten @ (resid[..., None] if point else resid.swapaxes(-1, -2))   # (K, d, n)
+    out = -0.5 * (const[:, None] + np.square(z, out=z).sum(axis=-2))
+    return out[:, 0] if point else out
 
 
 def gauss_draw(rng: np.random.Generator, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:

@@ -13,30 +13,28 @@ from math import comb
 import numpy as np
 
 
-def monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    out: list[tuple[int, ...]] = []
-    for total in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(dim), total):
-            e = [0] * dim
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-    return out
-
-
 def n_monomials(dim: int, degree: int) -> int:
     return comb(dim + degree, degree) - 1
 
 
 def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Map (..., d) points to (..., n_monomials(d, degree)) monomial values."""
+    """Map (..., d) points to (..., n_monomials(d, degree)) monomial values.
+
+    Each degree group multiplies the columns its combination indices gather,
+    left to right, so x1^2 x2 is (x1 * x1) * x2."""
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     x = np.asarray(x, dtype=float)
     if degree == 1:
         return x.copy()
-    cols = [np.prod(x ** np.asarray(e), axis=-1) for e in monomial_exponents(x.shape[-1], degree)]
-    return np.stack(cols, axis=-1)
+    groups = [x]
+    for total in range(2, degree + 1):
+        idx = np.array(list(combinations_with_replacement(range(x.shape[-1]), total)))
+        cols = x[..., idx[:, 0]]
+        for j in range(1, total):
+            cols *= x[..., idx[:, j]]
+        groups.append(cols)
+    return np.concatenate(groups, axis=-1)
 
 
 def controller_feature_dim(d_x: int, d_u: int, lag: int, poly_degree: int) -> int:

@@ -206,25 +206,6 @@ def forward_pass(evidence, trans_mats, pi):
     return alpha[0], log_norms[0], float(log_norms[0].sum())
 
 
-def backward_pass(evidence, trans_mats, log_norms):
-    """Scaled backward recursion consistent with forward_pass scaling; beta_T = 1.
-
-    Without the filtered beliefs no regime is known to have no mass, so an
-    overflowing weight raises FloatingPointError (see _backward_batch)."""
-    ev = np.asarray(evidence, dtype=float)[None]
-    _check_evidence(ev)
-    beta, _ = _backward_batch(ev, np.asarray(trans_mats, dtype=float)[None],
-                              np.asarray(log_norms, dtype=float)[None])
-    return beta[0]
-
-
-def smooth(model: HybridModel, traj: Trajectory) -> Posterior:
-    """Full forward-backward smoothing of one trajectory: smooth_dataset of
-    the dataset holding it alone."""
-    posteriors, _, _ = smooth_dataset(model, Dataset((traj,), traj.d_x, traj.d_u))
-    return posteriors[0]
-
-
 def smooth_dataset(model: HybridModel, dataset: Dataset):
     """Smooth all B trajectories in one padded batch; results equal
     per-trajectory smoothing. Returns (Posterior per trajectory in dataset

@@ -11,9 +11,11 @@ Open-loop mode treats controls as exogenous inputs and omits their likelihood.
 The regime parameters are held once, stacked on a leading K axis, in three
 blocks: InitialModel, Dynamics and (closed loop) Controllers. Each block copies
 its arrays to read-only C-ordered floats and factors its covariances once, in
-its constructor; the Cholesky factorization is their positive-definiteness
-check. All types are immutable after construction and all sampling takes an
-explicit numpy Generator, so everything here is safe to run concurrently.
+its constructor: the lower Cholesky factors L (for draws), their inverses
+inv(L) (the whitening matrices every density applies) and the log-normalizing
+constants. The Cholesky factorization is their positive-definiteness check.
+All types are immutable after construction and all sampling takes an explicit
+numpy Generator, so everything here is safe to run concurrently.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ def _set_frozen(block, **arrays) -> None:
         object.__setattr__(block, name, a)
 
 
-def _factors(covs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _factors(covs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """gauss_factors of (K, d, d) covariances that are symmetric to _SYM_TOL
     of their largest entry; the Cholesky factorization is the positive-
     definiteness check."""
@@ -148,8 +150,9 @@ class InitialModel:
     pi: np.ndarray         # (K,)
     mu: np.ndarray         # (K, d_x)
     omega_cov: np.ndarray  # (K, d_x, d_x)
-    omega_chol: np.ndarray = field(init=False, repr=False)   # lower factors of omega_cov
-    omega_const: np.ndarray = field(init=False, repr=False)  # (K,) d log 2pi + log det
+    omega_chol: np.ndarray = field(init=False, repr=False)    # lower factors L of omega_cov
+    omega_whiten: np.ndarray = field(init=False, repr=False)  # their inverses inv(L)
+    omega_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
         pi, mu = _c_copy(self.pi, 1, "pi"), _c_copy(self.mu, 2, "mu")
@@ -159,8 +162,9 @@ class InitialModel:
             raise ValueError("pi must be nonnegative and sum to 1 within 1e-12")
         if len(pi) != K or om.shape != (K, d, d):
             raise ValueError("pi (K,), mu (K, d_x) and omega_cov (K, d_x, d_x) disagree")
-        chol, const = _factors(om, "omega_cov")
-        _set_frozen(self, pi=pi, mu=mu, omega_cov=om, omega_chol=chol, omega_const=const)
+        chol, whiten, const = _factors(om, "omega_cov")
+        _set_frozen(self, pi=pi, mu=mu, omega_cov=om, omega_chol=chol,
+                    omega_whiten=whiten, omega_const=const)
 
     @property
     def K(self) -> int:
@@ -174,8 +178,9 @@ class Dynamics:
     B: np.ndarray        # (K, d_x, d_u)
     c: np.ndarray        # (K, d_x)
     lam_cov: np.ndarray  # (K, d_x, d_x)
-    lam_chol: np.ndarray = field(init=False, repr=False)   # lower factors of lam_cov
-    lam_const: np.ndarray = field(init=False, repr=False)  # (K,) d log 2pi + log det
+    lam_chol: np.ndarray = field(init=False, repr=False)    # lower factors L of lam_cov
+    lam_whiten: np.ndarray = field(init=False, repr=False)  # their inverses inv(L)
+    lam_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
         A, B = _c_copy(self.A, 3, "A"), _c_copy(self.B, 3, "B")
@@ -184,8 +189,9 @@ class Dynamics:
         if A.shape != (K, d, d) or B.shape[:2] != (K, d) or lam.shape != (K, d, d):
             raise ValueError("A (K, d_x, d_x), B (K, d_x, d_u), c (K, d_x) and "
                              "lam_cov (K, d_x, d_x) disagree")
-        chol, const = _factors(lam, "lam_cov")
-        _set_frozen(self, A=A, B=B, c=c, lam_cov=lam, lam_chol=chol, lam_const=const)
+        chol, whiten, const = _factors(lam, "lam_cov")
+        _set_frozen(self, A=A, B=B, c=c, lam_cov=lam, lam_chol=chol, lam_whiten=whiten,
+                    lam_const=const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +203,9 @@ class Controllers:
     sigma_cov: np.ndarray  # (K, d_u, d_u)
     lag: int = 0
     poly_degree: int = 1
-    sigma_chol: np.ndarray = field(init=False, repr=False)   # lower factors of sigma_cov
-    sigma_const: np.ndarray = field(init=False, repr=False)  # (K,) d log 2pi + log det
+    sigma_chol: np.ndarray = field(init=False, repr=False)    # lower factors L of sigma_cov
+    sigma_whiten: np.ndarray = field(init=False, repr=False)  # their inverses inv(L)
+    sigma_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
         gain, offset = _c_copy(self.gain, 3, "gain"), _c_copy(self.offset, 2, "offset")
@@ -211,17 +218,18 @@ class Controllers:
             raise ValueError("lag must be >= 0")
         if self.poly_degree < 1:
             raise ValueError("poly_degree must be >= 1")
-        chol, const = _factors(sig, "sigma_cov")
+        chol, whiten, const = _factors(sig, "sigma_cov")
         _set_frozen(self, gain=gain, offset=offset, sigma_cov=sig, sigma_chol=chol,
-                    sigma_const=const)
+                    sigma_whiten=whiten, sigma_const=const)
 
 
 @dataclass(frozen=True, eq=False)
 class HybridModel:
     """K-regime switching linear-Gaussian model. Its blocks hold every regime
     parameter once, stacked on a leading K axis, read-only and with the
-    Cholesky factors of their covariances: evidence, sampling, forecasting,
-    the runtime belief and act read them directly."""
+    Cholesky factors of their covariances and the inverses of those factors:
+    evidence, sampling, forecasting, the runtime belief and act read them
+    directly."""
     K: int
     d_x: int
     d_u: int
@@ -400,15 +408,20 @@ def log_local_evidence(model: HybridModel, traj: Trajectory) -> np.ndarray:
     init, dyn, ctl = model.init, model.dynamics, model.controllers
     xs, us = traj.xs, traj.us
     ev = np.empty((traj.T, model.K))
-    ev[0] = gauss_logpdf(xs[0], init.mu, init.omega_chol, init.omega_const)
-    # (K, T-1, d_x) per-regime one-step means
-    means = xs[:-1] @ dyn.A.transpose(0, 2, 1) + us[:-1] @ dyn.B.transpose(0, 2, 1) \
-        + dyn.c[:, None]
-    ev[1:] = gauss_logpdf(xs[1:], means, dyn.lam_chol[:, None], dyn.lam_const[:, None]).T
+    ev[0] = gauss_logpdf(xs[0] - init.mu, init.omega_whiten, init.omega_const)
+    # (K, T-1, d_x) per-regime one-step residuals x_{t+1} - (A x_t + B u_t + c),
+    # formed in one buffer so at most two such stacks are alive at a time
+    resid = xs[:-1] @ dyn.A.transpose(0, 2, 1)
+    resid += us[:-1] @ dyn.B.transpose(0, 2, 1)
+    resid += dyn.c[:, None]
+    ev[1:] = gauss_logpdf(np.subtract(xs[1:], resid, out=resid), dyn.lam_whiten,
+                          dyn.lam_const).T
     if ctl is not None:
         feats = controller_feature_series(xs, us, ctl.lag, ctl.poly_degree)
-        means = feats @ ctl.gain.transpose(0, 2, 1) + ctl.offset[:, None]
-        ev += gauss_logpdf(us, means, ctl.sigma_chol[:, None], ctl.sigma_const[:, None]).T
+        resid = feats @ ctl.gain.transpose(0, 2, 1)
+        resid += ctl.offset[:, None]
+        ev += gauss_logpdf(np.subtract(us, resid, out=resid), ctl.sigma_whiten,
+                           ctl.sigma_const).T
     return ev
 
 
@@ -504,12 +517,6 @@ def model_from_dict(doc: dict) -> HybridModel:
         raise ValueError(f"model document lacks field {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed model document: {e}") from e
-
-
-def save_model(path, model: HybridModel) -> None:
-    with open(path, "w") as f:
-        json.dump(model_to_dict(model), f, indent=1)
-        f.write("\n")
 
 
 def load_model(path) -> HybridModel:

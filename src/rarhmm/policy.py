@@ -150,7 +150,8 @@ def _bayes_update(prior: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
 
 def _initial_belief(model: HybridModel, x: np.ndarray) -> np.ndarray:
     init = model.init
-    return _bayes_update(init.pi, gauss_logpdf(x, init.mu, init.omega_chol, init.omega_const))
+    return _bayes_update(init.pi, gauss_logpdf(x - init.mu, init.omega_whiten,
+                                               init.omega_const))
 
 
 def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
@@ -161,8 +162,8 @@ def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
     # step rounds differently and would change rollouts.
     pred = transition_matrix(model.transition, x_prev, u_prev) @ b
     dyn = model.dynamics
-    means = dyn.A @ x_prev + dyn.B @ u_prev + dyn.c
-    return _bayes_update(pred, gauss_logpdf(x_next, means, dyn.lam_chol, dyn.lam_const))
+    resid = x_next - (dyn.A @ x_prev + dyn.B @ u_prev + dyn.c)
+    return _bayes_update(pred, gauss_logpdf(resid, dyn.lam_whiten, dyn.lam_const))
 
 
 def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,

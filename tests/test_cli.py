@@ -9,10 +9,11 @@ from rarhmm import cli
 from rarhmm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from rarhmm.envs import load_dataset, load_manifest
 from rarhmm.evaluation import count_params
-from rarhmm.model import CLOSED_LOOP, load_model, save_model
+from rarhmm.model import CLOSED_LOOP, load_model
 from rarhmm.policy import default_distill_config
 
 from test_policy import _closed_loop_model
+from util import save_model
 
 
 def _run(*argv):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from rarhmm import inference
-from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch,
-                              backward_pass, estep, forward_pass,
-                              local_quantities, smooth, smooth_dataset)
+from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch, estep,
+                              forward_pass, local_quantities, smooth_dataset)
 from rarhmm.model import CLOSED_LOOP, Dataset
 
-from util import (brute_force_posterior, logsumexp, random_dataset, random_model,
-                  random_trajectory, reference_backward_batch,
-                  reference_forward_batch, viterbi)
+from util import (backward_pass, brute_force_posterior, logsumexp, random_dataset,
+                  random_model, random_trajectory, reference_backward_batch,
+                  reference_forward_batch, smooth, viterbi)
 
 
 def _assert_posterior_close(a: Posterior, b: Posterior, tol=1e-10):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,20 @@ from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics
                           HybridModel, InitialModel, Trajectory, controller_features,
                           controller_feature_series, load_model,
                           log_local_evidence, model_from_dict, model_to_dict,
-                          sample_initial, sample_trajectory,
-                          save_model, step_dynamics)
+                          sample_initial, sample_trajectory, step_dynamics)
+from rarhmm import policy
+from rarhmm._linalg import gauss_factors, gauss_logpdf
+from rarhmm.evaluation import filter_all
 from rarhmm.transition import make_transition
 
 from rarhmm.envs import default_config
 from rarhmm.inference import smooth_dataset
-from rarhmm.learning import FitConfig, fit_em
+from rarhmm.learning import COVARIANCE_FLOOR, FitConfig, fit_em
 from rarhmm.policy import rollout
 
 from util import (models_equal, mvn_logpdf, random_dataset, random_model,
                   random_trajectory, reference_log_local_evidence,
-                  reference_sample_trajectory)
+                  reference_sample_trajectory, save_model, solve_mvn_logpdf)
 
 
 def test_controller_features_linear_is_state():
@@ -339,7 +342,7 @@ def test_regime_blocks_are_read_only_and_per_regime():
         # at the mean, the log density is exactly -lam_const / 2
         assert -0.5 * dyn.lam_const[k] == mvn_logpdf(dyn.c[k], dyn.c[k], dyn.lam_cov[k])
     arrays = _block_arrays(m)
-    assert len(arrays) == 5 + 6 + 5
+    assert len(arrays) == 6 + 7 + 6
     for name, a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
@@ -366,7 +369,7 @@ def test_fitted_blocks_are_c_contiguous_and_read_only(mode, lag):
                           n=3, T=40, seed=6)
     m, _ = fit_em(data, FitConfig(K=2, mode=mode, transition_kind="linear", lag=lag,
                                   max_iters=3, restarts=1))
-    assert len(_block_arrays(m)) == (16 if mode == CLOSED_LOOP else 11)
+    assert len(_block_arrays(m)) == (19 if mode == CLOSED_LOOP else 13)
     for name, a in _block_arrays(m):
         assert a.flags.c_contiguous, name
         assert not a.flags.writeable, name
@@ -423,6 +426,78 @@ def test_log_local_evidence_matches_per_regime_reference(mode, K, d_u, lag, degr
                       dt=0.1)
     np.testing.assert_array_equal(log_local_evidence(m, traj),
                                   reference_log_local_evidence(m, traj))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_whitened_density_matches_triangular_solve(d):
+    # covariance eigenvalues from the fitting floor to 1e2, rotated at random
+    rng = np.random.default_rng(d)
+    K, n = 6, 50
+    covs = []
+    for k in range(K):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eig = (np.geomspace(COVARIANCE_FLOOR, 1e2, d) if k % 2 == 0
+               else 10.0 ** rng.uniform(np.log10(COVARIANCE_FLOOR), 2.0, d))
+        covs.append((q * eig) @ q.T)
+    covs = 0.5 * (np.stack(covs) + np.stack(covs).transpose(0, 2, 1))
+    chol, whiten, const = gauss_factors(covs)
+    assert whiten.flags.c_contiguous
+    np.testing.assert_array_equal(np.triu(whiten, 1), 0.0)
+    for k in range(K):
+        np.testing.assert_allclose(whiten[k] @ chol[k], np.eye(d), rtol=0.0, atol=1e-12)
+    # residuals drawn from each covariance, every fifth 10 standard deviations out
+    resid = (chol @ rng.standard_normal((K, d, n))).transpose(0, 2, 1)
+    resid[:, ::5] *= 10.0
+    got = gauss_logpdf(resid, whiten, const)
+    assert got.shape == (K, n)
+    for k in range(K):
+        want = solve_mvn_logpdf(resid[k], 0.0, covs[k])
+        # relative to the magnitudes of the two terms the density sums, so
+        # that a value near 0 after cancellation is not held to a bound its
+        # terms cannot meet
+        scale = 0.5 * (np.abs(const[k]) + (-2.0 * want - const[k]))
+        assert np.all(np.abs(got[k] - want) <= 1e-12 * scale)
+        # so is one point per regime
+        point = gauss_logpdf(resid[:, 3], whiten, const)[k]
+        assert abs(point - want[3]) <= 1e-12 * scale[3]
+
+
+def test_densities_factor_nothing_once_the_model_is_built(monkeypatch):
+    m = random_model(K=3, d_x=3, d_u=2, mode=CLOSED_LOOP, seed=4, lag=1, poly_degree=2,
+                     noise_scale=0.3)
+    rng = np.random.default_rng(4)
+    traj = Trajectory(xs=rng.standard_normal((30, 3)), us=rng.standard_normal((30, 2)),
+                      dt=0.1)
+
+    def factoring(*args, **kwargs):
+        raise AssertionError("a density factored a matrix")
+
+    for name in ("solve", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, factoring)
+    ev = log_local_evidence(m, traj)
+    assert ev.shape == (30, 3) and np.all(np.isfinite(ev))
+    assert filter_all(m, traj).shape == (30, 3)
+    b = policy._initial_belief(m, traj.xs[0])
+    b = policy._belief_step(m, b, traj.xs[0], traj.us[0], traj.xs[1])
+    assert b.shape == (3,) and abs(b.sum() - 1.0) < 1e-12
+
+
+def test_evidence_peak_memory_is_bounded():
+    # the evidence holds at most two (K, T, d_x) stacks at a time (the
+    # residuals and their whitened columns) plus (K, T) rows; a factor
+    # broadcast to every row would hold K * T * d_x^2 floats
+    K, T, d_x = 9, 2000, 6
+    m = random_model(K=K, d_x=d_x, d_u=1, mode=CLOSED_LOOP, seed=2, lag=1)
+    rng = np.random.default_rng(2)
+    traj = Trajectory(xs=rng.standard_normal((T, d_x)), us=rng.standard_normal((T, 1)),
+                      dt=0.1)
+    tracemalloc.start()
+    try:
+        log_local_evidence(m, traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (K * T * d_x * 8)
 
 
 def test_regime_stack_factors_every_covariance():

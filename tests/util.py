@@ -1,17 +1,19 @@
 """Shared builders for randomized test instances, and the reference
 implementations the library is checked against."""
 import itertools
+import json
 
 import numpy as np
 
 from rarhmm._linalg import LOG2PI
 from rarhmm.envs import env_dims
 from rarhmm.features import controller_feature_dim
-from rarhmm.inference import Posterior, local_quantities
+from rarhmm.inference import (Posterior, _backward_batch, _check_evidence,
+                              local_quantities, smooth_dataset)
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
                           HybridModel, InitialModel, Trajectory,
                           controller_feature_series,
-                          controller_features, sample_trajectory)
+                          controller_features, model_to_dict, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
 from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
                                params_to_vector, transition_features,
@@ -31,9 +33,25 @@ def logsumexp(a, axis=None):
 
 
 def mvn_logpdf(x, mean, cov):
-    """Log density of N(mean, cov) at x, factorizing cov on every call; x and
-    mean broadcast over leading axes. The per-covariance reference for the
-    library's densities from cached factors."""
+    """Log density of N(mean, cov) at a point x (d,) or at rows x (T, d),
+    factorizing cov and inverting its factor on every call, then whitening
+    the residuals as columns as the library does with its cached inverse
+    factors. The per-covariance reference for the library's densities."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x.shape[-1]
+    if d == 0:
+        return np.zeros(x.shape[:-1])
+    L = np.linalg.cholesky(cov)
+    z = np.linalg.inv(L.T).T.copy() @ (x - mean).T      # (d,) or (d, T)
+    maha = np.sum(z * z, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return -0.5 * (d * LOG2PI + logdet + maha)
+
+
+def solve_mvn_logpdf(x, mean, cov):
+    """Log density of N(mean, cov) at x by a triangular solve against the
+    Cholesky factor of cov, with no inverse formed; x and mean broadcast over
+    leading axes. The independent check of the whitened densities."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[-1]
     if d == 0:
@@ -54,6 +72,23 @@ def mvn_sample(rng, mean, cov):
         return np.zeros_like(mean)
     L = np.linalg.cholesky(cov)
     return mean + L @ rng.standard_normal(mean.shape[-1])
+
+
+def reference_polynomial_features(x, degree):
+    """Monomial features as the library computed them before its index
+    product: one column per exponent vector e, np.prod(x ** e), in
+    combinations-with-replacement order."""
+    x = np.asarray(x, dtype=float)
+    if degree == 1:
+        return x.copy()
+    exponents = []
+    for total in range(1, degree + 1):
+        for combo in itertools.combinations_with_replacement(range(x.shape[-1]), total):
+            e = [0] * x.shape[-1]
+            for i in combo:
+                e[i] += 1
+            exponents.append(e)
+    return np.stack([np.prod(x ** np.asarray(e), axis=-1) for e in exponents], axis=-1)
 
 
 def reference_control_mean(model, k, x, past_us):
@@ -401,6 +436,33 @@ def viterbi(model: HybridModel, traj: Trajectory) -> np.ndarray:
     for t in range(T - 2, -1, -1):
         path[t] = back[t + 1][path[t + 1]]
     return path
+
+
+def smooth(model: HybridModel, traj: Trajectory) -> Posterior:
+    """Full forward-backward smoothing of one trajectory: smooth_dataset of
+    the dataset holding it alone."""
+    posteriors, _, _ = smooth_dataset(model, Dataset((traj,), traj.d_x, traj.d_u))
+    return posteriors[0]
+
+
+def backward_pass(evidence, trans_mats, log_norms):
+    """Scaled backward recursion of one trajectory, consistent with
+    forward_pass scaling; beta_T = 1.
+
+    Without the filtered beliefs no regime is known to have no mass, so an
+    overflowing weight raises FloatingPointError (see _backward_batch)."""
+    ev = np.asarray(evidence, dtype=float)[None]
+    _check_evidence(ev)
+    beta, _ = _backward_batch(ev, np.asarray(trans_mats, dtype=float)[None],
+                              np.asarray(log_norms, dtype=float)[None])
+    return beta[0]
+
+
+def save_model(path, model: HybridModel) -> None:
+    """A model file as `rarhmm fit` writes it, without the provenance."""
+    with open(path, "w") as f:
+        json.dump(model_to_dict(model), f, indent=1)
+        f.write("\n")
 
 
 def reference_forward_batch(ev, trans, pi):
