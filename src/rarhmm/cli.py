@@ -26,6 +26,7 @@ from .learning import FitConfig, fit_em
 from .model import CLOSED_LOOP, MODES, load_model, model_to_dict
 from .policy import (ACT_MODES, default_distill_config, distill, rollout,
                      save_rollout, success_criterion)
+from .transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,6 +56,8 @@ _FIT_FIELDS = dict(K="K", transition="transition_kind", lag="lag",
                    poly_degree="poly_degree", max_iters="max_iters",
                    restarts="restarts", rel_tol="rel_tol", seed="seed")
 _DISTILL_CONFIG = default_distill_config()
+_TRANSITION_HELP = (f"regime link: one of {', '.join(KINDS)}; polynomial:DEGREE "
+                    f"(1 if omitted), perceptron:UNITS ({PERCEPTRON_HIDDEN_UNITS} if omitted)")
 
 _DEFAULTS = {
     "simulate": dict(env="pendulum", obs="joint", seed=0, n_train=25,
@@ -112,22 +115,24 @@ def _header_lines(prov: dict) -> tuple:
             f"seed={prov['seed']}", f"version={prov['version']}")
 
 
+def _write_text(path, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _write_run_doc(out_dir: str, command: str, cfg: dict, prov: dict,
                    results: dict | None = None) -> None:
     doc = {"command": command, "config": cfg, "provenance": prov}
     if results is not None:
         doc["results"] = results
-    with open(os.path.join(out_dir, "run.json"), "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_text(os.path.join(out_dir, "run.json"),
+                json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _write_model(path, model, prov: dict) -> None:
     doc = model_to_dict(model)
     doc["provenance"] = prov
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    _write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
 def _require(cfg: dict, key: str, parser: _Parser) -> None:
@@ -211,9 +216,9 @@ def cmd_fit(cfg: dict, parser: _Parser) -> int:
             continue
         _write_model(os.path.join(cfg["out_dir"], f"model{suffix}.json"),
                      model, prov)
-        history.to_csv(os.path.join(cfg["out_dir"], f"history{suffix}.csv"),
-                       include_timings=cfg["timings"],
-                       header_lines=_header_lines(prov))
+        _write_text(os.path.join(cfg["out_dir"], f"history{suffix}.csv"),
+                    history.to_csv(include_timings=cfg["timings"],
+                                   header_lines=_header_lines(prov)))
         print(f"fit{suffix or ''}: loglik={history.loglik[-1]!r} "
               f"iters={len(history)}")
     for line in failures:
@@ -260,10 +265,10 @@ def cmd_eval(cfg: dict, parser: _Parser) -> int:
     rng = np.random.default_rng(cfg["seed"]) if cfg["mode"] == "sample" else None
     report = evaluate(models_by_tag, test, horizons, mode=cfg["mode"], rng=rng)
     header = _header_lines(prov)
-    report.to_csv(os.path.join(cfg["out_dir"], "report.csv"),
-                  header_lines=header)
-    report.to_long_csv(os.path.join(cfg["out_dir"], "report_long.csv"),
-                       header_lines=header)
+    _write_text(os.path.join(cfg["out_dir"], "report.csv"),
+                report.to_csv(header_lines=header))
+    _write_text(os.path.join(cfg["out_dir"], "report_long.csv"),
+                report.to_long_csv(header_lines=header))
     _write_run_doc(cfg["out_dir"], "eval", cfg, prov)
     print(report.summary())
     return EXIT_OK
@@ -365,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest")
     p.add_argument("--K", type=int)
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--transition")
+    p.add_argument("--transition", metavar="SPEC", help=_TRANSITION_HELP)
     p.add_argument("--lag", type=int)
     p.add_argument("--poly-degree", type=int, dest="poly_degree")
     p.add_argument("--max-iters", type=int, dest="max_iters")
@@ -388,7 +393,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--demos")
     p.add_argument("--K", type=int)
-    p.add_argument("--transition")
+    p.add_argument("--transition", metavar="SPEC", help=_TRANSITION_HELP)
     p.add_argument("--lag", type=int)
     p.add_argument("--poly-degree", type=int, dest="poly_degree")
     p.add_argument("--max-iters", type=int, dest="max_iters")

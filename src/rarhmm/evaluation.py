@@ -135,30 +135,20 @@ class EvalReport:
     per_split: list = field(default_factory=list)   # dicts: tag, K, split, h, nmse
     param_counts: dict = field(default_factory=dict)
 
-    def to_csv(self, path=None, header_lines=()):
+    def to_csv(self, header_lines=()) -> str:
         lines = [f"# {h}" for h in header_lines]
         lines.append("model_tag,K,h,nmse_mean,nmse_std,n_splits")
         for r in self.rows:
             lines.append(f"{r['tag']},{r['K']},{r['h']},{r['mean']!r},"
                          f"{r['std']!r},{r['n']}")
-        text = "\n".join(lines) + "\n"
-        if path is None:
-            return text
-        with open(path, "w") as f:
-            f.write(text)
-        return None
+        return "\n".join(lines) + "\n"
 
-    def to_long_csv(self, path=None, header_lines=()):
+    def to_long_csv(self, header_lines=()) -> str:
         lines = [f"# {h}" for h in header_lines]
         lines.append("model_tag,K,split,h,nmse")
         for r in self.per_split:
             lines.append(f"{r['tag']},{r['K']},{r['split']},{r['h']},{r['nmse']!r}")
-        text = "\n".join(lines) + "\n"
-        if path is None:
-            return text
-        with open(path, "w") as f:
-            f.write(text)
-        return None
+        return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
         out = []

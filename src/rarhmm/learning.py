@@ -16,8 +16,8 @@ marginals xi once to source mass, destination mass and pair counts
 logits and the (K, K) bias (factored objective in transition.py), for every
 link kind. The k-means initialization feeds one-hot posteriors to the same
 Gaussian M-steps EM runs (_mstep_gaussians), with fallback blocks for regimes
-it leaves empty. The link is sized by its FitConfig spec alone: 'linear',
-'polynomial:2', 'perceptron:16' (a bare 'perceptron' is 16 units wide).
+it leaves empty. The link is sized by its FitConfig spec alone, as
+transition.parse_transition_spec resolves it.
 Covariances are projected onto the SPD cone with a minimum-eigenvalue floor,
 which is the constrained argmax, so the monotonicity guarantee survives the
 projection.
@@ -35,8 +35,9 @@ from .features import controller_feature_dim
 from .inference import Posterior, smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
                     Controllers, Dynamics, InitialModel, controller_feature_series)
-from .transition import (KINDS, TransitionModel, _nll_grad, make_transition,
-                         params_to_vector, transition_stats, vector_to_params)
+from .transition import (TransitionModel, _nll_grad, make_transition,
+                         params_to_vector, parse_transition_spec, transition_stats,
+                         vector_to_params)
 
 RIDGE = 1e-8
 EMPTY_WEIGHT = 1e-12
@@ -47,25 +48,6 @@ FEATURE_INIT_SCALE = 0.01
 MAX_EVALS = 25        # transition objective evaluations per M-step
 STEP_BOUND = 1.0      # infinity-norm bound on one transition parameter step
 NLL_RTOL = 1e-5       # stop once a quasi-Newton step gains less than this, relative
-PERCEPTRON_HIDDEN_UNITS = 16  # width of a perceptron link spec without one
-
-
-def parse_transition_spec(spec: str) -> tuple[str, int | None, int | None]:
-    """Parse 'stationary', 'linear', 'polynomial:2', 'perceptron:16' into
-    (kind, degree, hidden_units); the numeric parts are None when absent."""
-    kind, _, arg = spec.partition(":")
-    kind = kind.strip().lower()
-    if kind not in KINDS:
-        raise ValueError(f"transition kind must be one of {KINDS}, got {kind!r}")
-    degree: int | None = None
-    hidden: int | None = None
-    if kind == "polynomial":
-        degree = int(arg) if arg else None
-    elif kind == "perceptron":
-        hidden = int(arg) if arg else None
-    elif arg:
-        raise ValueError(f"transition kind {kind!r} takes no argument")
-    return kind, degree, hidden
 
 
 @dataclass
@@ -81,11 +63,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _, degree, hidden = parse_transition_spec(self.transition_kind)
-        if degree is not None and degree < 1:
-            raise ValueError("polynomial transition needs degree >= 1")
-        if hidden is not None and hidden < 1:
-            raise ValueError("perceptron transition needs hidden units >= 1")
+        parse_transition_spec(self.transition_kind)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.K < 1 or self.max_iters < 1 or self.restarts < 1:
@@ -110,21 +88,16 @@ class FitHistory:
     def __len__(self):
         return len(self.loglik)
 
-    def to_csv(self, path=None, include_timings: bool = True, header_lines=()):
-        """CSV with columns iter, loglik, q_value, seconds. Returns the text
-        when path is None. include_timings=False writes 0.0 seconds so outputs
-        of identical runs are byte-identical."""
+    def to_csv(self, include_timings: bool = True, header_lines=()) -> str:
+        """CSV text with columns iter, loglik, q_value, seconds.
+        include_timings=False writes 0.0 seconds so outputs of identical runs
+        are byte-identical."""
         lines = [f"# {h}" for h in header_lines]
         lines.append("iter,loglik,q_value,seconds")
         for i, (ll, q, s) in enumerate(zip(self.loglik, self.q_value, self.seconds)):
             sec = repr(float(s)) if include_timings else "0.0"
             lines.append(f"{i},{ll!r},{q!r},{sec}")
-        text = "\n".join(lines) + "\n"
-        if path is None:
-            return text
-        with open(path, "w") as f:
-            f.write(text)
-        return None
+        return "\n".join(lines) + "\n"
 
 
 # -- initialization ------------------------------------------------------------
@@ -218,9 +191,8 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
 
     mean, std = _dataset_standardizer(dataset)
     kind, degree, hidden = parse_transition_spec(config.transition_kind)
-    tm = make_transition(kind, K, dataset.d_x, dataset.d_u, degree=degree or 1,
-                         hidden_units=hidden or PERCEPTRON_HIDDEN_UNITS,
-                         feat_mean=mean, feat_std=std,
+    tm = make_transition(kind, K, dataset.d_x, dataset.d_u, degree=degree,
+                         hidden_units=hidden, feat_mean=mean, feat_std=std,
                          bias=STICKY_LOGIT * np.eye(K),
                          rng=rng, init_scale=FEATURE_INIT_SCALE)
     return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=config.mode,
@@ -451,8 +423,8 @@ def _mstep_all(model: HybridModel, posteriors, dataset: Dataset,
 
 _estep_stats = smooth_dataset  # E-step with Q; _run_em looks it up here
 
-_RESTART_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError,
-                   RuntimeError, OverflowError)
+# numerical failures a restart absorbs; any other ValueError is a data or code error
+_RESTART_ERRORS = (np.linalg.LinAlgError, FloatingPointError, OverflowError)
 
 
 def _run_em(dataset: Dataset, config: FitConfig, rng: np.random.Generator,

@@ -5,13 +5,18 @@ Logits for destination regime i from source regime j at input (x, u) are
 
     logit[i, j] = bias[i, j] + g_i(s(x, u))
 
-where s standardizes the raw (x, u) vector with the stored mean/std and g is a
-kind-specific map sharing parameters across source regimes:
+where s standardizes the raw (x, u) vector with the stored mean/std and g
+shares its parameters across source regimes. g is one of two maps of the
+link features phi(s) (_features):
 
-    stationary   g = 0                          (classic HMM)
-    linear       g = W s
-    polynomial   g = W poly(s)                  (monomials up to `degree`)
+    affine       g = W phi(s)
     perceptron   g = W2 tanh(W1 s + b1) + b2    (`hidden_units` wide)
+
+The affine map covers three kinds, which differ only in phi: a stationary
+link (classic HMM) has no features, so g = 0; a linear link has phi(s) = s; a
+polynomial link has the monomials of s up to `degree`. The spec strings that
+name a link, such as 'polynomial:2' or 'perceptron:16', are parsed here
+(parse_transition_spec).
 
 Columns of the resulting matrix are probability distributions over the next
 regime. feature_params is the flat parameter vector of g (empty when
@@ -52,7 +57,8 @@ samplers, where per-call overhead rather than arithmetic sets the cost. It runs
 the same input check, link and bias + link-logit add as transition_matrices,
 then the same destination-axis log-softmax on a (K, K) array instead of the
 (K, 1, K) tensor, so it equals transition_matrices(tm, x[None], u[None])[0]
-bit for bit.
+bit for bit. Its zero link logits leave a stationary link's bias as is, so it
+also equals the normalized bias that transition_matrices repeats there.
 """
 from __future__ import annotations
 
@@ -63,29 +69,47 @@ import numpy as np
 from .features import n_monomials, polynomial_features
 
 KINDS = ("stationary", "linear", "polynomial", "perceptron")
+PERCEPTRON_HIDDEN_UNITS = 16  # width of a perceptron spec without one
 
 
-def _input_dim(d_x: int, d_u: int) -> int:
-    return d_x + d_u
+def parse_transition_spec(spec: str) -> tuple[str, int, int]:
+    """Resolve a link spec 'stationary', 'linear', 'polynomial:2' or
+    'perceptron:16' to (kind, degree, hidden_units): degree 1 and width 0
+    unless given, a bare 'perceptron' PERCEPTRON_HIDDEN_UNITS wide."""
+    kind, _, arg = spec.partition(":")
+    kind = kind.strip().lower()
+    if kind not in KINDS:
+        raise ValueError(f"transition kind must be one of {KINDS}, got {kind!r}")
+    degree, hidden = 1, 0
+    if kind == "polynomial":
+        degree = int(arg or 1)
+    elif kind == "perceptron":
+        hidden = int(arg or PERCEPTRON_HIDDEN_UNITS)
+    elif arg:
+        raise ValueError(f"transition kind {kind!r} takes no argument")
+    if degree < 1:
+        raise ValueError("polynomial transition needs degree >= 1")
+    if kind == "perceptron" and hidden < 1:
+        raise ValueError("perceptron transition needs hidden units >= 1")
+    return kind, degree, hidden
 
 
 def _feature_dim(kind: str, d_x: int, d_u: int, degree: int) -> int:
-    f = _input_dim(d_x, d_u)
-    if kind == "polynomial":
-        return n_monomials(f, degree)
-    return f
+    """Width of the link features: none when stationary, the monomials of the
+    d_x + d_u inputs up to the degree for a polynomial, the inputs otherwise."""
+    if kind == "stationary":
+        return 0
+    return n_monomials(d_x + d_u, degree if kind == "polynomial" else 1)
 
 
 def n_feature_params(kind: str, K: int, d_x: int, d_u: int, degree: int = 1,
                      hidden_units: int = 0) -> int:
+    if kind not in KINDS:
+        raise ValueError(f"unknown transition kind {kind!r}")
     f = _feature_dim(kind, d_x, d_u, degree)
-    if kind == "stationary":
-        return 0
-    if kind in ("linear", "polynomial"):
-        return K * f
     if kind == "perceptron":
         return hidden_units * f + hidden_units + K * hidden_units + K
-    raise ValueError(f"unknown transition kind {kind!r}")
+    return K * f
 
 
 @dataclass(frozen=True)
@@ -131,7 +155,7 @@ class TransitionModel:
                              f"expected {expected} for kind {self.kind!r}")
         if not np.all(np.isfinite(self.feature_params)):
             raise ValueError("feature_params must be finite")
-        f = _input_dim(self.d_x, self.d_u)
+        f = self.d_x + self.d_u
         if self.feat_mean.shape != (f,) or self.feat_std.shape != (f,):
             raise ValueError("standardizer mean/std must have d_x + d_u entries")
         if not np.all(self.feat_std > 0):
@@ -143,7 +167,7 @@ def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
                     rng: np.random.Generator | None = None,
                     init_scale: float = 0.01) -> TransitionModel:
     """Build a transition model, drawing small random feature weights if rng given."""
-    f = _input_dim(d_x, d_u)
+    f = d_x + d_u
     if feat_mean is None:
         feat_mean = np.zeros(f)
     if feat_std is None:
@@ -163,36 +187,31 @@ def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
 
 # -- feature pipeline ---------------------------------------------------------
 
-def _standardize(tm: TransitionModel, raw: np.ndarray) -> np.ndarray:
-    """Standardized raw [x, u] inputs, (..., d_x + d_u); non-finite ones are
-    rejected."""
+def _features(tm: TransitionModel, raw: np.ndarray) -> np.ndarray:
+    """Link features (..., F) of raw [x, u] inputs (..., d_x + d_u), which must
+    be finite: none for a stationary link, else the standardized inputs
+    expanded to their monomials up to the degree (1 unless polynomial)."""
     if not np.isfinite(raw).all():
         raise ValueError("transition inputs must be finite")
-    return (raw - tm.feat_mean) / tm.feat_std
-
-
-def _expand(tm: TransitionModel, s: np.ndarray) -> np.ndarray:
-    return polynomial_features(s, tm.degree) if tm.kind == "polynomial" else s
-
-
-def standardize_inputs(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    us = np.asarray(us, dtype=float).reshape(xs.shape[0], tm.d_u)
-    return _standardize(tm, np.concatenate([xs, us], axis=1))
+    if tm.kind == "stationary":
+        return raw[..., :0]
+    s = (raw - tm.feat_mean) / tm.feat_std
+    return s if tm.degree == 1 else polynomial_features(s, tm.degree)
 
 
 def transition_features(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """(M, F) feature matrix for the link, standardized then expanded per kind."""
-    return _expand(tm, standardize_inputs(tm, xs, us))
+    """(M, F) link features (_features) of the inputs x_m, u_m."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    us = np.asarray(us, dtype=float).reshape(xs.shape[0], tm.d_u)
+    return _features(tm, np.concatenate([xs, us], axis=1))
 
 
 def _unpack(tm: TransitionModel, params: np.ndarray):
-    """Split the flat feature_params per kind. Returns a tuple of views."""
+    """Split the flat feature_params: the (K, F) weights of the affine link, or
+    the perceptron's (w1, b1, w2, b2). Returns a tuple of views."""
     f = _feature_dim(tm.kind, tm.d_x, tm.d_u, tm.degree)
     K, H = tm.K, tm.hidden_units
-    if tm.kind == "stationary":
-        return ()
-    if tm.kind in ("linear", "polynomial"):
+    if tm.kind != "perceptron":
         return (params.reshape(K, f),)
     w1 = params[: H * f].reshape(H, f)
     b1 = params[H * f: H * f + H]
@@ -203,11 +222,9 @@ def _unpack(tm: TransitionModel, params: np.ndarray):
 
 def _link_logits(tm: TransitionModel, feats: np.ndarray, params: np.ndarray):
     """(M, K) link logits g(s), plus the perceptron's (M, H) hidden layer
-    (None for other kinds)."""
-    if tm.kind == "stationary":
-        return np.zeros((feats.shape[0], tm.K)), None
+    (None for the affine link)."""
     parts = _unpack(tm, params)
-    if tm.kind in ("linear", "polynomial"):
+    if tm.kind != "perceptron":
         return feats @ parts[0].T, None
     w1, b1, w2, b2 = parts
     h = np.tanh(feats @ w1.T + b1)
@@ -249,10 +266,8 @@ def transition_matrix(tm: TransitionModel, x: np.ndarray, u: np.ndarray) -> np.n
     if x.shape != (tm.d_x,) or u.size != tm.d_u:
         raise ValueError(f"transition input must be x ({tm.d_x},) and u ({tm.d_u},), "
                          f"got {x.shape} and {u.shape}")
-    s = _standardize(tm, np.concatenate((x, u.ravel())))
-    if tm.kind == "stationary":
-        return np.exp(_log_softmax_dest(tm.bias))
-    a = _link_logits(tm, _expand(tm, s[None]), tm.feature_params)[0][0]
+    feats = _features(tm, np.concatenate((x, u.ravel()))[None])
+    a = _link_logits(tm, feats, tm.feature_params)[0][0]
     return np.exp(_log_softmax_dest(tm.bias + a[:, None]))
 
 
@@ -340,11 +355,8 @@ def _nll_grad(tm: TransitionModel, vec: np.ndarray, feats: np.ndarray,
     if low:
         np.add.at(grad_a.T, mm, flow)
         np.add.at(grad_bias.T, jj, flow)
-    if tm.kind == "stationary":
-        return nll, grad_bias.ravel()
-    if tm.kind in ("linear", "polynomial"):
-        grad_w = grad_a @ feats
-        return nll, np.concatenate([grad_bias.ravel(), grad_w.ravel()])
+    if tm.kind != "perceptron":
+        return nll, np.concatenate([grad_bias.ravel(), (grad_a @ feats).ravel()])
     _, _, w2, _ = _unpack(tm, params)
     grad_w2 = grad_a @ h
     grad_b2 = grad_a.sum(axis=1)

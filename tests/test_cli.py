@@ -11,6 +11,7 @@ from rarhmm.envs import load_dataset, load_manifest
 from rarhmm.evaluation import count_params
 from rarhmm.model import CLOSED_LOOP, load_model
 from rarhmm.policy import default_distill_config
+from rarhmm.transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
 from test_policy import _closed_loop_model
 from util import save_model
@@ -223,6 +224,17 @@ def test_parser_flags_are_the_config_keys():
     with pytest.raises(SystemExit) as ei:
         _run("count-params", "--model", "m.json", "--seed", "1")
     assert ei.value.code == EXIT_USAGE
+
+
+def test_transition_help_states_the_spec_grammar(capsys):
+    for command in ("fit", "distill"):
+        with pytest.raises(SystemExit):
+            _run(command, "--help")
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--transition SPEC" in out
+        assert f"one of {', '.join(KINDS)}" in out
+        assert "polynomial:DEGREE (1 if omitted)" in out
+        assert f"perceptron:UNITS ({PERCEPTRON_HIDDEN_UNITS} if omitted)" in out
 
 
 def test_distill_defaults_are_default_distill_config():

@@ -8,26 +8,16 @@ from rarhmm.envs import collect_trajectories, default_config
 from rarhmm.inference import Posterior, estep, local_quantities
 from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
-                             mstep_initial, mstep_transitions,
-                             parse_transition_spec)
+                             mstep_initial, mstep_transitions)
 from rarhmm.model import (CLOSED_LOOP, Dataset, Dynamics, HybridModel, InitialModel,
                           Trajectory, sample_trajectory)
 from rarhmm.transition import (_nll_grad, make_transition, params_to_vector,
-                               transition_matrix, weighted_nll_and_grad)
+                               parse_transition_spec, transition_matrix,
+                               weighted_nll_and_grad)
 
 from util import (models_equal, random_dataset, random_model,
                   random_trajectory, reference_gd_mstep, reference_kmeans,
                   reference_stack_transition_stats, smooth, tensor_nll_grad)
-
-
-def test_parse_transition_spec():
-    assert parse_transition_spec("stationary") == ("stationary", None, None)
-    assert parse_transition_spec("linear") == ("linear", None, None)
-    assert parse_transition_spec("polynomial:3") == ("polynomial", 3, None)
-    assert parse_transition_spec("perceptron:24") == ("perceptron", None, 24)
-    assert parse_transition_spec("Perceptron") == ("perceptron", None, None)
-    with pytest.raises(ValueError):
-        parse_transition_spec("linear:3")
 
 
 def test_fit_config_spec_strings():
@@ -107,8 +97,8 @@ def test_q_lower_bounds_loglik():
                                   pytest.param("perceptron:4", id="perceptron:4-False")])
 def test_em_monotone_for_every_link_kind(spec):
     kind, degree, hidden = parse_transition_spec(spec)
-    m = random_model(K=2, d_x=2, d_u=1, kind=kind, degree=degree or 2,
-                     hidden_units=hidden or 4, seed=2)
+    m = random_model(K=2, d_x=2, d_u=1, kind=kind, degree=degree,
+                     hidden_units=hidden, seed=2)
     ds = random_dataset(m, n=3, T=40, seed=2)
     cfg = FitConfig(K=2, transition_kind=spec, max_iters=30, restarts=1, seed=2)
     _, hist = fit_em(ds, cfg)
@@ -550,14 +540,38 @@ def test_closed_loop_fit_smoke():
     assert np.all(np.diff(ll) >= -1e-8 * (1.0 + np.abs(ll[:-1])))
 
 
-def test_all_restarts_failing_raises():
-    # a single two-step trajectory cannot seed two k-means clusters
+def _fail_mstep_dynamics(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(learning, "mstep_dynamics", fail)
+
+
+def test_all_restarts_failing_raises(monkeypatch):
+    # a numerical failure in every restart is absorbed, then reported at once
+    _fail_mstep_dynamics(monkeypatch, FloatingPointError("non-finite regression"))
+    ds = random_dataset(random_model(K=2, seed=4), n=2, T=20, seed=4)
+    with pytest.warns(UserWarning, match="restart 1 .* non-finite regression"):
+        with pytest.raises(RuntimeError, match="all EM restarts failed: seed 0: "
+                                               "non-finite regression; seed 1"):
+            fit_em(ds, FitConfig(K=2, restarts=2, seed=0))
+
+
+def test_value_error_inside_em_propagates(monkeypatch):
+    # a ValueError is a data or programming error, not a failed restart
+    error = ValueError("programming error inside the M-step")
+    _fail_mstep_dynamics(monkeypatch, error)
+    ds = random_dataset(random_model(K=2, seed=4), n=2, T=20, seed=4)
+    with pytest.raises(ValueError) as info:
+        fit_em(ds, FitConfig(K=2, restarts=2, seed=0))
+    assert info.value is error
+
+
+def test_kmeans_data_error_reaches_caller():
+    # a single two-step trajectory cannot seed two k-means clusters at any seed
     traj = Trajectory(xs=np.zeros((2, 2)), us=np.zeros((2, 1)), dt=0.1, id="z")
     ds = Dataset.from_trajectories([traj])
-    cfg = FitConfig(K=2, restarts=2, seed=0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(RuntimeError, match="all EM restarts failed"):
-            fit_em(ds, cfg)
+    with pytest.raises(ValueError, match="k-means needs at least 2 distinct points"):
+        fit_em(ds, FitConfig(K=2, restarts=2, seed=0))
 
 
 def test_history_csv_format():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from rarhmm.inference import estep
-from rarhmm.model import Dataset, Trajectory
-from rarhmm.transition import (TransitionModel, _nll_grad, make_transition,
-                               n_feature_params, params_to_vector,
-                               transition_matrix, transition_matrices,
-                               transition_probs, transition_stats,
+from rarhmm.learning import FitConfig, fit_em
+from rarhmm.model import Dataset, Trajectory, model_to_dict
+from rarhmm.transition import (PERCEPTRON_HIDDEN_UNITS, TransitionModel, _nll_grad,
+                               make_transition, n_feature_params, params_to_vector,
+                               parse_transition_spec, transition_matrix,
+                               transition_matrices, transition_probs, transition_stats,
                                vector_to_params, weighted_nll_and_grad)
 
 from util import (random_model, random_trajectory, random_xis,
@@ -18,6 +19,21 @@ KIND_CASES = [pytest.param("linear", {}, id="linear-kw0"),
               pytest.param("polynomial", {"degree": 3}, id="polynomial-kw2"),
               pytest.param("perceptron", {"hidden_units": 4}, id="perceptron-kw3"),
               pytest.param("stationary", {}, id="stationary-kw4")]
+
+
+def test_parse_transition_spec():
+    # resolved defaults: degree 1 and width 0 unless the kind takes them
+    assert parse_transition_spec("stationary") == ("stationary", 1, 0)
+    assert parse_transition_spec("linear") == ("linear", 1, 0)
+    assert parse_transition_spec("polynomial") == ("polynomial", 1, 0)
+    assert parse_transition_spec("polynomial:3") == ("polynomial", 3, 0)
+    assert parse_transition_spec("perceptron:24") == ("perceptron", 1, 24)
+    assert parse_transition_spec("Perceptron") == ("perceptron", 1, PERCEPTRON_HIDDEN_UNITS)
+    assert PERCEPTRON_HIDDEN_UNITS == 16
+    for spec in ("linear:3", "stationary:1", "polynomial:0", "perceptron:0",
+                 "polynomial:x", "foo", ""):
+        with pytest.raises(ValueError):
+            parse_transition_spec(spec)
 
 
 def _random_tm(kind, K, d_x, d_u, seed, scale=0.8, **kw):
@@ -307,3 +323,30 @@ def test_feature_param_count_validation():
         TransitionModel(kind="linear", K=2, d_x=2, d_u=1, bias=np.zeros((2, 2)),
                         feature_params=np.zeros(3), feat_mean=np.zeros(3),
                         feat_std=np.ones(3))
+
+
+def test_degree_one_polynomial_is_the_linear_link():
+    # linear, polynomial:1 and a bare polynomial are one affine link on the
+    # standardized inputs, bit for bit
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=23)
+    ds = Dataset.from_trajectories([random_trajectory(m, T=T, seed=s)[0]
+                                    for s, T in enumerate((25, 12))])
+    xis = [p.xi for p in estep(m, ds)[0]]
+    runs = []
+    for spec in ("linear", "polynomial:1", "polynomial"):
+        kind, degree, _ = parse_transition_spec(spec)
+        tm = _random_tm(kind, 3, 2, 1, seed=24, degree=degree)
+        stats = transition_stats(tm, ds, xis)
+        fit, hist = fit_em(ds, FitConfig(K=3, transition_kind=spec, max_iters=3,
+                                         restarts=1, seed=0))
+        doc = model_to_dict(fit)
+        doc["transition"].pop("kind")
+        doc["transition"].pop("degree", None)
+        runs.append((transition_matrices(tm, ds.trajectories[0].xs, ds.trajectories[0].us),
+                     *_nll_grad(tm, params_to_vector(tm), *stats), doc,
+                     hist.loglik, hist.q_value))
+    (mats, nll, grad, doc, ll, q), *others = runs
+    for o_mats, o_nll, o_grad, o_doc, o_ll, o_q in others:
+        assert np.array_equal(mats, o_mats)
+        assert nll == o_nll and np.array_equal(grad, o_grad)
+        assert doc == o_doc and ll == o_ll and q == o_q
