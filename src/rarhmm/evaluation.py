@@ -3,15 +3,19 @@ scoring, split-averaged report tables, and parameter counting.
 
 Forecasts start from the filtered regime belief at the prefix end, then
 alternate belief propagation through the state-dependent transition with a
-one-step state prediction. Scoring happens at the final step of each horizon
-window, once per start index, normalized by per-dimension test-set variance
-so a mean predictor scores 1.
+one-step state prediction. Each start of a test trajectory runs one forecast
+path, as long as the largest horizon that fits before the trajectory ends,
+and that path is scored at the final step of every horizon window it covers,
+normalized by per-dimension test-set variance so a mean predictor scores 1.
+A trajectory's starts run as one batch of ragged rows (_forecast_batch with
+lengths), so each (start, step) pair is forecast once, whatever the horizons.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._linalg import gauss_draw
 from .inference import forward_pass, local_quantities
@@ -41,31 +45,38 @@ def filter_prefix(model: HybridModel, traj: Trajectory, t: int) -> np.ndarray:
 
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
                     us: np.ndarray, mode: str,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Forecast h steps from M starts at once.
+                    rng: np.random.Generator | None = None,
+                    lengths: np.ndarray | None = None) -> np.ndarray:
+    """Forecast up to h steps from M starts at once.
 
     x0 (M, d_x) states, b0 (M, K) beliefs, us (M, h, d_u) recorded actions.
-    Returns (M, h, d_x). Marginal propagates the full belief and predicts the
-    belief-weighted mean; argmax collapses the belief to its best regime each
-    step; sample draws a regime path and adds process noise (row-major draw
-    order, so results are rng-deterministic).
+    Returns (M, h, d_x). Row r runs lengths[r] steps (h when lengths is
+    None) and its later entries are NaN; lengths must not increase, so the
+    rows still running at step i are a prefix and only that prefix of x, b
+    and us[:, i] is read. Marginal propagates the full belief and predicts
+    the belief-weighted mean; argmax collapses the belief to its best regime
+    each step; sample draws a regime path and adds process noise, each step
+    over the running rows in row order, so results are rng-deterministic.
     """
     if mode not in FORECAST_MODES:
         raise ValueError(f"mode must be one of {FORECAST_MODES}, got {mode!r}")
     if mode == MODE_SAMPLE and rng is None:
         raise ValueError("sample mode needs an rng")
     M, h = us.shape[:2]
+    lengths = np.full(M, h) if lengths is None else np.asarray(lengths)
+    running = np.count_nonzero(lengths > np.arange(h)[:, None], axis=1)
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
     dyn = model.dynamics
     A, B, c = dyn.A, dyn.B, dyn.c
-    out = np.empty((M, h, x.shape[1]))
-    for i in range(h):
-        u = us[:, i, :]
-        psi = transition_matrices(model.transition, x, u)     # (M, K, K) [dest, src]
+    out = np.full((M, h, x.shape[1]), np.nan)
+    for i, m in enumerate(running):
+        x, b = x[:m], b[:m]
+        u = us[:m, i, :]
+        psi = transition_matrices(model.transition, x, u)     # (m, K, K) [dest, src]
         b = np.einsum("mij,mj->mi", psi, b)
         b /= b.sum(axis=1, keepdims=True)
-        # per-regime one-step means: (M, K, d_x)
+        # per-regime one-step means: (m, K, d_x)
         means = np.einsum("kde,me->mkd", A, x) + np.einsum("kdu,mu->mkd", B, u) + c
         if mode == MODE_MARGINAL:
             x = np.einsum("mk,mkd->md", b, means)
@@ -74,13 +85,13 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
                 ks = b.argmax(axis=1)
             else:
                 cum = np.cumsum(b, axis=1)
-                draws = rng.random(M)
+                draws = rng.random(m)
                 ks = (draws[:, None] < cum).argmax(axis=1)
-            x = means[np.arange(M), ks]
+            x = means[np.arange(m), ks]
             if mode == MODE_SAMPLE:
                 x = gauss_draw(rng, x, dyn.lam_chol[ks])
             b = np.eye(model.K)[ks]
-        out[:, i, :] = x
+        out[:m, i, :] = x
     return out
 
 
@@ -161,24 +172,21 @@ class EvalReport:
         return "\n".join(out)
 
 
-def _final_step_scores(model: HybridModel, test: Dataset, alphas, h: int,
-                       mode: str, rng: np.random.Generator | None = None):
-    """(preds, truths) at the final step of every h-window over every test
-    trajectory and every valid 1-based start t with t + h <= T. alphas holds
-    each trajectory's filter_all beliefs (None where T <= h)."""
-    preds, truths = [], []
-    for traj, alpha in zip(test.trajectories, alphas):
-        if traj.T <= h:
-            continue
-        starts = np.arange(1, traj.T - h + 1)           # 1-based
-        us = np.stack([traj.us[s - 1:s - 1 + h] for s in starts])
-        out = _forecast_batch(model, traj.xs[starts - 1], alpha[starts - 1], us,
-                              mode, rng)
-        preds.append(out[:, -1, :])
-        truths.append(traj.xs[starts - 1 + h])
-    if not preds:
-        raise ValueError(f"no trajectory is longer than horizon {h}")
-    return np.concatenate(preds), np.concatenate(truths)
+def _window_forecasts(model: HybridModel, traj: Trajectory, hs: np.ndarray,
+                      mode: str, rng: np.random.Generator | None) -> np.ndarray:
+    """One _forecast_batch call over every 1-based start s = 1 .. T - hs[0]
+    of the trajectory, in ascending order; row s runs the largest horizon h
+    in hs (ascending, distinct, hs[0] < T) with s + h <= T. Returns (T -
+    hs[0], hs[-1], d_x)."""
+    n = traj.T - hs[0]
+    starts = np.arange(1, n + 1)
+    lengths = hs[np.searchsorted(hs, traj.T - starts, side="right") - 1]
+    # each start's actions as a window view; a read past the row's end
+    # reaches the NaN padding, which the transition link rejects
+    padded = np.concatenate([traj.us, np.full((hs[-1] - 1, traj.d_u), np.nan)])
+    us = sliding_window_view(padded, hs[-1], axis=0)[:n].transpose(0, 2, 1)
+    alpha = filter_all(model, traj)
+    return _forecast_batch(model, traj.xs[:n], alpha[:n], us, mode, rng, lengths)
 
 
 def evaluate(models_by_tag: dict, test: Dataset, horizons,
@@ -187,7 +195,11 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     """Score each tag's per-split models on the test set at every horizon.
 
     models_by_tag maps a tag to the list of fitted models, one per split.
-    Aggregation is the mean and population std over splits.
+    Aggregation is the mean and population std over splits. Each model
+    forecasts each test trajectory once (_window_forecasts): one path per
+    start, scored at every horizon that fits. In sample mode a start's
+    horizons therefore share one drawn path, and draws run trajectory by
+    trajectory in test-set order.
     """
     if len(test) == 0:
         raise ValueError("empty test set")
@@ -195,6 +207,11 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     if not horizons or min(horizons) < 1:
         raise ValueError("need at least one horizon >= 1")
     normalizer = dataset_normalizer(test)
+    longest = max(traj.T for traj in test.trajectories)
+    for h in horizons:
+        if longest <= h:
+            raise ValueError(f"no trajectory is longer than horizon {h}")
+    hs = np.unique(horizons)
     report = EvalReport()
     for tag, models in models_by_tag.items():
         if not models:
@@ -202,12 +219,20 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
         K = models[0].K
         scores = np.empty((len(models), len(horizons)))
         for s, model in enumerate(models):
-            # beliefs do not depend on the horizon: filter each trajectory once
-            alphas = [filter_all(model, traj) if traj.T > min(horizons) else None
-                      for traj in test.trajectories]
+            preds = [[] for _ in horizons]
+            truths = [[] for _ in horizons]
+            for traj in test.trajectories:
+                if traj.T <= hs[0]:
+                    continue
+                out = _window_forecasts(model, traj, hs, mode, rng)
+                for j, h in enumerate(horizons):
+                    if traj.T > h:
+                        # starts 1 .. T - h, scored against x_{s+h}
+                        preds[j].append(out[:traj.T - h, h - 1])
+                        truths[j].append(traj.xs[h:])
             for j, h in enumerate(horizons):
-                preds, truths = _final_step_scores(model, test, alphas, h, mode, rng)
-                scores[s, j] = nmse(preds, truths, normalizer)
+                scores[s, j] = nmse(np.concatenate(preds[j]), np.concatenate(truths[j]),
+                                    normalizer)
                 report.per_split.append(dict(tag=tag, K=model.K, split=s, h=h,
                                              nmse=float(scores[s, j])))
         for j, h in enumerate(horizons):

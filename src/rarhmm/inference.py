@@ -6,8 +6,9 @@ observed-data log-likelihood. The recursions run in linear scale on evidence
 exponentiated once per batch against its per-step max. That evidence is
 folded into the forward transition stack, and the backward weights into the
 backward one, once per pass, so each time step is one matmul plus, going
-forward, a floor check and a divide. A step whose scale underflows is redone
-in log space (see the batched recursions below).
+forward, a divide. The forward scale is checked against its floor once per
+block of steps, and a step whose scale underflows is redone in log space (see
+the batched recursions below).
 """
 from __future__ import annotations
 
@@ -78,9 +79,10 @@ def local_quantities(model: HybridModel, traj: Trajectory) -> tuple[np.ndarray, 
 # after the forward loop, S being each step's scale. Each pass folds what it
 # can into a time-major transition stack before its loop, so a step is a
 # fixed number of numpy calls whatever B and K are: one matmul and, going
-# forward, a floor check on S and a divide. Both stacks are local to their
-# pass, so neither is alive when _smooth_batch forms xi. Messages are (K, 1)
-# columns for the forward and (1, K) rows for the backward matmuls.
+# forward, a divide; the floor check on S runs once per _BLOCK steps. Both
+# stacks are local to their pass, so neither is alive when _smooth_batch
+# forms xi. Messages are (K, 1) columns for the forward and (1, K) rows for
+# the backward matmuls.
 
 # A row whose scale S falls below this at some step is recomputed for that
 # step in log space from its prediction trans @ alpha, with the joint max of
@@ -89,6 +91,10 @@ def local_quantities(model: HybridModel, traj: Trajectory) -> tuple[np.ndarray, 
 # raises on degenerate steps: +inf evidence (S is NaN) or every predicted
 # regime impossible (S is 0).
 _S_FLOOR = 1e-200
+
+# Steps per forward block. The floor is checked once per block; the steps
+# after a rescued one are redone, so a rescue wastes at most one block.
+_BLOCK = 32
 
 
 def _rescue_rows(t, rows, pred, ev_t, u):
@@ -114,8 +120,10 @@ def _forward_batch(ev, trans, pi):
     Rows 0..K-1 of the stack G[t-1] are E[:, t, :, None] * trans[:, t-1] and
     row K their column sums, so step t > 0 is one matmul, U[t] = G[t-1] @
     alpha[t-1], giving the unnormalized belief and, in row K, its scale S;
-    then alpha[t] = U[t, :, :K] / S. A row whose S is below _S_FLOOR or NaN
-    goes to _rescue_rows with its prediction trans @ alpha."""
+    then alpha[t] = U[t, :, :K] / S. Once per block of _BLOCK steps, S is
+    checked against _S_FLOOR. At the block's first step with a row whose S
+    is below it or NaN, those rows go to _rescue_rows with their prediction
+    trans @ alpha, and the sweep resumes after that step."""
     B, T, K = ev.shape
     top = ev.max(axis=2)                                   # (B, T)
     with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
@@ -130,15 +138,24 @@ def _forward_batch(ev, trans, pi):
     num, S = U[:, :, :K], U[:, :, K:]                      # S[t] is (B, 1, 1)
     alpha = np.empty((T, B, K, 1))
     rescued = []
-    for t in range(T):
-        if t > 0:
-            np.matmul(G[t - 1], alpha[t - 1], out=U[t])
-        if not S[t].min() >= _S_FLOOR:                     # also catches NaN
-            rows = np.flatnonzero(~(S[t] >= _S_FLOOR))
+    t0 = 0
+    while t0 < T:
+        t1 = min(t0 + _BLOCK, T)
+        with np.errstate(all="ignore"):                    # bad steps: caught below
+            for t in range(t0, t1):
+                if t > 0:
+                    np.matmul(G[t - 1], alpha[t - 1], out=U[t])
+                np.divide(num[t], S[t], out=alpha[t])
+        if not S[t0:t1].min() >= _S_FLOOR:                 # also catches NaN
+            ok = S[t0:t1, :, 0, 0] >= _S_FLOOR
+            t = t0 + int(np.argmin(ok.all(axis=1)))        # first failing step
+            rows = np.flatnonzero(~ok[t - t0])
             pred = (np.matmul(trans[rows, t - 1], alpha[t - 1, rows])[:, :, 0] if t > 0
                     else np.broadcast_to(pi, (len(rows), K)))
             rescued.append((t, *_rescue_rows(t, rows, pred, ev[:, t], U[t])))
-        np.divide(num[t], S[t], out=alpha[t])
+            np.divide(num[t], S[t], out=alpha[t])
+            t1 = t + 1                                     # redo the steps after it
+        t0 = t1
     log_norms = np.log(S[:, :, 0, 0].T) + top
     for t, rows, log_c in rescued:
         log_norms[rows, t] = log_c

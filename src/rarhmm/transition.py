@@ -70,6 +70,17 @@ from .features import n_monomials, polynomial_features
 
 KINDS = ("stationary", "linear", "polynomial", "perceptron")
 PERCEPTRON_HIDDEN_UNITS = 16  # width of a perceptron spec without one
+_SPEC_GRAMMAR = "stationary, linear, polynomial[:DEGREE] or perceptron[:UNITS]"
+
+
+def _check_link_size(kind: str, degree: int, hidden_units: int) -> None:
+    """The one size rule of a link: a polynomial needs degree >= 1 and a
+    perceptron hidden units >= 1."""
+    if kind == "polynomial" and degree < 1:
+        raise ValueError(f"polynomial transition needs degree >= 1, got {degree}")
+    if kind == "perceptron" and hidden_units < 1:
+        raise ValueError(f"perceptron transition needs hidden units >= 1, "
+                         f"got {hidden_units}")
 
 
 def parse_transition_spec(spec: str) -> tuple[str, int, int]:
@@ -78,19 +89,17 @@ def parse_transition_spec(spec: str) -> tuple[str, int, int]:
     unless given, a bare 'perceptron' PERCEPTRON_HIDDEN_UNITS wide."""
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
-    if kind not in KINDS:
-        raise ValueError(f"transition kind must be one of {KINDS}, got {kind!r}")
-    degree, hidden = 1, 0
-    if kind == "polynomial":
-        degree = int(arg or 1)
-    elif kind == "perceptron":
-        hidden = int(arg or PERCEPTRON_HIDDEN_UNITS)
-    elif arg:
-        raise ValueError(f"transition kind {kind!r} takes no argument")
-    if degree < 1:
-        raise ValueError("polynomial transition needs degree >= 1")
-    if kind == "perceptron" and hidden < 1:
-        raise ValueError("perceptron transition needs hidden units >= 1")
+    default = {"polynomial": 1, "perceptron": PERCEPTRON_HIDDEN_UNITS}.get(kind)
+    bad = ValueError(f"transition spec {spec!r} is not one of {_SPEC_GRAMMAR}")
+    if kind not in KINDS or (arg and default is None):
+        raise bad
+    try:
+        size = int(arg) if arg else default
+    except ValueError:
+        raise bad from None
+    degree = size if kind == "polynomial" else 1
+    hidden = size if kind == "perceptron" else 0
+    _check_link_size(kind, degree, hidden)
     return kind, degree, hidden
 
 
@@ -130,10 +139,7 @@ class TransitionModel:
             raise ValueError(f"unknown transition kind {self.kind!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
-        if self.kind == "perceptron" and self.hidden_units < 1:
-            raise ValueError("perceptron needs hidden_units >= 1")
+        _check_link_size(self.kind, self.degree, self.hidden_units)
         # drop metadata that is inert for this kind so equality and
         # serialization are canonical
         if self.kind != "polynomial":

@@ -168,17 +168,43 @@ def test_forecast_mode_and_bounds_errors():
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("K, d_x, d_u", [(1, 1, 1), (3, 2, 1), (4, 3, 2), (2, 2, 0)])
-def test_sample_forecast_matches_per_start_draws(K, d_x, d_u):
+@pytest.mark.parametrize("K, d_x, d_u, ragged", [
+    pytest.param(*case, False, id="-".join(map(str, case)))
+    for case in [(1, 1, 1), (3, 2, 1), (4, 3, 2), (2, 2, 0)]] + [
+    pytest.param(*case, True, id="-".join(map(str, case)) + "-ragged")
+    for case in [(3, 2, 1), (2, 2, 0)]])
+def test_sample_forecast_matches_per_start_draws(K, d_x, d_u, ragged):
     m = random_model(K=K, d_x=d_x, d_u=d_u, seed=K + d_x)
     rng = np.random.default_rng(d_x)
     M, h = 40, 6
     x0 = rng.standard_normal((M, d_x))
     b0 = rng.dirichlet(np.ones(K), size=M)
     us = rng.standard_normal((M, h, d_u))
-    got = _forecast_batch(m, x0, b0, us, "sample", np.random.default_rng(5))
-    want = reference_sample_forecast(m, x0, b0, us, np.random.default_rng(5))
+    # ragged: non-increasing lengths from h down to 1, with repeats
+    lengths = np.sort(rng.integers(1, h + 1, size=M))[::-1] if ragged else None
+    got = _forecast_batch(m, x0, b0, us, "sample", np.random.default_rng(5), lengths)
+    want = reference_sample_forecast(m, x0, b0, us, np.random.default_rng(5), lengths)
     np.testing.assert_array_equal(got, want)
+
+
+def test_ragged_forecast_reads_only_each_rows_actions():
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=11)
+    rng = np.random.default_rng(11)
+    M, h = 9, 5
+    x0 = rng.standard_normal((M, 2))
+    b0 = rng.dirichlet(np.ones(3), size=M)
+    us = rng.standard_normal((M, h, 1))
+    lengths = np.array([5, 5, 4, 3, 3, 3, 2, 1, 1])
+    full = _forecast_batch(m, x0, b0, us, "marginal")
+    # actions past each row's window are NaN: never read, so nothing raises
+    us[np.arange(h) >= lengths[:, None]] = np.nan
+    got = _forecast_batch(m, x0, b0, us, "marginal", lengths=lengths)
+    ran = np.arange(h) < lengths[:, None]
+    assert np.array_equal(got[ran], full[ran])
+    assert np.all(np.isnan(got[~ran]))
+    # one step too many for the last two rows reaches their NaN actions
+    with pytest.raises(ValueError, match="finite"):
+        _forecast_batch(m, x0, b0, us, "marginal", lengths=np.r_[lengths[:-2], 2, 2])
 
 
 def test_forecast_with_explicit_actions():
@@ -244,14 +270,10 @@ def test_evaluate_duplicate_split_stats():
     assert two.rows[0]["n"] == 2
 
 
-@pytest.mark.parametrize("mode", ["marginal", "sample"])
-def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
-    m = random_model(K=2, d_x=2, d_u=1, seed=10)
-    trajs = [random_trajectory(m, T=T, seed=s)[0] for s, T in enumerate((25, 12, 30))]
-    test = Dataset.from_trajectories(trajs)
-    horizons = [1, 5, 15]
-    # reference: the per-horizon protocol, filtering every trajectory anew
-    rng = np.random.default_rng(3)
+def _per_horizon_reference(m, trajs, horizons, mode, normalizer):
+    """NMSE per horizon by the per-horizon protocol: one forecast batch per
+    (trajectory, horizon), over the starts t with t + h <= T, each filtering
+    the trajectory anew."""
     want = []
     for h in horizons:
         preds, truths = [], []
@@ -261,11 +283,52 @@ def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
             starts = np.arange(1, traj.T - h + 1)
             us = np.stack([traj.us[s - 1:s - 1 + h] for s in starts])
             out = _forecast_batch(m, traj.xs[starts - 1],
-                                  filter_all(m, traj)[starts - 1], us, mode, rng)
+                                  filter_all(m, traj)[starts - 1], us, mode)
             preds.append(out[:, -1])
             truths.append(traj.xs[starts - 1 + h])
-        want.append(nmse(np.concatenate(preds), np.concatenate(truths),
-                         dataset_normalizer(test)))
+        want.append(nmse(np.concatenate(preds), np.concatenate(truths), normalizer))
+    return want
+
+
+def _joint_sample_reference(m, trajs, horizons, normalizer, rng):
+    """Sample-mode NMSE per horizon by the joint protocol, from per-start
+    draws: each start t of each trajectory, in order, draws one path as long
+    as the largest horizon with t + h <= T, scored at every horizon."""
+    hs = sorted(set(horizons))
+    preds = {h: [] for h in horizons}
+    truths = {h: [] for h in horizons}
+    for traj in trajs:
+        starts = [s for s in range(1, traj.T) if s + hs[0] <= traj.T]
+        if not starts:
+            continue
+        lengths = [max(h for h in hs if s + h <= traj.T) for s in starts]
+        us = np.zeros((len(starts), hs[-1], traj.d_u))
+        for r, (s, n) in enumerate(zip(starts, lengths)):
+            us[r, :n] = traj.us[s - 1:s - 1 + n]
+        idx = np.array(starts) - 1
+        out = reference_sample_forecast(m, traj.xs[idx], filter_all(m, traj)[idx], us,
+                                        rng, lengths)
+        for h in horizons:
+            rows = [r for r, s in enumerate(starts) if s + h <= traj.T]
+            if rows:
+                preds[h].append(out[rows, h - 1])
+                truths[h].append(traj.xs[idx[rows] + h])
+    return [nmse(np.concatenate(preds[h]), np.concatenate(truths[h]), normalizer)
+            for h in horizons]
+
+
+@pytest.mark.parametrize("mode", ["marginal", "sample"])
+def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
+    m = random_model(K=2, d_x=2, d_u=1, seed=10)
+    trajs = [random_trajectory(m, T=T, seed=s)[0] for s, T in enumerate((25, 12, 30))]
+    test = Dataset.from_trajectories(trajs)
+    horizons = [1, 5, 15]
+    normalizer = dataset_normalizer(test)
+    if mode == "sample":
+        want = _joint_sample_reference(m, trajs, horizons, normalizer,
+                                       np.random.default_rng(3))
+    else:
+        want = _per_horizon_reference(m, trajs, horizons, mode, normalizer)
     calls = []
 
     def counted(model, traj):
@@ -279,6 +342,41 @@ def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
     assert [r["nmse"] for r in report.per_split] == want
 
 
+@pytest.mark.parametrize("horizons", [(25, 1, 7, 10), (10, 1, 10, 3), (4,)])
+@pytest.mark.parametrize("mode", ["marginal", "argmax"])
+def test_joint_forecast_equals_per_horizon_protocol(mode, horizons):
+    # unsorted and duplicate horizons; T = 9 falls between horizons 7 and
+    # 10, T = 26 passes 25 by one step, T = 3 is shorter than every horizon
+    # but 1
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=21)
+    trajs = [random_trajectory(m, T=T, seed=s)[0]
+             for s, T in enumerate((40, 9, 26, 3, 12))]
+    test = Dataset.from_trajectories(trajs)
+    want = _per_horizon_reference(m, trajs, horizons, mode, dataset_normalizer(test))
+    report = evaluate({"m": [m]}, test, horizons, mode=mode)
+    assert [r["h"] for r in report.per_split] == list(horizons)
+    assert [r["nmse"] for r in report.per_split] == want
+    assert [r["mean"] for r in report.rows] == want
+
+
+def test_evaluate_forecasts_each_trajectory_once_per_model(monkeypatch):
+    m1, m2 = (random_model(K=2, d_x=2, d_u=1, seed=s) for s in (12, 13))
+    m3 = random_model(K=3, d_x=2, d_u=1, seed=14)
+    trajs = [random_trajectory(m1, T=T, seed=s)[0] for s, T in enumerate((20, 3, 11))]
+    calls = []
+    batch = evaluation._forecast_batch
+
+    def counted(model, x0, *args, **kwargs):
+        calls.append((id(model), len(x0)))
+        return batch(model, x0, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_forecast_batch", counted)
+    evaluate({"a": [m1, m2], "b": [m3]}, Dataset.from_trajectories(trajs), [8, 3, 5])
+    # the T = 3 trajectory exceeds no horizon; the others forecast every
+    # start t <= T - 3 in one call per model
+    assert calls == [(id(m), n) for m in (m1, m2, m3) for n in (17, 8)]
+
+
 def test_evaluate_errors():
     m = random_model(K=2, d_x=2, d_u=1, seed=9)
     test = random_dataset(m, n=2, T=10, seed=9)
@@ -290,6 +388,11 @@ def test_evaluate_errors():
         evaluate({"m": [m]}, test, horizons=[])
     with pytest.raises(ValueError, match="longer than horizon"):
         evaluate({"m": [m]}, test, horizons=[10])
+    # the first horizon, in the given order, that no trajectory exceeds
+    with pytest.raises(ValueError, match="no trajectory is longer than horizon 12$"):
+        evaluate({"m": [m]}, test, horizons=[3, 12, 9, 10])
+    with pytest.raises(ValueError, match="no trajectory is longer than horizon 10$"):
+        evaluate({"m": [m]}, test, horizons=[10, 12])
 
 
 def test_report_csv_deterministic_and_ordered():

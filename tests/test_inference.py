@@ -12,7 +12,8 @@ from rarhmm.model import CLOSED_LOOP, Dataset
 
 from util import (backward_pass, brute_force_posterior, logsumexp, random_dataset,
                   random_model, random_trajectory, reference_backward_batch,
-                  reference_forward_batch, smooth, viterbi)
+                  reference_checked_forward_batch, reference_forward_batch, smooth,
+                  viterbi)
 
 
 def _assert_posterior_close(a: Posterior, b: Posterior, tol=1e-10):
@@ -380,6 +381,68 @@ def test_rescued_rows_get_their_prediction_at_a_later_step(monkeypatch):
     want = np.matmul(trans[rows, t - 1], alpha[rows, t - 1][:, :, None])[:, :, 0]
     assert np.array_equal(pred, want)
     assert np.all(alpha[rows, t, -1] == 0.0)
+
+
+def _padded_rescue_batch():
+    """A B = 3 padded batch of the unreachable-regime instance whose
+    evidence gaps force rescues at block edges and twice inside one block."""
+    n = inference._BLOCK
+    T = 3 * n + 5
+    lengths = [T, n + 18, 2 * n + 6]
+    steps = [[0, n - 1, n, 2 * n, T - 1],        # block edges and the last step
+             [n - 1, n + 8, n + 13],             # two inside the second block
+             [2 * n]]                            # shared with row 0
+    ev = np.zeros((3, T, 3))
+    trans = np.tile(np.eye(3), (3, T - 1, 1, 1))
+    for b, (n_b, at) in enumerate(zip(lengths, steps)):
+        e, tr, pi = _unreachable_instance(T=n_b, seed=40 + b)
+        e[at] = [-600.0, -601.5, 0.0]
+        ev[b, :n_b], trans[b, :n_b - 1] = e, tr
+    return ev, trans, pi
+
+
+def test_blocked_forward_matches_per_step_checked_loop(rescued):
+    n = inference._BLOCK
+    ev, trans, pi = _padded_rescue_batch()
+    T = ev.shape[1]
+    want = reference_checked_forward_batch(ev, trans, pi)
+    want_rescued = list(rescued)
+    assert want_rescued == [(0, [0]), (n - 1, [0, 1]), (n, [0]), (n + 8, [1]),
+                            (n + 13, [1]), (2 * n, [0, 2]), (T - 1, [0])]
+    rescued.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, log_norms = _forward_batch(ev, trans, pi)
+    assert rescued == want_rescued
+    assert np.array_equal(alpha, want[0])
+    assert np.array_equal(log_norms, want[1])
+    # and a batch without rescues, longer than several blocks
+    m = random_model(K=4, d_x=2, d_u=1, kind="linear", seed=3)
+    ds = random_dataset(m, n=2, T=3 * n + 1, seed=3)
+    evs, transs = zip(*(local_quantities(m, t) for t in ds.trajectories))
+    ev, trans = np.stack(evs), np.stack(transs)
+    rescued.clear()
+    got = _forward_batch(ev, trans, m.init.pi)
+    want = reference_checked_forward_batch(ev, trans, m.init.pi)
+    assert rescued == []
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_blocked_forward_raises_on_degenerate_steps_mid_block():
+    n = inference._BLOCK
+    t = n + n // 2 + 3                          # neither edge of its block
+    ev, trans, pi = _unreachable_instance(T=3 * n)
+    ev[t, 1] = np.inf
+    with pytest.raises(FloatingPointError, match=f"at step {t}$"):
+        forward_pass(ev, trans, pi)
+    ev, trans, pi = _unreachable_instance(T=3 * n)
+    ev[t] = [-np.inf, -np.inf, 0.0]
+    with pytest.raises(FloatingPointError, match=f"at step {t}$"):
+        forward_pass(ev, trans, pi)
+    # a rescued step earlier in the same block does not hide a later one
+    ev[t - 2] = [-600.0, -601.5, 0.0]
+    with pytest.raises(FloatingPointError, match=f"at step {t}$"):
+        forward_pass(ev, trans, pi)
 
 
 def test_smoothing_peak_memory_is_bounded():

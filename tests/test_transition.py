@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from rarhmm.inference import estep
 from rarhmm.learning import FitConfig, fit_em
-from rarhmm.model import Dataset, Trajectory, model_to_dict
+from rarhmm.model import Dataset, Trajectory, model_from_dict, model_to_dict
 from rarhmm.transition import (PERCEPTRON_HIDDEN_UNITS, TransitionModel, _nll_grad,
                                make_transition, n_feature_params, params_to_vector,
                                parse_transition_spec, transition_matrix,
@@ -30,10 +32,34 @@ def test_parse_transition_spec():
     assert parse_transition_spec("perceptron:24") == ("perceptron", 1, 24)
     assert parse_transition_spec("Perceptron") == ("perceptron", 1, PERCEPTRON_HIDDEN_UNITS)
     assert PERCEPTRON_HIDDEN_UNITS == 16
-    for spec in ("linear:3", "stationary:1", "polynomial:0", "perceptron:0",
-                 "polynomial:x", "foo", ""):
-        with pytest.raises(ValueError):
+    # a malformed spec is named, with the grammar it breaks
+    grammar = "is not one of stationary, linear, polynomial[:DEGREE] or perceptron[:UNITS]"
+    for spec in ("linear:3", "stationary:1", "polynomial:x", "perceptron:4.5",
+                 "foo", ""):
+        with pytest.raises(ValueError, match=f"^transition spec {spec!r} "
+                                             f"{re.escape(grammar)}$"):
             parse_transition_spec(spec)
+    with pytest.raises(ValueError, match="^polynomial transition needs degree >= 1, got 0$"):
+        parse_transition_spec("polynomial:0")
+    with pytest.raises(ValueError, match="^perceptron transition needs hidden units >= 1, "
+                                         "got -2$"):
+        parse_transition_spec("perceptron:-2")
+
+
+@pytest.mark.parametrize("kind, size, message", [
+    ("polynomial", dict(degree=0), "polynomial transition needs degree >= 1, got 0"),
+    ("perceptron", dict(hidden_units=0), "perceptron transition needs hidden units >= 1, "
+                                         "got 0")])
+def test_link_size_rule_holds_for_direct_construction_and_files(kind, size, message):
+    # the spec parser, direct construction and model files share one rule
+    tm = make_transition(kind, 2, 2, 1, **({"degree": 2} if kind == "polynomial"
+                                           else {"hidden_units": 3}))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TransitionModel(**{**tm.__dict__, **size})
+    doc = model_to_dict(random_model(K=2, d_x=2, d_u=1, kind=kind, seed=3))
+    doc["transition"].update(size)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model_from_dict(doc)
 
 
 def _random_tm(kind, K, d_x, d_u, seed, scale=0.8, **kw):

@@ -7,6 +7,7 @@ import numpy as np
 
 from rarhmm._linalg import LOG2PI
 from rarhmm.envs import env_dims
+from rarhmm import inference
 from rarhmm.features import controller_feature_dim
 from rarhmm.inference import (Posterior, _backward_batch, _check_evidence,
                               local_quantities, smooth_dataset)
@@ -258,25 +259,29 @@ def reference_gd_mstep(posteriors, dataset, tm_hat):
     return vector_to_params(tm_hat, vec) if improved else tm_hat
 
 
-def reference_sample_forecast(model, x0, b0, us, rng):
+def reference_sample_forecast(model, x0, b0, us, rng, lengths=None):
     """Sample-mode forecast that draws each start's process noise on its own
-    through mvn_sample, one start after another."""
+    through mvn_sample, one start after another. Row r runs lengths[r] steps
+    (all h when None) and is NaN after them; each step draws for the rows
+    still running, in row order."""
     M, h = us.shape[:2]
+    lengths = np.full(M, h) if lengths is None else np.asarray(lengths)
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
     A, B, c = model.dynamics.A, model.dynamics.B, model.dynamics.c
-    out = np.empty((M, h, x.shape[1]))
+    out = np.full((M, h, x.shape[1]), np.nan)
     for i in range(h):
-        u = us[:, i, :]
-        b = np.einsum("mij,mj->mi", transition_matrices(model.transition, x, u), b)
-        b /= b.sum(axis=1, keepdims=True)
-        means = np.einsum("kde,me->mkd", A, x) + np.einsum("kdu,mu->mkd", B, u) + c
-        ks = (rng.random(M)[:, None] < np.cumsum(b, axis=1)).argmax(axis=1)
-        x = means[np.arange(M), ks]
-        for m in range(M):
-            x[m] = mvn_sample(rng, x[m], model.dynamics.lam_cov[ks[m]])
-        b = np.eye(model.K)[ks]
-        out[:, i, :] = x
+        run = np.flatnonzero(lengths > i)
+        u = us[run, i, :]
+        pb = np.einsum("mij,mj->mi", transition_matrices(model.transition, x[run], u),
+                       b[run])
+        pb /= pb.sum(axis=1, keepdims=True)
+        means = np.einsum("kde,me->mkd", A, x[run]) + np.einsum("kdu,mu->mkd", B, u) + c
+        ks = (rng.random(len(run))[:, None] < np.cumsum(pb, axis=1)).argmax(axis=1)
+        for m, r in enumerate(run):
+            x[r] = mvn_sample(rng, means[m, ks[m]], model.dynamics.lam_cov[ks[m]])
+            b[r] = np.eye(model.K)[ks[m]]
+            out[r, i, :] = x[r]
     return out
 
 
@@ -487,6 +492,41 @@ def reference_forward_batch(ev, trans, pi):
         alpha[:, t] = a / c
         log_norms[:, t] = np.log(c[:, 0]) + m[:, 0]
     return alpha, log_norms
+
+
+def reference_checked_forward_batch(ev, trans, pi):
+    """The linear-scale forward recursion with its floor check on every
+    step, as the library ran it before it checked once per block: same
+    folded stack, and each failing step goes to inference._rescue_rows
+    (looked up through the module, so a test can spy on it) before its
+    divide. Returns (alpha (B, T, K), log_norms (B, T))."""
+    B, T, K = ev.shape
+    top = ev.max(axis=2)
+    with np.errstate(invalid="ignore"):
+        E = ev - top[:, :, None]
+        E = np.exp(E, out=E).transpose(1, 0, 2)[..., None]
+    G = np.empty((T - 1, B, K + 1, K))
+    np.multiply(E[1:], trans.transpose(1, 0, 2, 3), out=G[:, :, :K])
+    np.matmul(np.ones((1, K)), G[:, :, :K], out=G[:, :, K:])
+    U = np.empty((T, B, K + 1, 1))
+    np.multiply(np.reshape(pi, (K, 1)), E[0], out=U[0, :, :K])
+    np.sum(U[0, :, :K], axis=1, out=U[0, :, K])
+    num, S = U[:, :, :K], U[:, :, K:]
+    alpha = np.empty((T, B, K, 1))
+    rescued = []
+    for t in range(T):
+        if t > 0:
+            np.matmul(G[t - 1], alpha[t - 1], out=U[t])
+        if not S[t].min() >= inference._S_FLOOR:
+            rows = np.flatnonzero(~(S[t] >= inference._S_FLOOR))
+            pred = (np.matmul(trans[rows, t - 1], alpha[t - 1, rows])[:, :, 0] if t > 0
+                    else np.broadcast_to(pi, (len(rows), K)))
+            rescued.append((t, *inference._rescue_rows(t, rows, pred, ev[:, t], U[t])))
+        np.divide(num[t], S[t], out=alpha[t])
+    log_norms = np.log(S[:, :, 0, 0].T) + top
+    for t, rows, log_c in rescued:
+        log_norms[rows, t] = log_c
+    return np.ascontiguousarray(alpha[:, :, :, 0].transpose(1, 0, 2)), log_norms
 
 
 def reference_backward_batch(ev, trans, log_norms):
