@@ -21,7 +21,8 @@ from .envs import (ENVS, OBS_MODES, collect_demonstrations,
                    collect_trajectories, default_config, expert_policy,
                    load_dataset, load_manifest, make_splits, save_dataset,
                    save_manifest, select_split, simulate)
-from .evaluation import count_params, count_params_breakdown, evaluate
+from .evaluation import (FORECAST_MODES, MODE_MARGINAL, MODE_SAMPLE, count_params,
+                         count_params_breakdown, evaluate)
 from .learning import FitConfig, fit_em
 from .model import CLOSED_LOOP, MODES, load_model, model_to_dict
 from .policy import (ACT_MODES, default_distill_config, distill, rollout,
@@ -55,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
 _FIT_FIELDS = dict(K="K", transition="transition_kind", lag="lag",
                    poly_degree="poly_degree", max_iters="max_iters",
                    restarts="restarts", rel_tol="rel_tol", seed="seed")
+_FIT_CONFIG = FitConfig(K=2)                # K has no library default
 _DISTILL_CONFIG = default_distill_config()
 _TRANSITION_HELP = (f"regime link: one of {', '.join(KINDS)}; polynomial:DEGREE "
                     f"(1 if omitted), perceptron:UNITS ({PERCEPTRON_HIDDEN_UNITS} if omitted)")
@@ -63,12 +65,11 @@ _DEFAULTS = {
     "simulate": dict(env="pendulum", obs="joint", seed=0, n_train=25,
                      n_test=5, steps=None, policy="explore", n_splits=24,
                      split_size=10, out_dir="."),
-    "fit": dict(data=None, manifest=None, K=2, mode="open_loop",
-                transition="stationary", lag=0, poly_degree=1, max_iters=200,
-                restarts=5, rel_tol=1e-6, seed=0, init_model=None,
-                timings=False, out_dir="."),
+    "fit": dict(data=None, manifest=None, mode=_FIT_CONFIG.mode,
+                **{key: getattr(_FIT_CONFIG, name) for key, name in _FIT_FIELDS.items()},
+                init_model=None, timings=False, out_dir="."),
     "eval": dict(test=None, model=None, horizons="1,5,10,15,20,25",
-                 mode="marginal", seed=0, out_dir="."),
+                 mode=MODE_MARGINAL, seed=0, out_dir="."),
     "distill": dict(demos=None, **{key: getattr(_DISTILL_CONFIG, name)
                                    for key, name in _FIT_FIELDS.items()},
                     timings=False, out_dir="."),
@@ -140,16 +141,17 @@ def _require(cfg: dict, key: str, parser: _Parser) -> None:
         parser.error(f"missing required option --{key.replace('_', '-')}")
 
 
-def _positive(cfg: dict, keys, parser: _Parser) -> None:
+def _at_least(cfg: dict, keys, parser: _Parser, least: int = 1) -> None:
     for key in keys:
-        if cfg[key] is not None and cfg[key] < 1:
-            parser.error(f"--{key.replace('_', '-')} must be >= 1")
+        if cfg[key] is not None and cfg[key] < least:
+            parser.error(f"--{key.replace('_', '-')} must be >= {least}")
 
 
 # -- commands --------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, parser: _Parser) -> int:
-    _positive(cfg, ("n_train", "n_test", "n_splits", "split_size"), parser)
+    _at_least(cfg, ("n_train", "n_test", "n_splits", "split_size"), parser)
+    _at_least(cfg, ("steps",), parser, least=2)
     if cfg["split_size"] > cfg["n_train"]:
         parser.error("--split-size cannot exceed --n-train")
     if cfg["policy"] not in ("explore", "expert"):
@@ -185,7 +187,7 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
 
 def _fit_config(cfg: dict, mode: str, parser: _Parser) -> FitConfig:
     """The FitConfig of a fit or distill command config; a bad value is a usage error."""
-    _positive(cfg, ("K", "max_iters", "restarts"), parser)
+    _at_least(cfg, ("K", "max_iters", "restarts"), parser)
     try:
         return FitConfig(mode=mode, **{name: cfg[key]
                                        for key, name in _FIT_FIELDS.items()})
@@ -254,15 +256,15 @@ def cmd_eval(cfg: dict, parser: _Parser) -> int:
         parser.error("--horizons must be a comma-separated integer list")
     if not horizons or min(horizons) < 1:
         parser.error("--horizons must be positive integers")
-    if cfg["mode"] not in ("marginal", "argmax", "sample"):
-        parser.error("--mode must be marginal, argmax, or sample")
+    if cfg["mode"] not in FORECAST_MODES:
+        parser.error(f"--mode must be one of {', '.join(FORECAST_MODES)}")
     test = load_dataset(cfg["test"])
     models_by_tag = {tag: [load_model(p) for p in paths]
                      for tag, paths in _expand_model_specs(cfg["model"]).items()}
     prov = _provenance(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
 
-    rng = np.random.default_rng(cfg["seed"]) if cfg["mode"] == "sample" else None
+    rng = np.random.default_rng(cfg["seed"]) if cfg["mode"] == MODE_SAMPLE else None
     report = evaluate(models_by_tag, test, horizons, mode=cfg["mode"], rng=rng)
     header = _header_lines(prov)
     _write_text(os.path.join(cfg["out_dir"], "report.csv"),
@@ -290,7 +292,8 @@ def cmd_distill(cfg: dict, parser: _Parser) -> int:
 
 
 def cmd_rollout(cfg: dict, parser: _Parser) -> int:
-    _positive(cfg, ("episodes",), parser)
+    _at_least(cfg, ("episodes",), parser)
+    _at_least(cfg, ("steps",), parser, least=2)
     if bool(cfg["model"]) == bool(cfg["expert"]):
         parser.error("exactly one of --model or --expert is required")
     if cfg["mode"] not in ACT_MODES:

@@ -9,6 +9,8 @@ and that path is scored at the final step of every horizon window it covers,
 normalized by per-dimension test-set variance so a mean predictor scores 1.
 A trajectory's starts run as one batch of ragged rows (_forecast_batch with
 lengths), so each (start, step) pair is forecast once, whatever the horizons.
+The beliefs come from one forward pass over the whole test set, padded to its
+longest trajectory (filter_all): the same padded batch the E-step smooths.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._linalg import gauss_draw
-from .inference import forward_pass, local_quantities
+from .inference import _forward_batch, padded_inputs
 from .model import Dataset, HybridModel, Trajectory
 from .transition import transition_matrices
 
@@ -28,19 +30,22 @@ MODE_SAMPLE = "sample"
 FORECAST_MODES = (MODE_MARGINAL, MODE_ARGMAX, MODE_SAMPLE)
 
 
-def filter_all(model: HybridModel, traj: Trajectory) -> np.ndarray:
-    """Filtered regime posterior at every step, (T, K); row t-1 is
-    p(z_t | x_{1:t}, u_{1:t})."""
-    ev, trans = local_quantities(model, traj)
-    alpha, _, _ = forward_pass(ev, trans, model.init.pi)
-    return alpha
+def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
+    """Filtered regime posteriors (B, T_max, K) of the B trajectories, from
+    one forward pass over their padded batch (inference.padded_inputs): entry
+    [b, t-1] is p(z_t | x_{1:t}, u_{1:t}) of trajectory b, computed as alone,
+    and entries past its end repeat its last belief (to rounding). The pass
+    also holds (T_max-1) * B * (K+1) * K floats of folded transitions."""
+    ev, trans, _ = padded_inputs(model, dataset)
+    return _forward_batch(ev, trans, model.init.pi)[0]
 
 
 def filter_prefix(model: HybridModel, traj: Trajectory, t: int) -> np.ndarray:
-    """Filtered belief after the first t steps (1-based, 1 <= t <= T)."""
+    """Filtered belief after the first t steps (1-based, 1 <= t <= T), from
+    filter_all of the dataset holding traj alone."""
     if not 1 <= t <= traj.T:
         raise ValueError(f"prefix length t={t} outside 1..{traj.T}")
-    return filter_all(model, traj)[t - 1]
+    return filter_all(model, Dataset.from_trajectories([traj]))[0, t - 1]
 
 
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
@@ -172,12 +177,12 @@ class EvalReport:
         return "\n".join(out)
 
 
-def _window_forecasts(model: HybridModel, traj: Trajectory, hs: np.ndarray,
+def _window_forecasts(model: HybridModel, traj: Trajectory, alpha: np.ndarray, hs: np.ndarray,
                       mode: str, rng: np.random.Generator | None) -> np.ndarray:
     """One _forecast_batch call over every 1-based start s = 1 .. T - hs[0]
-    of the trajectory, in ascending order; row s runs the largest horizon h
-    in hs (ascending, distinct, hs[0] < T) with s + h <= T. Returns (T -
-    hs[0], hs[-1], d_x)."""
+    of the trajectory, in ascending order, from its filtered beliefs alpha
+    (row s-1 at s); row s runs the largest horizon h in hs (ascending,
+    distinct, hs[0] < T) with s + h <= T. Returns (T - hs[0], hs[-1], d_x)."""
     n = traj.T - hs[0]
     starts = np.arange(1, n + 1)
     lengths = hs[np.searchsorted(hs, traj.T - starts, side="right") - 1]
@@ -185,7 +190,6 @@ def _window_forecasts(model: HybridModel, traj: Trajectory, hs: np.ndarray,
     # reaches the NaN padding, which the transition link rejects
     padded = np.concatenate([traj.us, np.full((hs[-1] - 1, traj.d_u), np.nan)])
     us = sliding_window_view(padded, hs[-1], axis=0)[:n].transpose(0, 2, 1)
-    alpha = filter_all(model, traj)
     return _forecast_batch(model, traj.xs[:n], alpha[:n], us, mode, rng, lengths)
 
 
@@ -196,10 +200,11 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
 
     models_by_tag maps a tag to the list of fitted models, one per split.
     Aggregation is the mean and population std over splits. Each model
-    forecasts each test trajectory once (_window_forecasts): one path per
-    start, scored at every horizon that fits. In sample mode a start's
-    horizons therefore share one drawn path, and draws run trajectory by
-    trajectory in test-set order.
+    filters the whole test set once (filter_all, whose padded (B, T_max, K)
+    beliefs stay alive while that model is scored) and forecasts each test
+    trajectory once (_window_forecasts): one path per start, scored at every
+    horizon that fits. In sample mode a start's horizons therefore share one
+    drawn path, and draws run trajectory by trajectory in test-set order.
     """
     if len(test) == 0:
         raise ValueError("empty test set")
@@ -221,10 +226,10 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
         for s, model in enumerate(models):
             preds = [[] for _ in horizons]
             truths = [[] for _ in horizons]
-            for traj in test.trajectories:
+            for traj, alpha in zip(test.trajectories, filter_all(model, test)):
                 if traj.T <= hs[0]:
                     continue
-                out = _window_forecasts(model, traj, hs, mode, rng)
+                out = _window_forecasts(model, traj, alpha, hs, mode, rng)
                 for j, h in enumerate(horizons):
                     if traj.T > h:
                         # starts 1 .. T - h, scored against x_{s+h}

@@ -8,7 +8,9 @@ folded into the forward transition stack, and the backward weights into the
 backward one, once per pass, so each time step is one matmul plus, going
 forward, a divide. The forward scale is checked against its floor once per
 block of steps, and a step whose scale underflows is redone in log space (see
-the batched recursions below).
+the batched recursions below). A dataset enters as one padded batch built by
+padded_inputs: the E-step (smooth_dataset) smooths it, and the evaluation
+filter (evaluation.filter_all) runs the forward pass on it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, HybridModel, Trajectory, log_local_evidence
+from .model import Dataset, HybridModel, log_local_evidence
 from .transition import transition_matrices
 
 
@@ -45,24 +47,6 @@ class Posterior:
         return self.gamma.shape[1]
 
 
-def _check_evidence(ev: np.ndarray):
-    if np.isnan(ev).any():
-        raise ValueError("evidence contains NaN")
-    if not np.all(np.max(ev, axis=-1) > -np.inf):
-        raise ValueError("evidence row with no finite entry (impossible observation)")
-
-
-def local_quantities(model: HybridModel, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Log evidence (T, K) and transition matrices (T-1, K, K) for one trajectory.
-
-    Transition features are evaluated at the source step (x_t, u_t) for the
-    step t -> t+1.
-    """
-    ev = log_local_evidence(model, traj)
-    trans = transition_matrices(model.transition, traj.xs[:-1], traj.us[:-1])
-    return ev, trans
-
-
 # -- batched scaled recursions ------------------------------------------------
 # All cores take (B, T, K) evidence and (B, T-1, K, K) transition stacks, so a
 # whole dataset runs through numpy in lockstep in one time loop. Rows shorter
@@ -70,8 +54,9 @@ def local_quantities(model: HybridModel, traj: Trajectory) -> tuple[np.ndarray, 
 # transitions: a padded step leaves the filtered belief unchanged and keeps
 # the backward message at exactly 1, so each row's own steps compute as in a
 # batch of one. _smooth_batch zeroes the padded log normalizers before the
-# backward pass, so a row's log-likelihood sums only its own steps. The public
-# single-trajectory API wraps a batch of one.
+# backward pass, so a row's log-likelihood sums only its own steps.
+# padded_inputs builds these inputs for a whole dataset; there is no
+# single-trajectory entry point.
 #
 # The recursions run in linear scale (Rabiner 1989). The evidence is
 # exponentiated once per batch against its per-step max over regimes,
@@ -162,7 +147,7 @@ def _forward_batch(ev, trans, pi):
     return np.ascontiguousarray(alpha[:, :, :, 0].transpose(1, 0, 2)), log_norms
 
 
-def _backward_batch(ev, trans, log_norms, alpha=None):
+def _backward_batch(ev, trans, log_norms, alpha):
     """Scaled beta (B, T, K) and the xi weights (B, T-1, K),
     w[:, t] * beta[:, t+1] with w[:, t] = exp(ev[:, t+1] - log_norms[:, t+1]).
 
@@ -180,8 +165,7 @@ def _backward_batch(ev, trans, log_norms, alpha=None):
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         w = ev[:, 1:] - log_norms[:, 1:, None]
         w = np.exp(w, out=w)
-        if alpha is not None:
-            np.copyto(w, 0.0, where=alpha[:, 1:] == 0.0)
+        np.copyto(w, 0.0, where=alpha[:, 1:] == 0.0)
         N = np.empty((T - 1, B, K, K))
         np.multiply(w.transpose(1, 0, 2)[..., None], trans.transpose(1, 0, 2, 3), out=N)
         for t in range(T - 2, -1, -1):
@@ -193,12 +177,10 @@ def _backward_batch(ev, trans, log_norms, alpha=None):
     return beta, w
 
 
-def _smooth_batch(ev, trans, pi, pad=None):
+def _smooth_batch(ev, trans, pi, pad):
     """pad (B, T) marks the padded steps; their gamma and xi are meaningless."""
-    _check_evidence(ev)
     alpha, log_norms = _forward_batch(ev, trans, pi)
-    if pad is not None:
-        log_norms[pad] = 0.0
+    log_norms[pad] = 0.0
     beta, w = _backward_batch(ev, trans, log_norms, alpha)
     gamma = alpha * beta
     gamma /= gamma.sum(axis=2, keepdims=True)
@@ -210,17 +192,28 @@ def _smooth_batch(ev, trans, pi, pad=None):
 
 # -- public API ----------------------------------------------------------------
 
-def forward_pass(evidence, trans_mats, pi):
-    """Scaled forward recursion.
-
-    Returns (alpha_hat (T, K) row-normalized filtered beliefs, log_norms (T,),
-    loglik) with loglik = sum of log normalizers.
-    """
-    ev = np.asarray(evidence, dtype=float)[None]
-    _check_evidence(ev)
-    alpha, log_norms = _forward_batch(ev, np.asarray(trans_mats, dtype=float)[None],
-                                      np.asarray(pi, dtype=float))
-    return alpha[0], log_norms[0], float(log_norms[0].sum())
+def padded_inputs(model: HybridModel, dataset: Dataset):
+    """The B trajectories' filter inputs as one padded batch: log evidence
+    (B, T_max, K), transition matrices (B, T_max-1, K, K) and the mask (B,
+    T_max) of padded steps, which get log evidence 0 and identity
+    transitions. Transition features are evaluated at the source step (x_t,
+    u_t) for the step t -> t+1. Rejects NaN evidence and impossible
+    observations."""
+    lengths = np.array([traj.T for traj in dataset.trajectories])
+    pad = np.arange(lengths.max()) >= lengths[:, None]   # (B, T_max)
+    (B, T), K = pad.shape, model.K
+    ev = np.zeros((B, T, K))
+    trans = np.empty((B, T - 1, K, K))
+    trans[pad[:, 1:]] = np.eye(K)                      # padded steps only
+    for b, traj in enumerate(dataset.trajectories):
+        ev[b, :traj.T] = log_local_evidence(model, traj)
+        trans[b, :traj.T - 1] = transition_matrices(model.transition, traj.xs[:-1],
+                                                    traj.us[:-1])
+    if np.isnan(ev).any():
+        raise ValueError("evidence contains NaN")
+    if not np.all(np.max(ev, axis=-1) > -np.inf):
+        raise ValueError("evidence row with no finite entry (impossible observation)")
+    return ev, trans, pad
 
 
 def smooth_dataset(model: HybridModel, dataset: Dataset):
@@ -233,14 +226,7 @@ def smooth_dataset(model: HybridModel, dataset: Dataset):
     Each pass holds one more stack of that size (the forward K+1 rows) only
     while it runs.
     """
-    lengths = np.array([traj.T for traj in dataset.trajectories])
-    pad = np.arange(lengths.max()) >= lengths[:, None]   # (B, T_max)
-    (B, T), K = pad.shape, model.K
-    ev = np.zeros((B, T, K))
-    trans = np.empty((B, T - 1, K, K))
-    trans[pad[:, 1:]] = np.eye(K)                      # padded steps only
-    for b, traj in enumerate(dataset.trajectories):
-        ev[b, :traj.T], trans[b, :traj.T - 1] = local_quantities(model, traj)
+    ev, trans, pad = padded_inputs(model, dataset)
     gamma, xi, loglik = _smooth_batch(ev, trans, model.init.pi, pad)
     # Q masked to each row's own steps. The clipped logs keep 0 * log(0)
     # terms finite; gamma_1(k) > 0 forces pi_k > 0, so the clip never distorts
@@ -251,8 +237,8 @@ def smooth_dataset(model: HybridModel, dataset: Dataset):
     log_trans = np.log(np.maximum(trans, 1e-300, out=trans), out=trans)
     q = (float(np.sum(gamma[:, 0] * log_pi)) + float(np.sum(gamma * ev))
          + float(np.einsum("btji,btij->", xi, log_trans)))
-    posteriors = [Posterior(gamma=gamma[b, :n], xi=xi[b, :n - 1], loglik=loglik[b])
-                  for b, n in enumerate(lengths)]
+    posteriors = [Posterior(gamma=gamma[b, :traj.T], xi=xi[b, :traj.T - 1], loglik=loglik[b])
+                  for b, traj in enumerate(dataset.trajectories)]
     return posteriors, float(loglik.sum()), q
 
 

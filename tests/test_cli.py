@@ -9,7 +9,8 @@ from rarhmm import cli
 from rarhmm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from rarhmm.envs import load_dataset, load_manifest
 from rarhmm.evaluation import count_params
-from rarhmm.model import CLOSED_LOOP, load_model
+from rarhmm.learning import FitConfig
+from rarhmm.model import CLOSED_LOOP, OPEN_LOOP, load_model
 from rarhmm.policy import default_distill_config
 from rarhmm.transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
@@ -246,6 +247,29 @@ def test_distill_defaults_are_default_distill_config():
                 max_iters=200, restarts=5, rel_tol=1e-6, seed=0, timings=False,
                 out_dir=".")
     assert json.dumps(cfg, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_fit_defaults_are_fit_config():
+    parser = cli.build_parser()
+    cfg = cli._resolve_config("fit", parser.parse_args(["fit"]))
+    assert cli._fit_config(cfg, cfg["mode"], parser) == FitConfig(K=2)
+    # values and types as before, so every fit config_sha256 is unchanged
+    want = dict(data=None, manifest=None, K=2, mode=OPEN_LOOP, transition="stationary",
+                lag=0, poly_degree=1, max_iters=200, restarts=5, rel_tol=1e-6, seed=0,
+                init_model=None, timings=False, out_dir=".")
+    assert json.dumps(cfg, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("steps", ["1", "0"])
+@pytest.mark.parametrize("argv", [["simulate"], ["rollout", "--model", "missing.json"],
+                                  ["rollout", "--expert"]])
+def test_steps_below_two_are_usage_errors(tmp_path, capsys, argv, steps):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as ei:
+        _run(*argv, "--steps", steps, "--out-dir", str(out))
+    assert ei.value.code == EXIT_USAGE
+    assert f"rarhmm {argv[0]}: error: --steps must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_merging_and_flag_override(tmp_path):

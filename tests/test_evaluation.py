@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from rarhmm.envs import default_config, simulate
-from rarhmm import evaluation
+from rarhmm import evaluation, inference
 from rarhmm.evaluation import (_forecast_batch, count_params,
                                count_params_breakdown, evaluate, filter_all,
                                filter_prefix, forecast, nmse,
                                dataset_normalizer)
 from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
-                          InitialModel, Trajectory, sample_trajectory)
+                          InitialModel, Trajectory, log_local_evidence,
+                          sample_trajectory)
 from rarhmm.transition import make_transition
 
-from util import (brute_force_posterior, mvn_logpdf, random_dataset, random_model,
-                  random_trajectory, reference_sample_forecast)
+from util import (brute_force_posterior, filter_one, forward_pass, local_quantities,
+                  mvn_logpdf, random_dataset, random_model, random_trajectory,
+                  reference_sample_forecast)
 
 
 def _ball_truth_maps(cfg):
@@ -101,9 +103,54 @@ def test_filter_matches_brute_force_prefix():
 def test_filter_all_agrees_with_prefixes():
     m = random_model(K=3, d_x=2, d_u=1, kind="perceptron", seed=2)
     traj, _ = random_trajectory(m, T=12, seed=2)
-    alpha = filter_all(m, traj)
+    alpha = filter_all(m, Dataset.from_trajectories([traj]))[0]
     for t in (1, 5, 12):
         np.testing.assert_array_equal(alpha[t - 1], filter_prefix(m, traj, t))
+
+
+def test_filter_all_equals_per_trajectory_forward(monkeypatch):
+    # a ragged B = 3 test set. Regime 2 has no initial mass and no way in, so
+    # evidence favouring it by 600 nats at the first step of the second
+    # forward block sends the middle row's scale below the floor there
+    n = inference._BLOCK
+    base = random_model(K=3, d_x=2, d_u=1, kind="stationary", seed=15)
+    bias = np.array(base.transition.bias)
+    bias[2] = -1000.0                           # exp underflows: exactly 0
+    m = HybridModel(K=3, d_x=2, d_u=1, mode=base.mode,
+                    init=InitialModel(pi=np.array([0.6, 0.4, 0.0]), mu=base.init.mu,
+                                      omega_cov=base.init.omega_cov),
+                    dynamics=base.dynamics,
+                    transition=make_transition("stationary", 3, 2, 1, bias=bias))
+    trajs = [random_trajectory(m, T=T, seed=15 + i)[0]
+             for i, T in enumerate((n + 9, 2 * n + 5, 7))]
+
+    def evidence(model, traj):
+        ev = log_local_evidence(model, traj)
+        if traj.T == 2 * n + 5:
+            ev[n] = [-600.0, -601.5, 0.0]
+        return ev
+
+    rescued = []
+    rescue = inference._rescue_rows
+
+    def spy(t, rows, *args):
+        rescued.append((t, rows.tolist()))
+        return rescue(t, rows, *args)
+
+    monkeypatch.setattr(inference, "log_local_evidence", evidence)
+    monkeypatch.setattr(inference, "_rescue_rows", spy)
+    alpha = filter_all(m, Dataset.from_trajectories(trajs))
+    assert rescued == [(n, [1])]
+    assert alpha.shape == (3, 2 * n + 5, 3)
+    assert alpha[1, n, 2] == 0.0
+    for a, traj in zip(alpha, trajs):
+        _, trans = local_quantities(m, traj)
+        want = forward_pass(evidence(m, traj), trans, m.init.pi)[0]
+        assert np.array_equal(a[:traj.T], want)
+        # each padded step renormalizes the last belief, so it repeats it up
+        # to rounding
+        np.testing.assert_allclose(a[traj.T:], np.broadcast_to(want[-1], a[traj.T:].shape),
+                                   rtol=0, atol=1e-15)
 
 
 def test_forecast_k1_deterministic_rollout():
@@ -273,7 +320,7 @@ def test_evaluate_duplicate_split_stats():
 def _per_horizon_reference(m, trajs, horizons, mode, normalizer):
     """NMSE per horizon by the per-horizon protocol: one forecast batch per
     (trajectory, horizon), over the starts t with t + h <= T, each filtering
-    the trajectory anew."""
+    the trajectory anew on its own (filter_one)."""
     want = []
     for h in horizons:
         preds, truths = [], []
@@ -283,7 +330,7 @@ def _per_horizon_reference(m, trajs, horizons, mode, normalizer):
             starts = np.arange(1, traj.T - h + 1)
             us = np.stack([traj.us[s - 1:s - 1 + h] for s in starts])
             out = _forecast_batch(m, traj.xs[starts - 1],
-                                  filter_all(m, traj)[starts - 1], us, mode)
+                                  filter_one(m, traj)[starts - 1], us, mode)
             preds.append(out[:, -1])
             truths.append(traj.xs[starts - 1 + h])
         want.append(nmse(np.concatenate(preds), np.concatenate(truths), normalizer))
@@ -306,7 +353,7 @@ def _joint_sample_reference(m, trajs, horizons, normalizer, rng):
         for r, (s, n) in enumerate(zip(starts, lengths)):
             us[r, :n] = traj.us[s - 1:s - 1 + n]
         idx = np.array(starts) - 1
-        out = reference_sample_forecast(m, traj.xs[idx], filter_all(m, traj)[idx], us,
+        out = reference_sample_forecast(m, traj.xs[idx], filter_one(m, traj)[idx], us,
                                         rng, lengths)
         for h in horizons:
             rows = [r for r, s in enumerate(starts) if s + h <= traj.T]
@@ -331,15 +378,17 @@ def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
         want = _per_horizon_reference(m, trajs, horizons, mode, normalizer)
     calls = []
 
-    def counted(model, traj):
-        calls.append(traj.id)
-        return filter_all(model, traj)
+    def counted(model, dataset):
+        calls.append((id(model), dataset is test))
+        return filter_all(model, dataset)
 
     monkeypatch.setattr(evaluation, "filter_all", counted)
-    report = evaluate({"m": [m]}, test, horizons, mode=mode,
+    m2 = random_model(K=3, d_x=2, d_u=1, seed=11)
+    report = evaluate({"m": [m], "m2": [m2]}, test, horizons, mode=mode,
                       rng=np.random.default_rng(3))
-    assert sorted(calls) == sorted(t.id for t in trajs)
-    assert [r["nmse"] for r in report.per_split] == want
+    # one padded batch of the whole test set per model
+    assert calls == [(id(m), True), (id(m2), True)]
+    assert [r["nmse"] for r in report.per_split[:len(horizons)]] == want
 
 
 @pytest.mark.parametrize("horizons", [(25, 1, 7, 10), (10, 1, 10, 3), (4,)])

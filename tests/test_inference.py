@@ -7,13 +7,20 @@ import pytest
 
 from rarhmm import inference
 from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch, estep,
-                              forward_pass, local_quantities, smooth_dataset)
-from rarhmm.model import CLOSED_LOOP, Dataset
+                              smooth_dataset)
+from rarhmm.evaluation import filter_all, filter_prefix
+from rarhmm.model import CLOSED_LOOP, Dataset, log_local_evidence
 
-from util import (backward_pass, brute_force_posterior, logsumexp, random_dataset,
-                  random_model, random_trajectory, reference_backward_batch,
+from util import (backward_pass, brute_force_posterior, forward_pass,
+                  local_quantities, logsumexp, random_dataset, random_model,
+                  random_trajectory, reference_backward_batch,
                   reference_checked_forward_batch, reference_forward_batch, smooth,
                   viterbi)
+
+
+def _smooth_one(ev, trans, pi):
+    """_smooth_batch of one unpadded trajectory."""
+    return _smooth_batch(ev[None], trans[None], pi, np.zeros((1, len(ev)), dtype=bool))
 
 
 def _assert_posterior_close(a: Posterior, b: Posterior, tol=1e-10):
@@ -125,16 +132,38 @@ def test_estep_matches_per_trajectory_smoothing():
         np.testing.assert_allclose(got.xi, want.xi, atol=1e-12)
 
 
-def test_impossible_evidence_rejected():
+def test_impossible_evidence_rejected(monkeypatch):
+    # through every entry point that builds the padded inputs, with the bad
+    # step in the shorter row of a ragged batch
     m = random_model(K=2, d_x=2, d_u=1, seed=9)
-    traj, _ = random_trajectory(m, T=6, seed=9)
-    ev, trans = local_quantities(m, traj)
-    ev[3] = -np.inf
-    with pytest.raises(ValueError):
-        forward_pass(ev, trans, m.init.pi)
-    ev[3] = np.nan
-    with pytest.raises(ValueError):
-        forward_pass(ev, trans, m.init.pi)
+    ds = Dataset.from_trajectories([random_trajectory(m, T=T, seed=9 + T)[0]
+                                    for T in (10, 6)])
+    for bad, match in [(-np.inf, "impossible observation"), (np.nan, "NaN")]:
+        def evidence(model, traj):
+            ev = log_local_evidence(model, traj)
+            if traj.T == 6:
+                ev[3] = bad
+            return ev
+
+        monkeypatch.setattr(inference, "log_local_evidence", evidence)
+        for entry in (inference.padded_inputs, smooth_dataset, estep, filter_all):
+            with pytest.raises(ValueError, match=match):
+                entry(m, ds)
+        with pytest.raises(ValueError, match=match):
+            filter_prefix(m, ds.trajectories[1], 2)
+
+
+def test_padded_inputs_pad_with_zero_evidence_and_identity():
+    m = random_model(K=3, d_x=2, d_u=1, kind="polynomial", seed=16)
+    trajs = [random_trajectory(m, T=T, seed=16 + i)[0] for i, T in enumerate((9, 2, 12))]
+    ev, trans, pad = inference.padded_inputs(m, Dataset.from_trajectories(trajs))
+    assert ev.shape == (3, 12, 3) and trans.shape == (3, 11, 3, 3)
+    assert np.array_equal(pad, np.arange(12) >= np.array([[9], [2], [12]]))
+    for b, traj in enumerate(trajs):
+        e, tr = local_quantities(m, traj)
+        assert np.array_equal(ev[b, :traj.T], e) and np.all(ev[b, traj.T:] == 0.0)
+        assert np.array_equal(trans[b, :traj.T - 1], tr)
+        assert np.all(trans[b, traj.T - 1:] == np.eye(3))
 
 
 def test_brute_force_budget_guard():
@@ -260,7 +289,7 @@ def test_backward_gives_unreachable_regime_zero_weight(steps, gap):
     ev[steps] = [-gap, -gap - 1.5, 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gamma, xi, loglik = _smooth_batch(ev[None], trans[None], pi)
+        gamma, xi, loglik = _smooth_one(ev, trans, pi)
     _, log_norms, _, ref_gamma, ref_xi = _reference_smooth(ev, trans, pi)
     np.testing.assert_allclose(gamma[0], ref_gamma, rtol=0, atol=1e-12)
     np.testing.assert_allclose(xi[0], ref_xi, rtol=0, atol=1e-12)
@@ -278,7 +307,7 @@ def test_backward_raises_on_other_overflow():
     # a subnormal transition into regime 2 gives it predicted mass
     trans[:, 2, 0] = 1e-320
     with pytest.raises(FloatingPointError, match="backward recursion overflowed"):
-        _smooth_batch(ev[None], trans[None], pi)
+        _smooth_one(ev, trans, pi)
     # regime 2 is entered only through a subnormal transition and left only
     # for regime 3: its xi weight at step 2 (~1e304 times a backward message
     # of ~1e16) overflows while every backward message stays finite
@@ -290,7 +319,7 @@ def test_backward_raises_on_other_overflow():
     ev[2] = [-700.0, -701.5, 0.0, -700.0]
     ev[3] = [-700.0, -701.5, -700.0, 0.0]
     with pytest.raises(FloatingPointError, match="backward recursion overflowed"):
-        _smooth_batch(ev[None], trans[None], np.array([0.6, 0.4, 0.0, 0.0]))
+        _smooth_one(ev, trans, np.array([0.6, 0.4, 0.0, 0.0]))
 
 
 def test_row_results_do_not_depend_on_batch_neighbours(rescued):
@@ -317,7 +346,7 @@ def test_row_results_do_not_depend_on_batch_neighbours(rescued):
         alone = _forward_batch(e[None], tr[None], pi)
         assert np.array_equal(batch[0][b, :n], alone[0][0])
         assert np.array_equal(batch[1][b, :n], alone[1][0])
-        gamma, xi, loglik = _smooth_batch(e[None], tr[None], pi)
+        gamma, xi, loglik = _smooth_one(e, tr, pi)
         assert np.array_equal(smoothed[0][b, :n], gamma[0])
         assert np.array_equal(smoothed[1][b, :n - 1], xi[0])
         assert smoothed[2][b] == loglik[0]

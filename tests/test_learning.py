@@ -5,7 +5,7 @@ import pytest
 
 from rarhmm import inference, learning
 from rarhmm.envs import collect_trajectories, default_config
-from rarhmm.inference import Posterior, estep, local_quantities
+from rarhmm.inference import Posterior, estep
 from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
                              mstep_initial, mstep_transitions)
@@ -15,7 +15,7 @@ from rarhmm.transition import (_nll_grad, make_transition, params_to_vector,
                                parse_transition_spec, transition_matrix,
                                weighted_nll_and_grad)
 
-from util import (models_equal, random_dataset, random_model,
+from util import (local_quantities, models_equal, random_dataset, random_model,
                   random_trajectory, reference_gd_mstep, reference_kmeans,
                   reference_stack_transition_stats, smooth, tensor_nll_grad)
 

@@ -476,7 +476,7 @@ def test_densities_factor_nothing_once_the_model_is_built(monkeypatch):
         monkeypatch.setattr(np.linalg, name, factoring)
     ev = log_local_evidence(m, traj)
     assert ev.shape == (30, 3) and np.all(np.isfinite(ev))
-    assert filter_all(m, traj).shape == (30, 3)
+    assert filter_all(m, Dataset.from_trajectories([traj])).shape == (1, 30, 3)
     b = policy._initial_belief(m, traj.xs[0])
     b = policy._belief_step(m, b, traj.xs[0], traj.us[0], traj.xs[1])
     assert b.shape == (3,) and abs(b.sum() - 1.0) < 1e-12

@@ -278,7 +278,7 @@ def test_distillation_consistency_on_generated_demos():
     test, _ = sample_trajectory(gen, 60, rng, traj_id="held-out")
     diffs = []
     for model in (gen, fit):
-        alpha = filter_all(model, test)
+        alpha = filter_all(model, Dataset.from_trajectories([test]))[0]
         us = [act(model, alpha[t], test.xs[t], [], mode="mean")[0]
               for t in range(test.T)]
         diffs.append(np.array(us))

@@ -9,12 +9,11 @@ from rarhmm._linalg import LOG2PI
 from rarhmm.envs import env_dims
 from rarhmm import inference
 from rarhmm.features import controller_feature_dim
-from rarhmm.inference import (Posterior, _backward_batch, _check_evidence,
-                              local_quantities, smooth_dataset)
+from rarhmm.inference import Posterior, _backward_batch, _forward_batch, smooth_dataset
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
                           HybridModel, InitialModel, Trajectory,
-                          controller_feature_series,
-                          controller_features, model_to_dict, sample_trajectory)
+                          controller_feature_series, controller_features,
+                          log_local_evidence, model_to_dict, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
 from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
                                params_to_vector, transition_features,
@@ -443,6 +442,28 @@ def viterbi(model: HybridModel, traj: Trajectory) -> np.ndarray:
     return path
 
 
+def local_quantities(model: HybridModel, traj: Trajectory):
+    """Log evidence (T, K) and transition matrices (T-1, K, K) of one
+    trajectory, the link evaluated at each source step (x_t, u_t)."""
+    return (log_local_evidence(model, traj),
+            transition_matrices(model.transition, traj.xs[:-1], traj.us[:-1]))
+
+
+def forward_pass(evidence, trans_mats, pi):
+    """Scaled forward recursion of one trajectory, a batch of one through the
+    library's core: (alpha_hat (T, K) row-normalized filtered beliefs,
+    log_norms (T,), loglik = their sum)."""
+    alpha, log_norms = _forward_batch(np.asarray(evidence, dtype=float)[None],
+                                      np.asarray(trans_mats, dtype=float)[None],
+                                      np.asarray(pi, dtype=float))
+    return alpha[0], log_norms[0], float(log_norms[0].sum())
+
+
+def filter_one(model: HybridModel, traj: Trajectory) -> np.ndarray:
+    """Filtered beliefs (T, K) of one trajectory through forward_pass."""
+    return forward_pass(*local_quantities(model, traj), model.init.pi)[0]
+
+
 def smooth(model: HybridModel, traj: Trajectory) -> Posterior:
     """Full forward-backward smoothing of one trajectory: smooth_dataset of
     the dataset holding it alone."""
@@ -454,12 +475,12 @@ def backward_pass(evidence, trans_mats, log_norms):
     """Scaled backward recursion of one trajectory, consistent with
     forward_pass scaling; beta_T = 1.
 
-    Without the filtered beliefs no regime is known to have no mass, so an
-    overflowing weight raises FloatingPointError (see _backward_batch)."""
+    Without the filtered beliefs no regime is known to have no mass (the
+    all-ones alpha passed here excludes none), so an overflowing weight raises
+    FloatingPointError (see _backward_batch)."""
     ev = np.asarray(evidence, dtype=float)[None]
-    _check_evidence(ev)
     beta, _ = _backward_batch(ev, np.asarray(trans_mats, dtype=float)[None],
-                              np.asarray(log_norms, dtype=float)[None])
+                              np.asarray(log_norms, dtype=float)[None], np.ones_like(ev))
     return beta[0]
 
 
