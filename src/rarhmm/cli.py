@@ -1,9 +1,13 @@
 """Command-line surface: simulate, fit, eval, distill, rollout, count-params.
 
-Every command takes flags plus an optional JSON config file (flags override
-the file, unknown keys are rejected), validates inputs before writing
-anything, and stamps outputs with a provenance header (config hash, seed,
-version). Fixed seeds give byte-identical output files.
+Every option of every command is declared once, in one table (_OPTIONS),
+with its default and its kind; the parser's flags and the config defaults are
+both built from it. Every command takes flags plus an optional JSON config
+file (flags override the file, unknown keys are rejected); a value of the
+wrong kind is a usage error naming its flag, whether it came from a flag or
+the file. Commands validate inputs before writing anything, and stamp outputs
+with a provenance header (config hash, seed, version). Fixed seeds give
+byte-identical output files.
 """
 from __future__ import annotations
 
@@ -23,10 +27,10 @@ from .envs import (ENVS, OBS_MODES, collect_demonstrations,
                    save_manifest, select_split, simulate)
 from .evaluation import (FORECAST_MODES, MODE_MARGINAL, MODE_SAMPLE, count_params,
                          count_params_breakdown, evaluate)
-from .learning import FitConfig, fit_em
+from .learning import FitConfig, check_init_model, fit_em
 from .model import CLOSED_LOOP, MODES, load_model, model_to_dict
-from .policy import (ACT_MODES, default_distill_config, distill, rollout,
-                     save_rollout, success_criterion)
+from .policy import (ACT_MEAN, ACT_MODES, check_policy_model, default_distill_config,
+                     distill, rollout, save_rollout, success_criterion)
 from .transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
 EXIT_OK = 0
@@ -50,58 +54,88 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# -- config plumbing ------------------------------------------------------------
+# -- options -------------------------------------------------------------------
 
 # config keys of fit and distill, and the FitConfig field each one sets
 _FIT_FIELDS = dict(K="K", transition="transition_kind", lag="lag",
                    poly_degree="poly_degree", max_iters="max_iters",
                    restarts="restarts", rel_tol="rel_tol", seed="seed")
+_TRANSITION_ARGS = dict(metavar="SPEC", help=(
+    f"regime link: one of {', '.join(KINDS)}; polynomial:DEGREE (1 if omitted), "
+    f"perceptron:UNITS ({PERCEPTRON_HIDDEN_UNITS} if omitted)"))
 _FIT_CONFIG = FitConfig(K=2)                # K has no library default
-_DISTILL_CONFIG = default_distill_config()
-_TRANSITION_HELP = (f"regime link: one of {', '.join(KINDS)}; polynomial:DEGREE "
-                    f"(1 if omitted), perceptron:UNITS ({PERCEPTRON_HIDDEN_UNITS} if omitted)")
 
-_DEFAULTS = {
-    "simulate": dict(env="pendulum", obs="joint", seed=0, n_train=25,
-                     n_test=5, steps=None, policy="explore", n_splits=24,
-                     split_size=10, out_dir="."),
-    "fit": dict(data=None, manifest=None, mode=_FIT_CONFIG.mode,
-                **{key: getattr(_FIT_CONFIG, name) for key, name in _FIT_FIELDS.items()},
-                init_model=None, timings=False, out_dir="."),
-    "eval": dict(test=None, model=None, horizons="1,5,10,15,20,25",
-                 mode=MODE_MARGINAL, seed=0, out_dir="."),
-    "distill": dict(demos=None, **{key: getattr(_DISTILL_CONFIG, name)
-                                   for key, name in _FIT_FIELDS.items()},
-                    timings=False, out_dir="."),
-    "rollout": dict(env="pendulum", obs="joint", model=None, expert=False,
-                    episodes=50, steps=None, mode="mean", seed=0,
-                    out_dir="."),
-    "count-params": dict(model=None),
+
+def _fit_options(config: FitConfig) -> dict:
+    """The FitConfig options: the config's values, each of its value's kind."""
+    options = {key: (getattr(config, name), type(getattr(config, name)))
+               for key, name in _FIT_FIELDS.items()}
+    options["transition"] += (_TRANSITION_ARGS,)
+    return options
+
+
+# key -> (default, kind[, argparse keywords]) per command; a kind is int, float,
+# str, bool (a switch), list (a repeatable flag) or a tuple of choices
+_OPTIONS = {
+    "simulate": dict(env=("pendulum", ENVS), obs=("joint", OBS_MODES), seed=(0, int),
+                     n_train=(25, int), n_test=(5, int), steps=(None, int),
+                     policy=("explore", ("explore", "expert")), n_splits=(24, int),
+                     split_size=(10, int), out_dir=(".", str)),
+    "fit": dict(data=(None, str), manifest=(None, str), mode=(_FIT_CONFIG.mode, MODES),
+                **_fit_options(_FIT_CONFIG),
+                init_model=(None, str), timings=(False, bool), out_dir=(".", str)),
+    "eval": dict(test=(None, str),
+                 model=(None, list, dict(help="tag=path-glob; repeat per model family")),
+                 horizons=("1,5,10,15,20,25", str), mode=(MODE_MARGINAL, FORECAST_MODES),
+                 seed=(0, int), out_dir=(".", str)),
+    "distill": dict(demos=(None, str), **_fit_options(default_distill_config()),
+                    timings=(False, bool), out_dir=(".", str)),
+    "rollout": dict(env=("pendulum", ENVS), obs=("joint", OBS_MODES), model=(None, str),
+                    expert=(False, bool), episodes=(50, int), steps=(None, int),
+                    mode=(ACT_MEAN, ACT_MODES), seed=(0, int), out_dir=(".", str)),
+    "count-params": dict(model=(None, str)),
 }
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", list: "a list of strings"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _has_kind(value, kind) -> bool:
+    """A bool is only a switch; an int is also a float."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return (isinstance(value, bool) == (kind is bool)
+            and isinstance(value, (int, float) if kind is float else kind))
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, rejecting unknown keys."""
-    cfg = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
+    """defaults <- config file <- explicit flags, rejecting unknown keys; a
+    value not of its option's kind is a usage error, from a flag or the file."""
+    options = _OPTIONS[command]
+    cfg = {key: default for key, (default, *_) in options.items()}
+    if args.config:
         try:
             with open(args.config) as f:
                 file_cfg = json.load(f)
-        except OSError as e:
-            raise CliError(f"cannot read config file: {e}")
-        except json.JSONDecodeError as e:
-            raise CliError(f"config file is not valid JSON: {e}")
+        except (OSError, json.JSONDecodeError) as e:
+            raise CliError(f"cannot read config file {args.config}: {e}")
         if not isinstance(file_cfg, dict):
             raise CliError("config file must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
-            raise CliError(f"unknown config keys for {command}: "
-                           f"{', '.join(unknown)}")
+            raise CliError(f"unknown config keys for {command}: {', '.join(unknown)}")
         cfg.update(file_cfg)
-    for key in cfg:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            cfg[key] = flag
+    for key, (default, kind, *_) in options.items():
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+        if not (cfg[key] is None and default is None or _has_kind(cfg[key], kind)):
+            args.parser.error(f"{_flag(key)} must be "
+                              f"{_KIND_NAMES.get(kind) or 'one of ' + ', '.join(kind)}")
     return cfg
 
 
@@ -138,13 +172,13 @@ def _write_model(path, model, prov: dict) -> None:
 
 def _require(cfg: dict, key: str, parser: _Parser) -> None:
     if not cfg.get(key):
-        parser.error(f"missing required option --{key.replace('_', '-')}")
+        parser.error(f"missing required option {_flag(key)}")
 
 
 def _at_least(cfg: dict, keys, parser: _Parser, least: int = 1) -> None:
     for key in keys:
         if cfg[key] is not None and cfg[key] < least:
-            parser.error(f"--{key.replace('_', '-')} must be >= {least}")
+            parser.error(f"{_flag(key)} must be >= {least}")
 
 
 # -- commands --------------------------------------------------------------------
@@ -154,8 +188,6 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
     _at_least(cfg, ("steps",), parser, least=2)
     if cfg["split_size"] > cfg["n_train"]:
         parser.error("--split-size cannot exceed --n-train")
-    if cfg["policy"] not in ("explore", "expert"):
-        parser.error("--policy must be explore or expert")
     env = default_config(cfg["env"], obs=cfg["obs"], seed=cfg["seed"])
     prov = _provenance(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
@@ -187,7 +219,6 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
 
 def _fit_config(cfg: dict, mode: str, parser: _Parser) -> FitConfig:
     """The FitConfig of a fit or distill command config; a bad value is a usage error."""
-    _at_least(cfg, ("K", "max_iters", "restarts"), parser)
     try:
         return FitConfig(mode=mode, **{name: cfg[key]
                                        for key, name in _FIT_FIELDS.items()})
@@ -200,14 +231,15 @@ def cmd_fit(cfg: dict, parser: _Parser) -> int:
     fit_config = _fit_config(cfg, cfg["mode"], parser)
     dataset = load_dataset(cfg["data"])
     init_model = load_model(cfg["init_model"]) if cfg["init_model"] else None
-    prov = _provenance(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-
+    if init_model is not None:
+        check_init_model(init_model, fit_config, dataset)
     if cfg["manifest"]:
         groups = [(f"_split{i:02d}", select_split(dataset, ids))
                   for i, ids in enumerate(load_manifest(cfg["manifest"]))]
     else:
         groups = [("", dataset)]
+    prov = _provenance(cfg)
+    os.makedirs(cfg["out_dir"], exist_ok=True)
 
     failures = []
     for suffix, subset in groups:
@@ -251,21 +283,18 @@ def cmd_eval(cfg: dict, parser: _Parser) -> int:
     _require(cfg, "test", parser)
     _require(cfg, "model", parser)
     try:
-        horizons = [int(h) for h in str(cfg["horizons"]).split(",") if h.strip()]
+        horizons = [int(h) for h in cfg["horizons"].split(",") if h.strip()]
     except ValueError:
         parser.error("--horizons must be a comma-separated integer list")
     if not horizons or min(horizons) < 1:
         parser.error("--horizons must be positive integers")
-    if cfg["mode"] not in FORECAST_MODES:
-        parser.error(f"--mode must be one of {', '.join(FORECAST_MODES)}")
     test = load_dataset(cfg["test"])
     models_by_tag = {tag: [load_model(p) for p in paths]
                      for tag, paths in _expand_model_specs(cfg["model"]).items()}
-    prov = _provenance(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-
     rng = np.random.default_rng(cfg["seed"]) if cfg["mode"] == MODE_SAMPLE else None
     report = evaluate(models_by_tag, test, horizons, mode=cfg["mode"], rng=rng)
+    prov = _provenance(cfg)
+    os.makedirs(cfg["out_dir"], exist_ok=True)
     header = _header_lines(prov)
     _write_text(os.path.join(cfg["out_dir"], "report.csv"),
                 report.to_csv(header_lines=header))
@@ -296,10 +325,10 @@ def cmd_rollout(cfg: dict, parser: _Parser) -> int:
     _at_least(cfg, ("steps",), parser, least=2)
     if bool(cfg["model"]) == bool(cfg["expert"]):
         parser.error("exactly one of --model or --expert is required")
-    if cfg["mode"] not in ACT_MODES:
-        parser.error(f"--mode must be one of {', '.join(ACT_MODES)}")
     env = default_config(cfg["env"], obs=cfg["obs"], seed=cfg["seed"])
     model = load_model(cfg["model"]) if cfg["model"] else None
+    if model is not None:
+        check_policy_model(env, model)
     prov = _provenance(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
 
@@ -340,12 +369,17 @@ def cmd_count_params(cfg: dict, parser: _Parser) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "simulate": (cmd_simulate, "generate train/test data and splits"),
+    "fit": (cmd_fit, "fit a hybrid model by EM"),
+    "eval": (cmd_eval, "score fitted models on a test set"),
+    "distill": (cmd_distill, "fit a switching policy to demos"),
+    "rollout": (cmd_rollout, "run a policy or the scripted expert"),
+    "count-params": (cmd_count_params, "print a model's parameter count"),
+}
+
+
 # -- parser ----------------------------------------------------------------------
-
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int)
-
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rarhmm",
@@ -354,91 +388,29 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p = sub.add_parser("simulate", help="generate train/test data and splits")
-    _add_common(p)
-    p.add_argument("--env", choices=ENVS)
-    p.add_argument("--obs", choices=OBS_MODES)
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--policy", choices=("explore", "expert"))
-    p.add_argument("--n-splits", type=int, dest="n_splits")
-    p.add_argument("--split-size", type=int, dest="split_size")
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("fit", help="fit a hybrid model by EM")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--manifest")
-    p.add_argument("--K", type=int)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--transition", metavar="SPEC", help=_TRANSITION_HELP)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--poly-degree", type=int, dest="poly_degree")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--init-model", dest="init_model")
-    p.add_argument("--timings", action="store_true", default=None)
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("eval", help="score fitted models on a test set")
-    _add_common(p)
-    p.add_argument("--test")
-    p.add_argument("--model", action="append",
-                   help="tag=path-glob; repeat per model family")
-    p.add_argument("--horizons")
-    p.add_argument("--mode")
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("distill", help="fit a switching policy to demos")
-    _add_common(p)
-    p.add_argument("--demos")
-    p.add_argument("--K", type=int)
-    p.add_argument("--transition", metavar="SPEC", help=_TRANSITION_HELP)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--poly-degree", type=int, dest="poly_degree")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--timings", action="store_true", default=None)
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("rollout", help="run a policy or the scripted expert")
-    _add_common(p)
-    p.add_argument("--env", choices=ENVS)
-    p.add_argument("--obs", choices=OBS_MODES)
-    p.add_argument("--model")
-    p.add_argument("--expert", action="store_true", default=None)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--mode")
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("count-params", help="print a model's parameter count")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--model")
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)       # usage errors after parsing name the command
+    for command, (run, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key, (_, kind, *more) in _OPTIONS[command].items():
+            kw = dict(more[0]) if more else {}
+            if kind is bool:
+                kw.update(action="store_true", default=None)
+            elif kind is list:
+                kw.update(action="append")
+            elif isinstance(kind, tuple):
+                kw.update(choices=kind)
+            else:
+                kw.update(type=kind)
+            p.add_argument(_flag(key), **kw)
+        p.set_defaults(run=run, parser=p)   # usage errors after parsing name the command
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "eval": cmd_eval,
-    "distill": cmd_distill,
-    "rollout": cmd_rollout,
-    "count-params": cmd_count_params,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
-        return _COMMANDS[args.command](cfg, args.parser)
+        return args.run(cfg, args.parser)
     except (CliError, *_RUNTIME_ERRORS) as e:
         print(f"rarhmm {args.command}: error: {e}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -66,12 +66,13 @@ class FitConfig:
         parse_transition_spec(self.transition_kind)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.K < 1 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("K, max_iters, restarts must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.lag < 0 or self.poly_degree < 1:
-            raise ValueError("lag >= 0, poly_degree >= 1 required")
+        for name, least in (("K", 1), ("lag", 0), ("poly_degree", 1), ("max_iters", 1),
+                            ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
 
 
 @dataclass
@@ -449,12 +450,29 @@ def _run_em(dataset: Dataset, config: FitConfig, rng: np.random.Generator,
     return model, history
 
 
+def check_init_model(model: HybridModel, config: FitConfig, dataset: Dataset) -> None:
+    """Raise ValueError naming the first field on which a warm-start model
+    disagrees with the config or the dataset; EM keeps the model's structure."""
+    tm = model.transition
+    fields = [("K", model.K, config.K), ("mode", model.mode, config.mode),
+              ("transition (kind, degree, hidden units)", (tm.kind, tm.degree, tm.hidden_units),
+               parse_transition_spec(config.transition_kind)),
+              ("d_x", model.d_x, dataset.d_x), ("d_u", model.d_u, dataset.d_u)]
+    if config.mode == CLOSED_LOOP:
+        fields += [("lag", model.lag, config.lag),
+                   ("poly_degree", model.poly_degree, config.poly_degree)]
+    for name, got, want in fields:
+        if got != want:
+            raise ValueError(f"init model has {name} {got!r}, the fit needs {want!r}")
+
+
 def fit_em(dataset: Dataset, config: FitConfig,
            init_model: HybridModel | None = None) -> tuple[HybridModel, FitHistory]:
     """Fit by EM with seeded restarts (seeds seed..seed+restarts-1), keeping the
     run with the highest final log-likelihood. Passing init_model skips
     initialization and runs a single EM chain from it."""
     if init_model is not None:
+        check_init_model(init_model, config, dataset)
         return _run_em(dataset, config, np.random.default_rng(config.seed), init_model)
     best = None
     errors: list[str] = []

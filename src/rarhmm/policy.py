@@ -166,6 +166,16 @@ def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
     return _bayes_update(pred, gauss_logpdf(resid, dyn.lam_whiten, dyn.lam_const))
 
 
+def check_policy_model(config: EnvConfig, model: HybridModel) -> None:
+    """Raise ValueError unless the model is a closed-loop policy with the env's dims."""
+    d_x, d_u = env_dims(config)
+    if model.d_x != d_x or model.d_u != d_u:
+        raise ValueError(f"model dims ({model.d_x}, {model.d_u}) do not match "
+                         f"environment observation dims ({d_x}, {d_u})")
+    if model.mode != CLOSED_LOOP:
+        raise ValueError("act needs a closed-loop model with controllers")
+
+
 def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
             mode: str = ACT_MEAN, rng: np.random.Generator | None = None,
             x0=None, traj_id: str = "rollout") -> RolloutResult:
@@ -179,10 +189,8 @@ def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
     references of act, the belief update and the array RK4 step (the tests
     patch them in here).
     """
-    d_x, d_u = env_dims(config)
-    if model.d_x != d_x or model.d_u != d_u:
-        raise ValueError(f"model dims ({model.d_x}, {model.d_u}) do not match "
-                         f"environment observation dims ({d_x}, {d_u})")
+    check_policy_model(config, model)
+    d_x, d_u = model.d_x, model.d_u
     if T is None:
         T = config.horizon
     if T < 2:

@@ -7,7 +7,7 @@ import pytest
 
 from rarhmm import cli
 from rarhmm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from rarhmm.envs import load_dataset, load_manifest
+from rarhmm.envs import load_dataset, load_manifest, save_manifest
 from rarhmm.evaluation import count_params
 from rarhmm.learning import FitConfig
 from rarhmm.model import CLOSED_LOOP, OPEN_LOOP, load_model
@@ -15,7 +15,7 @@ from rarhmm.policy import default_distill_config
 from rarhmm.transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
 from test_policy import _closed_loop_model
-from util import save_model
+from util import random_model, save_model
 
 
 def _run(*argv):
@@ -218,10 +218,10 @@ def test_parser_flags_are_the_config_keys():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(cli._DEFAULTS)
+    assert set(sub.choices) == set(cli._OPTIONS)
     for command, p in sub.choices.items():
         dests = {a.dest for a in p._actions if a.dest != "help"}
-        assert dests == set(cli._DEFAULTS[command]) | {"config"}, command
+        assert dests == set(cli._OPTIONS[command]) | {"config"}, command
     with pytest.raises(SystemExit) as ei:
         _run("count-params", "--model", "m.json", "--seed", "1")
     assert ei.value.code == EXIT_USAGE
@@ -288,6 +288,81 @@ def test_config_file_merging_and_flag_override(tmp_path):
     assert {"config_sha256", "seed", "version"} <= set(run["provenance"])
 
 
+_OPTION_KEYS = [(command, key) for command, options in cli._OPTIONS.items()
+                for key in options]
+_WRONG_VALUE = {int: 2.5, float: "1e-6", str: 3, bool: "no", list: "m=x.json"}
+_VALID_VALUE = {int: 3, float: 0.5, str: "x", bool: True, list: ["m=x.json"]}
+
+
+def _kind(command, key):
+    return cli._OPTIONS[command][key][1]
+
+
+_WRONG_KINDS = ([(c, k, "nope" if isinstance(_kind(c, k), tuple) else _WRONG_VALUE[_kind(c, k)])
+                 for c, k in _OPTION_KEYS]
+                + [("fit", "K", "3"), ("fit", "K", True), ("simulate", "n_train", True),
+                   ("distill", "rel_tol", True), ("fit", "seed", None), ("eval", "horizons", 5),
+                   ("eval", "model", ["m=x.json", 3]), ("simulate", "env", "marsrover")])
+
+
+@pytest.mark.parametrize("command,key,value", _WRONG_KINDS,
+                         ids=[f"{c}-{k}-{v!r}" for c, k, v in _WRONG_KINDS])
+def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                         command, key, value):
+    # checked as its flag is, before any input is read or directory made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as ei:
+        _run(command, "--config", "c.json")
+    assert ei.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"rarhmm {command}: error: --{key.replace('_', '-')} must be " in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("command,key", _OPTION_KEYS)
+def test_config_value_resolves_as_its_flag(tmp_path, command, key):
+    default, kind, *_ = cli._OPTIONS[command][key]
+    if isinstance(kind, tuple):
+        value = next(choice for choice in kind if choice != default)
+    else:
+        value = _VALID_VALUE[kind]
+    flag = f"--{key.replace('_', '-')}"
+    if kind is bool:
+        argv = [flag]
+    elif kind is list:
+        argv = [flag, *value]
+    else:
+        argv = [flag, str(value)]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    parser = cli.build_parser()
+    from_flag = cli._resolve_config(command, parser.parse_args([command, *argv]))
+    from_file = cli._resolve_config(command, parser.parse_args([command, "--config", str(path)]))
+    assert from_flag[key] == value
+    assert json.dumps(from_file, sort_keys=True) == json.dumps(from_flag, sort_keys=True)
+
+
+def test_simulate_run_is_the_same_from_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(env="pendulum", obs="trig", seed=2, n_train=3, n_test=1, steps=20,
+               policy="expert", n_splits=2, split_size=2, out_dir="out")
+    argv = [a for key, value in cfg.items() for a in (f"--{key.replace('_', '-')}", str(value))]
+    assert _run("simulate", *argv) == EXIT_OK
+    first = _tree_digest(tmp_path / "out")
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert _run("simulate", "--config", "c.json") == EXIT_OK
+    assert _tree_digest(tmp_path / "out") == first
+
+
+def test_an_int_for_a_float_option_is_kept_as_given(tmp_path):
+    # so a config file's hash does not change with the check
+    path = tmp_path / "c.json"
+    path.write_text('{"rel_tol": 1}')
+    cfg = cli._resolve_config("fit", cli.build_parser().parse_args(["fit", "--config", str(path)]))
+    assert json.dumps(cfg["rel_tol"]) == "1"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "bad.json"
     cfgfile.write_text(json.dumps({"bogus": 1}))
@@ -305,6 +380,8 @@ def test_usage_errors_exit_one(tmp_path):
                  ["eval", "--test", "x"],                     # missing --model
                  ["simulate", "--env", "marsrover"],
                  ["fit", "--data", "x", "--K", "0"],
+                 ["fit", "--data", "x", "--rel-tol", "nan"],
+                 ["distill", "--demos", "x", "--rel-tol", "inf"],
                  # an unknown link kind is refused before the data are read
                  ["fit", "--data", str(tmp_path / "missing.ndjson"),
                   "--transition", "foo", "--restarts", "2"],
@@ -334,6 +411,46 @@ def test_runtime_errors_exit_two(tmp_path):
     assert _run("fit", "--data", str(tmp_path / "missing.ndjson")) == EXIT_RUNTIME
     assert _run("count-params", "--model",
                 str(tmp_path / "missing.json")) == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("case", ["fit-manifest-id", "eval-dims", "rollout-open-loop",
+                                  "rollout-dims"])
+def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
+    data, ball = tmp_path / "d", tmp_path / "ball"
+    _simulate_small(data)
+    _simulate_small(ball, env="bouncing_ball")
+    manifest = tmp_path / "splits.json"
+    save_manifest(manifest, [["nope"]])
+    open_loop, closed = tmp_path / "open.json", tmp_path / "closed.json"
+    save_model(open_loop, random_model(K=2, d_x=2, d_u=1))
+    save_model(closed, _closed_loop_model([np.array([[0.0, 0.0]])], d_x=2))
+    argv, message = {
+        "fit-manifest-id": (["fit", "--data", str(data / "train.ndjson"),
+                             "--manifest", str(manifest)], "manifest ids not in dataset"),
+        "eval-dims": (["eval", "--test", str(ball / "test.ndjson"), "--model", f"m={closed}"],
+                      "trajectory dims (2, 0) disagree with model dims (2, 1)"),
+        "rollout-open-loop": (["rollout", "--model", str(open_loop)],
+                              "act needs a closed-loop model"),
+        "rollout-dims": (["rollout", "--obs", "trig", "--model", str(closed)],
+                         "model dims (2, 1) do not match environment observation dims (3, 1)"),
+    }[case]
+    out = tmp_path / "out"
+    assert _run(*argv, "--out-dir", str(out)) == EXIT_RUNTIME
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_an_init_model_the_config_disagrees_with(tmp_path, capsys):
+    data = tmp_path / "d"
+    _simulate_small(data)
+    init = tmp_path / "init.json"
+    save_model(init, random_model(K=2, d_x=2, d_u=1, kind="stationary"))
+    out = tmp_path / "fit"
+    assert _run("fit", "--data", str(data / "train.ndjson"), "--K", "3", "--mode",
+                "closed_loop", "--transition", "polynomial:2", "--init-model", str(init),
+                "--out-dir", str(out)) == EXIT_RUNTIME
+    assert "rarhmm fit: error: init model has K 2, the fit needs 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_model_provenance_is_tolerated_by_loader(tmp_path):

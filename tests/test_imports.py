@@ -1,7 +1,8 @@
 """Lint check without a lint package: every imported name is used.
 
 Scans the library modules (not the package __init__, whose imports are its
-exports) and the test files. An import line carrying '# noqa' is exempt.
+exports), the test files and the benchmark's files. An import line carrying
+'# noqa' is exempt.
 """
 import ast
 import pathlib
@@ -10,7 +11,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted([p for p in (ROOT / "src" / "rarhmm").glob("*.py") if p.name != "__init__.py"]
-               + list((ROOT / "tests").glob("*.py")), key=str)
+               + list((ROOT / "tests").glob("*.py")) + list((ROOT / "bench").glob("*.py")),
+               key=str)
 
 
 def _used_names(tree: ast.AST) -> set:

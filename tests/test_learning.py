@@ -6,7 +6,7 @@ import pytest
 from rarhmm import inference, learning
 from rarhmm.envs import collect_trajectories, default_config
 from rarhmm.inference import Posterior, estep
-from rarhmm.learning import (FitConfig, FitHistory, _kmeans, fit_em,
+from rarhmm.learning import (FitConfig, FitHistory, _kmeans, check_init_model, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
                              mstep_initial, mstep_transitions)
 from rarhmm.model import (CLOSED_LOOP, Dataset, Dynamics, HybridModel, InitialModel,
@@ -41,6 +41,22 @@ def test_fit_config_spec_strings():
         FitConfig(K=0)
     with pytest.raises(ValueError):
         FitConfig(K=2, mode="nonsense")
+
+
+@pytest.mark.parametrize("bad", [dict(K=2.5), dict(K=True), dict(max_iters=2.5),
+                                 dict(lag=1.0), dict(poly_degree=np.float64(2)),
+                                 dict(restarts=False), dict(seed=True), dict(seed=-1),
+                                 dict(rel_tol=np.nan), dict(rel_tol=np.inf), dict(rel_tol=0.0)],
+                         ids=repr)
+def test_fit_config_rejects_non_integral_counts_and_a_non_finite_tolerance(bad):
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        FitConfig(**{"K": 2, **bad})
+
+
+def test_fit_config_accepts_numpy_integers():
+    cfg = FitConfig(K=np.int64(3), max_iters=np.int32(5), restarts=np.uint8(1), seed=np.int64(2))
+    assert (cfg.K, cfg.max_iters, cfg.restarts, cfg.seed) == (3, 5, 1, 2)
 
 
 def test_kmeans_recovers_separated_clusters():
@@ -206,6 +222,30 @@ def test_refit_from_converged_model_stops_immediately():
     # one M-step, then the convergence check fires on the next E-step
     assert len(rehist) == 2
     assert rehist.loglik[-1] >= hist.loglik[-1] - 1e-8 * (1 + abs(hist.loglik[-1]))
+
+
+def test_init_model_must_match_the_config_and_the_dataset():
+    # EM from a model keeps the model's structure, so a disagreeing config
+    # would be recorded but not fitted
+    m = random_model(K=2, d_x=2, d_u=1, kind="perceptron", hidden_units=4, seed=3)
+    ds = random_dataset(m, n=2, T=10, seed=3)
+    cfg = FitConfig(K=2, transition_kind="perceptron:4", max_iters=2, restarts=1)
+    check_init_model(m, cfg, ds)
+    check_init_model(m, replace(cfg, lag=2, poly_degree=3), ds)  # open loop ignores both
+    for name, bad in (("K", replace(cfg, K=3)), ("mode", replace(cfg, mode=CLOSED_LOOP)),
+                      ("transition", replace(cfg, transition_kind="perceptron:8")),
+                      ("transition", replace(cfg, transition_kind="linear"))):
+        with pytest.raises(ValueError, match=f"init model has {name} "):
+            fit_em(ds, bad, init_model=m)
+    wide = random_dataset(random_model(K=2, d_x=3, d_u=1, seed=3), n=2, T=10, seed=3)
+    with pytest.raises(ValueError, match="init model has d_x 2, the fit needs 3"):
+        fit_em(wide, cfg, init_model=m)
+    closed = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, lag=1, poly_degree=2, seed=3)
+    ccfg = FitConfig(K=2, mode=CLOSED_LOOP, transition_kind="linear", lag=1, poly_degree=2)
+    check_init_model(closed, ccfg, ds)
+    for name, bad in (("lag", replace(ccfg, lag=0)), ("poly_degree", replace(ccfg, poly_degree=1))):
+        with pytest.raises(ValueError, match=f"init model has {name} "):
+            check_init_model(closed, bad, ds)
 
 
 def test_mstep_dynamics_matches_explicit_sums():
