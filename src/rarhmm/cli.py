@@ -136,6 +136,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if not (cfg[key] is None and default is None or _has_kind(cfg[key], kind)):
             args.parser.error(f"{_flag(key)} must be "
                               f"{_KIND_NAMES.get(kind) or 'one of ' + ', '.join(kind)}")
+    if "seed" in cfg:
+        _at_least(cfg, ("seed",), args.parser, least=0)
     return cfg
 
 
@@ -189,9 +191,6 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
     if cfg["split_size"] > cfg["n_train"]:
         parser.error("--split-size cannot exceed --n-train")
     env = default_config(cfg["env"], obs=cfg["obs"], seed=cfg["seed"])
-    prov = _provenance(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-
     if cfg["policy"] == "expert":
         train = collect_demonstrations(env, cfg["n_train"], STREAM_DEMO,
                                        T=cfg["steps"])
@@ -207,10 +206,11 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
     split_ids = [[train[j].id for j in group] for group in splits]
 
     out = cfg["out_dir"]
+    os.makedirs(out, exist_ok=True)
     save_dataset(os.path.join(out, "train.ndjson"), train)
     save_dataset(os.path.join(out, "test.ndjson"), test)
     save_manifest(os.path.join(out, "splits.json"), split_ids)
-    _write_run_doc(out, "simulate", cfg, prov)
+    _write_run_doc(out, "simulate", cfg, _provenance(cfg))
     print(f"simulate: wrote {len(train)} train + {len(test)} test "
           f"trajectories ({train[0].T} steps) and {len(split_ids)} splits "
           f"to {out}")
@@ -329,6 +329,7 @@ def cmd_rollout(cfg: dict, parser: _Parser) -> int:
     model = load_model(cfg["model"]) if cfg["model"] else None
     if model is not None:
         check_policy_model(env, model)
+    expert = expert_policy(env) if model is None else None
     prov = _provenance(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
 
@@ -337,8 +338,7 @@ def cmd_rollout(cfg: dict, parser: _Parser) -> int:
         rng = np.random.default_rng((cfg["seed"], STREAM_ROLLOUT, i))
         ep = f"episode{i:03d}"
         if model is None:
-            traj = simulate(env, expert_policy(env), T=cfg["steps"], rng=rng,
-                            id=ep)
+            traj = simulate(env, expert, T=cfg["steps"], rng=rng, id=ep)
             ok = success_criterion(traj, env)
             save_dataset(os.path.join(cfg["out_dir"], f"{ep}.ndjson"), [traj])
         else:

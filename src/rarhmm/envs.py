@@ -12,10 +12,15 @@ Pendulum and cart-pole (100 Hz): 4th-order Runge-Kutta with zero-order-hold
 controls clipped to the actuation limit. Angle convention: 0 is upright for
 both systems, so the stable hanging equilibrium sits at the +-pi wrap
 boundary of the joint observation space.
+
+Every system steps through one float-level step (_step) on Python floats,
+with numpy taking only the sines and cosines; simulate forms a trajectory's
+observations once, from all of its internal states.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +178,7 @@ def ball_rest_state(config: EnvConfig) -> np.ndarray:
     return np.array([h, v])
 
 
-def _ball_step(config: EnvConfig, state: np.ndarray) -> np.ndarray:
+def _ball_step(config: EnvConfig, state: list) -> list:
     g, e, dt = config.gravity, config.restitution, config.dt
     h, v = state
     h_pred = h + v * dt - 0.5 * g * dt * dt
@@ -181,21 +186,21 @@ def _ball_step(config: EnvConfig, state: np.ndarray) -> np.ndarray:
         # reflect the penetration and the contact velocity, then gravity keeps
         # acting over the step; the g*dt loss makes shrinking bounces die out
         # instead of feeding an everlasting sub-step hop cycle
-        return np.array([-e * h_pred, -e * v - g * dt])
-    return np.array([h_pred, v - g * dt])
+        return [-e * h_pred, -e * v - g * dt]
+    return [h_pred, v - g * dt]
 
 
-def _pendulum_derivs(config: EnvConfig, state, u: float) -> tuple:
+def _pendulum_derivs(config: EnvConfig, state: list, u: float) -> tuple:
     g, m, l, b = config.gravity, config.mass, config.length, config.damping
     th, om = state
-    return om, (g / l) * np.sin(th) + (u - b * om) / (m * l * l)
+    return om, (g / l) * float(np.sin(th)) + (u - b * om) / (m * l * l)
 
 
-def _cartpole_derivs(config: EnvConfig, state, u: float) -> tuple:
+def _cartpole_derivs(config: EnvConfig, state: list, u: float) -> tuple:
     g, mp, l = config.gravity, config.mass, config.length
     total = config.cart_mass + mp
     _, pd, th, om = state
-    sin, cos = np.sin(th), np.cos(th)
+    sin, cos = float(np.sin(th)), float(np.cos(th))
     tmp = (u + mp * l * om * om * sin) / total
     th_acc = (g * sin - cos * tmp) / (l * (4.0 / 3.0 - mp * cos * cos / total))
     th_acc -= config.damping * om
@@ -203,38 +208,42 @@ def _cartpole_derivs(config: EnvConfig, state, u: float) -> tuple:
     return pd, p_acc, om, th_acc
 
 
-def step_env(config: EnvConfig, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One simulator step from internal state under (already clipped) control.
-
-    The swing systems take one RK4 step on Python scalars, component by
-    component, with the IEEE operations of the same step on state arrays:
-    on 2- and 4-entry states per-call overhead, not arithmetic, sets the cost.
-    """
-    state = np.asarray(state, dtype=float)
+def _step(config: EnvConfig, s: list, u: float) -> list:
+    """One simulator step on Python floats: the ball's map, or one RK4 step of
+    a swing system, component by component with the IEEE operations of the
+    same step on state arrays. numpy still takes every sin and cos, so each
+    value matches the array step's bit for bit."""
     if config.env == ENV_BOUNCING_BALL:
-        return _ball_step(config, state)
+        return _ball_step(config, s)
     derivs = _pendulum_derivs if config.env == ENV_PENDULUM else _cartpole_derivs
-    u = np.asarray(u, dtype=float).ravel()
-    uu = float(u[0]) if u.size else 0.0
     dt = config.dt
     half = 0.5 * dt
-    s = state.tolist()
-    k1 = derivs(config, s, uu)
-    k2 = derivs(config, [x + half * k for x, k in zip(s, k1)], uu)
-    k3 = derivs(config, [x + half * k for x, k in zip(s, k2)], uu)
-    k4 = derivs(config, [x + dt * k for x, k in zip(s, k3)], uu)
+    k1 = derivs(config, s, u)
+    k2 = derivs(config, [x + half * k for x, k in zip(s, k1)], u)
+    k3 = derivs(config, [x + half * k for x, k in zip(s, k2)], u)
+    k4 = derivs(config, [x + dt * k for x, k in zip(s, k3)], u)
     w = dt / 6.0
-    return np.array([x + w * (a + 2.0 * b + 2.0 * c + d)
-                     for x, a, b, c, d in zip(s, k1, k2, k3, k4)])
+    return [x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
+
+
+def step_env(config: EnvConfig, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One simulator step from internal state under (already clipped) control:
+    _step on the state's floats. On 2- and 4-entry states per-call overhead,
+    not arithmetic, sets the cost, so the step runs on Python scalars."""
+    u = np.asarray(u, dtype=float).ravel()
+    return np.array(_step(config, np.asarray(state, dtype=float).tolist(),
+                          float(u[0]) if u.size else 0.0))
+
+
+def _clipped(limit: float, u: list) -> list:
+    """Entries clipped to [-limit, limit] by np.clip's comparisons (NaN passes)."""
+    return [-limit if v < -limit else limit if v > limit else v for v in u]
 
 
 def clip_control(config: EnvConfig, u) -> np.ndarray:
-    """u as a (d_u,) array clipped to [-limit, limit], entry by entry with
-    np.clip's comparisons (NaN passes through)."""
+    """u as a (d_u,) array clipped to [-limit, limit] entry by entry."""
     d_u = env_dims(config)[1]
-    lim = config.limit
-    return np.array([-lim if v < -lim else lim if v > lim else v
-                     for v in np.asarray(u, dtype=float).reshape(d_u).tolist()])
+    return np.array(_clipped(config.limit, np.asarray(u, dtype=float).reshape(d_u).tolist()))
 
 
 def simulate(config: EnvConfig, policy=None, T: int | None = None,
@@ -248,40 +257,40 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None,
     joint-space observation regardless of config.obs. rng only draws the
     initial condition and is not needed when x0 is given. A non-finite state
     aborts with the step index.
+
+    The state is held as Python floats and stepped by _step; observations are
+    formed once per trajectory, by observe on all T internal states.
     """
     T = config.horizon if T is None else int(T)
     if T < 1:
         raise ValueError("T must be >= 1")
-    d_x, d_u = env_dims(config)
+    d_u = env_dims(config)[1]
     if x0 is None:
         if rng is None:
             raise ValueError("need rng to draw an initial state when x0 is None")
-        state = initial_state(config, rng)
-    else:
-        state = np.asarray(x0, dtype=float).copy()
+        x0 = initial_state(config, rng)
+    s = np.asarray(x0, dtype=float).tolist()
     recorded = None
     if policy is not None and not callable(policy):
-        recorded = np.asarray(policy, dtype=float)
-        recorded = recorded.reshape(len(recorded), d_u)
+        recorded = np.asarray(policy, dtype=float).reshape(len(policy), d_u).tolist()
         if len(recorded) < T:
             raise ValueError(f"recorded inputs cover {len(recorded)} steps, need {T}")
-    xs = np.empty((T, d_x))
-    us = np.empty((T, d_u))
+    states, us = np.empty((T, len(s))), np.empty((T, d_u))
+    u = [0.0] * d_u
     for t in range(T):
-        if not np.all(np.isfinite(state)):
+        if not all(map(math.isfinite, s)):
             raise FloatingPointError(f"non-finite state at step {t}")
-        xs[t] = observe(config, state)
+        states[t] = s
         if recorded is not None:
             u = recorded[t]
         elif policy is not None:
-            u = policy(observe_joint(config, state), t)
-        else:
-            u = np.zeros(d_u)
-        u = clip_control(config, u)
+            u = policy(observe_joint(config, states[t]), t)
+            u = np.asarray(u, dtype=float).reshape(d_u).tolist()
+        u = _clipped(config.limit, u)
         us[t] = u
         if t < T - 1:
-            state = step_env(config, state, u)
-    return Trajectory(xs=xs, us=us, dt=config.dt, id=id)
+            s = _step(config, s, u[0] if u else 0.0)
+    return Trajectory(xs=observe(config, states), us=us, dt=config.dt, id=id)
 
 
 # -- policies ------------------------------------------------------------------
@@ -303,15 +312,14 @@ def explore_policy(config: EnvConfig, rng: np.random.Generator, hold: int = 1):
 
 def pendulum_energy(config: EnvConfig, state) -> float:
     """Total energy with the upright position as the maximum of the potential."""
-    th, om = np.asarray(state, dtype=float)[:2]
+    th, om = np.asarray(state, dtype=float).tolist()[:2]
+    return _pole_energy(config, 1.0, th, om)
+
+
+def _pole_energy(config: EnvConfig, inertia: float, th: float, om: float) -> float:
+    """Energy of a swinging pole whose inertia about the pivot is inertia * m l^2."""
     m, l, g = config.mass, config.length, config.gravity
-    return 0.5 * m * l * l * om * om + m * g * l * np.cos(th)
-
-
-def _cartpole_pole_energy(config: EnvConfig, th: float, om: float) -> float:
-    mp, l, g = config.mass, config.length, config.gravity
-    # 4/3 m l^2 is the pole inertia about the pivot implied by the dynamics
-    return 0.5 * (4.0 / 3.0) * mp * l * l * om * om + mp * g * l * np.cos(th)
+    return 0.5 * inertia * m * l * l * om * om + m * g * l * float(np.cos(th))
 
 
 def expert_swingup(config: EnvConfig, state) -> np.ndarray:
@@ -322,37 +330,41 @@ def expert_swingup(config: EnvConfig, state) -> np.ndarray:
     Sign convention for pumping at exactly zero velocity (e.g. hanging at
     rest): the tie-break pushes in the positive direction, so a nonzero kick
     is always applied when energy is missing.
+
+    Computed on Python floats with wrap_angle's np.mod and numpy's cos, in
+    the operations of the same law on state arrays.
     """
-    state = np.asarray(state, dtype=float)
+    if config.env == ENV_BOUNCING_BALL:
+        raise ValueError(f"no scripted expert for env {config.env!r}")
+    s = np.asarray(state, dtype=float).tolist()
+    p, pd, th, om = s if config.env == ENV_CARTPOLE else [0.0, 0.0, *s]
+    th_w = float(np.mod(th + np.pi, 2.0 * np.pi)) - np.pi
+    m, l, g = config.mass, config.length, config.gravity
     if config.env == ENV_PENDULUM:
-        th, om = state
-        th_w = wrap_angle(th)
         if abs(th_w) < CAPTURE_ANGLE and abs(om) < PEND_CAPTURE_VEL:
             k1, k2 = PEND_STAB_GAINS
             u = -k1 * th_w - k2 * om
         else:
-            m, l, g = config.mass, config.length, config.gravity
-            gap = m * g * l + PEND_PUMP_MARGIN - pendulum_energy(config, state)
+            gap = m * g * l + PEND_PUMP_MARGIN - _pole_energy(config, 1.0, th, om)
             direction = 1.0 if om >= 0.0 else -1.0
             u = PEND_PUMP_GAIN * gap * direction
         return clip_control(config, u)
-    if config.env == ENV_CARTPOLE:
-        p, pd, th, om = state
-        th_w = wrap_angle(th)
-        if abs(th_w) < CAPTURE_ANGLE and abs(om) < CART_CAPTURE_VEL:
-            kp, kpd, kth, kom = CART_STAB_GAINS
-            u = -(kp * p + kpd * pd + kth * th_w + kom * om)
-        else:
-            mp, l, g = config.mass, config.length, config.gravity
-            gap = _cartpole_pole_energy(config, th, om) - mp * g * l
-            kx, kxd = CART_CENTER_GAINS
-            u = CART_PUMP_GAIN * gap * om * np.cos(th) - kx * p - kxd * pd
-        return clip_control(config, u)
-    raise ValueError(f"no scripted expert for env {config.env!r}")
+    if abs(th_w) < CAPTURE_ANGLE and abs(om) < CART_CAPTURE_VEL:
+        kp, kpd, kth, kom = CART_STAB_GAINS
+        u = -(kp * p + kpd * pd + kth * th_w + kom * om)
+    else:
+        # 4/3 m l^2 is the pole inertia about the pivot implied by the dynamics
+        gap = _pole_energy(config, 4.0 / 3.0, th, om) - m * g * l
+        kx, kxd = CART_CENTER_GAINS
+        u = CART_PUMP_GAIN * gap * om * float(np.cos(th)) - kx * p - kxd * pd
+    return clip_control(config, u)
 
 
 def expert_policy(config: EnvConfig):
-    """expert_swingup wrapped in the simulate() policy signature."""
+    """expert_swingup wrapped in the simulate() policy signature; an env with
+    no scripted expert is refused here, before any episode runs."""
+    if config.env == ENV_BOUNCING_BALL:
+        raise ValueError(f"no scripted expert for env {config.env!r}")
     return lambda state, _t: expert_swingup(config, state)
 
 

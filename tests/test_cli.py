@@ -414,7 +414,8 @@ def test_runtime_errors_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["fit-manifest-id", "eval-dims", "rollout-open-loop",
-                                  "rollout-dims"])
+                                  "rollout-dims", "simulate-ball-expert",
+                                  "rollout-ball-expert"])
 def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
     data, ball = tmp_path / "d", tmp_path / "ball"
     _simulate_small(data)
@@ -433,11 +434,38 @@ def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
                               "act needs a closed-loop model"),
         "rollout-dims": (["rollout", "--obs", "trig", "--model", str(closed)],
                          "model dims (2, 1) do not match environment observation dims (3, 1)"),
+        "simulate-ball-expert": (["simulate", "--env", "bouncing_ball", "--policy", "expert"],
+                                 "no scripted expert for env 'bouncing_ball'"),
+        "rollout-ball-expert": (["rollout", "--env", "bouncing_ball", "--expert"],
+                                "no scripted expert for env 'bouncing_ball'"),
     }[case]
     out = tmp_path / "out"
     assert _run(*argv, "--out-dir", str(out)) == EXIT_RUNTIME
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+_SEEDED = {"simulate": [], "fit": ["--data", "d.ndjson"],
+           "eval": ["--test", "t.ndjson", "--model", "m=m.json", "--mode", "sample"],
+           "distill": ["--demos", "d.ndjson"], "rollout": ["--expert"]}
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_a_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, command, source):
+    assert sorted(_SEEDED) == sorted(c for c, opts in cli._OPTIONS.items() if "seed" in opts)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_SEEDED[command], "--out-dir", "out"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", "c.json"]
+    with pytest.raises(SystemExit) as ei:
+        _run(*argv)
+    assert ei.value.code == EXIT_USAGE
+    assert f"rarhmm {command}: error: --seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_rejects_an_init_model_the_config_disagrees_with(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from rarhmm.envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE,
-                         ENV_PENDULUM, EnvConfig, ball_rest_state, clip_control,
+from rarhmm import envs
+from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, ENV_BOUNCING_BALL, ENV_CARTPOLE,
+                         ENV_PENDULUM, ENVS, OBS_MODES, PEND_CAPTURE_VEL, EnvConfig,
+                         ball_rest_state, clip_control,
                          collect_demonstrations, collect_trajectories,
                          default_config, env_dims, expert_policy,
                          expert_swingup, explore_policy, load_dataset,
@@ -14,7 +17,7 @@ from rarhmm.envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE,
                          select_split, simulate, step_env, wrap_angle)
 from rarhmm.model import Dataset
 
-from util import reference_step_env
+from util import reference_expert_swingup, reference_simulate, reference_step_env
 
 
 def _upright_tail_ok(traj, angle_idx, vel_idx, check_cart=False):
@@ -122,11 +125,11 @@ def test_pendulum_energy_drift():
     assert abs(pendulum_energy(cfg, state) - e0) / abs(e0) < 1e-4
 
 
-@pytest.mark.parametrize("env", [ENV_PENDULUM, ENV_CARTPOLE])
+@pytest.mark.parametrize("env", [ENV_PENDULUM, ENV_CARTPOLE, ENV_BOUNCING_BALL])
 def test_step_env_matches_array_rk4(env):
     cfg = default_config(env)
     rng = np.random.default_rng(3)
-    d = 2 if env == ENV_PENDULUM else 4
+    d = 4 if env == ENV_CARTPOLE else 2
     for scale in (1.0, 10.0):
         states = scale * rng.standard_normal((2000, d))
         us = scale * rng.standard_normal((2000, 1))
@@ -237,6 +240,90 @@ def test_nonfinite_state_aborts_with_step_index():
     cfg = default_config(ENV_PENDULUM)
     with pytest.raises(FloatingPointError, match="step 0"):
         simulate(cfg, x0=np.array([np.nan, 0.0]), T=10)
+
+
+_SIM_CASES = [(env, obs, kind) for env in ENVS for obs in OBS_MODES
+              for kind in ("none", "recorded", "explore", "expert")
+              if not (kind == "expert" and env == ENV_BOUNCING_BALL)]
+
+
+@pytest.mark.parametrize("env,obs,kind", _SIM_CASES)
+def test_simulate_equals_the_reference_loop(env, obs, kind):
+    cfg = default_config(env, obs=obs)
+    T = 400
+
+    def run(sim, expert):
+        rng = np.random.default_rng(5)
+        policy = expert if kind == "expert" else None
+        if kind == "recorded":      # a third of the inputs lie beyond the limit
+            policy = 1.5 * cfg.limit * rng.uniform(-1.0, 1.0, (T + 3, env_dims(cfg)[1]))
+        elif kind == "explore":
+            policy = explore_policy(cfg, rng, hold=7)
+        return sim(cfg, policy, T=T, rng=rng)
+
+    got = run(simulate, expert_policy(cfg) if kind == "expert" else None)
+    want = run(reference_simulate, lambda x, _t: reference_expert_swingup(cfg, x))
+    assert np.array_equal(got.xs, want.xs) and np.array_equal(got.us, want.us)
+
+
+@pytest.mark.parametrize("env", ENVS)
+@pytest.mark.parametrize("obs", OBS_MODES)
+def test_collected_data_equal_the_reference_loop(monkeypatch, env, obs):
+    cfg = default_config(env, obs=obs, seed=4)
+
+    def collect():
+        trajs = collect_trajectories(cfg, 3, seed=1, T=300)
+        if env != ENV_BOUNCING_BALL:
+            trajs += collect_demonstrations(cfg, 2, seed=2, T=600)
+        return trajs
+
+    got = collect()
+    monkeypatch.setattr(envs, "simulate", reference_simulate)
+    monkeypatch.setattr(envs, "expert_swingup", reference_expert_swingup)
+    want = collect()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.id == b.id
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.us, b.us)
+
+
+@pytest.mark.parametrize("env,x0,nan_at,step", [
+    (ENV_PENDULUM, [np.pi, 0.0], 7, 8),            # a NaN control poisons the next state
+    (ENV_CARTPOLE, [0.0, 0.0, 0.3, 1e155], None, 1),  # om * om overflows
+    (ENV_BOUNCING_BALL, [1.7e308, 1e307], None, 20),  # the height overflows
+    (ENV_BOUNCING_BALL, [np.inf, 0.0], None, 0),
+])
+def test_nonfinite_abort_names_the_reference_step(env, x0, nan_at, step):
+    cfg = default_config(env)
+    policy = None
+    if nan_at is not None:
+        policy = np.zeros((50, 1))
+        policy[nan_at] = np.nan
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match=f"step {step}$"):
+            simulate(cfg, policy, T=50, x0=np.array(x0))
+        with pytest.raises(FloatingPointError, match=f"step {step}$"):
+            reference_simulate(cfg, policy, T=50, x0=np.array(x0))
+
+
+def test_expert_equals_the_array_law_on_edge_states():
+    def around(*values):
+        return [v for b in values for v in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))]
+
+    # the capture boundary before and after the wrap, the +-pi seam, the
+    # omega = 0 tie-break of the pump direction
+    angles = around(CAPTURE_ANGLE, -CAPTURE_ANGLE, 2 * np.pi - CAPTURE_ANGLE,
+                    np.pi, -np.pi, 3 * np.pi, 0.0, 1.0)
+    for env, cap_vel in ((ENV_PENDULUM, PEND_CAPTURE_VEL), (ENV_CARTPOLE, CART_CAPTURE_VEL)):
+        cfg = default_config(env)
+        vels = around(0.0, -0.0, cap_vel, -cap_vel, 3.0)
+        carts = [[]] if env == ENV_PENDULUM else [[0.0, 0.0], [0.7, -1.3]]
+        for cart, th, om in itertools.product(carts, angles, vels):
+            state = np.array(cart + [th, om])
+            got = expert_swingup(cfg, state)
+            want = reference_expert_swingup(cfg, state)
+            assert np.array_equal(got, want), (env, state)
+            assert np.signbit(got) == np.signbit(want), (env, state)
 
 
 def test_recorded_inputs_are_clipped_and_replayed():

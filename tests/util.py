@@ -6,7 +6,10 @@ import json
 import numpy as np
 
 from rarhmm._linalg import LOG2PI
-from rarhmm.envs import env_dims
+from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, CART_CENTER_GAINS,
+                         CART_PUMP_GAIN, CART_STAB_GAINS, PEND_CAPTURE_VEL,
+                         PEND_PUMP_GAIN, PEND_PUMP_MARGIN, PEND_STAB_GAINS,
+                         env_dims, initial_state, observe, observe_joint, wrap_angle)
 from rarhmm import inference
 from rarhmm.features import controller_feature_dim
 from rarhmm.inference import Posterior, _backward_batch, _forward_batch, smooth_dataset
@@ -589,6 +592,15 @@ def reference_kmeans(points, K, rng, iters=50):
     return labels, reseeded
 
 
+def _reference_ball_step(config, state):
+    g, e, dt = config.gravity, config.restitution, config.dt
+    h, v = state
+    h_pred = h + v * dt - 0.5 * g * dt * dt
+    if h_pred < 0.0:
+        return np.array([-e * h_pred, -e * v - g * dt])
+    return np.array([h_pred, v - g * dt])
+
+
 def _reference_pendulum_derivs(config, state, u):
     g, m, l, b = config.gravity, config.mass, config.length, config.damping
     th, om = state
@@ -609,11 +621,13 @@ def _reference_cartpole_derivs(config, state, u):
 
 
 def reference_step_env(config, state, u):
-    """One RK4 step of the pendulum or cart-pole on state arrays, as the
-    library took it before its scalar step."""
+    """One step on state arrays, as the library took it before its scalar
+    step: the ball's map, or one RK4 step of the pendulum or cart-pole."""
+    state = np.asarray(state, dtype=float)
+    if config.env == "bouncing_ball":
+        return _reference_ball_step(config, state)
     derivs = (_reference_pendulum_derivs if config.env == "pendulum"
               else _reference_cartpole_derivs)
-    state = np.asarray(state, dtype=float)
     uu = float(np.asarray(u, dtype=float).reshape(-1)[0]) if np.size(u) else 0.0
     dt = config.dt
     k1 = derivs(config, state, uu)
@@ -627,3 +641,61 @@ def reference_clip_control(config, u):
     """Actuator clipping by np.clip on the control array."""
     return np.clip(np.asarray(u, dtype=float).reshape(env_dims(config)[1]),
                    -config.limit, config.limit)
+
+
+def reference_simulate(config, policy=None, T=None, rng=None, x0=None, id=""):
+    """envs.simulate as the per-step loop over state arrays: observe each
+    state as it is reached, clip each control by np.clip and take each step
+    by reference_step_env."""
+    T = config.horizon if T is None else int(T)
+    d_x, d_u = env_dims(config)
+    state = initial_state(config, rng) if x0 is None else np.asarray(x0, dtype=float).copy()
+    recorded = None
+    if policy is not None and not callable(policy):
+        recorded = np.asarray(policy, dtype=float)
+        recorded = recorded.reshape(len(recorded), d_u)
+    xs = np.empty((T, d_x))
+    us = np.empty((T, d_u))
+    for t in range(T):
+        if not np.all(np.isfinite(state)):
+            raise FloatingPointError(f"non-finite state at step {t}")
+        xs[t] = observe(config, state)
+        if recorded is not None:
+            u = recorded[t]
+        elif policy is not None:
+            u = policy(observe_joint(config, state), t)
+        else:
+            u = np.zeros(d_u)
+        u = reference_clip_control(config, u)
+        us[t] = u
+        if t < T - 1:
+            state = reference_step_env(config, state, u)
+    return Trajectory(xs=xs, us=us, dt=config.dt, id=id)
+
+
+def reference_expert_swingup(config, state):
+    """envs.expert_swingup on state arrays and numpy scalars: wrap_angle for
+    the wrapped angle and np.cos inside the energies, clipped by np.clip."""
+    state = np.asarray(state, dtype=float)
+    m, l, g = config.mass, config.length, config.gravity
+    if config.env == "pendulum":
+        th, om = state
+        th_w = wrap_angle(th)
+        if abs(th_w) < CAPTURE_ANGLE and abs(om) < PEND_CAPTURE_VEL:
+            u = -PEND_STAB_GAINS[0] * th_w - PEND_STAB_GAINS[1] * om
+        else:
+            energy = 0.5 * m * l * l * om * om + m * g * l * np.cos(th)
+            gap = m * g * l + PEND_PUMP_MARGIN - energy
+            u = PEND_PUMP_GAIN * gap * (1.0 if om >= 0.0 else -1.0)
+        return reference_clip_control(config, u)
+    p, pd, th, om = state
+    th_w = wrap_angle(th)
+    if abs(th_w) < CAPTURE_ANGLE and abs(om) < CART_CAPTURE_VEL:
+        kp, kpd, kth, kom = CART_STAB_GAINS
+        u = -(kp * p + kpd * pd + kth * th_w + kom * om)
+    else:
+        energy = 0.5 * (4.0 / 3.0) * m * l * l * om * om + m * g * l * np.cos(th)
+        gap = energy - m * g * l
+        kx, kxd = CART_CENTER_GAINS
+        u = CART_PUMP_GAIN * gap * om * np.cos(th) - kx * p - kxd * pd
+    return reference_clip_control(config, u)
