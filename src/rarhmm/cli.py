@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .envs import (ENVS, OBS_MODES, collect_demonstrations,
                    collect_trajectories, default_config, expert_policy,
-                   load_dataset, load_manifest, make_splits, save_dataset,
-                   save_manifest, select_split, simulate)
+                   hanging_state, load_dataset, load_manifest, make_splits,
+                   save_dataset, save_manifest, select_split, simulate)
 from .evaluation import (FORECAST_MODES, MODE_MARGINAL, MODE_SAMPLE, count_params,
                          count_params_breakdown, evaluate)
 from .learning import FitConfig, check_init_model, fit_em
@@ -273,6 +273,8 @@ def _expand_model_specs(specs) -> dict:
         paths = sorted(globlib.glob(pattern))
         if not paths:
             missing.append(spec)
+        if tag in by_tag:
+            raise CliError(f"model tag {tag!r} is given more than once")
         by_tag[tag] = paths
     if missing:
         raise CliError("no model files match: " + "; ".join(missing))
@@ -336,14 +338,16 @@ def cmd_rollout(cfg: dict, parser: _Parser) -> int:
     successes = 0
     for i in range(cfg["episodes"]):
         rng = np.random.default_rng((cfg["seed"], STREAM_ROLLOUT, i))
+        # the expert and the model start episode i from the same state
+        x0 = hanging_state(env, rng)
         ep = f"episode{i:03d}"
         if model is None:
-            traj = simulate(env, expert, T=cfg["steps"], rng=rng, id=ep)
+            traj = simulate(env, expert, T=cfg["steps"], x0=x0, id=ep)
             ok = success_criterion(traj, env)
             save_dataset(os.path.join(cfg["out_dir"], f"{ep}.ndjson"), [traj])
         else:
             result = rollout(env, model, T=cfg["steps"], mode=cfg["mode"],
-                             rng=rng, traj_id=ep)
+                             rng=rng, x0=x0, traj_id=ep)
             ok = result.success
             save_rollout(result,
                          os.path.join(cfg["out_dir"], f"{ep}.ndjson"),

@@ -246,6 +246,7 @@ def clip_control(config: EnvConfig, u) -> np.ndarray:
     return np.array(_clipped(config.limit, np.asarray(u, dtype=float).reshape(d_u).tolist()))
 
 
+@np.errstate(invalid="raise")
 def simulate(config: EnvConfig, policy=None, T: int | None = None,
              rng: np.random.Generator | None = None,
              x0: np.ndarray | None = None, id: str = "") -> Trajectory:
@@ -289,7 +290,10 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None,
         u = _clipped(config.limit, u)
         us[t] = u
         if t < T - 1:
-            s = _step(config, s, u[0] if u else 0.0)
+            try:
+                s = _step(config, s, u[0] if u else 0.0)
+            except FloatingPointError:   # sin or cos of an infinite angle
+                s = [math.nan]
     return Trajectory(xs=observe(config, states), us=us, dt=config.dt, id=id)
 
 

@@ -198,7 +198,8 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
              rng: np.random.Generator | None = None) -> EvalReport:
     """Score each tag's per-split models on the test set at every horizon.
 
-    models_by_tag maps a tag to the list of fitted models, one per split.
+    models_by_tag maps a tag to the list of fitted models, one per split,
+    which must agree in K and in count_params_breakdown.
     Aggregation is the mean and population std over splits. Each model
     filters the whole test set once (filter_all, whose padded (B, T_max, K)
     beliefs stay alive while that model is scored) and forecasts each test
@@ -217,10 +218,13 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
         if longest <= h:
             raise ValueError(f"no trajectory is longer than horizon {h}")
     hs = np.unique(horizons)
-    report = EvalReport()
     for tag, models in models_by_tag.items():
         if not models:
             raise ValueError(f"tag {tag!r} has no models")
+        if any(count_params_breakdown(m) != count_params_breakdown(models[0]) for m in models):
+            raise ValueError(f"tag {tag!r} mixes models of different K or parameter counts")
+    report = EvalReport()
+    for tag, models in models_by_tag.items():
         K = models[0].K
         scores = np.empty((len(models), len(horizons)))
         for s, model in enumerate(models):

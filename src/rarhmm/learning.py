@@ -15,9 +15,9 @@ marginals xi once to source mass, destination mass and pair counts
 (transition_stats); every objective evaluation then works on (M, K) link
 logits and the (K, K) bias (factored objective in transition.py), for every
 link kind. The k-means initialization feeds one-hot posteriors to the same
-Gaussian M-steps EM runs (_mstep_gaussians), with fallback blocks for regimes
-it leaves empty. The link is sized by its FitConfig spec alone, as
-transition.parse_transition_spec resolves it.
+Gaussian M-steps EM runs (_mstep_gaussians); it labels every regime, so only
+the initial-state and dynamics blocks need fallbacks. The link is sized by
+its FitConfig spec alone, as transition.parse_transition_spec resolves it.
 Covariances are projected onto the SPD cone with a minimum-eigenvalue floor,
 which is the constrained argmax, so the monotonicity guarantee survives the
 projection.
@@ -31,10 +31,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._linalg import floor_spd
-from .features import controller_feature_dim
 from .inference import Posterior, smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
-                    Controllers, Dynamics, InitialModel, controller_feature_series)
+                    Controllers, Dynamics, InitialModel, control_history,
+                    controller_features)
 from .transition import (TransitionModel, _nll_grad, make_transition,
                          params_to_vector, parse_transition_spec, transition_stats,
                          vector_to_params)
@@ -108,8 +108,9 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
     """Plain Lloyd iteration, deterministic given the rng, for at most `iters`
     rounds.
 
-    Empty clusters are re-seeded with the point currently farthest from its
-    assigned center. Once a round ends with the previous round's labels, the
+    Empty clusters are re-seeded, the first one first (again if a re-seed
+    empties one), with the point farthest from its assigned center that no
+    re-seed has moved. Once a round ends with the previous round's labels, the
     centers it recomputes are the previous ones, so every later round repeats
     it: the labels are returned there, as the full count would return them.
     """
@@ -125,12 +126,10 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
         labels = np.argmin(d2, axis=1)
         dist_own = d2[np.arange(len(points)), labels]
         taken: list[int] = []
-        for k in range(K):
-            if not np.any(labels == k):
-                order = np.argsort(-dist_own)
-                pick = next(int(i) for i in order if int(i) not in taken)
-                labels[pick] = k
-                taken.append(pick)
+        while not (counts := np.bincount(labels, minlength=K)).all():
+            pick = next(int(i) for i in np.argsort(-dist_own) if int(i) not in taken)
+            labels[pick] = np.argmin(counts)   # the first empty cluster
+            taken.append(pick)
         if round_ > 0 and np.array_equal(labels, prev):
             return labels
         for k in range(K):
@@ -180,15 +179,8 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
     fallback_dyn = Dynamics(A=np.tile(np.eye(d_x), (K, 1, 1)), B=np.zeros((K, d_x, d_u)),
                             c=np.zeros((K, d_x)),
                             lam_cov=np.tile(floor * np.eye(d_x), (K, 1, 1)))
-    fallback_ctl = None
-    if config.mode == CLOSED_LOOP:
-        d_phi = controller_feature_dim(d_x, d_u, config.lag, config.poly_degree)
-        fallback_ctl = Controllers(gain=np.zeros((K, d_u, d_phi)), offset=np.zeros((K, d_u)),
-                                   sigma_cov=np.tile(floor * np.eye(d_u), (K, 1, 1)),
-                                   lag=config.lag, poly_degree=config.poly_degree)
     init, dynamics, controllers = _mstep_gaussians(
-        posts, dataset, config, _global_initial(dataset, K, floor), fallback_dyn,
-        fallback_ctl)
+        posts, dataset, config, _global_initial(dataset, K, floor), fallback_dyn, None)
 
     mean, std = _dataset_standardizer(dataset)
     kind, degree, hidden = parse_transition_spec(config.transition_kind)
@@ -282,7 +274,8 @@ def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
                      floor: float, prev: Controllers | None = None) -> Controllers:
     """Per-regime weighted least squares [phi(x_t, past controls); 1] -> u_t
     with weights gamma_t(k); action noise is the floored residual covariance."""
-    feats = np.concatenate([controller_feature_series(t.xs, t.us, lag, poly_degree)
+    feats = np.concatenate([controller_features(t.xs, control_history(t.us, lag)[1],
+                                                poly_degree)
                             for t in dataset.trajectories], axis=0)
     X = np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
     U = np.concatenate([t.us for t in dataset.trajectories], axis=0)
@@ -399,12 +392,12 @@ def mstep_transitions(posteriors, dataset: Dataset,
 def _mstep_gaussians(posteriors, dataset: Dataset, config: FitConfig, init,
                      dynamics, controllers):
     """The closed-form M-steps, each regime without weight keeping its block
-    of init, dynamics or controllers; controllers are fit only when given
-    (closed loop). Returns the new (init, dynamics, controllers)."""
+    of init, dynamics or controllers; controllers are fit in closed loop only.
+    Returns the new (init, dynamics, controllers)."""
     floor = COVARIANCE_FLOOR
     init = mstep_initial(posteriors, dataset, floor, prev=init)
     dynamics = mstep_dynamics(posteriors, dataset, floor, prev=dynamics)
-    if controllers is not None:
+    if config.mode == CLOSED_LOOP:
         controllers = mstep_controller(posteriors, dataset, config.lag,
                                        config.poly_degree, floor, prev=controllers)
     return init, dynamics, controllers

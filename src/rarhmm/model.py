@@ -270,42 +270,40 @@ class HybridModel:
 
 # -- controller features ------------------------------------------------------
 
-def controller_features(x, past_us, lag: int, poly_degree: int) -> np.ndarray:
-    """Feature vector [monomials of x up to poly_degree; flattened past controls].
-
-    past_us holds exactly `lag` control vectors in chronological order
-    (oldest first, most recent last). The constant term is excluded; affine
-    behavior comes from the controller offset.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    past_us = [np.asarray(u, dtype=float).ravel() for u in past_us]
-    if len(past_us) != lag:
-        raise ValueError(f"expected {lag} past controls, got {len(past_us)}")
-    parts = [polynomial_features(x, poly_degree)]
-    parts.extend(past_us)
-    return np.concatenate(parts) if parts else np.zeros(0)
+def controller_features(xs, past_us, poly_degree: int) -> np.ndarray:
+    """[monomials of x up to poly_degree; past controls, oldest first] of one
+    step, x (d_x,) after past_us (lag, d_u), or of a batch, xs (T, d_x) after
+    past_us (T, lag, d_u); no constant term (controllers carry an offset)."""
+    return np.concatenate([polynomial_features(xs, poly_degree),
+                           np.reshape(past_us, np.shape(xs)[:-1] + (-1,))], axis=-1)
 
 
-def controller_feature_series(xs: np.ndarray, us: np.ndarray, lag: int,
-                              poly_degree: int) -> np.ndarray:
-    """(T, d_phi) features with zero-padded past controls before step `lag`."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    us = np.asarray(us, dtype=float)
-    parts = [polynomial_features(xs, poly_degree)]
-    for back in range(lag, 0, -1):  # u_{t-lag} ... u_{t-1}
-        shifted = np.zeros_like(us)
-        shifted[back:] = us[:-back]
-        parts.append(shifted)
-    return np.concatenate(parts, axis=1)
+def control_history(us, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """(copy of us, (T, lag, d_u) windows): window t holds u_{t-lag} .. u_{t-1},
+    zero before step 0. Both view one buffer, `lag` zero rows and then the
+    copy, so writing u_t into the copy fills the windows after step t."""
+    buf = np.concatenate([np.zeros((lag, us.shape[1])), us])
+    windows = np.ndarray((len(us), lag, us.shape[1]), buffer=buf,
+                         strides=(buf.strides[0],) + buf.strides)
+    windows.flags.writeable = False
+    return buf[lag:], windows
+
+
+def control_means(model: HybridModel, x, past_us) -> np.ndarray:
+    """(K, d_u) control-law means of every regime at x after past_us, the last
+    `lag` controls ((lag, d_u) or a list of lag vectors, oldest first)."""
+    ctl = model.controllers
+    past = np.asarray(past_us, dtype=float)
+    if past.shape != (ctl.lag, model.d_u) and not (ctl.lag == 0 and past.size == 0):
+        raise ValueError(f"past controls must be ({ctl.lag}, {model.d_u}), got {past.shape}")
+    return ctl.gain @ controller_features(x, past, ctl.poly_degree) + ctl.offset
 
 
 def _draw_control(model: HybridModel, z: int, x, past_us, rng,
                   deterministic: bool = False) -> np.ndarray:
     """Regime z's control at x: its law's mean, plus action noise unless deterministic."""
-    ctl = model.controllers
-    mean = ctl.gain[z] @ controller_features(x, past_us, ctl.lag, ctl.poly_degree) \
-        + ctl.offset[z]
-    return mean if deterministic else gauss_draw(rng, mean, ctl.sigma_chol[z])
+    mean = control_means(model, x, past_us)[z]
+    return mean if deterministic else gauss_draw(rng, mean, model.controllers.sigma_chol[z])
 
 
 # -- sampling -----------------------------------------------------------------
@@ -325,7 +323,7 @@ def sample_initial(model: HybridModel, rng: np.random.Generator, u1=None):
             raise ValueError("open-loop mode needs a caller-supplied u1")
         u1 = np.asarray(u1, dtype=float).reshape(model.d_u)
     else:
-        u1 = _draw_control(model, z1, x1, [np.zeros(model.d_u)] * model.lag, rng)
+        u1 = _draw_control(model, z1, x1, np.zeros((model.lag, model.d_u)), rng)
     return z1, x1, u1
 
 
@@ -356,10 +354,11 @@ def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
     _require_rng(rng)
     if T < 2:
         raise ValueError("T must be >= 2")
+    us = np.empty((T, model.d_u))
     if model.mode == OPEN_LOOP:
         if exogenous_us is None:
             raise ValueError("open-loop sampling needs exogenous_us")
-        exo = np.asarray(exogenous_us, dtype=float).reshape(T, model.d_u)
+        us = np.asarray(exogenous_us, dtype=float).reshape(T, model.d_u)
 
     if z_burnin is not None:
         z = int(z_burnin)
@@ -373,9 +372,8 @@ def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
     else:
         x = gauss_draw(rng, model.init.mu[z], model.init.omega_chol[z])
 
-    past = [np.zeros(model.d_u)] * model.lag
     xs = np.empty((T, model.d_x))
-    us = np.empty((T, model.d_u))
+    us, history = control_history(us, model.lag)
     zs = np.empty(T, dtype=int)
 
     for t in range(T):
@@ -386,12 +384,8 @@ def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
                               rng=rng, deterministic=deterministic)
         zs[t] = z
         xs[t] = x
-        if model.mode == OPEN_LOOP:
-            us[t] = exo[t]
-        else:
-            us[t] = _draw_control(model, z, x, past, rng, deterministic)
-        if model.lag > 0:
-            past = past[1:] + [us[t].copy()]
+        if model.mode == CLOSED_LOOP:
+            us[t] = _draw_control(model, z, x, history[t], rng, deterministic)
 
     return Trajectory(xs=xs, us=us, dt=dt, id=traj_id), zs
 
@@ -417,7 +411,7 @@ def log_local_evidence(model: HybridModel, traj: Trajectory) -> np.ndarray:
     ev[1:] = gauss_logpdf(np.subtract(xs[1:], resid, out=resid), dyn.lam_whiten,
                           dyn.lam_const).T
     if ctl is not None:
-        feats = controller_feature_series(xs, us, ctl.lag, ctl.poly_degree)
+        feats = controller_features(xs, control_history(us, ctl.lag)[1], ctl.poly_degree)
         resid = feats @ ctl.gain.transpose(0, 2, 1)
         resid += ctl.offset[:, None]
         ev += gauss_logpdf(np.subtract(us, resid, out=resid), ctl.sigma_whiten,

@@ -18,8 +18,8 @@ from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, ENV_PENDULUM, OBS_JOINT,
                    EnvConfig, clip_control, env_dims, hanging_state, observe,
                    save_dataset, step_env, wrap_angle)
 from .learning import FitConfig, fit_em
-from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory,
-                    controller_features)
+from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory, control_history,
+                    control_means)
 from .transition import transition_matrix
 
 ACT_MEAN = "mean"
@@ -77,9 +77,7 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
     if mode not in ACT_MODES:
         raise ValueError(f"mode must be one of {ACT_MODES}, got {mode!r}")
     b = _check_belief(model, belief)
-    ctl = model.controllers
-    phi = controller_features(x, past_us, ctl.lag, ctl.poly_degree)
-    means = ctl.gain @ phi + ctl.offset     # (K, d_u)
+    means = control_means(model, x, past_us)
     if mode == ACT_MEAN:
         # regime laws added one after another from u = 0, as a loop over k
         # would: a sum over the K axis rounds differently from K = 8, an
@@ -92,7 +90,7 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
     if rng is None:
         raise ValueError("sample mode needs an rng")
     k = int(rng.choice(model.K, p=b))
-    return gauss_draw(rng, means[k], ctl.sigma_chol[k]), k
+    return gauss_draw(rng, means[k], model.controllers.sigma_chol[k]), k
 
 
 @dataclass
@@ -176,6 +174,7 @@ def check_policy_model(config: EnvConfig, model: HybridModel) -> None:
         raise ValueError("act needs a closed-loop model with controllers")
 
 
+@np.errstate(invalid="raise")
 def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
             mode: str = ACT_MEAN, rng: np.random.Generator | None = None,
             x0=None, traj_id: str = "rollout") -> RolloutResult:
@@ -190,7 +189,6 @@ def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
     patch them in here).
     """
     check_policy_model(config, model)
-    d_x, d_u = model.d_x, model.d_u
     if T is None:
         T = config.horizon
     if T < 2:
@@ -201,27 +199,27 @@ def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
 
     x = observe(config, state)
     b = _initial_belief(model, x)
-    past = [np.zeros(d_u)] * model.lag
-    xs = np.empty((T, d_x))
-    us = np.empty((T, d_u))
+    xs = np.empty((T, model.d_x))
+    us, history = control_history(np.empty((T, model.d_u)), model.lag)
     beliefs = np.empty((T, model.K))
     regimes = np.empty(T, dtype=int)
 
     for t in range(T):
         xs[t], beliefs[t] = x, b
-        u_raw, k = act(model, b, x, past, mode=mode, rng=rng)
+        u_raw, k = act(model, b, x, history[t], mode=mode, rng=rng)
         u = clip_control(config, u_raw)
         us[t], regimes[t] = u, k
         if t + 1 == T:
             break
-        state = step_env(config, state, u)
+        try:
+            state = step_env(config, state, u)
+        except FloatingPointError:   # sin or cos of an infinite angle
+            state = np.full(1, np.nan)
         if not np.isfinite(state).all():
             raise FloatingPointError(f"non-finite state at step {t + 1}")
         x_next = observe(config, state)
         b = _belief_step(model, b, x, u, x_next)
         x = x_next
-        if model.lag > 0:
-            past = past[1:] + [u.copy()]
 
     traj = Trajectory(xs=xs, us=us, dt=config.dt, id=traj_id)
     criterion = dict(final_fraction=SUCCESS_FINAL_FRACTION,

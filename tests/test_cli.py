@@ -7,7 +7,8 @@ import pytest
 
 from rarhmm import cli
 from rarhmm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from rarhmm.envs import load_dataset, load_manifest, save_manifest
+from rarhmm.envs import (default_config, hanging_state, load_dataset, load_manifest,
+                         observe, save_manifest)
 from rarhmm.evaluation import count_params
 from rarhmm.learning import FitConfig
 from rarhmm.model import CLOSED_LOOP, OPEN_LOOP, load_model
@@ -152,6 +153,19 @@ def test_eval_missing_models_is_runtime_error(tmp_path, capsys):
     assert "no model files match" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_repeated_model_tag(tmp_path, capsys):
+    data = tmp_path / "d"
+    _simulate_small(data)
+    for name in ("a", "b"):
+        save_model(tmp_path / f"{name}.json", random_model(K=2, d_x=2, d_u=1, seed=1))
+    ev = tmp_path / "ev"
+    assert _run("eval", "--test", str(data / "test.ndjson"),
+                "--model", f"m={tmp_path}/a*.json", "--model", f"m={tmp_path}/b.json",
+                "--out-dir", str(ev)) == EXIT_RUNTIME
+    assert "model tag 'm' is given more than once" in capsys.readouterr().err
+    assert not ev.exists()
+
+
 def test_distill_rollout_pipeline(tmp_path, capsys):
     demos = tmp_path / "demos"
     assert _run("simulate", "--env", "pendulum", "--policy", "expert",
@@ -199,6 +213,22 @@ def test_rollout_expert_smoke(tmp_path, capsys):
                 "--steps", "1000", "--out-dir", str(out)) == EXIT_OK
     assert "success_rate=1.0 (1/1)" in capsys.readouterr().out
     assert (out / "episode000.ndjson").exists()
+
+
+@pytest.mark.parametrize("env", ["pendulum", "cartpole"])
+def test_expert_and_model_episodes_start_from_the_same_hanging_state(tmp_path, env):
+    d_x = 2 if env == "pendulum" else 4
+    path = tmp_path / "m.json"
+    save_model(path, _closed_loop_model([np.zeros((1, d_x))], d_x=d_x))
+    for name, policy in (("expert", ["--expert"]), ("model", ["--model", str(path)])):
+        assert _run("rollout", "--env", env, *policy, "--episodes", "3", "--steps", "5",
+                    "--seed", "4", "--out-dir", str(tmp_path / name)) == EXIT_OK
+    cfg = default_config(env, seed=4)
+    for i in range(3):
+        x0 = hanging_state(cfg, np.random.default_rng((4, cli.STREAM_ROLLOUT, i)))
+        for name in ("expert", "model"):
+            traj = load_dataset(tmp_path / name / f"episode{i:03d}.ndjson").trajectories[0]
+            np.testing.assert_array_equal(traj.xs[0], observe(cfg, x0))
 
 
 def test_count_params_output(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -299,9 +300,11 @@ def test_nonfinite_abort_names_the_reference_step(env, x0, nan_at, step):
     if nan_at is not None:
         policy = np.zeros((50, 1))
         policy[nan_at] = np.nan
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # the library's step raises no RuntimeWarning
         with pytest.raises(FloatingPointError, match=f"step {step}$"):
             simulate(cfg, policy, T=50, x0=np.array(x0))
+    with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match=f"step {step}$"):
             reference_simulate(cfg, policy, T=50, x0=np.array(x0))
 

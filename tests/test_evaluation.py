@@ -444,6 +444,15 @@ def test_evaluate_errors():
         evaluate({"m": [m]}, test, horizons=[10, 12])
 
 
+@pytest.mark.parametrize("other", [dict(K=3), dict(kind="stationary")])
+def test_evaluate_rejects_a_tag_whose_models_differ_in_k_or_parameter_counts(other):
+    m = random_model(K=2, d_x=2, d_u=1, seed=9)
+    test = random_dataset(m, n=2, T=10, seed=9)
+    odd = random_model(**{"K": 2, "d_x": 2, "d_u": 1, "seed": 4, **other})
+    with pytest.raises(ValueError, match="tag 'mixed' mixes models of different K"):
+        evaluate({"m": [m], "mixed": [m, odd, m]}, test, horizons=[1])
+
+
 def test_report_csv_deterministic_and_ordered():
     m = random_model(K=2, d_x=2, d_u=1, seed=10)
     test = random_dataset(m, n=2, T=20, seed=10)

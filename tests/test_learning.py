@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -541,6 +542,40 @@ def test_initialize_produces_valid_model():
     np.testing.assert_allclose(np.diag(start.transition.bias), 2.0)
     posts, ll = estep(start, ds)
     assert np.isfinite(ll)
+
+
+def test_kmeans_reseeds_a_cluster_its_reseed_empties():
+    # heavy-tailed 2-D points on which the reference's re-seed moves the only
+    # member of an earlier cluster, so its next round averages an empty one
+    r = np.random.default_rng(1063)
+    n, K = int(r.integers(5, 30)), int(r.integers(2, 9))
+    pts = r.standard_normal((n, 2)) * np.exp(r.standard_normal((n, 1)) * 1.5)
+    with pytest.warns(RuntimeWarning, match="Mean of empty slice"), np.errstate(invalid="ignore"):
+        reference_kmeans(pts, K, np.random.default_rng(1063))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = _kmeans(pts, K, np.random.default_rng(1063))
+    assert np.bincount(labels, minlength=K).min() >= 1
+
+
+@pytest.mark.filterwarnings("ignore:regime .* no (initial-state|dynamics) weight")
+@pytest.mark.parametrize("K", [2, 5, 8])
+@pytest.mark.parametrize("lag", [0, 2])
+def test_closed_loop_initialize_gives_every_regime_controller_weight(monkeypatch, K, lag):
+    weights = []
+
+    def spy(posteriors, *args, **kwargs):
+        weights.append(sum(p.gamma.sum(axis=0) for p in posteriors))
+        return mstep_controller(posteriors, *args, **kwargs)
+
+    monkeypatch.setattr(learning, "mstep_controller", spy)
+    cfg = FitConfig(K=K, mode=CLOSED_LOOP, transition_kind="linear", lag=lag)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        trajs = [Trajectory(xs=rng.standard_normal((T, 2)) ** 3, us=rng.standard_normal((T, 1)),
+                            dt=0.1) for T in rng.integers(3, 30, size=3)]
+        initialize(Dataset.from_trajectories(trajs), cfg, rng)
+        assert len(weights) == seed + 1 and weights[-1].min() >= 1.0
 
 
 def test_two_regime_recovery_small():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
-                          HybridModel, InitialModel, Trajectory, controller_features,
-                          controller_feature_series, load_model,
+                          HybridModel, InitialModel, Trajectory, control_history,
+                          controller_features, load_model,
                           log_local_evidence, model_from_dict, model_to_dict,
                           sample_initial, sample_trajectory, step_dynamics)
 from rarhmm import policy
@@ -22,37 +22,53 @@ from rarhmm.learning import COVARIANCE_FLOOR, FitConfig, fit_em
 from rarhmm.policy import rollout
 
 from util import (models_equal, mvn_logpdf, random_dataset, random_model,
-                  random_trajectory, reference_log_local_evidence,
-                  reference_sample_trajectory, save_model, solve_mvn_logpdf)
+                  random_trajectory, reference_controller_feature_series,
+                  reference_log_local_evidence, reference_sample_trajectory, save_model,
+                  solve_mvn_logpdf)
 
 
 def test_controller_features_linear_is_state():
-    np.testing.assert_array_equal(controller_features((2.0, 3.0), [], 0, 1), [2.0, 3.0])
+    np.testing.assert_array_equal(controller_features((2.0, 3.0), [], 1), [2.0, 3.0])
 
 
 def test_controller_features_concatenates_past_controls():
     np.testing.assert_array_equal(
-        controller_features((2.0,), [(5.0,)], 1, 1), [2.0, 5.0])
+        controller_features((2.0,), [(5.0,)], 1), [2.0, 5.0])
 
 
 def test_controller_features_quadratic_order():
     np.testing.assert_array_equal(
-        controller_features((2.0, 3.0), [], 0, 2), [2.0, 3.0, 4.0, 6.0, 9.0])
+        controller_features((2.0, 3.0), [], 2), [2.0, 3.0, 4.0, 6.0, 9.0])
 
 
-def test_controller_features_lag_mismatch():
-    with pytest.raises(ValueError):
-        controller_features((1.0,), [], 2, 1)
-
-
-def test_controller_feature_series_zero_pads():
+def test_control_history_zero_pads():
     xs = np.arange(8.0).reshape(4, 2)
     us = np.arange(4.0).reshape(4, 1) + 10.0
-    feats = controller_feature_series(xs, us, lag=2, poly_degree=1)
+    copy, past = control_history(us, 2)
+    feats = controller_features(xs, past, 1)
     # columns: x (2), u_{t-2}, u_{t-1}
     np.testing.assert_array_equal(feats[0], [0.0, 1.0, 0.0, 0.0])
     np.testing.assert_array_equal(feats[1], [2.0, 3.0, 0.0, 10.0])
     np.testing.assert_array_equal(feats[3], [6.0, 7.0, 11.0, 12.0])
+    np.testing.assert_array_equal(copy, us)
+    copy[1] = -1.0     # the windows after step 1 read the written control
+    np.testing.assert_array_equal(past[2], [[10.0], [-1.0]])
+    np.testing.assert_array_equal(us[1], [11.0])
+
+
+@pytest.mark.parametrize("lag", [0, 1, 2, 3])
+@pytest.mark.parametrize("poly_degree", [1, 2])
+@pytest.mark.parametrize("T", [1, 2, 3, 7])
+def test_feature_map_with_history_equals_the_series_reference(lag, poly_degree, T):
+    rng = np.random.default_rng(100 * lag + 10 * poly_degree + T)
+    xs, us = rng.standard_normal((T, 3)), rng.standard_normal((T, 2))
+    want = reference_controller_feature_series(xs, us, lag, poly_degree)
+    feats = controller_features(xs, control_history(us, lag)[1], poly_degree)
+    np.testing.assert_array_equal(feats, want)
+    for t in range(T):      # one step at a time, from the list of past controls
+        past = [us[s] if s >= 0 else np.zeros(2) for s in range(t - lag, t)]
+        np.testing.assert_array_equal(controller_features(xs[t], past, poly_degree),
+                                      want[t])
 
 
 def test_step_dynamics_identity():
@@ -198,8 +214,7 @@ def test_log_local_evidence_mode_difference_is_control_term():
     traj, _ = random_trajectory(mc, T=10, seed=4)
     ev_closed = log_local_evidence(mc, traj)
     ev_open = log_local_evidence(mo, traj)
-    feats = controller_feature_series(traj.xs, traj.us, mc.lag, mc.poly_degree)
-    from util import mvn_logpdf
+    feats = reference_controller_feature_series(traj.xs, traj.us, mc.lag, mc.poly_degree)
     ctl = mc.controllers
     for k in range(mc.K):
         term = mvn_logpdf(traj.us, feats @ ctl.gain[k].T + ctl.offset[k], ctl.sigma_cov[k])
@@ -243,7 +258,7 @@ def test_deterministic_sampling_matches_hand_recursion():
             z, dyn = zs[t], m.dynamics
             x = dyn.A[z] @ traj.xs[t - 1] + dyn.B[z] @ traj.us[t - 1] + dyn.c[z]
         np.testing.assert_allclose(traj.xs[t], x, atol=1e-14)
-        phi = controller_features(x, past, 1, 1)
+        phi = controller_features(x, past, 1)
         u = m.controllers.gain[zs[t]] @ phi + m.controllers.offset[zs[t]]
         np.testing.assert_allclose(traj.us[t], u, atol=1e-14)
         past = [traj.us[t]]

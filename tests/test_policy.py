@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,33 @@ def test_act_rejects_open_loop_and_bad_inputs():
         act(cm, [1.0], np.zeros(1), [])
     with pytest.raises(ValueError, match="rng"):
         act(cm, [0.5, 0.5], np.zeros(1), [], mode="sample")
+
+
+def test_act_checks_the_shape_of_the_past_controls():
+    x, b = np.zeros(1), [0.5, 0.5]
+    lag0 = _closed_loop_model([np.array([[1.0]]), np.array([[-1.0]])])
+    for past in ([], np.zeros((0, 1))):
+        np.testing.assert_array_equal(act(lag0, b, x, past)[0], [0.0])
+    for past in ([np.zeros(1)], np.zeros((1, 1)), [0.0]):
+        with pytest.raises(ValueError, match=r"past controls must be \(0, 1\)"):
+            act(lag0, b, x, past)
+    lag2 = _closed_loop_model([np.array([[1.0, 2.0, 3.0]])] * 2, lag=2)
+    for past in ([np.array([1.0]), np.array([2.0])], np.array([[1.0], [2.0]])):
+        np.testing.assert_array_equal(act(lag2, b, x, past)[0], [8.0])
+    for past in ([], [np.zeros(1)], np.zeros((3, 1)), np.zeros((2, 2)), [0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"past controls must be \(2, 1\)"):
+            act(lag2, b, x, past)
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_rollout_names_an_overflowing_step_without_runtime_warnings(lag):
+    # the RK4 stages of the first step reach an infinite pole angle
+    model = _closed_loop_model([np.zeros((1, 4 + lag))], d_x=4, lag=lag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite state at step 1$"):
+            rollout(default_config("cartpole"), model, T=10, x0=[0.0, 0.0, 0.3, 1e100],
+                    rng=np.random.default_rng(0))
 
 
 def test_act_mean_blend_cancels():

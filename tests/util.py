@@ -11,11 +11,10 @@ from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, CART_CENTER_GAINS,
                          PEND_PUMP_GAIN, PEND_PUMP_MARGIN, PEND_STAB_GAINS,
                          env_dims, initial_state, observe, observe_joint, wrap_angle)
 from rarhmm import inference
-from rarhmm.features import controller_feature_dim
+from rarhmm.features import controller_feature_dim, polynomial_features
 from rarhmm.inference import Posterior, _backward_batch, _forward_batch, smooth_dataset
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
                           HybridModel, InitialModel, Trajectory,
-                          controller_feature_series, controller_features,
                           log_local_evidence, model_to_dict, sample_trajectory)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
 from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
@@ -94,11 +93,27 @@ def reference_polynomial_features(x, degree):
     return np.stack([np.prod(x ** np.asarray(e), axis=-1) for e in exponents], axis=-1)
 
 
+def reference_controller_feature_series(xs, us, lag, poly_degree):
+    """(T, d_phi) controller features of a whole trajectory as the library
+    built them from shifted copies of the controls: [monomials of x_t;
+    u_{t-lag} .. u_{t-1}], zero before step 0."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    us = np.asarray(us, dtype=float)
+    parts = [polynomial_features(xs, poly_degree)]
+    for back in range(lag, 0, -1):  # u_{t-lag} ... u_{t-1}
+        shifted = np.zeros_like(us)
+        shifted[back:] = us[:-back]
+        parts.append(shifted)
+    return np.concatenate(parts, axis=1)
+
+
 def reference_control_mean(model, k, x, past_us):
-    """Regime k's control law evaluated from its own slice of the controllers."""
+    """Regime k's control law evaluated from its own slice of the controllers,
+    on the features of x and the list of past controls, oldest first."""
     ctl = model.controllers
-    return ctl.gain[k] @ controller_features(x, past_us, ctl.lag, ctl.poly_degree) \
-        + ctl.offset[k]
+    phi = np.concatenate([polynomial_features(np.asarray(x, dtype=float), ctl.poly_degree),
+                          *(np.ravel(u) for u in past_us)])
+    return ctl.gain[k] @ phi + ctl.offset[k]
 
 
 def random_spd(rng, d, scale=1.0):
@@ -297,7 +312,8 @@ def reference_log_local_evidence(model, traj):
         means = traj.xs[:-1] @ dyn.A[k].T + traj.us[:-1] @ dyn.B[k].T + dyn.c[k]
         ev[1:, k] = mvn_logpdf(traj.xs[1:], means, dyn.lam_cov[k])
     if model.mode == CLOSED_LOOP:
-        feats = controller_feature_series(traj.xs, traj.us, model.lag, model.poly_degree)
+        feats = reference_controller_feature_series(traj.xs, traj.us, model.lag,
+                                                    model.poly_degree)
         for k in range(model.K):
             ev[:, k] += mvn_logpdf(traj.us, feats @ ctl.gain[k].T + ctl.offset[k],
                                    ctl.sigma_cov[k])
