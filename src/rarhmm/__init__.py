@@ -13,7 +13,6 @@ from .model import (
     Trajectory,
     load_model,
     log_local_evidence,
-    sample_initial,
     sample_trajectory,
     step_dynamics,
 )
@@ -46,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CLOSED_LOOP", "OPEN_LOOP", "Controllers", "Dataset", "Dynamics",
     "HybridModel", "InitialModel", "Trajectory", "load_model",
-    "log_local_evidence", "sample_initial", "sample_trajectory",
+    "log_local_evidence", "sample_trajectory",
     "step_dynamics", "TransitionModel", "make_transition", "transition_matrix",
     "transition_probs", "Posterior", "estep",
     "FitConfig", "FitHistory", "fit_em",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,21 @@ def wrap_angle(a):
     return np.mod(np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
-def observe_joint(config: EnvConfig, state: np.ndarray) -> np.ndarray:
-    """Joint-space observation: angles wrapped, velocities passed through."""
+def observe(config: EnvConfig, state: np.ndarray, obs: str | None = None) -> np.ndarray:
+    """Map internal state to an observation, in config.obs unless obs is
+    given; vectorized over leading axes. Joint wraps the angles and passes
+    the rest through; trig replaces each angle with its (cos, sin) pair."""
     state = np.asarray(state, dtype=float)
+    if obs is None:
+        obs = config.obs
+    elif obs not in OBS_MODES:
+        raise ValueError(f"obs must be one of {OBS_MODES}, got {obs!r}")
+    if obs == OBS_TRIG and config.env != ENV_BOUNCING_BALL:
+        if config.env == ENV_PENDULUM:
+            th, om = state[..., 0], state[..., 1]
+            return np.stack([np.cos(th), np.sin(th), om], axis=-1)
+        p, pd, th, om = (state[..., i] for i in range(4))
+        return np.stack([p, pd, np.cos(th), np.sin(th), om], axis=-1)
     out = state.copy()
     if config.env == ENV_PENDULUM:
         out[..., 0] = wrap_angle(state[..., 0])
@@ -129,17 +142,17 @@ def observe_joint(config: EnvConfig, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def observe(config: EnvConfig, state: np.ndarray) -> np.ndarray:
-    """Map internal state to the configured observation; vectorized over
-    leading axes. Trig replaces each angle with its (cos, sin) pair."""
-    state = np.asarray(state, dtype=float)
-    if config.obs == OBS_JOINT or config.env == ENV_BOUNCING_BALL:
-        return observe_joint(config, state)
-    if config.env == ENV_PENDULUM:
-        th, om = state[..., 0], state[..., 1]
-        return np.stack([np.cos(th), np.sin(th), om], axis=-1)
-    p, pd, th, om = (state[..., i] for i in range(4))
-    return np.stack([p, pd, np.cos(th), np.sin(th), om], axis=-1)
+def pole_state(config: EnvConfig, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(angle, angular speed) of the pole in observations xs of config.obs,
+    vectorized over leading axes: the inverse of observe for the pole. A trig
+    angle comes back from its (cos, sin) pair by arctan2."""
+    xs = np.asarray(xs, dtype=float)
+    if config.env == ENV_BOUNCING_BALL:
+        raise ValueError("the bouncing ball has no pole")
+    i = 0 if config.env == ENV_PENDULUM else 2
+    if config.obs == OBS_JOINT:
+        return xs[..., i], xs[..., i + 1]
+    return np.arctan2(xs[..., i + 1], xs[..., i]), xs[..., i + 2]
 
 
 def initial_state(config: EnvConfig, rng: np.random.Generator) -> np.ndarray:
@@ -253,11 +266,10 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None,
     """Roll the simulator for T steps and record observed states and clipped
     controls.
 
-    policy is a callable (joint_state, step) -> control, a recorded (T, d_u)
-    array, or None for zero input. The callable always receives the
-    joint-space observation regardless of config.obs. rng only draws the
-    initial condition and is not needed when x0 is given. A non-finite state
-    aborts with the step index.
+    policy is a callable (joint_state, step) -> control, or None for zero
+    input. The callable always receives the joint observation, whatever
+    config.obs is. rng only draws the initial condition and is not needed
+    when x0 is given. A non-finite state aborts with the step index.
 
     The state is held as Python floats and stepped by _step; observations are
     formed once per trajectory, by observe on all T internal states.
@@ -271,23 +283,15 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None,
             raise ValueError("need rng to draw an initial state when x0 is None")
         x0 = initial_state(config, rng)
     s = np.asarray(x0, dtype=float).tolist()
-    recorded = None
-    if policy is not None and not callable(policy):
-        recorded = np.asarray(policy, dtype=float).reshape(len(policy), d_u).tolist()
-        if len(recorded) < T:
-            raise ValueError(f"recorded inputs cover {len(recorded)} steps, need {T}")
     states, us = np.empty((T, len(s))), np.empty((T, d_u))
     u = [0.0] * d_u
     for t in range(T):
         if not all(map(math.isfinite, s)):
             raise FloatingPointError(f"non-finite state at step {t}")
         states[t] = s
-        if recorded is not None:
-            u = recorded[t]
-        elif policy is not None:
-            u = policy(observe_joint(config, states[t]), t)
-            u = np.asarray(u, dtype=float).reshape(d_u).tolist()
-        u = _clipped(config.limit, u)
+        if policy is not None:
+            u = policy(observe(config, states[t], OBS_JOINT), t)
+            u = _clipped(config.limit, np.asarray(u, dtype=float).reshape(d_u).tolist())
         us[t] = u
         if t < T - 1:
             try:
@@ -312,12 +316,6 @@ def explore_policy(config: EnvConfig, rng: np.random.Generator, hold: int = 1):
         return cache["u"]
 
     return policy
-
-
-def pendulum_energy(config: EnvConfig, state) -> float:
-    """Total energy with the upright position as the maximum of the potential."""
-    th, om = np.asarray(state, dtype=float).tolist()[:2]
-    return _pole_energy(config, 1.0, th, om)
 
 
 def _pole_energy(config: EnvConfig, inertia: float, th: float, om: float) -> float:
@@ -432,8 +430,8 @@ def save_dataset(path, trajectories) -> None:
 
 def load_dataset(path) -> Dataset:
     """Records written by save_dataset, whose "us" holds T rows; a flat "us" of
-    exactly T entries is read as one control per step. A malformed record
-    raises ValueError naming its line."""
+    exactly T entries is read as one control per step, as Trajectory reads
+    it. A malformed record raises ValueError naming its line."""
     trajs = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -449,14 +447,7 @@ def load_dataset(path) -> Dataset:
                 raise ValueError(f"{where}: record must be a JSON object, "
                                  f"got {type(rec).__name__}")
             try:
-                xs = np.asarray(rec["xs"], dtype=float)
-                us = np.asarray(rec["us"], dtype=float)
-                if us.ndim == 1 and len(us) == len(xs):
-                    us = us[:, None]          # one scalar control per step
-                elif us.ndim != 2 or len(us) != len(xs):
-                    raise ValueError(f"us must hold {len(xs)} rows of controls, or "
-                                     f"{len(xs)} scalars, got shape {us.shape}")
-                trajs.append(Trajectory(xs=xs, us=us, dt=float(rec["dt"]),
+                trajs.append(Trajectory(xs=rec["xs"], us=rec["us"], dt=float(rec["dt"]),
                                         id=str(rec["id"])))
             except KeyError as e:
                 raise ValueError(f"{where}: record lacks field {e.args[0]!r}") from None
@@ -484,6 +475,13 @@ def load_manifest(path) -> list[list[str]]:
 
 
 def select_split(dataset: Dataset, ids: list[str]) -> Dataset:
+    """The trajectories named by ids, in their order. Ids must be unique, both
+    in the dataset and in the split."""
+    for where, seq in (("dataset", [t.id for t in dataset.trajectories]),
+                       ("manifest split", ids)):
+        repeated = sorted(i for i, n in Counter(seq).items() if n > 1)
+        if repeated:
+            raise ValueError(f"{where} holds ids more than once: {repeated}")
     by_id = {t.id: t for t in dataset.trajectories}
     missing = [i for i in ids if i not in by_id]
     if missing:

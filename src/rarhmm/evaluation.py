@@ -101,23 +101,18 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
 
 
 def forecast(model: HybridModel, traj: Trajectory, t: int, h: int,
-             actions: np.ndarray | None = None, mode: str = MODE_MARGINAL,
+             mode: str = MODE_MARGINAL,
              rng: np.random.Generator | None = None) -> np.ndarray:
-    """Predict states t+1 .. t+h from the filtered belief at step t (1-based).
-
-    actions defaults to the recorded controls u_t .. u_{t+h-1}; an explicit
-    (h, d_u) array overrides them. Returns (h, d_x).
-    """
+    """Predict states t+1 .. t+h from the filtered belief at step t (1-based),
+    under the recorded controls u_t .. u_{t+h-1}. Returns (h, d_x)."""
     if h < 1:
         raise ValueError("horizon must be >= 1")
     if t + h > traj.T:
         raise ValueError(f"start t={t} with horizon h={h} overruns T={traj.T}")
-    if actions is None:
-        actions = traj.us[t - 1:t - 1 + h]
-    actions = np.asarray(actions, dtype=float).reshape(1, h, traj.d_u)
     b = filter_prefix(model, traj, t)
     x = traj.xs[t - 1]
-    return _forecast_batch(model, x[None], b[None], actions, mode, rng)[0]
+    return _forecast_batch(model, x[None], b[None], traj.us[None, t - 1:t - 1 + h],
+                           mode, rng)[0]
 
 
 def nmse(preds: np.ndarray, truths: np.ndarray, normalizer: np.ndarray) -> float:

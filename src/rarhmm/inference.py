@@ -38,14 +38,6 @@ class Posterior:
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         object.__setattr__(self, "loglik", float(self.loglik))
 
-    @property
-    def T(self) -> int:
-        return len(self.gamma)
-
-    @property
-    def K(self) -> int:
-        return self.gamma.shape[1]
-
 
 # -- batched scaled recursions ------------------------------------------------
 # All cores take (B, T, K) evidence and (B, T-1, K, K) transition stacks, so a

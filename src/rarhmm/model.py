@@ -85,17 +85,18 @@ class Trajectory:
     id: str = ""
 
     def __post_init__(self):
-        xs = np.atleast_2d(_as_float(self.xs, "xs"))
-        us = np.asarray(self.us, dtype=float)
-        if us.ndim == 1:
-            us = us[:, None]
-        if not np.all(np.isfinite(us)):
-            raise ValueError("us must be finite")
+        xs, us = _as_float(self.xs, "xs"), _as_float(self.us, "us")
+        if xs.ndim != 2:
+            raise ValueError(f"xs must hold (T, d_x) states, got shape {xs.shape}")
+        T = len(xs)
+        if us.ndim == 1 and len(us) == T:
+            us = us[:, None]          # one scalar control per step
+        elif us.ndim != 2 or len(us) != T:
+            raise ValueError(f"us must hold {T} rows of controls, or {T} scalars, "
+                             f"got shape {us.shape}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "us", us)
-        if len(self.xs) != len(self.us):
-            raise ValueError(f"xs and us lengths differ: {len(self.xs)} vs {len(self.us)}")
-        if len(self.xs) < 2:
+        if T < 2:
             raise ValueError("trajectories need at least 2 steps")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
@@ -311,20 +312,6 @@ def _draw_control(model: HybridModel, z: int, x, past_us, rng,
 def _require_rng(rng):
     if not isinstance(rng, np.random.Generator):
         raise TypeError("pass a seeded numpy Generator (np.random.default_rng(seed))")
-
-
-def sample_initial(model: HybridModel, rng: np.random.Generator, u1=None):
-    """Draw (z1, x1, u1). Open-loop mode takes u1 from the caller instead of sampling."""
-    _require_rng(rng)
-    z1 = int(rng.choice(model.K, p=model.init.pi))
-    x1 = gauss_draw(rng, model.init.mu[z1], model.init.omega_chol[z1])
-    if model.mode == OPEN_LOOP:
-        if u1 is None:
-            raise ValueError("open-loop mode needs a caller-supplied u1")
-        u1 = np.asarray(u1, dtype=float).reshape(model.d_u)
-    else:
-        u1 = _draw_control(model, z1, x1, np.zeros((model.lag, model.d_u)), rng)
-    return z1, x1, u1
 
 
 def step_dynamics(model: HybridModel, z_next: int, x, u, rng=None,

@@ -9,14 +9,13 @@ from the model's stacked dynamics and controller blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import gauss_draw, gauss_logpdf
-from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, ENV_PENDULUM, OBS_JOINT,
-                   EnvConfig, clip_control, env_dims, hanging_state, observe,
-                   save_dataset, step_env, wrap_angle)
+from .envs import (ENV_CARTPOLE, EnvConfig, clip_control, env_dims, hanging_state,
+                   observe, pole_state, save_dataset, step_env, wrap_angle)
 from .learning import FitConfig, fit_em
 from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory, control_history,
                     control_means)
@@ -99,7 +98,6 @@ class RolloutResult:
     beliefs: np.ndarray           # (T, K) simplex rows
     regimes: np.ndarray           # (T,) regime used for control at each step
     success: bool
-    criterion: dict = field(default_factory=dict)
 
 
 def _wrap_if_needed(th: np.ndarray) -> np.ndarray:
@@ -111,22 +109,13 @@ def _wrap_if_needed(th: np.ndarray) -> np.ndarray:
 
 
 def success_criterion(traj: Trajectory, config: EnvConfig) -> bool:
-    """Upright over the final fifth of the rollout, per the tolerances above."""
-    if config.env == ENV_BOUNCING_BALL:
-        raise ValueError("success is defined for the swing-up tasks only")
+    """Upright over the final fifth of the rollout, per the tolerances above;
+    the bouncing ball, which has no pole, is refused by pole_state."""
     xs = traj.xs[int(np.floor((1.0 - SUCCESS_FINAL_FRACTION) * traj.T)):]
-    if config.env == ENV_PENDULUM:
-        if config.obs == OBS_JOINT:
-            th, om = xs[:, 0], xs[:, 1]
-        else:
-            th, om = np.arctan2(xs[:, 1], xs[:, 0]), xs[:, 2]
-        on_track = True
-    else:
-        if config.obs == OBS_JOINT:
-            p, th, om = xs[:, 0], xs[:, 2], xs[:, 3]
-        else:
-            p, th, om = xs[:, 0], np.arctan2(xs[:, 3], xs[:, 2]), xs[:, 4]
-        on_track = bool(np.all(np.abs(p) < SUCCESS_CART_LIMIT))
+    th, om = pole_state(config, xs)
+    # the cart position leads both cart-pole observations
+    on_track = (config.env != ENV_CARTPOLE
+                or bool(np.all(np.abs(xs[:, 0]) < SUCCESS_CART_LIMIT)))
     upright = bool(np.all(np.abs(_wrap_if_needed(th)) <= SUCCESS_ANGLE_TOL))
     slow = bool(np.all(np.abs(om) <= SUCCESS_SPEED_TOL))
     return upright and slow and on_track
@@ -135,14 +124,21 @@ def success_criterion(traj: Trajectory, config: EnvConfig) -> bool:
 def _bayes_update(prior: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
     """Regime posterior from a prior belief and per-regime log evidence,
     normalized by a log-sum-exp over the regimes (shifted by their max, or by
-    0 when the max is not finite)."""
+    0 when the max is not finite). Beyond |shift| ~ 1e9 adding the shift rounds
+    away part of the log of the sum, and the posterior would miss 1 by as
+    much; past 1e-7, a tenth of act's tolerance, it is normalized by the sum."""
     lb = np.log(np.maximum(prior, 1e-300)) + log_ev
-    top = lb.max()
+    top = float(lb.max())
     if not math.isfinite(top):
         top = 0.0
-    norm = np.log(np.exp(lb - top).sum()) + top
+    e = np.exp(lb - top)
+    total = e.sum()
+    log_sum = float(np.log(total))
+    norm = log_sum + top
     if not math.isfinite(norm):
         raise FloatingPointError("belief update collapsed: impossible evidence")
+    if abs(norm - top - log_sum) > 1e-7:
+        return e / total
     return np.exp(lb - norm)
 
 
@@ -222,13 +218,8 @@ def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
         x = x_next
 
     traj = Trajectory(xs=xs, us=us, dt=config.dt, id=traj_id)
-    criterion = dict(final_fraction=SUCCESS_FINAL_FRACTION,
-                     angle_tol=SUCCESS_ANGLE_TOL, speed_tol=SUCCESS_SPEED_TOL)
-    if config.env == ENV_CARTPOLE:
-        criterion["cart_limit"] = SUCCESS_CART_LIMIT
     return RolloutResult(trajectory=traj, beliefs=beliefs, regimes=regimes,
-                         success=success_criterion(traj, config),
-                         criterion=criterion)
+                         success=success_criterion(traj, config))
 
 
 def save_rollout(result: RolloutResult, traj_path, belief_path) -> None:

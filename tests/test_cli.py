@@ -445,13 +445,21 @@ def test_runtime_errors_exit_two(tmp_path):
 
 @pytest.mark.parametrize("case", ["fit-manifest-id", "eval-dims", "rollout-open-loop",
                                   "rollout-dims", "simulate-ball-expert",
-                                  "rollout-ball-expert"])
+                                  "rollout-ball-expert", "fit-manifest-repeated-id",
+                                  "fit-data-repeated-id", "fit-deep-states"])
 def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
     data, ball = tmp_path / "d", tmp_path / "ball"
     _simulate_small(data)
     _simulate_small(ball, env="bouncing_ball")
-    manifest = tmp_path / "splits.json"
+    manifest, repeated = tmp_path / "splits.json", tmp_path / "repeated.json"
     save_manifest(manifest, [["nope"]])
+    first = (data / "train.ndjson").read_text().splitlines()[0]
+    save_manifest(repeated, [[json.loads(first)["id"]] * 2])
+    twice, deep = tmp_path / "twice.ndjson", tmp_path / "deep.ndjson"
+    twice.write_text(f"{first}\n{first}\n")
+    # (T, 2, 1) states: one column per state entry
+    deep.write_text(json.dumps({"id": "a", "dt": 0.1, "xs": [[[0.0], [1.0]]] * 3,
+                                "us": [[0.0]] * 3}) + "\n")
     open_loop, closed = tmp_path / "open.json", tmp_path / "closed.json"
     save_model(open_loop, random_model(K=2, d_x=2, d_u=1))
     save_model(closed, _closed_loop_model([np.array([[0.0, 0.0]])], d_x=2))
@@ -468,6 +476,13 @@ def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
                                  "no scripted expert for env 'bouncing_ball'"),
         "rollout-ball-expert": (["rollout", "--env", "bouncing_ball", "--expert"],
                                 "no scripted expert for env 'bouncing_ball'"),
+        "fit-manifest-repeated-id": (["fit", "--data", str(data / "train.ndjson"),
+                                      "--manifest", str(repeated)],
+                                     "split holds ids more than once"),
+        "fit-data-repeated-id": (["fit", "--data", str(twice), "--manifest", str(repeated)],
+                                 "dataset holds ids more than once"),
+        "fit-deep-states": (["fit", "--data", str(deep)],
+                            f"{deep}: line 1: xs must hold (T, d_x) states, got shape (3, 2, 1)"),
     }[case]
     out = tmp_path / "out"
     assert _run(*argv, "--out-dir", str(out)) == EXIT_RUNTIME

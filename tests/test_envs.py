@@ -8,17 +8,19 @@ import pytest
 
 from rarhmm import envs
 from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, ENV_BOUNCING_BALL, ENV_CARTPOLE,
-                         ENV_PENDULUM, ENVS, OBS_MODES, PEND_CAPTURE_VEL, EnvConfig,
+                         ENV_PENDULUM, ENVS, OBS_JOINT, OBS_MODES, OBS_TRIG,
+                         PEND_CAPTURE_VEL, EnvConfig, _pole_energy,
                          ball_rest_state, clip_control,
                          collect_demonstrations, collect_trajectories,
                          default_config, env_dims, expert_policy,
                          expert_swingup, explore_policy, load_dataset,
-                         load_manifest, make_splits, observe,
-                         pendulum_energy, save_dataset, save_manifest,
+                         load_manifest, make_splits, observe, pole_state,
+                         save_dataset, save_manifest,
                          select_split, simulate, step_env, wrap_angle)
-from rarhmm.model import Dataset
+from rarhmm.model import Dataset, Trajectory
 
-from util import reference_expert_swingup, reference_simulate, reference_step_env
+from util import (reference_expert_swingup, reference_observe, reference_observe_joint,
+                  reference_simulate, reference_step_env)
 
 
 def _upright_tail_ok(traj, angle_idx, vel_idx, check_cart=False):
@@ -120,10 +122,10 @@ def test_cartpole_upright_equilibrium():
 def test_pendulum_energy_drift():
     cfg = default_config(ENV_PENDULUM, damping=0.0)
     state = np.array([2.0, 0.0])
-    e0 = pendulum_energy(cfg, state)
+    e0 = _pole_energy(cfg, 1.0, *state)
     for _ in range(250):
         state = step_env(cfg, state, np.zeros(1))
-    assert abs(pendulum_energy(cfg, state) - e0) / abs(e0) < 1e-4
+    assert abs(_pole_energy(cfg, 1.0, *state) - e0) / abs(e0) < 1e-4
 
 
 @pytest.mark.parametrize("env", [ENV_PENDULUM, ENV_CARTPOLE, ENV_BOUNCING_BALL])
@@ -171,6 +173,64 @@ def test_wrap_and_observe():
     ccfg = default_config(ENV_CARTPOLE, obs="trig")
     got = observe(ccfg, np.array([0.5, -0.2, np.pi / 2, 1.0]))
     np.testing.assert_allclose(got, [0.5, -0.2, 0.0, 1.0, 1.0], atol=1e-15)
+
+
+def _observe_cases():
+    """Single states and a batch per env: angles at and around +-pi and
+    beyond 2 pi, with random angles, velocities and cart positions."""
+    rng = np.random.default_rng(11)
+    angles = [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+              2 * np.pi + 0.3, -2 * np.pi - 0.3, 7 * np.pi, 1e6, 0.0, -0.0]
+    for env in ENVS:
+        d = 2 if env != ENV_CARTPOLE else 4
+        i = 0 if env == ENV_PENDULUM else 2 if env == ENV_CARTPOLE else None
+        batch = rng.uniform(-10.0, 10.0, (500, d))
+        singles = []
+        for th in angles:
+            state = rng.uniform(-3.0, 3.0, d)
+            if i is not None:
+                state[i] = th
+            singles.append(state)
+        if i is not None:
+            batch[:len(angles), i] = angles
+        yield env, singles + [batch, batch.reshape(25, 20, d)]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("env,states", list(_observe_cases()), ids=ENVS)
+def test_observe_equals_the_joint_and_configured_references(env, states):
+    for obs in OBS_MODES:
+        cfg = default_config(env, obs=obs)
+        other = OBS_TRIG if obs == OBS_JOINT else OBS_JOINT
+        for state in states:
+            want = reference_observe(cfg, state)
+            assert _same_bits(observe(cfg, state), want)
+            assert _same_bits(observe(cfg, state, obs), want)
+            assert _same_bits(observe(cfg, state, OBS_JOINT), reference_observe_joint(cfg, state))
+            assert _same_bits(observe(cfg, state, other),
+                              reference_observe(default_config(env, obs=other), state))
+    with pytest.raises(ValueError, match="obs must be one of"):
+        observe(default_config(env), states[0], "polar")
+
+
+@pytest.mark.parametrize("env", [ENV_PENDULUM, ENV_CARTPOLE])
+def test_pole_state_inverts_observe(env):
+    rng = np.random.default_rng(3)
+    d = 2 if env == ENV_PENDULUM else 4
+    i = 0 if env == ENV_PENDULUM else 2
+    states = rng.uniform(-3.0, 3.0, (200, d))
+    for obs in OBS_MODES:
+        cfg = default_config(env, obs=obs)
+        th, om = pole_state(cfg, observe(cfg, states))
+        np.testing.assert_allclose(th, states[:, i], rtol=0, atol=1e-13)
+        assert np.array_equal(om, states[:, i + 1])
+        one = pole_state(cfg, observe(cfg, states[0]))
+        assert np.array_equal(one, (th[0], om[0]))
+    with pytest.raises(ValueError, match="no pole"):
+        pole_state(default_config(ENV_BOUNCING_BALL), np.zeros((3, 2)))
 
 
 def test_trig_consistency_on_rollouts():
@@ -257,7 +317,8 @@ def test_simulate_equals_the_reference_loop(env, obs, kind):
         rng = np.random.default_rng(5)
         policy = expert if kind == "expert" else None
         if kind == "recorded":      # a third of the inputs lie beyond the limit
-            policy = 1.5 * cfg.limit * rng.uniform(-1.0, 1.0, (T + 3, env_dims(cfg)[1]))
+            recorded = 1.5 * cfg.limit * rng.uniform(-1.0, 1.0, (T + 3, env_dims(cfg)[1]))
+            policy = lambda _x, t: recorded[t]
         elif kind == "explore":
             policy = explore_policy(cfg, rng, hold=7)
         return sim(cfg, policy, T=T, rng=rng)
@@ -298,8 +359,8 @@ def test_nonfinite_abort_names_the_reference_step(env, x0, nan_at, step):
     cfg = default_config(env)
     policy = None
     if nan_at is not None:
-        policy = np.zeros((50, 1))
-        policy[nan_at] = np.nan
+        def policy(_x, t):
+            return np.array([np.nan if t == nan_at else 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # the library's step raises no RuntimeWarning
         with pytest.raises(FloatingPointError, match=f"step {step}$"):
@@ -332,10 +393,8 @@ def test_expert_equals_the_array_law_on_edge_states():
 def test_recorded_inputs_are_clipped_and_replayed():
     cfg = default_config(ENV_PENDULUM)
     recorded = np.linspace(-5, 5, 20)[:, None]
-    traj = simulate(cfg, recorded, T=20, x0=np.array([np.pi, 0.0]))
+    traj = simulate(cfg, lambda _x, t: recorded[t], T=20, x0=np.array([np.pi, 0.0]))
     np.testing.assert_array_equal(traj.us, np.clip(recorded, -2.5, 2.5))
-    with pytest.raises(ValueError):
-        simulate(cfg, recorded[:5], T=20, x0=np.array([np.pi, 0.0]))
 
 
 def test_dataset_roundtrip_exact(tmp_path):
@@ -400,6 +459,17 @@ def test_manifest_and_split_selection(tmp_path):
         select_split(ds, ["missing-id"])
 
 
+def test_select_split_rejects_duplicate_ids():
+    cfg = default_config(ENV_PENDULUM)
+    a, b = collect_trajectories(cfg, 2, seed=2, T=10)
+    twice = Dataset.from_trajectories([a, Trajectory(xs=b.xs, us=b.us, dt=b.dt, id=a.id)])
+    with pytest.raises(ValueError, match=re.escape(f"dataset holds ids more than once: ['{a.id}']")):
+        select_split(twice, [a.id])
+    ds = Dataset.from_trajectories([a, b])
+    with pytest.raises(ValueError, match=re.escape(f"split holds ids more than once: ['{a.id}']")):
+        select_split(ds, [a.id, b.id, a.id])
+
+
 def test_collect_trajectories_seeding():
     cfg = default_config(ENV_PENDULUM)
     a = collect_trajectories(cfg, 3, seed=5, T=15)
@@ -434,6 +504,10 @@ _GOOD_RECORD = {"id": "a", "dt": 0.1, "xs": [[0.0], [1.0]], "us": [[0.0], [0.0]]
     # a flat list holds one control per step, not T * d_u entries
     ({**_GOOD_RECORD, "us": [0.0, 0.0, 0.0, 0.0]}, "2 scalars, got shape"),
     ({**_GOOD_RECORD, "us": [[[0.0]], [[0.0]]]}, "2 rows of controls"),
+    # states must be rows: neither one scalar per step nor a deeper array
+    ({**_GOOD_RECORD, "xs": [0.0, 1.0]}, r"xs must hold \(T, d_x\) states, got shape \(2,\)"),
+    ({**_GOOD_RECORD, "xs": [[[0.0], [1.0]], [[0.0], [1.0]]]},
+     r"xs must hold \(T, d_x\) states, got shape \(2, 2, 1\)"),
 ])
 def test_load_dataset_rejects_malformed_records(tmp_path, record, match):
     path = tmp_path / "data.ndjson"

@@ -254,16 +254,6 @@ def test_ragged_forecast_reads_only_each_rows_actions():
         _forecast_batch(m, x0, b0, us, "marginal", lengths=np.r_[lengths[:-2], 2, 2])
 
 
-def test_forecast_with_explicit_actions():
-    m = random_model(K=2, d_x=2, d_u=1, seed=7)
-    traj, _ = random_trajectory(m, T=10, seed=7)
-    default = forecast(m, traj, t=2, h=3)
-    same = forecast(m, traj, t=2, h=3, actions=traj.us[1:4])
-    np.testing.assert_array_equal(default, same)
-    other = forecast(m, traj, t=2, h=3, actions=np.zeros((3, 1)))
-    assert not np.array_equal(default, other)
-
-
 def test_nmse_values():
     assert nmse(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(2)) == 0.0
     got = nmse(np.array([[1.0, 0.0], [0.0, 1.0]]),

@@ -56,3 +56,10 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_export_exists_once():
+    import rarhmm
+    missing = [name for name in rarhmm.__all__ if not hasattr(rarhmm, name)]
+    repeated = sorted({name for name in rarhmm.__all__ if rarhmm.__all__.count(name) > 1})
+    assert (missing, repeated) == ([], [])

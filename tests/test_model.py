@@ -10,7 +10,7 @@ from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics
                           HybridModel, InitialModel, Trajectory, control_history,
                           controller_features, load_model,
                           log_local_evidence, model_from_dict, model_to_dict,
-                          sample_initial, sample_trajectory, step_dynamics)
+                          sample_trajectory, step_dynamics)
 from rarhmm import policy
 from rarhmm._linalg import gauss_factors, gauss_logpdf
 from rarhmm.evaluation import filter_all
@@ -109,25 +109,28 @@ def test_step_dynamics_index_range():
 
 
 def test_sample_initial_degenerate_categorical():
+    """sample_trajectory's first regime is the one regime pi allows."""
     m = random_model(K=1, seed=3)
     for s in range(5):
-        z, _, _ = sample_initial(m, np.random.default_rng(s), u1=np.zeros(1))
-        assert z == 0
+        _, zs = sample_trajectory(m, 2, np.random.default_rng(s), exogenous_us=np.zeros((2, 1)))
+        assert zs[0] == 0
 
 
 def test_sample_initial_fair_categorical_frequency():
+    """sample_trajectory's first regime is drawn from a fair pi."""
     floor = 1e-6
     init = InitialModel(pi=[0.5, 0.5], mu=[[1.0, 0.0], [-1.0, 0.0]],
                         omega_cov=[floor * np.eye(2), floor * np.eye(2)])
     base = random_model(K=2, d_x=2, d_u=1, seed=0)
     m = HybridModel(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, init=init,
                     dynamics=base.dynamics, transition=base.transition)
-    rng = np.random.default_rng(123)
-    hits = sum(sample_initial(m, rng, u1=np.zeros(1))[0] == 0 for _ in range(10 ** 5))
-    assert 0.495 <= hits / 10 ** 5 <= 0.505
+    rng, us, n = np.random.default_rng(123), np.zeros((2, 1)), 10 ** 4
+    hits = sum(sample_trajectory(m, 2, rng, exogenous_us=us)[1][0] == 0 for _ in range(n))
+    assert 0.48 <= hits / n <= 0.52       # 4 standard deviations
 
 
 def test_sample_initial_closed_loop_readout():
+    """sample_trajectory's first control is the first regime's law at the first state."""
     floor = 1e-12
     base = random_model(K=1, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=2)
     ctl = Controllers(gain=[[[1.0, 0.0]]], offset=np.zeros((1, 1)),
@@ -135,14 +138,8 @@ def test_sample_initial_closed_loop_readout():
     m = HybridModel(K=1, d_x=2, d_u=1, mode=CLOSED_LOOP, init=base.init,
                     dynamics=base.dynamics, transition=base.transition,
                     controllers=ctl)
-    z, x, u = sample_initial(m, np.random.default_rng(0))
-    np.testing.assert_allclose(u, x[:1], atol=1e-4)
-
-
-def test_sample_initial_open_loop_needs_u1():
-    m = random_model(K=2, seed=0)
-    with pytest.raises(ValueError):
-        sample_initial(m, np.random.default_rng(0))
+    traj, _ = sample_trajectory(m, 2, np.random.default_rng(0))
+    np.testing.assert_allclose(traj.us[0], traj.xs[0, :1], atol=1e-4)
 
 
 def test_sample_trajectory_single_regime_constant_path():
@@ -319,6 +316,20 @@ def test_trajectory_validation():
         Trajectory(xs=np.full((3, 2), np.nan), us=np.zeros((3, 1)), dt=0.1)
     with pytest.raises(ValueError):
         Trajectory(xs=np.zeros((3, 2)), us=np.zeros((3, 1)), dt=0.0)
+
+
+def test_trajectory_rejects_arrays_of_the_wrong_rank():
+    with pytest.raises(ValueError, match=re.escape("xs must hold (T, d_x) states, got shape (3, 2, 1)")):
+        Trajectory(xs=np.zeros((3, 2, 1)), us=np.zeros((3, 1)), dt=0.1)
+    with pytest.raises(ValueError, match=re.escape("xs must hold (T, d_x) states, got shape (3,)")):
+        Trajectory(xs=np.zeros(3), us=np.zeros((3, 1)), dt=0.1)
+    with pytest.raises(ValueError, match=re.escape("us must hold 3 rows of controls, or 3 "
+                                                   "scalars, got shape (3, 2, 1)")):
+        Trajectory(xs=np.zeros((3, 2)), us=np.zeros((3, 2, 1)), dt=0.1)
+    with pytest.raises(ValueError, match=re.escape("got shape (6,)")):
+        Trajectory(xs=np.zeros((3, 2)), us=np.zeros(6), dt=0.1)
+    flat = Trajectory(xs=np.zeros((3, 2)), us=[0.5, 0.0, -1.0], dt=0.1)
+    np.testing.assert_array_equal(flat.us, [[0.5], [0.0], [-1.0]])
 
 
 def test_dataset_validation():

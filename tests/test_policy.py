@@ -11,7 +11,7 @@ from rarhmm.learning import FitConfig
 from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
                           InitialModel, Trajectory, model_from_dict, model_to_dict,
                           sample_trajectory)
-from rarhmm.policy import (ACT_MODES, RolloutResult, _belief_step,
+from rarhmm.policy import (ACT_MODES, RolloutResult, _bayes_update, _belief_step,
                            _initial_belief, act, default_distill_config,
                            distill, rollout, save_rollout, success_criterion)
 from rarhmm.transition import make_transition
@@ -153,6 +153,38 @@ def test_rollout_names_an_overflowing_step_without_runtime_warnings(lag):
         with pytest.raises(FloatingPointError, match="non-finite state at step 1$"):
             rollout(default_config("cartpole"), model, T=10, x0=[0.0, 0.0, 0.3, 1e100],
                     rng=np.random.default_rng(0))
+
+
+def test_rollout_of_two_equal_regimes_names_an_overflowing_step():
+    # both regimes give the huge first state the same log evidence, -5e199
+    model = _closed_loop_model([np.zeros((1, 4))] * 2, d_x=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite state at step 1$"):
+            rollout(default_config("cartpole"), model, x0=[0.0, 0.0, 0.3, 1e100])
+
+
+@pytest.mark.parametrize("log_ev", [-5e199, -1e15, -1e11, 1e11, 1e15])
+def test_bayes_update_normalizes_beyond_the_log_scale_precision(log_ev):
+    # adding the shift rounds away log(2), or part of it, at these magnitudes
+    b = _bayes_update(np.array([0.5, 0.5]), np.full(2, log_ev))
+    assert np.array_equal(b, [0.5, 0.5])
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        prior = rng.dirichlet(np.ones(4))
+        b = _bayes_update(prior, log_ev + rng.uniform(-3.0, 3.0, 4))
+        assert abs(b.sum() - 1.0) <= 1e-12
+
+
+def test_bayes_update_is_the_log_scale_normalization_at_moderate_evidence():
+    rng = np.random.default_rng(2)
+    for scale in (1.0, 1e3, 1e6):
+        for _ in range(50):
+            prior = rng.dirichlet(np.ones(5))
+            log_ev = scale * rng.standard_normal(5)
+            lb = np.log(np.maximum(prior, 1e-300)) + log_ev
+            want = np.exp(lb - (np.log(np.exp(lb - lb.max()).sum()) + lb.max()))
+            assert np.array_equal(_bayes_update(prior, log_ev), want)
 
 
 def test_act_mean_blend_cancels():

@@ -9,7 +9,7 @@ from rarhmm._linalg import LOG2PI
 from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, CART_CENTER_GAINS,
                          CART_PUMP_GAIN, CART_STAB_GAINS, PEND_CAPTURE_VEL,
                          PEND_PUMP_GAIN, PEND_PUMP_MARGIN, PEND_STAB_GAINS,
-                         env_dims, initial_state, observe, observe_joint, wrap_angle)
+                         env_dims, initial_state, wrap_angle)
 from rarhmm import inference
 from rarhmm.features import controller_feature_dim, polynomial_features
 from rarhmm.inference import Posterior, _backward_batch, _forward_batch, smooth_dataset
@@ -659,6 +659,31 @@ def reference_clip_control(config, u):
                    -config.limit, config.limit)
 
 
+def reference_observe_joint(config, state):
+    """Joint observation as the library formed it before observe took the
+    mode: angles wrapped, velocities passed through."""
+    state = np.asarray(state, dtype=float)
+    out = state.copy()
+    if config.env == "pendulum":
+        out[..., 0] = wrap_angle(state[..., 0])
+    elif config.env == "cartpole":
+        out[..., 2] = wrap_angle(state[..., 2])
+    return out
+
+
+def reference_observe(config, state):
+    """Observation in config.obs as the library formed it next to
+    reference_observe_joint: trig replaces each angle with its (cos, sin)."""
+    state = np.asarray(state, dtype=float)
+    if config.obs == "joint" or config.env == "bouncing_ball":
+        return reference_observe_joint(config, state)
+    if config.env == "pendulum":
+        th, om = state[..., 0], state[..., 1]
+        return np.stack([np.cos(th), np.sin(th), om], axis=-1)
+    p, pd, th, om = (state[..., i] for i in range(4))
+    return np.stack([p, pd, np.cos(th), np.sin(th), om], axis=-1)
+
+
 def reference_simulate(config, policy=None, T=None, rng=None, x0=None, id=""):
     """envs.simulate as the per-step loop over state arrays: observe each
     state as it is reached, clip each control by np.clip and take each step
@@ -666,22 +691,13 @@ def reference_simulate(config, policy=None, T=None, rng=None, x0=None, id=""):
     T = config.horizon if T is None else int(T)
     d_x, d_u = env_dims(config)
     state = initial_state(config, rng) if x0 is None else np.asarray(x0, dtype=float).copy()
-    recorded = None
-    if policy is not None and not callable(policy):
-        recorded = np.asarray(policy, dtype=float)
-        recorded = recorded.reshape(len(recorded), d_u)
     xs = np.empty((T, d_x))
     us = np.empty((T, d_u))
     for t in range(T):
         if not np.all(np.isfinite(state)):
             raise FloatingPointError(f"non-finite state at step {t}")
-        xs[t] = observe(config, state)
-        if recorded is not None:
-            u = recorded[t]
-        elif policy is not None:
-            u = policy(observe_joint(config, state), t)
-        else:
-            u = np.zeros(d_u)
+        xs[t] = reference_observe(config, state)
+        u = np.zeros(d_u) if policy is None else policy(reference_observe_joint(config, state), t)
         u = reference_clip_control(config, u)
         us[t] = u
         if t < T - 1:
