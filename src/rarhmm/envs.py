@@ -466,11 +466,19 @@ def save_manifest(path, split_ids: list[list[str]]) -> None:
 
 
 def load_manifest(path) -> list[list[str]]:
+    """The split id lists of a manifest: at least one split, each a non-empty
+    list of string ids."""
     with open(path) as f:
         doc = json.load(f)
     if not (isinstance(doc, dict) and isinstance(doc.get("splits"), list)
             and all(isinstance(ids, list) for ids in doc["splits"])):
         raise ValueError(f"{path}: manifest needs field 'splits', a list of id lists")
+    if not doc["splits"]:
+        raise ValueError(f"{path}: manifest 'splits' holds no split")
+    for i, ids in enumerate(doc["splits"]):
+        if not (ids and all(isinstance(id_, str) for id_ in ids)):
+            raise ValueError(f"{path}: manifest split {i} must be a non-empty list of "
+                             "string ids")
     return [list(ids) for ids in doc["splits"]]
 
 

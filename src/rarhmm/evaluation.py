@@ -35,7 +35,9 @@ def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
     one forward pass over their padded batch (inference.padded_inputs): entry
     [b, t-1] is p(z_t | x_{1:t}, u_{1:t}) of trajectory b, computed as alone,
     and entries past its end repeat its last belief (to rounding). The pass
-    also holds (T_max-1) * B * (K+1) * K floats of folded transitions."""
+    also holds one stack of B * (T_max-1) * K * K floats, rounded up to whole
+    chunks of inference._CHUNK steps: the folded transitions, overwritten in
+    place by their prefix products."""
     ev, trans, _ = padded_inputs(model, dataset)
     return _forward_batch(ev, trans, model.init.pi)[0]
 

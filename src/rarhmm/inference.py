@@ -3,11 +3,9 @@
 Messages are scaled, normalized per step, so likelihoods of any length stay
 finite: alpha_hat rows are filtered regime beliefs, log_norms accumulate the
 observed-data log-likelihood. The recursions run in linear scale on evidence
-exponentiated once per batch against its per-step max. That evidence is
-folded into the forward transition stack, and the backward weights into the
-backward one, once per pass, so each time step is one matmul plus, going
-forward, a divide. The forward scale is checked against its floor once per
-block of steps, and a step whose scale underflows is redone in log space (see
+exponentiated once per batch against its per-step max. The forward pass is a
+blocked scan over chunks of steps, with the step-by-step sweep as the fallback
+for rows whose scale underflows; the backward pass is one matmul per step (see
 the batched recursions below). A dataset enters as one padded batch built by
 padded_inputs: the E-step (smooth_dataset) smooths it, and the evaluation
 filter (evaluation.filter_all) runs the forward pass on it.
@@ -41,37 +39,43 @@ class Posterior:
 
 # -- batched scaled recursions ------------------------------------------------
 # All cores take (B, T, K) evidence and (B, T-1, K, K) transition stacks, so a
-# whole dataset runs through numpy in lockstep in one time loop. Rows shorter
-# than T are padded past their end with log evidence 0 and identity
-# transitions: a padded step leaves the filtered belief unchanged and keeps
-# the backward message at exactly 1, so each row's own steps compute as in a
-# batch of one. _smooth_batch zeroes the padded log normalizers before the
-# backward pass, so a row's log-likelihood sums only its own steps.
-# padded_inputs builds these inputs for a whole dataset; there is no
-# single-trajectory entry point.
+# whole dataset runs through numpy in lockstep. Rows shorter than T are padded
+# past their end with log evidence 0 and identity transitions: a padded step
+# leaves the filtered belief unchanged and keeps the backward message at
+# exactly 1, so each row's own steps compute as in a batch of one.
+# _smooth_batch zeroes the padded log normalizers before the backward pass, so
+# a row's log-likelihood sums only its own steps. padded_inputs builds these
+# inputs for a whole dataset; there is no single-trajectory entry point.
 #
 # The recursions run in linear scale (Rabiner 1989). The evidence is
 # exponentiated once per batch against its per-step max over regimes,
-# E[b, t] = exp(ev[b, t] - max_k ev[b, t]), and log_norms = log S + max_k ev
-# after the forward loop, S being each step's scale. Each pass folds what it
-# can into a time-major transition stack before its loop, so a step is a
-# fixed number of numpy calls whatever B and K are: one matmul and, going
-# forward, a divide; the floor check on S runs once per _BLOCK steps. Both
-# stacks are local to their pass, so neither is alive when _smooth_batch
-# forms xi. Messages are (K, 1) columns for the forward and (1, K) rows for
-# the backward matmuls.
+# E[b, t] = exp(ev[b, t] - max_k ev[b, t]), and log_norms = log S + max_k ev,
+# S being each step's scale. Going forward, step t multiplies the belief by
+# M_t = E[:, t, :, None] * trans[:, t-1]. Matrix products are associative, so
+# _forward_batch regroups that recursion into chunks (Hassan, Särkkä &
+# García-Fernández, "Temporal Parallelization of Inference in Hidden Markov
+# Models", 2021; Blelloch's prefix sums, over time): a T-step pass takes about
+# _CHUNK + T / _CHUNK numpy steps instead of T. The backward pass folds its
+# weights into the transitions once and runs one matmul per step. Each stack
+# is local to its pass, so neither is alive when _smooth_batch forms xi.
 
-# A row whose scale S falls below this at some step is recomputed for that
-# step in log space from its prediction trans @ alpha, with the joint max of
-# log prediction and evidence. That keeps steps alive whose predicted mass
+# A row whose scale S falls below this at some step leaves the scan for the
+# sweep, which recomputes that step in log space from its prediction trans @
+# alpha, with the joint max of log prediction and evidence. That keeps steps alive whose predicted mass
 # sits hundreds of nats below the best evidence, where S underflows, and
 # raises on degenerate steps: +inf evidence (S is NaN) or every predicted
 # regime impossible (S is 0).
 _S_FLOOR = 1e-200
 
-# Steps per forward block. The floor is checked once per block; the steps
-# after a rescued one are redone, so a rescue wastes at most one block.
+# Steps per forward block of the sequential sweep. The floor is checked once
+# per block; the steps after a rescued one are redone, so a rescue wastes at
+# most one block.
 _BLOCK = 32
+
+# Steps per chunk of the forward scan. Fixed, never derived from T: a row's
+# chunks then start at the same steps whatever the batch's longest row, so its
+# result does not depend on T_max or on its batch neighbours.
+_CHUNK = 16
 
 
 def _rescue_rows(t, rows, pred, ev_t, u):
@@ -91,8 +95,9 @@ def _rescue_rows(t, rows, pred, ev_t, u):
     return rows, np.log(c[:, 0]) + m[:, 0]
 
 
-def _forward_batch(ev, trans, pi):
-    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T).
+def _forward_sequential(ev, trans, pi, rows):
+    """Filtered beliefs alpha (R, T, K) and log normalizers (R, T) of the
+    batch rows `rows` (R,) alone, by the step-by-step sweep.
 
     Rows 0..K-1 of the stack G[t-1] are E[:, t, :, None] * trans[:, t-1] and
     row K their column sums, so step t > 0 is one matmul, U[t] = G[t-1] @
@@ -100,20 +105,25 @@ def _forward_batch(ev, trans, pi):
     then alpha[t] = U[t, :, :K] / S. Once per block of _BLOCK steps, S is
     checked against _S_FLOOR. At the block's first step with a row whose S
     is below it or NaN, those rows go to _rescue_rows with their prediction
-    trans @ alpha, and the sweep resumes after that step."""
-    B, T, K = ev.shape
-    top = ev.max(axis=2)                                   # (B, T)
+    trans @ alpha, and the sweep resumes after that step. _rescue_rows reads
+    and writes batch rows, so it gets the batch's evidence and a batch-sized
+    step stack, whose rescued rows are copied back."""
+    B = len(ev)
+    ev_batch = ev
+    ev, trans = ev[rows], trans[rows]
+    R, T, K = ev.shape
+    top = ev.max(axis=2)                                   # (R, T)
     with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
         E = ev - top[:, :, None]
-        E = np.exp(E, out=E).transpose(1, 0, 2)[..., None]  # (T, B, K, 1)
-    G = np.empty((T - 1, B, K + 1, K))
+        E = np.exp(E, out=E).transpose(1, 0, 2)[..., None]  # (T, R, K, 1)
+    G = np.empty((T - 1, R, K + 1, K))
     np.multiply(E[1:], trans.transpose(1, 0, 2, 3), out=G[:, :, :K])
     np.matmul(np.ones((1, K)), G[:, :, :K], out=G[:, :, K:])   # column sums
-    U = np.empty((T, B, K + 1, 1))
+    U = np.empty((T, R, K + 1, 1))
     np.multiply(np.reshape(pi, (K, 1)), E[0], out=U[0, :, :K])
     np.sum(U[0, :, :K], axis=1, out=U[0, :, K])
-    num, S = U[:, :, :K], U[:, :, K:]                      # S[t] is (B, 1, 1)
-    alpha = np.empty((T, B, K, 1))
+    num, S = U[:, :, :K], U[:, :, K:]                      # S[t] is (R, 1, 1)
+    alpha = np.empty((T, R, K, 1))
     rescued = []
     t0 = 0
     while t0 < T:
@@ -126,17 +136,89 @@ def _forward_batch(ev, trans, pi):
         if not S[t0:t1].min() >= _S_FLOOR:                 # also catches NaN
             ok = S[t0:t1, :, 0, 0] >= _S_FLOOR
             t = t0 + int(np.argmin(ok.all(axis=1)))        # first failing step
-            rows = np.flatnonzero(~ok[t - t0])
-            pred = (np.matmul(trans[rows, t - 1], alpha[t - 1, rows])[:, :, 0] if t > 0
-                    else np.broadcast_to(pi, (len(rows), K)))
-            rescued.append((t, *_rescue_rows(t, rows, pred, ev[:, t], U[t])))
+            bad = np.flatnonzero(~ok[t - t0])
+            pred = (np.matmul(trans[bad, t - 1], alpha[t - 1, bad])[:, :, 0] if t > 0
+                    else np.broadcast_to(pi, (len(bad), K)))
+            u = np.empty((B, K + 1, 1))
+            _, log_c = _rescue_rows(t, rows[bad], pred, ev_batch[:, t], u)
+            U[t, bad] = u[rows[bad]]
+            rescued.append((t, bad, log_c))
             np.divide(num[t], S[t], out=alpha[t])
             t1 = t + 1                                     # redo the steps after it
         t0 = t1
     log_norms = np.log(S[:, :, 0, 0].T) + top
-    for t, rows, log_c in rescued:
-        log_norms[rows, t] = log_c
-    return np.ascontiguousarray(alpha[:, :, :, 0].transpose(1, 0, 2)), log_norms
+    for t, bad, log_c in rescued:
+        log_norms[bad, t] = log_c
+    return alpha[:, :, :, 0].transpose(1, 0, 2), log_norms
+
+
+def _forward_batch(ev, trans, pi):
+    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T), by the
+    blocked scan.
+
+    The stack P holds M_t = E[:, t, :, None] * trans[:, t-1] for t = 1..T-1,
+    padded with identities to C chunks of L = _CHUNK steps: P[:, c, l] is
+    step t = c*L + l + 1. L numpy steps overwrite it in place with the
+    chunks' normalized prefix products, P[:, c, l] = M_t @ P[:, c, l-1] /
+    n_cl, n_cl being the sum of the product's entries. A loop of C steps
+    gives each chunk's starting belief, ab[:, c+1] ~ P[:, c, -1] @ ab[:, c]
+    with ab[:, 0] = alpha[:, 0], and one matmul every unnormalized belief,
+    V[:, c, l] = P[:, c, l] @ ab[:, c], so alpha at step t is V / sum V. The
+    scale of step t is S_t = n_cl * sum V[:, c, l] / sum V[:, c, l-1],
+    with sum V[:, c, -1] = 1 (ab is normalized).
+
+    A row with any S, sum V or n below _S_FLOOR, or NaN, is redone by
+    _forward_sequential, apart from the rows the scan served. S below the
+    floor marks a step that sweep redoes in log space, NaN a degenerate one
+    it raises on (+inf evidence, or no possible regime); sum V or n below it
+    means the products went subnormal, so a scale derived from them lost its
+    precision."""
+    B, T, K = ev.shape
+    C, L = -(-(T - 1) // _CHUNK), _CHUNK
+    top = ev.max(axis=2)                                   # (B, T)
+    with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
+        E = ev - top[:, :, None]
+        E = np.exp(E, out=E)
+    V = np.empty((B, C * L + 1, K))                        # V[:, t]: step t
+    np.multiply(pi, E[:, 0], out=V[:, 0])
+    P = np.empty((B, C * L, K, K))
+    np.multiply(E[:, 1:, :, None], trans, out=P[:, :T - 1])
+    del E
+    P[:, T - 1:] = np.eye(K)
+    P = P.reshape(B, C, L, K, K)
+    n = np.empty((L, B, C))                                # n_cl, step-major
+    step = np.empty((B, C, K, K))                          # contiguous: fast sums
+    ab = np.empty((B, C, K, 1))
+    with np.errstate(all="ignore"):                        # bad rows: caught below
+        for l in range(L):
+            if l:
+                np.matmul(P[:, :, l], P[:, :, l - 1], out=step)
+            else:
+                step[...] = P[:, :, 0]
+            np.sum(step.reshape(B * C, K * K), axis=1, out=n[l].reshape(B * C))
+            np.divide(step, n[l, :, :, None, None], out=P[:, :, l])
+        for c in range(C):
+            if c:
+                np.matmul(P[:, c - 1, -1], ab[:, c - 1], out=ab[:, c])
+            else:
+                ab[:, 0, :, 0] = V[:, 0]
+            ab[:, c] /= ab[:, c].sum(axis=1, keepdims=True)
+        np.matmul(P.reshape(B, C, L * K, K), ab, out=V[:, 1:].reshape(B, C, L * K, 1))
+        del P                                              # the fallback folds its own
+        sums = V[:, :T].sum(axis=2)                        # (B, T)
+        prev = np.ones((B, C * L + 1))                     # sum V of the step before
+        prev[:, 1:T] = sums[:, :-1]
+        prev[:, 1::L] = 1.0                                # a chunk's first step: sum ab
+        n_step = np.ones((B, T))
+        n_step[:, 1:] = n.transpose(1, 2, 0).reshape(B, -1)[:, :T - 1]
+        S = n_step * sums / prev[:, :T]
+        log_norms = np.log(S) + top
+        alpha = V[:, :T] / sums[:, :, None]
+    ok = np.all((S >= _S_FLOOR) & (sums >= _S_FLOOR) & (n_step >= _S_FLOOR), axis=1)
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        alpha[bad], log_norms[bad] = _forward_sequential(ev, trans, pi, bad)
+    return alpha, log_norms
 
 
 def _backward_batch(ev, trans, log_norms, alpha):
@@ -215,8 +297,9 @@ def smooth_dataset(model: HybridModel, dataset: Dataset):
 
     Padding to the longest length T_max holds B * T_max * K^2 floats of
     transitions and as many of xi; equal-length datasets are not padded.
-    Each pass holds one more stack of that size (the forward K+1 rows) only
-    while it runs.
+    Each pass holds one more stack of that size only while it runs: the
+    forward one, rounded up to whole chunks of _CHUNK steps, holds the folded
+    transitions and then, in place, their prefix products.
     """
     ev, trans, pad = padded_inputs(model, dataset)
     gamma, xi, loglik = _smooth_batch(ev, trans, model.init.pi, pad)

@@ -446,7 +446,9 @@ def test_runtime_errors_exit_two(tmp_path):
 @pytest.mark.parametrize("case", ["fit-manifest-id", "eval-dims", "rollout-open-loop",
                                   "rollout-dims", "simulate-ball-expert",
                                   "rollout-ball-expert", "fit-manifest-repeated-id",
-                                  "fit-data-repeated-id", "fit-deep-states"])
+                                  "fit-data-repeated-id", "fit-deep-states",
+                                  "fit-manifest-nested-id", "fit-manifest-object-id",
+                                  "fit-manifest-no-split", "fit-manifest-empty-split"])
 def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
     data, ball = tmp_path / "d", tmp_path / "ball"
     _simulate_small(data)
@@ -454,12 +456,21 @@ def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
     manifest, repeated = tmp_path / "splits.json", tmp_path / "repeated.json"
     save_manifest(manifest, [["nope"]])
     first = (data / "train.ndjson").read_text().splitlines()[0]
-    save_manifest(repeated, [[json.loads(first)["id"]] * 2])
+    first_id = json.loads(first)["id"]
+    save_manifest(repeated, [[first_id] * 2])
     twice, deep = tmp_path / "twice.ndjson", tmp_path / "deep.ndjson"
     twice.write_text(f"{first}\n{first}\n")
     # (T, 2, 1) states: one column per state entry
     deep.write_text(json.dumps({"id": "a", "dt": 0.1, "xs": [[[0.0], [1.0]]] * 3,
                                 "us": [[0.0]] * 3}) + "\n")
+    for name, splits in [("nested-id", [[["a"]]]), ("object-id", [[first_id], [{"x": 1}]]),
+                         ("no-split", []), ("empty-split", [[]])]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({"splits": splits}))
+
+    def fit_on(manifest_name):
+        return ["fit", "--data", str(data / "train.ndjson"),
+                "--manifest", str(tmp_path / f"{manifest_name}.json")]
+
     open_loop, closed = tmp_path / "open.json", tmp_path / "closed.json"
     save_model(open_loop, random_model(K=2, d_x=2, d_u=1))
     save_model(closed, _closed_loop_model([np.array([[0.0, 0.0]])], d_x=2))
@@ -483,6 +494,13 @@ def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
                                  "dataset holds ids more than once"),
         "fit-deep-states": (["fit", "--data", str(deep)],
                             f"{deep}: line 1: xs must hold (T, d_x) states, got shape (3, 2, 1)"),
+        "fit-manifest-nested-id": (fit_on("nested-id"),
+                                   "manifest split 0 must be a non-empty list of string ids"),
+        "fit-manifest-object-id": (fit_on("object-id"),
+                                   "manifest split 1 must be a non-empty list of string ids"),
+        "fit-manifest-no-split": (fit_on("no-split"), "manifest 'splits' holds no split"),
+        "fit-manifest-empty-split": (fit_on("empty-split"),
+                                     "manifest split 0 must be a non-empty list of string ids"),
     }[case]
     out = tmp_path / "out"
     assert _run(*argv, "--out-dir", str(out)) == EXIT_RUNTIME

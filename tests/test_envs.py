@@ -531,3 +531,16 @@ def test_load_manifest_rejects_malformed_documents(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="'splits'"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("splits, message", [
+    ([], "manifest 'splits' holds no split"),
+    ([[]], "manifest split 0 must be a non-empty list of string ids"),
+    ([["a"], [["a"]]], "manifest split 1 must be a non-empty list of string ids"),
+    ([["a", {"x": 1}]], "manifest split 0 must be a non-empty list of string ids"),
+    ([["a"], ["b"], [3]], "manifest split 2 must be a non-empty list of string ids")])
+def test_load_manifest_names_the_bad_split(tmp_path, splits, message):
+    path = tmp_path / "splits.json"
+    path.write_text(json.dumps({"splits": splits}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_manifest(path)

@@ -1,16 +1,19 @@
-"""Lint check without a lint package: every imported name is used.
+"""Lint checks without a lint package: every imported name is used, and the
+library depends on numpy alone.
 
-Scans the library modules (not the package __init__, whose imports are its
-exports), the test files and the benchmark's files. An import line carrying
-'# noqa' is exempt.
+The unused-import check scans the library modules (not the package __init__,
+whose imports are its exports), the test files and the benchmark's files. An
+import line carrying '# noqa' is exempt.
 """
 import ast
 import pathlib
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([p for p in (ROOT / "src" / "rarhmm").glob("*.py") if p.name != "__init__.py"]
+LIBRARY = sorted((ROOT / "src" / "rarhmm").glob("*.py"), key=str)
+FILES = sorted([p for p in LIBRARY if p.name != "__init__.py"]
                + list((ROOT / "tests").glob("*.py")) + list((ROOT / "bench").glob("*.py")),
                key=str)
 
@@ -63,3 +66,32 @@ def test_every_export_exists_once():
     missing = [name for name in rarhmm.__all__ if not hasattr(rarhmm, name)]
     repeated = sorted({name for name in rarhmm.__all__ if rarhmm.__all__.count(name) > 1})
     assert (missing, repeated) == ([], [])
+
+
+def foreign_imports(source: str) -> list:
+    """(line, top-level module) of each absolute import outside the standard
+    library, numpy and rarhmm itself; relative imports stay in the package."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rarhmm"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, top) for top in (n.split(".")[0] for n in names)
+                  if top not in allowed]
+    return found
+
+
+def test_the_check_finds_foreign_imports():
+    src = ("import os.path\nimport numpy as np\nfrom numpy.lib import stride_tricks\n"
+           "from . import model\nimport scipy.linalg\nfrom pandas import DataFrame\n"
+           "def f():\n    import yaml\n")
+    assert foreign_imports(src) == [(5, "scipy"), (6, "pandas"), (8, "yaml")]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []

@@ -445,16 +445,18 @@ def test_blocked_forward_matches_per_step_checked_loop(rescued):
     assert rescued == want_rescued
     assert np.array_equal(alpha, want[0])
     assert np.array_equal(log_norms, want[1])
-    # and a batch without rescues, longer than several blocks
+    # and a batch without rescues, longer than several blocks: the scan serves
+    # it, so it agrees with the log-domain reference to rounding
     m = random_model(K=4, d_x=2, d_u=1, kind="linear", seed=3)
     ds = random_dataset(m, n=2, T=3 * n + 1, seed=3)
     evs, transs = zip(*(local_quantities(m, t) for t in ds.trajectories))
     ev, trans = np.stack(evs), np.stack(transs)
     rescued.clear()
     got = _forward_batch(ev, trans, m.init.pi)
-    want = reference_checked_forward_batch(ev, trans, m.init.pi)
+    want = reference_forward_batch(ev, trans, m.init.pi)
     assert rescued == []
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
 
 
 def test_blocked_forward_raises_on_degenerate_steps_mid_block():
@@ -474,6 +476,137 @@ def test_blocked_forward_raises_on_degenerate_steps_mid_block():
         forward_pass(ev, trans, pi)
 
 
+# -- blocked scan: chunk edges, per-row fallback, degenerate steps ------------
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The batch rows of every call to the sequential fallback."""
+    calls = []
+    sweep = inference._forward_sequential
+
+    def spy(ev, trans, pi, rows):
+        calls.append(rows.tolist())
+        return sweep(ev, trans, pi, rows)
+
+    monkeypatch.setattr(inference, "_forward_sequential", spy)
+    return calls
+
+
+def _padded_batch(rows):
+    """One padded batch of (ev, trans) rows, padded as padded_inputs pads."""
+    T = max(len(ev) for ev, _ in rows)
+    K = rows[0][0].shape[1]
+    ev = np.zeros((len(rows), T, K))
+    trans = np.tile(np.eye(K), (len(rows), T - 1, 1, 1))
+    for b, (e, tr) in enumerate(rows):
+        ev[b, :len(e)], trans[b, :len(e) - 1] = e, tr
+    return ev, trans
+
+
+def test_scan_matches_log_domain_reference_at_chunk_edges(swept):
+    # each row ends at a different place relative to the chunks: inside the
+    # first, at its end, one step into the second, inside the fourth
+    n = inference._CHUNK
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=50)
+    rows = [local_quantities(m, random_trajectory(m, T=T, seed=50 + i)[0])
+            for i, T in enumerate([2, n, n + 1, 3 * n + 5])]
+    ev, trans = _padded_batch(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, log_norms = _forward_batch(ev, trans, m.init.pi)
+    assert swept == []
+    for b, (e, tr) in enumerate(rows):
+        T = len(e)
+        ref_alpha, ref_norms = reference_forward_batch(e[None], tr[None], m.init.pi)
+        np.testing.assert_allclose(alpha[b, :T], ref_alpha[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_norms[b, :T], ref_norms[0], rtol=1e-12, atol=0)
+        alone = _forward_batch(e[None], tr[None], m.init.pi)
+        assert np.array_equal(alpha[b, :T], alone[0][0])
+        assert np.array_equal(log_norms[b, :T], alone[1][0])
+
+
+def test_scan_redoes_only_the_failing_row(rescued, swept):
+    # row 1 is rescued inside the second chunk; rows 0 and 2, one shorter and
+    # one longer, are served by the scan
+    n = inference._CHUNK
+    t = n + 5
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=51)
+    e1, tr1, pi = _unreachable_instance(T=2 * n + 3, seed=51)
+    e1[t] = [-600.0, -601.5, 0.0]
+    rows = [local_quantities(m, random_trajectory(m, T=n + 3, seed=52)[0]), (e1, tr1),
+            local_quantities(m, random_trajectory(m, T=3 * n, seed=53)[0])]
+    ev, trans = _padded_batch(rows)
+    alpha, log_norms = _forward_batch(ev, trans, pi)
+    assert swept == [[1]] and rescued == [(t, [1])]
+    want = reference_checked_forward_batch(e1[None], tr1[None], pi)
+    assert np.array_equal(alpha[1, :len(e1)], want[0][0])
+    assert np.array_equal(log_norms[1, :len(e1)], want[1][0])
+    assert alpha[1, t, 2] == 0.0                 # the unreachable regime keeps no mass
+    swept.clear()
+    for b in (0, 2):
+        e, tr = rows[b]
+        alone = _forward_batch(e[None], tr[None], pi)
+        assert np.array_equal(alpha[b, :len(e)], alone[0][0])
+        assert np.array_equal(log_norms[b, :len(e)], alone[1][0])
+    assert swept == []
+
+
+def _subnormal_instance(which):
+    """(ev, trans, pi) where every step's scale clears the floor, but the scan
+    would derive one from a subnormal number and lose its precision.
+
+    "sums": two absorbing regimes, all belief on the one the evidence
+    disfavours by 740 / _CHUNK nats a step. A chunk's products carry that
+    belief as a share e^(-740 (l+1) / _CHUNK) of their mass: e^-740 at the
+    chunk's last step. "normalizer": three absorbing regimes, the belief on
+    regime 0, disfavoured by 92 nats a step; at step 5 the evidence rules
+    out regime 1, which held the products' mass, so their normalizer is
+    e^-736."""
+    if which == "sums":
+        T = 2 * inference._CHUNK + 1
+        ev = np.tile([-740.0 / inference._CHUNK, 0.0], (T, 1))
+        pi = np.array([1.0, 0.0])
+    else:
+        T = 6
+        ev = np.tile([-92.0, 0.0, -1000.0], (T, 1))
+        ev[0] = [0.0, 0.0, -1000.0]
+        ev[5] = [-368.0, -1000.0, 0.0]
+        pi = np.array([1.0, 0.0, 0.0])
+    K = len(pi)
+    return ev, np.tile(np.eye(K), (T - 1, 1, 1)), pi
+
+
+@pytest.mark.parametrize("which", ["sums", "normalizer"])
+def test_scan_hands_rows_with_subnormal_products_to_the_sweep(rescued, swept, which):
+    ev, trans, pi = _subnormal_instance(which)
+    alpha, log_norms, _ = forward_pass(ev, trans, pi)
+    assert swept == [[0]] and rescued == []
+    ref_alpha, ref_norms = reference_forward_batch(ev[None], trans[None], pi)
+    np.testing.assert_allclose(alpha, ref_alpha[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(log_norms, ref_norms[0], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 5])
+@pytest.mark.parametrize("kind", ["inf", "impossible"])
+def test_scan_raises_on_degenerate_steps_at_chunk_edges(offset, kind):
+    # t = _CHUNK is the last step of the first chunk, whose belief starts the
+    # second; t = _CHUNK + 1 is the second chunk's first step
+    t = inference._CHUNK + offset
+    ev, trans, pi = _unreachable_instance(T=3 * inference._CHUNK)
+    if kind == "inf":
+        ev[t, 1] = np.inf
+    else:
+        ev[t] = [-np.inf, -np.inf, 0.0]
+    with pytest.raises(FloatingPointError, match=f"at step {t}$"):
+        forward_pass(ev, trans, pi)
+    # next to a row the scan serves
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=54)
+    ev2, trans2 = _padded_batch([local_quantities(m, random_trajectory(m, T=20, seed=54)[0]),
+                                 (ev, trans)])
+    with pytest.raises(FloatingPointError, match=f"at step {t}$"):
+        _forward_batch(ev2, trans2, pi)
+
+
 def test_smoothing_peak_memory_is_bounded():
     # the folded forward and backward stacks must be gone before xi and the
     # log transitions are formed: the E-step's peak stays within 3.5 times
@@ -488,3 +621,19 @@ def test_smoothing_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * (4 * 499 * 5 * 5 * 8)
+
+
+def test_filter_peak_memory_is_bounded():
+    # the scan's prefix products overwrite its folded stack: besides the
+    # input transitions, filter_all holds one more (B, T-1, K, K) stack and a
+    # few arrays of the beliefs' size, (B, T, K)
+    m = random_model(K=5, d_x=2, d_u=1, kind="linear", seed=0)
+    ds = random_dataset(m, n=4, T=500, seed=0)
+    filter_all(m, ds)
+    tracemalloc.start()
+    try:
+        filter_all(m, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (4 * 499 * 5 * 5 * 8) + 5 * (4 * 500 * 5 * 8)
