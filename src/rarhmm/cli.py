@@ -290,6 +290,9 @@ def cmd_eval(cfg: dict, parser: _Parser) -> int:
         parser.error("--horizons must be a comma-separated integer list")
     if not horizons or min(horizons) < 1:
         parser.error("--horizons must be positive integers")
+    for h in horizons:
+        if horizons.count(h) > 1:
+            parser.error(f"--horizons gives horizon {h} more than once")
     test = load_dataset(cfg["test"])
     models_by_tag = {tag: [load_model(p) for p in paths]
                      for tag, paths in _expand_model_specs(cfg["model"]).items()}

@@ -37,7 +37,9 @@ def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
     and entries past its end repeat its last belief (to rounding). The pass
     also holds one stack of B * (T_max-1) * K * K floats, rounded up to whole
     chunks of inference._CHUNK steps: the folded transitions, overwritten in
-    place by their prefix products."""
+    place by their prefix products. Rows scanned again from a step where
+    their scale underflowed hold a stack of inference._WINDOW steps each,
+    once that stack is freed."""
     ev, trans, _ = padded_inputs(model, dataset)
     return _forward_batch(ev, trans, model.init.pi)[0]
 
@@ -212,6 +214,8 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     normalizer = dataset_normalizer(test)
     longest = max(traj.T for traj in test.trajectories)
     for h in horizons:
+        if horizons.count(h) > 1:
+            raise ValueError(f"horizon {h} is given more than once")
         if longest <= h:
             raise ValueError(f"no trajectory is longer than horizon {h}")
     hs = np.unique(horizons)

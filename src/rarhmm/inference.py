@@ -4,9 +4,9 @@ Messages are scaled, normalized per step, so likelihoods of any length stay
 finite: alpha_hat rows are filtered regime beliefs, log_norms accumulate the
 observed-data log-likelihood. The recursions run in linear scale on evidence
 exponentiated once per batch against its per-step max. The forward pass is a
-blocked scan over chunks of steps, with the step-by-step sweep as the fallback
-for rows whose scale underflows; the backward pass is one matmul per step (see
-the batched recursions below). A dataset enters as one padded batch built by
+prefix-product scan over chunks of steps, entered again at any step where a
+row's scale underflows; the backward pass is one matmul per step (see the
+batched recursions below). A dataset enters as one padded batch built by
 padded_inputs: the E-step (smooth_dataset) smooths it, and the evaluation
 filter (evaluation.filter_all) runs the forward pass on it.
 """
@@ -52,172 +52,133 @@ class Posterior:
 # E[b, t] = exp(ev[b, t] - max_k ev[b, t]), and log_norms = log S + max_k ev,
 # S being each step's scale. Going forward, step t multiplies the belief by
 # M_t = E[:, t, :, None] * trans[:, t-1]. Matrix products are associative, so
-# _forward_batch regroups that recursion into chunks (Hassan, Särkkä &
+# _scan regroups that recursion into chunks (Hassan, Särkkä &
 # García-Fernández, "Temporal Parallelization of Inference in Hidden Markov
 # Models", 2021; Blelloch's prefix sums, over time): a T-step pass takes about
 # _CHUNK + T / _CHUNK numpy steps instead of T. The backward pass folds its
 # weights into the transitions once and runs one matmul per step. Each stack
 # is local to its pass, so neither is alive when _smooth_batch forms xi.
 
-# A row whose scale S falls below this at some step leaves the scan for the
-# sweep, which recomputes that step in log space from its prediction trans @
-# alpha, with the joint max of log prediction and evidence. That keeps steps alive whose predicted mass
-# sits hundreds of nats below the best evidence, where S underflows, and
-# raises on degenerate steps: +inf evidence (S is NaN) or every predicted
-# regime impossible (S is 0).
+# A scan serves a row up to its first step whose scale, belief sum or product
+# normalizer is below this (see _scan).
 _S_FLOOR = 1e-200
-
-# Steps per forward block of the sequential sweep. The floor is checked once
-# per block; the steps after a rescued one are redone, so a rescue wastes at
-# most one block.
-_BLOCK = 32
 
 # Steps per chunk of the forward scan. Fixed, never derived from T: a row's
 # chunks then start at the same steps whatever the batch's longest row, so its
 # result does not depend on T_max or on its batch neighbours.
 _CHUNK = 16
 
-
-def _rescue_rows(t, rows, pred, ev_t, u):
-    """Redo step t in log space for the given rows from their predicted
-    beliefs pred (R, K): writes their normalized beliefs and a scale of 1 into
-    the step's unnormalized stack u (B, K+1, 1) and returns (rows, their log
-    normalizers)."""
-    with np.errstate(divide="ignore"):
-        la = np.log(pred) + ev_t[rows]
-    m = la.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise FloatingPointError(f"forward normalizer degenerate at step {t}")
-    e = np.exp(la - m)
-    c = e.sum(axis=1, keepdims=True)
-    u[rows, :-1, 0] = e / c
-    u[rows, -1] = 1.0
-    return rows, np.log(c[:, 0]) + m[:, 0]
+# Steps per restarted scan: its entry step and four chunks. Fixed, so a
+# restart costs the same whatever is left of the row.
+_WINDOW = 4 * _CHUNK + 1
 
 
-def _forward_sequential(ev, trans, pi, rows):
-    """Filtered beliefs alpha (R, T, K) and log normalizers (R, T) of the
-    batch rows `rows` (R,) alone, by the step-by-step sweep.
+def _scan(ev, trans, pred, start):
+    """Filtered beliefs alpha (R, W, K) and log normalizers (R, W) of R rows
+    of W steps entered at global steps start (R,) from predicted beliefs pred
+    (R, K), and how many leading steps of each row the scan serves.
 
-    Rows 0..K-1 of the stack G[t-1] are E[:, t, :, None] * trans[:, t-1] and
-    row K their column sums, so step t > 0 is one matmul, U[t] = G[t-1] @
-    alpha[t-1], giving the unnormalized belief and, in row K, its scale S;
-    then alpha[t] = U[t, :, :K] / S. Once per block of _BLOCK steps, S is
-    checked against _S_FLOOR. At the block's first step with a row whose S
-    is below it or NaN, those rows go to _rescue_rows with their prediction
-    trans @ alpha, and the sweep resumes after that step. _rescue_rows reads
-    and writes batch rows, so it gets the batch's evidence and a batch-sized
-    step stack, whose rescued rows are copied back."""
-    B = len(ev)
-    ev_batch = ev
-    ev, trans = ev[rows], trans[rows]
-    R, T, K = ev.shape
-    top = ev.max(axis=2)                                   # (R, T)
-    with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
-        E = ev - top[:, :, None]
-        E = np.exp(E, out=E).transpose(1, 0, 2)[..., None]  # (T, R, K, 1)
-    G = np.empty((T - 1, R, K + 1, K))
-    np.multiply(E[1:], trans.transpose(1, 0, 2, 3), out=G[:, :, :K])
-    np.matmul(np.ones((1, K)), G[:, :, :K], out=G[:, :, K:])   # column sums
-    U = np.empty((T, R, K + 1, 1))
-    np.multiply(np.reshape(pi, (K, 1)), E[0], out=U[0, :, :K])
-    np.sum(U[0, :, :K], axis=1, out=U[0, :, K])
-    num, S = U[:, :, :K], U[:, :, K:]                      # S[t] is (R, 1, 1)
-    alpha = np.empty((T, R, K, 1))
-    rescued = []
-    t0 = 0
-    while t0 < T:
-        t1 = min(t0 + _BLOCK, T)
-        with np.errstate(all="ignore"):                    # bad steps: caught below
-            for t in range(t0, t1):
-                if t > 0:
-                    np.matmul(G[t - 1], alpha[t - 1], out=U[t])
-                np.divide(num[t], S[t], out=alpha[t])
-        if not S[t0:t1].min() >= _S_FLOOR:                 # also catches NaN
-            ok = S[t0:t1, :, 0, 0] >= _S_FLOOR
-            t = t0 + int(np.argmin(ok.all(axis=1)))        # first failing step
-            bad = np.flatnonzero(~ok[t - t0])
-            pred = (np.matmul(trans[bad, t - 1], alpha[t - 1, bad])[:, :, 0] if t > 0
-                    else np.broadcast_to(pi, (len(bad), K)))
-            u = np.empty((B, K + 1, 1))
-            _, log_c = _rescue_rows(t, rows[bad], pred, ev_batch[:, t], u)
-            U[t, bad] = u[rows[bad]]
-            rescued.append((t, bad, log_c))
-            np.divide(num[t], S[t], out=alpha[t])
-            t1 = t + 1                                     # redo the steps after it
-        t0 = t1
-    log_norms = np.log(S[:, :, 0, 0].T) + top
-    for t, bad, log_c in rescued:
-        log_norms[bad, t] = log_c
-    return alpha[:, :, :, 0].transpose(1, 0, 2), log_norms
+    The entry step is the one place a belief is formed from a prediction,
+    V[:, 0] = pred * E[:, 0]. Where its scale is below _S_FLOOR it is formed
+    in log space, from log pred + ev[:, 0] and their joint max m, which
+    replaces the step's max evidence: that keeps a step alive whose predicted
+    mass sits hundreds of nats below the best evidence. A non-finite m, from
+    +inf evidence or no possible regime, raises naming the step.
 
+    The stack P holds M_t for t = 1..W-1, padded with identities to C chunks
+    of L = _CHUNK steps: P[:, c, l] is step t = c*L + l + 1. L numpy steps
+    overwrite it in place with the chunks' normalized prefix products,
+    P[:, c, l] = M_t @ P[:, c, l-1] / n_cl, n_cl being the sum of the
+    product's entries. A loop of C steps gives each chunk's starting belief,
+    ab[:, c+1] ~ P[:, c, -1] @ ab[:, c] with ab[:, 0] ~ V[:, 0], and one
+    matmul every unnormalized belief, V[:, c, l] = P[:, c, l] @ ab[:, c], so
+    alpha at step t is V / sum V. The scale of step t is S_t = n_cl *
+    sum V[:, c, l] / sum V[:, c, l-1], with sum V[:, c, -1] = 1.
 
-def _forward_batch(ev, trans, pi):
-    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T), by the
-    blocked scan.
-
-    The stack P holds M_t = E[:, t, :, None] * trans[:, t-1] for t = 1..T-1,
-    padded with identities to C chunks of L = _CHUNK steps: P[:, c, l] is
-    step t = c*L + l + 1. L numpy steps overwrite it in place with the
-    chunks' normalized prefix products, P[:, c, l] = M_t @ P[:, c, l-1] /
-    n_cl, n_cl being the sum of the product's entries. A loop of C steps
-    gives each chunk's starting belief, ab[:, c+1] ~ P[:, c, -1] @ ab[:, c]
-    with ab[:, 0] = alpha[:, 0], and one matmul every unnormalized belief,
-    V[:, c, l] = P[:, c, l] @ ab[:, c], so alpha at step t is V / sum V. The
-    scale of step t is S_t = n_cl * sum V[:, c, l] / sum V[:, c, l-1],
-    with sum V[:, c, -1] = 1 (ab is normalized).
-
-    A row with any S, sum V or n below _S_FLOOR, or NaN, is redone by
-    _forward_sequential, apart from the rows the scan served. S below the
-    floor marks a step that sweep redoes in log space, NaN a degenerate one
-    it raises on (+inf evidence, or no possible regime); sum V or n below it
-    means the products went subnormal, so a scale derived from them lost its
-    precision."""
-    B, T, K = ev.shape
-    C, L = -(-(T - 1) // _CHUNK), _CHUNK
-    top = ev.max(axis=2)                                   # (B, T)
+    A row is served up to its first step with S, sum V or n below _S_FLOOR,
+    or NaN: S underflowed there (0 if no regime is possible, NaN on +inf
+    evidence), for an entry step to handle; sum V or n below it means the
+    products went subnormal, so a scale derived from them lost precision."""
+    R, W, K = ev.shape
+    C, L = -(-(W - 1) // _CHUNK), _CHUNK
+    top = ev.max(axis=2)                                   # (R, W)
     with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
         E = ev - top[:, :, None]
         E = np.exp(E, out=E)
-    V = np.empty((B, C * L + 1, K))                        # V[:, t]: step t
-    np.multiply(pi, E[:, 0], out=V[:, 0])
-    P = np.empty((B, C * L, K, K))
-    np.multiply(E[:, 1:, :, None], trans, out=P[:, :T - 1])
+    V = np.empty((R, C * L + 1, K))                        # V[:, t]: step t
+    np.multiply(pred, E[:, 0], out=V[:, 0])
+    low = np.flatnonzero(~(V[:, 0].sum(axis=1) >= _S_FLOOR))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la = np.log(pred[low]) + ev[low, 0]
+    m = la.max(axis=1)
+    if not np.all(np.isfinite(m)):
+        t = start[low[~np.isfinite(m)]].min()
+        raise FloatingPointError(f"forward normalizer degenerate at step {t}")
+    V[low, 0] = np.exp(la - m[:, None])
+    top[low, 0] = m
+    P = np.empty((R, C * L, K, K))
+    np.multiply(E[:, 1:, :, None], trans, out=P[:, :W - 1])
     del E
-    P[:, T - 1:] = np.eye(K)
-    P = P.reshape(B, C, L, K, K)
-    n = np.empty((L, B, C))                                # n_cl, step-major
-    step = np.empty((B, C, K, K))                          # contiguous: fast sums
-    ab = np.empty((B, C, K, 1))
+    P[:, W - 1:] = np.eye(K)
+    P = P.reshape(R, C, L, K, K)
+    Pl, n = P.transpose(2, 0, 1, 3, 4), np.empty((L, R, C, 1, 1))   # Pl[l] = P[:, :, l]
+    step = np.empty((R, C, K, K))                          # contiguous: fast sums
+    step_sums, n_sums = step.reshape(R * C, K * K), n.reshape(L, R * C)
+    ab = np.empty((R, C, K, 1))
     with np.errstate(all="ignore"):                        # bad rows: caught below
         for l in range(L):
             if l:
-                np.matmul(P[:, :, l], P[:, :, l - 1], out=step)
+                np.matmul(Pl[l], Pl[l - 1], out=step)
             else:
-                step[...] = P[:, :, 0]
-            np.sum(step.reshape(B * C, K * K), axis=1, out=n[l].reshape(B * C))
-            np.divide(step, n[l, :, :, None, None], out=P[:, :, l])
+                np.copyto(step, Pl[0])
+            np.add.reduce(step_sums, axis=1, out=n_sums[l])
+            np.divide(step, n[l], out=Pl[l])
+        abc, last = ab.transpose(1, 0, 2, 3), Pl[-1].transpose(1, 0, 2, 3)   # [c]: chunk c
         for c in range(C):
             if c:
-                np.matmul(P[:, c - 1, -1], ab[:, c - 1], out=ab[:, c])
+                np.matmul(last[c - 1], abc[c - 1], out=abc[c])
             else:
-                ab[:, 0, :, 0] = V[:, 0]
-            ab[:, c] /= ab[:, c].sum(axis=1, keepdims=True)
-        np.matmul(P.reshape(B, C, L * K, K), ab, out=V[:, 1:].reshape(B, C, L * K, 1))
-        del P                                              # the fallback folds its own
-        sums = V[:, :T].sum(axis=2)                        # (B, T)
-        prev = np.ones((B, C * L + 1))                     # sum V of the step before
-        prev[:, 1:T] = sums[:, :-1]
+                abc[0, :, :, 0] = V[:, 0]
+            np.divide(abc[c], np.add.reduce(abc[c], axis=1, keepdims=True), out=abc[c])
+        np.matmul(P.reshape(R, C, L * K, K), ab, out=V[:, 1:].reshape(R, C, L * K, 1))
+        del P, Pl, last                                    # all views of the stack
+        sums = V[:, :W].sum(axis=2)                        # (R, W)
+        prev = np.ones((R, C * L + 1))                     # sum V of the step before
+        prev[:, 1:W] = sums[:, :-1]
         prev[:, 1::L] = 1.0                                # a chunk's first step: sum ab
-        n_step = np.ones((B, T))
-        n_step[:, 1:] = n.transpose(1, 2, 0).reshape(B, -1)[:, :T - 1]
-        S = n_step * sums / prev[:, :T]
+        n_step = np.ones((R, W))
+        n_step[:, 1:] = n_sums.T.reshape(R, -1)[:, :W - 1]
+        S = n_step * sums / prev[:, :W]
         log_norms = np.log(S) + top
-        alpha = V[:, :T] / sums[:, :, None]
-    ok = np.all((S >= _S_FLOOR) & (sums >= _S_FLOOR) & (n_step >= _S_FLOOR), axis=1)
-    bad = np.flatnonzero(~ok)
-    if len(bad):
-        alpha[bad], log_norms[bad] = _forward_sequential(ev, trans, pi, bad)
+        alpha = V[:, :W] / sums[:, :, None]
+    ok = (S >= _S_FLOOR) & (sums >= _S_FLOOR) & (n_step >= _S_FLOOR)
+    return alpha, log_norms, np.where(ok.all(axis=1), W, ok.argmin(axis=1))
+
+
+def _forward_batch(ev, trans, pi):
+    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T): one scan
+    of every row from step 0, entered from pi. A row not served to its end is
+    scanned again from its first step t not served, entered from the
+    prediction trans[t-1] @ alpha[t-1], over _WINDOW steps padded past T as
+    padded_inputs pads, until every row is served. A scan always serves its
+    entry step, so each moves a row on."""
+    B, T, K = ev.shape
+    alpha, log_norms, done = _scan(ev, trans, np.broadcast_to(pi, (B, K)), np.zeros(B, int))
+    rows = np.flatnonzero(done < T)
+    while len(rows):
+        t = done[rows]
+        pred = np.matmul(trans[rows, t - 1], alpha[rows, t - 1, :, None])[:, :, 0]
+        steps = t[:, None] + np.arange(_WINDOW)            # (R, _WINDOW)
+        inside, rr = steps < T, rows[:, None]
+        ev_w = np.where(inside[:, :, None], ev[rr, np.minimum(steps, T - 1)], 0.0)
+        trans_w = np.where(inside[:, 1:, None, None],
+                           trans[rr, np.minimum(steps[:, :-1], T - 2)], np.eye(K))
+        a, norms, served = _scan(ev_w, trans_w, pred, t)
+        r, i = np.nonzero(inside & (np.arange(_WINDOW) < served[:, None]))
+        alpha[rows[r], steps[r, i]] = a[r, i]
+        log_norms[rows[r], steps[r, i]] = norms[r, i]
+        done[rows] = t + served
+        rows = rows[done[rows] < T]
     return alpha, log_norms
 
 
@@ -299,7 +260,9 @@ def smooth_dataset(model: HybridModel, dataset: Dataset):
     transitions and as many of xi; equal-length datasets are not padded.
     Each pass holds one more stack of that size only while it runs: the
     forward one, rounded up to whole chunks of _CHUNK steps, holds the folded
-    transitions and then, in place, their prefix products.
+    transitions and then, in place, their prefix products. Rows scanned again
+    from a step the first scan could not serve hold a stack of _WINDOW steps
+    each, once that stack is freed.
     """
     ev, trans, pad = padded_inputs(model, dataset)
     gamma, xi, loglik = _smooth_batch(ev, trans, model.init.pi, pad)

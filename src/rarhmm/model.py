@@ -452,14 +452,22 @@ def model_to_dict(model: HybridModel) -> dict:
     return doc
 
 
+def _integer(block: dict, name: str, default=None) -> int:
+    """A size field of a model document block: a JSON integer, or default if absent."""
+    value = block[name] if default is None else block.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"model field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_from_dict(doc: dict) -> HybridModel:
     """Inverse of model_to_dict; a malformed document raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model document version {doc.get('version')!r}")
     try:
-        K, d_x, d_u = int(doc["K"]), int(doc["d_x"]), int(doc["d_u"])
+        if _integer(doc, "version") != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"unsupported model document version {doc['version']!r}")
+        K, d_x, d_u = _integer(doc, "K"), _integer(doc, "d_x"), _integer(doc, "d_u")
         init = InitialModel(pi=np.asarray(doc["pi"], dtype=float),
                             mu=_stacked(doc["init"], "mu"),
                             omega_cov=_stacked(doc["init"], "omega_cov"))
@@ -478,12 +486,12 @@ def model_from_dict(doc: dict) -> HybridModel:
             feature_params=np.asarray(tb["feature_params"], dtype=float),
             feat_mean=np.asarray(tb["standardizer"]["mean"], dtype=float),
             feat_std=np.asarray(tb["standardizer"]["std"], dtype=float),
-            degree=int(tb.get("degree", 1)),
-            hidden_units=int(tb.get("hidden_units", 0)),
+            degree=_integer(tb, "degree", 1),
+            hidden_units=_integer(tb, "hidden_units", 0),
         )
         controllers = None
         if doc.get("controllers") is not None:
-            lag, deg = int(doc.get("lag", 0)), int(doc.get("poly_degree", 1))
+            lag, deg = _integer(doc, "lag", 0), _integer(doc, "poly_degree", 1)
             ctl = doc["controllers"]
             # a d_u = 0 gain or sigma_cov is written as [], which loses its shape
             d_phi = controller_feature_dim(d_x, d_u, lag, deg)

@@ -166,6 +166,20 @@ def test_eval_rejects_a_repeated_model_tag(tmp_path, capsys):
     assert not ev.exists()
 
 
+def test_eval_rejects_a_repeated_horizon(tmp_path, capsys):
+    # it used to write the repeated horizon's row to report.csv twice
+    data = tmp_path / "d"
+    _simulate_small(data)
+    save_model(tmp_path / "a.json", random_model(K=2, d_x=2, d_u=1, seed=1))
+    ev = tmp_path / "ev"
+    with pytest.raises(SystemExit) as ei:
+        _run("eval", "--test", str(data / "test.ndjson"), "--model",
+             f"m={tmp_path}/a.json", "--horizons", "1,1,5", "--out-dir", str(ev))
+    assert ei.value.code == EXIT_USAGE
+    assert "--horizons gives horizon 1 more than once" in capsys.readouterr().err
+    assert not ev.exists()
+
+
 def test_distill_rollout_pipeline(tmp_path, capsys):
     demos = tmp_path / "demos"
     assert _run("simulate", "--env", "pendulum", "--policy", "expert",

@@ -110,9 +110,10 @@ def test_filter_all_agrees_with_prefixes():
 
 def test_filter_all_equals_per_trajectory_forward(monkeypatch):
     # a ragged B = 3 test set. Regime 2 has no initial mass and no way in, so
-    # evidence favouring it by 600 nats at the first step of the second
-    # forward block sends the middle row's scale below the floor there
-    n = inference._BLOCK
+    # evidence favouring it by 600 nats at the last step of the first chunk
+    # sends the middle row's scale below the floor there: only that row is
+    # scanned again, from that step
+    n = inference._CHUNK
     base = random_model(K=3, d_x=2, d_u=1, kind="stationary", seed=15)
     bias = np.array(base.transition.bias)
     bias[2] = -1000.0                           # exp underflows: exactly 0
@@ -130,17 +131,17 @@ def test_filter_all_equals_per_trajectory_forward(monkeypatch):
             ev[n] = [-600.0, -601.5, 0.0]
         return ev
 
-    rescued = []
-    rescue = inference._rescue_rows
+    scans = []
+    scan = inference._scan
 
-    def spy(t, rows, *args):
-        rescued.append((t, rows.tolist()))
-        return rescue(t, rows, *args)
+    def spy(ev, trans, pred, start):
+        scans.append(start.tolist())
+        return scan(ev, trans, pred, start)
 
     monkeypatch.setattr(inference, "log_local_evidence", evidence)
-    monkeypatch.setattr(inference, "_rescue_rows", spy)
+    monkeypatch.setattr(inference, "_scan", spy)
     alpha = filter_all(m, Dataset.from_trajectories(trajs))
-    assert rescued == [(n, [1])]
+    assert scans == [[0, 0, 0], [n]]
     assert alpha.shape == (3, 2 * n + 5, 3)
     assert alpha[1, n, 2] == 0.0
     for a, traj in zip(alpha, trajs):
@@ -381,12 +382,12 @@ def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
     assert [r["nmse"] for r in report.per_split[:len(horizons)]] == want
 
 
-@pytest.mark.parametrize("horizons", [(25, 1, 7, 10), (10, 1, 10, 3), (4,)])
+@pytest.mark.parametrize("horizons", [(25, 1, 7, 10), (10, 1, 12, 3), (4,)])
 @pytest.mark.parametrize("mode", ["marginal", "argmax"])
 def test_joint_forecast_equals_per_horizon_protocol(mode, horizons):
-    # unsorted and duplicate horizons; T = 9 falls between horizons 7 and
-    # 10, T = 26 passes 25 by one step, T = 3 is shorter than every horizon
-    # but 1
+    # unsorted horizons; T = 9 falls between horizons 7 and 10, T = 26 passes
+    # 25 by one step, T = 12 equals a horizon, T = 3 is shorter than every
+    # horizon but 1
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=21)
     trajs = [random_trajectory(m, T=T, seed=s)[0]
              for s, T in enumerate((40, 9, 26, 3, 12))]
@@ -432,6 +433,14 @@ def test_evaluate_errors():
         evaluate({"m": [m]}, test, horizons=[3, 12, 9, 10])
     with pytest.raises(ValueError, match="no trajectory is longer than horizon 10$"):
         evaluate({"m": [m]}, test, horizons=[10, 12])
+
+
+def test_evaluate_rejects_a_repeated_horizon():
+    # it used to score the horizon once per mention, each a row of the report
+    m = random_model(K=2, d_x=2, d_u=1, seed=9)
+    test = random_dataset(m, n=2, T=10, seed=9)
+    with pytest.raises(ValueError, match="horizon 1 is given more than once$"):
+        evaluate({"m": [m]}, test, horizons=[1, 5, 1])
 
 
 @pytest.mark.parametrize("other", [dict(K=3), dict(kind="stationary")])

@@ -14,7 +14,7 @@ from rarhmm.model import CLOSED_LOOP, Dataset, log_local_evidence
 from util import (backward_pass, brute_force_posterior, forward_pass,
                   local_quantities, logsumexp, random_dataset, random_model,
                   random_trajectory, reference_backward_batch,
-                  reference_checked_forward_batch, reference_forward_batch, smooth,
+                  reference_forward_batch, smooth,
                   viterbi)
 
 
@@ -195,7 +195,7 @@ def test_random_oracle_sweep():
         _assert_posterior_close(smooth(m, traj), brute_force_posterior(m, traj))
 
 
-# -- linear-scale forward core: rescue, degenerate steps, reference agreement --
+# -- forward scan: log-space entry, restarts, degenerate steps, reference -----
 
 def _reference_smooth(ev, trans, pi):
     """alpha, log_norms, log beta, gamma and xi of one trajectory from the
@@ -225,22 +225,44 @@ def _unreachable_instance(T=6, seed=0):
     return ev, trans, np.array([0.6, 0.4, 0.0])
 
 
+def _padded_batch(rows):
+    """One padded batch of (ev, trans) rows, padded as padded_inputs pads."""
+    T = max(len(ev) for ev, _ in rows)
+    K = rows[0][0].shape[1]
+    ev = np.zeros((len(rows), T, K))
+    trans = np.tile(np.eye(K), (len(rows), T - 1, 1, 1))
+    for b, (e, tr) in enumerate(rows):
+        ev[b, :len(e)], trans[b, :len(e) - 1] = e, tr
+    return ev, trans
+
+
+def _assert_rows_match_reference(alpha, log_norms, rows, pi):
+    """Each (ev, trans) row's own steps of a batch's forward pass agree with
+    the log-domain reference to rounding."""
+    for b, (e, tr) in enumerate(rows):
+        T = len(e)
+        ref_alpha, ref_norms = reference_forward_batch(e[None], tr[None], pi)
+        np.testing.assert_allclose(alpha[b, :T], ref_alpha[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_norms[b, :T], ref_norms[0], rtol=1e-12, atol=0)
+
+
 @pytest.fixture
-def rescued(monkeypatch):
-    """(step, rows) of every forward step redone in log space."""
+def scans(monkeypatch):
+    """The global entry steps, one list per call, of every scan the forward
+    pass runs: the first enters each row at step 0, each later one restarts
+    rows at their first step not yet served."""
     calls = []
-    rescue = inference._rescue_rows
+    scan = inference._scan
 
-    def spy(t, *args):
-        rows, log_c = rescue(t, *args)
-        calls.append((t, rows.tolist()))
-        return rows, log_c
+    def spy(ev, trans, pred, start):
+        calls.append(start.tolist())
+        return scan(ev, trans, pred, start)
 
-    monkeypatch.setattr(inference, "_rescue_rows", spy)
+    monkeypatch.setattr(inference, "_scan", spy)
     return calls
 
 
-def test_forward_rescue_matches_log_domain_reference(rescued):
+def test_forward_rescue_matches_log_domain_reference(scans):
     # pi = [1, 0]: all initial mass on the regime 1000 nats below the other
     ev2 = np.random.default_rng(1).normal(size=(5, 2))
     ev2[0] = [-1000.0, 0.0]
@@ -248,15 +270,34 @@ def test_forward_rescue_matches_log_domain_reference(rescued):
     ev3, trans3, pi3 = _unreachable_instance()
     ev3[0] = [-1000.0, -1001.5, 0.0]
     ev3[3] = [-900.0, -899.0, 0.0]
-    for ev, trans, pi, steps in [(ev2, trans2, np.array([1.0, 0.0]), [0]),
-                                 (ev3, trans3, pi3, [0, 3])]:
-        rescued.clear()
+    for ev, trans, pi, steps, want_scans in [
+            (ev2, trans2, np.array([1.0, 0.0]), [0], [[0]]),
+            (ev3, trans3, pi3, [0, 3], [[0], [3]])]:
+        scans.clear()
         alpha, log_norms, _ = forward_pass(ev, trans, pi)
-        assert rescued == [(t, [0]) for t in steps]
-        ref_alpha, ref_norms = reference_forward_batch(ev[None], trans[None], pi)
-        np.testing.assert_allclose(alpha, ref_alpha[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(log_norms, ref_norms[0], rtol=1e-12, atol=0)
+        assert scans == want_scans
+        _assert_rows_match_reference(alpha[None], log_norms[None], [(ev, trans)], pi)
         assert np.all(alpha[steps, -1] == 0.0)
+
+
+def test_first_step_ruled_out_by_pi_is_served_by_the_first_scan(scans):
+    # pi puts all its mass on regimes 0 and 1, which the first observation
+    # rules out by a thousand nats against regime 2: the entry step's linear
+    # scale underflows to 0, so the step is formed in log space, and the one
+    # scan from step 0 serves the whole row, across several chunks
+    T = 3 * inference._CHUNK + 5
+    ev = np.random.default_rng(4).normal(size=(T, 3))
+    ev[0] = [-1000.0, -1001.5, 0.0]
+    trans = np.tile(np.array([[0.8, 0.1, 0.3],
+                              [0.1, 0.8, 0.3],
+                              [0.1, 0.1, 0.4]]), (T - 1, 1, 1))
+    pi = np.array([0.6, 0.4, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, log_norms, _ = forward_pass(ev, trans, pi)
+    assert scans == [[0]]
+    assert alpha[0, 2] == 0.0 and log_norms[0] < -999.0
+    _assert_rows_match_reference(alpha[None], log_norms[None], [(ev, trans)], pi)
 
 
 def test_forward_raises_on_positive_infinite_evidence():
@@ -322,11 +363,11 @@ def test_backward_raises_on_other_overflow():
         _smooth_one(ev, trans, np.array([0.6, 0.4, 0.0, 0.0]))
 
 
-def test_row_results_do_not_depend_on_batch_neighbours(rescued):
-    # row 0 takes the linear path throughout; row 1 is longer and is rescued
-    # at steps 0 and 4, so row 0 is padded next to rescued steps. Row 1's
-    # evidence gaps stay below ~709 nats, where exp in the backward weights
-    # would overflow
+def test_row_results_do_not_depend_on_batch_neighbours(scans):
+    # row 0 takes the linear path throughout; row 1 is longer, formed in log
+    # space at step 0 and restarted at step 4, so row 0 is padded next to
+    # rescued steps. Row 1's evidence gaps stay below ~709 nats, where exp in
+    # the backward weights would overflow
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=12)
     traj, _ = random_trajectory(m, T=5, seed=12)
     ev0, trans0 = local_quantities(m, traj)
@@ -339,7 +380,7 @@ def test_row_results_do_not_depend_on_batch_neighbours(rescued):
     ev[1], trans[1] = ev1, trans1
     pad = np.arange(8) >= np.array([5, 8])[:, None]
     batch = _forward_batch(ev, trans, pi)
-    assert rescued == [(0, [1]), (4, [1])]
+    assert scans == [[0, 0], [4]]
     smoothed = _smooth_batch(ev, trans, pi, pad)
     for b, (e, tr) in enumerate([(ev0, trans0), (ev1, trans1)]):
         n = len(e)
@@ -382,128 +423,117 @@ def test_linear_scale_matches_log_domain_reference(K):
 
 
 def test_rescued_rows_get_their_prediction_at_a_later_step(monkeypatch):
-    # rows 1 and 2 are rescued at step 4, row 0 is not; rows 0 and 2 are
-    # padded. The rescue must see each rescued row's prediction trans @ alpha
-    # bit for bit, not a value derived from the folded stack
+    # rows 1 and 2 are restarted at step 4, row 0 is not; rows 0 and 2 are
+    # padded. The restart must be entered from each row's prediction trans @
+    # alpha bit for bit, not from a value derived from the folded stack
     seen = []
-    rescue = inference._rescue_rows
+    scan = inference._scan
 
-    def spy(t, rows, pred, *args):
-        seen.append((t, rows.copy(), pred.copy()))
-        return rescue(t, rows, pred, *args)
+    def spy(ev, trans, pred, start):
+        seen.append((start.tolist(), pred.copy()))
+        return scan(ev, trans, pred, start)
 
-    monkeypatch.setattr(inference, "_rescue_rows", spy)
+    monkeypatch.setattr(inference, "_scan", spy)
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=12)
     traj, _ = random_trajectory(m, T=5, seed=12)
     ev1, trans1, pi = _unreachable_instance(T=8, seed=12)
     ev1[4] = [-500.0, -499.0, 0.0]
     ev2, trans2, _ = _unreachable_instance(T=6, seed=13)
     ev2[4] = [-600.0, -601.5, 0.0]
-    ev = np.zeros((3, 8, 3))
-    trans = np.tile(np.eye(3), (3, 7, 1, 1))
-    ev[0, :5], trans[0, :4] = local_quantities(m, traj)
-    ev[1], trans[1] = ev1, trans1
-    ev[2, :6], trans[2, :5] = ev2, trans2
-    alpha, _ = _forward_batch(ev, trans, pi)
-    assert [(t, rows.tolist()) for t, rows, _ in seen] == [(4, [1, 2])]
-    t, rows, pred = seen[0]
-    want = np.matmul(trans[rows, t - 1], alpha[rows, t - 1][:, :, None])[:, :, 0]
-    assert np.array_equal(pred, want)
-    assert np.all(alpha[rows, t, -1] == 0.0)
+    rows = [local_quantities(m, traj), (ev1, trans1), (ev2, trans2)]
+    ev, trans = _padded_batch(rows)
+    alpha, log_norms = _forward_batch(ev, trans, pi)
+    assert [start for start, _ in seen] == [[0, 0, 0], [4, 4]]
+    t, restarted = 4, [1, 2]
+    want = np.matmul(trans[restarted, t - 1], alpha[restarted, t - 1][:, :, None])[:, :, 0]
+    assert np.array_equal(seen[1][1], want)
+    assert np.all(alpha[restarted, t, -1] == 0.0)
+    _assert_rows_match_reference(alpha, log_norms, rows, pi)
 
 
 def _padded_rescue_batch():
-    """A B = 3 padded batch of the unreachable-regime instance whose
-    evidence gaps force rescues at block edges and twice inside one block."""
-    n = inference._BLOCK
-    T = 3 * n + 5
-    lengths = [T, n + 18, 2 * n + 6]
-    steps = [[0, n - 1, n, 2 * n, T - 1],        # block edges and the last step
-             [n - 1, n + 8, n + 13],             # two inside the second block
-             [2 * n]]                            # shared with row 0
-    ev = np.zeros((3, T, 3))
-    trans = np.tile(np.eye(3), (3, T - 1, 1, 1))
+    """A B = 3 padded batch of the unreachable-regime instance whose evidence
+    gaps send the scale below the floor at step 0, inside chunks and at chunk
+    edges of the first scan, and inside, at chunk edges, at the entry step
+    and at the last step of restarted scans. Returns (rows, ev, trans, pi,
+    the entry steps of every scan)."""
+    n, w = inference._CHUNK, inference._WINDOW
+    T = 3 * w
+    a = 7
+    lengths = [T, T - 5, 2 * n + 6]
+    steps = [[0, n - 1, n, n + 5, 2 * n, T - 1],
+             # restarted at a; then at the last step of that scan's first
+             # chunk, the first step of the next scan's second chunk, the entry
+             # step of the scan after a whole one, and the last step of that
+             [a, a + n, a + 2 * n + 1, a + 2 * n + 1 + w, a + 2 * n + 1 + 2 * w - 1],
+             [2 * n]]                                     # shared with row 0
+    rows = []
     for b, (n_b, at) in enumerate(zip(lengths, steps)):
         e, tr, pi = _unreachable_instance(T=n_b, seed=40 + b)
         e[at] = [-600.0, -601.5, 0.0]
-        ev[b, :n_b], trans[b, :n_b - 1] = e, tr
-    return ev, trans, pi
+        rows.append((e, tr))
+    ev, trans = _padded_batch(rows)
+    # row 0 restarts where it fails, then runs whole scans from step 2n on,
+    # until it fails at its last step; row 1 likewise from step a. Row 2 runs
+    # whole scans from step 2n through its padding: the pass does not know
+    # where a padded row ends
+    want_scans = [[0, 0, 0], [n - 1, a, 2 * n], [n, a + n, 2 * n + w],
+                  [n + 5, a + 2 * n + 1, 2 * n + 2 * w], [2 * n, a + 2 * n + 1 + w],
+                  [2 * n + w, a + 2 * n + 2 * w], [2 * n + 2 * w], [T - 1]]
+    return rows, ev, trans, pi, want_scans
 
 
-def test_blocked_forward_matches_per_step_checked_loop(rescued):
-    n = inference._BLOCK
-    ev, trans, pi = _padded_rescue_batch()
-    T = ev.shape[1]
-    want = reference_checked_forward_batch(ev, trans, pi)
-    want_rescued = list(rescued)
-    assert want_rescued == [(0, [0]), (n - 1, [0, 1]), (n, [0]), (n + 8, [1]),
-                            (n + 13, [1]), (2 * n, [0, 2]), (T - 1, [0])]
-    rescued.clear()
+def test_restarts_match_log_domain_reference_at_chunk_edges(scans):
+    rows, ev, trans, pi, want_scans = _padded_rescue_batch()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         alpha, log_norms = _forward_batch(ev, trans, pi)
-    assert rescued == want_rescued
-    assert np.array_equal(alpha, want[0])
-    assert np.array_equal(log_norms, want[1])
-    # and a batch without rescues, longer than several blocks: the scan serves
-    # it, so it agrees with the log-domain reference to rounding
+    assert scans == want_scans
+    _assert_rows_match_reference(alpha, log_norms, rows, pi)
+    assert np.all(alpha[:, :, 2] == 0.0)            # the unreachable regime keeps no mass
+    for b, (e, tr) in enumerate(rows):
+        alone = _forward_batch(e[None], tr[None], pi)
+        assert np.array_equal(alpha[b, :len(e)], alone[0][0])
+        assert np.array_equal(log_norms[b, :len(e)], alone[1][0])
+    # and a batch without rescues, longer than several chunks: the first scan
+    # serves it
     m = random_model(K=4, d_x=2, d_u=1, kind="linear", seed=3)
-    ds = random_dataset(m, n=2, T=3 * n + 1, seed=3)
-    evs, transs = zip(*(local_quantities(m, t) for t in ds.trajectories))
-    ev, trans = np.stack(evs), np.stack(transs)
-    rescued.clear()
-    got = _forward_batch(ev, trans, m.init.pi)
-    want = reference_forward_batch(ev, trans, m.init.pi)
-    assert rescued == []
-    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
+    ds = random_dataset(m, n=2, T=5 * inference._CHUNK + 1, seed=3)
+    rows = [local_quantities(m, t) for t in ds.trajectories]
+    ev, trans = _padded_batch(rows)
+    scans.clear()
+    alpha, log_norms = _forward_batch(ev, trans, m.init.pi)
+    assert scans == [[0, 0]]
+    _assert_rows_match_reference(alpha, log_norms, rows, m.init.pi)
 
 
 def test_blocked_forward_raises_on_degenerate_steps_mid_block():
-    n = inference._BLOCK
-    t = n + n // 2 + 3                          # neither edge of its block
-    ev, trans, pi = _unreachable_instance(T=3 * n)
+    n, w = inference._CHUNK, inference._WINDOW
+    t = n + n // 2 + 3                          # neither edge of its chunk
+    ev, trans, pi = _unreachable_instance(T=3 * w)
     ev[t, 1] = np.inf
     with pytest.raises(FloatingPointError, match=f"at step {t}$"):
         forward_pass(ev, trans, pi)
-    ev, trans, pi = _unreachable_instance(T=3 * n)
+    ev, trans, pi = _unreachable_instance(T=3 * w)
     ev[t] = [-np.inf, -np.inf, 0.0]
     with pytest.raises(FloatingPointError, match=f"at step {t}$"):
         forward_pass(ev, trans, pi)
-    # a rescued step earlier in the same block does not hide a later one
+    # a rescued step earlier in the same chunk does not hide a later one
     ev[t - 2] = [-600.0, -601.5, 0.0]
     with pytest.raises(FloatingPointError, match=f"at step {t}$"):
         forward_pass(ev, trans, pi)
+    # nor does a restart at step a hide one inside its scan, at its chunk
+    # edges, at its last step, or at the entry step of the scan after it
+    a = 5
+    for bad in [a + 3, a + n, a + n + 1, a + w - 1, a + w]:
+        ev, trans, pi = _unreachable_instance(T=3 * w)
+        ev[a] = [-600.0, -601.5, 0.0]
+        ev[bad] = [-np.inf, -np.inf, 0.0]
+        with pytest.raises(FloatingPointError, match=f"at step {bad}$"):
+            forward_pass(ev, trans, pi)
 
 
-# -- blocked scan: chunk edges, per-row fallback, degenerate steps ------------
-
-@pytest.fixture
-def swept(monkeypatch):
-    """The batch rows of every call to the sequential fallback."""
-    calls = []
-    sweep = inference._forward_sequential
-
-    def spy(ev, trans, pi, rows):
-        calls.append(rows.tolist())
-        return sweep(ev, trans, pi, rows)
-
-    monkeypatch.setattr(inference, "_forward_sequential", spy)
-    return calls
-
-
-def _padded_batch(rows):
-    """One padded batch of (ev, trans) rows, padded as padded_inputs pads."""
-    T = max(len(ev) for ev, _ in rows)
-    K = rows[0][0].shape[1]
-    ev = np.zeros((len(rows), T, K))
-    trans = np.tile(np.eye(K), (len(rows), T - 1, 1, 1))
-    for b, (e, tr) in enumerate(rows):
-        ev[b, :len(e)], trans[b, :len(e) - 1] = e, tr
-    return ev, trans
-
-
-def test_scan_matches_log_domain_reference_at_chunk_edges(swept):
+def test_scan_matches_log_domain_reference_at_chunk_edges(scans):
     # each row ends at a different place relative to the chunks: inside the
     # first, at its end, one step into the second, inside the fourth
     n = inference._CHUNK
@@ -514,20 +544,17 @@ def test_scan_matches_log_domain_reference_at_chunk_edges(swept):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         alpha, log_norms = _forward_batch(ev, trans, m.init.pi)
-    assert swept == []
+    assert scans == [[0, 0, 0, 0]]
+    _assert_rows_match_reference(alpha, log_norms, rows, m.init.pi)
     for b, (e, tr) in enumerate(rows):
-        T = len(e)
-        ref_alpha, ref_norms = reference_forward_batch(e[None], tr[None], m.init.pi)
-        np.testing.assert_allclose(alpha[b, :T], ref_alpha[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(log_norms[b, :T], ref_norms[0], rtol=1e-12, atol=0)
         alone = _forward_batch(e[None], tr[None], m.init.pi)
-        assert np.array_equal(alpha[b, :T], alone[0][0])
-        assert np.array_equal(log_norms[b, :T], alone[1][0])
+        assert np.array_equal(alpha[b, :len(e)], alone[0][0])
+        assert np.array_equal(log_norms[b, :len(e)], alone[1][0])
 
 
-def test_scan_redoes_only_the_failing_row(rescued, swept):
-    # row 1 is rescued inside the second chunk; rows 0 and 2, one shorter and
-    # one longer, are served by the scan
+def test_scan_redoes_only_the_failing_row(scans):
+    # row 1 is restarted inside the second chunk; rows 0 and 2, one shorter
+    # and one longer, are served by the first scan
     n = inference._CHUNK
     t = n + 5
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=51)
@@ -537,53 +564,52 @@ def test_scan_redoes_only_the_failing_row(rescued, swept):
             local_quantities(m, random_trajectory(m, T=3 * n, seed=53)[0])]
     ev, trans = _padded_batch(rows)
     alpha, log_norms = _forward_batch(ev, trans, pi)
-    assert swept == [[1]] and rescued == [(t, [1])]
-    want = reference_checked_forward_batch(e1[None], tr1[None], pi)
-    assert np.array_equal(alpha[1, :len(e1)], want[0][0])
-    assert np.array_equal(log_norms[1, :len(e1)], want[1][0])
+    assert scans == [[0, 0, 0], [t]]
+    _assert_rows_match_reference(alpha[1:2], log_norms[1:2], rows[1:2], pi)
     assert alpha[1, t, 2] == 0.0                 # the unreachable regime keeps no mass
-    swept.clear()
     for b in (0, 2):
         e, tr = rows[b]
+        scans.clear()
         alone = _forward_batch(e[None], tr[None], pi)
+        assert scans == [[0]]
         assert np.array_equal(alpha[b, :len(e)], alone[0][0])
         assert np.array_equal(log_norms[b, :len(e)], alone[1][0])
-    assert swept == []
 
 
 def _subnormal_instance(which):
-    """(ev, trans, pi) where every step's scale clears the floor, but the scan
-    would derive one from a subnormal number and lose its precision.
+    """(ev, trans, pi, the first step the scan cannot serve) where every
+    step's scale clears the floor, but the scan would derive one from a
+    subnormal number and lose its precision.
 
     "sums": two absorbing regimes, all belief on the one the evidence
     disfavours by 740 / _CHUNK nats a step. A chunk's products carry that
-    belief as a share e^(-740 (l+1) / _CHUNK) of their mass: e^-740 at the
-    chunk's last step. "normalizer": three absorbing regimes, the belief on
-    regime 0, disfavoured by 92 nats a step; at step 5 the evidence rules
-    out regime 1, which held the products' mass, so their normalizer is
-    e^-736."""
+    belief as a share e^(-740 (l+1) / _CHUNK) of their mass: below the floor
+    from its tenth step, e^-740 at its last. "normalizer": three absorbing
+    regimes, the belief on regime 0, disfavoured by 92 nats a step; at step 5
+    the evidence rules out regime 1, which held the products' mass, so their
+    normalizer is e^-736."""
     if which == "sums":
         T = 2 * inference._CHUNK + 1
         ev = np.tile([-740.0 / inference._CHUNK, 0.0], (T, 1))
         pi = np.array([1.0, 0.0])
+        first = 10
     else:
         T = 6
         ev = np.tile([-92.0, 0.0, -1000.0], (T, 1))
         ev[0] = [0.0, 0.0, -1000.0]
         ev[5] = [-368.0, -1000.0, 0.0]
         pi = np.array([1.0, 0.0, 0.0])
+        first = 5
     K = len(pi)
-    return ev, np.tile(np.eye(K), (T - 1, 1, 1)), pi
+    return ev, np.tile(np.eye(K), (T - 1, 1, 1)), pi, first
 
 
 @pytest.mark.parametrize("which", ["sums", "normalizer"])
-def test_scan_hands_rows_with_subnormal_products_to_the_sweep(rescued, swept, which):
-    ev, trans, pi = _subnormal_instance(which)
+def test_scan_restarts_rows_with_subnormal_products(scans, which):
+    ev, trans, pi, first = _subnormal_instance(which)
     alpha, log_norms, _ = forward_pass(ev, trans, pi)
-    assert swept == [[0]] and rescued == []
-    ref_alpha, ref_norms = reference_forward_batch(ev[None], trans[None], pi)
-    np.testing.assert_allclose(alpha, ref_alpha[0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(log_norms, ref_norms[0], rtol=1e-12, atol=0)
+    assert scans[:2] == [[0], [first]]
+    _assert_rows_match_reference(alpha[None], log_norms[None], [(ev, trans)], pi)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 5])

@@ -632,3 +632,19 @@ def test_malformed_model_document_is_a_value_error(tmp_path, doc, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_model(path)
+
+
+@pytest.mark.parametrize("value", [1.9, 2.0, "2", True])
+@pytest.mark.parametrize("path", [("version",), ("K",), ("d_x",), ("d_u",), ("lag",),
+                                  ("poly_degree",), ("transition", "degree"),
+                                  ("transition", "hidden_units")])
+def test_model_document_size_fields_must_be_integers(path, value):
+    # a float, a string or a bool used to load truncated or converted
+    # ("d_u": 1.9 as 1, "K": "3" as 3)
+    doc = _valid_model_doc()
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ValueError, match=f"model field '{path[-1]}' must be an integer"):
+        model_from_dict(doc)

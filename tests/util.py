@@ -10,7 +10,6 @@ from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, CART_CENTER_GAINS,
                          CART_PUMP_GAIN, CART_STAB_GAINS, PEND_CAPTURE_VEL,
                          PEND_PUMP_GAIN, PEND_PUMP_MARGIN, PEND_STAB_GAINS,
                          env_dims, initial_state, wrap_angle)
-from rarhmm import inference
 from rarhmm.features import controller_feature_dim, polynomial_features
 from rarhmm.inference import Posterior, _backward_batch, _forward_batch, smooth_dataset
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
@@ -532,41 +531,6 @@ def reference_forward_batch(ev, trans, pi):
         alpha[:, t] = a / c
         log_norms[:, t] = np.log(c[:, 0]) + m[:, 0]
     return alpha, log_norms
-
-
-def reference_checked_forward_batch(ev, trans, pi):
-    """The linear-scale forward recursion with its floor check on every
-    step, as the library ran it before it checked once per block: same
-    folded stack, and each failing step goes to inference._rescue_rows
-    (looked up through the module, so a test can spy on it) before its
-    divide. Returns (alpha (B, T, K), log_norms (B, T))."""
-    B, T, K = ev.shape
-    top = ev.max(axis=2)
-    with np.errstate(invalid="ignore"):
-        E = ev - top[:, :, None]
-        E = np.exp(E, out=E).transpose(1, 0, 2)[..., None]
-    G = np.empty((T - 1, B, K + 1, K))
-    np.multiply(E[1:], trans.transpose(1, 0, 2, 3), out=G[:, :, :K])
-    np.matmul(np.ones((1, K)), G[:, :, :K], out=G[:, :, K:])
-    U = np.empty((T, B, K + 1, 1))
-    np.multiply(np.reshape(pi, (K, 1)), E[0], out=U[0, :, :K])
-    np.sum(U[0, :, :K], axis=1, out=U[0, :, K])
-    num, S = U[:, :, :K], U[:, :, K:]
-    alpha = np.empty((T, B, K, 1))
-    rescued = []
-    for t in range(T):
-        if t > 0:
-            np.matmul(G[t - 1], alpha[t - 1], out=U[t])
-        if not S[t].min() >= inference._S_FLOOR:
-            rows = np.flatnonzero(~(S[t] >= inference._S_FLOOR))
-            pred = (np.matmul(trans[rows, t - 1], alpha[t - 1, rows])[:, :, 0] if t > 0
-                    else np.broadcast_to(pi, (len(rows), K)))
-            rescued.append((t, *inference._rescue_rows(t, rows, pred, ev[:, t], U[t])))
-        np.divide(num[t], S[t], out=alpha[t])
-    log_norms = np.log(S[:, :, 0, 0].T) + top
-    for t, rows, log_c in rescued:
-        log_norms[rows, t] = log_c
-    return np.ascontiguousarray(alpha[:, :, :, 0].transpose(1, 0, 2)), log_norms
 
 
 def reference_backward_batch(ev, trans, log_norms):
