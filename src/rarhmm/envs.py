@@ -181,16 +181,6 @@ def hanging_state(config: EnvConfig, rng: np.random.Generator) -> np.ndarray:
 
 # -- dynamics ------------------------------------------------------------------
 
-def ball_rest_state(config: EnvConfig) -> np.ndarray:
-    """Attracting fixed point of the impact reflection: a decayed ball parks
-    here, a hair above the ground with the small residual downward velocity
-    the sampled-time reflection sustains."""
-    g, e, dt = config.gravity, config.restitution, config.dt
-    v = -g * dt / (1.0 + e)
-    h = e * (0.5 * g * dt * dt - v * dt) / (1.0 + e)
-    return np.array([h, v])
-
-
 def _ball_step(config: EnvConfig, state: list) -> list:
     g, e, dt = config.gravity, config.restitution, config.dt
     h, v = state

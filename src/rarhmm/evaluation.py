@@ -1,4 +1,4 @@
-"""Forecasting protocol: prefix filtering, h-step open-loop prediction, NMSE
+"""Forecasting protocol: filtering, h-step open-loop prediction, NMSE
 scoring, split-averaged report tables, and parameter counting.
 
 Forecasts start from the filtered regime belief at the prefix end, then
@@ -34,22 +34,14 @@ def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
     """Filtered regime posteriors (B, T_max, K) of the B trajectories, from
     one forward pass over their padded batch (inference.padded_inputs): entry
     [b, t-1] is p(z_t | x_{1:t}, u_{1:t}) of trajectory b, computed as alone,
-    and entries past its end repeat its last belief (to rounding). The pass
-    also holds one stack of B * (T_max-1) * K * K floats, rounded up to whole
-    chunks of inference._CHUNK steps: the folded transitions, overwritten in
-    place by their prefix products. Rows scanned again from a step where
-    their scale underflowed hold a stack of inference._WINDOW steps each,
-    once that stack is freed."""
-    ev, trans, _ = padded_inputs(model, dataset)
-    return _forward_batch(ev, trans, model.init.pi)[0]
-
-
-def filter_prefix(model: HybridModel, traj: Trajectory, t: int) -> np.ndarray:
-    """Filtered belief after the first t steps (1-based, 1 <= t <= T), from
-    filter_all of the dataset holding traj alone."""
-    if not 1 <= t <= traj.T:
-        raise ValueError(f"prefix length t={t} outside 1..{traj.T}")
-    return filter_all(model, Dataset.from_trajectories([traj]))[0, t - 1]
+    and entries past its end repeat its last belief. The pass also holds one
+    stack of B * (T_max-1) * K * K floats, rounded up to whole chunks of
+    inference._CHUNK steps: the folded transitions, overwritten in place by
+    their prefix products. Rows scanned again from a step where their scale
+    underflowed hold a stack of inference._WINDOW steps each, once that stack
+    is freed."""
+    ev, trans, pad = padded_inputs(model, dataset)
+    return _forward_batch(ev, trans, model.init.pi, pad)[0]
 
 
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
@@ -102,21 +94,6 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
             b = np.eye(model.K)[ks]
         out[:m, i, :] = x
     return out
-
-
-def forecast(model: HybridModel, traj: Trajectory, t: int, h: int,
-             mode: str = MODE_MARGINAL,
-             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Predict states t+1 .. t+h from the filtered belief at step t (1-based),
-    under the recorded controls u_t .. u_{t+h-1}. Returns (h, d_x)."""
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    if t + h > traj.T:
-        raise ValueError(f"start t={t} with horizon h={h} overruns T={traj.T}")
-    b = filter_prefix(model, traj, t)
-    x = traj.xs[t - 1]
-    return _forecast_batch(model, x[None], b[None], traj.us[None, t - 1:t - 1 + h],
-                           mode, rng)[0]
 
 
 def nmse(preds: np.ndarray, truths: np.ndarray, normalizer: np.ndarray) -> float:

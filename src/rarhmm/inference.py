@@ -40,12 +40,13 @@ class Posterior:
 # -- batched scaled recursions ------------------------------------------------
 # All cores take (B, T, K) evidence and (B, T-1, K, K) transition stacks, so a
 # whole dataset runs through numpy in lockstep. Rows shorter than T are padded
-# past their end with log evidence 0 and identity transitions: a padded step
-# leaves the filtered belief unchanged and keeps the backward message at
-# exactly 1, so each row's own steps compute as in a batch of one.
-# _smooth_batch zeroes the padded log normalizers before the backward pass, so
-# a row's log-likelihood sums only its own steps. padded_inputs builds these
-# inputs for a whole dataset; there is no single-trajectory entry point.
+# past their end with log evidence 0 and identity transitions, and the mask pad
+# (B, T) marks those steps. _forward_batch serves each row up to its own end,
+# then gives its padded steps the row's last belief and log normalizer 0: the
+# backward message stays at exactly 1 there, so each row's own steps compute
+# as in a batch of one and its log-likelihood sums only its own steps.
+# padded_inputs builds these inputs for a whole dataset; there is no
+# single-trajectory entry point.
 #
 # The recursions run in linear scale (Rabiner 1989). The evidence is
 # exponentiated once per batch against its per-step max over regimes,
@@ -155,21 +156,24 @@ def _scan(ev, trans, pred, start):
     return alpha, log_norms, np.where(ok.all(axis=1), W, ok.argmin(axis=1))
 
 
-def _forward_batch(ev, trans, pi):
-    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T): one scan
-    of every row from step 0, entered from pi. A row not served to its end is
-    scanned again from its first step t not served, entered from the
-    prediction trans[t-1] @ alpha[t-1], over _WINDOW steps padded past T as
-    padded_inputs pads, until every row is served. A scan always serves its
-    entry step, so each moves a row on."""
+def _forward_batch(ev, trans, pi, pad):
+    """Filtered beliefs alpha (B, T, K) and log normalizers (B, T) of B rows
+    whose steps past their end pad (B, T) marks: one scan of every row from
+    step 0, entered from pi. A row not served to its end is scanned again
+    from its first step t not served, entered from the prediction trans[t-1]
+    @ alpha[t-1], over _WINDOW steps padded past the row's end as
+    padded_inputs pads, until every row is served to its end. A scan always
+    serves its entry step, so each moves a row on. A padded step then holds
+    the row's last belief and log normalizer 0."""
     B, T, K = ev.shape
+    end = T - np.count_nonzero(pad, axis=1)
     alpha, log_norms, done = _scan(ev, trans, np.broadcast_to(pi, (B, K)), np.zeros(B, int))
-    rows = np.flatnonzero(done < T)
+    rows = np.flatnonzero(done < end)
     while len(rows):
         t = done[rows]
         pred = np.matmul(trans[rows, t - 1], alpha[rows, t - 1, :, None])[:, :, 0]
         steps = t[:, None] + np.arange(_WINDOW)            # (R, _WINDOW)
-        inside, rr = steps < T, rows[:, None]
+        inside, rr = steps < end[rows, None], rows[:, None]
         ev_w = np.where(inside[:, :, None], ev[rr, np.minimum(steps, T - 1)], 0.0)
         trans_w = np.where(inside[:, 1:, None, None],
                            trans[rr, np.minimum(steps[:, :-1], T - 2)], np.eye(K))
@@ -178,7 +182,10 @@ def _forward_batch(ev, trans, pi):
         alpha[rows[r], steps[r, i]] = a[r, i]
         log_norms[rows[r], steps[r, i]] = norms[r, i]
         done[rows] = t + served
-        rows = rows[done[rows] < T]
+        rows = rows[done[rows] < end[rows]]
+    padded_rows = np.nonzero(pad)[0]
+    alpha[pad] = alpha[padded_rows, end[padded_rows] - 1]
+    log_norms[pad] = 0.0
     return alpha, log_norms
 
 
@@ -214,8 +221,7 @@ def _backward_batch(ev, trans, log_norms, alpha):
 
 def _smooth_batch(ev, trans, pi, pad):
     """pad (B, T) marks the padded steps; their gamma and xi are meaningless."""
-    alpha, log_norms = _forward_batch(ev, trans, pi)
-    log_norms[pad] = 0.0
+    alpha, log_norms = _forward_batch(ev, trans, pi, pad)
     beta, w = _backward_batch(ev, trans, log_norms, alpha)
     gamma = alpha * beta
     gamma /= gamma.sum(axis=2, keepdims=True)

@@ -1,8 +1,8 @@
-"""Generative switching linear-Gaussian model with regime-dependent controllers.
+"""Switching linear-Gaussian model with regime-dependent controllers.
 
-A model with K regimes generates a trajectory as follows: the initial regime is
-categorical with probabilities pi and the initial state Gaussian per regime; at
-every step the next regime is drawn from the transition link evaluated at the
+A model with K regimes describes a trajectory as follows: the initial regime
+is categorical with probabilities pi and the initial state Gaussian per regime;
+at every step the next regime follows the transition link evaluated at the
 current state and control, the next state follows the linear-Gaussian dynamics
 of the *arriving* regime, and (in closed-loop mode) the control is a noisy
 linear readout of controller features of the current state and recent controls.
@@ -14,8 +14,8 @@ its arrays to read-only C-ordered floats and factors its covariances once, in
 its constructor: the lower Cholesky factors L (for draws), their inverses
 inv(L) (the whitening matrices every density applies) and the log-normalizing
 constants. The Cholesky factorization is their positive-definiteness check.
-All types are immutable after construction and all sampling takes an explicit
-numpy Generator, so everything here is safe to run concurrently.
+All types are immutable after construction, so everything here is safe to run
+concurrently.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gauss_draw, gauss_factors, gauss_logpdf
+from ._linalg import gauss_factors, gauss_logpdf
 from .features import controller_feature_dim, polynomial_features
-from .transition import TransitionModel, transition_probs
+from .transition import TransitionModel
 
 OPEN_LOOP = "open_loop"
 CLOSED_LOOP = "closed_loop"
@@ -229,8 +229,7 @@ class HybridModel:
     """K-regime switching linear-Gaussian model. Its blocks hold every regime
     parameter once, stacked on a leading K axis, read-only and with the
     Cholesky factors of their covariances and the inverses of those factors:
-    evidence, sampling, forecasting, the runtime belief and act read them
-    directly."""
+    evidence, forecasting, the runtime belief and act read them directly."""
     K: int
     d_x: int
     d_u: int
@@ -298,83 +297,6 @@ def control_means(model: HybridModel, x, past_us) -> np.ndarray:
     if past.shape != (ctl.lag, model.d_u) and not (ctl.lag == 0 and past.size == 0):
         raise ValueError(f"past controls must be ({ctl.lag}, {model.d_u}), got {past.shape}")
     return ctl.gain @ controller_features(x, past, ctl.poly_degree) + ctl.offset
-
-
-def _draw_control(model: HybridModel, z: int, x, past_us, rng,
-                  deterministic: bool = False) -> np.ndarray:
-    """Regime z's control at x: its law's mean, plus action noise unless deterministic."""
-    mean = control_means(model, x, past_us)[z]
-    return mean if deterministic else gauss_draw(rng, mean, model.controllers.sigma_chol[z])
-
-
-# -- sampling -----------------------------------------------------------------
-
-def _require_rng(rng):
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError("pass a seeded numpy Generator (np.random.default_rng(seed))")
-
-
-def step_dynamics(model: HybridModel, z_next: int, x, u, rng=None,
-                  deterministic: bool = False) -> np.ndarray:
-    if not 0 <= z_next < model.K:
-        raise ValueError(f"regime index {z_next} out of range for K = {model.K}")
-    dyn = model.dynamics
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    mean = dyn.A[z_next] @ x + dyn.B[z_next] @ u + dyn.c[z_next]
-    if deterministic:
-        return mean
-    _require_rng(rng)
-    return gauss_draw(rng, mean, dyn.lam_chol[z_next])
-
-
-def sample_trajectory(model: HybridModel, T: int, rng: np.random.Generator,
-                      exogenous_us=None, z_burnin=None,
-                      deterministic: bool = False, dt: float = 1.0,
-                      traj_id: str = ""):
-    """Roll the generative model forward for T steps.
-
-    Returns (Trajectory, regime path). `deterministic` suppresses the Gaussian
-    noises (regimes are still sampled unless the transition link is degenerate).
-    Open-loop mode requires `exogenous_us` of length T.
-    """
-    _require_rng(rng)
-    if T < 2:
-        raise ValueError("T must be >= 2")
-    us = np.empty((T, model.d_u))
-    if model.mode == OPEN_LOOP:
-        if exogenous_us is None:
-            raise ValueError("open-loop sampling needs exogenous_us")
-        us = np.asarray(exogenous_us, dtype=float).reshape(T, model.d_u)
-
-    if z_burnin is not None:
-        z = int(z_burnin)
-        if not 0 <= z < model.K:
-            raise ValueError(f"z_burnin {z} out of range for K = {model.K}")
-    else:
-        z = int(rng.choice(model.K, p=model.init.pi))
-
-    if deterministic:
-        x = model.init.mu[z].copy()
-    else:
-        x = gauss_draw(rng, model.init.mu[z], model.init.omega_chol[z])
-
-    xs = np.empty((T, model.d_x))
-    us, history = control_history(us, model.lag)
-    zs = np.empty(T, dtype=int)
-
-    for t in range(T):
-        if t > 0:
-            probs = transition_probs(model.transition, z, xs[t - 1], us[t - 1])
-            z = int(rng.choice(model.K, p=probs))
-            x = step_dynamics(model, z, xs[t - 1], us[t - 1],
-                              rng=rng, deterministic=deterministic)
-        zs[t] = z
-        xs[t] = x
-        if model.mode == CLOSED_LOOP:
-            us[t] = _draw_control(model, z, x, history[t], rng, deterministic)
-
-    return Trajectory(xs=xs, us=us, dt=dt, id=traj_id), zs
 
 
 # -- likelihood ---------------------------------------------------------------

@@ -52,8 +52,8 @@ full logits of transition_matrices destination-major, as (K, M, K): numpy
 reduces over a short trailing or middle axis 15-25x slower than over a leading
 one (K = 5, M = 1200).
 
-transition_matrix is the single-step path of the runtime belief and the
-samplers, where per-call overhead rather than arithmetic sets the cost. It runs
+transition_matrix is the single-step path of the runtime belief, where
+per-call overhead rather than arithmetic sets the cost. It runs
 the same input check, link and bias + link-logit add as transition_matrices,
 then the same destination-axis log-softmax on a (K, K) array instead of the
 (K, 1, K) tensor, so it equals transition_matrices(tm, x[None], u[None])[0]
@@ -275,12 +275,6 @@ def transition_matrix(tm: TransitionModel, x: np.ndarray, u: np.ndarray) -> np.n
     feats = _features(tm, np.concatenate((x, u.ravel()))[None])
     a = _link_logits(tm, feats, tm.feature_params)[0][0]
     return np.exp(_log_softmax_dest(tm.bias + a[:, None]))
-
-
-def transition_probs(tm: TransitionModel, z_prev: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if not 0 <= z_prev < tm.K:
-        raise ValueError(f"z_prev {z_prev} out of range for K = {tm.K}")
-    return transition_matrix(tm, x, u)[:, z_prev]
 
 
 # -- M-step objective ---------------------------------------------------------

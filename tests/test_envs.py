@@ -10,7 +10,7 @@ from rarhmm import envs
 from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, ENV_BOUNCING_BALL, ENV_CARTPOLE,
                          ENV_PENDULUM, ENVS, OBS_JOINT, OBS_MODES, OBS_TRIG,
                          PEND_CAPTURE_VEL, EnvConfig, _pole_energy,
-                         ball_rest_state, clip_control,
+                         clip_control,
                          collect_demonstrations, collect_trajectories,
                          default_config, env_dims, expert_policy,
                          expert_swingup, explore_policy, load_dataset,
@@ -19,8 +19,8 @@ from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, ENV_BOUNCING_BALL, ENV
                          select_split, simulate, step_env, wrap_angle)
 from rarhmm.model import Dataset, Trajectory
 
-from util import (reference_expert_swingup, reference_observe, reference_observe_joint,
-                  reference_simulate, reference_step_env)
+from util import (ball_rest_state, reference_expert_swingup, reference_observe,
+                  reference_observe_joint, reference_simulate, reference_step_env)
 
 
 def _upright_tail_ok(traj, angle_idx, vel_idx, check_cart=False):

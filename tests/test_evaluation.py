@@ -4,17 +4,15 @@ import pytest
 from rarhmm.envs import default_config, simulate
 from rarhmm import evaluation, inference
 from rarhmm.evaluation import (_forecast_batch, count_params,
-                               count_params_breakdown, evaluate, filter_all,
-                               filter_prefix, forecast, nmse,
+                               count_params_breakdown, evaluate, filter_all, nmse,
                                dataset_normalizer)
 from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
-                          InitialModel, Trajectory, log_local_evidence,
-                          sample_trajectory)
+                          InitialModel, Trajectory, log_local_evidence)
 from rarhmm.transition import make_transition
 
 from util import (brute_force_posterior, filter_one, forward_pass, local_quantities,
                   mvn_logpdf, random_dataset, random_model, random_trajectory,
-                  reference_sample_forecast)
+                  reference_sample_forecast, reference_sample_trajectory)
 
 
 def _ball_truth_maps(cfg):
@@ -63,10 +61,19 @@ def _hand_piecewise_rollout(cfg, x, h):
     return np.array(out)
 
 
+def _forecast(model, traj, t, h, mode="marginal", rng=None):
+    """States t+1 .. t+h (h, d_x) forecast from the filtered belief at step t
+    (1-based) under the recorded controls u_t .. u_{t+h-1}: one row of
+    _forecast_batch."""
+    b = filter_all(model, Dataset.from_trajectories([traj]))[0, t - 1]
+    return _forecast_batch(model, traj.xs[t - 1][None], b[None],
+                           traj.us[None, t - 1:t - 1 + h], mode, rng)[0]
+
+
 def test_filter_k1_is_one():
     m = random_model(K=1, d_x=2, d_u=1, seed=0)
     traj, _ = random_trajectory(m, T=10, seed=0)
-    np.testing.assert_array_equal(filter_prefix(m, traj, 4), [1.0])
+    np.testing.assert_array_equal(filter_one(m, traj), np.ones((10, 1)))
 
 
 def test_filter_t1_uninformative_recovers_prior():
@@ -78,34 +85,35 @@ def test_filter_t1_uninformative_recovers_prior():
     m = HybridModel(K=3, d_x=2, d_u=1, mode=m.mode, init=init,
                     dynamics=m.dynamics, transition=m.transition)
     traj, _ = random_trajectory(m, T=5, seed=1)
-    np.testing.assert_allclose(filter_prefix(m, traj, 1), m.init.pi, atol=1e-12)
+    np.testing.assert_allclose(filter_one(m, traj)[0], m.init.pi, atol=1e-12)
 
 
 def test_filter_matches_brute_force_prefix():
     m = random_model(K=2, d_x=2, d_u=1, kind="linear", seed=5)
     traj, _ = random_trajectory(m, T=8, seed=5)
+    alpha = filter_all(m, Dataset.from_trajectories([traj]))[0]
     for t in (2, 3, 6, 8):
         prefix = Trajectory(xs=traj.xs[:t], us=traj.us[:t], dt=traj.dt, id="p")
         want = brute_force_posterior(m, prefix).gamma[-1]
-        np.testing.assert_allclose(filter_prefix(m, traj, t), want, atol=1e-10)
+        np.testing.assert_allclose(alpha[t - 1], want, atol=1e-10)
     # t = 1 directly: posterior over z_1 from the initial Gaussian alone
     lp = np.array([mvn_logpdf(traj.xs[0], m.init.mu[k], m.init.omega_cov[k])
                    for k in range(2)]) + np.log(m.init.pi)
     want1 = np.exp(lp - lp.max())
-    np.testing.assert_allclose(filter_prefix(m, traj, 1), want1 / want1.sum(),
-                               atol=1e-12)
-    with pytest.raises(ValueError):
-        filter_prefix(m, traj, 0)
-    with pytest.raises(ValueError):
-        filter_prefix(m, traj, 9)
+    np.testing.assert_allclose(alpha[0], want1 / want1.sum(), atol=1e-12)
 
 
 def test_filter_all_agrees_with_prefixes():
     m = random_model(K=3, d_x=2, d_u=1, kind="perceptron", seed=2)
     traj, _ = random_trajectory(m, T=12, seed=2)
     alpha = filter_all(m, Dataset.from_trajectories([traj]))[0]
-    for t in (1, 5, 12):
-        np.testing.assert_array_equal(alpha[t - 1], filter_prefix(m, traj, t))
+    # the belief at step t reads only the first t steps: filtering the prefix
+    # alone ends on it, to rounding
+    for t in (2, 5, 12):
+        prefix = Trajectory(xs=traj.xs[:t], us=traj.us[:t], dt=traj.dt, id="p")
+        np.testing.assert_allclose(alpha[t - 1],
+                                   filter_all(m, Dataset.from_trajectories([prefix]))[0, -1],
+                                   rtol=1e-12, atol=0)
 
 
 def test_filter_all_equals_per_trajectory_forward(monkeypatch):
@@ -148,17 +156,15 @@ def test_filter_all_equals_per_trajectory_forward(monkeypatch):
         _, trans = local_quantities(m, traj)
         want = forward_pass(evidence(m, traj), trans, m.init.pi)[0]
         assert np.array_equal(a[:traj.T], want)
-        # each padded step renormalizes the last belief, so it repeats it up
-        # to rounding
-        np.testing.assert_allclose(a[traj.T:], np.broadcast_to(want[-1], a[traj.T:].shape),
-                                   rtol=0, atol=1e-15)
+        # each padded step repeats the last belief
+        assert np.array_equal(a[traj.T:], np.broadcast_to(want[-1], a[traj.T:].shape))
 
 
 def test_forecast_k1_deterministic_rollout():
     m = random_model(K=1, d_x=2, d_u=1, seed=3, noise_scale=1e-6)
     traj, _ = random_trajectory(m, T=12, seed=3)
     h, t = 5, 4
-    got = forecast(m, traj, t=t, h=h)
+    got = _forecast(m, traj, t=t, h=h)
     x = traj.xs[t - 1]
     d = m.dynamics
     want = []
@@ -172,9 +178,10 @@ def test_forecast_exact_model_zero_error():
     m = random_model(K=1, d_x=2, d_u=1, seed=4)
     rng = np.random.default_rng(4)
     us = 0.3 * rng.standard_normal((30, 1))
-    traj, _ = sample_trajectory(m, 30, rng, exogenous_us=us, deterministic=True)
+    xs, us, _ = reference_sample_trajectory(m, 30, rng, exogenous_us=us, deterministic=True)
+    traj = Trajectory(xs=xs, us=us, dt=1.0)
     for h in (1, 3, 10):
-        got = forecast(m, traj, t=5, h=h)
+        got = _forecast(m, traj, t=5, h=h)
         np.testing.assert_allclose(got[-1], traj.xs[4 + h], atol=1e-10)
 
 
@@ -184,7 +191,7 @@ def test_ball_forecast_matches_hand_piecewise_rollout():
     sim = simulate(cfg, x0=np.array([0.30, -2.0]), T=30, id="ball")
     # the window crosses an impact
     t, h = 2, 5
-    got = forecast(model, sim, t=t, h=h)
+    got = _forecast(model, sim, t=t, h=h)
     want = _hand_piecewise_rollout(cfg, sim.xs[t - 1], h)
     np.testing.assert_allclose(got, want, atol=1e-9)
     # and the simulator agrees with the hand rollout (same piecewise maps)
@@ -195,24 +202,20 @@ def test_marginal_equals_argmax_when_saturated():
     cfg = default_config("bouncing_ball")
     model = _ball_model(cfg)
     sim = simulate(cfg, x0=np.array([1.0, 0.0]), T=60, id="ball")
-    a = forecast(model, sim, t=3, h=20, mode="marginal")
-    b = forecast(model, sim, t=3, h=20, mode="argmax")
+    a = _forecast(model, sim, t=3, h=20, mode="marginal")
+    b = _forecast(model, sim, t=3, h=20, mode="argmax")
     np.testing.assert_array_equal(a, b)
 
 
-def test_forecast_mode_and_bounds_errors():
+def test_forecast_mode_errors_and_seeded_samples():
     m = random_model(K=2, d_x=2, d_u=1, seed=6)
     traj, _ = random_trajectory(m, T=10, seed=6)
-    with pytest.raises(ValueError):
-        forecast(m, traj, t=8, h=5)
-    with pytest.raises(ValueError):
-        forecast(m, traj, t=3, h=0)
-    with pytest.raises(ValueError):
-        forecast(m, traj, t=3, h=2, mode="modal")
-    with pytest.raises(ValueError):
-        forecast(m, traj, t=3, h=2, mode="sample")  # rng missing
-    a = forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
-    b = forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mode must be one of"):
+        _forecast(m, traj, t=3, h=2, mode="modal")
+    with pytest.raises(ValueError, match="sample mode needs an rng"):
+        _forecast(m, traj, t=3, h=2, mode="sample")
+    a = _forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
+    b = _forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
     np.testing.assert_array_equal(a, b)
 
 

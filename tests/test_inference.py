@@ -8,7 +8,7 @@ import pytest
 from rarhmm import inference
 from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch, estep,
                               smooth_dataset)
-from rarhmm.evaluation import filter_all, filter_prefix
+from rarhmm.evaluation import filter_all
 from rarhmm.model import CLOSED_LOOP, Dataset, log_local_evidence
 
 from util import (backward_pass, brute_force_posterior, forward_pass,
@@ -149,8 +149,6 @@ def test_impossible_evidence_rejected(monkeypatch):
         for entry in (inference.padded_inputs, smooth_dataset, estep, filter_all):
             with pytest.raises(ValueError, match=match):
                 entry(m, ds)
-        with pytest.raises(ValueError, match=match):
-            filter_prefix(m, ds.trajectories[1], 2)
 
 
 def test_padded_inputs_pad_with_zero_evidence_and_identity():
@@ -226,14 +224,15 @@ def _unreachable_instance(T=6, seed=0):
 
 
 def _padded_batch(rows):
-    """One padded batch of (ev, trans) rows, padded as padded_inputs pads."""
+    """One padded batch (ev, trans, pad) of (ev, trans) rows, padded as
+    padded_inputs pads."""
     T = max(len(ev) for ev, _ in rows)
     K = rows[0][0].shape[1]
     ev = np.zeros((len(rows), T, K))
     trans = np.tile(np.eye(K), (len(rows), T - 1, 1, 1))
     for b, (e, tr) in enumerate(rows):
         ev[b, :len(e)], trans[b, :len(e) - 1] = e, tr
-    return ev, trans
+    return ev, trans, np.arange(T) >= np.array([len(e) for e, _ in rows])[:, None]
 
 
 def _assert_rows_match_reference(alpha, log_norms, rows, pi):
@@ -379,14 +378,14 @@ def test_row_results_do_not_depend_on_batch_neighbours(scans):
     ev[0, :5], trans[0, :4] = ev0, trans0
     ev[1], trans[1] = ev1, trans1
     pad = np.arange(8) >= np.array([5, 8])[:, None]
-    batch = _forward_batch(ev, trans, pi)
+    batch = _forward_batch(ev, trans, pi, pad)
     assert scans == [[0, 0], [4]]
     smoothed = _smooth_batch(ev, trans, pi, pad)
     for b, (e, tr) in enumerate([(ev0, trans0), (ev1, trans1)]):
         n = len(e)
-        alone = _forward_batch(e[None], tr[None], pi)
-        assert np.array_equal(batch[0][b, :n], alone[0][0])
-        assert np.array_equal(batch[1][b, :n], alone[1][0])
+        alone = forward_pass(e, tr, pi)
+        assert np.array_equal(batch[0][b, :n], alone[0])
+        assert np.array_equal(batch[1][b, :n], alone[1])
         gamma, xi, loglik = _smooth_one(e, tr, pi)
         assert np.array_equal(smoothed[0][b, :n], gamma[0])
         assert np.array_equal(smoothed[1][b, :n - 1], xi[0])
@@ -441,8 +440,8 @@ def test_rescued_rows_get_their_prediction_at_a_later_step(monkeypatch):
     ev2, trans2, _ = _unreachable_instance(T=6, seed=13)
     ev2[4] = [-600.0, -601.5, 0.0]
     rows = [local_quantities(m, traj), (ev1, trans1), (ev2, trans2)]
-    ev, trans = _padded_batch(rows)
-    alpha, log_norms = _forward_batch(ev, trans, pi)
+    ev, trans, pad = _padded_batch(rows)
+    alpha, log_norms = _forward_batch(ev, trans, pi, pad)
     assert [start for start, _ in seen] == [[0, 0, 0], [4, 4]]
     t, restarted = 4, [1, 2]
     want = np.matmul(trans[restarted, t - 1], alpha[restarted, t - 1][:, :, None])[:, :, 0]
@@ -455,8 +454,8 @@ def _padded_rescue_batch():
     """A B = 3 padded batch of the unreachable-regime instance whose evidence
     gaps send the scale below the floor at step 0, inside chunks and at chunk
     edges of the first scan, and inside, at chunk edges, at the entry step
-    and at the last step of restarted scans. Returns (rows, ev, trans, pi,
-    the entry steps of every scan)."""
+    and at the last step of restarted scans. Returns (rows, ev, trans, pad,
+    pi, the entry steps of every scan)."""
     n, w = inference._CHUNK, inference._WINDOW
     T = 3 * w
     a = 7
@@ -472,37 +471,46 @@ def _padded_rescue_batch():
         e, tr, pi = _unreachable_instance(T=n_b, seed=40 + b)
         e[at] = [-600.0, -601.5, 0.0]
         rows.append((e, tr))
-    ev, trans = _padded_batch(rows)
+    ev, trans, pad = _padded_batch(rows)
     # row 0 restarts where it fails, then runs whole scans from step 2n on,
-    # until it fails at its last step; row 1 likewise from step a. Row 2 runs
-    # whole scans from step 2n through its padding: the pass does not know
-    # where a padded row ends
-    want_scans = [[0, 0, 0], [n - 1, a, 2 * n], [n, a + n, 2 * n + w],
-                  [n + 5, a + 2 * n + 1, 2 * n + 2 * w], [2 * n, a + 2 * n + 1 + w],
-                  [2 * n + w, a + 2 * n + 2 * w], [2 * n + 2 * w], [T - 1]]
-    return rows, ev, trans, pi, want_scans
+    # until it fails at its last step; row 1 likewise from step a. Row 2 is
+    # restarted once, at step 2n: that scan reaches past its end at 2n + 6
+    want_scans = [[0, 0, 0], [n - 1, a, 2 * n], [n, a + n], [n + 5, a + 2 * n + 1],
+                  [2 * n, a + 2 * n + 1 + w], [2 * n + w, a + 2 * n + 2 * w],
+                  [2 * n + 2 * w], [T - 1]]
+    return rows, ev, trans, pad, pi, want_scans
 
 
 def test_restarts_match_log_domain_reference_at_chunk_edges(scans):
-    rows, ev, trans, pi, want_scans = _padded_rescue_batch()
+    rows, ev, trans, pad, pi, want_scans = _padded_rescue_batch()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alpha, log_norms = _forward_batch(ev, trans, pi)
+        alpha, log_norms = _forward_batch(ev, trans, pi, pad)
     assert scans == want_scans
     _assert_rows_match_reference(alpha, log_norms, rows, pi)
     assert np.all(alpha[:, :, 2] == 0.0)            # the unreachable regime keeps no mass
+    assert np.all(log_norms[pad] == 0.0)
+    gamma, xi, loglik = _smooth_batch(ev, trans, pi, pad)
     for b, (e, tr) in enumerate(rows):
-        alone = _forward_batch(e[None], tr[None], pi)
-        assert np.array_equal(alpha[b, :len(e)], alone[0][0])
-        assert np.array_equal(log_norms[b, :len(e)], alone[1][0])
+        n = len(e)
+        alone = forward_pass(e, tr, pi)
+        assert np.array_equal(alpha[b, :n], alone[0])
+        assert np.array_equal(log_norms[b, :n], alone[1])
+        # the padded steps hold the row's last belief, and smoothing the batch
+        # gives the row what smoothing it alone gives
+        assert np.array_equal(alpha[b, n:], np.broadcast_to(alone[0][-1], alpha[b, n:].shape))
+        want = _smooth_one(e, tr, pi)
+        assert np.array_equal(gamma[b, :n], want[0][0])
+        assert np.array_equal(xi[b, :n - 1], want[1][0])
+        assert loglik[b] == want[2][0]
     # and a batch without rescues, longer than several chunks: the first scan
     # serves it
     m = random_model(K=4, d_x=2, d_u=1, kind="linear", seed=3)
     ds = random_dataset(m, n=2, T=5 * inference._CHUNK + 1, seed=3)
     rows = [local_quantities(m, t) for t in ds.trajectories]
-    ev, trans = _padded_batch(rows)
+    ev, trans, pad = _padded_batch(rows)
     scans.clear()
-    alpha, log_norms = _forward_batch(ev, trans, m.init.pi)
+    alpha, log_norms = _forward_batch(ev, trans, m.init.pi, pad)
     assert scans == [[0, 0]]
     _assert_rows_match_reference(alpha, log_norms, rows, m.init.pi)
 
@@ -540,16 +548,16 @@ def test_scan_matches_log_domain_reference_at_chunk_edges(scans):
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=50)
     rows = [local_quantities(m, random_trajectory(m, T=T, seed=50 + i)[0])
             for i, T in enumerate([2, n, n + 1, 3 * n + 5])]
-    ev, trans = _padded_batch(rows)
+    ev, trans, pad = _padded_batch(rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alpha, log_norms = _forward_batch(ev, trans, m.init.pi)
+        alpha, log_norms = _forward_batch(ev, trans, m.init.pi, pad)
     assert scans == [[0, 0, 0, 0]]
     _assert_rows_match_reference(alpha, log_norms, rows, m.init.pi)
     for b, (e, tr) in enumerate(rows):
-        alone = _forward_batch(e[None], tr[None], m.init.pi)
-        assert np.array_equal(alpha[b, :len(e)], alone[0][0])
-        assert np.array_equal(log_norms[b, :len(e)], alone[1][0])
+        alone = forward_pass(e, tr, m.init.pi)
+        assert np.array_equal(alpha[b, :len(e)], alone[0])
+        assert np.array_equal(log_norms[b, :len(e)], alone[1])
 
 
 def test_scan_redoes_only_the_failing_row(scans):
@@ -562,18 +570,18 @@ def test_scan_redoes_only_the_failing_row(scans):
     e1[t] = [-600.0, -601.5, 0.0]
     rows = [local_quantities(m, random_trajectory(m, T=n + 3, seed=52)[0]), (e1, tr1),
             local_quantities(m, random_trajectory(m, T=3 * n, seed=53)[0])]
-    ev, trans = _padded_batch(rows)
-    alpha, log_norms = _forward_batch(ev, trans, pi)
+    ev, trans, pad = _padded_batch(rows)
+    alpha, log_norms = _forward_batch(ev, trans, pi, pad)
     assert scans == [[0, 0, 0], [t]]
     _assert_rows_match_reference(alpha[1:2], log_norms[1:2], rows[1:2], pi)
     assert alpha[1, t, 2] == 0.0                 # the unreachable regime keeps no mass
     for b in (0, 2):
         e, tr = rows[b]
         scans.clear()
-        alone = _forward_batch(e[None], tr[None], pi)
+        alone = forward_pass(e, tr, pi)
         assert scans == [[0]]
-        assert np.array_equal(alpha[b, :len(e)], alone[0][0])
-        assert np.array_equal(log_norms[b, :len(e)], alone[1][0])
+        assert np.array_equal(alpha[b, :len(e)], alone[0])
+        assert np.array_equal(log_norms[b, :len(e)], alone[1])
 
 
 def _subnormal_instance(which):
@@ -627,10 +635,10 @@ def test_scan_raises_on_degenerate_steps_at_chunk_edges(offset, kind):
         forward_pass(ev, trans, pi)
     # next to a row the scan serves
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=54)
-    ev2, trans2 = _padded_batch([local_quantities(m, random_trajectory(m, T=20, seed=54)[0]),
+    ev2, trans2, pad2 = _padded_batch([local_quantities(m, random_trajectory(m, T=20, seed=54)[0]),
                                  (ev, trans)])
     with pytest.raises(FloatingPointError, match=f"at step {t}$"):
-        _forward_batch(ev2, trans2, pi)
+        _forward_batch(ev2, trans2, pi, pad2)
 
 
 def test_smoothing_peak_memory_is_bounded():

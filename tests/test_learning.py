@@ -11,14 +11,15 @@ from rarhmm.learning import (FitConfig, FitHistory, _kmeans, check_init_model, f
                              initialize, mstep_controller, mstep_dynamics,
                              mstep_initial, mstep_transitions)
 from rarhmm.model import (CLOSED_LOOP, Dataset, Dynamics, HybridModel, InitialModel,
-                          Trajectory, sample_trajectory)
+                          Trajectory)
 from rarhmm.transition import (_nll_grad, make_transition, params_to_vector,
                                parse_transition_spec, transition_matrix,
                                weighted_nll_and_grad)
 
 from util import (local_quantities, models_equal, random_dataset, random_model,
                   random_trajectory, reference_gd_mstep, reference_kmeans,
-                  reference_stack_transition_stats, smooth, tensor_nll_grad)
+                  reference_sample_trajectory, reference_stack_transition_stats, smooth,
+                  tensor_nll_grad)
 
 
 def test_fit_config_spec_strings():
@@ -590,9 +591,9 @@ def test_two_regime_recovery_small():
     true = HybridModel(K=K, d_x=d_x, d_u=0, mode="open_loop", init=init,
                        dynamics=dyn, transition=tm)
     rng = np.random.default_rng(0)
-    trajs = [sample_trajectory(true, 200, rng,
-                               exogenous_us=np.zeros((200, 0)),
-                               traj_id=f"r{i}")[0] for i in range(4)]
+    trajs = [Trajectory(*reference_sample_trajectory(true, 200, rng,
+                                                     exogenous_us=np.zeros((200, 0)))[:2],
+                        dt=1.0, id=f"r{i}") for i in range(4)]
     ds = Dataset.from_trajectories(trajs)
     cfg = FitConfig(K=2, max_iters=50, restarts=2, seed=0)
     fit, _ = fit_em(ds, cfg)

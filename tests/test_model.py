@@ -9,11 +9,10 @@ import pytest
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
                           HybridModel, InitialModel, Trajectory, control_history,
                           controller_features, load_model,
-                          log_local_evidence, model_from_dict, model_to_dict,
-                          sample_trajectory, step_dynamics)
+                          log_local_evidence, model_from_dict, model_to_dict)
 from rarhmm import policy
 from rarhmm._linalg import gauss_factors, gauss_logpdf
-from rarhmm.evaluation import filter_all
+from rarhmm.evaluation import _forecast_batch, filter_all
 from rarhmm.transition import make_transition
 
 from rarhmm.envs import default_config
@@ -71,6 +70,14 @@ def test_feature_map_with_history_equals_the_series_reference(lag, poly_degree, 
                                       want[t])
 
 
+def _step_mean(m, x, u):
+    """The one-step mean A x + B u + c of a K = 1 model, as its forecast one
+    step ahead."""
+    us = np.asarray(u, dtype=float).reshape(1, 1, -1)
+    return _forecast_batch(m, np.asarray(x, dtype=float)[None], np.ones((1, 1)), us,
+                           "argmax")[0, 0]
+
+
 def test_step_dynamics_identity():
     m = random_model(K=1, d_x=2, d_u=1, seed=1)
     m = HybridModel(K=1, d_x=2, d_u=1, mode=OPEN_LOOP, init=m.init,
@@ -78,7 +85,7 @@ def test_step_dynamics_identity():
                                       c=np.zeros((1, 2)), lam_cov=[np.eye(2)]),
                     transition=m.transition)
     x = np.array([0.3, -1.2])
-    np.testing.assert_array_equal(step_dynamics(m, 0, x, [0.0], deterministic=True), x)
+    np.testing.assert_array_equal(_step_mean(m, x, [0.0]), x)
 
 
 def test_step_dynamics_pure_offset():
@@ -87,8 +94,7 @@ def test_step_dynamics_pure_offset():
                    c=[[3.0, -1.0]], lam_cov=[np.eye(2)])
     m = HybridModel(K=1, d_x=2, d_u=1, mode=OPEN_LOOP, init=m.init,
                     dynamics=dyn, transition=m.transition)
-    np.testing.assert_array_equal(
-        step_dynamics(m, 0, [7.0, 7.0], [9.0], deterministic=True), [3.0, -1.0])
+    np.testing.assert_array_equal(_step_mean(m, [7.0, 7.0], [9.0]), [3.0, -1.0])
 
 
 def test_step_dynamics_hand_computed():
@@ -98,26 +104,21 @@ def test_step_dynamics_hand_computed():
                    lam_cov=[np.eye(2)])
     m = HybridModel(K=1, d_x=2, d_u=1, mode=OPEN_LOOP, init=m.init,
                     dynamics=dyn, transition=m.transition)
-    got = step_dynamics(m, 0, [0.0, 1.0], [2.0], deterministic=True)
+    got = _step_mean(m, [0.0, 1.0], [2.0])
     np.testing.assert_allclose(got, [0.1, 1.2], rtol=0, atol=1e-15)
 
 
-def test_step_dynamics_index_range():
-    m = random_model(K=2, seed=0)
-    with pytest.raises(ValueError):
-        step_dynamics(m, 2, np.zeros(2), np.zeros(1), deterministic=True)
-
-
 def test_sample_initial_degenerate_categorical():
-    """sample_trajectory's first regime is the one regime pi allows."""
+    """The test-data sampler's first regime is the one regime pi allows."""
     m = random_model(K=1, seed=3)
     for s in range(5):
-        _, zs = sample_trajectory(m, 2, np.random.default_rng(s), exogenous_us=np.zeros((2, 1)))
+        _, _, zs = reference_sample_trajectory(m, 2, np.random.default_rng(s),
+                                               exogenous_us=np.zeros((2, 1)))
         assert zs[0] == 0
 
 
 def test_sample_initial_fair_categorical_frequency():
-    """sample_trajectory's first regime is drawn from a fair pi."""
+    """The test-data sampler's first regime is drawn from a fair pi."""
     floor = 1e-6
     init = InitialModel(pi=[0.5, 0.5], mu=[[1.0, 0.0], [-1.0, 0.0]],
                         omega_cov=[floor * np.eye(2), floor * np.eye(2)])
@@ -125,12 +126,14 @@ def test_sample_initial_fair_categorical_frequency():
     m = HybridModel(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, init=init,
                     dynamics=base.dynamics, transition=base.transition)
     rng, us, n = np.random.default_rng(123), np.zeros((2, 1)), 10 ** 4
-    hits = sum(sample_trajectory(m, 2, rng, exogenous_us=us)[1][0] == 0 for _ in range(n))
+    hits = sum(reference_sample_trajectory(m, 2, rng, exogenous_us=us)[2][0] == 0
+               for _ in range(n))
     assert 0.48 <= hits / n <= 0.52       # 4 standard deviations
 
 
 def test_sample_initial_closed_loop_readout():
-    """sample_trajectory's first control is the first regime's law at the first state."""
+    """The test-data sampler's first control is the first regime's law at the
+    first state."""
     floor = 1e-12
     base = random_model(K=1, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=2)
     ctl = Controllers(gain=[[[1.0, 0.0]]], offset=np.zeros((1, 1)),
@@ -138,8 +141,8 @@ def test_sample_initial_closed_loop_readout():
     m = HybridModel(K=1, d_x=2, d_u=1, mode=CLOSED_LOOP, init=base.init,
                     dynamics=base.dynamics, transition=base.transition,
                     controllers=ctl)
-    traj, _ = sample_trajectory(m, 2, np.random.default_rng(0))
-    np.testing.assert_allclose(traj.us[0], traj.xs[0, :1], atol=1e-4)
+    xs, us, _ = reference_sample_trajectory(m, 2, np.random.default_rng(0))
+    np.testing.assert_allclose(us[0], xs[0, :1], atol=1e-4)
 
 
 def test_sample_trajectory_single_regime_constant_path():
@@ -156,8 +159,9 @@ def test_sample_trajectory_constant_policy():
     m = HybridModel(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, init=base.init,
                     dynamics=base.dynamics, transition=base.transition,
                     controllers=ctls)
-    traj, _ = sample_trajectory(m, 15, np.random.default_rng(1), deterministic=True)
-    np.testing.assert_allclose(traj.us, np.tile(u_star, (15, 1)), atol=1e-12)
+    _, us, _ = reference_sample_trajectory(m, 15, np.random.default_rng(1),
+                                           deterministic=True)
+    np.testing.assert_allclose(us, np.tile(u_star, (15, 1)), atol=1e-12)
 
 
 def test_sample_trajectory_threshold_switching():
@@ -173,18 +177,12 @@ def test_sample_trajectory_threshold_switching():
     m = HybridModel(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, init=base.init,
                     dynamics=base.dynamics, transition=tm)
     rng = np.random.default_rng(3)
-    traj, zs = sample_trajectory(m, 200, rng,
-                                 exogenous_us=rng.standard_normal((200, 1)))
-    prev_x1 = traj.xs[:-1, 0]
+    xs, _, zs = reference_sample_trajectory(m, 200, rng,
+                                            exogenous_us=rng.standard_normal((200, 1)))
+    prev_x1 = xs[:-1, 0]
     decided = np.abs(prev_x1) > 0.1  # ignore the fuzzy band near the threshold
     want = (prev_x1 < 0).astype(int)
     assert np.all(zs[1:][decided] == want[decided])
-
-
-def test_open_loop_sampling_needs_inputs():
-    m = random_model(K=2, seed=0)
-    with pytest.raises(ValueError):
-        sample_trajectory(m, 10, np.random.default_rng(0))
 
 
 def test_log_local_evidence_unit_gaussian_zero_residual():
@@ -246,19 +244,19 @@ def test_log_local_evidence_ignores_trajectory_id():
 def test_deterministic_sampling_matches_hand_recursion():
     m = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=17, lag=1)
     rng = np.random.default_rng(5)
-    traj, zs = sample_trajectory(m, 12, rng, deterministic=True)
+    xs, us, zs = reference_sample_trajectory(m, 12, rng, deterministic=True)
     # replay the recursion by hand from the sampled regime path
     x = m.init.mu[zs[0]]
     past = [np.zeros(1)]
     for t in range(12):
         if t > 0:
             z, dyn = zs[t], m.dynamics
-            x = dyn.A[z] @ traj.xs[t - 1] + dyn.B[z] @ traj.us[t - 1] + dyn.c[z]
-        np.testing.assert_allclose(traj.xs[t], x, atol=1e-14)
+            x = dyn.A[z] @ xs[t - 1] + dyn.B[z] @ us[t - 1] + dyn.c[z]
+        np.testing.assert_allclose(xs[t], x, atol=1e-14)
         phi = controller_features(x, past, 1)
         u = m.controllers.gain[zs[t]] @ phi + m.controllers.offset[zs[t]]
-        np.testing.assert_allclose(traj.us[t], u, atol=1e-14)
-        past = [traj.us[t]]
+        np.testing.assert_allclose(us[t], u, atol=1e-14)
+        past = [us[t]]
 
 
 @pytest.mark.parametrize("mode,kind", [(OPEN_LOOP, "stationary"),
@@ -385,8 +383,7 @@ def test_regime_stack_without_controls():
     x = np.arange(4.0)
     for k in range(m.K):
         np.testing.assert_array_equal((dyn.A @ x + dyn.B @ np.zeros(0) + dyn.c)[k],
-                                      step_dynamics(m, k, x, np.zeros(0),
-                                                    deterministic=True))
+                                      dyn.A[k] @ x + dyn.B[k] @ np.zeros(0) + dyn.c[k])
 
 
 @pytest.mark.parametrize("mode,lag", [(OPEN_LOOP, 0), (CLOSED_LOOP, 1)])
@@ -580,25 +577,6 @@ def test_model_document_roundtrips_byte_equal_without_controls(mode, kind):
     m2 = model_from_dict(json.loads(text))
     assert json.dumps(model_to_dict(m2)) == text
     assert models_equal(m, m2)
-
-
-@pytest.mark.parametrize("mode,lag,z_burnin", [(OPEN_LOOP, 0, None), (OPEN_LOOP, 0, 1),
-                                               (CLOSED_LOOP, 0, None),
-                                               (CLOSED_LOOP, 2, 2)])
-@pytest.mark.parametrize("deterministic", [False, True])
-def test_sample_trajectory_matches_draw_by_draw_reference(mode, lag, z_burnin,
-                                                         deterministic):
-    m = random_model(K=3, d_x=2, d_u=2, mode=mode, seed=21, lag=lag, noise_scale=0.2)
-    exo = np.random.default_rng(3).standard_normal((40, 2)) if mode == OPEN_LOOP else None
-    for seed in range(3):
-        traj, zs = sample_trajectory(m, 40, np.random.default_rng(seed), exogenous_us=exo,
-                                     z_burnin=z_burnin, deterministic=deterministic)
-        xs, us, zs_ref = reference_sample_trajectory(
-            m, 40, np.random.default_rng(seed), exogenous_us=exo, z_burnin=z_burnin,
-            deterministic=deterministic)
-        np.testing.assert_array_equal(traj.xs, xs)
-        np.testing.assert_array_equal(traj.us, us)
-        np.testing.assert_array_equal(zs, zs_ref)
 
 
 def _valid_model_doc():

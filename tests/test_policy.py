@@ -9,8 +9,7 @@ from rarhmm.envs import default_config, env_dims, load_dataset
 from rarhmm.evaluation import filter_all
 from rarhmm.learning import FitConfig
 from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
-                          InitialModel, Trajectory, model_from_dict, model_to_dict,
-                          sample_trajectory)
+                          InitialModel, Trajectory, model_from_dict, model_to_dict)
 from rarhmm.policy import (ACT_MODES, RolloutResult, _bayes_update, _belief_step,
                            _initial_belief, act, default_distill_config,
                            distill, rollout, save_rollout, success_criterion)
@@ -18,7 +17,7 @@ from rarhmm.transition import make_transition
 
 from util import (models_equal, random_dataset, random_model, reference_act,
                   reference_belief_step, reference_clip_control,
-                  reference_step_env)
+                  reference_sample_trajectory, reference_step_env)
 
 
 def _closed_loop_model(gains, offsets=None, d_x=1, lag=0, init_mu=None,
@@ -335,7 +334,8 @@ def test_distillation_consistency_on_generated_demos():
                                    transition_kind="linear", max_iters=60,
                                    restarts=3, seed=0))
     rng = np.random.default_rng(9)
-    test, _ = sample_trajectory(gen, 60, rng, traj_id="held-out")
+    xs, us, _ = reference_sample_trajectory(gen, 60, rng)
+    test = Trajectory(xs=xs, us=us, dt=1.0, id="held-out")
     diffs = []
     for model in (gen, fit):
         alpha = filter_all(model, Dataset.from_trajectories([test]))[0]

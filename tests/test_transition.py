@@ -9,7 +9,7 @@ from rarhmm.model import Dataset, Trajectory, model_from_dict, model_to_dict
 from rarhmm.transition import (PERCEPTRON_HIDDEN_UNITS, TransitionModel, _nll_grad,
                                make_transition, n_feature_params, params_to_vector,
                                parse_transition_spec, transition_matrix,
-                               transition_matrices, transition_probs, transition_stats,
+                               transition_matrices, transition_stats,
                                vector_to_params, weighted_nll_and_grad)
 
 from util import (random_model, random_trajectory, random_xis,
@@ -82,7 +82,7 @@ def _random_instance(kind, seed, K=2, d_x=2, d_u=1, T=6, n=2, **kw):
 
 def test_uniform_for_zero_bias():
     tm = make_transition("stationary", 4, 2, 1)
-    np.testing.assert_allclose(transition_probs(tm, 1, np.zeros(2), np.zeros(1)),
+    np.testing.assert_allclose(transition_matrix(tm, np.zeros(2), np.zeros(1))[:, 1],
                                np.full(4, 0.25), atol=1e-15)
 
 
@@ -92,7 +92,7 @@ def test_stationary_hand_softmax():
                   bias=np.array([[np.log(3.0), 0.0], [0.0, 0.0]]),
                   feature_params=np.zeros(0), feat_mean=np.zeros(2),
                   feat_std=np.ones(2))
-    np.testing.assert_allclose(transition_probs(tm, 0, np.zeros(2), np.zeros(0)),
+    np.testing.assert_allclose(transition_matrix(tm, np.zeros(2), np.zeros(0))[:, 0],
                                [0.75, 0.25], atol=1e-15)
 
 
@@ -140,11 +140,11 @@ def test_shift_invariance():
     tm = _random_tm("linear", 3, 2, 1, seed=11)
     rng = np.random.default_rng(2)
     x, u = rng.standard_normal(2), rng.standard_normal(1)
-    ref = transition_probs(tm, 1, x, u)
+    ref = transition_matrix(tm, x, u)[:, 1]
     shifted = type(tm)(kind=tm.kind, K=tm.K, d_x=tm.d_x, d_u=tm.d_u,
                        bias=tm.bias + 123.456, feature_params=tm.feature_params,
                        feat_mean=tm.feat_mean, feat_std=tm.feat_std)
-    np.testing.assert_allclose(transition_probs(shifted, 1, x, u), ref, atol=1e-12)
+    np.testing.assert_allclose(transition_matrix(shifted, x, u)[:, 1], ref, atol=1e-12)
 
 
 def test_column_stochastic_many_draws():
@@ -169,7 +169,7 @@ def test_rejects_nonfinite_inputs():
     with pytest.raises(ValueError):
         transition_matrix(tm, np.array([np.nan, 0.0]), np.zeros(1))
     with pytest.raises(ValueError):
-        transition_probs(tm, 0, np.array([np.inf, 0.0]), np.zeros(1))
+        transition_matrix(tm, np.array([np.inf, 0.0]), np.zeros(1))
 
 
 def test_stationary_matrices_equal_generic_formula():
@@ -219,7 +219,6 @@ def test_single_step_matrix_equals_batched_slice(kind, scale, kw):
             got = transition_matrix(tm, x, u)
             assert got.shape == (5, 5)
             assert np.array_equal(got, transition_matrices(tm, x[None], u[None])[0])
-            assert np.array_equal(transition_probs(tm, 2, x, u), got[:, 2])
             saturated += np.any(got == 0.0)
     if kind != "stationary":
         assert saturated > 0            # some softmax column underflowed

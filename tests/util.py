@@ -14,12 +14,12 @@ from rarhmm.features import controller_feature_dim, polynomial_features
 from rarhmm.inference import Posterior, _backward_batch, _forward_batch, smooth_dataset
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
                           HybridModel, InitialModel, Trajectory,
-                          log_local_evidence, model_to_dict, sample_trajectory)
+                          log_local_evidence, model_to_dict)
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
 from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
                                params_to_vector, transition_features,
                                transition_matrices, transition_matrix,
-                               transition_probs, vector_to_params)
+                               vector_to_params)
 
 
 def logsumexp(a, axis=None):
@@ -159,9 +159,8 @@ def random_trajectory(model, T=8, seed=0, dt=0.1):
     exo = None
     if model.mode == OPEN_LOOP:
         exo = 0.5 * rng.standard_normal((T, model.d_u))
-    traj, zs = sample_trajectory(model, T, rng, exogenous_us=exo, dt=dt,
-                                 traj_id=f"t{seed}")
-    return traj, zs
+    xs, us, zs = reference_sample_trajectory(model, T, rng, exogenous_us=exo)
+    return Trajectory(xs=xs, us=us, dt=dt, id=f"t{seed}"), zs
 
 
 def random_dataset(model, n=3, T=8, seed=0, dt=0.1):
@@ -321,8 +320,13 @@ def reference_log_local_evidence(model, traj):
 
 def reference_sample_trajectory(model, T, rng, exogenous_us=None, z_burnin=None,
                                 deterministic=False):
-    """sample_trajectory written draw by draw from each regime's own
-    parameters through mvn_sample. Returns (xs, us, zs)."""
+    """Roll the generative model forward for T steps, draw by draw from each
+    regime's own parameters through mvn_sample: the first regime from pi (or
+    z_burnin), each later one from the link's column of the current regime at
+    the previous state and control, the state from the arriving regime's
+    dynamics and, in closed-loop mode, the control from its law. Open-loop
+    mode reads exogenous_us (T, d_u); deterministic drops every Gaussian
+    noise (regimes are still drawn). Returns (xs, us, zs)."""
     z = int(z_burnin) if z_burnin is not None else int(rng.choice(model.K, p=model.init.pi))
     if deterministic:
         x = model.init.mu[z].copy()
@@ -332,8 +336,8 @@ def reference_sample_trajectory(model, T, rng, exogenous_us=None, z_burnin=None,
     xs, us, zs = np.empty((T, model.d_x)), np.empty((T, model.d_u)), np.empty(T, dtype=int)
     for t in range(T):
         if t > 0:
-            z = int(rng.choice(model.K, p=transition_probs(model.transition, z, xs[t - 1],
-                                                           us[t - 1])))
+            probs = transition_matrix(model.transition, xs[t - 1], us[t - 1])[:, z]
+            z = int(rng.choice(model.K, p=probs))
             dyn = model.dynamics
             x = dyn.A[z] @ xs[t - 1] + dyn.B[z] @ us[t - 1] + dyn.c[z]
             if not deterministic:
@@ -471,9 +475,10 @@ def forward_pass(evidence, trans_mats, pi):
     """Scaled forward recursion of one trajectory, a batch of one through the
     library's core: (alpha_hat (T, K) row-normalized filtered beliefs,
     log_norms (T,), loglik = their sum)."""
-    alpha, log_norms = _forward_batch(np.asarray(evidence, dtype=float)[None],
-                                      np.asarray(trans_mats, dtype=float)[None],
-                                      np.asarray(pi, dtype=float))
+    ev = np.asarray(evidence, dtype=float)[None]
+    alpha, log_norms = _forward_batch(ev, np.asarray(trans_mats, dtype=float)[None],
+                                      np.asarray(pi, dtype=float),
+                                      np.zeros(ev.shape[:2], dtype=bool))
     return alpha[0], log_norms[0], float(log_norms[0].sum())
 
 
@@ -570,6 +575,16 @@ def reference_kmeans(points, K, rng, iters=50):
         for k in range(K):
             centers[k] = points[labels == k].mean(axis=0)
     return labels, reseeded
+
+
+def ball_rest_state(config):
+    """Attracting fixed point of the impact reflection: a decayed ball parks
+    here, a hair above the ground with the small residual downward velocity
+    the sampled-time reflection sustains."""
+    g, e, dt = config.gravity, config.restitution, config.dt
+    v = -g * dt / (1.0 + e)
+    h = e * (0.5 * g * dt * dt - v * dt) / (1.0 + e)
+    return np.array([h, v])
 
 
 def _reference_ball_step(config, state):
