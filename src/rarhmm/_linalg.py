@@ -1,6 +1,8 @@
-"""Small numeric helpers shared across modules. Only the regime blocks of
-model.py (InitialModel, Dynamics, Controllers) call gauss_factors, once each
-in their constructor; gauss_logpdf and gauss_draw read the factors they hold.
+"""Small numeric helpers shared across modules. Every parameter block holds
+read-only C-ordered copies of its arrays (c_copy, set_frozen). Only the regime
+blocks of model.py (InitialModel, Dynamics, Controllers) call gauss_factors,
+once each in their constructor; gauss_logpdf and gauss_draw read the factors
+they hold.
 A density whitens its residuals with the cached inverse W = inv(L) of the lower
 Cholesky factor L, |W r|^2 being the Mahalanobis term, so it costs one matmul
 and no factorization."""
@@ -9,6 +11,24 @@ from __future__ import annotations
 import numpy as np
 
 LOG2PI = float(np.log(2.0 * np.pi))
+
+
+def c_copy(x, ndim: int, name: str) -> np.ndarray:
+    """A finite C-ordered float copy of x with ndim axes, so freezing it
+    leaves the caller's array writeable."""
+    a = np.array(x, dtype=float, order="C")
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} axes, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def set_frozen(block, **arrays) -> None:
+    """Set each named array on a frozen dataclass, read-only."""
+    for name, a in arrays.items():
+        a.flags.writeable = False
+        object.__setattr__(block, name, a)
 
 
 def floor_spd(cov: np.ndarray, floor: float) -> np.ndarray:

@@ -316,9 +316,12 @@ def cmd_distill(cfg: dict, parser: _Parser) -> int:
     demos = load_dataset(cfg["demos"])
     prov = _provenance(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    model = distill(demos, fit_config)
+    model, history = distill(demos, fit_config)
     path = os.path.join(cfg["out_dir"], "distilled.json")
     _write_model(path, model, prov)
+    _write_text(os.path.join(cfg["out_dir"], "history.csv"),
+                history.to_csv(include_timings=cfg["timings"],
+                               header_lines=_header_lines(prov)))
     _write_run_doc(cfg["out_dir"], "distill", cfg, prov)
     print(f"distill: wrote {path} (K={model.K}, lag={cfg['lag']}, "
           f"params={count_params(model)})")

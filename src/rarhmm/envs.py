@@ -37,6 +37,8 @@ OBS_JOINT = "joint"
 OBS_TRIG = "trig"
 OBS_MODES = (OBS_JOINT, OBS_TRIG)
 
+EXPLORE_HOLD = 25   # steps each random exploration action is held
+
 # expert gains, hand-tuned against the admission test in the test suite
 CAPTURE_ANGLE = 0.35
 PEND_CAPTURE_VEL = 2.4
@@ -293,15 +295,14 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None,
 
 # -- policies ------------------------------------------------------------------
 
-def explore_policy(config: EnvConfig, rng: np.random.Generator, hold: int = 1):
-    """Uniform random actions in [-limit, limit], redrawn every `hold` steps."""
-    if hold < 1:
-        raise ValueError("hold must be >= 1")
+def explore_policy(config: EnvConfig, rng: np.random.Generator):
+    """Uniform random actions in [-limit, limit], redrawn every EXPLORE_HOLD
+    steps."""
     d_u = env_dims(config)[1]
     cache = {"u": np.zeros(d_u)}
 
     def policy(_state, t):
-        if t % hold == 0:
+        if t % EXPLORE_HOLD == 0:
             cache["u"] = rng.uniform(-config.limit, config.limit, size=d_u)
         return cache["u"]
 
@@ -369,7 +370,7 @@ def collect_trajectories(config: EnvConfig, n: int, seed: int,
     by (seed, i), so collection order and parallelism do not matter.
 
     policy_maker: callable rng -> policy; default is random exploration with a
-    25-step hold for actuated systems, nothing for the ball.
+    hold of EXPLORE_HOLD steps for actuated systems, nothing for the ball.
     start: callable rng -> x0; default draws from initial_state.
     """
     trajs = []
@@ -380,7 +381,7 @@ def collect_trajectories(config: EnvConfig, n: int, seed: int,
         elif config.env == ENV_BOUNCING_BALL:
             policy = None
         else:
-            policy = explore_policy(config, rng, hold=25)
+            policy = explore_policy(config, rng)
         x0 = start(rng) if start is not None else None
         trajs.append(simulate(config, policy, T=T, rng=rng, x0=x0,
                               id=f"{config.env}-{seed}-{i:03d}"))
@@ -445,7 +446,7 @@ def load_dataset(path) -> Dataset:
                 raise ValueError(f"{where}: {e}") from e
     if not trajs:
         raise ValueError(f"{path}: no trajectories")
-    return Dataset.from_trajectories(trajs)
+    return Dataset(trajs)
 
 
 def save_manifest(path, split_ids: list[list[str]]) -> None:
@@ -484,4 +485,4 @@ def select_split(dataset: Dataset, ids: list[str]) -> Dataset:
     missing = [i for i in ids if i not in by_id]
     if missing:
         raise ValueError(f"manifest ids not in dataset: {missing}")
-    return Dataset.from_trajectories([by_id[i] for i in ids])
+    return Dataset([by_id[i] for i in ids])

@@ -45,14 +45,13 @@ def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
 
 
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
-                    us: np.ndarray, mode: str,
-                    rng: np.random.Generator | None = None,
-                    lengths: np.ndarray | None = None) -> np.ndarray:
+                    us: np.ndarray, mode: str, rng: np.random.Generator | None,
+                    lengths: np.ndarray) -> np.ndarray:
     """Forecast up to h steps from M starts at once.
 
     x0 (M, d_x) states, b0 (M, K) beliefs, us (M, h, d_u) recorded actions.
-    Returns (M, h, d_x). Row r runs lengths[r] steps (h when lengths is
-    None) and its later entries are NaN; lengths must not increase, so the
+    Returns (M, h, d_x). Row r runs lengths[r] <= h steps and its later
+    entries are NaN; lengths must not increase, so the
     rows still running at step i are a prefix and only that prefix of x, b
     and us[:, i] is read. Marginal propagates the full belief and predicts
     the belief-weighted mean; argmax collapses the belief to its best regime
@@ -64,7 +63,6 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
     if mode == MODE_SAMPLE and rng is None:
         raise ValueError("sample mode needs an rng")
     M, h = us.shape[:2]
-    lengths = np.full(M, h) if lengths is None else np.asarray(lengths)
     running = np.count_nonzero(lengths > np.arange(h)[:, None], axis=1)
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
@@ -183,8 +181,6 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     horizon that fits. In sample mode a start's horizons therefore share one
     drawn path, and draws run trajectory by trajectory in test-set order.
     """
-    if len(test) == 0:
-        raise ValueError("empty test set")
     horizons = [int(h) for h in horizons]
     if not horizons or min(horizons) < 1:
         raise ValueError("need at least one horizon >= 1")

@@ -14,13 +14,14 @@ there within one M-step. Each transition M-step reduces the pairwise
 marginals xi once to source mass, destination mass and pair counts
 (transition_stats); every objective evaluation then works on (M, K) link
 logits and the (K, K) bias (factored objective in transition.py), for every
-link kind. The k-means initialization feeds one-hot posteriors to the same
-Gaussian M-steps EM runs (_mstep_gaussians); it labels every regime, so only
-the initial-state and dynamics blocks need fallbacks. The link is sized by
-its FitConfig spec alone, as transition.parse_transition_spec resolves it.
-Covariances are projected onto the SPD cone with a minimum-eigenvalue floor,
-which is the constrained argmax, so the monotonicity guarantee survives the
-projection.
+link kind. The Gaussian M-steps read only the per-trajectory gammas of the
+posteriors, the transition M-step only the xis. The k-means initialization
+feeds one-hot gammas to the same Gaussian M-steps EM runs (_mstep_gaussians);
+it labels every regime, so only the initial-state and dynamics blocks need
+fallbacks. The link is sized by its FitConfig spec alone, as
+transition.parse_transition_spec resolves it. Covariances are projected onto
+the SPD cone with one minimum-eigenvalue floor, COVARIANCE_FLOOR, which is the
+constrained argmax, so the monotonicity guarantee survives the projection.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._linalg import floor_spd
-from .inference import Posterior, smooth_dataset
+from .inference import smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
                     Controllers, Dynamics, InitialModel, control_history,
                     controller_features)
@@ -44,7 +45,6 @@ EMPTY_WEIGHT = 1e-12
 COVARIANCE_FLOOR = 1e-6   # minimum eigenvalue of every fitted covariance
 KMEANS_ITERS = 50
 STICKY_LOGIT = 2.0
-FEATURE_INIT_SCALE = 0.01
 MAX_EVALS = 25        # transition objective evaluations per M-step
 STEP_BOUND = 1.0      # infinity-norm bound on one transition parameter step
 NLL_RTOL = 1e-5       # stop once a quasi-Newton step gains less than this, relative
@@ -73,6 +73,10 @@ class FitConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        if self.mode == OPEN_LOOP and (self.lag, self.poly_degree) != (0, 1):
+            raise ValueError(f"lag and poly_degree shape the controllers of a closed-loop "
+                             f"fit; an open-loop fit needs lag 0 and poly_degree 1, got "
+                             f"{self.lag} and {self.poly_degree}")
 
 
 @dataclass
@@ -103,10 +107,9 @@ class FitHistory:
 
 # -- initialization ------------------------------------------------------------
 
-def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
-            iters: int = KMEANS_ITERS) -> np.ndarray:
-    """Plain Lloyd iteration, deterministic given the rng, for at most `iters`
-    rounds.
+def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Plain Lloyd iteration, deterministic given the rng, for at most
+    KMEANS_ITERS rounds.
 
     Empty clusters are re-seeded, the first one first (again if a re-seed
     empties one), with the point farthest from its assigned center that no
@@ -120,7 +123,7 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator,
                          f"got {len(distinct)}")
     centers = distinct[rng.choice(len(distinct), size=K, replace=False)]
     labels = np.zeros(len(points), dtype=int)
-    for round_ in range(iters):
+    for round_ in range(KMEANS_ITERS):
         prev = labels
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
@@ -146,11 +149,12 @@ def _dataset_standardizer(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _global_initial(dataset: Dataset, K: int, floor: float) -> InitialModel:
+def _global_initial(dataset: Dataset, K: int) -> InitialModel:
     """Fallback initial Gaussian: global stats of the first states."""
     x1 = np.stack([t.xs[0] for t in dataset.trajectories])
     mu = x1.mean(axis=0)
-    cov = floor_spd(np.cov(x1.T, ddof=0).reshape(x1.shape[1], x1.shape[1]), floor)
+    cov = floor_spd(np.cov(x1.T, ddof=0).reshape(x1.shape[1], x1.shape[1]),
+                    COVARIANCE_FLOOR)
     return InitialModel(pi=np.full(K, 1.0 / K), mu=np.tile(mu, (K, 1)),
                         omega_cov=np.tile(cov, (K, 1, 1)))
 
@@ -163,33 +167,28 @@ def initialize(dataset: Dataset, config: FitConfig, rng: np.random.Generator) ->
     pts = np.concatenate([np.concatenate([t.xs[:-1], np.diff(t.xs, axis=0)], axis=1)
                           for t in dataset.trajectories], axis=0)
     labels = _kmeans(pts, K, rng)
-    # one-hot posteriors; each trajectory's last step repeats its last label
+    # one-hot gammas; each trajectory's last step repeats its last label
     eye = np.eye(K)
-    posts = []
+    gammas = []
     ofs = 0
     for traj in dataset.trajectories:
         lab = labels[ofs:ofs + traj.T - 1]
         ofs += traj.T - 1
-        g = eye[np.append(lab, lab[-1])]
-        posts.append(Posterior(gamma=g, xi=g[:-1, :, None] * g[1:, None, :],
-                               loglik=np.nan))
+        gammas.append(eye[np.append(lab, lab[-1])])
 
-    floor = COVARIANCE_FLOOR
     d_x, d_u = dataset.d_x, dataset.d_u
     fallback_dyn = Dynamics(A=np.tile(np.eye(d_x), (K, 1, 1)), B=np.zeros((K, d_x, d_u)),
                             c=np.zeros((K, d_x)),
-                            lam_cov=np.tile(floor * np.eye(d_x), (K, 1, 1)))
+                            lam_cov=np.tile(COVARIANCE_FLOOR * np.eye(d_x), (K, 1, 1)))
     init, dynamics, controllers = _mstep_gaussians(
-        posts, dataset, config, _global_initial(dataset, K, floor), fallback_dyn, None)
+        gammas, dataset, config, _global_initial(dataset, K), fallback_dyn, None)
 
     mean, std = _dataset_standardizer(dataset)
     kind, degree, hidden = parse_transition_spec(config.transition_kind)
-    tm = make_transition(kind, K, dataset.d_x, dataset.d_u, degree=degree,
-                         hidden_units=hidden, feat_mean=mean, feat_std=std,
-                         bias=STICKY_LOGIT * np.eye(K),
-                         rng=rng, init_scale=FEATURE_INIT_SCALE)
-    return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=config.mode,
-                       init=init, dynamics=dynamics, transition=tm,
+    tm = make_transition(kind, K, d_x, d_u, degree=degree, hidden_units=hidden,
+                         feat_mean=mean, feat_std=std, bias=STICKY_LOGIT * np.eye(K),
+                         rng=rng)
+    return HybridModel(init=init, dynamics=dynamics, transition=tm,
                        controllers=controllers)
 
 
@@ -214,14 +213,13 @@ def _mstep_regimes(W: np.ndarray, prev, what: str, fit) -> list[np.ndarray]:
     return [np.stack(parts) for parts in zip(*out)]
 
 
-def _weighted_residual_cov(resid: np.ndarray, w: np.ndarray, wsum: float,
-                           floor: float) -> np.ndarray:
+def _weighted_residual_cov(resid: np.ndarray, w: np.ndarray, wsum: float) -> np.ndarray:
     cov = (w[:, None] * resid).T @ resid / wsum
-    return floor_spd(cov, floor)
+    return floor_spd(cov, COVARIANCE_FLOOR)
 
 
 def _weighted_lstsq(X: np.ndarray, Y: np.ndarray, w: np.ndarray, wsum: float,
-                    floor: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+                    what: str) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares X -> Y and its floored residual covariance."""
     G = X.T @ (w[:, None] * X) + RIDGE * np.eye(X.shape[1])
     try:
@@ -230,29 +228,27 @@ def _weighted_lstsq(X: np.ndarray, Y: np.ndarray, w: np.ndarray, wsum: float,
         raise np.linalg.LinAlgError(f"rank-deficient regression for {what}") from e
     if not np.all(np.isfinite(coef)):
         raise FloatingPointError(f"non-finite regression solution for {what}")
-    return coef, _weighted_residual_cov(Y - X @ coef, w, wsum, floor)
+    return coef, _weighted_residual_cov(Y - X @ coef, w, wsum)
 
 
-def mstep_initial(posteriors, dataset: Dataset, floor: float,
-                  prev: InitialModel | None = None) -> InitialModel:
+def mstep_initial(gammas, dataset: Dataset, prev: InitialModel | None = None) -> InitialModel:
     """Initial regime probabilities and per-regime first-state Gaussians from
-    gamma_1-weighted statistics. Regimes with vanishing weight keep their
-    previous Gaussian (warning)."""
-    g1 = np.stack([p.gamma[0] for p in posteriors])          # (N, K)
+    gamma_1-weighted statistics; gammas holds one (T, K) array per trajectory.
+    Regimes with vanishing weight keep their previous Gaussian (warning)."""
+    g1 = np.stack([g[0] for g in gammas])                    # (N, K)
     x1 = np.stack([t.xs[0] for t in dataset.trajectories])   # (N, d_x)
     pi = g1.sum(axis=0)
 
-    def fit(k, w, wsum):
+    def fit(_k, w, wsum):
         mu = w @ x1 / wsum
-        return mu, _weighted_residual_cov(x1 - mu, w, wsum, floor)
+        return mu, _weighted_residual_cov(x1 - mu, w, wsum)
 
     keep = None if prev is None else (prev.mu, prev.omega_cov)
     mu, om = _mstep_regimes(g1, keep, "initial-state", fit)
     return InitialModel(pi=pi / pi.sum(), mu=mu, omega_cov=om)
 
 
-def mstep_dynamics(posteriors, dataset: Dataset, floor: float,
-                   prev: Dynamics | None = None) -> Dynamics:
+def mstep_dynamics(gammas, dataset: Dataset, prev: Dynamics | None = None) -> Dynamics:
     """Per-regime weighted least squares [x_t; u_t; 1] -> x_{t+1} with weights
     gamma_{t+1}(k); process noise is the weighted residual covariance, floored."""
     d_x, d_u = dataset.d_x, dataset.d_u
@@ -262,16 +258,16 @@ def mstep_dynamics(posteriors, dataset: Dataset, floor: float,
     Y = np.concatenate([t.xs[1:] for t in trajs], axis=0)
 
     def fit(k, w, wsum):
-        coef, lam = _weighted_lstsq(X, Y, w, wsum, floor, f"dynamics regime {k}")
+        coef, lam = _weighted_lstsq(X, Y, w, wsum, f"dynamics regime {k}")
         return coef[:d_x].T, coef[d_x:d_x + d_u].T, coef[-1], lam
 
-    W = np.concatenate([p.gamma[1:] for p in posteriors], axis=0)  # (M, K)
+    W = np.concatenate([g[1:] for g in gammas], axis=0)   # (M, K)
     keep = None if prev is None else (prev.A, prev.B, prev.c, prev.lam_cov)
     return Dynamics(*_mstep_regimes(W, keep, "dynamics", fit))
 
 
-def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
-                     floor: float, prev: Controllers | None = None) -> Controllers:
+def mstep_controller(gammas, dataset: Dataset, lag: int, poly_degree: int,
+                     prev: Controllers | None = None) -> Controllers:
     """Per-regime weighted least squares [phi(x_t, past controls); 1] -> u_t
     with weights gamma_t(k); action noise is the floored residual covariance."""
     feats = np.concatenate([controller_features(t.xs, control_history(t.us, lag)[1],
@@ -281,10 +277,10 @@ def mstep_controller(posteriors, dataset: Dataset, lag: int, poly_degree: int,
     U = np.concatenate([t.us for t in dataset.trajectories], axis=0)
 
     def fit(k, w, wsum):
-        coef, sig = _weighted_lstsq(X, U, w, wsum, floor, f"controller regime {k}")
+        coef, sig = _weighted_lstsq(X, U, w, wsum, f"controller regime {k}")
         return coef[:-1].T, coef[-1], sig
 
-    W = np.concatenate([p.gamma for p in posteriors], axis=0)
+    W = np.concatenate(gammas, axis=0)
     keep = None if prev is None else (prev.gain, prev.offset, prev.sigma_cov)
     gain, offset, sig = _mstep_regimes(W, keep, "controller", fit)
     return Controllers(gain=gain, offset=offset, sigma_cov=sig, lag=lag,
@@ -310,9 +306,9 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def mstep_transitions(posteriors, dataset: Dataset,
-                      tm_hat: TransitionModel) -> TransitionModel:
-    """Transition update. Stationary links have the closed-form normalized-count
+def mstep_transitions(xis, dataset: Dataset, tm_hat: TransitionModel) -> TransitionModel:
+    """Transition update from the pairwise marginals xis, one (T-1, K, K)
+    array per trajectory. Stationary links have the closed-form normalized-count
     solution; other kinds take L-BFGS steps on the mean expected transition
     NLL and return the last accepted iterate, or tm_hat itself if no step was
     accepted (generalized EM: improvement, not the optimum, keeps EM monotone).
@@ -334,7 +330,6 @@ def mstep_transitions(posteriors, dataset: Dataset,
     pair counts) are computed once here, not per evaluation. Each evaluation
     is then factored: (M, K) link logits against the (K, K) bias, with an
     exact log-sum-exp for the few normalizer entries that underflow."""
-    xis = [p.xi for p in posteriors]
     if tm_hat.kind == "stationary":
         counts = sum(xi.sum(axis=0) for xi in xis)           # (K, K) [source, dest]
         probs = counts / np.maximum(counts.sum(axis=1, keepdims=True), EMPTY_WEIGHT)
@@ -389,27 +384,26 @@ def mstep_transitions(posteriors, dataset: Dataset,
     return vector_to_params(tm_hat, vec)
 
 
-def _mstep_gaussians(posteriors, dataset: Dataset, config: FitConfig, init,
+def _mstep_gaussians(gammas, dataset: Dataset, config: FitConfig, init,
                      dynamics, controllers):
     """The closed-form M-steps, each regime without weight keeping its block
     of init, dynamics or controllers; controllers are fit in closed loop only.
     Returns the new (init, dynamics, controllers)."""
-    floor = COVARIANCE_FLOOR
-    init = mstep_initial(posteriors, dataset, floor, prev=init)
-    dynamics = mstep_dynamics(posteriors, dataset, floor, prev=dynamics)
+    init = mstep_initial(gammas, dataset, prev=init)
+    dynamics = mstep_dynamics(gammas, dataset, prev=dynamics)
     if config.mode == CLOSED_LOOP:
-        controllers = mstep_controller(posteriors, dataset, config.lag,
-                                       config.poly_degree, floor, prev=controllers)
+        controllers = mstep_controller(gammas, dataset, config.lag, config.poly_degree,
+                                       prev=controllers)
     return init, dynamics, controllers
 
 
 def _mstep_all(model: HybridModel, posteriors, dataset: Dataset,
                config: FitConfig) -> HybridModel:
     init, dynamics, controllers = _mstep_gaussians(
-        posteriors, dataset, config, model.init, model.dynamics, model.controllers)
-    tm = mstep_transitions(posteriors, dataset, model.transition)
-    return HybridModel(K=model.K, d_x=model.d_x, d_u=model.d_u, mode=model.mode,
-                       init=init, dynamics=dynamics, transition=tm,
+        [p.gamma for p in posteriors], dataset, config, model.init, model.dynamics,
+        model.controllers)
+    tm = mstep_transitions([p.xi for p in posteriors], dataset, model.transition)
+    return HybridModel(init=init, dynamics=dynamics, transition=tm,
                        controllers=controllers)
 
 
@@ -450,10 +444,9 @@ def check_init_model(model: HybridModel, config: FitConfig, dataset: Dataset) ->
     fields = [("K", model.K, config.K), ("mode", model.mode, config.mode),
               ("transition (kind, degree, hidden units)", (tm.kind, tm.degree, tm.hidden_units),
                parse_transition_spec(config.transition_kind)),
-              ("d_x", model.d_x, dataset.d_x), ("d_u", model.d_u, dataset.d_u)]
-    if config.mode == CLOSED_LOOP:
-        fields += [("lag", model.lag, config.lag),
-                   ("poly_degree", model.poly_degree, config.poly_degree)]
+              ("d_x", model.d_x, dataset.d_x), ("d_u", model.d_u, dataset.d_u),
+              ("lag", model.lag, config.lag),
+              ("poly_degree", model.poly_degree, config.poly_degree)]
     for name, got, want in fields:
         if got != want:
             raise ValueError(f"init model has {name} {got!r}, the fit needs {want!r}")

@@ -8,10 +8,12 @@ of the *arriving* regime, and (in closed-loop mode) the control is a noisy
 linear readout of controller features of the current state and recent controls.
 Open-loop mode treats controls as exogenous inputs and omits their likelihood.
 
-The regime parameters are held once, stacked on a leading K axis, in three
-blocks: InitialModel, Dynamics and (closed loop) Controllers. Each block copies
-its arrays to read-only C-ordered floats and factors its covariances once, in
-its constructor: the lower Cholesky factors L (for draws), their inverses
+A model is its parameter blocks, each stacked on a leading K axis:
+InitialModel, Dynamics, the transition link and (closed loop) Controllers. Its
+sizes K, d_x, d_u and its mode are read from them, as a dataset's dims are
+read from its trajectories. Each block copies its arrays to read-only
+C-ordered floats, and the regime blocks factor their covariances once, in
+their constructor: the lower Cholesky factors L (for draws), their inverses
 inv(L) (the whitening matrices every density applies) and the log-normalizing
 constants. The Cholesky factorization is their positive-definiteness check.
 All types are immutable after construction, so everything here is safe to run
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gauss_factors, gauss_logpdf
+from ._linalg import c_copy, gauss_factors, gauss_logpdf, set_frozen
 from .features import controller_feature_dim, polynomial_features
 from .transition import TransitionModel
 
@@ -42,23 +44,6 @@ def _as_float(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
     return a
-
-
-def _c_copy(x, ndim: int, name: str) -> np.ndarray:
-    """A finite C-ordered float copy of x with ndim axes, so freezing it
-    leaves the caller's array writeable."""
-    a = np.array(x, dtype=float, order="C")
-    if a.ndim != ndim:
-        raise ValueError(f"{name} must have {ndim} axes, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
-
-
-def _set_frozen(block, **arrays) -> None:
-    for name, a in arrays.items():
-        a.flags.writeable = False
-        object.__setattr__(block, name, a)
 
 
 def _factors(covs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,26 +101,23 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """Trajectories of one system; d_x and d_u are read from the first, and
+    every other must share them."""
     trajectories: tuple[Trajectory, ...]
-    d_x: int
-    d_u: int
+    d_x: int = field(init=False)
+    d_u: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if not self.trajectories:
+        trajs = tuple(self.trajectories)
+        if not trajs:
             raise ValueError("dataset must contain at least one trajectory")
-        for traj in self.trajectories:
-            if traj.d_x != self.d_x or traj.d_u != self.d_u:
+        d_x, d_u = trajs[0].d_x, trajs[0].d_u
+        for traj in trajs:
+            if (traj.d_x, traj.d_u) != (d_x, d_u):
                 raise ValueError(f"trajectory {traj.id!r} has dims "
-                                 f"({traj.d_x}, {traj.d_u}), dataset wants "
-                                 f"({self.d_x}, {self.d_u})")
-
-    @classmethod
-    def from_trajectories(cls, trajectories) -> "Dataset":
-        trajectories = tuple(trajectories)
-        if not trajectories:
-            raise ValueError("dataset must contain at least one trajectory")
-        return cls(trajectories, trajectories[0].d_x, trajectories[0].d_u)
+                                 f"({traj.d_x}, {traj.d_u}), the first has ({d_x}, {d_u})")
+        for name, value in (("trajectories", trajs), ("d_x", d_x), ("d_u", d_u)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -156,16 +138,16 @@ class InitialModel:
     omega_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
-        pi, mu = _c_copy(self.pi, 1, "pi"), _c_copy(self.mu, 2, "mu")
-        om = _c_copy(self.omega_cov, 3, "omega_cov")
+        pi, mu = c_copy(self.pi, 1, "pi"), c_copy(self.mu, 2, "mu")
+        om = c_copy(self.omega_cov, 3, "omega_cov")
         K, d = mu.shape
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("pi must be nonnegative and sum to 1 within 1e-12")
         if len(pi) != K or om.shape != (K, d, d):
             raise ValueError("pi (K,), mu (K, d_x) and omega_cov (K, d_x, d_x) disagree")
         chol, whiten, const = _factors(om, "omega_cov")
-        _set_frozen(self, pi=pi, mu=mu, omega_cov=om, omega_chol=chol,
-                    omega_whiten=whiten, omega_const=const)
+        set_frozen(self, pi=pi, mu=mu, omega_cov=om, omega_chol=chol,
+                   omega_whiten=whiten, omega_const=const)
 
     @property
     def K(self) -> int:
@@ -184,15 +166,15 @@ class Dynamics:
     lam_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
-        A, B = _c_copy(self.A, 3, "A"), _c_copy(self.B, 3, "B")
-        c, lam = _c_copy(self.c, 2, "c"), _c_copy(self.lam_cov, 3, "lam_cov")
+        A, B = c_copy(self.A, 3, "A"), c_copy(self.B, 3, "B")
+        c, lam = c_copy(self.c, 2, "c"), c_copy(self.lam_cov, 3, "lam_cov")
         K, d = c.shape
         if A.shape != (K, d, d) or B.shape[:2] != (K, d) or lam.shape != (K, d, d):
             raise ValueError("A (K, d_x, d_x), B (K, d_x, d_u), c (K, d_x) and "
                              "lam_cov (K, d_x, d_x) disagree")
         chol, whiten, const = _factors(lam, "lam_cov")
-        _set_frozen(self, A=A, B=B, c=c, lam_cov=lam, lam_chol=chol, lam_whiten=whiten,
-                    lam_const=const)
+        set_frozen(self, A=A, B=B, c=c, lam_cov=lam, lam_chol=chol, lam_whiten=whiten,
+                   lam_const=const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +191,8 @@ class Controllers:
     sigma_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
-        gain, offset = _c_copy(self.gain, 3, "gain"), _c_copy(self.offset, 2, "offset")
-        sig = _c_copy(self.sigma_cov, 3, "sigma_cov")
+        gain, offset = c_copy(self.gain, 3, "gain"), c_copy(self.offset, 2, "offset")
+        sig = c_copy(self.sigma_cov, 3, "sigma_cov")
         K, d_u = offset.shape
         if gain.shape[:2] != (K, d_u) or sig.shape != (K, d_u, d_u):
             raise ValueError("gain (K, d_u, d_phi), offset (K, d_u) and "
@@ -220,8 +202,8 @@ class Controllers:
         if self.poly_degree < 1:
             raise ValueError("poly_degree must be >= 1")
         chol, whiten, const = _factors(sig, "sigma_cov")
-        _set_frozen(self, gain=gain, offset=offset, sigma_cov=sig, sigma_chol=chol,
-                    sigma_whiten=whiten, sigma_const=const)
+        set_frozen(self, gain=gain, offset=offset, sigma_cov=sig, sigma_chol=chol,
+                   sigma_whiten=whiten, sigma_const=const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,30 +211,29 @@ class HybridModel:
     """K-regime switching linear-Gaussian model. Its blocks hold every regime
     parameter once, stacked on a leading K axis, read-only and with the
     Cholesky factors of their covariances and the inverses of those factors:
-    evidence, forecasting, the runtime belief and act read them directly."""
-    K: int
-    d_x: int
-    d_u: int
-    mode: str
+    evidence, forecasting, the runtime belief and act read them directly.
+    K and d_x are read from init.mu (K, d_x), d_u from dynamics.B, and the
+    mode is closed loop exactly when the model carries controllers; the
+    constructor checks that the other blocks agree with these sizes."""
     init: InitialModel
     dynamics: Dynamics
     transition: TransitionModel
     controllers: Controllers | None = None
+    K: int = field(init=False)
+    d_x: int = field(init=False)
+    d_u: int = field(init=False)
+    mode: str = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == OPEN_LOOP and self.controllers is not None:
-            raise ValueError("open-loop models carry no controllers")
-        if self.mode == CLOSED_LOOP and self.controllers is None:
-            raise ValueError("closed-loop models need one controller per regime")
-        K, d_x, d_u = self.K, self.d_x, self.d_u
-        if self.init.mu.shape != (K, d_x):
-            raise ValueError(f"init must be (K, d_x) = ({K}, {d_x})")
+        K, d_x = self.init.mu.shape
+        d_u = self.dynamics.B.shape[2]
+        mode = OPEN_LOOP if self.controllers is None else CLOSED_LOOP
+        for name, value in (("K", K), ("d_x", d_x), ("d_u", d_u), ("mode", mode)):
+            object.__setattr__(self, name, value)
+        if self.dynamics.B.shape[:2] != (K, d_x):
+            raise ValueError(f"dynamics must be (K, d_x) = ({K}, {d_x}), as init is")
         if (self.transition.K, self.transition.d_x, self.transition.d_u) != (K, d_x, d_u):
             raise ValueError("transition K or dims disagree with the model")
-        if self.dynamics.B.shape != (K, d_x, d_u):
-            raise ValueError(f"dynamics B must be (K, d_x, d_u) = ({K}, {d_x}, {d_u})")
         if self.controllers is not None:
             d_phi = controller_feature_dim(d_x, d_u, self.lag, self.poly_degree)
             if self.controllers.gain.shape != (K, d_u, d_phi):
@@ -383,34 +364,32 @@ def _integer(block: dict, name: str, default=None) -> int:
 
 
 def model_from_dict(doc: dict) -> HybridModel:
-    """Inverse of model_to_dict; a malformed document raises ValueError."""
+    """Inverse of model_to_dict; a malformed document raises ValueError, as
+    does one whose K, d_x, d_u or mode disagrees with its arrays."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     try:
         if _integer(doc, "version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model document version {doc['version']!r}")
-        K, d_x, d_u = _integer(doc, "K"), _integer(doc, "d_x"), _integer(doc, "d_u")
-        init = InitialModel(pi=np.asarray(doc["pi"], dtype=float),
-                            mu=_stacked(doc["init"], "mu"),
+        stated = dict(K=_integer(doc, "K"), d_x=_integer(doc, "d_x"),
+                      d_u=_integer(doc, "d_u"), mode=doc["mode"])
+        init = InitialModel(pi=doc["pi"], mu=_stacked(doc["init"], "mu"),
                             omega_cov=_stacked(doc["init"], "omega_cov"))
         dyn = doc["dynamics"]
-        dynamics = Dynamics(A=_stacked(dyn, "A"), B=_stacked(dyn, "B", (d_x, d_u)),
+        dynamics = Dynamics(A=_stacked(dyn, "A"), B=_stacked(dyn, "B"),
                             c=_stacked(dyn, "c"), lam_cov=_stacked(dyn, "lam_cov"))
+        d_x, d_u = dynamics.B.shape[1:]
         tb = doc["transition"]
         if tb.get("per_prev", False):
             # older files may carry "per_prev": false; per-source link weights
             # are no longer supported
             raise ValueError("transition field 'per_prev' is not supported: "
                              "per-source link weights were removed")
-        tm = TransitionModel(
-            kind=tb["kind"], K=K, d_x=d_x, d_u=d_u,
-            bias=np.asarray(tb["bias"], dtype=float),
-            feature_params=np.asarray(tb["feature_params"], dtype=float),
-            feat_mean=np.asarray(tb["standardizer"]["mean"], dtype=float),
-            feat_std=np.asarray(tb["standardizer"]["std"], dtype=float),
-            degree=_integer(tb, "degree", 1),
-            hidden_units=_integer(tb, "hidden_units", 0),
-        )
+        st = tb["standardizer"]
+        tm = TransitionModel(kind=tb["kind"], d_x=d_x, d_u=d_u, bias=tb["bias"],
+                             feature_params=tb["feature_params"], feat_mean=st["mean"],
+                             feat_std=st["std"], degree=_integer(tb, "degree", 1),
+                             hidden_units=_integer(tb, "hidden_units", 0))
         controllers = None
         if doc.get("controllers") is not None:
             lag, deg = _integer(doc, "lag", 0), _integer(doc, "poly_degree", 1)
@@ -421,13 +400,17 @@ def model_from_dict(doc: dict) -> HybridModel:
                                       offset=_stacked(ctl, "offset"),
                                       sigma_cov=_stacked(ctl, "sigma_cov", (d_u, d_u)),
                                       lag=lag, poly_degree=deg)
-        mode = doc["mode"]
-        return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=mode, init=init,
-                           dynamics=dynamics, transition=tm, controllers=controllers)
+        model = HybridModel(init=init, dynamics=dynamics, transition=tm,
+                            controllers=controllers)
     except KeyError as e:
         raise ValueError(f"model document lacks field {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed model document: {e}") from e
+    for name, value in stated.items():
+        if getattr(model, name) != value:
+            raise ValueError(f"model field {name!r} is {value!r}, but the model's "
+                             f"arrays give {getattr(model, name)!r}")
+    return model
 
 
 def load_model(path) -> HybridModel:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import gauss_draw, gauss_logpdf
-from .envs import (ENV_CARTPOLE, EnvConfig, clip_control, env_dims, hanging_state,
-                   observe, pole_state, save_dataset, step_env, wrap_angle)
-from .learning import FitConfig, fit_em
+from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, EnvConfig, clip_control, env_dims,
+                   hanging_state, observe, pole_state, save_dataset, step_env, wrap_angle)
+from .learning import FitConfig, FitHistory, fit_em
 from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory, control_history,
                     control_means)
 from .transition import transition_matrix
@@ -35,22 +35,17 @@ SUCCESS_SPEED_TOL = 1.0
 SUCCESS_CART_LIMIT = 2.4
 
 
-def default_distill_config(**overrides) -> FitConfig:
+def default_distill_config() -> FitConfig:
     """Five switching linear laws over one step of control history."""
-    base = dict(K=5, mode=CLOSED_LOOP, transition_kind="linear", lag=1)
-    base.update(overrides)
-    return FitConfig(**base)
+    return FitConfig(K=5, mode=CLOSED_LOOP, transition_kind="linear", lag=1)
 
 
-def distill(expert_dataset: Dataset, config: FitConfig | None = None) -> HybridModel:
-    """Fit a closed-loop hybrid model to demonstrations; the fitted controller
-    bank is the distilled policy."""
-    if config is None:
-        config = default_distill_config()
+def distill(expert_dataset: Dataset, config: FitConfig) -> tuple[HybridModel, FitHistory]:
+    """Fit a closed-loop hybrid model to demonstrations, as fit_em does; the
+    fitted controller bank is the distilled policy."""
     if config.mode != CLOSED_LOOP:
         raise ValueError("distillation needs a closed-loop fit configuration")
-    model, _ = fit_em(expert_dataset, config)
-    return model
+    return fit_em(expert_dataset, config)
 
 
 def _check_belief(model: HybridModel, belief) -> np.ndarray:
@@ -161,7 +156,11 @@ def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
 
 
 def check_policy_model(config: EnvConfig, model: HybridModel) -> None:
-    """Raise ValueError unless the model is a closed-loop policy with the env's dims."""
+    """Raise ValueError unless the model is a closed-loop policy with the env's
+    dims, for an env with a pole to swing up: the bouncing ball is refused
+    here, before any episode runs, as expert_policy refuses it."""
+    if config.env == ENV_BOUNCING_BALL:
+        raise ValueError("the bouncing ball has no pole: no policy runs on it")
     d_x, d_u = env_dims(config)
     if model.d_x != d_x or model.d_u != d_u:
         raise ValueError(f"model dims ({model.d_x}, {model.d_u}) do not match "

@@ -62,14 +62,16 @@ also equals the normalized bias that transition_matrices repeats there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._linalg import c_copy, set_frozen
 from .features import n_monomials, polynomial_features
 
 KINDS = ("stationary", "linear", "polynomial", "perceptron")
 PERCEPTRON_HIDDEN_UNITS = 16  # width of a perceptron spec without one
+FEATURE_INIT_SCALE = 0.01     # scale of make_transition's random feature weights
 _SPEC_GRAMMAR = "stationary, linear, polynomial[:DEGREE] or perceptron[:UNITS]"
 
 
@@ -123,8 +125,9 @@ def n_feature_params(kind: str, K: int, d_x: int, d_u: int, degree: int = 1,
 
 @dataclass(frozen=True)
 class TransitionModel:
+    """A link of one kind (module docstring); K is read from the square bias.
+    The arrays are held as read-only C-ordered float copies."""
     kind: str
-    K: int
     d_x: int
     d_u: int
     bias: np.ndarray            # (K, K), bias[i, j] for source j -> destination i
@@ -133,12 +136,11 @@ class TransitionModel:
     feat_std: np.ndarray        # (d_x + d_u,), all > 0
     degree: int = 1
     hidden_units: int = 0
+    K: int = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown transition kind {self.kind!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
         _check_link_size(self.kind, self.degree, self.hidden_units)
         # drop metadata that is inert for this kind so equality and
         # serialization are canonical
@@ -146,33 +148,31 @@ class TransitionModel:
             object.__setattr__(self, "degree", 1)
         if self.kind != "perceptron":
             object.__setattr__(self, "hidden_units", 0)
-        object.__setattr__(self, "bias", np.asarray(self.bias, dtype=float))
-        object.__setattr__(self, "feature_params", np.asarray(self.feature_params, dtype=float).ravel())
-        object.__setattr__(self, "feat_mean", np.asarray(self.feat_mean, dtype=float).ravel())
-        object.__setattr__(self, "feat_std", np.asarray(self.feat_std, dtype=float).ravel())
-        if self.bias.shape != (self.K, self.K):
-            raise ValueError(f"bias must be (K, K), got {self.bias.shape}")
-        if not np.all(np.isfinite(self.bias)):
-            raise ValueError("bias must be finite")
-        expected = n_feature_params(self.kind, self.K, self.d_x, self.d_u,
+        bias = c_copy(self.bias, 2, "bias")
+        K = len(bias)
+        if K < 1 or bias.shape != (K, K):
+            raise ValueError(f"bias must be (K, K) with K >= 1, got {bias.shape}")
+        params, mean, std = (c_copy(getattr(self, name), 1, name)
+                             for name in ("feature_params", "feat_mean", "feat_std"))
+        expected = n_feature_params(self.kind, K, self.d_x, self.d_u,
                                     self.degree, self.hidden_units)
-        if self.feature_params.size != expected:
-            raise ValueError(f"feature_params has {self.feature_params.size} entries, "
+        if params.size != expected:
+            raise ValueError(f"feature_params has {params.size} entries, "
                              f"expected {expected} for kind {self.kind!r}")
-        if not np.all(np.isfinite(self.feature_params)):
-            raise ValueError("feature_params must be finite")
         f = self.d_x + self.d_u
-        if self.feat_mean.shape != (f,) or self.feat_std.shape != (f,):
+        if mean.shape != (f,) or std.shape != (f,):
             raise ValueError("standardizer mean/std must have d_x + d_u entries")
-        if not np.all(self.feat_std > 0):
+        if not np.all(std > 0):
             raise ValueError("standardizer std must be positive")
+        object.__setattr__(self, "K", K)
+        set_frozen(self, bias=bias, feature_params=params, feat_mean=mean, feat_std=std)
 
 
 def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
                     hidden_units: int = 0, feat_mean=None, feat_std=None, bias=None,
-                    rng: np.random.Generator | None = None,
-                    init_scale: float = 0.01) -> TransitionModel:
-    """Build a transition model, drawing small random feature weights if rng given."""
+                    rng: np.random.Generator | None = None) -> TransitionModel:
+    """Build a transition model, drawing feature weights of scale
+    FEATURE_INIT_SCALE if rng is given (zeros otherwise)."""
     f = d_x + d_u
     if feat_mean is None:
         feat_mean = np.zeros(f)
@@ -182,10 +182,10 @@ def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
         bias = np.zeros((K, K))
     n = n_feature_params(kind, K, d_x, d_u, degree, hidden_units)
     if rng is not None:
-        params = init_scale * rng.standard_normal(n)
+        params = FEATURE_INIT_SCALE * rng.standard_normal(n)
     else:
         params = np.zeros(n)
-    return TransitionModel(kind=kind, K=K, d_x=d_x, d_u=d_u, bias=bias,
+    return TransitionModel(kind=kind, d_x=d_x, d_u=d_u, bias=bias,
                            feature_params=params, feat_mean=feat_mean,
                            feat_std=feat_std, degree=degree,
                            hidden_units=hidden_units)
@@ -288,8 +288,7 @@ def vector_to_params(tm: TransitionModel, vec: np.ndarray) -> TransitionModel:
     kk = tm.K * tm.K
     if vec.size != kk + tm.feature_params.size:
         raise ValueError("parameter vector length mismatch")
-    return replace(tm, bias=vec[:kk].reshape(tm.K, tm.K).copy(),
-                   feature_params=vec[kk:].copy())
+    return replace(tm, bias=vec[:kk].reshape(tm.K, tm.K), feature_params=vec[kk:])
 
 
 def transition_stats(tm: TransitionModel, dataset, xis

@@ -37,8 +37,8 @@ def test_every_layer_span_records_calls(tmp_path):
         path = tmp_path / "demos.ndjson"
         envs.save_dataset(path, envs.collect_demonstrations(env, 3, seed=0, T=60))
         data = envs.load_dataset(path)
-        train = Dataset.from_trajectories(data.trajectories[:2])
-        test = Dataset.from_trajectories(data.trajectories[2:])
+        train = Dataset(data.trajectories[:2])
+        test = Dataset(data.trajectories[2:])
         model, _ = learning.fit_em(train, config)
         evaluation.evaluate({"distill": [model]}, test, (1, 5))
         policy.rollout(env, model, T=20, x0=np.array([np.pi, 0.0]))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rarhmm import cli
+from rarhmm import __version__, cli
 from rarhmm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from rarhmm.envs import (default_config, hanging_state, load_dataset, load_manifest,
                          observe, save_manifest)
@@ -282,6 +282,45 @@ def test_transition_help_states_the_spec_grammar(capsys):
         assert f"perceptron:UNITS ({PERCEPTRON_HIDDEN_UNITS} if omitted)" in out
 
 
+def test_distill_writes_its_fit_history_as_fit_does(tmp_path):
+    demos = tmp_path / "demos"
+    assert _run("simulate", "--policy", "expert", "--n-train", "2", "--n-test", "1",
+                "--steps", "80", "--n-splits", "1", "--split-size", "2",
+                "--out-dir", str(demos)) == EXIT_OK
+    options = ["--K", "2", "--max-iters", "3", "--restarts", "1"]
+    dist, timed, fit = tmp_path / "dist", tmp_path / "timed", tmp_path / "fit"
+    assert _run("distill", "--demos", str(demos / "train.ndjson"), *options,
+                "--out-dir", str(dist)) == EXIT_OK
+    assert _run("distill", "--demos", str(demos / "train.ndjson"), *options,
+                "--timings", "--out-dir", str(timed)) == EXIT_OK
+    assert _run("fit", "--data", str(demos / "train.ndjson"), "--mode", CLOSED_LOOP,
+                "--transition", "linear", "--lag", "1", *options,
+                "--out-dir", str(fit)) == EXIT_OK
+    lines = (dist / "history.csv").read_text().splitlines()
+    sha = json.loads((dist / "run.json").read_text())["provenance"]["config_sha256"]
+    assert lines[:4] == [f"# config_sha256={sha}", "# seed=0", f"# version={__version__}",
+                         "iter,loglik,q_value,seconds"]
+    # the same EM run as the closed-loop fit, seconds written as 0.0 unless timed
+    assert lines[3:] == (fit / "history.csv").read_text().splitlines()[3:]
+    assert all(row.endswith(",0.0") for row in lines[4:])
+    timed_rows = (timed / "history.csv").read_text().splitlines()[4:]
+    assert [r.rsplit(",", 1)[0] for r in timed_rows] == [r.rsplit(",", 1)[0]
+                                                          for r in lines[4:]]
+    assert any(float(r.rsplit(",", 1)[1]) > 0.0 for r in timed_rows)
+
+
+@pytest.mark.parametrize("sizes", [["--lag", "3"], ["--poly-degree", "2"],
+                                   ["--lag", "3", "--poly-degree", "2"]], ids=" ".join)
+def test_open_loop_fit_with_controller_sizes_is_a_usage_error(tmp_path, capsys, sizes):
+    data, out = tmp_path / "d", tmp_path / "out"
+    _simulate_small(data)
+    with pytest.raises(SystemExit) as ei:
+        _run("fit", "--data", str(data / "train.ndjson"), *sizes, "--out-dir", str(out))
+    assert ei.value.code == EXIT_USAGE
+    assert "an open-loop fit needs lag 0 and poly_degree 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_distill_defaults_are_default_distill_config():
     parser = cli.build_parser()
     cfg = cli._resolve_config("distill", parser.parse_args(["distill"]))
@@ -459,7 +498,8 @@ def test_runtime_errors_exit_two(tmp_path):
 
 @pytest.mark.parametrize("case", ["fit-manifest-id", "eval-dims", "rollout-open-loop",
                                   "rollout-dims", "simulate-ball-expert",
-                                  "rollout-ball-expert", "fit-manifest-repeated-id",
+                                  "rollout-ball-expert", "rollout-ball-model",
+                                  "fit-manifest-repeated-id",
                                   "fit-data-repeated-id", "fit-deep-states",
                                   "fit-manifest-nested-id", "fit-manifest-object-id",
                                   "fit-manifest-no-split", "fit-manifest-empty-split"])
@@ -488,6 +528,9 @@ def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
     open_loop, closed = tmp_path / "open.json", tmp_path / "closed.json"
     save_model(open_loop, random_model(K=2, d_x=2, d_u=1))
     save_model(closed, _closed_loop_model([np.array([[0.0, 0.0]])], d_x=2))
+    # a closed-loop model of the ball's dims, as distill fits on ball data
+    ball_policy = tmp_path / "ball_policy.json"
+    save_model(ball_policy, random_model(K=2, d_x=2, d_u=0, mode=CLOSED_LOOP))
     argv, message = {
         "fit-manifest-id": (["fit", "--data", str(data / "train.ndjson"),
                              "--manifest", str(manifest)], "manifest ids not in dataset"),
@@ -501,6 +544,8 @@ def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
                                  "no scripted expert for env 'bouncing_ball'"),
         "rollout-ball-expert": (["rollout", "--env", "bouncing_ball", "--expert"],
                                 "no scripted expert for env 'bouncing_ball'"),
+        "rollout-ball-model": (["rollout", "--env", "bouncing_ball", "--model",
+                                str(ball_policy)], "the bouncing ball has no pole"),
         "fit-manifest-repeated-id": (["fit", "--data", str(data / "train.ndjson"),
                                       "--manifest", str(repeated)],
                                      "split holds ids more than once"),

@@ -8,6 +8,7 @@ import pytest
 
 from rarhmm import envs
 from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, ENV_BOUNCING_BALL, ENV_CARTPOLE,
+                         EXPLORE_HOLD,
                          ENV_PENDULUM, ENVS, OBS_JOINT, OBS_MODES, OBS_TRIG,
                          PEND_CAPTURE_VEL, EnvConfig, _pole_energy,
                          clip_control,
@@ -236,21 +237,22 @@ def test_pole_state_inverts_observe(env):
 def test_trig_consistency_on_rollouts():
     cfg = default_config(ENV_PENDULUM, obs="trig")
     rng = np.random.default_rng(0)
-    traj = simulate(cfg, explore_policy(cfg, rng, hold=5), rng=rng)
+    traj = simulate(cfg, explore_policy(cfg, rng), rng=rng)
     r = traj.xs[:, 0] ** 2 + traj.xs[:, 1] ** 2
     np.testing.assert_allclose(r, 1.0, atol=1e-12)
 
 
 def test_explore_policy_bounds_hold_and_determinism():
     cfg = default_config(ENV_PENDULUM)
-    pol = explore_policy(cfg, np.random.default_rng(3), hold=5)
-    us = np.array([pol(None, t) for t in range(50)])
+    n = 4 * EXPLORE_HOLD
+    pol = explore_policy(cfg, np.random.default_rng(3))
+    us = np.array([pol(None, t) for t in range(n)])
     assert np.all(np.abs(us) <= cfg.limit)
-    for b in range(0, 50, 5):
-        assert np.ptp(us[b:b + 5]) == 0.0
-    assert np.ptp(us[::5]) > 0.0
-    pol2 = explore_policy(cfg, np.random.default_rng(3), hold=5)
-    us2 = np.array([pol2(None, t) for t in range(50)])
+    for b in range(0, n, EXPLORE_HOLD):
+        assert np.ptp(us[b:b + EXPLORE_HOLD]) == 0.0
+    assert np.ptp(us[::EXPLORE_HOLD]) > 0.0
+    pol2 = explore_policy(cfg, np.random.default_rng(3))
+    us2 = np.array([pol2(None, t) for t in range(n)])
     np.testing.assert_array_equal(us, us2)
 
 
@@ -289,9 +291,9 @@ def test_cartpole_expert_smoke():
 
 def test_simulate_determinism():
     cfg = default_config(ENV_CARTPOLE)
-    a = simulate(cfg, explore_policy(cfg, np.random.default_rng(7), hold=5),
+    a = simulate(cfg, explore_policy(cfg, np.random.default_rng(7)),
                  rng=np.random.default_rng(7))
-    b = simulate(cfg, explore_policy(cfg, np.random.default_rng(7), hold=5),
+    b = simulate(cfg, explore_policy(cfg, np.random.default_rng(7)),
                  rng=np.random.default_rng(7))
     np.testing.assert_array_equal(a.xs, b.xs)
     np.testing.assert_array_equal(a.us, b.us)
@@ -320,7 +322,7 @@ def test_simulate_equals_the_reference_loop(env, obs, kind):
             recorded = 1.5 * cfg.limit * rng.uniform(-1.0, 1.0, (T + 3, env_dims(cfg)[1]))
             policy = lambda _x, t: recorded[t]
         elif kind == "explore":
-            policy = explore_policy(cfg, rng, hold=7)
+            policy = explore_policy(cfg, rng)
         return sim(cfg, policy, T=T, rng=rng)
 
     got = run(simulate, expert_policy(cfg) if kind == "expert" else None)
@@ -448,7 +450,7 @@ def test_make_splits_protocol():
 def test_manifest_and_split_selection(tmp_path):
     cfg = default_config(ENV_PENDULUM)
     trajs = collect_trajectories(cfg, 5, seed=2, T=10)
-    ds = Dataset.from_trajectories(trajs)
+    ds = Dataset(trajs)
     ids = [[trajs[0].id, trajs[3].id], [trajs[4].id, trajs[1].id]]
     path = tmp_path / "splits.json"
     save_manifest(path, ids)
@@ -462,10 +464,10 @@ def test_manifest_and_split_selection(tmp_path):
 def test_select_split_rejects_duplicate_ids():
     cfg = default_config(ENV_PENDULUM)
     a, b = collect_trajectories(cfg, 2, seed=2, T=10)
-    twice = Dataset.from_trajectories([a, Trajectory(xs=b.xs, us=b.us, dt=b.dt, id=a.id)])
+    twice = Dataset([a, Trajectory(xs=b.xs, us=b.us, dt=b.dt, id=a.id)])
     with pytest.raises(ValueError, match=re.escape(f"dataset holds ids more than once: ['{a.id}']")):
         select_split(twice, [a.id])
-    ds = Dataset.from_trajectories([a, b])
+    ds = Dataset([a, b])
     with pytest.raises(ValueError, match=re.escape(f"split holds ids more than once: ['{a.id}']")):
         select_split(ds, [a.id, b.id, a.id])
 

@@ -6,7 +6,7 @@ from rarhmm import evaluation, inference
 from rarhmm.evaluation import (_forecast_batch, count_params,
                                count_params_breakdown, evaluate, filter_all, nmse,
                                dataset_normalizer)
-from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
+from rarhmm.model import (Controllers, Dataset, Dynamics, HybridModel,
                           InitialModel, Trajectory, log_local_evidence)
 from rarhmm.transition import make_transition
 
@@ -38,14 +38,13 @@ def _ball_model(cfg, kappa=1e8, lam=1e-10):
     bias = np.array([[-0.5 * g * dt * dt * kappa] * 2,
                      [+0.5 * g * dt * dt * kappa] * 2])
     tm = make_transition("linear", 2, 2, 0, bias=bias)
-    tm = type(tm)(kind="linear", K=2, d_x=2, d_u=0, bias=bias,
+    tm = type(tm)(kind="linear", d_x=2, d_u=0, bias=bias,
                   feature_params=np.concatenate([kappa * w, -kappa * w]),
                   feat_mean=tm.feat_mean, feat_std=tm.feat_std)
     init = InitialModel(pi=np.array([0.5, 0.5]),
                         mu=np.array([[1.0, 0.0], [1.0, 0.0]]),
                         omega_cov=np.stack([np.eye(2), np.eye(2)]))
-    return HybridModel(K=2, d_x=2, d_u=0, mode="open_loop", init=init,
-                       dynamics=dynamics, transition=tm)
+    return HybridModel(init=init, dynamics=dynamics, transition=tm)
 
 
 def _hand_piecewise_rollout(cfg, x, h):
@@ -65,9 +64,9 @@ def _forecast(model, traj, t, h, mode="marginal", rng=None):
     """States t+1 .. t+h (h, d_x) forecast from the filtered belief at step t
     (1-based) under the recorded controls u_t .. u_{t+h-1}: one row of
     _forecast_batch."""
-    b = filter_all(model, Dataset.from_trajectories([traj]))[0, t - 1]
+    b = filter_all(model, Dataset([traj]))[0, t - 1]
     return _forecast_batch(model, traj.xs[t - 1][None], b[None],
-                           traj.us[None, t - 1:t - 1 + h], mode, rng)[0]
+                           traj.us[None, t - 1:t - 1 + h], mode, rng, np.array([h]))[0]
 
 
 def test_filter_k1_is_one():
@@ -82,8 +81,7 @@ def test_filter_t1_uninformative_recovers_prior():
     init = InitialModel(pi=m.init.pi,
                         mu=np.tile(m.init.mu[:1], (3, 1)),
                         omega_cov=np.tile(m.init.omega_cov[:1], (3, 1, 1)))
-    m = HybridModel(K=3, d_x=2, d_u=1, mode=m.mode, init=init,
-                    dynamics=m.dynamics, transition=m.transition)
+    m = HybridModel(init=init, dynamics=m.dynamics, transition=m.transition)
     traj, _ = random_trajectory(m, T=5, seed=1)
     np.testing.assert_allclose(filter_one(m, traj)[0], m.init.pi, atol=1e-12)
 
@@ -91,7 +89,7 @@ def test_filter_t1_uninformative_recovers_prior():
 def test_filter_matches_brute_force_prefix():
     m = random_model(K=2, d_x=2, d_u=1, kind="linear", seed=5)
     traj, _ = random_trajectory(m, T=8, seed=5)
-    alpha = filter_all(m, Dataset.from_trajectories([traj]))[0]
+    alpha = filter_all(m, Dataset([traj]))[0]
     for t in (2, 3, 6, 8):
         prefix = Trajectory(xs=traj.xs[:t], us=traj.us[:t], dt=traj.dt, id="p")
         want = brute_force_posterior(m, prefix).gamma[-1]
@@ -106,13 +104,13 @@ def test_filter_matches_brute_force_prefix():
 def test_filter_all_agrees_with_prefixes():
     m = random_model(K=3, d_x=2, d_u=1, kind="perceptron", seed=2)
     traj, _ = random_trajectory(m, T=12, seed=2)
-    alpha = filter_all(m, Dataset.from_trajectories([traj]))[0]
+    alpha = filter_all(m, Dataset([traj]))[0]
     # the belief at step t reads only the first t steps: filtering the prefix
     # alone ends on it, to rounding
     for t in (2, 5, 12):
         prefix = Trajectory(xs=traj.xs[:t], us=traj.us[:t], dt=traj.dt, id="p")
         np.testing.assert_allclose(alpha[t - 1],
-                                   filter_all(m, Dataset.from_trajectories([prefix]))[0, -1],
+                                   filter_all(m, Dataset([prefix]))[0, -1],
                                    rtol=1e-12, atol=0)
 
 
@@ -125,8 +123,7 @@ def test_filter_all_equals_per_trajectory_forward(monkeypatch):
     base = random_model(K=3, d_x=2, d_u=1, kind="stationary", seed=15)
     bias = np.array(base.transition.bias)
     bias[2] = -1000.0                           # exp underflows: exactly 0
-    m = HybridModel(K=3, d_x=2, d_u=1, mode=base.mode,
-                    init=InitialModel(pi=np.array([0.6, 0.4, 0.0]), mu=base.init.mu,
+    m = HybridModel(init=InitialModel(pi=np.array([0.6, 0.4, 0.0]), mu=base.init.mu,
                                       omega_cov=base.init.omega_cov),
                     dynamics=base.dynamics,
                     transition=make_transition("stationary", 3, 2, 1, bias=bias))
@@ -148,7 +145,7 @@ def test_filter_all_equals_per_trajectory_forward(monkeypatch):
 
     monkeypatch.setattr(inference, "log_local_evidence", evidence)
     monkeypatch.setattr(inference, "_scan", spy)
-    alpha = filter_all(m, Dataset.from_trajectories(trajs))
+    alpha = filter_all(m, Dataset(trajs))
     assert scans == [[0, 0, 0], [n]]
     assert alpha.shape == (3, 2 * n + 5, 3)
     assert alpha[1, n, 2] == 0.0
@@ -232,7 +229,7 @@ def test_sample_forecast_matches_per_start_draws(K, d_x, d_u, ragged):
     b0 = rng.dirichlet(np.ones(K), size=M)
     us = rng.standard_normal((M, h, d_u))
     # ragged: non-increasing lengths from h down to 1, with repeats
-    lengths = np.sort(rng.integers(1, h + 1, size=M))[::-1] if ragged else None
+    lengths = np.sort(rng.integers(1, h + 1, size=M))[::-1] if ragged else np.full(M, h)
     got = _forecast_batch(m, x0, b0, us, "sample", np.random.default_rng(5), lengths)
     want = reference_sample_forecast(m, x0, b0, us, np.random.default_rng(5), lengths)
     np.testing.assert_array_equal(got, want)
@@ -246,16 +243,16 @@ def test_ragged_forecast_reads_only_each_rows_actions():
     b0 = rng.dirichlet(np.ones(3), size=M)
     us = rng.standard_normal((M, h, 1))
     lengths = np.array([5, 5, 4, 3, 3, 3, 2, 1, 1])
-    full = _forecast_batch(m, x0, b0, us, "marginal")
+    full = _forecast_batch(m, x0, b0, us, "marginal", None, np.full(M, h))
     # actions past each row's window are NaN: never read, so nothing raises
     us[np.arange(h) >= lengths[:, None]] = np.nan
-    got = _forecast_batch(m, x0, b0, us, "marginal", lengths=lengths)
+    got = _forecast_batch(m, x0, b0, us, "marginal", None, lengths)
     ran = np.arange(h) < lengths[:, None]
     assert np.array_equal(got[ran], full[ran])
     assert np.all(np.isnan(got[~ran]))
     # one step too many for the last two rows reaches their NaN actions
     with pytest.raises(ValueError, match="finite"):
-        _forecast_batch(m, x0, b0, us, "marginal", lengths=np.r_[lengths[:-2], 2, 2])
+        _forecast_batch(m, x0, b0, us, "marginal", None, np.r_[lengths[:-2], 2, 2])
 
 
 def test_nmse_values():
@@ -294,7 +291,7 @@ def test_evaluate_exact_model_zero_column():
     model = _ball_model(cfg)
     trajs = [simulate(cfg, x0=np.array(x0), T=120, id=f"t{i}")
              for i, x0 in enumerate([(1.0, -0.5), (1.2, -0.2), (1.4, 0.1)])]
-    report = evaluate({"ball": [model]}, Dataset.from_trajectories(trajs),
+    report = evaluate({"ball": [model]}, Dataset(trajs),
                       horizons=[1, 20])
     for r in report.rows:
         assert r["mean"] < 1e-6
@@ -323,8 +320,8 @@ def _per_horizon_reference(m, trajs, horizons, mode, normalizer):
                 continue
             starts = np.arange(1, traj.T - h + 1)
             us = np.stack([traj.us[s - 1:s - 1 + h] for s in starts])
-            out = _forecast_batch(m, traj.xs[starts - 1],
-                                  filter_one(m, traj)[starts - 1], us, mode)
+            out = _forecast_batch(m, traj.xs[starts - 1], filter_one(m, traj)[starts - 1],
+                                  us, mode, None, np.full(len(starts), h))
             preds.append(out[:, -1])
             truths.append(traj.xs[starts - 1 + h])
         want.append(nmse(np.concatenate(preds), np.concatenate(truths), normalizer))
@@ -362,7 +359,7 @@ def _joint_sample_reference(m, trajs, horizons, normalizer, rng):
 def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
     m = random_model(K=2, d_x=2, d_u=1, seed=10)
     trajs = [random_trajectory(m, T=T, seed=s)[0] for s, T in enumerate((25, 12, 30))]
-    test = Dataset.from_trajectories(trajs)
+    test = Dataset(trajs)
     horizons = [1, 5, 15]
     normalizer = dataset_normalizer(test)
     if mode == "sample":
@@ -394,7 +391,7 @@ def test_joint_forecast_equals_per_horizon_protocol(mode, horizons):
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=21)
     trajs = [random_trajectory(m, T=T, seed=s)[0]
              for s, T in enumerate((40, 9, 26, 3, 12))]
-    test = Dataset.from_trajectories(trajs)
+    test = Dataset(trajs)
     want = _per_horizon_reference(m, trajs, horizons, mode, dataset_normalizer(test))
     report = evaluate({"m": [m]}, test, horizons, mode=mode)
     assert [r["h"] for r in report.per_split] == list(horizons)
@@ -414,7 +411,7 @@ def test_evaluate_forecasts_each_trajectory_once_per_model(monkeypatch):
         return batch(model, x0, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "_forecast_batch", counted)
-    evaluate({"a": [m1, m2], "b": [m3]}, Dataset.from_trajectories(trajs), [8, 3, 5])
+    evaluate({"a": [m1, m2], "b": [m3]}, Dataset(trajs), [8, 3, 5])
     # the T = 3 trajectory exceeds no horizon; the others forecast every
     # start t <= T - 3 in one call per model
     assert calls == [(id(m), n) for m in (m1, m2, m3) for n in (17, 8)]
@@ -424,7 +421,7 @@ def test_evaluate_errors():
     m = random_model(K=2, d_x=2, d_u=1, seed=9)
     test = random_dataset(m, n=2, T=10, seed=9)
     with pytest.raises(ValueError):
-        evaluate({}, Dataset.from_trajectories([]), horizons=[1])
+        evaluate({}, Dataset([]), horizons=[1])
     with pytest.raises(ValueError):
         evaluate({"m": []}, test, horizons=[1])
     with pytest.raises(ValueError):
@@ -474,8 +471,8 @@ def test_count_params_ball_anchor_is_22():
                    c=np.zeros((2, 2)), lam_cov=np.tile(np.eye(2), (2, 1, 1)))
     init = InitialModel(pi=np.array([0.5, 0.5]), mu=np.zeros((2, 2)),
                         omega_cov=np.stack([np.eye(2)] * 2))
-    m = HybridModel(K=2, d_x=2, d_u=0, mode="open_loop", init=init,
-                    dynamics=dyn, transition=make_transition("stationary", 2, 2, 0))
+    m = HybridModel(init=init, dynamics=dyn,
+                    transition=make_transition("stationary", 2, 2, 0))
     assert count_params(m) == 22
     bd = count_params_breakdown(m)
     assert bd == {"initial_probs": 2, "transition_bias": 4,
@@ -488,8 +485,7 @@ def test_count_params_structure():
                        c=np.zeros((K, 2)), lam_cov=np.tile(np.eye(2), (K, 1, 1)))
         init = InitialModel(pi=np.full(K, 1.0 / K), mu=np.zeros((K, 2)),
                             omega_cov=np.stack([np.eye(2)] * K))
-        return HybridModel(K=K, d_x=2, d_u=1, mode="open_loop", init=init,
-                           dynamics=dyn,
+        return HybridModel(init=init, dynamics=dyn,
                            transition=make_transition(kind, K, 2, 1, **kw))
 
     c2, c4 = count_params(make(2)), count_params(make(4))
@@ -511,9 +507,8 @@ def test_count_params_closed_loop_controllers():
                    c=np.zeros((K, 2)), lam_cov=np.tile(np.eye(2), (K, 1, 1)))
     init = InitialModel(pi=np.array([0.5, 0.5]), mu=np.zeros((K, 2)),
                         omega_cov=np.stack([np.eye(2)] * K))
-    m = HybridModel(K=K, d_x=2, d_u=1, mode=CLOSED_LOOP, init=init,
-                    dynamics=dyn, transition=make_transition("stationary", K, 2, 1),
-                    controllers=ctl)
+    m = HybridModel(init=init, dynamics=dyn,
+                    transition=make_transition("stationary", K, 2, 1), controllers=ctl)
     bd = count_params_breakdown(m)
     assert bd["controllers"] == K * (1 * 3 + 1 + 1)
     assert count_params(m) == sum(bd.values())
@@ -522,7 +517,7 @@ def test_count_params_closed_loop_controllers():
 def test_normalizer_rejects_constant_dimension():
     xs = np.zeros((10, 2))
     xs[:, 0] = np.arange(10)
-    ds = Dataset.from_trajectories(
+    ds = Dataset(
         [Trajectory(xs=xs, us=np.zeros((10, 1)), dt=0.1, id="c")])
     with pytest.raises(ValueError, match="zero-variance"):
         dataset_normalizer(ds)

@@ -1,12 +1,15 @@
 """Lint checks without a lint package: every imported name is used, every
-library function is read somewhere, and the library depends on numpy alone.
+library function is read somewhere and reads each of its parameters, and the
+library depends on numpy alone.
 
 The unused-import check scans the library modules (not the package __init__,
 whose imports are its exports), the test files and the benchmark's files. An
 import line carrying '# noqa' is exempt. The dead-code check asks of each
 top-level function of the library modules that the library or the benchmark
 reads it by name; the tests do not count, so the library holds no code that
-only its tests reach.
+only its tests reach. The unread-parameter check asks of every function and
+lambda of the library that its body reads each parameter whose name does not
+start with an underscore, so no argument is taken only to be ignored.
 """
 import ast
 import pathlib
@@ -107,6 +110,44 @@ def test_the_check_finds_unread_functions():
 def test_every_library_function_is_read():
     assert unread_functions({p.name: p.read_text() for p in LIBRARY},
                             {p.name: p.read_text() for p in BENCH}) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter of a function or lambda
+    that its body never reads, nested functions included; assigning to a
+    parameter is not reading it, and names with a leading underscore are
+    exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None]
+        inner = [n for stmt in (node.body if isinstance(node.body, list) else [node.body])
+                 for n in ast.walk(stmt)]
+        read = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in inner
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p) for p in params
+                  if not p.startswith("_") and p not in read]
+    return sorted(found)
+
+
+def test_the_check_finds_unread_parameters():
+    src = ("def f(a, b, *c, d, _e, **f):\n    return a + d\n"
+           "def g(x, y):\n    x = 1\n    y += 1\n    return 0\n"
+           "class C:\n    def m(self, z):\n        def inner(w):\n            return z\n"
+           "        return self\n"
+           "h = lambda p, _q, r: p\n")
+    assert unread_parameters(src) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "f"),
+                                      (3, "g", "x"), (9, "inner", "w"),
+                                      (12, "<lambda>", "r")]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_every_library_function_reads_its_parameters(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_every_export_exists_once():

@@ -120,7 +120,7 @@ def test_estep_matches_per_trajectory_smoothing():
     t2, _ = random_trajectory(m, T=9, seed=2)
     t3, _ = random_trajectory(m, T=2, seed=3)
     t4, _ = random_trajectory(m, T=12, seed=4)
-    ds = Dataset.from_trajectories([t2, t1, t3, t4])
+    ds = Dataset([t2, t1, t3, t4])
     posts, total = estep(m, ds)
     singles = [smooth(m, t) for t in ds.trajectories]
     assert total == pytest.approx(sum(s.loglik for s in singles), rel=1e-12)
@@ -136,8 +136,8 @@ def test_impossible_evidence_rejected(monkeypatch):
     # through every entry point that builds the padded inputs, with the bad
     # step in the shorter row of a ragged batch
     m = random_model(K=2, d_x=2, d_u=1, seed=9)
-    ds = Dataset.from_trajectories([random_trajectory(m, T=T, seed=9 + T)[0]
-                                    for T in (10, 6)])
+    ds = Dataset([random_trajectory(m, T=T, seed=9 + T)[0]
+                  for T in (10, 6)])
     for bad, match in [(-np.inf, "impossible observation"), (np.nan, "NaN")]:
         def evidence(model, traj):
             ev = log_local_evidence(model, traj)
@@ -154,7 +154,7 @@ def test_impossible_evidence_rejected(monkeypatch):
 def test_padded_inputs_pad_with_zero_evidence_and_identity():
     m = random_model(K=3, d_x=2, d_u=1, kind="polynomial", seed=16)
     trajs = [random_trajectory(m, T=T, seed=16 + i)[0] for i, T in enumerate((9, 2, 12))]
-    ev, trans, pad = inference.padded_inputs(m, Dataset.from_trajectories(trajs))
+    ev, trans, pad = inference.padded_inputs(m, Dataset(trajs))
     assert ev.shape == (3, 12, 3) and trans.shape == (3, 11, 3, 3)
     assert np.array_equal(pad, np.arange(12) >= np.array([[9], [2], [12]]))
     for b, traj in enumerate(trajs):
@@ -399,12 +399,12 @@ def test_linear_scale_matches_log_domain_reference(K):
     # mixed lengths, shortest next to the longest: a padded batch
     trajs = [random_trajectory(m, T=T, seed=30 + i)[0]
              for i, T in enumerate([40, 17, 2, 40])]
-    batches = [Dataset.from_trajectories(trajs), Dataset.from_trajectories(trajs[:1])]
+    batches = [Dataset(trajs), Dataset(trajs[:1])]
     if K == 9:
         # a 1000-step row batched with short, padded ones: each scale comes
         # from the summed row of the folded stack, not from a sum of the belief
         long_traj, _ = random_trajectory(m, T=1000, seed=40)
-        batches.append(Dataset.from_trajectories([trajs[1], long_traj, trajs[2]]))
+        batches.append(Dataset([trajs[1], long_traj, trajs[2]]))
     for batch in batches:
         posts, _, _ = smooth_dataset(m, batch)
         for post, traj in zip(posts, batch.trajectories):

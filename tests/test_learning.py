@@ -6,7 +6,7 @@ import pytest
 
 from rarhmm import inference, learning
 from rarhmm.envs import collect_trajectories, default_config
-from rarhmm.inference import Posterior, estep
+from rarhmm.inference import estep
 from rarhmm.learning import (FitConfig, FitHistory, _kmeans, check_init_model, fit_em,
                              initialize, mstep_controller, mstep_dynamics,
                              mstep_initial, mstep_transitions)
@@ -59,6 +59,15 @@ def test_fit_config_rejects_non_integral_counts_and_a_non_finite_tolerance(bad):
 def test_fit_config_accepts_numpy_integers():
     cfg = FitConfig(K=np.int64(3), max_iters=np.int32(5), restarts=np.uint8(1), seed=np.int64(2))
     assert (cfg.K, cfg.max_iters, cfg.restarts, cfg.seed) == (3, 5, 1, 2)
+
+
+@pytest.mark.parametrize("sizes", [dict(lag=3), dict(poly_degree=2),
+                                   dict(lag=3, poly_degree=2)], ids=repr)
+def test_open_loop_fit_config_rejects_controller_sizes(sizes):
+    # only closed-loop controllers read lag and poly_degree
+    with pytest.raises(ValueError, match="an open-loop fit needs lag 0 and poly_degree 1"):
+        FitConfig(K=2, **sizes)
+    assert FitConfig(K=2, mode=CLOSED_LOOP, **sizes).mode == CLOSED_LOOP
 
 
 def test_kmeans_recovers_separated_clusters():
@@ -130,7 +139,7 @@ def test_em_monotone_for_every_link_kind(spec):
 def _mixed_length_dataset(m):
     trajs = [random_trajectory(m, T=T, seed=s)[0]
              for s, T in enumerate((17, 5, 30, 2, 30))]
-    return Dataset.from_trajectories(trajs)
+    return Dataset(trajs)
 
 
 def test_estep_stats_matches_per_trajectory_reference():
@@ -233,7 +242,6 @@ def test_init_model_must_match_the_config_and_the_dataset():
     ds = random_dataset(m, n=2, T=10, seed=3)
     cfg = FitConfig(K=2, transition_kind="perceptron:4", max_iters=2, restarts=1)
     check_init_model(m, cfg, ds)
-    check_init_model(m, replace(cfg, lag=2, poly_degree=3), ds)  # open loop ignores both
     for name, bad in (("K", replace(cfg, K=3)), ("mode", replace(cfg, mode=CLOSED_LOOP)),
                       ("transition", replace(cfg, transition_kind="perceptron:8")),
                       ("transition", replace(cfg, transition_kind="linear"))):
@@ -250,11 +258,12 @@ def test_init_model_must_match_the_config_and_the_dataset():
             check_init_model(closed, bad, ds)
 
 
-def test_mstep_dynamics_matches_explicit_sums():
+def test_mstep_dynamics_matches_explicit_sums(monkeypatch):
     m = random_model(K=2, d_x=2, d_u=1, seed=4)
     ds = random_dataset(m, n=2, T=12, seed=4)
     posts, _ = estep(m, ds)
-    dyn = mstep_dynamics(posts, ds, floor=1e-8)
+    monkeypatch.setattr(learning, "COVARIANCE_FLOOR", 1e-8)
+    dyn = mstep_dynamics([p.gamma for p in posts], ds)
 
     for k in range(2):
         G = 1e-8 * np.eye(4)
@@ -282,11 +291,12 @@ def test_mstep_dynamics_matches_explicit_sums():
         np.testing.assert_allclose(dyn.lam_cov[k], S / wsum, atol=1e-10)
 
 
-def test_mstep_initial_matches_explicit_sums():
+def test_mstep_initial_matches_explicit_sums(monkeypatch):
     m = random_model(K=3, d_x=2, d_u=1, seed=5)
     ds = random_dataset(m, n=6, T=10, seed=5)
     posts, _ = estep(m, ds)
-    init = mstep_initial(posts, ds, floor=1e-10)
+    monkeypatch.setattr(learning, "COVARIANCE_FLOOR", 1e-10)
+    init = mstep_initial([p.gamma for p in posts], ds)
     g1 = np.stack([p.gamma[0] for p in posts])
     x1 = np.stack([t.xs[0] for t in ds.trajectories])
     np.testing.assert_allclose(init.pi, g1.sum(axis=0) / g1.sum(), atol=1e-12)
@@ -299,11 +309,12 @@ def test_mstep_initial_matches_explicit_sums():
         np.testing.assert_allclose(init.omega_cov[k], cov, atol=1e-10)
 
 
-def test_mstep_dynamics_is_weighted_lsq_optimum():
+def test_mstep_dynamics_is_weighted_lsq_optimum(monkeypatch):
     m = random_model(K=2, d_x=2, d_u=1, seed=6)
     ds = random_dataset(m, n=2, T=15, seed=6)
     posts, _ = estep(m, ds)
-    dyn = mstep_dynamics(posts, ds, floor=1e-10)
+    monkeypatch.setattr(learning, "COVARIANCE_FLOOR", 1e-10)
+    dyn = mstep_dynamics([p.gamma for p in posts], ds)
     X = np.concatenate([np.concatenate(
         [t.xs[:-1], t.us[:-1], np.ones((t.T - 1, 1))], axis=1)
         for t in ds.trajectories])
@@ -318,11 +329,12 @@ def test_mstep_dynamics_is_weighted_lsq_optimum():
             assert float(np.sum(W[:, k, None] * (Y - X @ pert) ** 2)) > base
 
 
-def test_mstep_controller_matches_explicit_sums():
+def test_mstep_controller_matches_explicit_sums(monkeypatch):
     m = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=7, lag=1)
     ds = random_dataset(m, n=2, T=20, seed=7)
     posts, _ = estep(m, ds)
-    ctl = mstep_controller(posts, ds, lag=1, poly_degree=1, floor=1e-8)
+    monkeypatch.setattr(learning, "COVARIANCE_FLOOR", 1e-8)
+    ctl = mstep_controller([p.gamma for p in posts], ds, lag=1, poly_degree=1)
 
     def rows():
         # features [x_t; u_{t-1}; 1], the past control zero at t = 0
@@ -358,10 +370,9 @@ def test_mstep_transitions_stationary_closed_form():
     src = rng.dirichlet(np.full(K, 2.0), size=49)
     xi = src[:, :, None] * target[None, :, :]           # xi[t, j, i]
 
-    p = Posterior(gamma=np.zeros((50, K)), xi=xi, loglik=np.nan)
     tm = make_transition("stationary", K, 2, 1)
     ds = random_dataset(random_model(K=K, seed=8), n=1, T=50, seed=8)
-    new = mstep_transitions([p], ds, tm)
+    new = mstep_transitions([xi], ds, tm)
     psi = transition_matrix(new, np.zeros(2), np.zeros(1))
     np.testing.assert_allclose(psi, target.T, atol=1e-12)
 
@@ -372,7 +383,7 @@ def test_mstep_transitions_glm_improves_nll():
     posts, _ = estep(m, ds)
     xis = [p.xi for p in posts]
     before, _ = weighted_nll_and_grad(m.transition, ds, xis)
-    new = mstep_transitions(posts, ds, m.transition)
+    new = mstep_transitions(xis, ds, m.transition)
     after, _ = weighted_nll_and_grad(new, ds, xis)
     assert after < before
 
@@ -381,12 +392,13 @@ def test_mstep_transitions_matches_tensor_path(monkeypatch):
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=10)
     ds = random_dataset(m, n=2, T=30, seed=10)
     posts, _ = estep(m, ds)
-    new = mstep_transitions(posts, ds, m.transition)
-    _, xi_di = reference_stack_transition_stats(m.transition, ds, [p.xi for p in posts])
+    xis = [p.xi for p in posts]
+    new = mstep_transitions(xis, ds, m.transition)
+    _, xi_di = reference_stack_transition_stats(m.transition, ds, xis)
     monkeypatch.setattr(learning, "_nll_grad",
                         lambda tm, vec, feats, *marginals:
                         tensor_nll_grad(tm, vec, feats, xi_di))
-    ref = mstep_transitions(posts, ds, m.transition)
+    ref = mstep_transitions(xis, ds, m.transition)
     assert new is not m.transition and ref is not m.transition
     np.testing.assert_allclose(params_to_vector(new), params_to_vector(ref),
                                rtol=1e-9, atol=1e-9)
@@ -398,18 +410,18 @@ SOLVER_CASES = {"linear": dict(kind="linear"),
 
 
 def _solver_instance(case, seed=20):
-    """Posteriors of one model and a link of the same kind to improve."""
+    """Pairwise marginals of one model and a link of the same kind to improve."""
     m = random_model(K=3, d_x=2, d_u=1, seed=seed, **SOLVER_CASES[case])
     ds = random_dataset(m, n=2, T=40, seed=seed)
     posts, _ = estep(m, ds)
     tm_hat = random_model(K=3, d_x=2, d_u=1, seed=seed + 1,
                           **SOLVER_CASES[case]).transition
-    return posts, ds, tm_hat
+    return [p.xi for p in posts], ds, tm_hat
 
 
 @pytest.mark.parametrize("case", SOLVER_CASES)
 def test_mstep_transitions_beats_gradient_descent_within_cap(monkeypatch, case):
-    posts, ds, tm_hat = _solver_instance(case)
+    xis, ds, tm_hat = _solver_instance(case)
     calls = []
     objective = learning._nll_grad
 
@@ -418,11 +430,10 @@ def test_mstep_transitions_beats_gradient_descent_within_cap(monkeypatch, case):
         return objective(*args)
 
     monkeypatch.setattr(learning, "_nll_grad", counted)
-    new = mstep_transitions(posts, ds, tm_hat)
+    new = mstep_transitions(xis, ds, tm_hat)
     assert 1 < len(calls) <= learning.MAX_EVALS
     monkeypatch.undo()
-    xis = [p.xi for p in posts]
-    ref = reference_gd_mstep(posts, ds, tm_hat)
+    ref = reference_gd_mstep(xis, ds, tm_hat)
     got, _ = weighted_nll_and_grad(new, ds, xis)
     want, _ = weighted_nll_and_grad(ref, ds, xis)
     before, _ = weighted_nll_and_grad(tm_hat, ds, xis)
@@ -438,14 +449,13 @@ def test_mstep_transitions_beats_gradient_descent_within_cap(monkeypatch, case):
 def test_mstep_transitions_steps_stay_within_bound(monkeypatch, case, bound):
     # the evaluation cap only truncates the solver's run, so the result under
     # cap c is the last iterate accepted within its first c evaluations
-    posts, ds, tm_hat = _solver_instance(case)
-    xis = [p.xi for p in posts]
+    xis, ds, tm_hat = _solver_instance(case)
     monkeypatch.setattr(learning, "STEP_BOUND", bound)
     iterates = [params_to_vector(tm_hat)]
     nlls = [weighted_nll_and_grad(tm_hat, ds, xis)[0]]
     for cap in range(2, learning.MAX_EVALS + 1):
         monkeypatch.setattr(learning, "MAX_EVALS", cap)
-        new = mstep_transitions(posts, ds, tm_hat)
+        new = mstep_transitions(xis, ds, tm_hat)
         vec = params_to_vector(new)
         if not np.array_equal(vec, iterates[-1]):
             iterates.append(vec)
@@ -476,38 +486,37 @@ def _flat(tm, vec, *stats):
 
 @pytest.mark.parametrize("objective", ["uphill", "nan_gradient", "flat"])
 def test_mstep_transitions_keeps_input_without_descent(monkeypatch, objective):
-    posts, ds, tm_hat = _solver_instance("linear")
+    xis, ds, tm_hat = _solver_instance("linear")
     fn = {"uphill": _lying_gradient,
           "nan_gradient": _nan_away_from_start(params_to_vector(tm_hat)),
           "flat": _flat}[objective]
     monkeypatch.setattr(learning, "_nll_grad", fn)
-    assert mstep_transitions(posts, ds, tm_hat) is tm_hat
+    assert mstep_transitions(xis, ds, tm_hat) is tm_hat
 
 
 def test_mstep_transitions_rejects_nonfinite_entry_gradient(monkeypatch):
-    posts, ds, tm_hat = _solver_instance("linear")
+    xis, ds, tm_hat = _solver_instance("linear")
     monkeypatch.setattr(learning, "_nll_grad",
                         lambda tm, vec, *rest: (1.0, np.full_like(vec, np.inf)))
     with pytest.raises(FloatingPointError, match="non-finite transition gradient"):
-        mstep_transitions(posts, ds, tm_hat)
+        mstep_transitions(xis, ds, tm_hat)
 
 
-def test_empty_regime_keeps_previous_parameters():
+def test_empty_regime_keeps_previous_parameters(monkeypatch):
     m = random_model(K=2, d_x=2, d_u=1, seed=11)
     ds = random_dataset(m, n=2, T=10, seed=11)
     # hard labels that never visit regime 1
-    posts = [Posterior(gamma=np.tile([1.0, 0.0], (t.T, 1)),
-                       xi=np.tile([[1.0, 0.0], [0.0, 0.0]], (t.T - 1, 1, 1)),
-                       loglik=np.nan) for t in ds.trajectories]
+    gammas = [np.tile([1.0, 0.0], (t.T, 1)) for t in ds.trajectories]
+    monkeypatch.setattr(learning, "COVARIANCE_FLOOR", 1e-8)
     with pytest.warns(UserWarning, match="regime 1"):
-        dyn = mstep_dynamics(posts, ds, floor=1e-8, prev=m.dynamics)
+        dyn = mstep_dynamics(gammas, ds, prev=m.dynamics)
     for f in ("A", "B", "c", "lam_cov"):
         np.testing.assert_array_equal(getattr(dyn, f)[1], getattr(m.dynamics, f)[1])
     with pytest.warns(UserWarning, match="regime 1"):
-        init = mstep_initial(posts, ds, floor=1e-8, prev=m.init)
+        init = mstep_initial(gammas, ds, prev=m.init)
     np.testing.assert_array_equal(init.mu[1], m.init.mu[1])
     with pytest.raises(ValueError):
-        mstep_dynamics(posts, ds, floor=1e-8, prev=None)
+        mstep_dynamics(gammas, ds, prev=None)
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])
@@ -515,8 +524,8 @@ def test_fit_at_large_state_scale(scale):
     # floor_spd's covariances are symmetric only to rounding, so the symmetry
     # check must be relative to their size
     ds = collect_trajectories(default_config("pendulum"), 4, 0, T=100)
-    big = Dataset.from_trajectories([Trajectory(xs=scale * t.xs, us=t.us, dt=t.dt, id=t.id)
-                                     for t in ds])
+    big = Dataset([Trajectory(xs=scale * t.xs, us=t.us, dt=t.dt, id=t.id)
+                   for t in ds])
     fit, hist = fit_em(big, FitConfig(K=2, transition_kind="linear", restarts=2))
     assert np.isfinite(hist.loglik[-1])
 
@@ -565,9 +574,9 @@ def test_kmeans_reseeds_a_cluster_its_reseed_empties():
 def test_closed_loop_initialize_gives_every_regime_controller_weight(monkeypatch, K, lag):
     weights = []
 
-    def spy(posteriors, *args, **kwargs):
-        weights.append(sum(p.gamma.sum(axis=0) for p in posteriors))
-        return mstep_controller(posteriors, *args, **kwargs)
+    def spy(gammas, *args, **kwargs):
+        weights.append(sum(g.sum(axis=0) for g in gammas))
+        return mstep_controller(gammas, *args, **kwargs)
 
     monkeypatch.setattr(learning, "mstep_controller", spy)
     cfg = FitConfig(K=K, mode=CLOSED_LOOP, transition_kind="linear", lag=lag)
@@ -575,7 +584,7 @@ def test_closed_loop_initialize_gives_every_regime_controller_weight(monkeypatch
         rng = np.random.default_rng(seed)
         trajs = [Trajectory(xs=rng.standard_normal((T, 2)) ** 3, us=rng.standard_normal((T, 1)),
                             dt=0.1) for T in rng.integers(3, 30, size=3)]
-        initialize(Dataset.from_trajectories(trajs), cfg, rng)
+        initialize(Dataset(trajs), cfg, rng)
         assert len(weights) == seed + 1 and weights[-1].min() >= 1.0
 
 
@@ -588,13 +597,12 @@ def test_two_regime_recovery_small():
                    lam_cov=np.full((2, 1, 1), 0.0025))
     tm = make_transition("stationary", K, d_x, 0,
                          bias=np.log(np.array([[0.95, 0.05], [0.05, 0.95]])))
-    true = HybridModel(K=K, d_x=d_x, d_u=0, mode="open_loop", init=init,
-                       dynamics=dyn, transition=tm)
+    true = HybridModel(init=init, dynamics=dyn, transition=tm)
     rng = np.random.default_rng(0)
     trajs = [Trajectory(*reference_sample_trajectory(true, 200, rng,
                                                      exogenous_us=np.zeros((200, 0)))[:2],
                         dt=1.0, id=f"r{i}") for i in range(4)]
-    ds = Dataset.from_trajectories(trajs)
+    ds = Dataset(trajs)
     cfg = FitConfig(K=2, max_iters=50, restarts=2, seed=0)
     fit, _ = fit_em(ds, cfg)
     got = sorted(zip(fit.dynamics.A[:, 0, 0], fit.dynamics.c[:, 0]))
@@ -645,7 +653,7 @@ def test_value_error_inside_em_propagates(monkeypatch):
 def test_kmeans_data_error_reaches_caller():
     # a single two-step trajectory cannot seed two k-means clusters at any seed
     traj = Trajectory(xs=np.zeros((2, 2)), us=np.zeros((2, 1)), dt=0.1, id="z")
-    ds = Dataset.from_trajectories([traj])
+    ds = Dataset([traj])
     with pytest.raises(ValueError, match="k-means needs at least 2 distinct points"):
         fit_em(ds, FitConfig(K=2, restarts=2, seed=0))
 
@@ -670,7 +678,6 @@ def test_loglik_invariant_under_regime_permutation():
     perm = np.array([2, 0, 1])
     W = m.transition.feature_params.reshape(3, 3)  # (K, d_x + d_u)
     pm = HybridModel(
-        K=3, d_x=2, d_u=1, mode=m.mode,
         init=InitialModel(pi=m.init.pi[perm], mu=m.init.mu[perm],
                           omega_cov=m.init.omega_cov[perm]),
         dynamics=Dynamics(*(getattr(m.dynamics, f)[perm]

@@ -75,15 +75,14 @@ def _step_mean(m, x, u):
     step ahead."""
     us = np.asarray(u, dtype=float).reshape(1, 1, -1)
     return _forecast_batch(m, np.asarray(x, dtype=float)[None], np.ones((1, 1)), us,
-                           "argmax")[0, 0]
+                           "argmax", None, np.array([1]))[0, 0]
 
 
 def test_step_dynamics_identity():
     m = random_model(K=1, d_x=2, d_u=1, seed=1)
-    m = HybridModel(K=1, d_x=2, d_u=1, mode=OPEN_LOOP, init=m.init,
-                    dynamics=Dynamics(A=[np.eye(2)], B=np.zeros((1, 2, 1)),
-                                      c=np.zeros((1, 2)), lam_cov=[np.eye(2)]),
-                    transition=m.transition)
+    dyn = Dynamics(A=[np.eye(2)], B=np.zeros((1, 2, 1)), c=np.zeros((1, 2)),
+                   lam_cov=[np.eye(2)])
+    m = HybridModel(init=m.init, dynamics=dyn, transition=m.transition)
     x = np.array([0.3, -1.2])
     np.testing.assert_array_equal(_step_mean(m, x, [0.0]), x)
 
@@ -92,8 +91,7 @@ def test_step_dynamics_pure_offset():
     m = random_model(K=1, d_x=2, d_u=1, seed=1)
     dyn = Dynamics(A=np.zeros((1, 2, 2)), B=np.zeros((1, 2, 1)),
                    c=[[3.0, -1.0]], lam_cov=[np.eye(2)])
-    m = HybridModel(K=1, d_x=2, d_u=1, mode=OPEN_LOOP, init=m.init,
-                    dynamics=dyn, transition=m.transition)
+    m = HybridModel(init=m.init, dynamics=dyn, transition=m.transition)
     np.testing.assert_array_equal(_step_mean(m, [7.0, 7.0], [9.0]), [3.0, -1.0])
 
 
@@ -102,8 +100,7 @@ def test_step_dynamics_hand_computed():
     m = random_model(K=1, d_x=2, d_u=1, seed=1)
     dyn = Dynamics(A=[[[1.0, dt], [0.0, 1.0]]], B=[[[0.0], [dt]]], c=np.zeros((1, 2)),
                    lam_cov=[np.eye(2)])
-    m = HybridModel(K=1, d_x=2, d_u=1, mode=OPEN_LOOP, init=m.init,
-                    dynamics=dyn, transition=m.transition)
+    m = HybridModel(init=m.init, dynamics=dyn, transition=m.transition)
     got = _step_mean(m, [0.0, 1.0], [2.0])
     np.testing.assert_allclose(got, [0.1, 1.2], rtol=0, atol=1e-15)
 
@@ -123,8 +120,7 @@ def test_sample_initial_fair_categorical_frequency():
     init = InitialModel(pi=[0.5, 0.5], mu=[[1.0, 0.0], [-1.0, 0.0]],
                         omega_cov=[floor * np.eye(2), floor * np.eye(2)])
     base = random_model(K=2, d_x=2, d_u=1, seed=0)
-    m = HybridModel(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, init=init,
-                    dynamics=base.dynamics, transition=base.transition)
+    m = HybridModel(init=init, dynamics=base.dynamics, transition=base.transition)
     rng, us, n = np.random.default_rng(123), np.zeros((2, 1)), 10 ** 4
     hits = sum(reference_sample_trajectory(m, 2, rng, exogenous_us=us)[2][0] == 0
                for _ in range(n))
@@ -138,8 +134,7 @@ def test_sample_initial_closed_loop_readout():
     base = random_model(K=1, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=2)
     ctl = Controllers(gain=[[[1.0, 0.0]]], offset=np.zeros((1, 1)),
                       sigma_cov=[floor * np.eye(1)])
-    m = HybridModel(K=1, d_x=2, d_u=1, mode=CLOSED_LOOP, init=base.init,
-                    dynamics=base.dynamics, transition=base.transition,
+    m = HybridModel(init=base.init, dynamics=base.dynamics, transition=base.transition,
                     controllers=ctl)
     xs, us, _ = reference_sample_trajectory(m, 2, np.random.default_rng(0))
     np.testing.assert_allclose(us[0], xs[0, :1], atol=1e-4)
@@ -156,8 +151,7 @@ def test_sample_trajectory_constant_policy():
     u_star = np.array([1.5])
     ctls = Controllers(gain=np.zeros((2, 1, 2)), offset=np.tile(u_star, (2, 1)),
                        sigma_cov=np.tile(1e-12 * np.eye(1), (2, 1, 1)))
-    m = HybridModel(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, init=base.init,
-                    dynamics=base.dynamics, transition=base.transition,
+    m = HybridModel(init=base.init, dynamics=base.dynamics, transition=base.transition,
                     controllers=ctls)
     _, us, _ = reference_sample_trajectory(m, 15, np.random.default_rng(1),
                                            deterministic=True)
@@ -171,11 +165,10 @@ def test_sample_trajectory_threshold_switching():
     w = np.zeros((2, 3))
     w[0, 0] = 50.0   # regime 0 logit grows with x1
     w[1, 0] = -50.0  # regime 1 logit grows with -x1
-    tm = type(tm)(kind="linear", K=2, d_x=2, d_u=1, bias=np.zeros((2, 2)),
+    tm = type(tm)(kind="linear", d_x=2, d_u=1, bias=np.zeros((2, 2)),
                   feature_params=w.ravel(), feat_mean=tm.feat_mean,
                   feat_std=tm.feat_std)
-    m = HybridModel(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, init=base.init,
-                    dynamics=base.dynamics, transition=tm)
+    m = HybridModel(init=base.init, dynamics=base.dynamics, transition=tm)
     rng = np.random.default_rng(3)
     xs, _, zs = reference_sample_trajectory(m, 200, rng,
                                             exogenous_us=rng.standard_normal((200, 1)))
@@ -193,8 +186,7 @@ def test_log_local_evidence_unit_gaussian_zero_residual():
     dyn = Dynamics(A=[np.eye(2)], B=np.zeros((1, 2, 1)), c=np.zeros((1, 2)),
                    lam_cov=[np.eye(2)])
     tm = make_transition("stationary", 1, 2, 1)
-    m = HybridModel(K=1, d_x=2, d_u=1, mode=OPEN_LOOP, init=init,
-                    dynamics=dyn, transition=tm)
+    m = HybridModel(init=init, dynamics=dyn, transition=tm)
     T = 6
     traj = Trajectory(xs=np.zeros((T, 2)), us=np.zeros((T, 1)), dt=0.1)
     ev = log_local_evidence(m, traj)
@@ -204,8 +196,7 @@ def test_log_local_evidence_unit_gaussian_zero_residual():
 def test_log_local_evidence_mode_difference_is_control_term():
     mc = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=9, lag=1,
                       poly_degree=2)
-    mo = HybridModel(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, init=mc.init,
-                     dynamics=mc.dynamics, transition=mc.transition)
+    mo = HybridModel(init=mc.init, dynamics=mc.dynamics, transition=mc.transition)
     traj, _ = random_trajectory(mc, T=10, seed=4)
     ev_closed = log_local_evidence(mc, traj)
     ev_open = log_local_evidence(mo, traj)
@@ -221,8 +212,7 @@ def test_log_local_evidence_regime_permutation_permutes_columns():
     perm = [2, 0, 1]
     pi = m.init.pi[perm]
     pi = pi / pi.sum()  # reorder keeps the sum, guard rounding
-    m2 = HybridModel(K=3, d_x=2, d_u=1, mode=OPEN_LOOP,
-                     init=InitialModel(pi=pi, mu=m.init.mu[perm],
+    m2 = HybridModel(init=InitialModel(pi=pi, mu=m.init.mu[perm],
                                        omega_cov=m.init.omega_cov[perm]),
                      dynamics=Dynamics(*(getattr(m.dynamics, f)[perm]
                                          for f in ("A", "B", "c", "lam_cov"))),
@@ -333,22 +323,35 @@ def test_trajectory_rejects_arrays_of_the_wrong_rank():
 def test_dataset_validation():
     t = Trajectory(xs=np.zeros((3, 2)), us=np.zeros((3, 1)), dt=0.1)
     with pytest.raises(ValueError):
-        Dataset(trajectories=(), d_x=2, d_u=1)
-    with pytest.raises(ValueError):
-        Dataset(trajectories=(t,), d_x=3, d_u=1)
-    ds = Dataset.from_trajectories([t])
+        Dataset(trajectories=())
+    wide = Trajectory(xs=np.zeros((3, 3)), us=np.zeros((3, 1)), dt=0.1, id="wide")
+    with pytest.raises(ValueError, match=re.escape("'wide' has dims (3, 1), the first "
+                                                   "has (2, 1)")):
+        Dataset((t, wide))
+    ds = Dataset([t])
     assert (ds.d_x, ds.d_u) == (2, 1)
 
 
-def test_mode_invariants():
-    m = random_model(K=2, mode=CLOSED_LOOP, seed=1)
-    with pytest.raises(ValueError):
-        HybridModel(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, init=m.init,
-                    dynamics=m.dynamics, transition=m.transition,
-                    controllers=m.controllers)
-    with pytest.raises(ValueError):
-        HybridModel(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, init=m.init,
-                    dynamics=m.dynamics, transition=m.transition)
+def test_model_reads_its_sizes_and_mode_from_its_blocks():
+    m = random_model(K=3, d_x=2, d_u=2, mode=CLOSED_LOOP, seed=1, lag=1)
+    assert (m.K, m.d_x, m.d_u, m.mode) == (3, 2, 2, CLOSED_LOOP)
+    open_loop = HybridModel(init=m.init, dynamics=m.dynamics, transition=m.transition)
+    assert (open_loop.K, open_loop.d_x, open_loop.d_u, open_loop.mode) == (3, 2, 2, OPEN_LOOP)
+
+
+def test_model_blocks_must_agree():
+    m = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=1)
+    other = random_model(K=3, d_x=2, d_u=1, mode=CLOSED_LOOP, seed=1, lag=1)
+    with pytest.raises(ValueError, match="transition K or dims"):
+        HybridModel(init=m.init, dynamics=m.dynamics, transition=other.transition)
+    with pytest.raises(ValueError, match="dynamics must be"):
+        HybridModel(init=m.init, dynamics=other.dynamics, transition=m.transition)
+    # gains over the features of one lagged control, in a lag-0 bank
+    with pytest.raises(ValueError, match="controller gain"):
+        HybridModel(init=m.init, dynamics=m.dynamics, transition=m.transition,
+                    controllers=Controllers(other.controllers.gain[:2],
+                                            other.controllers.offset[:2],
+                                            other.controllers.sigma_cov[:2]))
 
 
 def _block_arrays(model):
@@ -499,7 +502,7 @@ def test_densities_factor_nothing_once_the_model_is_built(monkeypatch):
         monkeypatch.setattr(np.linalg, name, factoring)
     ev = log_local_evidence(m, traj)
     assert ev.shape == (30, 3) and np.all(np.isfinite(ev))
-    assert filter_all(m, Dataset.from_trajectories([traj])).shape == (1, 30, 3)
+    assert filter_all(m, Dataset([traj])).shape == (1, 30, 3)
     b = policy._initial_belief(m, traj.xs[0])
     b = policy._belief_step(m, b, traj.xs[0], traj.us[0], traj.xs[1])
     assert b.shape == (3,) and abs(b.sum() - 1.0) < 1e-12
@@ -610,6 +613,25 @@ def test_malformed_model_document_is_a_value_error(tmp_path, doc, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_model(path)
+
+
+@pytest.mark.parametrize("name,value", [("K", 3), ("d_x", 3), ("d_u", 2),
+                                        ("mode", OPEN_LOOP), ("mode", "hybrid")])
+def test_model_document_sizes_and_mode_must_agree_with_its_arrays(name, value):
+    # the arrays of _valid_model_doc give K 2, d_x 2, d_u 1 and closed loop
+    doc = _valid_model_doc()
+    doc[name] = value
+    with pytest.raises(ValueError, match=re.escape(f"model field {name!r} is {value!r}, "
+                                                   f"but the model's arrays give")):
+        model_from_dict(doc)
+
+
+def test_model_document_without_controllers_is_not_closed_loop():
+    doc = _valid_model_doc()
+    del doc["controllers"]
+    with pytest.raises(ValueError, match="model field 'mode' is 'closed_loop', but the "
+                                         "model's arrays give 'open_loop'"):
+        model_from_dict(doc)
 
 
 @pytest.mark.parametrize("value", [1.9, 2.0, "2", True])

@@ -7,7 +7,7 @@ import pytest
 from rarhmm import policy
 from rarhmm.envs import default_config, env_dims, load_dataset
 from rarhmm.evaluation import filter_all
-from rarhmm.learning import FitConfig
+from rarhmm.learning import FitConfig, fit_em
 from rarhmm.model import (CLOSED_LOOP, Controllers, Dataset, Dynamics, HybridModel,
                           InitialModel, Trajectory, model_from_dict, model_to_dict)
 from rarhmm.policy import (ACT_MODES, RolloutResult, _bayes_update, _belief_step,
@@ -36,15 +36,14 @@ def _closed_loop_model(gains, offsets=None, d_x=1, lag=0, init_mu=None,
     mu = init_mu if init_mu is not None else np.zeros((K, d_x))
     init = InitialModel(pi=np.full(K, 1.0 / K), mu=np.asarray(mu, dtype=float),
                         omega_cov=np.stack([np.eye(d_x)] * K))
-    return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=CLOSED_LOOP, init=init,
-                       dynamics=dyn, transition=make_transition("stationary", K, d_x, d_u),
+    return HybridModel(init=init, dynamics=dyn,
+                       transition=make_transition("stationary", K, d_x, d_u),
                        controllers=controllers)
 
 
 def test_default_distill_config():
     cfg = default_distill_config()
     assert (cfg.K, cfg.lag, cfg.mode) == (5, 1, CLOSED_LOOP)
-    assert default_distill_config(K=3, seed=7).K == 3
 
 
 def test_distill_rejects_open_loop_config():
@@ -64,9 +63,8 @@ def test_distill_recovers_global_linear_law():
         xs = rng.standard_normal((80, 2))
         us = xs @ -K_exp.T
         trajs.append(Trajectory(xs=xs, us=us, dt=0.05, id=f"d{i}"))
-    model = distill(Dataset.from_trajectories(trajs),
-                    FitConfig(K=1, mode=CLOSED_LOOP, lag=0, max_iters=5,
-                              restarts=1))
+    model, _ = distill(Dataset(trajs),
+                       FitConfig(K=1, mode=CLOSED_LOOP, lag=0, max_iters=5, restarts=1))
     np.testing.assert_allclose(model.controllers.gain[0], -K_exp, atol=1e-4)
     np.testing.assert_allclose(model.controllers.offset[0], 0.0, atol=1e-4)
 
@@ -85,9 +83,9 @@ def test_distilled_model_rolls_out_as_its_reloaded_copy():
     # the fitted blocks are C-ordered like the reloaded ones, so the per-step
     # products round the same way in memory and after a save/load round trip
     gen = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear", seed=2, lag=1)
-    model = distill(random_dataset(gen, n=3, T=40, seed=2),
-                    FitConfig(K=2, mode=CLOSED_LOOP, transition_kind="linear", lag=1,
-                              max_iters=3, restarts=1))
+    model, _ = distill(random_dataset(gen, n=3, T=40, seed=2),
+                       FitConfig(K=2, mode=CLOSED_LOOP, transition_kind="linear", lag=1,
+                                 max_iters=3, restarts=1))
     reloaded = model_from_dict(model_to_dict(model))
     for seed in range(3):
         a, b = (rollout(default_config("pendulum"), m, T=100,
@@ -102,13 +100,16 @@ def test_distill_duplicated_demos_identical():
     demos = random_dataset(gen, n=3, T=30, seed=1)
     cfg = dict(K=2, mode=CLOSED_LOOP, transition_kind="linear", lag=1,
                max_iters=10, restarts=2, seed=0)
-    a = distill(demos, FitConfig(**cfg))
-    # same input, same seed: bit-exact
-    assert models_equal(a, distill(demos, FitConfig(**cfg)))
+    a, history = distill(demos, FitConfig(**cfg))
+    # same input, same seed: bit-exact, and the fit_em run
+    again, again_history = distill(demos, FitConfig(**cfg))
+    assert models_equal(a, again) and history.loglik == again_history.loglik
+    fitted, fit_history = fit_em(demos, FitConfig(**cfg))
+    assert models_equal(a, fitted) and history.loglik == fit_history.loglik
     # duplicated demos scale every sufficient statistic equally; only the
     # fixed least-squares ridge breaks exact invariance
-    doubled = Dataset.from_trajectories(list(demos.trajectories) * 2)
-    b = distill(doubled, FitConfig(**cfg))
+    doubled = Dataset(list(demos.trajectories) * 2)
+    b, _ = distill(doubled, FitConfig(**cfg))
     assert _models_close(a, b)
 
 
@@ -330,15 +331,14 @@ def test_distillation_consistency_on_generated_demos():
     gen = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear",
                        seed=8, noise_scale=0.03)
     demos = random_dataset(gen, n=6, T=60, seed=80)
-    fit = distill(demos, FitConfig(K=2, mode=CLOSED_LOOP,
-                                   transition_kind="linear", max_iters=60,
-                                   restarts=3, seed=0))
+    fit, _ = distill(demos, FitConfig(K=2, mode=CLOSED_LOOP, transition_kind="linear",
+                                      max_iters=60, restarts=3, seed=0))
     rng = np.random.default_rng(9)
     xs, us, _ = reference_sample_trajectory(gen, 60, rng)
     test = Trajectory(xs=xs, us=us, dt=1.0, id="held-out")
     diffs = []
     for model in (gen, fit):
-        alpha = filter_all(model, Dataset.from_trajectories([test]))[0]
+        alpha = filter_all(model, Dataset([test]))[0]
         us = [act(model, alpha[t], test.xs[t], [], mode="mean")[0]
               for t in range(test.T)]
         diffs.append(np.array(us))

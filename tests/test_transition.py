@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rarhmm.transition import (PERCEPTRON_HIDDEN_UNITS, TransitionModel, _nll_gr
                                transition_matrices, transition_stats,
                                vector_to_params, weighted_nll_and_grad)
 
-from util import (random_model, random_trajectory, random_xis,
+from util import (random_dataset, random_model, random_trajectory, random_xis,
                   reference_stack_transition_stats, reference_transition_matrices,
                   reference_transition_stats, tensor_nll_grad)
 
@@ -55,7 +56,7 @@ def test_link_size_rule_holds_for_direct_construction_and_files(kind, size, mess
     tm = make_transition(kind, 2, 2, 1, **({"degree": 2} if kind == "polynomial"
                                            else {"hidden_units": 3}))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        TransitionModel(**{**tm.__dict__, **size})
+        replace(tm, **size)
     doc = model_to_dict(random_model(K=2, d_x=2, d_u=1, kind=kind, seed=3))
     doc["transition"].update(size)
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -64,9 +65,8 @@ def test_link_size_rule_holds_for_direct_construction_and_files(kind, size, mess
 
 def _random_tm(kind, K, d_x, d_u, seed, scale=0.8, **kw):
     rng = np.random.default_rng(seed)
-    tm = make_transition(kind, K, d_x, d_u, rng=rng, init_scale=scale,
-                         bias=scale * rng.standard_normal((K, K)), **kw)
-    return tm
+    tm = make_transition(kind, K, d_x, d_u, bias=scale * rng.standard_normal((K, K)), **kw)
+    return replace(tm, feature_params=scale * rng.standard_normal(tm.feature_params.size))
 
 
 def _random_instance(kind, seed, K=2, d_x=2, d_u=1, T=6, n=2, **kw):
@@ -75,7 +75,7 @@ def _random_instance(kind, seed, K=2, d_x=2, d_u=1, T=6, n=2, **kw):
     trajs = [Trajectory(xs=rng.standard_normal((T, d_x)),
                         us=rng.standard_normal((T, d_u)), dt=0.1, id=str(i))
              for i in range(n)]
-    ds = Dataset.from_trajectories(trajs)
+    ds = Dataset(trajs)
     xis = [random_xis(rng, T, K) for _ in range(n)]
     return tm, ds, xis
 
@@ -88,7 +88,7 @@ def test_uniform_for_zero_bias():
 
 def test_stationary_hand_softmax():
     tm = make_transition("stationary", 2, 2, 0)
-    tm = type(tm)(kind="stationary", K=2, d_x=2, d_u=0,
+    tm = type(tm)(kind="stationary", d_x=2, d_u=0,
                   bias=np.array([[np.log(3.0), 0.0], [0.0, 0.0]]),
                   feature_params=np.zeros(0), feat_mean=np.zeros(2),
                   feat_std=np.ones(2))
@@ -141,7 +141,7 @@ def test_shift_invariance():
     rng = np.random.default_rng(2)
     x, u = rng.standard_normal(2), rng.standard_normal(1)
     ref = transition_matrix(tm, x, u)[:, 1]
-    shifted = type(tm)(kind=tm.kind, K=tm.K, d_x=tm.d_x, d_u=tm.d_u,
+    shifted = type(tm)(kind=tm.kind, d_x=tm.d_x, d_u=tm.d_u,
                        bias=tm.bias + 123.456, feature_params=tm.feature_params,
                        feat_mean=tm.feat_mean, feat_std=tm.feat_std)
     np.testing.assert_allclose(transition_matrix(shifted, x, u)[:, 1], ref, atol=1e-12)
@@ -156,8 +156,8 @@ def test_column_stochastic_many_draws():
         d_x = int(rng.integers(1, 4))
         d_u = int(rng.integers(0, 3))
         tm = make_transition(kind, K, d_x, d_u, degree=2, hidden_units=3,
-                             bias=3 * rng.standard_normal((K, K)),
-                             rng=rng, init_scale=2.0)
+                             bias=3 * rng.standard_normal((K, K)))
+        tm = replace(tm, feature_params=2.0 * rng.standard_normal(tm.feature_params.size))
         p = transition_matrices(tm, rng.standard_normal((2, d_x)),
                                 rng.standard_normal((2, d_u)))
         assert np.all(p > 0)
@@ -237,9 +237,9 @@ def test_nll_degenerate_target_drives_prob_to_one():
     # all mass on 0 -> 0: the closed-form optimum puts psi_00 -> 1, NLL -> 0
     tm = make_transition("stationary", 2, 1, 0)
     traj = Trajectory(xs=np.zeros((3, 1)), us=np.zeros((3, 0)), dt=0.1)
-    ds = Dataset.from_trajectories([traj])
+    ds = Dataset([traj])
     xi = np.zeros((2, 2, 2)); xi[:, 0, 0] = 1.0
-    big = type(tm)(kind="stationary", K=2, d_x=1, d_u=0,
+    big = type(tm)(kind="stationary", d_x=1, d_u=0,
                    bias=np.array([[30.0, 0.0], [0.0, 0.0]]),
                    feature_params=np.zeros(0), feat_mean=np.zeros(1),
                    feat_std=np.ones(1))
@@ -250,7 +250,7 @@ def test_nll_degenerate_target_drives_prob_to_one():
 def test_nll_uniform_over_four_cells():
     tm = make_transition("stationary", 2, 1, 0)
     traj = Trajectory(xs=np.zeros((2, 1)), us=np.zeros((2, 0)), dt=0.1)
-    ds = Dataset.from_trajectories([traj])
+    ds = Dataset([traj])
     xi = np.full((1, 2, 2), 0.25)
     nll, _ = weighted_nll_and_grad(tm, ds, [xi])
     np.testing.assert_allclose(nll, np.log(2.0), rtol=1e-12)
@@ -302,7 +302,7 @@ def test_objective_recomputes_underflowing_normalizer():
                          bias=np.array([[0.0, -800.0], [-800.0, 0.0]]))
     tm = vector_to_params(tm, np.concatenate([tm.bias.ravel(), [-4.0, 4.0]]))
     traj = Trajectory(xs=np.array([[-100.0], [0.0]]), us=np.zeros((2, 0)), dt=0.1)
-    ds = Dataset.from_trajectories([traj])
+    ds = Dataset([traj])
     xi = np.array([[[0.5, 0.0], [0.0, 0.5]]])
     nll = _assert_matches_tensor_reference(tm, ds, [xi])
     np.testing.assert_allclose(nll, 0.5 * np.log(2.0), rtol=1e-12)
@@ -320,7 +320,7 @@ def test_fd_check_perceptron_seed0_example():
 def test_transition_stats_equal_stacked_reference(kind, kw):
     # mixed lengths, T = 2 included, so the per-trajectory blocks are uneven
     m = random_model(K=3, d_x=2, d_u=1, kind=kind, seed=21, **kw)
-    train = Dataset.from_trajectories(
+    train = Dataset(
         [random_trajectory(m, T=T, seed=s)[0] for s, T in enumerate((17, 2, 30, 5))])
     xis = [p.xi for p in estep(m, train)[0]]
     got = transition_stats(m.transition, train, xis)
@@ -343,9 +343,41 @@ def test_param_vector_roundtrip():
     assert vec.size == 9 + n_feature_params("perceptron", 3, 2, 2, hidden_units=5)
 
 
+def test_link_copies_its_arrays_and_leaves_them_read_only():
+    rng = np.random.default_rng(3)
+    bias, mean, std = rng.standard_normal((2, 2)), rng.standard_normal(3), np.ones(3)
+    params = rng.standard_normal(6)
+    tm = TransitionModel(kind="linear", d_x=2, d_u=1, bias=bias, feature_params=params,
+                         feat_mean=mean, feat_std=std)
+    assert tm.K == 2
+    x, u = rng.standard_normal(2), rng.standard_normal(1)
+    before = transition_matrix(tm, x, u)
+    for a in (bias, params, mean, std):
+        a[...] = 5.0                       # the caller's arrays stay writeable
+    np.testing.assert_array_equal(transition_matrix(tm, x, u), before)
+    ds = random_dataset(random_model(K=2, d_x=2, d_u=1, kind="linear", seed=4), n=2,
+                        T=20, seed=4)
+    fitted, _ = fit_em(ds, FitConfig(K=2, transition_kind="linear", max_iters=2,
+                                     restarts=1))
+    for link in (tm, fitted.transition):
+        for name in ("bias", "feature_params", "feat_mean", "feat_std"):
+            a = getattr(link, name)
+            assert a.flags.c_contiguous and a.dtype == float, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
+def test_link_reads_k_from_a_square_bias():
+    for bias in (np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(4)):
+        with pytest.raises(ValueError, match="bias must"):
+            TransitionModel(kind="stationary", d_x=1, d_u=0, bias=bias,
+                            feature_params=np.zeros(0), feat_mean=np.zeros(1),
+                            feat_std=np.ones(1))
+
+
 def test_feature_param_count_validation():
     with pytest.raises(ValueError):
-        TransitionModel(kind="linear", K=2, d_x=2, d_u=1, bias=np.zeros((2, 2)),
+        TransitionModel(kind="linear", d_x=2, d_u=1, bias=np.zeros((2, 2)),
                         feature_params=np.zeros(3), feat_mean=np.zeros(3),
                         feat_std=np.ones(3))
 
@@ -354,8 +386,8 @@ def test_degree_one_polynomial_is_the_linear_link():
     # linear, polynomial:1 and a bare polynomial are one affine link on the
     # standardized inputs, bit for bit
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=23)
-    ds = Dataset.from_trajectories([random_trajectory(m, T=T, seed=s)[0]
-                                    for s, T in enumerate((25, 12))])
+    ds = Dataset([random_trajectory(m, T=T, seed=s)[0]
+                  for s, T in enumerate((25, 12))])
     xis = [p.xi for p in estep(m, ds)[0]]
     runs = []
     for spec in ("linear", "polynomial:1", "polynomial"):

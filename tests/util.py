@@ -2,6 +2,7 @@
 implementations the library is checked against."""
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -147,10 +148,9 @@ def random_model(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, kind="linear", seed=0,
                                   poly_degree=poly_degree)
     tm = make_transition(kind, K, d_x, d_u, degree=degree,
                          hidden_units=hidden_units,
-                         bias=0.5 * rng.standard_normal((K, K)),
-                         rng=rng, init_scale=0.5)
-    return HybridModel(K=K, d_x=d_x, d_u=d_u, mode=mode, init=init,
-                       dynamics=dynamics, transition=tm,
+                         bias=0.5 * rng.standard_normal((K, K)))
+    tm = replace(tm, feature_params=0.5 * rng.standard_normal(tm.feature_params.size))
+    return HybridModel(init=init, dynamics=dynamics, transition=tm,
                        controllers=controllers)
 
 
@@ -165,7 +165,7 @@ def random_trajectory(model, T=8, seed=0, dt=0.1):
 
 def random_dataset(model, n=3, T=8, seed=0, dt=0.1):
     trajs = [random_trajectory(model, T=T, seed=seed + i, dt=dt)[0] for i in range(n)]
-    return Dataset.from_trajectories(trajs)
+    return Dataset(trajs)
 
 
 def random_xis(rng, T, K):
@@ -243,13 +243,13 @@ def reference_transition_matrices(tm, xs, us):
     return np.exp(z - np.log(np.sum(np.exp(z), axis=1, keepdims=True)))
 
 
-def reference_gd_mstep(posteriors, dataset, tm_hat):
+def reference_gd_mstep(xis, dataset, tm_hat):
     """Transition M-step by gradient descent with backtracking, as the library
     did before its L-BFGS solver: up to 100 steps on the mean expected NLL,
     the first trial length 0.01 / max|grad|, doubled after each accepted step
     and halved up to 20 times per step; tm_hat itself when no step is
     accepted."""
-    stats = reference_transition_stats(tm_hat, dataset, [p.xi for p in posteriors])
+    stats = reference_transition_stats(tm_hat, dataset, xis)
     scale = 1.0 / len(stats[0])
     vec = params_to_vector(tm_hat)
     nll, grad = _nll_grad(tm_hat, vec, *stats)
@@ -490,7 +490,7 @@ def filter_one(model: HybridModel, traj: Trajectory) -> np.ndarray:
 def smooth(model: HybridModel, traj: Trajectory) -> Posterior:
     """Full forward-backward smoothing of one trajectory: smooth_dataset of
     the dataset holding it alone."""
-    posteriors, _, _ = smooth_dataset(model, Dataset((traj,), traj.d_x, traj.d_u))
+    posteriors, _, _ = smooth_dataset(model, Dataset((traj,)))
     return posteriors[0]
 
 
