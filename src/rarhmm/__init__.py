@@ -4,7 +4,7 @@ into switching locally-linear policies.
 
 The public surface is what the pipeline (and the `rarhmm` command) runs:
 - models: HybridModel and its blocks, load_model, log_local_evidence and the
-  transition link (make_transition, transition_matrix);
+  transition link (make_transition, transition_matrices);
 - data: the simulated systems (simulate, collect_trajectories,
   collect_demonstrations, expert_policy) and dataset files;
 - fitting: fit_em, and estep for the smoothed regime posteriors;
@@ -27,7 +27,7 @@ from .model import (
     load_model,
     log_local_evidence,
 )
-from .transition import TransitionModel, make_transition, transition_matrix
+from .transition import TransitionModel, make_transition, transition_matrices
 from .inference import Posterior, estep
 from .learning import FitConfig, FitHistory, fit_em
 from .envs import (
@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CLOSED_LOOP", "OPEN_LOOP", "Controllers", "Dataset", "Dynamics",
     "HybridModel", "InitialModel", "Trajectory", "load_model",
-    "log_local_evidence", "TransitionModel", "make_transition", "transition_matrix",
+    "log_local_evidence", "TransitionModel", "make_transition", "transition_matrices",
     "Posterior", "estep", "FitConfig", "FitHistory", "fit_em",
     "EnvConfig", "collect_demonstrations", "collect_trajectories",
     "default_config", "expert_policy", "load_dataset", "save_dataset",

@@ -365,14 +365,17 @@ def _integer(block: dict, name: str, default=None) -> int:
 
 def model_from_dict(doc: dict) -> HybridModel:
     """Inverse of model_to_dict; a malformed document raises ValueError, as
-    does one whose K, d_x, d_u or mode disagrees with its arrays."""
+    does one whose K, d_x, d_u, mode, lag or poly_degree disagrees with its
+    arrays (an open-loop model has lag 0 and degree 1)."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     try:
         if _integer(doc, "version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model document version {doc['version']!r}")
         stated = dict(K=_integer(doc, "K"), d_x=_integer(doc, "d_x"),
-                      d_u=_integer(doc, "d_u"), mode=doc["mode"])
+                      d_u=_integer(doc, "d_u"), mode=doc["mode"],
+                      lag=_integer(doc, "lag", 0),
+                      poly_degree=_integer(doc, "poly_degree", 1))
         init = InitialModel(pi=doc["pi"], mu=_stacked(doc["init"], "mu"),
                             omega_cov=_stacked(doc["init"], "omega_cov"))
         dyn = doc["dynamics"]
@@ -392,7 +395,7 @@ def model_from_dict(doc: dict) -> HybridModel:
                              hidden_units=_integer(tb, "hidden_units", 0))
         controllers = None
         if doc.get("controllers") is not None:
-            lag, deg = _integer(doc, "lag", 0), _integer(doc, "poly_degree", 1)
+            lag, deg = stated["lag"], stated["poly_degree"]
             ctl = doc["controllers"]
             # a d_u = 0 gain or sigma_cov is written as [], which loses its shape
             d_phi = controller_feature_dim(d_x, d_u, lag, deg)

@@ -19,7 +19,7 @@ from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, EnvConfig, clip_control, env
 from .learning import FitConfig, FitHistory, fit_em
 from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory, control_history,
                     control_means)
-from .transition import transition_matrix
+from .transition import transition_matrices
 
 ACT_MEAN = "mean"
 ACT_ARGMAX = "argmax"
@@ -147,9 +147,10 @@ def _belief_step(model: HybridModel, b: np.ndarray, x_prev, u_prev,
                  x_next) -> np.ndarray:
     # runtime update deliberately excludes the control likelihood: u is our
     # own choice, so only the switching link and the dynamics evidence inform
-    # the regime. It stays in log space: the E-step's linear-scale forward
-    # step rounds differently and would change rollouts.
-    pred = transition_matrix(model.transition, x_prev, u_prev) @ b
+    # the regime, through the E-step's link (transition_matrices at M = 1).
+    # It stays in log space: the E-step's linear-scale forward step rounds
+    # differently and would change rollouts.
+    pred = transition_matrices(model.transition, x_prev[None], u_prev[None])[0] @ b
     dyn = model.dynamics
     resid = x_next - (dyn.A @ x_prev + dyn.B @ u_prev + dyn.c)
     return _bayes_update(pred, gauss_logpdf(resid, dyn.lam_whiten, dyn.lam_const))

@@ -52,13 +52,10 @@ full logits of transition_matrices destination-major, as (K, M, K): numpy
 reduces over a short trailing or middle axis 15-25x slower than over a leading
 one (K = 5, M = 1200).
 
-transition_matrix is the single-step path of the runtime belief, where
-per-call overhead rather than arithmetic sets the cost. It runs
-the same input check, link and bias + link-logit add as transition_matrices,
-then the same destination-axis log-softmax on a (K, K) array instead of the
-(K, 1, K) tensor, so it equals transition_matrices(tm, x[None], u[None])[0]
-bit for bit. Its zero link logits leave a stationary link's bias as is, so it
-also equals the normalized bias that transition_matrices repeats there.
+transition_matrices is the one evaluation of the link: the E-step, the
+evaluation filter and the forecast call it on whole trajectories, and the
+runtime belief on one step (M = 1). transition_features is the one entry
+point for link inputs, and it checks their shapes and finiteness.
 """
 from __future__ import annotations
 
@@ -123,10 +120,11 @@ def n_feature_params(kind: str, K: int, d_x: int, d_u: int, degree: int = 1,
     return K * f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionModel:
     """A link of one kind (module docstring); K is read from the square bias.
-    The arrays are held as read-only C-ordered float copies."""
+    The arrays are held as read-only C-ordered float copies. Like the regime
+    blocks, a link compares and hashes by identity."""
     kind: str
     d_x: int
     d_u: int
@@ -142,8 +140,8 @@ class TransitionModel:
         if self.kind not in KINDS:
             raise ValueError(f"unknown transition kind {self.kind!r}")
         _check_link_size(self.kind, self.degree, self.hidden_units)
-        # drop metadata that is inert for this kind so equality and
-        # serialization are canonical
+        # drop metadata that is inert for this kind, so a link's fields and
+        # its serialized form are canonical
         if self.kind != "polynomial":
             object.__setattr__(self, "degree", 1)
         if self.kind != "perceptron":
@@ -193,23 +191,22 @@ def make_transition(kind: str, K: int, d_x: int, d_u: int, *, degree: int = 1,
 
 # -- feature pipeline ---------------------------------------------------------
 
-def _features(tm: TransitionModel, raw: np.ndarray) -> np.ndarray:
-    """Link features (..., F) of raw [x, u] inputs (..., d_x + d_u), which must
-    be finite: none for a stationary link, else the standardized inputs
-    expanded to their monomials up to the degree (1 unless polynomial)."""
+def transition_features(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """(M, F) link features of finite inputs xs (M, d_x) and us (M, d_u): none
+    for a stationary link, else the standardized [x, u] rows expanded to their
+    monomials up to the degree (1 unless polynomial)."""
+    xs = np.asarray(xs, dtype=float)
+    us = np.asarray(us, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != tm.d_x or us.shape != (len(xs), tm.d_u):
+        raise ValueError(f"transition inputs must be xs (M, {tm.d_x}) and us "
+                         f"(M, {tm.d_u}), got {xs.shape} and {us.shape}")
+    raw = np.concatenate([xs, us], axis=1)
     if not np.isfinite(raw).all():
         raise ValueError("transition inputs must be finite")
     if tm.kind == "stationary":
-        return raw[..., :0]
+        return raw[:, :0]
     s = (raw - tm.feat_mean) / tm.feat_std
     return s if tm.degree == 1 else polynomial_features(s, tm.degree)
-
-
-def transition_features(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """(M, F) link features (_features) of the inputs x_m, u_m."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    us = np.asarray(us, dtype=float).reshape(xs.shape[0], tm.d_u)
-    return _features(tm, np.concatenate([xs, us], axis=1))
 
 
 def _unpack(tm: TransitionModel, params: np.ndarray):
@@ -260,21 +257,6 @@ def transition_matrices(tm: TransitionModel, xs: np.ndarray, us: np.ndarray) -> 
     logits[...] = tm.bias[:, None, :]
     logits += _link_logits(tm, feats, tm.feature_params)[0].T[:, :, None]
     return np.exp(_log_softmax_dest(logits)).transpose(1, 0, 2)
-
-
-def transition_matrix(tm: TransitionModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Column-stochastic (K, K) matrix at one input: entry [i, j] =
-    p(next = i | prev = j). Bit-identical to transition_matrices at M = 1,
-    with the same checks, link and softmax on (K, K) arrays (module
-    docstring)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (tm.d_x,) or u.size != tm.d_u:
-        raise ValueError(f"transition input must be x ({tm.d_x},) and u ({tm.d_u},), "
-                         f"got {x.shape} and {u.shape}")
-    feats = _features(tm, np.concatenate((x, u.ravel()))[None])
-    a = _link_logits(tm, feats, tm.feature_params)[0][0]
-    return np.exp(_log_softmax_dest(tm.bias + a[:, None]))
 
 
 # -- M-step objective ---------------------------------------------------------

@@ -15,6 +15,7 @@ from rarhmm.model import CLOSED_LOOP, OPEN_LOOP, load_model
 from rarhmm.policy import default_distill_config
 from rarhmm.transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
+import cli_protocol
 from test_policy import _closed_loop_model
 from util import random_model, save_model
 
@@ -48,6 +49,20 @@ def test_simulate_twice_is_byte_identical(tmp_path):
     assert _tree_digest(out) == first
     assert set(first) == {"train.ndjson", "test.ndjson", "splits.json",
                           "run.json"}
+
+
+def test_cli_protocol_listing_is_reproducible(tmp_path):
+    # the listing that compares two builds file by file: equal across runs,
+    # independent of the output directory, and covering every command
+    first = cli_protocol.run_protocol(tmp_path / "a", tiny=True)
+    assert cli_protocol.run_protocol(tmp_path / "b" / "c", tiny=True) == first
+    paths = {line.split("  ", 1)[1] for line in first}
+    assert {"stdout.txt", "fit/model_split01.json", "eval_sample/report.csv",
+            "fit_ragged/model.json", "eval_ragged/report.csv", "distill/distilled.json",
+            "rollout_mean/episode001_belief.csv",
+            "rollout_sample/episode001.ndjson"} <= paths
+    with pytest.raises(ValueError, match="is not empty"):
+        cli_protocol.run_protocol(tmp_path / "a", tiny=True)
 
 
 def test_simulate_ball_defaults(tmp_path):

@@ -13,7 +13,7 @@ from rarhmm.learning import (FitConfig, FitHistory, _kmeans, check_init_model, f
 from rarhmm.model import (CLOSED_LOOP, Dataset, Dynamics, HybridModel, InitialModel,
                           Trajectory)
 from rarhmm.transition import (_nll_grad, make_transition, params_to_vector,
-                               parse_transition_spec, transition_matrix,
+                               parse_transition_spec, transition_matrices,
                                weighted_nll_and_grad)
 
 from util import (local_quantities, models_equal, random_dataset, random_model,
@@ -373,7 +373,7 @@ def test_mstep_transitions_stationary_closed_form():
     tm = make_transition("stationary", K, 2, 1)
     ds = random_dataset(random_model(K=K, seed=8), n=1, T=50, seed=8)
     new = mstep_transitions([xi], ds, tm)
-    psi = transition_matrix(new, np.zeros(2), np.zeros(1))
+    psi = transition_matrices(new, np.zeros((1, 2)), np.zeros((1, 1)))[0]
     np.testing.assert_allclose(psi, target.T, atol=1e-12)
 
 

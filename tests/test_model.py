@@ -582,9 +582,9 @@ def test_model_document_roundtrips_byte_equal_without_controls(mode, kind):
     assert models_equal(m, m2)
 
 
-def _valid_model_doc():
+def _valid_model_doc(mode=CLOSED_LOOP):
     return json.loads(json.dumps(model_to_dict(random_model(K=2, d_x=2, d_u=1,
-                                                            mode=CLOSED_LOOP, seed=4))))
+                                                            mode=mode, seed=4))))
 
 
 def _drop(doc, *path):
@@ -616,10 +616,13 @@ def test_malformed_model_document_is_a_value_error(tmp_path, doc, match):
 
 
 @pytest.mark.parametrize("name,value", [("K", 3), ("d_x", 3), ("d_u", 2),
-                                        ("mode", OPEN_LOOP), ("mode", "hybrid")])
+                                        ("mode", OPEN_LOOP), ("mode", "hybrid"),
+                                        ("lag", 3), ("poly_degree", 4)])
 def test_model_document_sizes_and_mode_must_agree_with_its_arrays(name, value):
-    # the arrays of _valid_model_doc give K 2, d_x 2, d_u 1 and closed loop
-    doc = _valid_model_doc()
+    # the arrays of _valid_model_doc give K 2, d_x 2, d_u 1 and closed loop;
+    # an open-loop document has no controllers, so its arrays give lag 0 and
+    # degree 1, and used to load whatever lag and degree it stated
+    doc = _valid_model_doc(OPEN_LOOP if name in ("lag", "poly_degree") else CLOSED_LOOP)
     doc[name] = value
     with pytest.raises(ValueError, match=re.escape(f"model field {name!r} is {value!r}, "
                                                    f"but the model's arrays give")):

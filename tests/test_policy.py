@@ -15,8 +15,8 @@ from rarhmm.policy import (ACT_MODES, RolloutResult, _bayes_update, _belief_step
                            distill, rollout, save_rollout, success_criterion)
 from rarhmm.transition import make_transition
 
-from util import (models_equal, random_dataset, random_model, reference_act,
-                  reference_belief_step, reference_clip_control,
+from util import (models_equal, random_dataset, random_model, random_trajectory,
+                  reference_act, reference_belief_step, reference_clip_control,
                   reference_sample_trajectory, reference_step_env)
 
 
@@ -383,6 +383,27 @@ def test_belief_step_matches_per_regime_reference(K, d_x, d_u):
         np.testing.assert_array_equal(
             _belief_step(m, b, x_prev, u_prev, x_next),
             reference_belief_step(m, b, x_prev, u_prev, x_next))
+
+
+@pytest.mark.parametrize("kind", ["stationary", "linear", "polynomial", "perceptron"])
+def test_runtime_belief_agrees_with_the_forward_filter(kind):
+    # open loop, the E-step evidence has no control term either, so the
+    # runtime belief and the E-step's forward filter are one posterior,
+    # computed in log space and on the linear scale
+    beliefs, filtered = [], []
+    for seed in range(20):
+        m = random_model(K=4, d_x=2, d_u=1, kind=kind, seed=seed)
+        traj = random_trajectory(m, T=80, seed=seed)[0]
+        b = _initial_belief(m, traj.xs[0])
+        beliefs.append(b)
+        for t in range(1, traj.T):
+            b = _belief_step(m, b, traj.xs[t - 1], traj.us[t - 1], traj.xs[t])
+            beliefs.append(b)
+        filtered.append(filter_all(m, Dataset([traj]))[0])
+    beliefs, filtered = np.array(beliefs), np.concatenate(filtered)
+    np.testing.assert_allclose(beliefs, filtered, rtol=0, atol=1e-12)
+    # the beliefs blend regimes, so the comparison covers more than one-hot rows
+    assert np.mean(beliefs.max(axis=1) < 0.99) > 0.1
 
 
 def test_belief_step_raises_on_impossible_evidence():

@@ -9,7 +9,7 @@ from rarhmm.learning import FitConfig, fit_em
 from rarhmm.model import Dataset, Trajectory, model_from_dict, model_to_dict
 from rarhmm.transition import (PERCEPTRON_HIDDEN_UNITS, TransitionModel, _nll_grad,
                                make_transition, n_feature_params, params_to_vector,
-                               parse_transition_spec, transition_matrix,
+                               parse_transition_spec, transition_features,
                                transition_matrices, transition_stats,
                                vector_to_params, weighted_nll_and_grad)
 
@@ -80,9 +80,14 @@ def _random_instance(kind, seed, K=2, d_x=2, d_u=1, T=6, n=2, **kw):
     return tm, ds, xis
 
 
+def _matrix(tm, x, u):
+    """The link matrix (K, K) at one input x (d_x,), u (d_u,)."""
+    return transition_matrices(tm, np.asarray(x)[None], np.asarray(u)[None])[0]
+
+
 def test_uniform_for_zero_bias():
     tm = make_transition("stationary", 4, 2, 1)
-    np.testing.assert_allclose(transition_matrix(tm, np.zeros(2), np.zeros(1))[:, 1],
+    np.testing.assert_allclose(_matrix(tm, np.zeros(2), np.zeros(1))[:, 1],
                                np.full(4, 0.25), atol=1e-15)
 
 
@@ -92,7 +97,7 @@ def test_stationary_hand_softmax():
                   bias=np.array([[np.log(3.0), 0.0], [0.0, 0.0]]),
                   feature_params=np.zeros(0), feat_mean=np.zeros(2),
                   feat_std=np.ones(2))
-    np.testing.assert_allclose(transition_matrix(tm, np.zeros(2), np.zeros(0))[:, 0],
+    np.testing.assert_allclose(_matrix(tm, np.zeros(2), np.zeros(0))[:, 0],
                                [0.75, 0.25], atol=1e-15)
 
 
@@ -103,22 +108,21 @@ def test_linear_with_zero_weights_matches_stationary():
     sta = make_transition("stationary", 3, 2, 1, bias=bias)
     for s in range(5):
         x, u = rng.standard_normal(2), rng.standard_normal(1)
-        np.testing.assert_array_equal(transition_matrix(lin, x, u),
-                                      transition_matrix(sta, x, u))
+        np.testing.assert_array_equal(_matrix(lin, x, u), _matrix(sta, x, u))
 
 
 def test_single_regime_matrix():
     tm = _random_tm("perceptron", 1, 2, 1, seed=4, hidden_units=3)
-    np.testing.assert_allclose(transition_matrix(tm, np.ones(2), np.ones(1)),
+    np.testing.assert_allclose(_matrix(tm, np.ones(2), np.ones(1)),
                                [[1.0]], atol=1e-15)
 
 
 def test_stationary_matrix_independent_of_inputs():
     tm = _random_tm("stationary", 3, 2, 1, seed=7)
     rng = np.random.default_rng(1)
-    ref = transition_matrix(tm, rng.standard_normal(2), rng.standard_normal(1))
+    ref = _matrix(tm, rng.standard_normal(2), rng.standard_normal(1))
     for _ in range(10):
-        m = transition_matrix(tm, 10 * rng.standard_normal(2), rng.standard_normal(1))
+        m = _matrix(tm, 10 * rng.standard_normal(2), rng.standard_normal(1))
         np.testing.assert_array_equal(m, ref)
 
 
@@ -132,7 +136,7 @@ def test_saturating_weights_give_one_hot_columns():
     params = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
     tm = vector_to_params(tm, np.concatenate([np.zeros(4), params]))
     for x1 in (10.0, -10.0):
-        cols = transition_matrix(tm, np.array([x1, 0.0]), np.zeros(1))
+        cols = _matrix(tm, np.array([x1, 0.0]), np.zeros(1))
         assert cols.max(axis=0).min() >= 0.999
 
 
@@ -140,11 +144,11 @@ def test_shift_invariance():
     tm = _random_tm("linear", 3, 2, 1, seed=11)
     rng = np.random.default_rng(2)
     x, u = rng.standard_normal(2), rng.standard_normal(1)
-    ref = transition_matrix(tm, x, u)[:, 1]
+    ref = _matrix(tm, x, u)[:, 1]
     shifted = type(tm)(kind=tm.kind, d_x=tm.d_x, d_u=tm.d_u,
                        bias=tm.bias + 123.456, feature_params=tm.feature_params,
                        feat_mean=tm.feat_mean, feat_std=tm.feat_std)
-    np.testing.assert_allclose(transition_matrix(shifted, x, u)[:, 1], ref, atol=1e-12)
+    np.testing.assert_allclose(_matrix(shifted, x, u)[:, 1], ref, atol=1e-12)
 
 
 def test_column_stochastic_many_draws():
@@ -167,9 +171,9 @@ def test_column_stochastic_many_draws():
 def test_rejects_nonfinite_inputs():
     tm = _random_tm("linear", 2, 2, 1, seed=13)
     with pytest.raises(ValueError):
-        transition_matrix(tm, np.array([np.nan, 0.0]), np.zeros(1))
+        _matrix(tm, np.array([np.nan, 0.0]), np.zeros(1))
     with pytest.raises(ValueError):
-        transition_matrix(tm, np.array([np.inf, 0.0]), np.zeros(1))
+        _matrix(tm, np.array([np.inf, 0.0]), np.zeros(1))
 
 
 def test_stationary_matrices_equal_generic_formula():
@@ -200,37 +204,39 @@ def test_matrices_equal_source_major_formula(kind, kw, M):
     assert np.array_equal(got, reference_transition_matrices(tm, xs, us))
 
 
-# the perceptron's tanh bounds its logits, so it saturates only with large
-# output weights
-@pytest.mark.parametrize("kind,scale,kw", [
-    pytest.param("stationary", 2.0, {}, id="stationary"),
-    pytest.param("linear", 2.0, {}, id="linear"),
-    pytest.param("polynomial", 2.0, {"degree": 2}, id="polynomial2"),
-    pytest.param("perceptron", 300.0, {"hidden_units": 4}, id="perceptron")])
-def test_single_step_matrix_equals_batched_slice(kind, scale, kw):
-    # the runtime belief and its per-regime reference both call the
-    # single-step path; bit equality ties them to the batched link
-    rng = np.random.default_rng(16)
-    tm = _random_tm(kind, 5, 3, 1, seed=16, scale=scale, **kw)
-    saturated = 0
-    for size in (1.0, 30.0, 1e3):
-        for _ in range(50):
-            x, u = size * rng.standard_normal(3), size * rng.standard_normal(1)
-            got = transition_matrix(tm, x, u)
-            assert got.shape == (5, 5)
-            assert np.array_equal(got, transition_matrices(tm, x[None], u[None])[0])
-            saturated += np.any(got == 0.0)
-    if kind != "stationary":
-        assert saturated > 0            # some softmax column underflowed
+@pytest.mark.parametrize("kind,kw", KIND_CASES)
+def test_link_inputs_must_be_finite_rows_of_the_link_dims(kind, kw):
+    # transition_features is the one entry point for link inputs, so every
+    # kind checks them; a stationary link reads no feature, and given (4, 5)
+    # states it used to return a (4, K, K) stack
+    tm = _random_tm(kind, 5, 3, 1, seed=16, **kw)
+    xs, us = np.zeros((4, 3)), np.zeros((4, 1))
+    assert transition_matrices(tm, xs, us).shape == (4, 5, 5)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            transition_matrix(tm, np.array([0.0, bad, 0.0]), np.zeros(1))
-        with pytest.raises(ValueError, match="finite"):
-            transition_matrix(tm, np.zeros(3), np.array([bad]))
-    for x, u in ((np.zeros(2), np.zeros(1)), (np.zeros((1, 3)), np.zeros(1)),
-                 (np.zeros(3), np.zeros(2))):
-        with pytest.raises(ValueError):
-            transition_matrix(tm, x, u)
+        bad_x, bad_u = xs.copy(), us.copy()
+        bad_x[2, 1], bad_u[3, 0] = bad, bad
+        for x, u in ((bad_x, us), (xs, bad_u)):
+            for link in (transition_features, transition_matrices):
+                with pytest.raises(ValueError, match="^transition inputs must be finite$"):
+                    link(tm, x, u)
+    shapes = re.escape("transition inputs must be xs (M, 3) and us (M, 1), got ")
+    for x, u in ((np.zeros((4, 5)), us), (np.zeros((4, 2)), np.zeros((4, 2))),  # x width
+                 (xs, np.zeros((4, 2))), (xs, np.zeros((4, 0))),              # u width
+                 (xs, np.zeros((3, 1))),                                      # rows
+                 (np.zeros(3), np.zeros(1)), (xs, np.zeros(4)),               # 1-D
+                 (xs[None], us[None]), (xs, us[None])):                       # 3-D
+        for link in (transition_features, transition_matrices):
+            with pytest.raises(ValueError, match=f"^{shapes}"):
+                link(tm, x, u)
+
+
+def test_link_compares_and_hashes_by_identity_as_the_regime_blocks_do():
+    # array fields make a field-wise == ambiguous, so == is identity
+    links = make_transition("linear", 2, 2, 1), make_transition("linear", 2, 2, 1)
+    dyn = random_model(K=2, d_x=2, d_u=1, seed=0).dynamics
+    for a, b in (links, (dyn, replace(dyn))):
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_nll_degenerate_target_drives_prob_to_one():
@@ -351,10 +357,10 @@ def test_link_copies_its_arrays_and_leaves_them_read_only():
                          feat_mean=mean, feat_std=std)
     assert tm.K == 2
     x, u = rng.standard_normal(2), rng.standard_normal(1)
-    before = transition_matrix(tm, x, u)
+    before = _matrix(tm, x, u)
     for a in (bias, params, mean, std):
         a[...] = 5.0                       # the caller's arrays stay writeable
-    np.testing.assert_array_equal(transition_matrix(tm, x, u), before)
+    np.testing.assert_array_equal(_matrix(tm, x, u), before)
     ds = random_dataset(random_model(K=2, d_x=2, d_u=1, kind="linear", seed=4), n=2,
                         T=20, seed=4)
     fitted, _ = fit_em(ds, FitConfig(K=2, transition_kind="linear", max_iters=2,

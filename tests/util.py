@@ -19,8 +19,7 @@ from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics
 from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
 from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
                                params_to_vector, transition_features,
-                               transition_matrices, transition_matrix,
-                               vector_to_params)
+                               transition_matrices, vector_to_params)
 
 
 def logsumexp(a, axis=None):
@@ -336,7 +335,7 @@ def reference_sample_trajectory(model, T, rng, exogenous_us=None, z_burnin=None,
     xs, us, zs = np.empty((T, model.d_x)), np.empty((T, model.d_u)), np.empty(T, dtype=int)
     for t in range(T):
         if t > 0:
-            probs = transition_matrix(model.transition, xs[t - 1], us[t - 1])[:, z]
+            probs = transition_matrices(model.transition, xs[t - 1:t], us[t - 1:t])[0, :, z]
             z = int(rng.choice(model.K, p=probs))
             dyn = model.dynamics
             x = dyn.A[z] @ xs[t - 1] + dyn.B[z] @ us[t - 1] + dyn.c[z]
@@ -357,7 +356,7 @@ def reference_sample_trajectory(model, T, rng, exogenous_us=None, z_burnin=None,
 def reference_belief_step(model, b, x_prev, u_prev, x_next):
     """Runtime belief update written one regime at a time: link prediction,
     then each regime's dynamics density through mvn_logpdf."""
-    pred = transition_matrix(model.transition, x_prev, u_prev) @ b
+    pred = transition_matrices(model.transition, x_prev[None], u_prev[None])[0] @ b
     d = model.dynamics
     le = np.array([mvn_logpdf(x_next, d.A[k] @ x_prev + d.B[k] @ u_prev + d.c[k],
                               d.lam_cov[k]) for k in range(model.K)])
