@@ -2,7 +2,7 @@
 read-only C-ordered copies of its arrays (c_copy, set_frozen). Only the regime
 blocks of model.py (InitialModel, Dynamics, Controllers) call gauss_factors,
 once each in their constructor; gauss_logpdf and gauss_draw read the factors
-they hold.
+they hold. draw_regimes is the one regime draw from a belief.
 A density whitens its residuals with the cached inverse W = inv(L) of the lower
 Cholesky factor L, |W r|^2 being the Mahalanobis term, so it costs one matmul
 and no factorization."""
@@ -83,3 +83,13 @@ def gauss_draw(rng: np.random.Generator, mean: np.ndarray, chol: np.ndarray) -> 
     if mean.shape[-1] == 0:
         return np.zeros_like(mean)
     return mean + (chol @ rng.standard_normal(mean.shape)[..., None])[..., 0]
+
+
+def draw_regimes(rng: np.random.Generator, beliefs: np.ndarray) -> np.ndarray:
+    """One regime per row of beliefs (m, K) from one rng.random(m) call, by
+    Generator.choice's rule, so a row draws what rng.choice(K, p=row) would:
+    the first regime whose cumulative mass, normalized by the row's total,
+    exceeds the row's draw (a total rounding below 1 leaves no draw unmatched)."""
+    cum = np.cumsum(beliefs, axis=1)
+    cum /= cum[:, -1:]
+    return np.count_nonzero(cum <= rng.random(len(beliefs))[:, None], axis=1)

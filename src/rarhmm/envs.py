@@ -13,6 +13,12 @@ controls clipped to the actuation limit. Angle convention: 0 is upright for
 both systems, so the stable hanging equilibrium sits at the +-pi wrap
 boundary of the joint observation space.
 
+Each system is named, not configured: its physical and timing constants are
+stated once, in _SYSTEMS, and an EnvConfig holds only the system, the
+observation mode and the seed. Every episode starts where its caller puts
+it: simulate takes the initial state x0, and collect_trajectories draws it
+(initial_state for identification, hanging_state for demonstrations).
+
 Every system steps through one float-level step (_step) on Python floats,
 with numpy taking only the sines and cosines; simulate forms a trajectory's
 observations once, from all of its internal states.
@@ -22,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,58 +59,49 @@ CART_CENTER_GAINS = (0.9, 1.4)            # position, velocity (pumping phase)
 CART_STAB_GAINS = (-4.472, -7.152, -55.924, -14.607)
 
 
+# every constant of each system, stated once; a constant the system does not
+# have is NaN: the ball has no mass, friction or actuator
+_SYSTEMS = {
+    ENV_BOUNCING_BALL: dict(dt=0.05, horizon=600, gravity=9.81, mass=math.nan,
+                            length=math.nan, cart_mass=math.nan, damping=math.nan,
+                            restitution=0.8, limit=math.nan),
+    ENV_PENDULUM: dict(dt=0.01, horizon=250, gravity=9.81, mass=1.0, length=1.0,
+                       cart_mass=math.nan, damping=0.1, restitution=math.nan, limit=2.5),
+    ENV_CARTPOLE: dict(dt=0.01, horizon=250, gravity=9.81, mass=0.1, length=0.5,
+                       cart_mass=1.0, damping=0.0, restitution=math.nan, limit=5.0),
+}
+
+
 @dataclass(frozen=True)
 class EnvConfig:
+    """One of the three systems, its observation mode and its seed; the
+    physical and timing constants are the system's own, read from _SYSTEMS."""
     env: str
-    dt: float
-    horizon: int
     obs: str = OBS_JOINT
-    gravity: float = 9.81
-    mass: float = 1.0        # pendulum bob / pole mass
-    length: float = 1.0      # pendulum length / pole half-length
-    cart_mass: float = 1.0
-    damping: float = 0.1     # viscous joint friction (torque per rad/s)
-    restitution: float = 0.8
-    limit: float = 2.5       # torque / force bound; unused by the ball
     seed: int = 0
+    dt: float = field(init=False)
+    horizon: int = field(init=False)
+    gravity: float = field(init=False)
+    mass: float = field(init=False)         # pendulum bob / pole mass
+    length: float = field(init=False)       # pendulum length / pole half-length
+    cart_mass: float = field(init=False)
+    damping: float = field(init=False)      # viscous joint friction (torque per rad/s)
+    restitution: float = field(init=False)
+    limit: float = field(init=False)        # torque / force bound
 
     def __post_init__(self):
         if self.env not in ENVS:
             raise ValueError(f"env must be one of {ENVS}, got {self.env!r}")
         if self.obs not in OBS_MODES:
             raise ValueError(f"obs must be one of {OBS_MODES}, got {self.obs!r}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not self.limit > 0:
-            raise ValueError("actuation limit must be positive")
-        if not 0 < self.restitution <= 1:
-            raise ValueError("restitution must be in (0, 1]")
-        if self.mass <= 0 or self.length <= 0 or self.cart_mass <= 0:
-            raise ValueError("masses and lengths must be positive")
-        if self.gravity <= 0 or self.damping < 0:
-            raise ValueError("gravity must be positive, damping nonnegative")
+        for name, value in _SYSTEMS[self.env].items():
+            object.__setattr__(self, name, value)
 
 
-_DEFAULTS = {
-    ENV_BOUNCING_BALL: dict(dt=0.05, horizon=600, damping=0.0, limit=1.0),
-    ENV_PENDULUM: dict(dt=0.01, horizon=250, mass=1.0, length=1.0,
-                       damping=0.1, limit=2.5),
-    ENV_CARTPOLE: dict(dt=0.01, horizon=250, mass=0.1, length=0.5,
-                       cart_mass=1.0, damping=0.0, limit=5.0),
-}
-
-
-def default_config(env: str, obs: str = OBS_JOINT, seed: int = 0,
-                   **overrides) -> EnvConfig:
+def default_config(env: str, obs: str = OBS_JOINT, seed: int = 0) -> EnvConfig:
     """Benchmark configuration: ball at 20 Hz for 30 s, pendulum and cart-pole
     at 100 Hz for 2.5 s, textbook physical constants."""
-    if env not in _DEFAULTS:
-        raise ValueError(f"env must be one of {ENVS}, got {env!r}")
-    kw = dict(_DEFAULTS[env])
-    kw.update(overrides)
-    return EnvConfig(env=env, obs=obs, seed=seed, **kw)
+    return EnvConfig(env=env, obs=obs, seed=seed)
 
 
 def env_dims(config: EnvConfig) -> tuple[int, int]:
@@ -172,13 +169,12 @@ def initial_state(config: EnvConfig, rng: np.random.Generator) -> np.ndarray:
 
 def hanging_state(config: EnvConfig, rng: np.random.Generator) -> np.ndarray:
     """Near-hanging start for the control tasks; swing-up experiments begin
-    from the downward rest position, not from the identification draw."""
-    if config.env == ENV_PENDULUM:
-        return np.array([np.pi + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)])
-    if config.env == ENV_CARTPOLE:
-        return np.array([0.0, 0.0, np.pi + rng.uniform(-0.1, 0.1),
-                         rng.uniform(-0.1, 0.1)])
-    return initial_state(config, rng)
+    from the downward rest position, not from the identification draw. The
+    bouncing ball, which has no pole, is refused."""
+    if config.env == ENV_BOUNCING_BALL:
+        raise ValueError("the bouncing ball has no pole: no swing-up starts on it")
+    pole = [np.pi + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)]
+    return np.array(pole if config.env == ENV_PENDULUM else [0.0, 0.0, *pole])
 
 
 # -- dynamics ------------------------------------------------------------------
@@ -252,16 +248,14 @@ def clip_control(config: EnvConfig, u) -> np.ndarray:
 
 
 @np.errstate(invalid="raise")
-def simulate(config: EnvConfig, policy=None, T: int | None = None,
-             rng: np.random.Generator | None = None,
-             x0: np.ndarray | None = None, id: str = "") -> Trajectory:
-    """Roll the simulator for T steps and record observed states and clipped
-    controls.
+def simulate(config: EnvConfig, policy=None, T: int | None = None, *,
+             x0: np.ndarray, id: str = "") -> Trajectory:
+    """Roll the simulator for T steps (the env horizon when None) from the
+    internal state x0, and record observed states and clipped controls.
 
     policy is a callable (joint_state, step) -> control, or None for zero
     input. The callable always receives the joint observation, whatever
-    config.obs is. rng only draws the initial condition and is not needed
-    when x0 is given. A non-finite state aborts with the step index.
+    config.obs is. A non-finite state aborts with the step index.
 
     The state is held as Python floats and stepped by _step; observations are
     formed once per trajectory, by observe on all T internal states.
@@ -270,10 +264,6 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None,
     if T < 1:
         raise ValueError("T must be >= 1")
     d_u = env_dims(config)[1]
-    if x0 is None:
-        if rng is None:
-            raise ValueError("need rng to draw an initial state when x0 is None")
-        x0 = initial_state(config, rng)
     s = np.asarray(x0, dtype=float).tolist()
     states, us = np.empty((T, len(s))), np.empty((T, d_u))
     u = [0.0] * d_u
@@ -363,38 +353,32 @@ def expert_policy(config: EnvConfig):
 
 # -- data protocol ---------------------------------------------------------------
 
-def collect_trajectories(config: EnvConfig, n: int, seed: int,
-                         policy_maker=None, T: int | None = None,
-                         start=None) -> list[Trajectory]:
+def collect_trajectories(config: EnvConfig, n: int, seed: int, T: int | None = None,
+                         expert: bool = False) -> list[Trajectory]:
     """n seeded trajectories; trajectory i uses an independent generator keyed
-    by (seed, i), so collection order and parallelism do not matter.
+    by (config.seed, seed, i), so collection order and parallelism do not
+    matter. It draws the start first, then whatever the policy draws.
 
-    policy_maker: callable rng -> policy; default is random exploration with a
-    hold of EXPLORE_HOLD steps for actuated systems, nothing for the ball.
-    start: callable rng -> x0; default draws from initial_state.
+    By default each trajectory starts from an initial_state draw under random
+    exploration (explore_policy), or under no input on the ball. expert=True
+    runs expert_policy from a hanging_state draw; the ball is refused.
     """
     trajs = []
     for i in range(n):
         rng = np.random.default_rng((config.seed, seed, i))
-        if policy_maker is not None:
-            policy = policy_maker(rng)
-        elif config.env == ENV_BOUNCING_BALL:
-            policy = None
+        if expert:
+            policy, x0 = expert_policy(config), hanging_state(config, rng)
         else:
-            policy = explore_policy(config, rng)
-        x0 = start(rng) if start is not None else None
-        trajs.append(simulate(config, policy, T=T, rng=rng, x0=x0,
-                              id=f"{config.env}-{seed}-{i:03d}"))
+            x0 = initial_state(config, rng)
+            policy = None if config.env == ENV_BOUNCING_BALL else explore_policy(config, rng)
+        trajs.append(simulate(config, policy, T=T, x0=x0, id=f"{config.env}-{seed}-{i:03d}"))
     return trajs
 
 
 def collect_demonstrations(config: EnvConfig, n: int, seed: int,
                            T: int | None = None) -> list[Trajectory]:
     """Expert demonstrations from randomized near-hanging starts."""
-    return collect_trajectories(config, n, seed,
-                                policy_maker=lambda _rng: expert_policy(config),
-                                T=T,
-                                start=lambda rng: hanging_state(config, rng))
+    return collect_trajectories(config, n, seed, T=T, expert=True)
 
 
 def make_splits(n_train: int, n_splits: int, size: int, seed: int) -> list[list[int]]:

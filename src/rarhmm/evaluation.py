@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import gauss_draw
+from ._linalg import draw_regimes, gauss_draw
 from .inference import _forward_batch, padded_inputs
 from .model import Dataset, HybridModel, Trajectory
 from .transition import transition_matrices
@@ -83,9 +83,7 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
             if mode == MODE_ARGMAX:
                 ks = b.argmax(axis=1)
             else:
-                cum = np.cumsum(b, axis=1)
-                draws = rng.random(m)
-                ks = (draws[:, None] < cum).argmax(axis=1)
+                ks = draw_regimes(rng, b)
             x = means[np.arange(m), ks]
             if mode == MODE_SAMPLE:
                 x = gauss_draw(rng, x, dyn.lam_chol[ks])

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import gauss_draw, gauss_logpdf
+from ._linalg import draw_regimes, gauss_draw, gauss_logpdf
 from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, EnvConfig, clip_control, env_dims,
-                   hanging_state, observe, pole_state, save_dataset, step_env, wrap_angle)
+                   observe, pole_state, save_dataset, step_env, wrap_angle)
 from .learning import FitConfig, FitHistory, fit_em
 from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory, control_history,
                     control_means)
@@ -83,7 +83,7 @@ def act(model: HybridModel, belief, x, past_us, mode: str = ACT_MEAN,
         return means[k], k
     if rng is None:
         raise ValueError("sample mode needs an rng")
-    k = int(rng.choice(model.K, p=b))
+    k = int(draw_regimes(rng, b[None])[0])
     return gauss_draw(rng, means[k], model.controllers.sigma_chol[k]), k
 
 
@@ -172,26 +172,24 @@ def check_policy_model(config: EnvConfig, model: HybridModel) -> None:
 
 @np.errstate(invalid="raise")
 def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
-            mode: str = ACT_MEAN, rng: np.random.Generator | None = None,
-            x0=None, traj_id: str = "rollout") -> RolloutResult:
-    """Run the switching policy on the live simulator with belief tracking.
+            mode: str = ACT_MEAN, rng: np.random.Generator | None = None, *,
+            x0, traj_id: str = "rollout") -> RolloutResult:
+    """Run the switching policy on the live simulator with belief tracking,
+    from the internal state x0, for T steps (the env horizon when None).
 
     The model acts in the configured observation space; controls are clipped
-    to the actuator limit before stepping. When x0 is not given the episode
-    starts near hanging, matching the swing-up task the demonstrations solve.
-    Every step calls act, observe, step_env and _belief_step through this
-    module, and stays bit-identical to the same loop over the per-regime
-    references of act, the belief update and the array RK4 step (the tests
-    patch them in here).
+    to the actuator limit before stepping. rng is read only in sample mode,
+    which act refuses without one. Every step calls act, observe, step_env
+    and _belief_step through this module, and stays bit-identical to the
+    same loop over the per-regime references of act, the belief update and
+    the array RK4 step (the tests patch them in here).
     """
     check_policy_model(config, model)
     if T is None:
         T = config.horizon
     if T < 2:
         raise ValueError("T must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    state = np.asarray(x0, dtype=float) if x0 is not None else hanging_state(config, rng)
+    state = np.asarray(x0, dtype=float)
 
     x = observe(config, state)
     b = _initial_belief(model, x)

@@ -6,10 +6,13 @@ file it writes, so two builds of the package can be compared file by file.
 The sequence covers every command path whose output a refactor must keep
 byte-identical:
 - simulate the bouncing ball, then `fit --manifest` (K = 3, linear link);
-- eval those fits in marginal and in sample mode;
+- eval those fits in marginal, sample and argmax mode;
 - fit and eval ragged copies of the ball data (K = 4, stationary link);
+- simulate the pendulum and the cart-pole under exploration in joint obs;
 - simulate expert pendulum demos in trig obs, then distill (degree 2);
-- roll the distilled policy out in mean and in sample mode (1000 steps).
+- roll the distilled policy out in mean, sample and argmax mode (1000 steps);
+- roll the scripted expert out on the pendulum and the cart-pole;
+- count the parameters of a fit and of the distilled policy.
 
 It drives whichever `rarhmm` is importable, in-process, from inside OUT_DIR
 (which must be empty or absent), with relative paths, so the listing does
@@ -36,11 +39,11 @@ from rarhmm.envs import load_dataset, save_dataset
 from rarhmm.model import Trajectory
 
 # per size: simulate's --steps (the env horizon when empty), the EM budgets,
-# and the rollouts' episodes and --steps
+# the rollouts' episodes and --steps, and the expert rollouts' --steps
 FULL = dict(steps=[], iters=15, distill_iters=30, episodes=3,
-            rollout_steps=["--steps", "1000"])
+            rollout_steps=["--steps", "1000"], expert_steps=["--steps", "500"])
 TINY = dict(steps=["--steps", "30"], iters=3, distill_iters=3, episodes=2,
-            rollout_steps=["--steps", "30"])
+            rollout_steps=["--steps", "30"], expert_steps=["--steps", "30"])
 
 
 def _ragged_copy(src: str, dst: str) -> None:
@@ -59,6 +62,9 @@ def _commands(size: dict) -> list:
     rollout = ["rollout", "--env", "pendulum", "--obs", "trig",
                "--model", "distill/distilled.json",
                "--episodes", str(size["episodes"]), *size["rollout_steps"]]
+    explore = ["--n-train", "3", "--n-test", "1", "--n-splits", "1", "--split-size", "1",
+               *steps]
+    expert = ["rollout", "--expert", "--episodes", "2", *size["expert_steps"]]
     return [
         ["simulate", "--env", "bouncing_ball", "--seed", "3", "--n-train", "6",
          "--n-test", "3", "--n-splits", "2", "--split-size", "3", *steps,
@@ -71,6 +77,8 @@ def _commands(size: dict) -> list:
         ["eval", "--test", "ball/test.ndjson", "--model", "linear=fit/model_split*.json",
          "--horizons", "1,5,10", "--mode", "sample", "--seed", "5",
          "--out-dir", "eval_sample"],
+        ["eval", "--test", "ball/test.ndjson", "--model", "linear=fit/model_split*.json",
+         "--horizons", "1,5,10", "--mode", "argmax", "--out-dir", "eval_argmax"],
         lambda: _ragged_copy("ball/train.ndjson", "ball/ragged_train.ndjson"),
         lambda: _ragged_copy("ball/test.ndjson", "ball/ragged_test.ndjson"),
         ["fit", "--data", "ball/ragged_train.ndjson", "--K", "4",
@@ -79,6 +87,8 @@ def _commands(size: dict) -> list:
         ["eval", "--test", "ball/ragged_test.ndjson", "--model",
          "stationary=fit_ragged/model.json", "--horizons", "1,5",
          "--out-dir", "eval_ragged"],
+        ["simulate", "--env", "pendulum", "--seed", "4", *explore, "--out-dir", "pendulum"],
+        ["simulate", "--env", "cartpole", "--seed", "5", *explore, "--out-dir", "cartpole"],
         ["simulate", "--env", "pendulum", "--obs", "trig", "--policy", "expert",
          "--n-train", "4", "--n-test", "1", "--n-splits", "1", "--split-size", "1",
          *steps, "--out-dir", "demos"],
@@ -87,6 +97,11 @@ def _commands(size: dict) -> list:
          "--out-dir", "distill"],
         [*rollout, "--mode", "mean", "--out-dir", "rollout_mean"],
         [*rollout, "--mode", "sample", "--seed", "7", "--out-dir", "rollout_sample"],
+        [*rollout, "--mode", "argmax", "--out-dir", "rollout_argmax"],
+        [*expert, "--env", "pendulum", "--seed", "2", "--out-dir", "expert_pendulum"],
+        [*expert, "--env", "cartpole", "--seed", "3", "--out-dir", "expert_cartpole"],
+        ["count-params", "--model", "fit/model_split01.json"],
+        ["count-params", "--model", "distill/distilled.json"],
     ]
 
 

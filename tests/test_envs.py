@@ -14,7 +14,8 @@ from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, ENV_BOUNCING_BALL, ENV
                          clip_control,
                          collect_demonstrations, collect_trajectories,
                          default_config, env_dims, expert_policy,
-                         expert_swingup, explore_policy, load_dataset,
+                         expert_swingup, explore_policy, hanging_state,
+                         initial_state, load_dataset,
                          load_manifest, make_splits, observe, pole_state,
                          save_dataset, save_manifest,
                          select_split, simulate, step_env, wrap_angle)
@@ -34,18 +35,43 @@ def _upright_tail_ok(traj, angle_idx, vel_idx, check_cart=False):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="env must be one of"):
         default_config("hopper")
-    with pytest.raises(ValueError):
-        EnvConfig(env=ENV_PENDULUM, dt=0.0, horizon=10)
-    with pytest.raises(ValueError):
-        EnvConfig(env=ENV_PENDULUM, dt=0.01, horizon=10, limit=0.0)
-    with pytest.raises(ValueError):
-        EnvConfig(env=ENV_BOUNCING_BALL, dt=0.05, horizon=10, restitution=0.0)
-    with pytest.raises(ValueError):
-        EnvConfig(env=ENV_BOUNCING_BALL, dt=0.05, horizon=10, restitution=1.2)
-    with pytest.raises(ValueError):
-        EnvConfig(env=ENV_PENDULUM, dt=0.01, horizon=10, obs="polar")
+    with pytest.raises(ValueError, match="env must be one of"):
+        EnvConfig(env="hopper")
+    with pytest.raises(ValueError, match="obs must be one of"):
+        EnvConfig(env=ENV_PENDULUM, obs="polar")
+    with pytest.raises(ValueError, match="obs must be one of"):
+        default_config(ENV_PENDULUM, obs="polar")
+
+
+# each system's constants as the benchmark configurations set them; NaN
+# where the system has no such constant
+_CONSTANTS = {
+    ENV_BOUNCING_BALL: dict(dt=0.05, horizon=600, gravity=9.81, restitution=0.8),
+    ENV_PENDULUM: dict(dt=0.01, horizon=250, gravity=9.81, mass=1.0, length=1.0,
+                       damping=0.1, limit=2.5),
+    ENV_CARTPOLE: dict(dt=0.01, horizon=250, gravity=9.81, mass=0.1, length=0.5,
+                       cart_mass=1.0, damping=0.0, limit=5.0),
+}
+_PHYSICS = ("dt", "horizon", "gravity", "mass", "length", "cart_mass", "damping",
+            "restitution", "limit")
+
+
+@pytest.mark.parametrize("env", ENVS)
+def test_each_system_reads_its_constants_and_none_is_settable(env):
+    for cfg in (EnvConfig(env), EnvConfig(env, OBS_TRIG, 3), default_config(env, seed=5)):
+        got = {name: getattr(cfg, name) for name in _PHYSICS}
+        want = dict.fromkeys(_PHYSICS, np.nan) | _CONSTANTS[env]
+        assert got.keys() == want.keys()
+        for name in _PHYSICS:
+            assert got[name] == want[name] or np.isnan([got[name], want[name]]).all(), name
+        assert type(cfg.horizon) is int
+    for name in _PHYSICS:
+        with pytest.raises(TypeError, match=name):
+            EnvConfig(env, **{name: 1.0})
+        with pytest.raises(TypeError, match=name):
+            default_config(env, **{name: 1.0})
 
 
 def test_default_rates_and_dims():
@@ -78,7 +104,7 @@ def test_ball_drop_impact_timing_and_restitution():
 def test_ball_height_nonnegative():
     cfg = default_config(ENV_BOUNCING_BALL)
     for s in range(5):
-        traj = simulate(cfg, rng=np.random.default_rng(s), id=f"b{s}")
+        traj = simulate(cfg, x0=initial_state(cfg, np.random.default_rng(s)), id=f"b{s}")
         assert traj.xs[:, 0].min() >= 0.0
 
 
@@ -107,8 +133,16 @@ def test_ball_fixed_point_is_exact():
     np.testing.assert_allclose(s, ball_rest_state(cfg), rtol=0.0, atol=1e-12)
 
 
-def test_pendulum_hanging_equilibrium():
-    cfg = default_config(ENV_PENDULUM, damping=0.0)
+def _frictionless_pendulum(monkeypatch):
+    monkeypatch.setitem(envs._SYSTEMS, ENV_PENDULUM,
+                        dict(envs._SYSTEMS[ENV_PENDULUM], damping=0.0))
+    cfg = default_config(ENV_PENDULUM)
+    assert cfg.damping == 0.0
+    return cfg
+
+
+def test_pendulum_hanging_equilibrium(monkeypatch):
+    cfg = _frictionless_pendulum(monkeypatch)
     traj = simulate(cfg, x0=np.array([np.pi, 0.0]), T=100)
     assert np.all(traj.xs[:, 1] == 0.0) or np.abs(traj.xs[:, 1]).max() < 1e-12
     np.testing.assert_allclose(np.abs(traj.xs[:, 0]), np.pi, atol=1e-12)
@@ -120,8 +154,8 @@ def test_cartpole_upright_equilibrium():
     assert np.abs(traj.xs).max() == 0.0
 
 
-def test_pendulum_energy_drift():
-    cfg = default_config(ENV_PENDULUM, damping=0.0)
+def test_pendulum_energy_drift(monkeypatch):
+    cfg = _frictionless_pendulum(monkeypatch)
     state = np.array([2.0, 0.0])
     e0 = _pole_energy(cfg, 1.0, *state)
     for _ in range(250):
@@ -237,7 +271,7 @@ def test_pole_state_inverts_observe(env):
 def test_trig_consistency_on_rollouts():
     cfg = default_config(ENV_PENDULUM, obs="trig")
     rng = np.random.default_rng(0)
-    traj = simulate(cfg, explore_policy(cfg, rng), rng=rng)
+    traj = simulate(cfg, explore_policy(cfg, rng), x0=initial_state(cfg, rng))
     r = traj.xs[:, 0] ** 2 + traj.xs[:, 1] ** 2
     np.testing.assert_allclose(r, 1.0, atol=1e-12)
 
@@ -274,7 +308,7 @@ def test_pendulum_expert_admission():
     wins = 0
     for i in range(100):
         traj = simulate(cfg, expert_policy(cfg), T=1000,
-                        rng=np.random.default_rng((0, i)))
+                        x0=initial_state(cfg, np.random.default_rng((0, i))))
         wins += _upright_tail_ok(traj, 0, 1)
     assert wins >= 95
 
@@ -284,17 +318,15 @@ def test_cartpole_expert_smoke():
     wins = 0
     for i in range(20):
         traj = simulate(cfg, expert_policy(cfg), T=1000,
-                        rng=np.random.default_rng((0, i)))
+                        x0=initial_state(cfg, np.random.default_rng((0, i))))
         wins += _upright_tail_ok(traj, 2, 3, check_cart=True)
     assert wins >= 18
 
 
 def test_simulate_determinism():
     cfg = default_config(ENV_CARTPOLE)
-    a = simulate(cfg, explore_policy(cfg, np.random.default_rng(7)),
-                 rng=np.random.default_rng(7))
-    b = simulate(cfg, explore_policy(cfg, np.random.default_rng(7)),
-                 rng=np.random.default_rng(7))
+    a, b = (simulate(cfg, explore_policy(cfg, np.random.default_rng(7)),
+                     x0=initial_state(cfg, np.random.default_rng(7))) for _ in range(2))
     np.testing.assert_array_equal(a.xs, b.xs)
     np.testing.assert_array_equal(a.us, b.us)
 
@@ -305,9 +337,11 @@ def test_nonfinite_state_aborts_with_step_index():
         simulate(cfg, x0=np.array([np.nan, 0.0]), T=10)
 
 
+# the ball has no actuator: no expert, and no exploration, whose actions the
+# limit bounds (the ball's is NaN); the library collects it under no input
 _SIM_CASES = [(env, obs, kind) for env in ENVS for obs in OBS_MODES
               for kind in ("none", "recorded", "explore", "expert")
-              if not (kind == "expert" and env == ENV_BOUNCING_BALL)]
+              if not (kind in ("explore", "expert") and env == ENV_BOUNCING_BALL)]
 
 
 @pytest.mark.parametrize("env,obs,kind", _SIM_CASES)
@@ -323,7 +357,7 @@ def test_simulate_equals_the_reference_loop(env, obs, kind):
             policy = lambda _x, t: recorded[t]
         elif kind == "explore":
             policy = explore_policy(cfg, rng)
-        return sim(cfg, policy, T=T, rng=rng)
+        return sim(cfg, policy, T=T, x0=initial_state(cfg, rng))
 
     got = run(simulate, expert_policy(cfg) if kind == "expert" else None)
     want = run(reference_simulate, lambda x, _t: reference_expert_swingup(cfg, x))
@@ -489,6 +523,27 @@ def test_collect_demonstrations_end_upright():
     demos = collect_demonstrations(cfg, 3, seed=0, T=1000)
     for d in demos:
         assert _upright_tail_ok(d, 0, 1)
+
+
+@pytest.mark.parametrize("env", ENVS)
+def test_collected_episodes_start_from_the_first_draw_of_their_generator(env):
+    cfg = default_config(env, seed=2)
+    cases = [(False, initial_state)]
+    if env != ENV_BOUNCING_BALL:
+        cases.append((True, hanging_state))
+    for expert, start in cases:
+        trajs = collect_trajectories(cfg, 3, seed=4, T=5, expert=expert)
+        for i, traj in enumerate(trajs):
+            x0 = start(cfg, np.random.default_rng((2, 4, i)))
+            assert np.array_equal(traj.xs[0], observe(cfg, x0))
+
+
+def test_the_ball_has_no_hanging_start_and_no_demonstrations():
+    ball = default_config(ENV_BOUNCING_BALL)
+    with pytest.raises(ValueError, match="no pole"):
+        hanging_state(ball, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="no scripted expert for env 'bouncing_ball'"):
+        collect_demonstrations(ball, 2, seed=0)
 
 
 _GOOD_RECORD = {"id": "a", "dt": 0.1, "xs": [[0.0], [1.0]], "us": [[0.0], [0.0]]}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rarhmm._linalg import draw_regimes
 from rarhmm.envs import default_config, simulate
 from rarhmm import evaluation, inference
 from rarhmm.evaluation import (_forecast_batch, count_params,
@@ -10,9 +11,9 @@ from rarhmm.model import (Controllers, Dataset, Dynamics, HybridModel,
                           InitialModel, Trajectory, log_local_evidence)
 from rarhmm.transition import make_transition
 
-from util import (brute_force_posterior, filter_one, forward_pass, local_quantities,
-                  mvn_logpdf, random_dataset, random_model, random_trajectory,
-                  reference_sample_forecast, reference_sample_trajectory)
+from util import (EDGE_BELIEF, LastUniformRng, brute_force_posterior, filter_one,
+                  forward_pass, local_quantities, mvn_logpdf, random_dataset, random_model,
+                  random_trajectory, reference_sample_forecast, reference_sample_trajectory)
 
 
 def _ball_truth_maps(cfg):
@@ -233,6 +234,39 @@ def test_sample_forecast_matches_per_start_draws(K, d_x, d_u, ragged):
     got = _forecast_batch(m, x0, b0, us, "sample", np.random.default_rng(5), lengths)
     want = reference_sample_forecast(m, x0, b0, us, np.random.default_rng(5), lengths)
     np.testing.assert_array_equal(got, want)
+
+
+def test_draw_regimes_equals_generator_choice():
+    rng = np.random.default_rng(12)
+    for K in (1, 2, 3, 7):
+        for alpha in (1.0, 0.05):
+            beliefs = rng.dirichlet(np.full(K, alpha), size=500)
+            # half the rows that have other mass get none on regime 0
+            beliefs[(rng.random(500) < 0.5) & (beliefs[:, 1:].sum(axis=1) > 0), 0] = 0.0
+            beliefs /= beliefs.sum(axis=1, keepdims=True)
+            seed = 100 * K + int(20 * alpha)
+            chosen = np.random.default_rng(seed)
+            want = [chosen.choice(K, p=b) for b in beliefs]
+            assert np.array_equal(draw_regimes(np.random.default_rng(seed), beliefs), want)
+
+
+def test_sample_forecast_never_draws_a_regime_without_mass():
+    # three regimes whose one-step mean is their index, under a stationary
+    # link whose off-diagonal mass underflows to 0, so the belief is kept
+    K = 3
+    model = HybridModel(
+        init=InitialModel(pi=np.full(K, 1.0 / K), mu=np.zeros((K, 1)),
+                          omega_cov=np.ones((K, 1, 1))),
+        dynamics=Dynamics(A=np.zeros((K, 1, 1)), B=np.zeros((K, 1, 0)),
+                          c=np.arange(K, dtype=float)[:, None], lam_cov=np.ones((K, 1, 1))),
+        transition=make_transition("stationary", K, 1, 0,
+                                   bias=np.where(np.eye(K), 0.0, -1e3)))
+    assert np.cumsum(EDGE_BELIEF / EDGE_BELIEF.sum())[-1] <= np.nextafter(1.0, 0.0)
+    out = _forecast_batch(model, np.zeros((1, 1)), EDGE_BELIEF[None], np.zeros((1, 1, 0)),
+                          "sample", LastUniformRng(), np.array([1]))
+    # the last regime with mass, as Generator.choice draws it
+    assert out[0, 0, 0] == 2.0
+    assert draw_regimes(LastUniformRng(), EDGE_BELIEF[None] / EDGE_BELIEF.sum())[0] == 2
 
 
 def test_ragged_forecast_reads_only_each_rows_actions():

@@ -18,9 +18,8 @@ from rarhmm.transition import make_transition
 from rarhmm.envs import default_config
 from rarhmm.inference import smooth_dataset
 from rarhmm.learning import COVARIANCE_FLOOR, FitConfig, fit_em
-from rarhmm.policy import rollout
 
-from util import (models_equal, mvn_logpdf, random_dataset, random_model,
+from util import (hanging_rollout, models_equal, mvn_logpdf, random_dataset, random_model,
                   random_trajectory, reference_controller_feature_series,
                   reference_log_local_evidence, reference_sample_trajectory, save_model,
                   solve_mvn_logpdf)
@@ -567,7 +566,7 @@ def test_each_covariance_is_factorized_once_per_model(monkeypatch, mode, B):
     smooth_dataset(m, data)
     smooth_dataset(m, data)
     if mode == CLOSED_LOOP:
-        rollout(default_config("pendulum"), m, T=50, rng=np.random.default_rng(0))
+        hanging_rollout(default_config("pendulum"), m, 0, T=50)
     assert factorized[0] == 0
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rarhmm import policy
+from rarhmm import envs, policy
 from rarhmm.envs import default_config, env_dims, load_dataset
 from rarhmm.evaluation import filter_all
 from rarhmm.learning import FitConfig, fit_em
@@ -15,9 +15,10 @@ from rarhmm.policy import (ACT_MODES, RolloutResult, _bayes_update, _belief_step
                            distill, rollout, save_rollout, success_criterion)
 from rarhmm.transition import make_transition
 
-from util import (models_equal, random_dataset, random_model, random_trajectory,
-                  reference_act, reference_belief_step, reference_clip_control,
-                  reference_sample_trajectory, reference_step_env)
+from util import (EDGE_BELIEF, LastUniformRng, hanging_rollout, models_equal,
+                  random_dataset, random_model, random_trajectory, reference_act,
+                  reference_belief_step, reference_clip_control, reference_sample_trajectory,
+                  reference_step_env)
 
 
 def _closed_loop_model(gains, offsets=None, d_x=1, lag=0, init_mu=None,
@@ -88,8 +89,8 @@ def test_distilled_model_rolls_out_as_its_reloaded_copy():
                                  max_iters=3, restarts=1))
     reloaded = model_from_dict(model_to_dict(model))
     for seed in range(3):
-        a, b = (rollout(default_config("pendulum"), m, T=100,
-                        rng=np.random.default_rng(seed)) for m in (model, reloaded))
+        a, b = (hanging_rollout(default_config("pendulum"), m, seed, T=100)
+                for m in (model, reloaded))
         np.testing.assert_array_equal(a.trajectory.xs, b.trajectory.xs)
         np.testing.assert_array_equal(a.beliefs, b.beliefs)
 
@@ -187,6 +188,14 @@ def test_bayes_update_is_the_log_scale_normalization_at_moderate_evidence():
             assert np.array_equal(_bayes_update(prior, log_ev), want)
 
 
+def test_act_samples_the_regime_a_forecast_samples():
+    # zero gains: each regime's control is its offset, the regime index
+    cm = _closed_loop_model([np.array([[0.0]])] * 3, offsets=[[0.0], [1.0], [2.0]])
+    b = EDGE_BELIEF / EDGE_BELIEF.sum()
+    u, k = act(cm, b, np.zeros(1), [], mode="sample", rng=LastUniformRng())
+    assert k == 2 and u[0] == 2.0
+
+
 def test_act_mean_blend_cancels():
     cm = _closed_loop_model([np.array([[1.0]]), np.array([[-1.0]])])
     u, k = act(cm, [0.5, 0.5], np.array([2.0]), [])
@@ -266,10 +275,10 @@ def test_rollout_validates_dims_and_mode():
     pend = default_config("pendulum")
     wrong = _closed_loop_model([np.array([[1.0]])], d_x=1)
     with pytest.raises(ValueError, match="dims"):
-        rollout(pend, wrong)
+        rollout(pend, wrong, x0=np.array([np.pi, 0.0]))
     ol = random_model(K=2, d_x=2, d_u=1, seed=5)
     with pytest.raises(ValueError, match="closed-loop"):
-        rollout(pend, ol, T=10)
+        rollout(pend, ol, T=10, x0=np.array([np.pi, 0.0]))
 
 
 def test_rollout_stabilizer_holds_upright():
@@ -296,7 +305,7 @@ def test_rollout_belief_rows_are_simplices():
     gen = random_model(K=3, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear",
                        seed=6, noise_scale=0.2)
     pend = default_config("pendulum")
-    res = rollout(pend, gen, T=80, rng=np.random.default_rng(1))
+    res = hanging_rollout(pend, gen, 1, T=80)
     np.testing.assert_allclose(res.beliefs.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(res.beliefs >= 0)
     assert res.beliefs.shape == (80, 3)
@@ -307,8 +316,7 @@ def test_rollout_deterministic_given_seed():
     gen = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear",
                        seed=7, noise_scale=0.2)
     pend = default_config("pendulum")
-    a = rollout(pend, gen, T=60, mode="sample", rng=np.random.default_rng(2))
-    b = rollout(pend, gen, T=60, mode="sample", rng=np.random.default_rng(2))
+    a, b = (hanging_rollout(pend, gen, 2, T=60, mode="sample") for _ in range(2))
     np.testing.assert_array_equal(a.trajectory.xs, b.trajectory.xs)
     np.testing.assert_array_equal(a.trajectory.us, b.trajectory.us)
     np.testing.assert_array_equal(a.beliefs, b.beliefs)
@@ -316,8 +324,11 @@ def test_rollout_deterministic_given_seed():
     assert a.success == b.success
 
 
-def test_rollout_controls_are_clipped():
-    pend = default_config("pendulum", limit=1.5)
+def test_rollout_controls_are_clipped(monkeypatch):
+    monkeypatch.setitem(envs._SYSTEMS, "pendulum",
+                        dict(envs._SYSTEMS["pendulum"], limit=1.5))
+    pend = default_config("pendulum")
+    assert pend.limit == 1.5
     m = _closed_loop_model([np.array([[-300.0, -60.0]])], d_x=2)
     res = rollout(pend, m, T=50, rng=np.random.default_rng(0),
                   x0=np.array([1.0, 0.0]))
@@ -350,7 +361,7 @@ def test_save_rollout_round_trip(tmp_path):
     gen = random_model(K=2, d_x=2, d_u=1, mode=CLOSED_LOOP, kind="linear",
                        seed=10, noise_scale=0.2)
     pend = default_config("pendulum")
-    res = rollout(pend, gen, T=30, rng=np.random.default_rng(3), traj_id="r0")
+    res = hanging_rollout(pend, gen, 3, T=30, traj_id="r0")
     tp, bp = tmp_path / "traj.ndjson", tmp_path / "belief.csv"
     save_rollout(res, tp, bp)
     back = load_dataset(tp)
@@ -442,7 +453,7 @@ def test_rollout_matches_per_regime_reference(monkeypatch, env, obs, mode):
     gen = random_model(K=3, d_x=d_x, d_u=d_u, mode=CLOSED_LOOP, kind="linear",
                        seed=6, lag=1, noise_scale=0.5)
     T = 200
-    fast = rollout(cfg, gen, T=T, mode=mode, rng=np.random.default_rng(4))
+    fast = hanging_rollout(cfg, gen, 4, T=T, mode=mode)
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -455,7 +466,7 @@ def test_rollout_matches_per_regime_reference(monkeypatch, env, obs, mode):
     monkeypatch.setattr(policy, "act", counted("act", reference_act))
     monkeypatch.setattr(policy, "step_env", counted("step", reference_step_env))
     monkeypatch.setattr(policy, "clip_control", reference_clip_control)
-    ref = rollout(cfg, gen, T=T, mode=mode, rng=np.random.default_rng(4))
+    ref = hanging_rollout(cfg, gen, 4, T=T, mode=mode)
     assert calls == {"belief": T - 1, "act": T, "step": T - 1}
     np.testing.assert_array_equal(fast.trajectory.xs, ref.trajectory.xs)
     np.testing.assert_array_equal(fast.trajectory.us, ref.trajectory.us)

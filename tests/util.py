@@ -10,13 +10,13 @@ from rarhmm._linalg import LOG2PI
 from rarhmm.envs import (CAPTURE_ANGLE, CART_CAPTURE_VEL, CART_CENTER_GAINS,
                          CART_PUMP_GAIN, CART_STAB_GAINS, PEND_CAPTURE_VEL,
                          PEND_PUMP_GAIN, PEND_PUMP_MARGIN, PEND_STAB_GAINS,
-                         env_dims, initial_state, wrap_angle)
+                         env_dims, hanging_state, wrap_angle)
 from rarhmm.features import controller_feature_dim, polynomial_features
 from rarhmm.inference import Posterior, _backward_batch, _forward_batch, smooth_dataset
 from rarhmm.model import (CLOSED_LOOP, OPEN_LOOP, Controllers, Dataset, Dynamics,
                           HybridModel, InitialModel, Trajectory,
                           log_local_evidence, model_to_dict)
-from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief
+from rarhmm.policy import ACT_ARGMAX, ACT_MEAN, _check_belief, rollout
 from rarhmm.transition import (_link_logits, _nll_grad, make_transition,
                                params_to_vector, transition_features,
                                transition_matrices, vector_to_params)
@@ -274,10 +274,11 @@ def reference_gd_mstep(xis, dataset, tm_hat):
 
 
 def reference_sample_forecast(model, x0, b0, us, rng, lengths=None):
-    """Sample-mode forecast that draws each start's process noise on its own
-    through mvn_sample, one start after another. Row r runs lengths[r] steps
-    (all h when None) and is NaN after them; each step draws for the rows
-    still running, in row order."""
+    """Sample-mode forecast that draws each start's regime by rng.choice and
+    its process noise through mvn_sample, one start after another. Row r runs
+    lengths[r] steps (all h when None) and is NaN after them; each step draws
+    for the rows still running, in row order: all their regimes, then their
+    noises."""
     M, h = us.shape[:2]
     lengths = np.full(M, h) if lengths is None else np.asarray(lengths)
     x = np.array(x0, dtype=float)
@@ -291,7 +292,7 @@ def reference_sample_forecast(model, x0, b0, us, rng, lengths=None):
                        b[run])
         pb /= pb.sum(axis=1, keepdims=True)
         means = np.einsum("kde,me->mkd", A, x[run]) + np.einsum("kdu,mu->mkd", B, u) + c
-        ks = (rng.random(len(run))[:, None] < np.cumsum(pb, axis=1)).argmax(axis=1)
+        ks = [rng.choice(model.K, p=p) for p in pb]
         for m, r in enumerate(run):
             x[r] = mvn_sample(rng, means[m, ks[m]], model.dynamics.lam_cov[ks[m]])
             b[r] = np.eye(model.K)[ks[m]]
@@ -662,13 +663,13 @@ def reference_observe(config, state):
     return np.stack([p, pd, np.cos(th), np.sin(th), om], axis=-1)
 
 
-def reference_simulate(config, policy=None, T=None, rng=None, x0=None, id=""):
+def reference_simulate(config, policy=None, T=None, *, x0, id=""):
     """envs.simulate as the per-step loop over state arrays: observe each
     state as it is reached, clip each control by np.clip and take each step
     by reference_step_env."""
     T = config.horizon if T is None else int(T)
     d_x, d_u = env_dims(config)
-    state = initial_state(config, rng) if x0 is None else np.asarray(x0, dtype=float).copy()
+    state = np.asarray(x0, dtype=float).copy()
     xs = np.empty((T, d_x))
     us = np.empty((T, d_u))
     for t in range(T):
@@ -681,6 +682,29 @@ def reference_simulate(config, policy=None, T=None, rng=None, x0=None, id=""):
         if t < T - 1:
             state = reference_step_env(config, state, u)
     return Trajectory(xs=xs, us=us, dt=config.dt, id=id)
+
+
+class LastUniformRng:
+    """A generator stub: every uniform is the largest double below 1, and
+    every normal is 0."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+# a belief with no mass on regime 0 whose cumulative sum, once normalized by
+# its total, ends below 1: a last-double draw lies past its last entry
+EDGE_BELIEF = np.array([0.0, 0.231, 0.052])
+
+
+def hanging_rollout(config, model, seed, **kwargs):
+    """policy.rollout with rng default_rng(seed), from that generator's first
+    draw of envs.hanging_state."""
+    rng = np.random.default_rng(seed)
+    return rollout(config, model, rng=rng, x0=hanging_state(config, rng), **kwargs)
 
 
 def reference_expert_swingup(config, state):
