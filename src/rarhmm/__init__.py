@@ -10,7 +10,8 @@ The public surface is what the pipeline (and the `rarhmm` command) runs:
 - fitting: fit_em, and estep for the smoothed regime posteriors;
 - forecasting: evaluate, which filters a test set and scores h-step
   forecasts by nmse;
-- control: distill, act and rollout.
+- control: fit_em in closed loop distills demonstrations into a switching
+  policy (the fitted controller bank), which act and rollout run.
 The package draws no trajectories from a fitted model: data comes from the
 simulated systems.
 """
@@ -47,7 +48,7 @@ from .evaluation import (
     evaluate,
     nmse,
 )
-from .policy import RolloutResult, act, distill, rollout, success_criterion
+from .policy import RolloutResult, act, rollout, success_criterion
 
 __version__ = "0.1.0"
 
@@ -60,6 +61,6 @@ __all__ = [
     "default_config", "expert_policy", "load_dataset", "save_dataset",
     "simulate",
     "EvalReport", "count_params", "dataset_normalizer", "evaluate", "nmse",
-    "RolloutResult", "act", "distill", "rollout", "success_criterion",
+    "RolloutResult", "act", "rollout", "success_criterion",
     "__version__",
 ]

@@ -13,11 +13,11 @@ import numpy as np
 LOG2PI = float(np.log(2.0 * np.pi))
 
 
-def c_copy(x, ndim: int, name: str) -> np.ndarray:
-    """A finite C-ordered float copy of x with ndim axes, so freezing it
-    leaves the caller's array writeable."""
+def c_copy(x, ndim: int | None, name: str) -> np.ndarray:
+    """A finite C-ordered float copy of x with ndim axes (any number when
+    None), so freezing it leaves the caller's array writeable."""
     a = np.array(x, dtype=float, order="C")
-    if a.ndim != ndim:
+    if ndim is not None and a.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} axes, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")

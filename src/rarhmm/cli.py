@@ -21,16 +21,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .envs import (ENVS, OBS_MODES, collect_demonstrations,
-                   collect_trajectories, default_config, expert_policy,
+from .envs import (ENVS, OBS_MODES, collect_trajectories, default_config, expert_policy,
                    hanging_state, load_dataset, load_manifest, make_splits,
                    save_dataset, save_manifest, select_split, simulate)
 from .evaluation import (FORECAST_MODES, MODE_MARGINAL, MODE_SAMPLE, count_params,
                          count_params_breakdown, evaluate)
 from .learning import FitConfig, check_init_model, fit_em
 from .model import CLOSED_LOOP, MODES, load_model, model_to_dict
-from .policy import (ACT_MEAN, ACT_MODES, check_policy_model, default_distill_config,
-                     distill, rollout, save_rollout, success_criterion)
+from .policy import (ACT_MEAN, ACT_MODES, check_policy_model, rollout, save_rollout,
+                     success_criterion)
 from .transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
 EXIT_OK = 0
@@ -64,6 +63,8 @@ _TRANSITION_ARGS = dict(metavar="SPEC", help=(
     f"regime link: one of {', '.join(KINDS)}; polynomial:DEGREE (1 if omitted), "
     f"perceptron:UNITS ({PERCEPTRON_HIDDEN_UNITS} if omitted)"))
 _FIT_CONFIG = FitConfig(K=2)                # K has no library default
+# distill: five switching linear laws over one step of control history
+_DISTILL_CONFIG = FitConfig(K=5, mode=CLOSED_LOOP, transition_kind="linear", lag=1)
 
 
 def _fit_options(config: FitConfig) -> dict:
@@ -88,7 +89,7 @@ _OPTIONS = {
                  model=(None, list, dict(help="tag=path-glob; repeat per model family")),
                  horizons=("1,5,10,15,20,25", str), mode=(MODE_MARGINAL, FORECAST_MODES),
                  seed=(0, int), out_dir=(".", str)),
-    "distill": dict(demos=(None, str), **_fit_options(default_distill_config()),
+    "distill": dict(demos=(None, str), **_fit_options(_DISTILL_CONFIG),
                     timings=(False, bool), out_dir=(".", str)),
     "rollout": dict(env=("pendulum", ENVS), obs=("joint", OBS_MODES), model=(None, str),
                     expert=(False, bool), episodes=(50, int), steps=(None, int),
@@ -166,10 +167,18 @@ def _write_run_doc(out_dir: str, command: str, cfg: dict, prov: dict,
                 json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _write_model(path, model, prov: dict) -> None:
+def _write_fit(cfg: dict, prov: dict, model_file: str, history_file: str, model,
+               history) -> str:
+    """Write a fitted model and its EM history into the out_dir of a fit or
+    distill config; return the model's path."""
+    path = os.path.join(cfg["out_dir"], model_file)
     doc = model_to_dict(model)
     doc["provenance"] = prov
     _write_text(path, json.dumps(doc, indent=1) + "\n")
+    _write_text(os.path.join(cfg["out_dir"], history_file),
+                history.to_csv(include_timings=cfg["timings"],
+                               header_lines=_header_lines(prov)))
+    return path
 
 
 def _require(cfg: dict, key: str, parser: _Parser) -> None:
@@ -191,16 +200,10 @@ def cmd_simulate(cfg: dict, parser: _Parser) -> int:
     if cfg["split_size"] > cfg["n_train"]:
         parser.error("--split-size cannot exceed --n-train")
     env = default_config(cfg["env"], obs=cfg["obs"], seed=cfg["seed"])
-    if cfg["policy"] == "expert":
-        train = collect_demonstrations(env, cfg["n_train"], STREAM_DEMO,
-                                       T=cfg["steps"])
-        test = collect_demonstrations(env, cfg["n_test"], STREAM_DEMO + 10,
-                                      T=cfg["steps"])
-    else:
-        train = collect_trajectories(env, cfg["n_train"], STREAM_TRAIN,
-                                     T=cfg["steps"])
-        test = collect_trajectories(env, cfg["n_test"], STREAM_TEST,
-                                    T=cfg["steps"])
+    expert = cfg["policy"] == "expert"
+    streams = (STREAM_DEMO, STREAM_DEMO + 10) if expert else (STREAM_TRAIN, STREAM_TEST)
+    train, test = (collect_trajectories(env, cfg[n], stream, T=cfg["steps"], expert=expert)
+                   for n, stream in zip(("n_train", "n_test"), streams))
     splits = make_splits(cfg["n_train"], cfg["n_splits"], cfg["split_size"],
                          seed=cfg["seed"])
     split_ids = [[train[j].id for j in group] for group in splits]
@@ -248,11 +251,7 @@ def cmd_fit(cfg: dict, parser: _Parser) -> int:
         except _RUNTIME_ERRORS as e:
             failures.append(f"split {suffix or '<all>'}: {e}")
             continue
-        _write_model(os.path.join(cfg["out_dir"], f"model{suffix}.json"),
-                     model, prov)
-        _write_text(os.path.join(cfg["out_dir"], f"history{suffix}.csv"),
-                    history.to_csv(include_timings=cfg["timings"],
-                                   header_lines=_header_lines(prov)))
+        _write_fit(cfg, prov, f"model{suffix}.json", f"history{suffix}.csv", model, history)
         print(f"fit{suffix or ''}: loglik={history.loglik[-1]!r} "
               f"iters={len(history)}")
     for line in failures:
@@ -316,12 +315,8 @@ def cmd_distill(cfg: dict, parser: _Parser) -> int:
     demos = load_dataset(cfg["demos"])
     prov = _provenance(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    model, history = distill(demos, fit_config)
-    path = os.path.join(cfg["out_dir"], "distilled.json")
-    _write_model(path, model, prov)
-    _write_text(os.path.join(cfg["out_dir"], "history.csv"),
-                history.to_csv(include_timings=cfg["timings"],
-                               header_lines=_header_lines(prov)))
+    model, history = fit_em(demos, fit_config)
+    path = _write_fit(cfg, prov, "distilled.json", "history.csv", model, history)
     _write_run_doc(cfg["out_dir"], "distill", cfg, prov)
     print(f"distill: wrote {path} (K={model.K}, lag={cfg['lag']}, "
           f"params={count_params(model)})")

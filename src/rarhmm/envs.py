@@ -287,7 +287,10 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None, *,
 
 def explore_policy(config: EnvConfig, rng: np.random.Generator):
     """Uniform random actions in [-limit, limit], redrawn every EXPLORE_HOLD
-    steps."""
+    steps; the bouncing ball, which has no actuator, is refused here, before
+    any episode runs, as expert_policy refuses it."""
+    if config.env == ENV_BOUNCING_BALL:
+        raise ValueError("the bouncing ball has no actuator: no exploration runs on it")
     d_u = env_dims(config)[1]
     cache = {"u": np.zeros(d_u)}
 

@@ -39,13 +39,6 @@ MODEL_SCHEMA_VERSION = 1
 _SYM_TOL = 1e-12   # relative to each matrix's largest entry
 
 
-def _as_float(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
-
-
 def _factors(covs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """gauss_factors of (K, d, d) covariances that are symmetric to _SYM_TOL
     of their largest entry; the Cholesky factorization is the positive-
@@ -64,13 +57,15 @@ def _factors(covs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.nd
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
+    """T steps of states and controls, held as read-only C-ordered float
+    copies; us may also be given as T scalars, one control per step."""
     xs: np.ndarray            # (T, d_x)
     us: np.ndarray            # (T, d_u)
     dt: float
     id: str = ""
 
     def __post_init__(self):
-        xs, us = _as_float(self.xs, "xs"), _as_float(self.us, "us")
+        xs, us = c_copy(self.xs, None, "xs"), c_copy(self.us, None, "us")
         if xs.ndim != 2:
             raise ValueError(f"xs must hold (T, d_x) states, got shape {xs.shape}")
         T = len(xs)
@@ -79,8 +74,7 @@ class Trajectory:
         elif us.ndim != 2 or len(us) != T:
             raise ValueError(f"us must hold {T} rows of controls, or {T} scalars, "
                              f"got shape {us.shape}")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "us", us)
+        set_frozen(self, xs=xs, us=us)
         if T < 2:
             raise ValueError("trajectories need at least 2 steps")
         if not self.dt > 0:
@@ -366,7 +360,8 @@ def _integer(block: dict, name: str, default=None) -> int:
 def model_from_dict(doc: dict) -> HybridModel:
     """Inverse of model_to_dict; a malformed document raises ValueError, as
     does one whose K, d_x, d_u, mode, lag or poly_degree disagrees with its
-    arrays (an open-loop model has lag 0 and degree 1)."""
+    arrays (an open-loop model has lag 0 and degree 1), or whose link states
+    a degree or a width its kind does not use."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     try:
@@ -389,10 +384,11 @@ def model_from_dict(doc: dict) -> HybridModel:
             raise ValueError("transition field 'per_prev' is not supported: "
                              "per-source link weights were removed")
         st = tb["standardizer"]
+        link = dict(degree=_integer(tb, "degree", 1),
+                    hidden_units=_integer(tb, "hidden_units", 0))
         tm = TransitionModel(kind=tb["kind"], d_x=d_x, d_u=d_u, bias=tb["bias"],
                              feature_params=tb["feature_params"], feat_mean=st["mean"],
-                             feat_std=st["std"], degree=_integer(tb, "degree", 1),
-                             hidden_units=_integer(tb, "hidden_units", 0))
+                             feat_std=st["std"], **link)
         controllers = None
         if doc.get("controllers") is not None:
             lag, deg = stated["lag"], stated["poly_degree"]
@@ -413,6 +409,10 @@ def model_from_dict(doc: dict) -> HybridModel:
         if getattr(model, name) != value:
             raise ValueError(f"model field {name!r} is {value!r}, but the model's "
                              f"arrays give {getattr(model, name)!r}")
+    for name, value in link.items():
+        if getattr(tm, name) != value:
+            raise ValueError(f"transition field {name!r} is {value!r}, but a "
+                             f"{tm.kind} link has {getattr(tm, name)!r}")
     return model
 
 

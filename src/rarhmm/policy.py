@@ -1,7 +1,7 @@
-"""Distill expert demonstrations into a switching linear policy and run it.
+"""Run a switching linear policy: the controller bank of a closed-loop hybrid
+model, which fit_em distills from expert demonstrations.
 
-The distilled policy is the controller bank of a closed-loop hybrid model;
-at run time a filtered belief over regimes is maintained from the transition
+At run time a filtered belief over regimes is maintained from the transition
 link and the dynamics evidence, and the action is a belief-weighted (or
 regime-selected) linear feedback law. Both evaluate all K regimes at once
 from the model's stacked dynamics and controller blocks.
@@ -16,9 +16,7 @@ import numpy as np
 from ._linalg import draw_regimes, gauss_draw, gauss_logpdf
 from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, EnvConfig, clip_control, env_dims,
                    observe, pole_state, save_dataset, step_env, wrap_angle)
-from .learning import FitConfig, FitHistory, fit_em
-from .model import (CLOSED_LOOP, Dataset, HybridModel, Trajectory, control_history,
-                    control_means)
+from .model import CLOSED_LOOP, HybridModel, Trajectory, control_history, control_means
 from .transition import transition_matrices
 
 ACT_MEAN = "mean"
@@ -33,19 +31,6 @@ SUCCESS_FINAL_FRACTION = 0.2
 SUCCESS_ANGLE_TOL = 0.2
 SUCCESS_SPEED_TOL = 1.0
 SUCCESS_CART_LIMIT = 2.4
-
-
-def default_distill_config() -> FitConfig:
-    """Five switching linear laws over one step of control history."""
-    return FitConfig(K=5, mode=CLOSED_LOOP, transition_kind="linear", lag=1)
-
-
-def distill(expert_dataset: Dataset, config: FitConfig) -> tuple[HybridModel, FitHistory]:
-    """Fit a closed-loop hybrid model to demonstrations, as fit_em does; the
-    fitted controller bank is the distilled policy."""
-    if config.mode != CLOSED_LOOP:
-        raise ValueError("distillation needs a closed-loop fit configuration")
-    return fit_em(expert_dataset, config)
 
 
 def _check_belief(model: HybridModel, belief) -> np.ndarray:

@@ -8,6 +8,9 @@ byte-identical:
 - simulate the bouncing ball, then `fit --manifest` (K = 3, linear link);
 - eval those fits in marginal, sample and argmax mode;
 - fit and eval ragged copies of the ball data (K = 4, stationary link);
+- fit the ball data with a polynomial:2 link, from a --config file, and
+  with a perceptron:4 link, then eval both;
+- warm-start a perceptron fit from the first one (fit --init-model);
 - simulate the pendulum and the cart-pole under exploration in joint obs;
 - simulate expert pendulum demos in trig obs, then distill (degree 2);
 - roll the distilled policy out in mean, sample and argmax mode (1000 steps);
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -56,8 +60,13 @@ def _ragged_copy(src: str, dst: str) -> None:
                        for T in [max(2, t.T * (i + 1) // n)]])
 
 
+def _write_config(path: str, cfg: dict) -> None:
+    Path(path).write_text(json.dumps(cfg, sort_keys=True) + "\n")
+
+
 def _commands(size: dict) -> list:
-    """The protocol: CLI argument lists, and callables for the ragged copies."""
+    """The protocol: CLI argument lists, and callables for the ragged copies
+    and the config file."""
     steps, iters = size["steps"], str(size["iters"])
     rollout = ["rollout", "--env", "pendulum", "--obs", "trig",
                "--model", "distill/distilled.json",
@@ -87,6 +96,19 @@ def _commands(size: dict) -> list:
         ["eval", "--test", "ball/ragged_test.ndjson", "--model",
          "stationary=fit_ragged/model.json", "--horizons", "1,5",
          "--out-dir", "eval_ragged"],
+        lambda: _write_config("fit_polynomial.json", dict(
+            data="ball/train.ndjson", K=3, transition="polynomial:2",
+            max_iters=size["iters"], restarts=1, out_dir="fit_polynomial")),
+        ["fit", "--config", "fit_polynomial.json"],
+        ["fit", "--data", "ball/train.ndjson", "--K", "3", "--transition", "perceptron:4",
+         "--max-iters", iters, "--restarts", "1", "--out-dir", "fit_perceptron"],
+        ["eval", "--test", "ball/test.ndjson", "--model",
+         "polynomial=fit_polynomial/model.json", "--model",
+         "perceptron=fit_perceptron/model.json", "--horizons", "1,5,10",
+         "--out-dir", "eval_links"],
+        ["fit", "--data", "ball/train.ndjson", "--K", "3", "--transition", "perceptron:4",
+         "--init-model", "fit_perceptron/model.json", "--max-iters", iters,
+         "--out-dir", "fit_warm"],
         ["simulate", "--env", "pendulum", "--seed", "4", *explore, "--out-dir", "pendulum"],
         ["simulate", "--env", "cartpole", "--seed", "5", *explore, "--out-dir", "cartpole"],
         ["simulate", "--env", "pendulum", "--obs", "trig", "--policy", "expert",

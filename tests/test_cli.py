@@ -12,7 +12,6 @@ from rarhmm.envs import (default_config, hanging_state, load_dataset, load_manif
 from rarhmm.evaluation import count_params
 from rarhmm.learning import FitConfig
 from rarhmm.model import CLOSED_LOOP, OPEN_LOOP, load_model
-from rarhmm.policy import default_distill_config
 from rarhmm.transition import KINDS, PERCEPTRON_HIDDEN_UNITS
 
 import cli_protocol
@@ -336,10 +335,15 @@ def test_open_loop_fit_with_controller_sizes_is_a_usage_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_default_distill_config():
+    cfg = cli._DISTILL_CONFIG
+    assert (cfg.K, cfg.lag, cfg.mode) == (5, 1, CLOSED_LOOP)
+
+
 def test_distill_defaults_are_default_distill_config():
     parser = cli.build_parser()
     cfg = cli._resolve_config("distill", parser.parse_args(["distill"]))
-    assert cli._fit_config(cfg, CLOSED_LOOP, parser) == default_distill_config()
+    assert cli._fit_config(cfg, CLOSED_LOOP, parser) == cli._DISTILL_CONFIG
     # values and types as before, so every distill config_sha256 is unchanged
     want = dict(demos=None, K=5, transition="linear", lag=1, poly_degree=1,
                 max_iters=200, restarts=5, rel_tol=1e-6, seed=0, timings=False,

@@ -546,6 +546,16 @@ def test_the_ball_has_no_hanging_start_and_no_demonstrations():
         collect_demonstrations(ball, 2, seed=0)
 
 
+def test_the_ball_has_no_exploration_policy():
+    # the ball's limit is NaN, so the policy used to fail at its first call
+    # with numpy's "high - low range exceeds valid bounds"
+    ball = default_config(ENV_BOUNCING_BALL)
+    with pytest.raises(ValueError, match="the bouncing ball has no actuator"):
+        explore_policy(ball, np.random.default_rng(0))
+    # collection runs the ball under no input, as before
+    assert collect_trajectories(ball, 1, seed=0, T=5)[0].d_u == 0
+
+
 _GOOD_RECORD = {"id": "a", "dt": 0.1, "xs": [[0.0], [1.0]], "us": [[0.0], [0.0]]}
 
 

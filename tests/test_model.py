@@ -319,6 +319,19 @@ def test_trajectory_rejects_arrays_of_the_wrong_rank():
     np.testing.assert_array_equal(flat.us, [[0.5], [0.0], [-1.0]])
 
 
+def test_trajectory_holds_read_only_copies_of_its_arrays():
+    # a trajectory used to keep the caller's arrays, so writing into them
+    # afterwards changed the trajectory
+    xs, us = np.asfortranarray(np.arange(8.0).reshape(4, 2)), np.zeros(4)
+    traj = Trajectory(xs=xs, us=us, dt=0.1)
+    xs[0, 0], us[0] = 5.0, 5.0
+    assert traj.xs[0, 0] == 0.0 and traj.us[0, 0] == 0.0
+    for a in (traj.xs, traj.us):
+        assert a.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
 def test_dataset_validation():
     t = Trajectory(xs=np.zeros((3, 2)), us=np.zeros((3, 1)), dt=0.1)
     with pytest.raises(ValueError):
@@ -616,15 +629,22 @@ def test_malformed_model_document_is_a_value_error(tmp_path, doc, match):
 
 @pytest.mark.parametrize("name,value", [("K", 3), ("d_x", 3), ("d_u", 2),
                                         ("mode", OPEN_LOOP), ("mode", "hybrid"),
-                                        ("lag", 3), ("poly_degree", 4)])
+                                        ("lag", 3), ("poly_degree", 4),
+                                        ("degree", 3), ("hidden_units", 7)])
 def test_model_document_sizes_and_mode_must_agree_with_its_arrays(name, value):
     # the arrays of _valid_model_doc give K 2, d_x 2, d_u 1 and closed loop;
     # an open-loop document has no controllers, so its arrays give lag 0 and
     # degree 1, and used to load whatever lag and degree it stated
     doc = _valid_model_doc(OPEN_LOOP if name in ("lag", "poly_degree") else CLOSED_LOOP)
-    doc[name] = value
-    with pytest.raises(ValueError, match=re.escape(f"model field {name!r} is {value!r}, "
-                                                   f"but the model's arrays give")):
+    if name in ("degree", "hidden_units"):
+        # its link is linear, which has neither, and used to load as degree
+        # 1, width 0 whatever it stated
+        doc["transition"][name] = value
+        match = f"transition field {name!r} is {value!r}, but a linear link has"
+    else:
+        doc[name] = value
+        match = f"model field {name!r} is {value!r}, but the model's arrays give"
+    with pytest.raises(ValueError, match=re.escape(match)):
         model_from_dict(doc)
 
 
