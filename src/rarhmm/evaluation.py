@@ -75,8 +75,9 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
         psi = transition_matrices(model.transition, x, u)     # (m, K, K) [dest, src]
         b = np.einsum("mij,mj->mi", psi, b)
         b /= b.sum(axis=1, keepdims=True)
-        # per-regime one-step means: (m, K, d_x)
-        means = np.einsum("kde,me->mkd", A, x) + np.einsum("kdu,mu->mkd", B, u) + c
+        # per-regime one-step means: (m, K, d_x); without controls B adds nothing
+        Ax = np.einsum("kde,me->mkd", A, x)
+        means = (Ax + np.einsum("kdu,mu->mkd", B, u) if u.shape[1] else Ax) + c
         if mode == MODE_MARGINAL:
             x = np.einsum("mk,mkd->md", b, means)
         else:

@@ -116,18 +116,39 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     re-seed has moved. Once a round ends with the previous round's labels, the
     centers it recomputes are the previous ones, so every later round repeats
     it: the labels are returned there, as the full count would return them.
+
+    A round is a few whole-array calls on the points held dimension-major,
+    (D, n), that add in the order of the row-major form
+    ((points[:, None] - centers) ** 2).sum(axis=2) and
+    points[labels == k].mean(axis=0), so the labels are that form's bit for
+    bit. numpy adds a contiguous trailing axis of under 8 values in sequence,
+    as a leading-axis sum does, and from 8 (to 127) in 8 running sums added
+    pairwise, which the D >= 8 branch repeats. bincount adds a cluster's rows
+    in order, as that mean does for D >= 2; for D = 1 the mean adds pairwise,
+    so centers, and rarely labels, can differ in the last bit (initialize has
+    D = 2 d_x). The lexsort keeps np.unique's rows in its order, up to the
+    sign of a zero, which no squared distance sees.
     """
-    distinct = np.unique(points, axis=0)
+    rows = points[np.lexsort(points.T[::-1])]
+    distinct = np.concatenate([rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]])
     if len(distinct) < K:
         raise ValueError(f"k-means needs at least {K} distinct points, "
                          f"got {len(distinct)}")
-    centers = distinct[rng.choice(len(distinct), size=K, replace=False)]
-    labels = np.zeros(len(points), dtype=int)
+    centers = distinct[rng.choice(len(distinct), size=K, replace=False)].T   # (D, K)
+    cols = np.ascontiguousarray(points.T)
+    D, n = cols.shape
+    labels = np.zeros(n, dtype=int)
     for round_ in range(KMEANS_ITERS):
         prev = labels
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        dist_own = d2[np.arange(len(points)), labels]
+        sq = cols[:, None, :] - centers[:, :, None]                         # (D, K, n)
+        sq *= sq
+        if D >= 8:   # numpy's 8 running sums, added pairwise
+            p = sq[:D - D % 8].reshape(-1, 8, K, n).sum(axis=0)
+            head = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+            sq = np.concatenate([head[None], sq[D - D % 8:]])
+        d2 = sq.sum(axis=0)
+        labels = d2.argmin(axis=0)
+        dist_own = d2[labels, np.arange(n)]
         taken: list[int] = []
         while not (counts := np.bincount(labels, minlength=K)).all():
             pick = next(int(i) for i in np.argsort(-dist_own) if int(i) not in taken)
@@ -135,8 +156,7 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
             taken.append(pick)
         if round_ > 0 and np.array_equal(labels, prev):
             return labels
-        for k in range(K):
-            centers[k] = points[labels == k].mean(axis=0)
+        centers = np.stack([np.bincount(labels, weights=c, minlength=K) for c in cols]) / counts
     return labels
 
 

@@ -12,6 +12,8 @@ byte-identical:
   with a perceptron:4 link, then eval both;
 - warm-start a perceptron fit from the first one (fit --init-model);
 - simulate the pendulum and the cart-pole under exploration in joint obs;
+- fit the cart-pole data (K = 5, linear link; its k-means points have 8
+  coordinates) and eval that fit;
 - simulate expert pendulum demos in trig obs, then distill (degree 2);
 - roll the distilled policy out in mean, sample and argmax mode (1000 steps);
 - roll the scripted expert out on the pendulum and the cart-pole;
@@ -111,6 +113,10 @@ def _commands(size: dict) -> list:
          "--out-dir", "fit_warm"],
         ["simulate", "--env", "pendulum", "--seed", "4", *explore, "--out-dir", "pendulum"],
         ["simulate", "--env", "cartpole", "--seed", "5", *explore, "--out-dir", "cartpole"],
+        ["fit", "--data", "cartpole/train.ndjson", "--K", "5", "--transition", "linear",
+         "--max-iters", iters, "--restarts", "1", "--out-dir", "fit_cartpole"],
+        ["eval", "--test", "cartpole/test.ndjson", "--model", "linear=fit_cartpole/model.json",
+         "--horizons", "1,5,10", "--out-dir", "eval_cartpole"],
         ["simulate", "--env", "pendulum", "--obs", "trig", "--policy", "expert",
          "--n-train", "4", "--n-test", "1", "--n-splits", "1", "--split-size", "1",
          *steps, "--out-dir", "demos"],

@@ -81,14 +81,39 @@ def test_kmeans_recovers_separated_clusters():
     assert labels[0] != labels[40]
 
 
+def _kmeans_points(trajs):
+    # the k-means input initialize builds: [x_t; x_{t+1} - x_t]
+    return np.concatenate([np.concatenate([t.xs[:-1], np.diff(t.xs, axis=0)], axis=1)
+                           for t in trajs], axis=0)
+
+
 def test_kmeans_fixed_point_stop_keeps_reference_labels():
     cases = []
     for seed in range(6):
         m = random_model(K=3, d_x=2, d_u=1, seed=seed)
         ds = random_dataset(m, n=3, T=40, seed=seed)
-        pts = np.concatenate([np.concatenate([t.xs[:-1], np.diff(t.xs, axis=0)], axis=1)
-                              for t in ds.trajectories], axis=0)
-        cases += [(pts, K, seed, False) for K in (1, 2, 5)]
+        cases += [(_kmeans_points(ds.trajectories), K, seed, False) for K in (1, 2, 5)]
+    # pipeline shapes, D = 2 d_x: pendulum exploration (D = 4), trig expert
+    # demos (D = 6), cart-pole in joint and trig obs (D = 8 and 10, where the
+    # reference's trailing-axis sum adds pairwise)
+    for env, obs, expert, n, T, K in [("pendulum", "joint", False, 6, 200, 5),
+                                      ("pendulum", "trig", True, 2, 1000, 9),
+                                      ("cartpole", "joint", False, 3, 200, 5),
+                                      ("cartpole", "trig", False, 3, 200, 9)]:
+        trajs = collect_trajectories(default_config(env, obs=obs), n, 0, T=T, expert=expert)
+        cases.append((_kmeans_points(trajs), K, 3, False))
+    # duplicate rows, and rows tied on the first coordinate
+    r = np.random.default_rng(7)
+    tied = np.round(r.standard_normal((60, 3)), 1)
+    tied[::4, 0] = 0.5
+    cases.append((np.concatenate([tied, tied[:20]]), 6, 7, False))
+    # sets on a 0.1 grid whose labels hang on the order of the sums: at D = 8 a
+    # distance summed in sequence, at D = 2 a center summed out of row order,
+    # would change them
+    for seed, D in ((5, 8), (820, 2)):
+        r = np.random.default_rng(seed)
+        n, K = int(r.integers(20, 60)), int(r.integers(3, 7))
+        cases.append((np.round(r.standard_normal((n, D)), 1), K, seed, False))
     # heavy-tailed 1-D sets on which Lloyd's rounds leave a cluster empty
     for seed in (1650, 1882, 2987):
         r = np.random.default_rng(seed)
@@ -656,6 +681,13 @@ def test_kmeans_data_error_reaches_caller():
     ds = Dataset([traj])
     with pytest.raises(ValueError, match="k-means needs at least 2 distinct points"):
         fit_em(ds, FitConfig(K=2, restarts=2, seed=0))
+    # rows that differ only in the sign of a zero count once: K - 1 distinct
+    # rows plus their -0.0 twins are still too few
+    rows = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+    twins = np.where(rows == 0.0, -0.0, rows)
+    assert np.signbit(twins).sum() == 4
+    with pytest.raises(ValueError, match="k-means needs at least 4 distinct points, got 3"):
+        _kmeans(np.concatenate([rows, twins, rows]), 4, np.random.default_rng(0))
 
 
 def test_history_csv_format():
