@@ -1,8 +1,9 @@
 """Small numeric helpers shared across modules. Every parameter block holds
 read-only C-ordered copies of its arrays (c_copy, set_frozen). Only the regime
 blocks of model.py (InitialModel, Dynamics, Controllers) call gauss_factors,
-once each in their constructor; gauss_logpdf and gauss_draw read the factors
-they hold. draw_regimes is the one regime draw from a belief.
+once each in their constructor; gauss_logpdf reads the whitening matrices they
+hold, and gauss_draw the Cholesky factors that only Controllers keeps, for
+policy.act's sample draws. draw_regimes is the one regime draw from a belief.
 A density whitens its residuals with the cached inverse W = inv(L) of the lower
 Cholesky factor L, |W r|^2 being the Mahalanobis term, so it costs one matmul
 and no factorization."""

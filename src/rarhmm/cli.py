@@ -24,7 +24,7 @@ from . import __version__
 from .envs import (ENVS, OBS_MODES, collect_trajectories, default_config, expert_policy,
                    hanging_state, load_dataset, load_manifest, make_splits,
                    save_dataset, save_manifest, select_split, simulate)
-from .evaluation import (FORECAST_MODES, MODE_MARGINAL, MODE_SAMPLE, count_params,
+from .evaluation import (FORECAST_MODES, MODE_MARGINAL, count_params,
                          count_params_breakdown, evaluate)
 from .learning import FitConfig, check_init_model, fit_em
 from .model import CLOSED_LOOP, MODES, load_model, model_to_dict
@@ -88,7 +88,7 @@ _OPTIONS = {
     "eval": dict(test=(None, str),
                  model=(None, list, dict(help="tag=path-glob; repeat per model family")),
                  horizons=("1,5,10,15,20,25", str), mode=(MODE_MARGINAL, FORECAST_MODES),
-                 seed=(0, int), out_dir=(".", str)),
+                 out_dir=(".", str)),
     "distill": dict(demos=(None, str), **_fit_options(_DISTILL_CONFIG),
                     timings=(False, bool), out_dir=(".", str)),
     "rollout": dict(env=("pendulum", ENVS), obs=("joint", OBS_MODES), model=(None, str),
@@ -295,8 +295,7 @@ def cmd_eval(cfg: dict, parser: _Parser) -> int:
     test = load_dataset(cfg["test"])
     models_by_tag = {tag: [load_model(p) for p in paths]
                      for tag, paths in _expand_model_specs(cfg["model"]).items()}
-    rng = np.random.default_rng(cfg["seed"]) if cfg["mode"] == MODE_SAMPLE else None
-    report = evaluate(models_by_tag, test, horizons, mode=cfg["mode"], rng=rng)
+    report = evaluate(models_by_tag, test, horizons, mode=cfg["mode"])
     prov = _provenance(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     header = _header_lines(prov)

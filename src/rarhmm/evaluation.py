@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import draw_regimes, gauss_draw
 from .inference import _forward_batch, padded_inputs
 from .model import Dataset, HybridModel, Trajectory
 from .transition import transition_matrices
 
 MODE_MARGINAL = "marginal"
 MODE_ARGMAX = "argmax"
-MODE_SAMPLE = "sample"
-FORECAST_MODES = (MODE_MARGINAL, MODE_ARGMAX, MODE_SAMPLE)
+FORECAST_MODES = (MODE_MARGINAL, MODE_ARGMAX)
 
 
 def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
@@ -45,8 +43,7 @@ def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
 
 
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
-                    us: np.ndarray, mode: str, rng: np.random.Generator | None,
-                    lengths: np.ndarray) -> np.ndarray:
+                    us: np.ndarray, mode: str, lengths: np.ndarray) -> np.ndarray:
     """Forecast up to h steps from M starts at once.
 
     x0 (M, d_x) states, b0 (M, K) beliefs, us (M, h, d_u) recorded actions.
@@ -55,19 +52,13 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
     rows still running at step i are a prefix and only that prefix of x, b
     and us[:, i] is read. Marginal propagates the full belief and predicts
     the belief-weighted mean; argmax collapses the belief to its best regime
-    each step; sample draws a regime path and adds process noise, each step
-    over the running rows in row order, so results are rng-deterministic.
+    each step. mode is one of FORECAST_MODES, which evaluate checks.
     """
-    if mode not in FORECAST_MODES:
-        raise ValueError(f"mode must be one of {FORECAST_MODES}, got {mode!r}")
-    if mode == MODE_SAMPLE and rng is None:
-        raise ValueError("sample mode needs an rng")
     M, h = us.shape[:2]
     running = np.count_nonzero(lengths > np.arange(h)[:, None], axis=1)
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
-    dyn = model.dynamics
-    A, B, c = dyn.A, dyn.B, dyn.c
+    A, B, c = model.dynamics.A, model.dynamics.B, model.dynamics.c
     out = np.full((M, h, x.shape[1]), np.nan)
     for i, m in enumerate(running):
         x, b = x[:m], b[:m]
@@ -81,13 +72,8 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
         if mode == MODE_MARGINAL:
             x = np.einsum("mk,mkd->md", b, means)
         else:
-            if mode == MODE_ARGMAX:
-                ks = b.argmax(axis=1)
-            else:
-                ks = draw_regimes(rng, b)
+            ks = b.argmax(axis=1)
             x = means[np.arange(m), ks]
-            if mode == MODE_SAMPLE:
-                x = gauss_draw(rng, x, dyn.lam_chol[ks])
             b = np.eye(model.K)[ks]
         out[:m, i, :] = x
     return out
@@ -151,7 +137,7 @@ class EvalReport:
 
 
 def _window_forecasts(model: HybridModel, traj: Trajectory, alpha: np.ndarray, hs: np.ndarray,
-                      mode: str, rng: np.random.Generator | None) -> np.ndarray:
+                      mode: str) -> np.ndarray:
     """One _forecast_batch call over every 1-based start s = 1 .. T - hs[0]
     of the trajectory, in ascending order, from its filtered beliefs alpha
     (row s-1 at s); row s runs the largest horizon h in hs (ascending,
@@ -163,12 +149,11 @@ def _window_forecasts(model: HybridModel, traj: Trajectory, alpha: np.ndarray, h
     # reaches the NaN padding, which the transition link rejects
     padded = np.concatenate([traj.us, np.full((hs[-1] - 1, traj.d_u), np.nan)])
     us = sliding_window_view(padded, hs[-1], axis=0)[:n].transpose(0, 2, 1)
-    return _forecast_batch(model, traj.xs[:n], alpha[:n], us, mode, rng, lengths)
+    return _forecast_batch(model, traj.xs[:n], alpha[:n], us, mode, lengths)
 
 
 def evaluate(models_by_tag: dict, test: Dataset, horizons,
-             mode: str = MODE_MARGINAL,
-             rng: np.random.Generator | None = None) -> EvalReport:
+             mode: str = MODE_MARGINAL) -> EvalReport:
     """Score each tag's per-split models on the test set at every horizon.
 
     models_by_tag maps a tag to the list of fitted models, one per split,
@@ -177,9 +162,10 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     filters the whole test set once (filter_all, whose padded (B, T_max, K)
     beliefs stay alive while that model is scored) and forecasts each test
     trajectory once (_window_forecasts): one path per start, scored at every
-    horizon that fits. In sample mode a start's horizons therefore share one
-    drawn path, and draws run trajectory by trajectory in test-set order.
+    horizon that fits. mode is one of FORECAST_MODES.
     """
+    if mode not in FORECAST_MODES:
+        raise ValueError(f"mode must be one of {FORECAST_MODES}, got {mode!r}")
     horizons = [int(h) for h in horizons]
     if not horizons or min(horizons) < 1:
         raise ValueError("need at least one horizon >= 1")
@@ -206,7 +192,7 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
             for traj, alpha in zip(test.trajectories, filter_all(model, test)):
                 if traj.T <= hs[0]:
                     continue
-                out = _window_forecasts(model, traj, alpha, hs, mode, rng)
+                out = _window_forecasts(model, traj, alpha, hs, mode)
                 for j, h in enumerate(horizons):
                     if traj.T > h:
                         # starts 1 .. T - h, scored against x_{s+h}

@@ -435,7 +435,7 @@ _estep_stats = smooth_dataset  # E-step with Q; _run_em looks it up here
 _RESTART_ERRORS = (np.linalg.LinAlgError, FloatingPointError, OverflowError)
 
 
-def _run_em(dataset: Dataset, config: FitConfig, rng: np.random.Generator,
+def _run_em(dataset: Dataset, config: FitConfig, rng: np.random.Generator | None,
             init_model: HybridModel | None):
     model = init_model if init_model is not None else initialize(dataset, config, rng)
     history = FitHistory()
@@ -479,7 +479,7 @@ def fit_em(dataset: Dataset, config: FitConfig,
     initialization and runs a single EM chain from it."""
     if init_model is not None:
         check_init_model(init_model, config, dataset)
-        return _run_em(dataset, config, np.random.default_rng(config.seed), init_model)
+        return _run_em(dataset, config, None, init_model)
     best = None
     errors: list[str] = []
     for r in range(config.restarts):

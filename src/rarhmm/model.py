@@ -13,9 +13,10 @@ InitialModel, Dynamics, the transition link and (closed loop) Controllers. Its
 sizes K, d_x, d_u and its mode are read from them, as a dataset's dims are
 read from its trajectories. Each block copies its arrays to read-only
 C-ordered floats, and the regime blocks factor their covariances once, in
-their constructor: the lower Cholesky factors L (for draws), their inverses
-inv(L) (the whitening matrices every density applies) and the log-normalizing
-constants. The Cholesky factorization is their positive-definiteness check.
+their constructor: each keeps the inverses inv(L) of the lower Cholesky
+factors L (the whitening matrices every density applies) and the
+log-normalizing constants, and the controllers also keep L, for act's sample
+draws. The Cholesky factorization is their positive-definiteness check.
 All types are immutable after construction, so everything here is safe to run
 concurrently.
 """
@@ -127,8 +128,7 @@ class InitialModel:
     pi: np.ndarray         # (K,)
     mu: np.ndarray         # (K, d_x)
     omega_cov: np.ndarray  # (K, d_x, d_x)
-    omega_chol: np.ndarray = field(init=False, repr=False)    # lower factors L of omega_cov
-    omega_whiten: np.ndarray = field(init=False, repr=False)  # their inverses inv(L)
+    omega_whiten: np.ndarray = field(init=False, repr=False)  # inv(L), L omega_cov's lower factors
     omega_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
@@ -139,9 +139,8 @@ class InitialModel:
             raise ValueError("pi must be nonnegative and sum to 1 within 1e-12")
         if len(pi) != K or om.shape != (K, d, d):
             raise ValueError("pi (K,), mu (K, d_x) and omega_cov (K, d_x, d_x) disagree")
-        chol, whiten, const = _factors(om, "omega_cov")
-        set_frozen(self, pi=pi, mu=mu, omega_cov=om, omega_chol=chol,
-                   omega_whiten=whiten, omega_const=const)
+        _, whiten, const = _factors(om, "omega_cov")
+        set_frozen(self, pi=pi, mu=mu, omega_cov=om, omega_whiten=whiten, omega_const=const)
 
     @property
     def K(self) -> int:
@@ -155,8 +154,7 @@ class Dynamics:
     B: np.ndarray        # (K, d_x, d_u)
     c: np.ndarray        # (K, d_x)
     lam_cov: np.ndarray  # (K, d_x, d_x)
-    lam_chol: np.ndarray = field(init=False, repr=False)    # lower factors L of lam_cov
-    lam_whiten: np.ndarray = field(init=False, repr=False)  # their inverses inv(L)
+    lam_whiten: np.ndarray = field(init=False, repr=False)  # inv(L), L lam_cov's lower factors
     lam_const: np.ndarray = field(init=False, repr=False)   # (K,) d log 2pi + log det
 
     def __post_init__(self):
@@ -166,9 +164,8 @@ class Dynamics:
         if A.shape != (K, d, d) or B.shape[:2] != (K, d) or lam.shape != (K, d, d):
             raise ValueError("A (K, d_x, d_x), B (K, d_x, d_u), c (K, d_x) and "
                              "lam_cov (K, d_x, d_x) disagree")
-        chol, whiten, const = _factors(lam, "lam_cov")
-        set_frozen(self, A=A, B=B, c=c, lam_cov=lam, lam_chol=chol, lam_whiten=whiten,
-                   lam_const=const)
+        _, whiten, const = _factors(lam, "lam_cov")
+        set_frozen(self, A=A, B=B, c=c, lam_cov=lam, lam_whiten=whiten, lam_const=const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +201,9 @@ class Controllers:
 class HybridModel:
     """K-regime switching linear-Gaussian model. Its blocks hold every regime
     parameter once, stacked on a leading K axis, read-only and with the
-    Cholesky factors of their covariances and the inverses of those factors:
-    evidence, forecasting, the runtime belief and act read them directly.
+    inverses of their covariances' Cholesky factors (the controllers also hold
+    the factors, for act's sample draws): evidence, forecasting, the runtime
+    belief and act read them directly.
     K and d_x are read from init.mu (K, d_x), d_u from dynamics.B, and the
     mode is closed loop exactly when the model carries controllers; the
     constructor checks that the other blocks agree with these sizes."""

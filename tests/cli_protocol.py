@@ -6,7 +6,7 @@ file it writes, so two builds of the package can be compared file by file.
 The sequence covers every command path whose output a refactor must keep
 byte-identical:
 - simulate the bouncing ball, then `fit --manifest` (K = 3, linear link);
-- eval those fits in marginal, sample and argmax mode;
+- eval those fits in marginal and argmax mode;
 - fit and eval ragged copies of the ball data (K = 4, stationary link);
 - fit the ball data with a polynomial:2 link, from a --config file, and
   with a perceptron:4 link, then eval both;
@@ -85,9 +85,6 @@ def _commands(size: dict) -> list:
          "--restarts", "2", "--out-dir", "fit"],
         ["eval", "--test", "ball/test.ndjson", "--model", "linear=fit/model_split*.json",
          "--horizons", "1,5,10", "--mode", "marginal", "--out-dir", "eval_marginal"],
-        ["eval", "--test", "ball/test.ndjson", "--model", "linear=fit/model_split*.json",
-         "--horizons", "1,5,10", "--mode", "sample", "--seed", "5",
-         "--out-dir", "eval_sample"],
         ["eval", "--test", "ball/test.ndjson", "--model", "linear=fit/model_split*.json",
          "--horizons", "1,5,10", "--mode", "argmax", "--out-dir", "eval_argmax"],
         lambda: _ragged_copy("ball/train.ndjson", "ball/ragged_train.ndjson"),

@@ -56,7 +56,7 @@ def test_cli_protocol_listing_is_reproducible(tmp_path):
     first = cli_protocol.run_protocol(tmp_path / "a", tiny=True)
     assert cli_protocol.run_protocol(tmp_path / "b" / "c", tiny=True) == first
     paths = {line.split("  ", 1)[1] for line in first}
-    assert {"stdout.txt", "fit/model_split01.json", "eval_sample/report.csv",
+    assert {"stdout.txt", "fit/model_split01.json", "eval_argmax/report.csv",
             "fit_ragged/model.json", "eval_ragged/report.csv", "distill/distilled.json",
             "rollout_mean/episode001_belief.csv",
             "rollout_sample/episode001.ndjson"} <= paths
@@ -587,7 +587,6 @@ def test_inputs_are_checked_before_the_out_dir_is_made(tmp_path, capsys, case):
 
 
 _SEEDED = {"simulate": [], "fit": ["--data", "d.ndjson"],
-           "eval": ["--test", "t.ndjson", "--model", "m=m.json", "--mode", "sample"],
            "distill": ["--demos", "d.ndjson"], "rollout": ["--expert"]}
 
 
@@ -606,6 +605,27 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, command
         _run(*argv)
     assert ei.value.code == EXIT_USAGE
     assert f"rarhmm {command}: error: --seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, config, code, message", [
+    (["--mode", "sample"], None, EXIT_USAGE, "argument --mode: invalid choice: 'sample'"),
+    (["--seed", "3"], None, EXIT_USAGE, "unrecognized arguments: --seed 3"),
+    ([], {"seed": 3}, EXIT_RUNTIME, "unknown config keys for eval: seed")],
+    ids=["sample-mode", "seed-flag", "seed-key"])
+def test_eval_draws_nothing_so_takes_no_seed(tmp_path, monkeypatch, capsys, flags, config,
+                                             code, message):
+    monkeypatch.chdir(tmp_path)
+    argv = ["eval", "--test", "t.ndjson", "--model", "m=m.json", *flags, "--out-dir", "out"]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv += ["--config", "c.json"]
+    try:
+        got = _run(*argv)
+    except SystemExit as e:
+        got = e.code
+    assert got == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -11,9 +11,9 @@ from rarhmm.model import (Controllers, Dataset, Dynamics, HybridModel,
                           InitialModel, Trajectory, log_local_evidence)
 from rarhmm.transition import make_transition
 
-from util import (EDGE_BELIEF, LastUniformRng, brute_force_posterior, filter_one,
-                  forward_pass, local_quantities, mvn_logpdf, random_dataset, random_model,
-                  random_trajectory, reference_sample_forecast, reference_sample_trajectory)
+from util import (brute_force_posterior, filter_one, forward_pass, local_quantities,
+                  mvn_logpdf, random_dataset, random_model, random_trajectory,
+                  reference_sample_trajectory)
 
 
 def _ball_truth_maps(cfg):
@@ -61,13 +61,13 @@ def _hand_piecewise_rollout(cfg, x, h):
     return np.array(out)
 
 
-def _forecast(model, traj, t, h, mode="marginal", rng=None):
+def _forecast(model, traj, t, h, mode="marginal"):
     """States t+1 .. t+h (h, d_x) forecast from the filtered belief at step t
     (1-based) under the recorded controls u_t .. u_{t+h-1}: one row of
     _forecast_batch."""
     b = filter_all(model, Dataset([traj]))[0, t - 1]
     return _forecast_batch(model, traj.xs[t - 1][None], b[None],
-                           traj.us[None, t - 1:t - 1 + h], mode, rng, np.array([h]))[0]
+                           traj.us[None, t - 1:t - 1 + h], mode, np.array([h]))[0]
 
 
 def test_filter_k1_is_one():
@@ -205,35 +205,20 @@ def test_marginal_equals_argmax_when_saturated():
     np.testing.assert_array_equal(a, b)
 
 
-def test_forecast_mode_errors_and_seeded_samples():
+def test_evaluate_rejects_a_bad_mode_before_filtering(monkeypatch):
     m = random_model(K=2, d_x=2, d_u=1, seed=6)
-    traj, _ = random_trajectory(m, T=10, seed=6)
-    with pytest.raises(ValueError, match="mode must be one of"):
-        _forecast(m, traj, t=3, h=2, mode="modal")
-    with pytest.raises(ValueError, match="sample mode needs an rng"):
-        _forecast(m, traj, t=3, h=2, mode="sample")
-    a = _forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
-    b = _forecast(m, traj, t=3, h=4, mode="sample", rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(a, b)
+    test = random_dataset(m, n=2, T=10, seed=6)
+    calls = []
 
+    def counted(model, dataset):
+        calls.append(id(model))
+        return filter_all(model, dataset)
 
-@pytest.mark.parametrize("K, d_x, d_u, ragged", [
-    pytest.param(*case, False, id="-".join(map(str, case)))
-    for case in [(1, 1, 1), (3, 2, 1), (4, 3, 2), (2, 2, 0)]] + [
-    pytest.param(*case, True, id="-".join(map(str, case)) + "-ragged")
-    for case in [(3, 2, 1), (2, 2, 0)]])
-def test_sample_forecast_matches_per_start_draws(K, d_x, d_u, ragged):
-    m = random_model(K=K, d_x=d_x, d_u=d_u, seed=K + d_x)
-    rng = np.random.default_rng(d_x)
-    M, h = 40, 6
-    x0 = rng.standard_normal((M, d_x))
-    b0 = rng.dirichlet(np.ones(K), size=M)
-    us = rng.standard_normal((M, h, d_u))
-    # ragged: non-increasing lengths from h down to 1, with repeats
-    lengths = np.sort(rng.integers(1, h + 1, size=M))[::-1] if ragged else np.full(M, h)
-    got = _forecast_batch(m, x0, b0, us, "sample", np.random.default_rng(5), lengths)
-    want = reference_sample_forecast(m, x0, b0, us, np.random.default_rng(5), lengths)
-    np.testing.assert_array_equal(got, want)
+    monkeypatch.setattr(evaluation, "filter_all", counted)
+    for mode in ("modal", "sample"):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            evaluate({"m": [m]}, test, [1, 2], mode=mode)
+    assert calls == []
 
 
 def test_draw_regimes_equals_generator_choice():
@@ -250,25 +235,6 @@ def test_draw_regimes_equals_generator_choice():
             assert np.array_equal(draw_regimes(np.random.default_rng(seed), beliefs), want)
 
 
-def test_sample_forecast_never_draws_a_regime_without_mass():
-    # three regimes whose one-step mean is their index, under a stationary
-    # link whose off-diagonal mass underflows to 0, so the belief is kept
-    K = 3
-    model = HybridModel(
-        init=InitialModel(pi=np.full(K, 1.0 / K), mu=np.zeros((K, 1)),
-                          omega_cov=np.ones((K, 1, 1))),
-        dynamics=Dynamics(A=np.zeros((K, 1, 1)), B=np.zeros((K, 1, 0)),
-                          c=np.arange(K, dtype=float)[:, None], lam_cov=np.ones((K, 1, 1))),
-        transition=make_transition("stationary", K, 1, 0,
-                                   bias=np.where(np.eye(K), 0.0, -1e3)))
-    assert np.cumsum(EDGE_BELIEF / EDGE_BELIEF.sum())[-1] <= np.nextafter(1.0, 0.0)
-    out = _forecast_batch(model, np.zeros((1, 1)), EDGE_BELIEF[None], np.zeros((1, 1, 0)),
-                          "sample", LastUniformRng(), np.array([1]))
-    # the last regime with mass, as Generator.choice draws it
-    assert out[0, 0, 0] == 2.0
-    assert draw_regimes(LastUniformRng(), EDGE_BELIEF[None] / EDGE_BELIEF.sum())[0] == 2
-
-
 def test_ragged_forecast_reads_only_each_rows_actions():
     m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=11)
     rng = np.random.default_rng(11)
@@ -277,16 +243,16 @@ def test_ragged_forecast_reads_only_each_rows_actions():
     b0 = rng.dirichlet(np.ones(3), size=M)
     us = rng.standard_normal((M, h, 1))
     lengths = np.array([5, 5, 4, 3, 3, 3, 2, 1, 1])
-    full = _forecast_batch(m, x0, b0, us, "marginal", None, np.full(M, h))
+    full = _forecast_batch(m, x0, b0, us, "marginal", np.full(M, h))
     # actions past each row's window are NaN: never read, so nothing raises
     us[np.arange(h) >= lengths[:, None]] = np.nan
-    got = _forecast_batch(m, x0, b0, us, "marginal", None, lengths)
+    got = _forecast_batch(m, x0, b0, us, "marginal", lengths)
     ran = np.arange(h) < lengths[:, None]
     assert np.array_equal(got[ran], full[ran])
     assert np.all(np.isnan(got[~ran]))
     # one step too many for the last two rows reaches their NaN actions
     with pytest.raises(ValueError, match="finite"):
-        _forecast_batch(m, x0, b0, us, "marginal", None, np.r_[lengths[:-2], 2, 2])
+        _forecast_batch(m, x0, b0, us, "marginal", np.r_[lengths[:-2], 2, 2])
 
 
 def test_nmse_values():
@@ -355,52 +321,20 @@ def _per_horizon_reference(m, trajs, horizons, mode, normalizer):
             starts = np.arange(1, traj.T - h + 1)
             us = np.stack([traj.us[s - 1:s - 1 + h] for s in starts])
             out = _forecast_batch(m, traj.xs[starts - 1], filter_one(m, traj)[starts - 1],
-                                  us, mode, None, np.full(len(starts), h))
+                                  us, mode, np.full(len(starts), h))
             preds.append(out[:, -1])
             truths.append(traj.xs[starts - 1 + h])
         want.append(nmse(np.concatenate(preds), np.concatenate(truths), normalizer))
     return want
 
 
-def _joint_sample_reference(m, trajs, horizons, normalizer, rng):
-    """Sample-mode NMSE per horizon by the joint protocol, from per-start
-    draws: each start t of each trajectory, in order, draws one path as long
-    as the largest horizon with t + h <= T, scored at every horizon."""
-    hs = sorted(set(horizons))
-    preds = {h: [] for h in horizons}
-    truths = {h: [] for h in horizons}
-    for traj in trajs:
-        starts = [s for s in range(1, traj.T) if s + hs[0] <= traj.T]
-        if not starts:
-            continue
-        lengths = [max(h for h in hs if s + h <= traj.T) for s in starts]
-        us = np.zeros((len(starts), hs[-1], traj.d_u))
-        for r, (s, n) in enumerate(zip(starts, lengths)):
-            us[r, :n] = traj.us[s - 1:s - 1 + n]
-        idx = np.array(starts) - 1
-        out = reference_sample_forecast(m, traj.xs[idx], filter_one(m, traj)[idx], us,
-                                        rng, lengths)
-        for h in horizons:
-            rows = [r for r, s in enumerate(starts) if s + h <= traj.T]
-            if rows:
-                preds[h].append(out[rows, h - 1])
-                truths[h].append(traj.xs[idx[rows] + h])
-    return [nmse(np.concatenate(preds[h]), np.concatenate(truths[h]), normalizer)
-            for h in horizons]
-
-
-@pytest.mark.parametrize("mode", ["marginal", "sample"])
+@pytest.mark.parametrize("mode", ["marginal", "argmax"])
 def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
     m = random_model(K=2, d_x=2, d_u=1, seed=10)
     trajs = [random_trajectory(m, T=T, seed=s)[0] for s, T in enumerate((25, 12, 30))]
     test = Dataset(trajs)
     horizons = [1, 5, 15]
-    normalizer = dataset_normalizer(test)
-    if mode == "sample":
-        want = _joint_sample_reference(m, trajs, horizons, normalizer,
-                                       np.random.default_rng(3))
-    else:
-        want = _per_horizon_reference(m, trajs, horizons, mode, normalizer)
+    want = _per_horizon_reference(m, trajs, horizons, mode, dataset_normalizer(test))
     calls = []
 
     def counted(model, dataset):
@@ -409,8 +343,7 @@ def test_evaluate_filters_each_trajectory_once(monkeypatch, mode):
 
     monkeypatch.setattr(evaluation, "filter_all", counted)
     m2 = random_model(K=3, d_x=2, d_u=1, seed=11)
-    report = evaluate({"m": [m], "m2": [m2]}, test, horizons, mode=mode,
-                      rng=np.random.default_rng(3))
+    report = evaluate({"m": [m], "m2": [m2]}, test, horizons, mode=mode)
     # one padded batch of the whole test set per model
     assert calls == [(id(m), True), (id(m2), True)]
     assert [r["nmse"] for r in report.per_split[:len(horizons)]] == want

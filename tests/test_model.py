@@ -74,7 +74,7 @@ def _step_mean(m, x, u):
     step ahead."""
     us = np.asarray(u, dtype=float).reshape(1, 1, -1)
     return _forecast_batch(m, np.asarray(x, dtype=float)[None], np.ones((1, 1)), us,
-                           "argmax", None, np.array([1]))[0, 0]
+                           "argmax", np.array([1]))[0, 0]
 
 
 def test_step_dynamics_identity():
@@ -373,21 +373,26 @@ def _block_arrays(model):
             for name, a in vars(block).items() if isinstance(a, np.ndarray)]
 
 
+def _whitener(cov):
+    """inv(L) of cov's lower Cholesky factor L, by back substitution on L'."""
+    return np.linalg.inv(np.linalg.cholesky(cov).T).T
+
+
 def test_regime_blocks_are_read_only_and_per_regime():
     m = random_model(K=3, d_x=2, d_u=2, mode=CLOSED_LOOP, seed=3, lag=1)
     dyn = m.dynamics
     for k in range(m.K):
-        np.testing.assert_array_equal(dyn.lam_chol[k], np.linalg.cholesky(dyn.lam_cov[k]))
+        np.testing.assert_array_equal(dyn.lam_whiten[k], _whitener(dyn.lam_cov[k]))
         # at the mean, the log density is exactly -lam_const / 2
         assert -0.5 * dyn.lam_const[k] == mvn_logpdf(dyn.c[k], dyn.c[k], dyn.lam_cov[k])
     arrays = _block_arrays(m)
-    assert len(arrays) == 6 + 7 + 6
+    assert len(arrays) == 5 + 6 + 6
     for name, a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     # a block built from reordered regimes factors them in that order
     flipped = Dynamics(*(getattr(dyn, f)[::-1] for f in ("A", "B", "c", "lam_cov")))
-    np.testing.assert_array_equal(flipped.lam_chol, dyn.lam_chol[::-1])
+    np.testing.assert_array_equal(flipped.lam_whiten, dyn.lam_whiten[::-1])
 
 
 def test_regime_stack_without_controls():
@@ -407,7 +412,7 @@ def test_fitted_blocks_are_c_contiguous_and_read_only(mode, lag):
                           n=3, T=40, seed=6)
     m, _ = fit_em(data, FitConfig(K=2, mode=mode, transition_kind="linear", lag=lag,
                                   max_iters=3, restarts=1))
-    assert len(_block_arrays(m)) == (19 if mode == CLOSED_LOOP else 13)
+    assert len(_block_arrays(m)) == (17 if mode == CLOSED_LOOP else 11)
     for name, a in _block_arrays(m):
         assert a.flags.c_contiguous, name
         assert not a.flags.writeable, name
@@ -542,11 +547,13 @@ def test_regime_stack_factors_every_covariance():
     m = random_model(K=3, d_x=2, d_u=2, mode=CLOSED_LOOP, seed=3, lag=1)
     init, ctl = m.init, m.controllers
     for k in range(m.K):
-        for chol, const, cov in ((init.omega_chol, init.omega_const, init.omega_cov[k]),
-                                 (ctl.sigma_chol, ctl.sigma_const, ctl.sigma_cov[k])):
-            np.testing.assert_array_equal(chol[k], np.linalg.cholesky(cov))
+        np.testing.assert_array_equal(ctl.sigma_chol[k], np.linalg.cholesky(ctl.sigma_cov[k]))
+        for whiten, const, cov in ((init.omega_whiten, init.omega_const, init.omega_cov[k]),
+                                   (ctl.sigma_whiten, ctl.sigma_const, ctl.sigma_cov[k])):
+            np.testing.assert_array_equal(whiten[k], _whitener(cov))
             assert -0.5 * const[k] == mvn_logpdf(np.zeros(len(cov)), 0.0, cov)
-    for a in (init.omega_chol, init.omega_const, ctl.sigma_chol, ctl.sigma_const):
+    for a in (init.omega_whiten, init.omega_const, ctl.sigma_chol, ctl.sigma_whiten,
+              ctl.sigma_const):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
 

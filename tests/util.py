@@ -273,33 +273,6 @@ def reference_gd_mstep(xis, dataset, tm_hat):
     return vector_to_params(tm_hat, vec) if improved else tm_hat
 
 
-def reference_sample_forecast(model, x0, b0, us, rng, lengths=None):
-    """Sample-mode forecast that draws each start's regime by rng.choice and
-    its process noise through mvn_sample, one start after another. Row r runs
-    lengths[r] steps (all h when None) and is NaN after them; each step draws
-    for the rows still running, in row order: all their regimes, then their
-    noises."""
-    M, h = us.shape[:2]
-    lengths = np.full(M, h) if lengths is None else np.asarray(lengths)
-    x = np.array(x0, dtype=float)
-    b = np.array(b0, dtype=float)
-    A, B, c = model.dynamics.A, model.dynamics.B, model.dynamics.c
-    out = np.full((M, h, x.shape[1]), np.nan)
-    for i in range(h):
-        run = np.flatnonzero(lengths > i)
-        u = us[run, i, :]
-        pb = np.einsum("mij,mj->mi", transition_matrices(model.transition, x[run], u),
-                       b[run])
-        pb /= pb.sum(axis=1, keepdims=True)
-        means = np.einsum("kde,me->mkd", A, x[run]) + np.einsum("kdu,mu->mkd", B, u) + c
-        ks = [rng.choice(model.K, p=p) for p in pb]
-        for m, r in enumerate(run):
-            x[r] = mvn_sample(rng, means[m, ks[m]], model.dynamics.lam_cov[ks[m]])
-            b[r] = np.eye(model.K)[ks[m]]
-            out[r, i, :] = x[r]
-    return out
-
-
 def reference_log_local_evidence(model, traj):
     """(T, K) local evidence one regime at a time, each density through
     mvn_logpdf, which factorizes its covariance on every call."""
@@ -695,9 +668,10 @@ class LastUniformRng:
         return np.zeros(shape)
 
 
-# a belief with no mass on regime 0 whose cumulative sum, once normalized by
-# its total, ends below 1: a last-double draw lies past its last entry
-EDGE_BELIEF = np.array([0.0, 0.231, 0.052])
+# a belief with no mass on regime 0, within act's 1e-6 of the simplex, whose
+# cumulative sum, once normalized by its total, ends below 1: a last-double
+# draw lies past its last entry
+EDGE_BELIEF = np.array([0.0, 0.6, 0.4000001])
 
 
 def hanging_rollout(config, model, seed, **kwargs):
