@@ -11,9 +11,9 @@ from rarhmm.model import (Controllers, Dataset, Dynamics, HybridModel,
                           InitialModel, Trajectory, log_local_evidence)
 from rarhmm.transition import make_transition
 
-from util import (brute_force_posterior, filter_one, forward_pass, local_quantities,
-                  mvn_logpdf, random_dataset, random_model, random_trajectory,
-                  reference_sample_trajectory)
+from util import (EDGE_BELIEF, LastUniformRng, brute_force_posterior, filter_one,
+                  forward_pass, local_quantities, mvn_logpdf, random_dataset, random_model,
+                  random_trajectory, reference_sample_trajectory)
 
 
 def _ball_truth_maps(cfg):
@@ -233,6 +233,15 @@ def test_draw_regimes_equals_generator_choice():
             chosen = np.random.default_rng(seed)
             want = [chosen.choice(K, p=b) for b in beliefs]
             assert np.array_equal(draw_regimes(np.random.default_rng(seed), beliefs), want)
+
+
+def test_draw_regimes_never_draws_a_regime_without_mass():
+    # the belief's cumulative sum rounds below 1, and the largest uniform
+    # lands past it: the draw is the last regime with mass, as
+    # Generator.choice draws it, not one past the end
+    b = EDGE_BELIEF / EDGE_BELIEF.sum()
+    assert np.cumsum(b)[-1] <= np.nextafter(1.0, 0.0)
+    assert draw_regimes(LastUniformRng(), b[None])[0] == 2
 
 
 def test_ragged_forecast_reads_only_each_rows_actions():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rarhmm import envs, policy
-from rarhmm._linalg import draw_regimes
 from rarhmm.envs import default_config, env_dims, load_dataset
 from rarhmm.evaluation import filter_all
 from rarhmm.learning import FitConfig, fit_em
@@ -175,14 +174,13 @@ def test_bayes_update_is_the_log_scale_normalization_at_moderate_evidence():
             assert np.array_equal(_bayes_update(prior, log_ev), want)
 
 
-def test_act_never_samples_a_regime_without_mass():
+def test_act_samples_the_regime_a_forecast_samples():
     # zero gains: each regime's control is its offset, the regime index
     cm = _closed_loop_model([np.array([[0.0]])] * 3, offsets=[[0.0], [1.0], [2.0]])
     assert np.cumsum(_check_belief(cm, EDGE_BELIEF))[-1] <= np.nextafter(1.0, 0.0)
     u, k = act(cm, EDGE_BELIEF, np.zeros(1), [], mode="sample", rng=LastUniformRng())
     # the last regime with mass, as Generator.choice draws it
     assert k == 2 and u[0] == 2.0
-    assert draw_regimes(LastUniformRng(), EDGE_BELIEF[None] / EDGE_BELIEF.sum())[0] == 2
 
 
 def test_act_mean_blend_cancels():
