@@ -6,8 +6,8 @@ both built from it. Every command takes flags plus an optional JSON config
 file (flags override the file, unknown keys are rejected); a value of the
 wrong kind is a usage error naming its flag, whether it came from a flag or
 the file. Commands validate inputs before writing anything, and stamp outputs
-with a provenance header (config hash, seed, version). Fixed seeds give
-byte-identical output files.
+with a provenance header (config hash, the seed of a command that takes one,
+version). Fixed seeds give byte-identical output files.
 """
 from __future__ import annotations
 
@@ -143,14 +143,17 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _provenance(cfg: dict) -> dict:
+    """Config hash, seed (for the commands that take one) and version."""
     blob = json.dumps(cfg, sort_keys=True, default=str)
-    return {"config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
-            "seed": cfg.get("seed", 0), "version": __version__}
+    prov = {"config_sha256": hashlib.sha256(blob.encode()).hexdigest()}
+    if "seed" in cfg:
+        prov["seed"] = cfg["seed"]
+    prov["version"] = __version__
+    return prov
 
 
 def _header_lines(prov: dict) -> tuple:
-    return (f"config_sha256={prov['config_sha256']}",
-            f"seed={prov['seed']}", f"version={prov['version']}")
+    return tuple(f"{key}={value}" for key, value in prov.items())
 
 
 def _write_text(path, text: str) -> None:

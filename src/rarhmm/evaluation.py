@@ -7,10 +7,12 @@ one-step state prediction. Each start of a test trajectory runs one forecast
 path, as long as the largest horizon that fits before the trajectory ends,
 and that path is scored at the final step of every horizon window it covers,
 normalized by per-dimension test-set variance so a mean predictor scores 1.
-A trajectory's starts run as one batch of ragged rows (_forecast_batch with
-lengths), so each (start, step) pair is forecast once, whatever the horizons.
-The beliefs come from one forward pass over the whole test set, padded to its
-longest trajectory (filter_all): the same padded batch the E-step smooths.
+Every start of every test trajectory runs in one batch of ragged rows per
+model (_forecast_batch with lengths, the rows ordered by path length), so each
+(start, step) pair is forecast once, whatever the horizons, and each step of
+the batch is one link evaluation over all running rows. The beliefs come from
+one forward pass over the whole test set, padded to its longest trajectory
+(filter_all): the same padded batch the E-step smooths.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .inference import _forward_batch, padded_inputs
-from .model import Dataset, HybridModel, Trajectory
+from .model import Dataset, HybridModel
 from .transition import transition_matrices
 
 MODE_MARGINAL = "marginal"
@@ -48,13 +50,18 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
 
     x0 (M, d_x) states, b0 (M, K) beliefs, us (M, h, d_u) recorded actions.
     Returns (M, h, d_x). Row r runs lengths[r] <= h steps and its later
-    entries are NaN; lengths must not increase, so the
-    rows still running at step i are a prefix and only that prefix of x, b
-    and us[:, i] is read. Marginal propagates the full belief and predicts
-    the belief-weighted mean; argmax collapses the belief to its best regime
-    each step. mode is one of FORECAST_MODES, which evaluate checks.
+    entries are NaN; lengths must not increase (a ValueError names the first
+    row that breaks either rule), so the rows still running at step i are a
+    prefix and only that prefix of x, b and us[:, i] is read. Marginal
+    propagates the full belief and predicts the belief-weighted mean; argmax
+    collapses the belief to its best regime each step. mode is one of
+    FORECAST_MODES, which evaluate checks.
     """
     M, h = us.shape[:2]
+    bad = np.flatnonzero(np.diff(lengths, prepend=h) > 0)
+    if bad.size:
+        raise ValueError(f"lengths must not increase and must be at most h = {h}, "
+                         f"but row {bad[0]} runs {lengths[bad[0]]} steps")
     running = np.count_nonzero(lengths > np.arange(h)[:, None], axis=1)
     x = np.array(x0, dtype=float)
     b = np.array(b0, dtype=float)
@@ -136,20 +143,38 @@ class EvalReport:
         return "\n".join(out)
 
 
-def _window_forecasts(model: HybridModel, traj: Trajectory, alpha: np.ndarray, hs: np.ndarray,
-                      mode: str) -> np.ndarray:
+def _test_set_forecasts(model: HybridModel, test: Dataset, hs: np.ndarray,
+                        mode: str) -> list:
     """One _forecast_batch call over every 1-based start s = 1 .. T - hs[0]
-    of the trajectory, in ascending order, from its filtered beliefs alpha
-    (row s-1 at s); row s runs the largest horizon h in hs (ascending,
-    distinct, hs[0] < T) with s + h <= T. Returns (T - hs[0], hs[-1], d_x)."""
-    n = traj.T - hs[0]
-    starts = np.arange(1, n + 1)
-    lengths = hs[np.searchsorted(hs, traj.T - starts, side="right") - 1]
-    # each start's actions as a window view; a read past the row's end
-    # reaches the NaN padding, which the transition link rejects
-    padded = np.concatenate([traj.us, np.full((hs[-1] - 1, traj.d_u), np.nan)])
-    us = sliding_window_view(padded, hs[-1], axis=0)[:n].transpose(0, 2, 1)
-    return _forecast_batch(model, traj.xs[:n], alpha[:n], us, mode, lengths)
+    of every test trajectory with T > hs[0], from its filtered belief
+    (filter_all, row s-1 at s); start s runs the largest horizon h in hs
+    (ascending, distinct) with s + h <= T. The rows are stacked in order of
+    path length, descending and stable, as _forecast_batch requires; one
+    trajectory's starts are in that order already, so a lone trajectory is
+    passed as it is. Returns (traj, forecasts) pairs in test-set order, the
+    forecasts (T - hs[0], hs[-1], d_x) with row s-1 at start s."""
+    trajs, rows = [], []
+    for traj, alpha in zip(test.trajectories, filter_all(model, test)):
+        n = traj.T - hs[0]
+        if n < 1:
+            continue
+        starts = np.arange(1, n + 1)
+        lengths = hs[np.searchsorted(hs, traj.T - starts, side="right") - 1]
+        # each start's actions as a window view; a read past the row's end
+        # reaches the NaN padding, which the transition link rejects
+        padded = np.concatenate([traj.us, np.full((hs[-1] - 1, traj.d_u), np.nan)])
+        us = sliding_window_view(padded, hs[-1], axis=0)[:n].transpose(0, 2, 1)
+        trajs.append(traj)
+        rows.append((traj.xs[:n], alpha[:n], us, lengths))
+    if len(rows) == 1:
+        x0, b0, us, lengths = rows[0]
+        return [(trajs[0], _forecast_batch(model, x0, b0, us, mode, lengths))]
+    x0, b0, us, lengths = (np.concatenate(part) for part in zip(*rows))
+    order = np.argsort(-lengths, kind="stable")
+    out = np.empty((len(order), hs[-1], model.d_x))
+    out[order] = _forecast_batch(model, x0[order], b0[order], us[order], mode,
+                                 lengths[order])
+    return list(zip(trajs, np.split(out, np.cumsum([len(r[0]) for r in rows])[:-1])))
 
 
 def evaluate(models_by_tag: dict, test: Dataset, horizons,
@@ -159,10 +184,13 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     models_by_tag maps a tag to the list of fitted models, one per split,
     which must agree in K and in count_params_breakdown.
     Aggregation is the mean and population std over splits. Each model
-    filters the whole test set once (filter_all, whose padded (B, T_max, K)
-    beliefs stay alive while that model is scored) and forecasts each test
-    trajectory once (_window_forecasts): one path per start, scored at every
-    horizon that fits. mode is one of FORECAST_MODES.
+    filters the whole test set once (filter_all) and forecasts it in one
+    batch (_test_set_forecasts): one path per start, scored at every horizon
+    that fits. mode is one of FORECAST_MODES. Per model the batch holds the
+    padded (B, T_max, K) beliefs, and for all n_starts starts and the longest
+    horizon h_max the (n_starts, h_max, d_u) action windows and one
+    (n_starts, h_max, d_x) forecast array; at each step it holds one
+    (n_running, K, K) link stack over the rows still running.
     """
     if mode not in FORECAST_MODES:
         raise ValueError(f"mode must be one of {FORECAST_MODES}, got {mode!r}")
@@ -189,10 +217,7 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
         for s, model in enumerate(models):
             preds = [[] for _ in horizons]
             truths = [[] for _ in horizons]
-            for traj, alpha in zip(test.trajectories, filter_all(model, test)):
-                if traj.T <= hs[0]:
-                    continue
-                out = _window_forecasts(model, traj, alpha, hs, mode)
+            for traj, out in _test_set_forecasts(model, test, hs, mode):
                 for j, h in enumerate(horizons):
                     if traj.T > h:
                         # starts 1 .. T - h, scored against x_{s+h}

@@ -7,7 +7,8 @@ The sequence covers every command path whose output a refactor must keep
 byte-identical:
 - simulate the bouncing ball, then `fit --manifest` (K = 3, linear link);
 - eval those fits in marginal and argmax mode;
-- fit and eval ragged copies of the ball data (K = 4, stationary link);
+- fit and eval ragged copies of the ball data (K = 4, stationary link), and
+  eval that fit and the linear fits on the ragged test set in argmax mode;
 - fit the ball data with a polynomial:2 link, from a --config file, and
   with a perceptron:4 link, then eval both;
 - warm-start a perceptron fit from the first one (fit --init-model);
@@ -95,6 +96,9 @@ def _commands(size: dict) -> list:
         ["eval", "--test", "ball/ragged_test.ndjson", "--model",
          "stationary=fit_ragged/model.json", "--horizons", "1,5",
          "--out-dir", "eval_ragged"],
+        ["eval", "--test", "ball/ragged_test.ndjson", "--model",
+         "stationary=fit_ragged/model.json", "--model", "linear=fit/model_split*.json",
+         "--horizons", "1,5,10", "--mode", "argmax", "--out-dir", "eval_ragged_argmax"],
         lambda: _write_config("fit_polynomial.json", dict(
             data="ball/train.ndjson", K=3, transition="polynomial:2",
             max_iters=size["iters"], restarts=1, out_dir="fit_polynomial")),

@@ -194,6 +194,23 @@ def test_eval_rejects_a_repeated_horizon(tmp_path, capsys):
     assert not ev.exists()
 
 
+def test_eval_stamps_no_seed(tmp_path):
+    # eval draws nothing; its headers and provenance used to carry seed=0
+    data = tmp_path / "d"
+    _simulate_small(data)
+    save_model(tmp_path / "a.json", random_model(K=2, d_x=2, d_u=1, seed=1))
+    ev = tmp_path / "ev"
+    assert _run("eval", "--test", str(data / "test.ndjson"), "--model",
+                f"m={tmp_path}/a.json", "--horizons", "1,3", "--out-dir", str(ev)) == EXIT_OK
+    prov = json.loads((ev / "run.json").read_text())["provenance"]
+    assert sorted(prov) == ["config_sha256", "version"]
+    for name in ("report.csv", "report_long.csv"):
+        lines = (ev / name).read_text().splitlines()
+        assert lines[:2] == [f"# config_sha256={prov['config_sha256']}",
+                             f"# version={__version__}"]
+        assert not any(line.startswith("# seed=") for line in lines)
+
+
 def test_distill_rollout_pipeline(tmp_path, capsys):
     demos = tmp_path / "demos"
     assert _run("simulate", "--env", "pendulum", "--policy", "expert",

@@ -383,14 +383,68 @@ def test_evaluate_forecasts_each_trajectory_once_per_model(monkeypatch):
     batch = evaluation._forecast_batch
 
     def counted(model, x0, *args, **kwargs):
-        calls.append((id(model), len(x0)))
+        calls.append((id(model), len(x0), sorted(map(tuple, x0))))
         return batch(model, x0, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "_forecast_batch", counted)
     evaluate({"a": [m1, m2], "b": [m3]}, Dataset(trajs), [8, 3, 5])
     # the T = 3 trajectory exceeds no horizon; the others forecast every
-    # start t <= T - 3 in one call per model
-    assert calls == [(id(m), n) for m in (m1, m2, m3) for n in (17, 8)]
+    # start t <= T - 3, all in one call per model: 17 + 8 rows
+    starts = sorted(map(tuple, np.concatenate([trajs[0].xs[:17], trajs[2].xs[:8]])))
+    assert calls == [(id(m), 25, starts) for m in (m1, m2, m3)]
+
+
+@pytest.mark.parametrize("mode", ["marginal", "argmax"])
+def test_stacked_forecast_equals_one_call_per_trajectory(monkeypatch, mode):
+    # sorted by path length, the rows of T = 40 and 26 run 25 steps, then
+    # those of 40, 26 and 12 run 10, then 40, 26, 12 and 9 run 7, ...
+    m = random_model(K=3, d_x=2, d_u=1, kind="linear", seed=21)
+    trajs = [random_trajectory(m, T=T, seed=s)[0]
+             for s, T in enumerate((40, 9, 26, 3, 12))]
+    test = Dataset(trajs)
+    hs = np.array([1, 7, 10, 25])
+    calls = []
+    batch = evaluation._forecast_batch
+
+    def counted(model, x0, *args, **kwargs):
+        calls.append(x0)
+        return batch(model, x0, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_forecast_batch", counted)
+    got = evaluation._test_set_forecasts(m, test, hs, mode)
+    assert len(calls) == 1 and len(calls[0]) == sum(T - 1 for T in (40, 9, 26, 3, 12))
+    stacked = np.concatenate([traj.xs[:traj.T - 1] for traj in trajs])
+    assert not np.array_equal(calls[0], stacked)
+    assert [traj for traj, _ in got] == trajs
+    for (traj, out), alpha in zip(got, filter_all(m, test)):
+        n = traj.T - 1
+        lengths = hs[np.searchsorted(hs, traj.T - np.arange(1, n + 1), side="right") - 1]
+        us = np.full((n, 25, 1), np.nan)
+        for r, length in enumerate(lengths):
+            us[r, :length] = traj.us[r:r + length]
+        want = batch(m, traj.xs[:n], alpha[:n], us, mode, lengths)
+        lone = mode == "marginal" and traj.T == 26
+        if lone:
+            # the first start of T = 26 is the one 25-step row of its own
+            # call, so from step 10 on that call runs one row: numpy's
+            # one-row loops (the link's matmul, the belief einsum) round the
+            # marginal belief differently from the 16-row stacked step
+            np.testing.assert_allclose(out[0], want[0], rtol=1e-14, atol=0)
+        assert np.array_equal(out[lone:], want[lone:], equal_nan=True)
+
+
+def test_forecast_lengths_must_not_increase_nor_pass_the_horizon():
+    m = random_model(K=2, d_x=2, d_u=1, seed=11)
+    rng = np.random.default_rng(11)
+    x0, b0 = rng.standard_normal((4, 2)), rng.dirichlet(np.ones(2), size=4)
+    us = rng.standard_normal((4, 5, 1))
+    # both used to run silently: with [5, 3, 4, 1] the running prefix held
+    # the wrong rows (row 1 ran a fourth step, row 2 stopped after three),
+    # and a length past h was cut to h
+    with pytest.raises(ValueError, match="must not increase .* row 2 runs 4 steps$"):
+        _forecast_batch(m, x0, b0, us, "marginal", np.array([5, 3, 4, 1]))
+    with pytest.raises(ValueError, match="at most h = 5, but row 0 runs 6 steps$"):
+        _forecast_batch(m, x0, b0, us, "argmax", np.array([6, 5, 2, 1]))
 
 
 def test_evaluate_errors():
