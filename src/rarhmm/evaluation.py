@@ -144,16 +144,17 @@ class EvalReport:
 
 
 def _test_set_forecasts(model: HybridModel, test: Dataset, hs: np.ndarray,
-                        mode: str) -> list:
+                        mode: str) -> tuple:
     """One _forecast_batch call over every 1-based start s = 1 .. T - hs[0]
     of every test trajectory with T > hs[0], from its filtered belief
     (filter_all, row s-1 at s); start s runs the largest horizon h in hs
-    (ascending, distinct) with s + h <= T. The rows are stacked in order of
-    path length, descending and stable, as _forecast_batch requires; one
-    trajectory's starts are in that order already, so a lone trajectory is
-    passed as it is. Returns (traj, forecasts) pairs in test-set order, the
-    forecasts (T - hs[0], hs[-1], d_x) with row s-1 at start s."""
-    trajs, rows = [], []
+    (ascending, distinct) with s + h <= T. The batch rows are ordered by path
+    length, descending and stable, as _forecast_batch requires, and each
+    trajectory's states, beliefs and action windows are written straight
+    into their rows. Returns the forecasts (n_starts, hs[-1], d_x) in batch
+    order and, in test-set order, (traj, rows) pairs: rows[s-1] is the batch
+    row of start s."""
+    trajs, parts = [], []
     for traj, alpha in zip(test.trajectories, filter_all(model, test)):
         n = traj.T - hs[0]
         if n < 1:
@@ -165,16 +166,21 @@ def _test_set_forecasts(model: HybridModel, test: Dataset, hs: np.ndarray,
         padded = np.concatenate([traj.us, np.full((hs[-1] - 1, traj.d_u), np.nan)])
         us = sliding_window_view(padded, hs[-1], axis=0)[:n].transpose(0, 2, 1)
         trajs.append(traj)
-        rows.append((traj.xs[:n], alpha[:n], us, lengths))
-    if len(rows) == 1:
-        x0, b0, us, lengths = rows[0]
-        return [(trajs[0], _forecast_batch(model, x0, b0, us, mode, lengths))]
-    x0, b0, us, lengths = (np.concatenate(part) for part in zip(*rows))
+        parts.append((traj.xs[:n], alpha[:n], us, lengths))
+    lengths = np.concatenate([part[3] for part in parts])
     order = np.argsort(-lengths, kind="stable")
-    out = np.empty((len(order), hs[-1], model.d_x))
-    out[order] = _forecast_batch(model, x0[order], b0[order], us[order], mode,
-                                 lengths[order])
-    return list(zip(trajs, np.split(out, np.cumsum([len(r[0]) for r in rows])[:-1])))
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    rows = np.split(where, np.cumsum([len(part[3]) for part in parts])[:-1])
+
+    def stacked(k):
+        out = np.empty((order.size, *parts[0][k].shape[1:]))
+        for part, at in zip(parts, rows):
+            out[at] = part[k]
+        return out
+
+    out = _forecast_batch(model, stacked(0), stacked(1), stacked(2), mode, lengths[order])
+    return out, list(zip(trajs, rows))
 
 
 def evaluate(models_by_tag: dict, test: Dataset, horizons,
@@ -188,7 +194,8 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     batch (_test_set_forecasts): one path per start, scored at every horizon
     that fits. mode is one of FORECAST_MODES. Per model the batch holds the
     padded (B, T_max, K) beliefs, and for all n_starts starts and the longest
-    horizon h_max the (n_starts, h_max, d_u) action windows and one
+    horizon h_max one copy of the starts' states, beliefs and
+    (n_starts, h_max, d_u) action windows, in batch order, and one
     (n_starts, h_max, d_x) forecast array; at each step it holds one
     (n_running, K, K) link stack over the rows still running.
     """
@@ -217,11 +224,12 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
         for s, model in enumerate(models):
             preds = [[] for _ in horizons]
             truths = [[] for _ in horizons]
-            for traj, out in _test_set_forecasts(model, test, hs, mode):
+            out, parts = _test_set_forecasts(model, test, hs, mode)
+            for traj, rows in parts:
                 for j, h in enumerate(horizons):
                     if traj.T > h:
                         # starts 1 .. T - h, scored against x_{s+h}
-                        preds[j].append(out[:traj.T - h, h - 1])
+                        preds[j].append(out[rows[:traj.T - h], h - 1])
                         truths[j].append(traj.xs[h:])
             for j, h in enumerate(horizons):
                 scores[s, j] = nmse(np.concatenate(preds[j]), np.concatenate(truths[j]),

@@ -371,6 +371,11 @@ def test_joint_forecast_equals_per_horizon_protocol(mode, horizons):
     want = _per_horizon_reference(m, trajs, horizons, mode, dataset_normalizer(test))
     report = evaluate({"m": [m]}, test, horizons, mode=mode)
     assert [r["h"] for r in report.per_split] == list(horizons)
+    # exact only by rounding luck at marginal h = 25: the reference forecasts
+    # the one h = 25 start of T = 26 in a call of its own, evaluate stacks it
+    # with 15 rows of T = 40, and the two forecasts differ in their last bits
+    # (~5e-16 relative; see test_stacked_forecast_equals_one_call_per_trajectory)
+    # but round to the same NMSE
     assert [r["nmse"] for r in report.per_split] == want
     assert [r["mean"] for r in report.rows] == want
 
@@ -411,13 +416,15 @@ def test_stacked_forecast_equals_one_call_per_trajectory(monkeypatch, mode):
         return batch(model, x0, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "_forecast_batch", counted)
-    got = evaluation._test_set_forecasts(m, test, hs, mode)
+    res, got = evaluation._test_set_forecasts(m, test, hs, mode)
     assert len(calls) == 1 and len(calls[0]) == sum(T - 1 for T in (40, 9, 26, 3, 12))
     stacked = np.concatenate([traj.xs[:traj.T - 1] for traj in trajs])
     assert not np.array_equal(calls[0], stacked)
     assert [traj for traj, _ in got] == trajs
-    for (traj, out), alpha in zip(got, filter_all(m, test)):
+    for (traj, rows), alpha in zip(got, filter_all(m, test)):
         n = traj.T - 1
+        assert np.array_equal(calls[0][rows], traj.xs[:n])
+        out = res[rows]
         lengths = hs[np.searchsorted(hs, traj.T - np.arange(1, n + 1), side="right") - 1]
         us = np.full((n, 25, 1), np.nan)
         for r, length in enumerate(lengths):
