@@ -6,7 +6,19 @@ hold, and gauss_draw the Cholesky factors that only Controllers keeps, for
 policy.act's sample draws. draw_regimes is the one regime draw from a belief.
 A density whitens its residuals with the cached inverse W = inv(L) of the lower
 Cholesky factor L, |W r|^2 being the Mahalanobis term, so it costs one matmul
-and no factorization."""
+and no factorization.
+
+last_axis_max and last_axis_sum reduce over a short last axis, the regimes,
+by K - 1 elementwise passes over its slices: numpy reduces such an axis one
+output row at a time when its entries are adjacent in memory, several times
+slower on batch-sized arrays. Each returns numpy's x.max(axis=-1) or
+x.sum(axis=-1) bit for bit, save a NaN's sign bit, which depends on operand
+order (as from inf - inf). Below 8 entries numpy adds the entries in sequence
+from +0.0, and the slices add them in that order; from 8 entries on numpy
+sums pairwise and breaks a max's ties between -0.0 and +0.0 in an order of its
+own, so there the helpers call numpy. They call numpy too when the last axis
+is strided (as in a Fortran-ordered array): numpy then already runs
+elementwise, over the axis whose entries are adjacent, in fewer calls."""
 from __future__ import annotations
 
 import numpy as np
@@ -94,3 +106,32 @@ def draw_regimes(rng: np.random.Generator, beliefs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(beliefs, axis=1)
     cum /= cum[:, -1:]
     return np.count_nonzero(cum <= rng.random(len(beliefs))[:, None], axis=1)
+
+
+def _by_slices(x: np.ndarray) -> bool:
+    """Whether x's last axis has fewer than 8 entries, adjacent in memory:
+    the case in which reducing it by slices beats numpy and matches its
+    rounding (see the module docstring)."""
+    return x.shape[-1] < 8 and x.strides[-1] == x.itemsize
+
+
+def last_axis_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1) bit for bit, by elementwise maxima of the last axis's
+    slices when it is short and contiguous (see the module docstring)."""
+    if not _by_slices(x):
+        return x.max(axis=-1)
+    out = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        np.maximum(out, x[..., k], out=out)
+    return out
+
+
+def last_axis_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1) bit for bit, by adding the last axis's slices in
+    sequence when it is short and contiguous (see the module docstring)."""
+    if not _by_slices(x):
+        return x.sum(axis=-1)
+    out = x[..., 0] + 0.0                  # as numpy's sum, -0.0 + 0.0 is +0.0
+    for k in range(1, x.shape[-1]):
+        out += x[..., k]
+    return out

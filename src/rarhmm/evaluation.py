@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._linalg import last_axis_sum
 from .inference import _forward_batch, padded_inputs
 from .model import Dataset, HybridModel
 from .transition import transition_matrices
@@ -72,7 +73,7 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
         u = us[:m, i, :]
         psi = transition_matrices(model.transition, x, u)     # (m, K, K) [dest, src]
         b = np.einsum("mij,mj->mi", psi, b)
-        b /= b.sum(axis=1, keepdims=True)
+        b /= last_axis_sum(b)[:, None]
         # per-regime one-step means: (m, K, d_x); without controls B adds nothing
         Ax = np.einsum("kde,me->mkd", A, x)
         means = (Ax + np.einsum("kdu,mu->mkd", B, u) if u.shape[1] else Ax) + c

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import last_axis_max, last_axis_sum
 from .model import Dataset, HybridModel, log_local_evidence
 from .transition import transition_matrices
 
@@ -59,6 +60,12 @@ class Posterior:
 # _CHUNK + T / _CHUNK numpy steps instead of T. The backward pass folds its
 # weights into the transitions once and runs one matmul per step. Each stack
 # is local to its pass, so neither is alive when _smooth_batch forms xi.
+#
+# The batch-sized reductions over the regime axis (the per-step max evidence,
+# the scan's belief sums, gamma's normalizer and padded_inputs' check) run
+# through _linalg.last_axis_max and last_axis_sum: elementwise passes over the
+# K slices, whose results equal numpy's reductions bit for bit. Reductions
+# over a few rows, or over K * K entries, stay on numpy.
 
 # A scan serves a row up to its first step whose scale, belief sum or product
 # normalizer is below this (see _scan).
@@ -102,7 +109,7 @@ def _scan(ev, trans, pred, start):
     products went subnormal, so a scale derived from them lost precision."""
     R, W, K = ev.shape
     C, L = -(-(W - 1) // _CHUNK), _CHUNK
-    top = ev.max(axis=2)                                   # (R, W)
+    top = last_axis_max(ev)                                # (R, W)
     with np.errstate(invalid="ignore"):                    # +inf evidence: caught below
         E = ev - top[:, :, None]
         E = np.exp(E, out=E)
@@ -143,7 +150,7 @@ def _scan(ev, trans, pred, start):
             np.divide(abc[c], np.add.reduce(abc[c], axis=1, keepdims=True), out=abc[c])
         np.matmul(P.reshape(R, C, L * K, K), ab, out=V[:, 1:].reshape(R, C, L * K, 1))
         del P, Pl, last                                    # all views of the stack
-        sums = V[:, :W].sum(axis=2)                        # (R, W)
+        sums = last_axis_sum(V[:, :W])                     # (R, W)
         prev = np.ones((R, C * L + 1))                     # sum V of the step before
         prev[:, 1:W] = sums[:, :-1]
         prev[:, 1::L] = 1.0                                # a chunk's first step: sum ab
@@ -224,7 +231,7 @@ def _smooth_batch(ev, trans, pi, pad):
     alpha, log_norms = _forward_batch(ev, trans, pi, pad)
     beta, w = _backward_batch(ev, trans, log_norms, alpha)
     gamma = alpha * beta
-    gamma /= gamma.sum(axis=2, keepdims=True)
+    gamma /= last_axis_sum(gamma)[:, :, None]
     xi = np.einsum("btj,btij,bti->btji", alpha[:, :-1], trans, w)
     xi /= xi.sum(axis=(2, 3), keepdims=True)
     loglik = log_norms.sum(axis=1)
@@ -252,7 +259,7 @@ def padded_inputs(model: HybridModel, dataset: Dataset):
                                                     traj.us[:-1])
     if np.isnan(ev).any():
         raise ValueError("evidence contains NaN")
-    if not np.all(np.max(ev, axis=-1) > -np.inf):
+    if not np.all(last_axis_max(ev) > -np.inf):
         raise ValueError("evidence row with no finite entry (impossible observation)")
     return ev, trans, pad
 

@@ -25,6 +25,7 @@ constrained argmax, so the monotonicity guarantee survives the projection.
 """
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -71,8 +72,10 @@ class FitConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        tol = self.rel_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (
+                np.isfinite(tol) and tol > 0):
+            raise ValueError(f"rel_tol must be a finite positive number, got {tol!r}")
         if self.mode == OPEN_LOOP and (self.lag, self.poly_degree) != (0, 1):
             raise ValueError(f"lag and poly_degree shape the controllers of a closed-loop "
                              f"fit; an open-loop fit needs lag 0 and poly_degree 1, got "

@@ -13,6 +13,8 @@ byte-identical:
   with a perceptron:4 link, then eval both;
 - warm-start a perceptron fit from the first one (fit --init-model);
 - simulate the pendulum and the cart-pole under exploration in joint obs;
+- fit the pendulum data at K = 9 (linear link, 3 iterations), where the
+  reductions over the regimes leave the elementwise path, and eval that fit;
 - fit the cart-pole data (K = 5, linear link; its k-means points have 8
   coordinates) and eval that fit;
 - simulate expert pendulum demos in trig obs, then distill (degree 2);
@@ -114,6 +116,10 @@ def _commands(size: dict) -> list:
          "--out-dir", "fit_warm"],
         ["simulate", "--env", "pendulum", "--seed", "4", *explore, "--out-dir", "pendulum"],
         ["simulate", "--env", "cartpole", "--seed", "5", *explore, "--out-dir", "cartpole"],
+        ["fit", "--data", "pendulum/train.ndjson", "--K", "9", "--transition", "linear",
+         "--max-iters", "3", "--restarts", "1", "--out-dir", "fit_pendulum"],
+        ["eval", "--test", "pendulum/test.ndjson", "--model", "linear=fit_pendulum/model.json",
+         "--horizons", "1,5,10", "--out-dir", "eval_pendulum"],
         ["fit", "--data", "cartpole/train.ndjson", "--K", "5", "--transition", "linear",
          "--max-iters", iters, "--restarts", "1", "--out-dir", "fit_cartpole"],
         ["eval", "--test", "cartpole/test.ndjson", "--model", "linear=fit_cartpole/model.json",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rarhmm import inference
+from rarhmm._linalg import last_axis_max, last_axis_sum
 from rarhmm.inference import (Posterior, _forward_batch, _smooth_batch, estep,
                               smooth_dataset)
 from rarhmm.evaluation import filter_all
@@ -671,3 +672,63 @@ def test_filter_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (4 * 499 * 5 * 5 * 8) + 5 * (4 * 500 * 5 * 8)
+
+
+# -- the regime-axis reductions of _linalg ---------------------------------------
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1e300, -1e300])
+
+
+def _reduction_inputs(shape, seed):
+    """Arrays of the given shape holding zeros of either sign, the special
+    values, normals scaled by 10^-300 .. 10^300, and a mix of all three."""
+    rng = np.random.default_rng(seed)
+    zeros = rng.choice(_SPECIAL[:2], size=shape)
+    special = rng.choice(_SPECIAL, size=shape)
+    scaled = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+    mixed = np.choose(rng.integers(0, 3, shape), [zeros, special, scaled])
+    return zeros, special, scaled, mixed
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    # a zero's sign must match too; a NaN's sign comes from the operand order
+    # of inf - inf and is no number's sign
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+@pytest.mark.parametrize("lead", [(), (7,), (3, 40)], ids=repr)
+def test_last_axis_reductions_equal_numpy_bit_for_bit(lead, K):
+    with np.errstate(invalid="ignore"):                    # inf - inf
+        for x in _reduction_inputs((*lead, K), seed=K):
+            _assert_same_bits(last_axis_max(x), x.max(axis=-1))
+            _assert_same_bits(last_axis_sum(x), x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+@pytest.mark.parametrize("view", ["prefix", "fortran"])
+def test_last_axis_reductions_of_a_view_equal_numpy(view, K):
+    # a prefix is shaped like the forward scan's V[:, :W], the first W steps
+    # of a longer per-row buffer; a Fortran-ordered array, like the forecast's
+    # einsum belief on some links, has a strided last axis
+    with np.errstate(invalid="ignore"):
+        for buffer in _reduction_inputs((3, 50, K), seed=100 + K):
+            x = buffer[:, :37] if view == "prefix" else np.asfortranarray(buffer)
+            _assert_same_bits(last_axis_max(x), x.max(axis=-1))
+            _assert_same_bits(last_axis_sum(x), x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("K", [8, 9, 12, 16])
+def test_last_axis_sum_of_eight_or_more_entries_is_numpys(K):
+    # numpy adds 8 or more entries pairwise, so adding them in sequence
+    # would round differently
+    x = np.random.default_rng(K).standard_normal((500, K))
+    in_sequence = x[:, 0] + 0.0
+    for k in range(1, K):
+        in_sequence = in_sequence + x[:, k]
+    assert not np.array_equal(in_sequence, x.sum(axis=-1))
+    assert np.array_equal(last_axis_sum(x), x.sum(axis=-1))

@@ -48,7 +48,8 @@ def test_fit_config_spec_strings():
 @pytest.mark.parametrize("bad", [dict(K=2.5), dict(K=True), dict(max_iters=2.5),
                                  dict(lag=1.0), dict(poly_degree=np.float64(2)),
                                  dict(restarts=False), dict(seed=True), dict(seed=-1),
-                                 dict(rel_tol=np.nan), dict(rel_tol=np.inf), dict(rel_tol=0.0)],
+                                 dict(rel_tol=np.nan), dict(rel_tol=np.inf), dict(rel_tol=0.0),
+                                 dict(rel_tol=True), dict(rel_tol="1e-6"), dict(rel_tol=None)],
                          ids=repr)
 def test_fit_config_rejects_non_integral_counts_and_a_non_finite_tolerance(bad):
     name = next(iter(bad))
