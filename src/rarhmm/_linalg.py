@@ -37,6 +37,11 @@ def c_copy(x, ndim: int | None, name: str) -> np.ndarray:
     return a
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool: a count or a size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def set_frozen(block, **arrays) -> None:
     """Set each named array on a frozen dataclass, read-only."""
     for name, a in arrays.items():

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import is_integer
 from .model import Dataset, Trajectory
 
 ENV_BOUNCING_BALL = "bouncing_ball"
@@ -260,9 +261,9 @@ def simulate(config: EnvConfig, policy=None, T: int | None = None, *,
     The state is held as Python floats and stepped by _step; observations are
     formed once per trajectory, by observe on all T internal states.
     """
-    T = config.horizon if T is None else int(T)
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = config.horizon if T is None else T
+    if not is_integer(T) or T < 1:
+        raise ValueError(f"T must be an integer >= 1, got {T!r}")
     d_u = env_dims(config)[1]
     s = np.asarray(x0, dtype=float).tolist()
     states, us = np.empty((T, len(s))), np.empty((T, d_u))

@@ -8,11 +8,12 @@ path, as long as the largest horizon that fits before the trajectory ends,
 and that path is scored at the final step of every horizon window it covers,
 normalized by per-dimension test-set variance so a mean predictor scores 1.
 Every start of every test trajectory runs in one batch of ragged rows per
-model (_forecast_batch with lengths, the rows ordered by path length), so each
-(start, step) pair is forecast once, whatever the horizons, and each step of
-the batch is one link evaluation over all running rows. The beliefs come from
-one forward pass over the whole test set, padded to its longest trajectory
-(filter_all): the same padded batch the E-step smooths.
+model (_forecast_batch with lengths), so each (start, step) pair is forecast
+once, whatever the horizons, and each step of the batch is one link evaluation
+over all running rows. Only the beliefs in that batch depend on the model: the
+rest is laid out once per evaluate call (_forecast_layout). The beliefs come
+from one forward pass over the whole test set, padded to its longest
+trajectory (filter_all): the same padded batch the E-step smooths.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import last_axis_sum
+from ._linalg import is_integer, last_axis_sum
 from .inference import _forward_batch, padded_inputs
 from .model import Dataset, HybridModel
 from .transition import transition_matrices
@@ -144,44 +145,33 @@ class EvalReport:
         return "\n".join(out)
 
 
-def _test_set_forecasts(model: HybridModel, test: Dataset, hs: np.ndarray,
-                        mode: str) -> tuple:
-    """One _forecast_batch call over every 1-based start s = 1 .. T - hs[0]
-    of every test trajectory with T > hs[0], from its filtered belief
-    (filter_all, row s-1 at s); start s runs the largest horizon h in hs
-    (ascending, distinct) with s + h <= T. The batch rows are ordered by path
-    length, descending and stable, as _forecast_batch requires, and each
-    trajectory's states, beliefs and action windows are written straight
-    into their rows. Returns the forecasts (n_starts, hs[-1], d_x) in batch
-    order and, in test-set order, (traj, rows) pairs: rows[s-1] is the batch
-    row of start s."""
-    trajs, parts = [], []
-    for traj, alpha in zip(test.trajectories, filter_all(model, test)):
-        n = traj.T - hs[0]
-        if n < 1:
-            continue
-        starts = np.arange(1, n + 1)
-        lengths = hs[np.searchsorted(hs, traj.T - starts, side="right") - 1]
-        # each start's actions as a window view; a read past the row's end
-        # reaches the NaN padding, which the transition link rejects
-        padded = np.concatenate([traj.us, np.full((hs[-1] - 1, traj.d_u), np.nan)])
-        us = sliding_window_view(padded, hs[-1], axis=0)[:n].transpose(0, 2, 1)
-        trajs.append(traj)
-        parts.append((traj.xs[:n], alpha[:n], us, lengths))
-    lengths = np.concatenate([part[3] for part in parts])
+def _forecast_layout(test: Dataset, horizons: list) -> tuple:
+    """The model-free part of a test set's forecast batch: one row per
+    1-based start s = i + 1 of trajectory b with s + min(horizons) <= T_b,
+    running the largest horizon that fits. Rows are ordered by path length,
+    descending and stable over test-set order (by trajectory, then start), as
+    _forecast_batch requires. Returns, in batch order, the starts' (b, i)
+    index, states, action windows (NaN past a trajectory's end, which the link
+    rejects) and path lengths; and per horizon h, in the given order, the rows
+    of the starts with s + h <= T_b and their truths x_{s+h}, both in test-set
+    order."""
+    hs = np.unique(horizons)
+    T = np.array([traj.T for traj in test.trajectories])
+    b, i = np.nonzero(np.arange(T.max()) < (T - hs[0])[:, None])
+    lengths = hs[np.searchsorted(hs, T[b] - 1 - i, side="right") - 1]
     order = np.argsort(-lengths, kind="stable")
-    where = np.empty_like(order)
-    where[order] = np.arange(order.size)
-    rows = np.split(where, np.cumsum([len(part[3]) for part in parts])[:-1])
-
-    def stacked(k):
-        out = np.empty((order.size, *parts[0][k].shape[1:]))
-        for part, at in zip(parts, rows):
-            out[at] = part[k]
-        return out
-
-    out = _forecast_batch(model, stacked(0), stacked(1), stacked(2), mode, lengths[order])
-    return out, list(zip(trajs, rows))
+    rows = np.argsort(order)   # the batch row of each start in test-set order
+    xs = np.full((T.size, T.max(), test.d_x), np.nan)
+    us = np.full((T.size, T.max() + hs[-1] - 1, test.d_u), np.nan)
+    for k, traj in enumerate(test.trajectories):
+        xs[k, :traj.T], us[k, :traj.T] = traj.xs, traj.us
+    scored = []
+    for h in horizons:
+        keep = i < T[b] - h
+        scored.append((rows[keep], xs[b[keep], i[keep] + h]))
+    starts = b[order], i[order]
+    windows = sliding_window_view(us, hs[-1], axis=1).swapaxes(2, 3)
+    return starts, xs[starts], windows[starts], lengths[order], scored
 
 
 def evaluate(models_by_tag: dict, test: Dataset, horizons,
@@ -189,22 +179,24 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     """Score each tag's per-split models on the test set at every horizon.
 
     models_by_tag maps a tag to the list of fitted models, one per split,
-    which must agree in K and in count_params_breakdown.
-    Aggregation is the mean and population std over splits. Each model
-    filters the whole test set once (filter_all) and forecasts it in one
-    batch (_test_set_forecasts): one path per start, scored at every horizon
-    that fits. mode is one of FORECAST_MODES. Per model the batch holds the
-    padded (B, T_max, K) beliefs, and for all n_starts starts and the longest
-    horizon h_max one copy of the starts' states, beliefs and
-    (n_starts, h_max, d_u) action windows, in batch order, and one
-    (n_starts, h_max, d_x) forecast array; at each step it holds one
-    (n_running, K, K) link stack over the rows still running.
+    which must agree in K and in count_params_breakdown. horizons are
+    distinct integers >= 1. Aggregation is the mean and population std over
+    splits. Each model filters the whole test set once (filter_all) and
+    forecasts it in one batch: one path per start, scored at every horizon
+    that fits. mode is one of FORECAST_MODES. Once per call the batch holds,
+    for all n_starts starts and the longest horizon h_max, the starts' states
+    and (n_starts, h_max, d_u) action windows, and per horizon an index of
+    the scored rows and their truths (_forecast_layout). Per model the padded
+    (B, T_max, K) beliefs, the starts' beliefs and one (n_starts, h_max, d_x)
+    forecast array are held, and at each step one (n_running, K, K) link
+    stack over the rows still running.
     """
     if mode not in FORECAST_MODES:
         raise ValueError(f"mode must be one of {FORECAST_MODES}, got {mode!r}")
+    horizons = list(horizons)
+    if not horizons or not all(is_integer(h) and h >= 1 for h in horizons):
+        raise ValueError(f"horizons must be integers >= 1, got {horizons!r}")
     horizons = [int(h) for h in horizons]
-    if not horizons or min(horizons) < 1:
-        raise ValueError("need at least one horizon >= 1")
     normalizer = dataset_normalizer(test)
     longest = max(traj.T for traj in test.trajectories)
     for h in horizons:
@@ -212,29 +204,20 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
             raise ValueError(f"horizon {h} is given more than once")
         if longest <= h:
             raise ValueError(f"no trajectory is longer than horizon {h}")
-    hs = np.unique(horizons)
     for tag, models in models_by_tag.items():
         if not models:
             raise ValueError(f"tag {tag!r} has no models")
         if any(count_params_breakdown(m) != count_params_breakdown(models[0]) for m in models):
             raise ValueError(f"tag {tag!r} mixes models of different K or parameter counts")
+    starts, x0, us, lengths, scored = _forecast_layout(test, horizons)
     report = EvalReport()
     for tag, models in models_by_tag.items():
         K = models[0].K
         scores = np.empty((len(models), len(horizons)))
         for s, model in enumerate(models):
-            preds = [[] for _ in horizons]
-            truths = [[] for _ in horizons]
-            out, parts = _test_set_forecasts(model, test, hs, mode)
-            for traj, rows in parts:
-                for j, h in enumerate(horizons):
-                    if traj.T > h:
-                        # starts 1 .. T - h, scored against x_{s+h}
-                        preds[j].append(out[rows[:traj.T - h], h - 1])
-                        truths[j].append(traj.xs[h:])
-            for j, h in enumerate(horizons):
-                scores[s, j] = nmse(np.concatenate(preds[j]), np.concatenate(truths[j]),
-                                    normalizer)
+            out = _forecast_batch(model, x0, filter_all(model, test)[starts], us, mode, lengths)
+            for j, (h, (rows, truths)) in enumerate(zip(horizons, scored)):
+                scores[s, j] = nmse(out[rows, h - 1], truths, normalizer)
                 report.per_split.append(dict(tag=tag, K=model.K, split=s, h=h,
                                              nmse=float(scores[s, j])))
         for j, h in enumerate(horizons):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import floor_spd
+from ._linalg import floor_spd, is_integer
 from .inference import smooth_dataset
 from .model import (CLOSED_LOOP, MODES, OPEN_LOOP, Dataset, HybridModel,
                     Controllers, Dynamics, InitialModel, control_history,
@@ -70,7 +70,7 @@ class FitConfig:
         for name, least in (("K", 1), ("lag", 0), ("poly_degree", 1), ("max_iters", 1),
                             ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         tol = self.rel_tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import c_copy, gauss_factors, gauss_logpdf, set_frozen
+from ._linalg import c_copy, gauss_factors, gauss_logpdf, is_integer, set_frozen
 from .features import controller_feature_dim, polynomial_features
 from .transition import TransitionModel
 
@@ -350,7 +350,7 @@ def model_to_dict(model: HybridModel) -> dict:
 def _integer(block: dict, name: str, default=None) -> int:
     """A size field of a model document block: a JSON integer, or default if absent."""
     value = block[name] if default is None else block.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ValueError(f"model field {name!r} must be an integer, got {value!r}")
     return int(value)
 

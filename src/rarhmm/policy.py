@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import draw_regimes, gauss_draw, gauss_logpdf
+from ._linalg import draw_regimes, gauss_draw, gauss_logpdf, is_integer
 from .envs import (ENV_BOUNCING_BALL, ENV_CARTPOLE, EnvConfig, clip_control, env_dims,
                    observe, pole_state, save_dataset, step_env, wrap_angle)
 from .model import CLOSED_LOOP, HybridModel, Trajectory, control_history, control_means
@@ -170,10 +170,9 @@ def rollout(config: EnvConfig, model: HybridModel, T: int | None = None,
     the array RK4 step (the tests patch them in here).
     """
     check_policy_model(config, model)
-    if T is None:
-        T = config.horizon
-    if T < 2:
-        raise ValueError("T must be >= 2")
+    T = config.horizon if T is None else T
+    if not is_integer(T) or T < 2:
+        raise ValueError(f"T must be an integer >= 2, got {T!r}")
     state = np.asarray(x0, dtype=float)
 
     x = observe(config, state)

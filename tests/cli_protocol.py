@@ -8,7 +8,9 @@ byte-identical:
 - simulate the bouncing ball, then `fit --manifest` (K = 3, linear link);
 - eval those fits in marginal and argmax mode;
 - fit and eval ragged copies of the ball data (K = 4, stationary link), and
-  eval that fit and the linear fits on the ragged test set in argmax mode;
+  eval that fit and the linear fits on the ragged test set in argmax mode,
+  and in marginal mode at unsorted horizons whose largest passes the end of
+  the shortest test trajectory but not of the longest;
 - fit the ball data with a polynomial:2 link, from a --config file, and
   with a perceptron:4 link, then eval both;
 - warm-start a perceptron fit from the first one (fit --init-model);
@@ -48,11 +50,15 @@ from rarhmm.envs import load_dataset, save_dataset
 from rarhmm.model import Trajectory
 
 # per size: simulate's --steps (the env horizon when empty), the EM budgets,
-# the rollouts' episodes and --steps, and the expert rollouts' --steps
+# the rollouts' episodes and --steps, the expert rollouts' --steps, and the
+# ragged eval's horizons (the ragged ball test set is 200/400/600 steps long,
+# 10/20/30 when tiny)
 FULL = dict(steps=[], iters=15, distill_iters=30, episodes=3,
-            rollout_steps=["--steps", "1000"], expert_steps=["--steps", "500"])
+            rollout_steps=["--steps", "1000"], expert_steps=["--steps", "500"],
+            ragged_horizons="300,1,25")
 TINY = dict(steps=["--steps", "30"], iters=3, distill_iters=3, episodes=2,
-            rollout_steps=["--steps", "30"], expert_steps=["--steps", "30"])
+            rollout_steps=["--steps", "30"], expert_steps=["--steps", "30"],
+            ragged_horizons="15,1,5")
 
 
 def _ragged_copy(src: str, dst: str) -> None:
@@ -101,6 +107,9 @@ def _commands(size: dict) -> list:
         ["eval", "--test", "ball/ragged_test.ndjson", "--model",
          "stationary=fit_ragged/model.json", "--model", "linear=fit/model_split*.json",
          "--horizons", "1,5,10", "--mode", "argmax", "--out-dir", "eval_ragged_argmax"],
+        ["eval", "--test", "ball/ragged_test.ndjson", "--model", "linear=fit/model_split*.json",
+         "--model", "stationary=fit_ragged/model.json", "--horizons", size["ragged_horizons"],
+         "--mode", "marginal", "--out-dir", "eval_ragged_horizons"],
         lambda: _write_config("fit_polynomial.json", dict(
             data="ball/train.ndjson", K=3, transition="polynomial:2",
             max_iters=size["iters"], restarts=1, out_dir="fit_polynomial")),

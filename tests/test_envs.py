@@ -331,6 +331,19 @@ def test_simulate_determinism():
     np.testing.assert_array_equal(a.us, b.us)
 
 
+def test_step_counts_must_be_integers():
+    # a float count used to be cut silently, T = 5.9 to 5 steps
+    cfg = default_config(ENV_PENDULUM)
+    x0 = np.array([np.pi, 0.0])
+    for T in (5.9, 5.0, True, "5", 0):
+        with pytest.raises(ValueError, match=f"T must be an integer >= 1, got {re.escape(repr(T))}$"):
+            simulate(cfg, None, T=T, x0=x0)
+    for collect in (collect_trajectories, collect_demonstrations):
+        with pytest.raises(ValueError, match="T must be an integer >= 1, got 5.9$"):
+            collect(cfg, 1, 0, T=5.9)
+    assert simulate(cfg, None, T=np.int64(5), x0=x0).T == 5
+
+
 def test_nonfinite_state_aborts_with_step_index():
     cfg = default_config(ENV_PENDULUM)
     with pytest.raises(FloatingPointError, match="step 0"):

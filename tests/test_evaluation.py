@@ -391,8 +391,18 @@ def test_evaluate_forecasts_each_trajectory_once_per_model(monkeypatch):
         calls.append((id(model), len(x0), sorted(map(tuple, x0))))
         return batch(model, x0, *args, **kwargs)
 
+    layouts = []
+    layout = evaluation._forecast_layout
+
+    def laid_out(*args):
+        layouts.append(args)
+        return layout(*args)
+
     monkeypatch.setattr(evaluation, "_forecast_batch", counted)
+    monkeypatch.setattr(evaluation, "_forecast_layout", laid_out)
     evaluate({"a": [m1, m2], "b": [m3]}, Dataset(trajs), [8, 3, 5])
+    # the model-free part of the batch is laid out once per call
+    assert len(layouts) == 1
     # the T = 3 trajectory exceeds no horizon; the others forecast every
     # start t <= T - 3, all in one call per model: 17 + 8 rows
     starts = sorted(map(tuple, np.concatenate([trajs[0].xs[:17], trajs[2].xs[:8]])))
@@ -412,18 +422,23 @@ def test_stacked_forecast_equals_one_call_per_trajectory(monkeypatch, mode):
     batch = evaluation._forecast_batch
 
     def counted(model, x0, *args, **kwargs):
-        calls.append(x0)
-        return batch(model, x0, *args, **kwargs)
+        out = batch(model, x0, *args, **kwargs)
+        calls.append((x0, out))
+        return out
 
     monkeypatch.setattr(evaluation, "_forecast_batch", counted)
-    res, got = evaluation._test_set_forecasts(m, test, hs, mode)
-    assert len(calls) == 1 and len(calls[0]) == sum(T - 1 for T in (40, 9, 26, 3, 12))
+    evaluate({"m": [m]}, test, [25, 1, 10, 7], mode=mode)
+    assert len(calls) == 1
+    x0, res = calls[0]
+    assert len(x0) == sum(T - 1 for T in (40, 9, 26, 3, 12))
     stacked = np.concatenate([traj.xs[:traj.T - 1] for traj in trajs])
-    assert not np.array_equal(calls[0], stacked)
-    assert [traj for traj, _ in got] == trajs
-    for (traj, rows), alpha in zip(got, filter_all(m, test)):
+    assert not np.array_equal(x0, stacked)
+    (b, i), *_ = evaluation._forecast_layout(test, list(hs))
+    for k, (traj, alpha) in enumerate(zip(trajs, filter_all(m, test))):
         n = traj.T - 1
-        assert np.array_equal(calls[0][rows], traj.xs[:n])
+        rows = np.flatnonzero(b == k)
+        assert np.array_equal(i[rows], np.arange(n))
+        assert np.array_equal(x0[rows], traj.xs[:n])
         out = res[rows]
         lengths = hs[np.searchsorted(hs, traj.T - np.arange(1, n + 1), side="right") - 1]
         us = np.full((n, 25, 1), np.nan)
@@ -438,6 +453,24 @@ def test_stacked_forecast_equals_one_call_per_trajectory(monkeypatch, mode):
             # marginal belief differently from the 16-row stacked step
             np.testing.assert_allclose(out[0], want[0], rtol=1e-14, atol=0)
         assert np.array_equal(out[lone:], want[lone:], equal_nan=True)
+
+
+@pytest.mark.parametrize("mode", ["marginal", "argmax"])
+def test_evaluate_scores_every_tag_as_if_alone(mode):
+    # ragged, with T = 4 shorter than every horizon but the first; tags of
+    # K = 2 and 3, one of two models, and horizons out of order
+    gen = random_model(K=2, d_x=2, d_u=1, seed=30)
+    trajs = [random_trajectory(gen, T=T, seed=s)[0] for s, T in enumerate((30, 4, 17, 23))]
+    test = Dataset(trajs)
+    horizons = [9, 1, 16, 5]
+    models = {"a": [random_model(K=2, d_x=2, d_u=1, seed=s) for s in (31, 32)],
+              "b": [random_model(K=3, d_x=2, d_u=1, kind="linear", seed=33)]}
+    both = evaluate(models, test, horizons, mode=mode)
+    for tag in models:
+        alone = evaluate({tag: models[tag]}, test, horizons, mode=mode)
+        assert [r for r in both.rows if r["tag"] == tag] == alone.rows
+        assert [r for r in both.per_split if r["tag"] == tag] == alone.per_split
+    assert [r["tag"] for r in both.rows] == ["a"] * 4 + ["b"] * 4
 
 
 def test_forecast_lengths_must_not_increase_nor_pass_the_horizon():
@@ -470,6 +503,13 @@ def test_evaluate_errors():
         evaluate({"m": [m]}, test, horizons=[3, 12, 9, 10])
     with pytest.raises(ValueError, match="no trajectory is longer than horizon 10$"):
         evaluate({"m": [m]}, test, horizons=[10, 12])
+    # [2.5, True] used to score and label horizons 2 and 1
+    for horizons in ([2.5, True], [3, 2.0], [True], ["2"], [0]):
+        with pytest.raises(ValueError, match=r"horizons must be integers >= 1, got \["):
+            evaluate({"m": [m]}, test, horizons=horizons)
+    report = evaluate({"m": [m]}, test, horizons=np.array([2, 1]))
+    assert [type(r["h"]) for r in report.rows] == [int, int]
+    assert report.to_csv() == evaluate({"m": [m]}, test, horizons=[2, 1]).to_csv()
 
 
 def test_evaluate_rejects_a_repeated_horizon():

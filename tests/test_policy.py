@@ -268,6 +268,16 @@ def test_rollout_validates_dims_and_mode():
         rollout(pend, ol, T=10, x0=np.array([np.pi, 0.0]))
 
 
+def test_rollout_steps_must_be_an_integer():
+    # T = 3.0 used to fail inside numpy with a bare TypeError
+    pend = default_config("pendulum")
+    m = _closed_loop_model([np.array([[-30.0, -6.0]])], d_x=2)
+    for T in (3.0, True, 1):
+        with pytest.raises(ValueError, match=f"T must be an integer >= 2, got {T!r}$"):
+            rollout(pend, m, T=T, x0=np.array([0.05, 0.0]))
+    assert rollout(pend, m, T=np.int64(3), x0=np.array([0.05, 0.0])).trajectory.T == 3
+
+
 def test_rollout_stabilizer_holds_upright():
     # every regime is the linear stabilizer; from near upright the closed
     # loop stays there
