@@ -9,11 +9,12 @@ and that path is scored at the final step of every horizon window it covers,
 normalized by per-dimension test-set variance so a mean predictor scores 1.
 Every start of every test trajectory runs in one batch of ragged rows per
 model (_forecast_batch with lengths), so each (start, step) pair is forecast
-once, whatever the horizons, and each step of the batch is one link evaluation
-over all running rows. Only the beliefs in that batch depend on the model: the
-rest is laid out once per evaluate call (_forecast_layout). The beliefs come
-from one forward pass over the whole test set, padded to its longest
-trajectory (filter_all): the same padded batch the E-step smooths.
+once, whatever the horizons. A step predicts the belief in the link's factored
+form, by elementwise passes over the running rows, so a row's forecast is the
+same whichever rows share its batch. Only the beliefs in that batch depend on
+the model: the rest is laid out once per evaluate call (_forecast_layout). The
+beliefs come from one forward pass over the whole test set, padded to its
+longest trajectory (filter_all): the same padded batch the E-step smooths.
 """
 from __future__ import annotations
 
@@ -22,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import is_integer, last_axis_sum
+from ._linalg import is_integer
 from .inference import _forward_batch, padded_inputs
 from .model import Dataset, HybridModel
-from .transition import transition_matrices
+from .transition import (_Z_FLOOR, _log_softmax_dest, _unpack, transition_features,
+                         transition_matrices)
 
 MODE_MARGINAL = "marginal"
 MODE_ARGMAX = "argmax"
@@ -46,6 +48,15 @@ def filter_all(model: HybridModel, dataset: Dataset) -> np.ndarray:
     return _forward_batch(ev, trans, model.init.pi, pad)[0]
 
 
+def _passes(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j w[j] * v[j] in order of j, by elementwise passes: each column of
+    the result is rounded from its own column of the operands alone."""
+    out = w[0] * v[0]
+    for j in range(1, len(w)):
+        out += w[j] * v[j]
+    return out
+
+
 def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
                     us: np.ndarray, mode: str, lengths: np.ndarray) -> np.ndarray:
     """Forecast up to h steps from M starts at once.
@@ -58,34 +69,61 @@ def _forecast_batch(model: HybridModel, x0: np.ndarray, b0: np.ndarray,
     propagates the full belief and predicts the belief-weighted mean; argmax
     collapses the belief to its best regime each step. mode is one of
     FORECAST_MODES, which evaluate checks.
+
+    The batch is held regime-major, a column per row: xu[i] (d_x + d_u, M)
+    holds the states of step i (the forecast of step i - 1) and its actions,
+    b (K, M) the beliefs. A step predicts the belief sum_j psi[:, j] b[j] in
+    the link's factored form (transition module docstring), with no (m, K, K)
+    link stack: E * sum_j Bm[:, j] b[j] / Zs[j], E and Bm the shifted
+    exponentials of the logits and the bias and Zs[j] = sum_i Bm[i, j] E[i].
+    A step where Zs has an entry below _Z_FLOOR takes psi from
+    transition_matrices instead. Each sum is a _passes loop, so outside that
+    fallback a row rounds as in a call of its own.
     """
     M, h = us.shape[:2]
     bad = np.flatnonzero(np.diff(lengths, prepend=h) > 0)
     if bad.size:
         raise ValueError(f"lengths must not increase and must be at most h = {h}, "
                          f"but row {bad[0]} runs {lengths[bad[0]]} steps")
-    running = np.count_nonzero(lengths > np.arange(h)[:, None], axis=1)
-    x = np.array(x0, dtype=float)
-    b = np.array(b0, dtype=float)
-    A, B, c = model.dynamics.A, model.dynamics.B, model.dynamics.c
-    out = np.full((M, h, x.shape[1]), np.nan)
+    running = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
+    tm, dyn, K, d_x = model.transition, model.dynamics, model.K, model.d_x
+    xu = np.full((h + 1, d_x + tm.d_u, M), np.nan)
+    xu[0, :d_x], xu[:h, d_x:] = np.transpose(x0), np.moveaxis(us, 0, 2)
+    b = np.array(b0, dtype=float).T
+    # weights with the summed axis leading, each broadcast over the columns
+    AB = np.moveaxis(np.concatenate([dyn.A, dyn.B], axis=2), 2, 0).reshape(-1, K * d_x, 1)
+    if tm.kind == "stationary":
+        P = np.exp(_log_softmax_dest(tm.bias)).T[:, :, None]
+    else:
+        Bm = np.exp(tm.bias - tm.bias.max(axis=0))[:, :, None]
+        W, *hidden = (w.T[:, :, None] if w.ndim == 2 else w[:, None]
+                      for w in _unpack(tm, tm.feature_params))
     for i, m in enumerate(running):
-        x, b = x[:m], b[:m]
-        u = us[:m, i, :]
-        psi = transition_matrices(model.transition, x, u)     # (m, K, K) [dest, src]
-        b = np.einsum("mij,mj->mi", psi, b)
-        b /= last_axis_sum(b)[:, None]
-        # per-regime one-step means: (m, K, d_x); without controls B adds nothing
-        Ax = np.einsum("kde,me->mkd", A, x)
-        means = (Ax + np.einsum("kdu,mu->mkd", B, u) if u.shape[1] else Ax) + c
-        if mode == MODE_MARGINAL:
-            x = np.einsum("mk,mkd->md", b, means)
+        x, u, b = xu[i, :d_x, :m], xu[i, d_x:, :m], b[:, :m]
+        feats = transition_features(tm, x.T, u.T).T       # (F, m); checks x and u
+        if tm.kind == "stationary":
+            pred = _passes(P, b)
         else:
-            ks = b.argmax(axis=1)
-            x = means[np.arange(m), ks]
-            b = np.eye(model.K)[ks]
-        out[:m, i, :] = x
-    return out
+            a = _passes(W, feats)
+            if hidden:
+                b1, W2, b2 = hidden
+                a = _passes(W2, np.tanh(a + b1)) + b2
+            a -= a.max(axis=0)
+            E = np.exp(a, out=a)
+            zs = _passes(Bm, E)
+            if zs.min() < _Z_FLOOR:
+                pred = _passes(transition_matrices(tm, x.T, u.T).transpose(2, 1, 0), b)
+            else:
+                pred = E * _passes(Bm.transpose(1, 0, 2), b / zs)
+        b = pred / _passes(pred, np.ones(K))
+        means = (_passes(AB, xu[i, :, :m]) + dyn.c.reshape(-1, 1)).reshape(K, d_x, m)
+        if mode == MODE_MARGINAL:
+            xu[i + 1, :d_x, :m] = _passes(means, b)
+        else:
+            ks = b.argmax(axis=0)
+            xu[i + 1, :d_x, :m] = means[ks, :, np.arange(m)].T
+            b = (np.arange(K)[:, None] == ks).astype(float)
+    return xu[1:, :d_x].transpose(2, 0, 1)
 
 
 def nmse(preds: np.ndarray, truths: np.ndarray, normalizer: np.ndarray) -> float:
@@ -188,11 +226,13 @@ def evaluate(models_by_tag: dict, test: Dataset, horizons,
     and (n_starts, h_max, d_u) action windows, and per horizon an index of
     the scored rows and their truths (_forecast_layout). Per model the padded
     (B, T_max, K) beliefs, the starts' beliefs and one (n_starts, h_max, d_x)
-    forecast array are held, and at each step one (n_running, K, K) link
-    stack over the rows still running.
+    forecast array are held, and at each step (K, n_running) arrays over the
+    rows still running, but no link stack where the factored link is exact.
     """
     if mode not in FORECAST_MODES:
         raise ValueError(f"mode must be one of {FORECAST_MODES}, got {mode!r}")
+    if not models_by_tag:
+        raise ValueError("models_by_tag names no model tag")
     horizons = list(horizons)
     if not horizons or not all(is_integer(h) and h >= 1 for h in horizons):
         raise ValueError(f"horizons must be integers >= 1, got {horizons!r}")

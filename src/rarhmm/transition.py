@@ -52,10 +52,10 @@ full logits of transition_matrices destination-major, as (K, M, K): numpy
 reduces over a short trailing or middle axis 15-25x slower than over a leading
 one (K = 5, M = 1200).
 
-transition_matrices is the one evaluation of the link: the E-step, the
-evaluation filter and the forecast call it on whole trajectories, and the
-runtime belief on one step (M = 1). transition_features is the one entry
-point for link inputs, and it checks their shapes and finiteness.
+transition_matrices evaluates the link matrices: the E-step and the evaluation
+filter on whole trajectories, the runtime belief on one step (M = 1), and the
+forecast only where the factored form above underflows. transition_features
+is the one entry point for link inputs, and it checks shapes and finiteness.
 """
 from __future__ import annotations
 

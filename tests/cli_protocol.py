@@ -7,6 +7,9 @@ The sequence covers every command path whose output a refactor must keep
 byte-identical:
 - simulate the bouncing ball, then `fit --manifest` (K = 3, linear link);
 - eval those fits in marginal and argmax mode;
+- copy the first fit with its link weights doubled until the link's shifted
+  normalizer underflows on the test set, and eval it in marginal mode, so its
+  forecast steps take the exact link fallback;
 - fit and eval ragged copies of the ball data (K = 4, stationary link), and
   eval that fit and the linear fits on the ragged test set in argmax mode,
   and in marginal mode at unsorted horizons whose largest passes the end of
@@ -43,11 +46,16 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from rarhmm.cli import EXIT_OK, main
 from rarhmm.envs import load_dataset, save_dataset
-from rarhmm.model import Trajectory
+from rarhmm.model import Trajectory, load_model, model_to_dict
+from rarhmm.transition import (_Z_FLOOR, _link_logits, params_to_vector,
+                               transition_features, vector_to_params)
 
 # per size: simulate's --steps (the env horizon when empty), the EM budgets,
 # the rollouts' episodes and --steps, the expert rollouts' --steps, and the
@@ -71,13 +79,34 @@ def _ragged_copy(src: str, dst: str) -> None:
                        for T in [max(2, t.T * (i + 1) // n)]])
 
 
+def _underflowing_copy(src: str, test: str, dst: str) -> None:
+    """The model of src with its link's bias and feature weights doubled until,
+    at some step of test, an entry of the link's shifted normalizer
+    Zs = exp(bias - max bias).T @ exp(a - max a) (the transition module
+    docstring) falls below _Z_FLOOR, written to dst."""
+    model = load_model(src)
+    trajs = load_dataset(test).trajectories
+    xs, us = (np.concatenate([getattr(t, name) for t in trajs]) for name in ("xs", "us"))
+    tm = model.transition
+    for _ in range(64):
+        tm = vector_to_params(tm, 2.0 * params_to_vector(tm))
+        a = _link_logits(tm, transition_features(tm, xs, us), tm.feature_params)[0].T
+        zs = np.exp(tm.bias - tm.bias.max(axis=0)).T @ np.exp(a - a.max(axis=0))
+        if zs.min() < _Z_FLOOR:
+            Path(dst).parent.mkdir(parents=True, exist_ok=True)
+            Path(dst).write_text(json.dumps(model_to_dict(replace(model, transition=tm)),
+                                            indent=1) + "\n")
+            return
+    raise RuntimeError(f"the link of {src} does not underflow on {test}")
+
+
 def _write_config(path: str, cfg: dict) -> None:
     Path(path).write_text(json.dumps(cfg, sort_keys=True) + "\n")
 
 
 def _commands(size: dict) -> list:
-    """The protocol: CLI argument lists, and callables for the ragged copies
-    and the config file."""
+    """The protocol: CLI argument lists, and callables for the ragged copies,
+    the config file and the underflowing link."""
     steps, iters = size["steps"], str(size["iters"])
     rollout = ["rollout", "--env", "pendulum", "--obs", "trig",
                "--model", "distill/distilled.json",
@@ -96,6 +125,10 @@ def _commands(size: dict) -> list:
          "--horizons", "1,5,10", "--mode", "marginal", "--out-dir", "eval_marginal"],
         ["eval", "--test", "ball/test.ndjson", "--model", "linear=fit/model_split*.json",
          "--horizons", "1,5,10", "--mode", "argmax", "--out-dir", "eval_argmax"],
+        lambda: _underflowing_copy("fit/model_split00.json", "ball/test.ndjson",
+                                   "fit_underflow/model.json"),
+        ["eval", "--test", "ball/test.ndjson", "--model", "underflow=fit_underflow/model.json",
+         "--horizons", "1,5,10", "--mode", "marginal", "--out-dir", "eval_underflow"],
         lambda: _ragged_copy("ball/train.ndjson", "ball/ragged_train.ndjson"),
         lambda: _ragged_copy("ball/test.ndjson", "ball/ragged_test.ndjson"),
         ["fit", "--data", "ball/ragged_train.ndjson", "--K", "4",

@@ -12,6 +12,8 @@ import pytest
 from rarhmm import envs, evaluation, learning, policy
 from rarhmm.model import CLOSED_LOOP, Dataset
 
+from util import underflowing_link_model
+
 SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "bench", "spans.py")
 SPANS = runpy.run_path(SPANS_PATH)
@@ -41,6 +43,11 @@ def test_every_layer_span_records_calls(tmp_path):
         test = Dataset(data.trajectories[2:])
         model, _ = learning.fit_em(train, config)
         evaluation.evaluate({"distill": [model]}, test, (1, 5))
+        # a link whose factored normalizer underflows: the forecast takes its
+        # link matrices from transition_matrices, looked up through evaluation
+        evaluation.evaluate({"underflow": [underflowing_link_model(d_x=test.d_x,
+                                                                   d_u=test.d_u)]},
+                            test, (1, 5))
         policy.rollout(env, model, T=20, x0=np.array([np.pi, 0.0]))
     silent = [name for _, _, name, _ in spans if tracer.stats[name].calls == 0]
     assert not silent, f"spans with no calls: {silent}"

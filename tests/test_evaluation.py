@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from rarhmm.evaluation import (_forecast_batch, count_params,
                                dataset_normalizer)
 from rarhmm.model import (Controllers, Dataset, Dynamics, HybridModel,
                           InitialModel, Trajectory, log_local_evidence)
-from rarhmm.transition import make_transition
+from rarhmm.transition import make_transition, transition_matrices
 
 from util import (EDGE_BELIEF, LastUniformRng, brute_force_posterior, filter_one,
                   forward_pass, local_quantities, mvn_logpdf, random_dataset, random_model,
-                  random_trajectory, reference_sample_trajectory)
+                  random_trajectory, reference_sample_trajectory, underflowing_link_model)
 
 
 def _ball_truth_maps(cfg):
@@ -264,6 +266,74 @@ def test_ragged_forecast_reads_only_each_rows_actions():
         _forecast_batch(m, x0, b0, us, "marginal", np.r_[lengths[:-2], 2, 2])
 
 
+@pytest.mark.parametrize("mode", ["marginal", "argmax"])
+@pytest.mark.parametrize("K", [2, 5, 9])
+@pytest.mark.parametrize("kind", ["stationary", "linear", "polynomial", "perceptron"])
+def test_forecast_rows_round_alone(kind, K, mode):
+    # each sum over regimes, link features or coordinates runs elementwise
+    # over the rows, so a batch of ragged rows forecasts each row bit for bit
+    # as a call of its own would; a matmul or an einsum rounds a row by the
+    # number of rows it shares a call with
+    m = random_model(K=K, d_x=2, d_u=1, kind=kind, seed=40 + K)
+    rng = np.random.default_rng(K)
+    M, h = 13, 6
+    x0, b0 = rng.standard_normal((M, 2)), rng.dirichlet(np.ones(K), size=M)
+    us = rng.standard_normal((M, h, 1))
+    lengths = np.sort(rng.integers(1, h + 1, size=M))[::-1]
+    got = _forecast_batch(m, x0, b0, us, mode, lengths)
+    for r in range(M):
+        alone = _forecast_batch(m, x0[r:r + 1], b0[r:r + 1], us[r:r + 1], mode,
+                                lengths[r:r + 1])
+        assert np.array_equal(got[r], alone[0], equal_nan=True)
+
+
+def _reference_forecast(model, x0, b0, us, mode):
+    """Each row forecast on its own, one step at a time, from the link matrix
+    transition_matrices gives at that step."""
+    d = model.dynamics
+    out = np.empty((len(x0), us.shape[1], model.d_x))
+    for r, (x, b) in enumerate(zip(x0, b0)):
+        for i, u in enumerate(us[r]):
+            b = transition_matrices(model.transition, x[None], u[None])[0] @ b
+            b = b / b.sum()
+            means = d.A @ x + d.B @ u + d.c
+            if mode == "marginal":
+                x = b @ means
+            else:
+                x, b = means[b.argmax()], np.eye(model.K)[b.argmax()]
+            out[r, i] = x
+    return out
+
+
+@pytest.mark.parametrize("mode", ["marginal", "argmax"])
+def test_forecast_takes_the_exact_link_where_the_normalizer_underflows(monkeypatch, mode):
+    # every entry of the factored link's shifted normalizer underflows, so
+    # every step takes the link matrices over its running rows from
+    # transition_matrices, looked up through evaluation; no divide by zero
+    # or invalid value is raised on the way
+    m = underflowing_link_model(K=3, seed=42)
+    rng = np.random.default_rng(42)
+    M, h = 7, 5
+    x0, b0 = rng.standard_normal((M, 2)), rng.dirichlet(np.ones(3), size=M)
+    us = rng.standard_normal((M, h, 1))
+    lengths = np.array([5, 5, 4, 3, 3, 1, 1])
+    calls = []
+
+    def counted(tm, xs, us):
+        calls.append(len(xs))
+        return transition_matrices(tm, xs, us)
+
+    monkeypatch.setattr(evaluation, "transition_matrices", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _forecast_batch(m, x0, b0, us, mode, lengths)
+    assert calls == [7, 5, 5, 3, 2]
+    want = _reference_forecast(m, x0, b0, us, mode)
+    ran = np.arange(h) < lengths[:, None]
+    np.testing.assert_allclose(got[ran], want[ran], rtol=1e-12, atol=1e-12)
+    assert np.all(np.isnan(got[~ran]))
+
+
 def test_nmse_values():
     assert nmse(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(2)) == 0.0
     got = nmse(np.array([[1.0, 0.0], [0.0, 1.0]]),
@@ -371,11 +441,10 @@ def test_joint_forecast_equals_per_horizon_protocol(mode, horizons):
     want = _per_horizon_reference(m, trajs, horizons, mode, dataset_normalizer(test))
     report = evaluate({"m": [m]}, test, horizons, mode=mode)
     assert [r["h"] for r in report.per_split] == list(horizons)
-    # exact only by rounding luck at marginal h = 25: the reference forecasts
-    # the one h = 25 start of T = 26 in a call of its own, evaluate stacks it
-    # with 15 rows of T = 40, and the two forecasts differ in their last bits
-    # (~5e-16 relative; see test_stacked_forecast_equals_one_call_per_trajectory)
-    # but round to the same NMSE
+    # exact, though the reference forecasts the one h = 25 start of T = 26 in a
+    # call of its own and evaluate stacks it with 15 rows of T = 40: a row
+    # rounds the same whichever rows share its call
+    # (test_forecast_rows_round_alone)
     assert [r["nmse"] for r in report.per_split] == want
     assert [r["mean"] for r in report.rows] == want
 
@@ -444,15 +513,10 @@ def test_stacked_forecast_equals_one_call_per_trajectory(monkeypatch, mode):
         us = np.full((n, 25, 1), np.nan)
         for r, length in enumerate(lengths):
             us[r, :length] = traj.us[r:r + length]
+        # bit for bit, also the first start of T = 26: from step 10 on it is
+        # the one row its own call runs, and in the stacked batch one of 16
         want = batch(m, traj.xs[:n], alpha[:n], us, mode, lengths)
-        lone = mode == "marginal" and traj.T == 26
-        if lone:
-            # the first start of T = 26 is the one 25-step row of its own
-            # call, so from step 10 on that call runs one row: numpy's
-            # one-row loops (the link's matmul, the belief einsum) round the
-            # marginal belief differently from the 16-row stacked step
-            np.testing.assert_allclose(out[0], want[0], rtol=1e-14, atol=0)
-        assert np.array_equal(out[lone:], want[lone:], equal_nan=True)
+        assert np.array_equal(out, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("mode", ["marginal", "argmax"])
@@ -492,6 +556,9 @@ def test_evaluate_errors():
     test = random_dataset(m, n=2, T=10, seed=9)
     with pytest.raises(ValueError):
         evaluate({}, Dataset([]), horizons=[1])
+    # an empty tag map used to give a report with a header and no rows
+    with pytest.raises(ValueError, match="names no model tag"):
+        evaluate({}, test, horizons=[1])
     with pytest.raises(ValueError):
         evaluate({"m": []}, test, horizons=[1])
     with pytest.raises(ValueError):

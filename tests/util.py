@@ -153,6 +153,20 @@ def random_model(K=2, d_x=2, d_u=1, mode=OPEN_LOOP, kind="linear", seed=0,
                        controllers=controllers)
 
 
+def underflowing_link_model(K=3, d_x=2, d_u=1, seed=0):
+    """A random perceptron-link model whose bias columns and link logits spread
+    by 1000 nats in opposite directions: regime 0's bias row is raised by 1000
+    and its output offset b2[0] lowered by 1000. Its link matrices are those
+    of the unshifted model to rounding, but every entry of the link's shifted
+    normalizer Zs (the transition module docstring) underflows to 0."""
+    model = random_model(K=K, d_x=d_x, d_u=d_u, kind="perceptron", seed=seed)
+    tm = model.transition
+    bias, params = tm.bias.copy(), tm.feature_params.copy()
+    bias[0] += 1000.0
+    params[-K] -= 1000.0        # the last K parameters are the output offsets b2
+    return replace(model, transition=replace(tm, bias=bias, feature_params=params))
+
+
 def random_trajectory(model, T=8, seed=0, dt=0.1):
     rng = np.random.default_rng(seed)
     exo = None
